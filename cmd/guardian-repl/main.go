@@ -51,8 +51,7 @@ func main() {
 	cfg := heap.DefaultConfig()
 	cfg.Generations = *generations
 	if *autotune {
-		cfg.AutoTune = true
-		cfg.TriggerWords = *trigger // AdaptivePolicy's starting trigger
+		cfg.Policy = &heap.AdaptivePolicy{Initial: *trigger}
 	} else {
 		cfg.Policy = heap.RadixPolicy{Trigger: *trigger}
 	}

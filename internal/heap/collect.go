@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obj"
@@ -12,7 +13,10 @@ import (
 // the guardian protected-list algorithm (pend-hold-list /
 // pend-final-list with repeated sweeps), and the weak-pair second pass
 // that runs after guardian handling so that salvaged objects keep
-// their weak references.
+// their weak references. There is one collection body (collect) and
+// one copying core (copier); parallel.go holds what more than one
+// copier needs, remset.go the remembered set and the window fix-up of
+// pause-budgeted collections.
 
 // Collect performs a stop-and-copy collection of generations 0
 // through g. Survivors are copied into the target generation (g+1,
@@ -38,127 +42,127 @@ func (h *Heap) Collect(g int) *CollectionReport {
 	return h.collectAs(nil, g, false)
 }
 
-// collectSTW is the stop-the-world collection body shared by the
-// legacy path (Collect, with the single mutator stopped by virtue of
-// calling it) and the concurrent-mutator path (collectAs, after the
-// safepoint handshake has suspended every registered mutator). When
-// Config.PauseBudget is set and the collection includes old space,
-// collectAs routes to collectSliced instead.
-func (h *Heap) collectSTW(g int) *CollectionReport {
-	h.check(!h.inCollect.Load(), "Collect called during a collection")
+// collect is the collection body, run by collectAs once the world is
+// stopped (in legacy mode the single mutator is stopped by virtue of
+// calling it): begin, roots, old-to-young scan, the kleene-sweep, and
+// the ordered tail of collectFinish. The sweep runs against a
+// deadline. A monolithic collection has none — the zero deadline is
+// never checked, the first drain reaches the fixpoint and the loop
+// body never runs. With Config.PauseBudget set and old space included
+// (g >= 1 after clamping; generation-0 sweeps are the cheap case the
+// budget exists to protect) each drain is one bounded slice: when the
+// budget is exhausted with work remaining the slice closes, the world
+// resumes for a window (sliceWindow), and the next slice re-forwards
+// whatever the mutators did (sliceFixup) before resuming the parked
+// work lists — nothing about the work representation changes.
+// Mutator progress during a window is kept sound by three mechanisms:
+// the write barrier records every window pointer store for
+// re-forwarding at the next slice (sliceRecord / sliceFixup), window
+// allocation goes to current-stamp gen-0 segments that the next slice
+// scans like to-space ("allocate black" — their chains are walked by
+// sliceFixup), and the read barrier (fwdNorm) normalizes from-space
+// values fished out of unswept cells. Guardian salvage and weak-pair
+// breaking are pinned to the final slice, after the sweep fixpoint has
+// fully drained, so the paper's ordering — and the tconc salvage
+// order — is bit-for-bit what PauseBudget == 0 produces. Guardians
+// registered during a window take effect at the NEXT collection: their
+// entries sit past the protLim snapshot, are skipped by the guardian
+// phase, and are kept alive until then (sliceRetainSuffix).
+//
+// A panic unwinding out of the body (out of memory on a bounded heap,
+// a failed check, a panicking hook) leaves from-space half-copied:
+// the heap is marked failed and refuses further use.
+func (h *Heap) collect(self *Mutator, g int) *CollectionReport {
 	start := time.Now()
-	h.inCollect.Store(true)
-	defer func() { h.inCollect.Store(false) }()
-	g, t := h.collectBegin(g, start)
-	if h.gcWorkers > 1 {
-		// Parallel mode (see parallel.go): the roots, old-scan, and
-		// sweep phases fan out over the chosen workers. The guardian
-		// phase below fans its classifications and re-sweeps out too
-		// (keeping all mutation sequential); weak, hooks, and free
-		// stay sequential code, exactly as in the paper.
-		h.collectParallel(g, t)
-	} else {
-		// Sequential collections hold no segment reservations: drain
-		// any worker affinity caches left over from parallel mode.
-		h.releaseSegCaches()
-		h.collectMark(g, t)
-		h.kleeneSweep() // accrues PhaseSweep itself
-	}
-	return h.collectFinish(start, time.Time{}, false)
-}
-
-// collectSliced is the pause-budget collection body (Config.PauseBudget
-// > 0 and the collection includes old space): the same algorithm as
-// collectSTW, but the dominant phase — the Cheney sweep — runs in
-// bounded slices with the mutators released between them through the
-// safepoint handshake (sliceWindow). The Chase-Lev deques (parallel
-// mode) or the sweep queue (sequential mode) are simply parked between
-// slices instead of drained to empty; nothing about the work
-// representation changes. Mutator progress during a window is kept
-// sound by three mechanisms: the write barrier records every window
-// pointer store for re-forwarding at the next slice (sliceRecord /
-// sliceFixup), window allocation goes to current-stamp gen-0 segments
-// that the next slice scans like to-space ("allocate black" — their
-// chains are walked by sliceFixup), and the read barrier (fwdNorm)
-// normalizes from-space values fished out of unswept cells. Guardian
-// salvage and weak-pair breaking are pinned to the final slice, after
-// the sweep fixpoint has fully drained, so the paper's ordering — and
-// the tconc salvage order — is bit-for-bit what PauseBudget == 0
-// produces. Guardians registered during a window take effect at the
-// NEXT collection: their entries sit past the sliceProtLim snapshot,
-// are skipped by the guardian phase, and are kept alive until then
-// (sliceRetainSuffix).
-func (h *Heap) collectSliced(self *Mutator, g int) *CollectionReport {
-	h.check(!h.inCollect.Load(), "Collect called during a collection")
-	start := time.Now()
-	sliceStart := start
+	g = max(0, min(g, h.MaxGeneration()))
 	budget := h.cfg.PauseBudget
+	if g == 0 {
+		budget = 0
+	}
 	h.inCollect.Store(true)
-	h.sliceActive.Store(true)
+	h.sliceActive.Store(budget > 0)
+	done := false
 	defer func() {
 		h.sliceActive.Store(false)
 		h.inCollect.Store(false)
+		if !done {
+			h.failed.Store(true)
+		}
 	}()
-	g, t := h.collectBegin(g, start)
-	h.slicePBase = [NumPhases]int64{}
-	h.sliceDirty = h.sliceDirty[:0]
-	for sp := range h.sliceGen0Done {
-		h.sliceGen0Done[sp] = 0
-	}
-	// Snapshot the protected-list lengths: entries registered during
-	// windows land past these limits and defer to the next collection.
-	lims := h.sliceProtLim[:0]
-	for i := 0; i <= g; i++ {
-		lims = append(lims, len(h.protected[i]))
-	}
-	h.sliceProtLim = lims
+	t := h.collectBegin(g, start)
 
-	if h.gcWorkers > 1 {
-		t = h.collectParallelSliced(g, t)
+	h.run(phaseRoots)
+	t = h.phaseMark(PhaseRoots, t)
+	// Old-to-young pointers: the remembered set's dirty cells, or a
+	// conservative scan of all older generations when the dirty set
+	// is disabled. Each strategy gets its own phase column so the
+	// trace distinguishes remembered-set time from full-scan time.
+	if h.cfg.UseDirtySet {
+		h.run(phaseDirty)
+		h.phaseMark(PhaseDirtyScan, t)
 	} else {
-		h.releaseSegCaches()
-		t = h.collectMark(g, t)
+		h.oldSegCandidates(g)
+		h.run(phaseOld)
+		h.phaseMark(PhaseOldScan, t)
 	}
-	_ = t
 
-	// The slice loop. Each iteration sweeps against the current slice's
-	// deadline; when the budget is exhausted with work remaining, the
-	// slice closes, the world resumes for a window, and the next slice
-	// re-forwards whatever the mutators did (sliceFixup) before
-	// resuming the parked sweep work. `finishing` guarantees
-	// termination: once the sweep has drained, at most one more window
-	// is taken (so the final phases get a fresh slice when the draining
-	// slice is already mostly spent), and the loop then exits even if
-	// that window's fixup produced further work — an allocation storm
-	// cannot postpone the final phases forever.
-	finishing := false
+	// The slice loop. `finishing` guarantees termination: once the
+	// sweep has drained, at most one more window is taken (so the final
+	// phases get a fresh slice when the draining slice is already
+	// mostly spent), and the loop then exits as soon as that window's
+	// fixup work has drained too — an allocation storm cannot postpone
+	// the final phases forever.
+	sliceStart, finishing := start, false
 	for {
-		drained := h.sliceSweep(deadlineOf(sliceStart, budget))
-		if drained && (finishing || time.Since(sliceStart) <= budget/4) {
+		var deadline time.Time
+		if budget > 0 {
+			deadline = sliceStart.Add(budget)
+		}
+		drained := h.drain(deadline)
+		if drained && (budget == 0 || finishing || time.Since(sliceStart) <= budget/4) {
 			break
 		}
-		if drained {
-			finishing = true
-		}
+		finishing = finishing || drained
 		h.sliceEnd(sliceStart)
 		h.sliceWindow(self)
 		sliceStart = time.Now()
 		h.sliceFixup()
 	}
-	return h.collectFinish(start, sliceStart, true)
+	rep := h.collectFinish(start, sliceStart, budget > 0)
+	done = true
+	return rep
 }
 
-func deadlineOf(sliceStart time.Time, budget time.Duration) time.Time {
-	return sliceStart.Add(budget)
-}
-
-// sliceSweep runs one slice's worth of the sweep fixpoint — bounded by
-// the deadline — and reports whether the fixpoint is complete.
-func (h *Heap) sliceSweep(deadline time.Time) bool {
-	if h.gcWorkers > 1 {
-		return h.parSliceSweep(deadline)
+// drain runs the kleene-sweep — every active copier sweeping copied
+// objects until there are no newly copied objects to sweep (§4) — to
+// its fixpoint, or until the deadline when one is set, and reports
+// whether the fixpoint was reached. Work left at a deadline stays
+// parked on the copiers' work lists for the next drain. Time spent
+// here accrues to PhaseSweep regardless of the caller.
+func (h *Heap) drain(deadline time.Time) bool {
+	t0 := time.Now()
+	if h.pending.Load() > 0 {
+		// A drain shared between copiers counts as one kleene-sweep
+		// pass: waves lose their meaning when copiers race through the
+		// transitive closure. A lone copier's work list is not counted
+		// in pending; it counts each wave as it takes it (take).
+		h.Stats.SweepPasses++
 	}
-	return h.sweepBudgeted(deadline)
+	h.deadline = deadline
+	h.run(phaseSweep)
+	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
+	for _, c := range h.active {
+		if !c.idle() {
+			return false
+		}
+	}
+	return true
+}
+
+// pastDeadline reports whether the current drain's deadline, if it has
+// one, has passed.
+func (h *Heap) pastDeadline() bool {
+	return !h.deadline.IsZero() && !time.Now().Before(h.deadline)
 }
 
 // sliceEnd closes the current slice: its pause and the phase time
@@ -174,19 +178,13 @@ func (h *Heap) sliceEnd(sliceStart time.Time) {
 	h.report.Slices = append(h.report.Slices, sr)
 }
 
-// collectBegin is the collection prologue shared by collectSTW and
-// collectSliced: policy resolution (target generation, worker count),
-// report reset, from-space detachment (into h.curFrom, which
-// collectFinish frees), and queue resets. It accrues PhaseSetup and
-// returns the clamped generation and the running phase clock. The
-// caller has already set inCollect (and sliceActive, when slicing).
-func (h *Heap) collectBegin(g int, start time.Time) (int, time.Time) {
-	if g < 0 {
-		g = 0
-	}
-	if g > h.MaxGeneration() {
-		g = h.MaxGeneration()
-	}
+// collectBegin is the collection prologue: policy resolution (target
+// generation, copier count), report reset, from-space detachment (into
+// h.curFrom, which collectFinish frees), and work-list resets. g is
+// already clamped. It accrues PhaseSetup and returns the running phase
+// clock. The caller has already set inCollect (and sliceActive, when
+// slicing).
+func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 	h.stamp++
 	h.gcGen = g
 	target := h.policy.TargetGen(g, h.MaxGeneration())
@@ -202,22 +200,11 @@ func (h *Heap) collectBegin(g int, start time.Time) (int, time.Time) {
 		target = g
 	}
 	h.gcTarget = target
-	// Pick the worker count while the from-space chains are still
-	// attached: the adaptive policy (Config.Workers == 0) sizes the
-	// fan-out by the number of live segments about to be collected.
-	h.gcWorkers = h.chooseWorkers(g)
-	if h.gcWorkers > 1 {
-		// Parallel workers read and write heap words lock-free (CAS
-		// forwarding installs through WordPtr), and the lazy
-		// copy-on-write privatize is unsynchronized single-threaded
-		// machinery: eagerly privatize anything still shared with a
-		// heap template before the fan-out.
-		h.tab.PrivatizeAll()
-	}
 	st := &h.Stats
 	st.countCollection(g)
 	h.statsSnap = *st // per-collection deltas for the report and trace
 	h.phaseNS = [NumPhases]int64{}
+	h.slicePBase = [NumPhases]int64{}
 	rep := &h.report
 	rep.Seq = st.Collections
 	rep.Gen, rep.Target = g, target
@@ -229,18 +216,17 @@ func (h *Heap) collectBegin(g int, start time.Time) (int, time.Time) {
 	rep.Pause = 0
 	rep.Phases = [NumPhases]time.Duration{}
 	rep.Workers = h.cfg.Workers
-	rep.WorkersChosen = h.gcWorkers
-	rep.WorkerSweepBusy = rep.WorkerSweepBusy[:0] // repopulated by parallel mode
-	rep.WorkerSweepIdle = rep.WorkerSweepIdle[:0]
-	rep.WorkerGuardianBusy = rep.WorkerGuardianBusy[:0]
-	rep.WorkerGuardianIdle = rep.WorkerGuardianIdle[:0]
 	rep.GuardianRounds = 0
 	rep.GuardianRoundDurations = rep.GuardianRoundDurations[:0]
 	rep.ShardDirty = [RemShards]uint64{} // repopulated by the dirty scan
 	rep.ProtectedByGen = rep.ProtectedByGen[:0]
 	rep.MutatorsSuspended = h.spSuspended
 	rep.SafepointWait = time.Duration(h.spWaitNS)
-	rep.Slices = rep.Slices[:0] // repopulated by collectSliced
+	rep.Slices = rep.Slices[:0] // repopulated by the slice loop
+	// Pick the copier count while the from-space chains are still
+	// attached: the adaptive policy (Config.Workers == 0) sizes the
+	// fan-out by the number of live segments about to be collected.
+	workers := h.chooseWorkers(g)
 
 	// Detach from-space: the segment chains of every collected
 	// generation. When the oldest generation collects into itself, its
@@ -255,62 +241,24 @@ func (h *Heap) collectBegin(g int, start time.Time) (int, time.Time) {
 			h.chains[sp][gen] = h.chains[sp][gen][:0]
 			h.cur[sp][gen] = cursor{seg: seg.None}
 		}
-		if target <= g {
-			// Oldest-generation self-collection: reset the target
-			// cursor too so copies go to fresh segments.
-			h.cur[sp][target] = cursor{seg: seg.None}
-		}
+		h.sliceGen0Done[sp] = 0
 	}
 	h.curFrom = from
-
-	h.sweepQ = h.sweepQ[:0]
-	h.newWeak = h.newWeak[:0]
-	h.pendWeak = h.pendWeak[:0]
-	return g, h.phaseMark(PhaseSetup, start)
-}
-
-// collectMark runs the sequential root and old-to-young scan phases
-// (parallel collections use collectParallel / collectParallelSliced
-// instead). The sweep is the caller's: collectSTW drains it in one
-// kleeneSweep, collectSliced in budgeted slices.
-func (h *Heap) collectMark(g int, t time.Time) time.Time {
-	// Roots: explicit root slots, then registered providers.
-	for _, c := range *h.rootChunks.Load() {
-		for o := range c.vals {
-			if c.live[o] {
-				c.vals[o] = h.forward(c.vals[o])
-			}
-		}
+	h.activate(workers)
+	h.sliceDirty = h.sliceDirty[:0]
+	// Snapshot the protected-list lengths: the guardian phase handles
+	// exactly these prefixes. Entries registered during the windows of
+	// a sliced collection land past them and defer to the next
+	// collection.
+	h.protLim = h.protLim[:0]
+	for i := 0; i <= g; i++ {
+		h.protLim = append(h.protLim, len(h.protected[i]))
 	}
-	for _, p := range h.providers {
-		p.v.VisitRoots(h.rootVisit)
-	}
-	// Registered mutators' pin slots (Mutator.tmp): constructor
-	// arguments held across the allocation slow path. The world is
-	// stopped, so muts is stable and the owners are not looking.
-	for _, m := range h.muts {
-		for i := range m.tmp {
-			m.tmp[i] = h.forward(m.tmp[i])
-		}
-	}
-	t = h.phaseMark(PhaseRoots, t)
-
-	// Old-to-young pointers: the remembered set's dirty cells, or a
-	// conservative scan of all older generations when the dirty set
-	// is disabled. Each strategy gets its own phase column so the
-	// trace distinguishes remembered-set time from full-scan time.
-	if h.cfg.UseDirtySet {
-		h.scanDirty(g)
-		t = h.phaseMark(PhaseDirtyScan, t)
-	} else {
-		h.scanAllOld(g)
-		t = h.phaseMark(PhaseOldScan, t)
-	}
-	return t
+	return h.phaseMark(PhaseSetup, start)
 }
 
 // collectFinish runs the ordered tail every collection shares —
-// guardian fixpoint, worker merge, weak pass, report snapshot, hooks,
+// guardian fixpoint, weak pass, copier merge, report snapshot, hooks,
 // from-space free — and finalizes the report. For a sliced collection
 // (sliced == true) these phases all belong to the final slice, which
 // began at sliceStart; the report's Pause is then the sum of the slice
@@ -324,22 +272,11 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 
 	// The guardian phase's nested kleene-sweeps accrue to PhaseSweep;
 	// subtracting them leaves the protected-list bookkeeping alone in
-	// the guardian column. In parallel mode the phase partitions
-	// classification across the workers and the re-sweeps fan out
-	// through the work-stealing drain (see guardianPhase and
-	// parallel.go).
+	// the guardian column.
 	sweepBase := h.phaseNS[PhaseSweep]
 	tg := time.Now()
 	h.guardianPhase(g, target)
 	h.phaseNS[PhaseGuardian] += time.Since(tg).Nanoseconds() - (h.phaseNS[PhaseSweep] - sweepBase)
-
-	if h.gcWorkers > 1 {
-		// Fold the per-worker state (stats deltas, weak lists, claimed
-		// segments, sweep/guardian timings) back into the heap. This
-		// runs after the guardian phase because its parallel re-sweeps
-		// keep using the workers' private buffers and deques.
-		h.mergeWorkers(h.par)
-	}
 
 	t := time.Now()
 	h.weakPass(g)
@@ -347,15 +284,20 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 
 	if sliced {
 		// Guardian entries registered during mutator windows are
-		// deferred to the next collection (they sit past the
-		// sliceProtLim snapshot, untouched above) — but the values they
-		// name may live in from-space, which is about to be freed. Keep
-		// them alive by forwarding them now. This runs after the weak
-		// pass on purpose: a window registration's values count as
+		// deferred to the next collection (they sit past the protLim
+		// snapshot, untouched above) — but the values they name may
+		// live in from-space, which is about to be freed. Keep them
+		// alive by forwarding them now. This runs after the weak pass
+		// on purpose: a window registration's values count as
 		// resurrected, so weak pointers to them were already treated
 		// exactly as PauseBudget == 0 would have.
-		h.sliceRetainSuffix(g)
+		h.sliceRetainSuffix()
+		t = time.Now() // the retention accrued its own time (guardian, sweep)
 	}
+	// All copying is done: fold the copiers' private state (stats
+	// deltas, claimed segments, sweep/guardian timings) back into the
+	// heap.
+	h.mergeCopiers()
 
 	// Snapshot the per-generation protected-list sizes and the counter
 	// deltas into the report before the hooks run, so a hook (or any
@@ -462,36 +404,24 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 
 // sliceRetainSuffix keeps alive the guardian entries registered during
 // this sliced collection's mutator windows (the suffix past the
-// sliceProtLim snapshot, which the guardian phase left in place):
-// their Obj/Rep/Tconc values are forwarded out of from-space and the
-// copies swept to the fixpoint. Window registrations always land in
+// protLim snapshot, which the guardian phase left in place): their
+// Obj/Rep/Tconc values are forwarded out of from-space and the copies
+// swept to the fixpoint. Window registrations always land in
 // generation 0's list, so that is the only suffix; the weak pairs the
 // retention sweep copies get the standard weak fix-up here because the
-// main weak pass has already run.
-func (h *Heap) sliceRetainSuffix(g int) {
+// main weak pass has already run (and emptied the weak lists).
+func (h *Heap) sliceRetainSuffix() {
 	t0 := time.Now()
-	nw, pw := len(h.newWeak), len(h.pendWeak)
+	c := h.lead
 	for i := range h.protected[0] {
 		e := &h.protected[0][i]
-		e.Obj = h.forward(e.Obj)
-		e.Rep = h.forward(e.Rep)
-		e.Tconc = h.forward(e.Tconc)
+		e.Obj = c.forward(e.Obj)
+		e.Rep = c.forward(e.Rep)
+		e.Tconc = c.forward(e.Tconc)
 	}
-	// Sequential sweep regardless of worker count: mergeWorkers has
-	// already folded the workers' buffers back into the heap, so the
-	// parallel drain is no longer available (and the suffix is tiny).
 	sweepBase := h.phaseNS[PhaseSweep]
-	h.kleeneSweep()
-	for _, addr := range h.newWeak[nw:] {
-		if h.weakFix(addr) && h.cfg.UseDirtySet {
-			h.dirtyInsert(addr, true)
-		}
-	}
-	for _, addr := range h.pendWeak[pw:] {
-		if h.weakFix(addr) && h.cfg.UseDirtySet {
-			h.dirtyInsert(addr, true)
-		}
-	}
+	h.drain(time.Time{})
+	h.fixWeakLists()
 	h.phaseNS[PhaseGuardian] += time.Since(t0).Nanoseconds() - (h.phaseNS[PhaseSweep] - sweepBase)
 }
 
@@ -503,61 +433,415 @@ func (h *Heap) phaseMark(p Phase, t0 time.Time) time.Time {
 	return now
 }
 
+// copier is the copying core of §4: forward, the sweep of one copied
+// object, and the work list the kleene-sweep drains, written once and
+// parameterized — in the manner of CertiCoq's forward — by the "next
+// available spot in to-space" it owns (cur). The heap's lead copier
+// runs inline on the collecting goroutine and does all of a
+// one-copier collection, plus every sequential step of a larger one:
+// guardian salvage, tconc appends, the window fix-up of sliced
+// collections. Config.Workers > 1 runs further copiers as goroutines
+// around the same code (parallel.go).
+//
+// The core consults one per-collection fact, shared — more than one
+// copier is active — at exactly three points: how a forwarding word is
+// installed (install), how the work list is pushed and taken (push,
+// take), and where a fresh to-space segment comes from (newSeg). A
+// lone copier keeps the paper's plain stores, a FIFO work list drained
+// in waves, and direct segment claims; the measured cost of running it
+// through the shared protocol instead (CAS, Chase–Lev deque, batched
+// segment cache) is recorded in ROADMAP.md.
+type copier struct {
+	id     int
+	h      *Heap
+	shared bool // more than one copier is active this collection
+
+	// cur is the to-space cursor: the open target-generation segment
+	// per space, bump-allocated without locks.
+	cur [seg.NumSpaces]cursor
+
+	// The work list of a lone copier: wave holds the objects being
+	// swept (from head on), next the objects copied while sweeping
+	// them — the following wave. Both buffers are retained, so
+	// steady-state sweeping does not allocate. A shared collection uses
+	// the deque dq instead (parallel.go).
+	wave, next []sweepItem
+	head       int
+
+	newWeak  []uint64 // weak pairs this copier copied
+	pendWeak []uint64 // weak cars this copier deferred (dirty/old scan)
+
+	stats copyStats
+
+	visit func(*obj.Value) // persistent visitor closure for root providers
+
+	peer // what a copier needs only in company (parallel.go)
+}
+
+// copyStats are a copier's deltas of the Stats counters the copying
+// core touches, merged into Heap.Stats by mergeCopiers so the shared
+// counters are never written concurrently.
+type copyStats struct {
+	wordsAllocated    uint64
+	segmentsAllocated uint64
+	wordsCopied       uint64
+	pairsCopied       uint64
+	objectsCopied     uint64
+	cellsSwept        uint64
+	sweepPasses       uint64
+	dirtyCellsScanned uint64
+}
+
+func newCopier(h *Heap, id int) *copier {
+	c := &copier{id: id, h: h}
+	c.visit = func(pv *obj.Value) { *pv = c.forward(*pv) }
+	c.body = c.runPeer
+	c.segScratch = make([]int, 0, segCacheBatch)
+	return c
+}
+
 // forward copies v's referent into the target generation if it lives
 // in a collected generation and has not been copied yet, and returns
 // the (possibly updated) value. Immediates and referents in older
 // generations or in to-space are returned unchanged.
-func (h *Heap) forward(v obj.Value) obj.Value {
+//
+// The object's first word is read once, atomically, and the copy is
+// made from that value: when copiers race on one object, re-reading
+// the word plainly would race with a peer's install, while words 1..n
+// are immutable during the copying phases. The copier whose install
+// loses rolls its allocation back and follows the winner's forwarding
+// address, so every object is copied exactly once.
+func (c *copier) forward(v obj.Value) obj.Value {
 	if !v.IsPointer() {
 		return v
 	}
+	h := c.h
 	addr := v.Addr()
 	s := h.tab.SegOf(addr)
 	if s.Stamp == h.stamp || s.Gen > h.gcGen {
 		return v
 	}
-	w := h.word(addr)
-	if obj.IsFwd(w) {
-		return v.WithAddr(obj.FwdAddr(w))
+	wp := h.tab.WordPtr(addr)
+	w0 := atomic.LoadUint64(wp)
+	if obj.IsFwd(w0) {
+		return v.WithAddr(obj.FwdAddr(w0))
 	}
-	st := &h.Stats
 	if v.IsPair() {
 		space := s.Space
-		na := h.allocGC(space, 2)
-		h.setWord(na, w)
+		na := c.alloc(space, 2)
+		h.setWord(na, w0)
 		h.setWord(na+1, h.word(addr+1))
-		h.setWord(addr, obj.MakeFwd(na))
-		st.PairsCopied++
-		st.WordsCopied += 2
+		if !c.install(wp, w0, na) {
+			c.unalloc(space, 2)
+			return c.followFwd(v, wp)
+		}
+		c.stats.pairsCopied++
+		c.stats.wordsCopied += 2
 		if space == seg.SpaceWeak {
 			// Weak pairs are traced like normal pairs except that the
 			// car is not touched; the cdr is swept, and the car is
 			// fixed by the second pass.
-			h.sweepQ = append(h.sweepQ, sweepItem{na, sweepWeakPair})
-			h.newWeak = append(h.newWeak, na)
+			c.push(sweepItem{na, sweepWeakPair})
+			c.newWeak = append(c.newWeak, na)
 		} else {
-			h.sweepQ = append(h.sweepQ, sweepItem{na, sweepPair})
+			c.push(sweepItem{na, sweepPair})
 		}
 		return v.WithAddr(na)
 	}
-	h.check(obj.IsHeader(w), "forward: object without header at %d", addr)
-	kind := obj.HeaderKind(w)
-	n := obj.PayloadWords(kind, obj.HeaderLength(w))
+	h.check(obj.IsHeader(w0), "forward: object without header at %d", addr)
+	kind := obj.HeaderKind(w0)
+	n := obj.PayloadWords(kind, obj.HeaderLength(w0))
 	space := seg.SpaceObj
 	if !kind.HasPointers() {
 		space = seg.SpaceData
 	}
-	na := h.allocGC(space, 1+n)
-	for i := uint64(0); i <= uint64(n); i++ {
+	total := 1 + n
+	var na uint64
+	var runFirst, runLen int
+	if total > seg.Words {
+		na, runFirst, runLen = c.allocRun(space, total)
+	} else {
+		na = c.alloc(space, total)
+	}
+	h.setWord(na, w0)
+	for i := uint64(1); i <= uint64(n); i++ {
 		h.setWord(na+i, h.word(addr+i))
 	}
-	h.setWord(addr, obj.MakeFwd(na))
-	st.ObjectsCopied++
-	st.WordsCopied += uint64(1 + n)
+	if !c.install(wp, w0, na) {
+		if runLen > 0 {
+			c.freeRun(runFirst, runLen, total)
+		} else {
+			c.unalloc(space, total)
+		}
+		return c.followFwd(v, wp)
+	}
+	if runLen > 0 {
+		c.publishRun(space, runFirst, runLen)
+	}
+	c.stats.objectsCopied++
+	c.stats.wordsCopied += uint64(total)
 	if kind.HasPointers() {
-		h.sweepQ = append(h.sweepQ, sweepItem{na, sweepObj})
+		c.push(sweepItem{na, sweepObj})
 	}
 	return v.WithAddr(na)
+}
+
+// install makes na the forwarding address of the from-space object
+// whose first word, at wp, was read as w0, and reports whether this
+// copier's copy is the one published. A lone copier stores the word.
+// Racing copiers compare-and-swap it over w0, which also publishes the
+// copy with acquire/release semantics: whoever reads the forwarding
+// word sees the fully initialized copy and its segment metadata.
+func (c *copier) install(wp *uint64, w0, na uint64) bool {
+	if !c.shared {
+		*wp = obj.MakeFwd(na)
+		return true
+	}
+	return atomic.CompareAndSwapUint64(wp, w0, obj.MakeFwd(na))
+}
+
+// followFwd resolves v through the forwarding word another copier won
+// the race to install.
+func (c *copier) followFwd(v obj.Value, wp *uint64) obj.Value {
+	w := atomic.LoadUint64(wp)
+	c.h.check(obj.IsFwd(w), "forward: lost the install to a non-forwarding word")
+	return v.WithAddr(obj.FwdAddr(w))
+}
+
+// alloc bump-allocates n (<= seg.Words) words of to-space in the given
+// space, opening a fresh target-generation segment when the open one
+// is full.
+func (c *copier) alloc(space seg.Space, n int) uint64 {
+	c.stats.wordsAllocated += uint64(n)
+	cur := &c.cur[space]
+	if cur.seg == seg.None || cur.off+n > seg.Words {
+		cur.seg, cur.off = c.newSeg(space), 0
+		c.stats.segmentsAllocated++
+	}
+	addr := seg.BaseAddr(cur.seg) + uint64(cur.off)
+	cur.off += n
+	c.h.tab.Seg(cur.seg).Fill = cur.off
+	return addr
+}
+
+// unalloc rolls back this copier's most recent alloc of n words after
+// a lost install. Safe because forward performs no other allocation
+// between alloc and install.
+func (c *copier) unalloc(space seg.Space, n int) {
+	cur := &c.cur[space]
+	cur.off -= n
+	c.h.tab.Seg(cur.seg).Fill = cur.off
+	c.stats.wordsAllocated -= uint64(n)
+}
+
+// newSeg takes a fresh segment in the target generation. A lone copier
+// claims it from the table and links it into the generation's chain
+// directly, with the exact bounded-heap check. Copiers in company pop
+// their reserved-segment caches instead (takeReserved).
+func (c *copier) newSeg(space seg.Space) int {
+	if c.shared {
+		return c.takeReserved(space)
+	}
+	h := c.h
+	h.claimable(1, 1, "to-space segment")
+	idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
+	h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
+	return idx
+}
+
+// push puts a copied object that needs sweeping on the work list: the
+// next wave of a lone copier, or the copier's deque, where idle peers
+// can steal it.
+func (c *copier) push(it sweepItem) {
+	if c.shared {
+		c.pushShared(it)
+		return
+	}
+	c.next = append(c.next, it)
+}
+
+// take returns the next object to sweep, or false when this copier's
+// part in the drain is over: the work is exhausted, or the drain's
+// deadline has passed (checked every 32 objects; n counts the objects
+// already swept, and the first is always taken, so slices always make
+// progress). A lone copier sweeps breadth-first in waves — the objects
+// copied while sweeping one wave form the next — and each wave it
+// starts counts as one pass, so Stats.SweepPasses reports the paper's
+// "iterated" sweep depth faithfully: a drain that finds nothing to
+// sweep records no pass, and the re-sweeps triggered inside the
+// guardian phase's salvage loop are counted like any other. A wave
+// interrupted by a deadline resumes where it stopped, so a sliced
+// sweep visits objects in the order a monolithic one does.
+func (c *copier) take(n int) (sweepItem, bool) {
+	if c.shared {
+		return c.takeShared(n)
+	}
+	if n != 0 && n&31 == 0 && c.h.pastDeadline() {
+		return sweepItem{}, false
+	}
+	if c.head == len(c.wave) {
+		c.wave, c.next, c.head = c.next, c.wave[:0], 0
+		if len(c.wave) == 0 {
+			return sweepItem{}, false
+		}
+		c.stats.sweepPasses++
+	}
+	it := c.wave[c.head]
+	c.head++
+	return it, true
+}
+
+// idle reports whether the copier's work lists are empty. Quiescent
+// use only: between drains, with every peer joined.
+func (c *copier) idle() bool {
+	return c.head == len(c.wave) && len(c.next) == 0 && c.dq.size() == 0
+}
+
+// sweepPhase is a copier's part in a drain: take, sweep, repeat. Wall
+// time is split into busy and idle (the yield in a shared drain's
+// termination spin) so the per-worker numbers in the CollectionReport
+// and the trace reflect load imbalance instead of hiding it. One
+// collection can run several drains — the main sweep plus one per
+// guardian salvage round — so the counters accumulate; the guardian
+// phase's drains go to the guardian columns.
+func (c *copier) sweepPhase() {
+	t0 := time.Now()
+	c.spinNS = 0
+	for n := 0; ; n++ {
+		it, ok := c.take(n)
+		if !ok {
+			break
+		}
+		c.sweep(it)
+	}
+	c.accrue(time.Since(t0).Nanoseconds(), c.spinNS)
+}
+
+// fwdCell forwards the pointer field at addr in place.
+func (c *copier) fwdCell(addr uint64) {
+	h := c.h
+	h.setWord(addr, uint64(c.forward(h.valueAt(addr))))
+}
+
+// sweep sweeps one copied object: every pointer field is forwarded in
+// place.
+func (c *copier) sweep(it sweepItem) {
+	switch it.kind {
+	case sweepPair:
+		c.fwdCell(it.addr)
+		c.fwdCell(it.addr + 1)
+		c.stats.cellsSwept += 2
+	case sweepWeakPair:
+		c.fwdCell(it.addr + 1)
+		c.stats.cellsSwept++
+	case sweepObj:
+		w := c.h.word(it.addr)
+		n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
+		for i := uint64(1); i <= uint64(n); i++ {
+			c.fwdCell(it.addr + i)
+		}
+		c.stats.cellsSwept += uint64(n)
+	}
+}
+
+// scanSeg forwards in place every pointer field of every object in
+// segment idx, deferring weak cars to the weak-pair pass: the walk of
+// an older generation's segment when the dirty set is disabled
+// (oldScanPhase), and of a segment allocated during a sliced
+// collection's window (sliceFixup). Large-object continuation segments
+// are skipped: the header walk of the run's head segment covers the
+// whole run (payload addresses are linear across it).
+func (c *copier) scanSeg(idx int) {
+	h := c.h
+	s := h.tab.Seg(idx)
+	if s.Cont {
+		return
+	}
+	base := seg.BaseAddr(idx)
+	switch s.Space {
+	case seg.SpacePair, seg.SpaceWeak:
+		for off := 0; off+1 < s.Fill; off += 2 {
+			a := base + uint64(off)
+			if s.Space == seg.SpaceWeak {
+				c.pendWeak = append(c.pendWeak, a)
+			} else {
+				c.fwdCell(a)
+			}
+			c.fwdCell(a + 1)
+			c.stats.dirtyCellsScanned += 2
+		}
+	case seg.SpaceObj:
+		off := 0
+		for off < s.Fill {
+			w := h.word(base + uint64(off))
+			h.check(obj.IsHeader(w), "scanSeg: missing header in segment %d", idx)
+			n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
+			for i := 1; i <= n; i++ {
+				c.fwdCell(base + uint64(off+i))
+			}
+			c.stats.dirtyCellsScanned += uint64(n)
+			off += 1 + n
+		}
+	case seg.SpaceData:
+		// No pointers.
+	}
+}
+
+// rootsPhase forwards this copier's share of the roots: explicit root
+// slots, then registered providers, then the registered mutators' pin
+// slots (Mutator.tmp: constructor arguments held across the allocation
+// slow path — the world is stopped, so muts is stable and the owners
+// are not looking). Each is strided by copier id; a provider is
+// visited by exactly one copier (providers own disjoint root storage).
+func (c *copier) rootsPhase() {
+	h, w := c.h, len(c.h.active)
+	dir := *h.rootChunks.Load()
+	for ci := c.id; ci < len(dir); ci += w {
+		rc := dir[ci]
+		for o := range rc.vals {
+			if rc.live[o] {
+				rc.vals[o] = c.forward(rc.vals[o])
+			}
+		}
+	}
+	for j := c.id; j < len(h.providers); j += w {
+		h.providers[j].v.VisitRoots(c.visit)
+	}
+	for j := c.id; j < len(h.muts); j += w {
+		m := h.muts[j]
+		for i := range m.tmp {
+			m.tmp[i] = c.forward(m.tmp[i])
+		}
+	}
+}
+
+// oldSegCandidates snapshots the segments of generations older than g
+// — what a collector without remembered sets must scan — into h.cands.
+// Taken before the copiers start so nobody iterates the table while
+// to-space allocation grows it; segments created during the phases
+// carry the current stamp and would be skipped anyway.
+func (h *Heap) oldSegCandidates(g int) {
+	h.cands = h.cands[:0]
+	for idx := 0; idx < h.tab.Len(); idx++ {
+		s := h.tab.Seg(idx)
+		if !s.InUse || s.Cont || s.Gen <= g || s.Stamp == h.stamp {
+			continue
+		}
+		h.cands = append(h.cands, idx)
+	}
+}
+
+// oldScanPhase is the conservative alternative to the dirty set: every
+// cell of every older generation is visited, exactly as a collector
+// without remembered sets must. It exists as an ablation baseline and
+// as a correctness oracle for the dirty-set implementation. Each
+// candidate segment is scanned by exactly one copier, so in-place
+// forwarding writes never collide.
+func (c *copier) oldScanPhase() {
+	cands := c.h.cands
+	for k := c.id; k < len(cands); k += len(c.h.active) {
+		c.scanSeg(cands[k])
+	}
 }
 
 // isForwarded implements the paper's forwarded? predicate: true when
@@ -590,151 +874,6 @@ func (h *Heap) fwdAddrOf(v obj.Value) obj.Value {
 	w := h.word(addr)
 	h.check(obj.IsFwd(w), "fwdAddrOf: object not forwarded at %d", addr)
 	return v.WithAddr(obj.FwdAddr(w))
-}
-
-// kleeneSweep iteratively sweeps copied objects until there are no
-// newly copied objects to sweep (§4). Each wave of the sweep queue —
-// the objects copied since the previous wave — counts as one pass, so
-// Stats.SweepPasses reports the paper's "iterated" sweep depth
-// faithfully: a call that finds the queue empty records no pass, and
-// the re-sweeps triggered inside the guardian phase's salvage loop
-// are counted like any other. Time spent here accrues to PhaseSweep
-// regardless of the caller.
-func (h *Heap) kleeneSweep() {
-	t0 := time.Now()
-	for len(h.sweepQ) > 0 {
-		h.Stats.SweepPasses++
-		// Swap in the spare buffer so objects copied while sweeping
-		// this wave form the next one; both buffers are retained on
-		// the heap, so steady-state sweeping does not allocate.
-		batch := h.sweepQ
-		h.sweepQ = h.sweepSpare[:0]
-		for _, it := range batch {
-			h.sweepItem1(it)
-		}
-		h.sweepSpare = batch[:0]
-	}
-	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-}
-
-// sweepItem1 sweeps one copied object: every pointer field is
-// forwarded in place. Shared by the kleene-sweep waves and the
-// budgeted sweep of sliced collections.
-func (h *Heap) sweepItem1(it sweepItem) {
-	switch it.kind {
-	case sweepPair:
-		h.setWord(it.addr, uint64(h.forward(h.valueAt(it.addr))))
-		h.setWord(it.addr+1, uint64(h.forward(h.valueAt(it.addr+1))))
-		h.Stats.CellsSwept += 2
-	case sweepWeakPair:
-		h.setWord(it.addr+1, uint64(h.forward(h.valueAt(it.addr+1))))
-		h.Stats.CellsSwept++
-	case sweepObj:
-		w := h.word(it.addr)
-		n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-		for i := uint64(1); i <= uint64(n); i++ {
-			h.setWord(it.addr+i, uint64(h.forward(h.valueAt(it.addr+i))))
-		}
-		h.Stats.CellsSwept += uint64(n)
-	}
-}
-
-// sweepBudgeted is the sequential sliced sweep: it drains sweep items
-// until the queue is empty or the deadline passes (checked every 32
-// items; at least one item is processed per call, so slices always
-// make progress). Items are taken from the end of the queue — newly
-// copied objects go straight back onto it — which changes the order
-// objects are swept relative to kleeneSweep's breadth-first waves, and
-// therefore copy addresses, but not reachability and not the guardian
-// phase's ordering, which is registration-driven. A slice that
-// processes any items counts as one sweep pass. It reports whether the
-// queue fully drained.
-func (h *Heap) sweepBudgeted(deadline time.Time) bool {
-	t0 := time.Now()
-	n := 0
-	for len(h.sweepQ) > 0 {
-		if n > 0 && n&31 == 0 && !time.Now().Before(deadline) {
-			break
-		}
-		it := h.sweepQ[len(h.sweepQ)-1]
-		h.sweepQ = h.sweepQ[:len(h.sweepQ)-1]
-		h.sweepItem1(it)
-		n++
-	}
-	if n > 0 {
-		h.Stats.SweepPasses++
-	}
-	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-	return len(h.sweepQ) == 0
-}
-
-// scanDirty processes the remembered set: cells in generations older
-// than g that may hold pointers into the collected generations. Strong
-// cells are forwarded in place; weak car cells are deferred to the
-// weak-pair pass. Entries whose segments are being collected are
-// dropped (the copies are swept normally), as are entries that no
-// longer point to a younger generation. The sharded representation is
-// scanned shard by shard with in-place compaction (scanRemShard) and
-// no snapshot, so steady-state collections do not allocate here
-// (asserted by TestCollectSteadyStateAllocs); the map-based test
-// oracle takes its own path in remset_oracle.go.
-func (h *Heap) scanDirty(g int) {
-	if h.dirtyMap != nil {
-		h.scanDirtyMap(g)
-		return
-	}
-	st := &h.Stats
-	for i := range h.rem.shards {
-		n := h.scanRemShard(&h.rem.shards[i], g, h.fwdFn, &h.pendWeak)
-		h.report.ShardDirty[i] = n
-		st.DirtyCellsScanned += n
-	}
-}
-
-// scanAllOld is the conservative alternative to the dirty set: it
-// visits every cell of every older generation, forwarding strong cells
-// and deferring weak cars, exactly as a collector without remembered
-// sets must. It exists as an ablation baseline and as a correctness
-// oracle for the dirty-set implementation.
-func (h *Heap) scanAllOld(g int) {
-	for idx := 0; idx < h.tab.Len(); idx++ {
-		s := h.tab.Seg(idx)
-		if !s.InUse || s.Cont || s.Gen <= g || s.Stamp == h.stamp {
-			continue
-		}
-		base := seg.BaseAddr(idx)
-		switch s.Space {
-		case seg.SpacePair:
-			for off := 0; off+1 < s.Fill; off += 2 {
-				a := base + uint64(off)
-				h.setWord(a, uint64(h.forward(h.valueAt(a))))
-				h.setWord(a+1, uint64(h.forward(h.valueAt(a+1))))
-				h.Stats.DirtyCellsScanned += 2
-			}
-		case seg.SpaceWeak:
-			for off := 0; off+1 < s.Fill; off += 2 {
-				a := base + uint64(off)
-				h.pendWeak = append(h.pendWeak, a)
-				h.setWord(a+1, uint64(h.forward(h.valueAt(a+1))))
-				h.Stats.DirtyCellsScanned += 2
-			}
-		case seg.SpaceObj:
-			off := 0
-			for off < s.Fill {
-				w := h.word(base + uint64(off))
-				h.check(obj.IsHeader(w), "scanAllOld: missing header in segment %d", idx)
-				n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-				for i := 1; i <= n; i++ {
-					a := base + uint64(off+i)
-					h.setWord(a, uint64(h.forward(h.valueAt(a))))
-					h.Stats.DirtyCellsScanned++
-				}
-				off += 1 + n
-			}
-		case seg.SpaceData:
-			// No pointers.
-		}
-	}
 }
 
 // AddPostCollectHook registers fn to run at the end of every
@@ -805,22 +944,6 @@ func (h *Heap) ProtectedCount() int {
 	return n
 }
 
-// ProtectedCountByGen returns the per-generation protected-list sizes.
-//
-// Deprecated: reading the live lists from another goroutine races
-// with the guardian phase mutating them mid-collection. Use the
-// ProtectedByGen snapshot on the CollectionReport instead, which is
-// taken at a stable point (after the guardian phase, before hooks).
-// This accessor remains valid on the mutator thread outside a
-// collection and will be removed next release.
-func (h *Heap) ProtectedCountByGen() []int {
-	out := make([]int, len(h.protected))
-	for i, lst := range h.protected {
-		out[i] = len(lst)
-	}
-	return out
-}
-
 // guardianPhase implements the protected-list algorithm of §4. The
 // first block separates accessible objects (pend-hold-list) from
 // inaccessible ones (pend-final-list). The loop then repeatedly
@@ -835,40 +958,35 @@ func (h *Heap) ProtectedCountByGen() []int {
 // the overhead is proportional to the work the collector is already
 // doing (the paper's generation-friendliness claim, experiment E1).
 //
-// In parallel mode (gcWorkers > 1) the accessibility checks — the
-// dominant cost on large protected lists — fan out over the worker
-// pool: each worker classifies a strided share of the entries into a
-// private verdict slot (guardClassifyPar), and each round's triggered
-// re-sweep drains through the work-stealing deques instead of the
-// sequential kleene-sweep (guardResweep). All mutation — forwarding
-// representatives, tconc appends, migration to the target list — stays
-// sequential, in original registration order, and every negative
-// round-start verdict is re-checked at merge time. isForwarded is
-// monotone within a collection (objects only become forwarded), so the
-// merged verdicts reproduce the sequential algorithm's decisions
-// bit-for-bit: the tconc contents, their order, and the Figure 4
-// mutator protocol are identical at any worker count, which is what
-// keeps the seq-vs-parallel lockstep oracle meaningful.
+// The accessibility checks — the dominant cost on large protected
+// lists — are computed by all active copiers: each classifies a
+// strided share of the entries into a private verdict slot
+// (guardClassify), and each round's triggered re-sweep is an ordinary
+// drain. All mutation — forwarding representatives, tconc appends,
+// migration to the target list — is the lead copier's alone, in
+// original registration order, and every negative round-start verdict
+// is re-checked at merge time. isForwarded is monotone within a
+// collection (objects only become forwarded), so the merged verdicts
+// reproduce the one-copier algorithm's decisions bit-for-bit: the
+// tconc contents, their order, and the Figure 4 mutator protocol are
+// identical at any worker count, which is what keeps the
+// seq-vs-parallel lockstep oracle meaningful.
 func (h *Heap) guardianPhase(g, target int) {
 	st := &h.Stats
 	rep := &h.report
+	c := h.lead
 	// Gather the protected entries of every collected generation in
 	// registration order (generation 0..g, list order within each);
-	// this order is what the per-round passes below preserve.
+	// this order is what the per-round passes below preserve. Only
+	// entries present when the collection began participate (protLim):
+	// registrations made during a sliced collection's mutator windows
+	// (always in generation 0's list, past the snapshot) defer to the
+	// next collection, keeping the salvage order identical to
+	// PauseBudget == 0. The retained suffix slides to the front of the
+	// list; its values are kept alive by sliceRetainSuffix.
 	ents := h.guardEnts[:0]
 	for i := 0; i <= g; i++ {
-		lst := h.protected[i]
-		lim := len(lst)
-		if h.sliceActive.Load() {
-			// Sliced collection: only entries present when the
-			// collection began participate — registrations made during
-			// mutator windows (always in generation 0's list, past the
-			// snapshot) defer to the next collection, keeping the
-			// salvage order identical to PauseBudget == 0. The retained
-			// suffix slides to the front of the list; its values are
-			// kept alive by sliceRetainSuffix.
-			lim = h.sliceProtLim[i]
-		}
+		lst, lim := h.protected[i], h.protLim[i]
 		ents = append(ents, lst[:lim]...)
 		h.protected[i] = append(lst[:0], lst[lim:]...)
 	}
@@ -877,14 +995,17 @@ func (h *Heap) guardianPhase(g, target int) {
 	if len(ents) == 0 {
 		return
 	}
+	// Drains and classifications from here on are the guardian
+	// phase's: their busy/idle split goes to the guardian columns.
+	h.inGuardian = true
 
 	// Initial partition: accessible objects pend-hold, inaccessible
-	// pend-final. No heap mutation happens here, so the parallel
-	// classification needs no re-check — a verdict cannot go stale.
+	// pend-final. No heap mutation happens here, so the classification
+	// needs no re-check — a verdict cannot go stale.
 	verdicts := h.guardClassify(ents, nil, true)
 	pendHold, pendFinal := h.guardHold[:0], h.guardFinal[:0]
 	for i, e := range ents {
-		if h.guardVerdict(verdicts, i, e.Obj) {
+		if verdicts[i] {
 			pendHold = append(pendHold, e)
 		} else {
 			pendFinal = append(pendFinal, e)
@@ -894,22 +1015,21 @@ func (h *Heap) guardianPhase(g, target int) {
 	for {
 		rep.GuardianRounds++
 		roundStart := time.Now()
-		// Round-start accessibility verdicts for every pending tconc,
-		// computed in parallel when workers are available. A verdict of
-		// true is final (monotonicity); a verdict of false is only a
-		// hint, because a salvage performed earlier in this very round
-		// can make a later entry's tconc accessible — the sequential
-		// algorithm observes that mid-round, so the merge below
+		// Round-start accessibility verdicts for every pending tconc. A
+		// verdict of true is final (monotonicity); a verdict of false
+		// is only a hint, because a salvage performed earlier in this
+		// very round can make a later entry's tconc accessible — the
+		// paper's algorithm observes that mid-round, so the merge below
 		// re-checks negative verdicts to match it exactly.
 		verdicts = h.guardClassify(pendFinal, pendHold, false)
 		progress := false
 		rest := pendFinal[:0]
 		for i, e := range pendFinal {
-			if (verdicts != nil && verdicts[i]) || h.isForwarded(e.Tconc) {
+			if verdicts[i] || h.isForwarded(e.Tconc) {
 				// The object is inaccessible and its guardian is
 				// alive: save the representative from destruction and
 				// enqueue it on the guardian's tconc.
-				r := h.forward(e.Rep)
+				r := c.forward(e.Rep)
 				tc := h.fwdAddrOf(e.Tconc)
 				h.tconcAddGC(tc, r)
 				st.GuardianEntriesSalvaged++
@@ -922,10 +1042,10 @@ func (h *Heap) guardianPhase(g, target int) {
 		pendFinal = rest
 		restH := pendHold[:0]
 		for j, e := range pendHold {
-			if (verdicts != nil && verdicts[nf+j]) || h.isForwarded(e.Tconc) {
+			if verdicts[nf+j] || h.isForwarded(e.Tconc) {
 				ne := ProtEntry{
 					Obj:   h.fwdAddrOf(e.Obj),
-					Rep:   h.forward(e.Rep),
+					Rep:   c.forward(e.Rep),
 					Tconc: h.fwdAddrOf(e.Tconc),
 				}
 				dst := h.protListGen(ne, target)
@@ -943,14 +1063,14 @@ func (h *Heap) guardianPhase(g, target int) {
 		}
 		// Salvaged objects (and newly forwarded representatives) may
 		// point at tconcs of other guardians, making them accessible;
-		// sweep — through the parallel drain when workers are active —
-		// and try again.
-		h.guardResweep()
+		// sweep and try again.
+		h.drain(time.Time{})
 		rep.GuardianRoundDurations = append(rep.GuardianRoundDurations, time.Since(roundStart))
 		if h.cfg.GuardianSinglePass {
 			break // ablation: no fixpoint iteration
 		}
 	}
+	h.inGuardian = false
 	h.guardHold, h.guardFinal = pendHold[:0], pendFinal[:0]
 	// Remaining entries belong to guardians that are themselves
 	// inaccessible: both the entries and (eventually) the registered
@@ -982,41 +1102,6 @@ func (h *Heap) protListGen(e ProtEntry, target int) int {
 	return dst
 }
 
-// guardVerdict reads entry i's parallel classification verdict, or
-// computes it inline when the round ran without a fan-out (sequential
-// mode, or an empty entry set).
-func (h *Heap) guardVerdict(verdicts []bool, i int, v obj.Value) bool {
-	if verdicts == nil {
-		return h.isForwarded(v)
-	}
-	return verdicts[i]
-}
-
-// guardClassify returns the accessibility verdicts for the entries of
-// a then b — isForwarded of each entry's Obj (checkObj) or Tconc —
-// computed by the worker pool when this collection is parallel, or nil
-// to make callers fall back to inline checks. Classification only
-// reads forwarding words and segment metadata, so the workers race
-// with nothing: no heap mutation happens between the fan-out and the
-// join.
-func (h *Heap) guardClassify(a, b []ProtEntry, checkObj bool) []bool {
-	if h.gcWorkers <= 1 || len(a)+len(b) == 0 {
-		return nil
-	}
-	return h.guardClassifyPar(a, b, checkObj)
-}
-
-// guardResweep runs the kleene-sweep a salvage round triggered: the
-// sequential iterated sweep, or — in parallel mode — the items staged
-// on h.sweepQ handed to the work-stealing drain (parGuardianSweep).
-func (h *Heap) guardResweep() {
-	if h.gcWorkers > 1 {
-		h.parGuardianSweep()
-		return
-	}
-	h.kleeneSweep()
-}
-
 // tconcAddGC performs the collector side of the tconc protocol
 // (Figure 3): the car of the old last pair is set to the new element
 // and the cdr fields of both the old last pair and the header are
@@ -1027,7 +1112,7 @@ func (h *Heap) guardResweep() {
 func (h *Heap) tconcAddGC(tc, v obj.Value) {
 	last := h.valueAt(tc.Addr() + 1)
 	h.check(last.IsPair(), "tconc: malformed header (cdr not a pair)")
-	na := h.allocGC(seg.SpacePair, 2)
+	na := h.lead.alloc(seg.SpacePair, 2)
 	h.setWord(na, uint64(obj.False))
 	h.setWord(na+1, uint64(obj.False))
 	newLast := obj.PairAt(na)
@@ -1056,30 +1141,46 @@ func (h *Heap) weakPass(g int) {
 			}
 			base := seg.BaseAddr(idx)
 			for off := 0; off+1 < s.Fill; off += 2 {
-				a := base + uint64(off)
-				if h.weakFix(a) && h.cfg.UseDirtySet {
-					h.dirtyInsert(a, true)
-				}
+				h.weakFixCell(base + uint64(off))
 			}
+		}
+		for _, c := range h.active {
+			c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
 		}
 		return
 	}
-	// Both freshly copied weak pairs and deferred dirty weak cells can
-	// end up with a car still pointing at a strictly younger generation
-	// — a copied pair's car does whenever the promotion policy sends
-	// the pair past its referent's generation (eager tenure, §4's
-	// programmer-controlled strategies). Such cells must (re-)enter the
-	// dirty set or later minor collections would never revisit them and
-	// the car would silently dangle (Verify invariant 4).
-	for _, addr := range h.newWeak {
-		if h.weakFix(addr) && h.cfg.UseDirtySet {
-			h.dirtyInsert(addr, true)
+	h.fixWeakLists()
+}
+
+// fixWeakLists gives every weak pair the copiers copied (newWeak) and
+// every weak car they deferred (pendWeak) the second-pass treatment,
+// and empties the lists.
+func (h *Heap) fixWeakLists() {
+	for _, c := range h.active {
+		for _, addr := range c.newWeak {
+			h.weakFixCell(addr)
 		}
+		c.newWeak = c.newWeak[:0]
 	}
-	for _, addr := range h.pendWeak {
-		if h.weakFix(addr) && h.cfg.UseDirtySet {
-			h.dirtyInsert(addr, true)
+	for _, c := range h.active {
+		for _, addr := range c.pendWeak {
+			h.weakFixCell(addr)
 		}
+		c.pendWeak = c.pendWeak[:0]
+	}
+}
+
+// weakFixCell fixes the weak car at addr and keeps it remembered when
+// it must be. Both freshly copied weak pairs and deferred dirty weak
+// cells can end up with a car still pointing at a strictly younger
+// generation — a copied pair's car does whenever the promotion policy
+// sends the pair past its referent's generation (eager tenure, §4's
+// programmer-controlled strategies). Such cells must (re-)enter the
+// dirty set or later minor collections would never revisit them and
+// the car would silently dangle (Verify invariant 4).
+func (h *Heap) weakFixCell(addr uint64) {
+	if h.weakFix(addr) && h.cfg.UseDirtySet {
+		h.dirtyInsert(addr, true)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obj"
@@ -306,4 +307,90 @@ func TestLiveWordsAndSegmentsTrackUsage(t *testing.T) {
 		t.Fatalf("LiveWords did not shrink after collection: %d", h.LiveWords())
 	}
 	_ = fmt.Sprint(h.SegmentsInUse())
+}
+
+// TestCollectPanicReleasesHandshake: a panic unwinding out of a
+// collection (here: out of memory on a bounded heap, mid-copy) used to
+// leave the safepoint handshake raised, so a caller that recovered —
+// scheme.EvalString recovers every panic — hung forever in its next
+// Collect. The handshake (and, on the large-object path, the
+// allocation mutex) must be released on unwind, and the half-copied
+// heap must refuse further use instead of hanging or running on
+// corrupt state.
+func TestCollectPanicReleasesHandshake(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		mutator bool
+		large   bool
+	}{
+		{"pairs/legacy", 1, false, false},
+		{"pairs/mutator", 1, true, false},
+		{"pairs/workers2", 2, false, false},
+		{"large/legacy", 1, false, true},
+		{"large/mutator", 1, true, true},
+		{"large/workers2", 2, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := heap.DefaultConfig()
+			cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
+			cfg.MaxSegments = 40
+			cfg.Workers = tc.workers
+			h := heap.MustNew(cfg)
+			cons, vector, collect := h.Cons, h.MakeVector, h.Collect
+			if tc.mutator {
+				m := h.RegisterMutator()
+				cons, vector, collect = m.Cons, m.MakeVector, m.Collect
+			}
+			lst := h.NewRoot(obj.Nil)
+			if tc.large {
+				// Nine rooted 4-segment vectors fill 36 segments: the
+				// copy of the first fits, the second's run does not.
+				for i := 0; i < 9; i++ {
+					lst.Set(cons(vector(4*seg.Words-1, obj.Nil), lst.Get()))
+				}
+			} else {
+				// 30 segments of rooted pairs: copying them needs 30
+				// more, and the heap stops at 40.
+				for i := 0; i < 30*seg.Words/2; i++ {
+					lst.Set(cons(obj.FromFixnum(int64(i)), lst.Get()))
+				}
+			}
+			collectPanic := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				collect(0)
+				return
+			}
+			watchdog := func(what string, f func() string) string {
+				done := make(chan string, 1)
+				go func() { done <- f() }()
+				select {
+				case msg := <-done:
+					return msg
+				case <-time.After(3 * time.Second):
+					t.Fatalf("%s hung: the failed collection left the handshake raised or a lock held", what)
+					return ""
+				}
+			}
+			if msg := watchdog("Collect(0) on the full heap", collectPanic); !strings.Contains(msg, "out of memory") {
+				t.Fatalf("Collect(0) on the full heap: %q, want an out-of-memory panic", msg)
+			}
+			if !heap.AllocLockFree(h) {
+				t.Fatal("the failed collection leaked the allocation mutex")
+			}
+			if msg := watchdog("second Collect(0)", collectPanic); !strings.Contains(msg, "heap unusable after failed collection") {
+				t.Fatalf("second Collect(0): %q, want the failed-heap panic", msg)
+			}
+			allocPanic := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				for i := 0; i <= seg.Words/2; i++ { // past the open segment, into the slow path
+					cons(obj.Nil, obj.Nil)
+				}
+				return
+			}
+			if msg := watchdog("allocation after the failed collection", allocPanic); !strings.Contains(msg, "heap unusable after failed collection") {
+				t.Fatalf("allocation after the failed collection: %q, want the failed-heap panic", msg)
+			}
+		})
+	}
 }

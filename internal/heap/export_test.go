@@ -23,30 +23,24 @@ func UsesMapRemset(h *Heap) bool { return h.dirtyMap != nil }
 func AutoWorkerCount(liveSegs, procs int) int { return autoWorkerCount(liveSegs, procs) }
 
 // WorkerDequeCaps returns the current ring capacity (in items) of each
-// parallel worker's sweep deque, indexed by worker id; nil when no
-// parallel collection has run. The queue-memory regression test uses it
+// copier's sweep deque, indexed by copier id (0 for a deque no shared
+// collection has used yet). The queue-memory regression test uses it
 // to assert that over-grown rings shrink between collections.
 func WorkerDequeCaps(h *Heap) []int {
-	if h.par == nil {
-		return nil
-	}
-	caps := make([]int, len(h.par.workers))
-	for i, pw := range h.par.workers {
-		caps[i] = pw.dq.capacity()
+	caps := make([]int, len(h.copiers))
+	for i, c := range h.copiers {
+		caps[i] = c.dq.capacity()
 	}
 	return caps
 }
 
-// WorkerDequePeaks returns each worker deque's lifetime peak ring
+// WorkerDequePeaks returns each copier deque's lifetime peak ring
 // capacity — evidence that a workload actually grew the rings, since
 // over-grown rings are released before a collection returns.
 func WorkerDequePeaks(h *Heap) []int {
-	if h.par == nil {
-		return nil
-	}
-	peaks := make([]int, len(h.par.workers))
-	for i, pw := range h.par.workers {
-		peaks[i] = pw.dq.peak
+	peaks := make([]int, len(h.copiers))
+	for i, c := range h.copiers {
+		peaks[i] = c.dq.peak
 	}
 	return peaks
 }
@@ -69,3 +63,13 @@ func NewDeque() (push func(uint64), pop func() (uint64, bool), steal func() (uin
 // the sliced-collection suite uses it to run Verify between slices —
 // the only moment invariant 10 is checkable — and to count windows.
 func SetSliceWindowHook(h *Heap, fn func()) { h.sliceHook = fn }
+
+// AllocLockFree reports whether the allocation mutex is free — false
+// means some path leaked it (every later taker would hang).
+func AllocLockFree(h *Heap) bool {
+	if !h.allocMu.TryLock() {
+		return false
+	}
+	h.allocMu.Unlock()
+	return true
+}

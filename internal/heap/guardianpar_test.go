@@ -385,10 +385,11 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"zero generations", func(c *heap.Config) { c.Generations = 0 }, "Generations"},
-		{"negative trigger", func(c *heap.Config) { c.TriggerWords = -1 }, "TriggerWords"},
-		{"radix one", func(c *heap.Config) { c.Radix = 1 }, "Radix"},
-		{"negative radix", func(c *heap.Config) { c.Radix = -4 }, "Radix"},
+		{"negative trigger", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Trigger: -1} }, "Trigger"},
+		{"radix one", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: 1} }, "Radix"},
+		{"negative radix", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: -4} }, "Radix"},
 		{"negative max segments", func(c *heap.Config) { c.MaxSegments = -2 }, "MaxSegments"},
+		{"autotune over a set radix", func(c *heap.Config) { c.AutoTune, c.Policy = true, heap.RadixPolicy{Radix: 8} }, "AutoTune"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -417,8 +418,8 @@ func TestConfigValidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(minimal) failed: %v", err)
 	}
-	if h.Config().TriggerWords == 0 || h.Config().Radix == 0 {
-		t.Fatalf("defaults not applied: %+v", h.Config())
+	if h.TriggerWords() != heap.DefaultTriggerWords || h.Policy().Name() != "radix" {
+		t.Fatalf("defaults not applied: trigger %d, policy %q", h.TriggerWords(), h.Policy().Name())
 	}
 }
 

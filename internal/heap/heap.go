@@ -33,36 +33,20 @@ type Config struct {
 	// Policy is the collection policy: when each generation is
 	// collected, where survivors are promoted, and the generation-0
 	// allocation budget between collect requests (see the Policy
-	// interface in policy.go). nil selects the shim resolution below:
-	// the deprecated TargetGen/Radix/TriggerWords knobs are wrapped in
-	// a RadixPolicy (AutoTune, when set, selects a fresh
-	// AdaptivePolicy instead). When Policy is non-nil the deprecated
-	// knobs are ignored — except TargetGen, which Validate rejects
-	// alongside a Policy to keep the promotion strategy single-homed.
+	// interface in policy.go). nil selects RadixPolicy{} — the paper's
+	// fixed strategy with the stock trigger and cadence — or, with
+	// AutoTune set, a fresh AdaptivePolicy.
 	Policy Policy
 	// AutoTune selects the feedback-driven AdaptivePolicy: the
 	// generation-0 trigger and the per-generation collection cadence
-	// are adjusted from measured survival rates (see AdaptivePolicy),
-	// seeded from TriggerWords when that is set. Off by default.
-	// Mutually exclusive with Policy (set Config.Policy to a
-	// configured *AdaptivePolicy for non-default bounds).
+	// are adjusted from measured survival rates (see AdaptivePolicy).
+	// Off by default. It takes the place of a stock-cadence static
+	// RadixPolicy (Radix 0 or DefaultRadix, no Target — DefaultConfig's
+	// included), starting from that policy's Trigger
+	// (DefaultTriggerWords when Policy is nil or the Trigger is 0), and
+	// is mutually exclusive with every other Policy (set Config.Policy
+	// to a configured *AdaptivePolicy for non-default bounds).
 	AutoTune bool
-	// TriggerWords is the number of words allocated in generation 0
-	// between collect requests. A request does not itself collect; it
-	// sets a flag honored at the next Checkpoint.
-	//
-	// Deprecated: set Policy (RadixPolicy{Trigger: n} for a fixed
-	// trigger). When Policy is nil this knob still works — New wraps
-	// it in a RadixPolicy — and the shim will be removed next release.
-	TriggerWords int
-	// Radix picks the generation for automatic collections: generation
-	// g is collected every Radix^g collect requests, matching Chez's
-	// collect-generation-radix.
-	//
-	// Deprecated: set Policy (RadixPolicy{Radix: r}). When Policy is
-	// nil this knob still works — New wraps it in a RadixPolicy — and
-	// the shim will be removed next release.
-	Radix int
 	// UseDirtySet enables the remembered-set write barrier. When
 	// false, the collector conservatively scans every word of every
 	// older generation instead — the generation-unfriendly baseline
@@ -87,31 +71,15 @@ type Config struct {
 	// another guardian, §3), and a single pass misses them. Experiment
 	// A4 demonstrates the failure.
 	GuardianSinglePass bool
-	// TargetGen, when non-nil, chooses the target generation for a
-	// collection of generations 0..g — §4: "the promotion and tenure
-	// strategies supported by the collector are under programmer
-	// control". The returned generation is clamped to [g, maxGen]:
-	// demotion (target < g) is not a meaningful promotion policy for a
-	// copying collector whose from-space is exactly generations 0..g,
-	// so an undershooting policy behaves like the in-place policy
-	// target == g (survivors stay in the youngest collected
-	// generation). nil uses the paper's simple strategy: survivors of
-	// a collection of generation g go to g+1, with the oldest
-	// generation collecting into itself.
-	//
-	// Deprecated: set Policy (RadixPolicy{Target: fn}). When Policy is
-	// nil this knob still works — New wraps it in a RadixPolicy — and
-	// the shim will be removed next release. Setting both Policy (or
-	// AutoTune) and TargetGen is a Validate error.
-	TargetGen func(g, maxGen int) int
 	// Workers is the number of collector workers used for the
 	// forwarding phases of a collection (roots, old-space scan, the
 	// Cheney sweep, and the guardian phase's accessibility
 	// classification and salvage re-sweeps). 1 selects the exact
-	// sequential algorithm of the paper; 2..MaxWorkers fan those phases
-	// out over worker goroutines with per-worker to-space allocation
-	// buffers and CAS-installed forwarding words (see parallel.go and
-	// docs/ALGORITHM.md). 0 selects the adaptive policy: each
+	// sequential algorithm of the paper, run inline on the collecting
+	// goroutine; 2..MaxWorkers run the same copying core on further
+	// goroutines, with per-copier to-space allocation buffers and
+	// CAS-installed forwarding words (see copier in collect.go,
+	// parallel.go and docs/ALGORITHM.md). 0 selects the adaptive policy: each
 	// collection picks its own count from GOMAXPROCS and the number of
 	// live from-space segments, so small collections run sequentially
 	// and only big ones fan out (chooseWorkers; the count actually used
@@ -123,10 +91,11 @@ type Config struct {
 	// Negative values select auto; values above MaxWorkers are clamped.
 	Workers int
 	// PauseBudget, when positive, bounds the stop-the-world pause of
-	// collections that include old space (g >= 1): the old-space sweep
-	// is split into bounded slices resumable across safepoint
-	// handshakes, with the mutators released between slices (see
-	// collectSliced and docs/ALGORITHM.md, "Pause-budget collections").
+	// collections that include old space (g >= 1 after clamping to the
+	// heap's generations): the old-space sweep is split into bounded
+	// slices resumable across safepoint handshakes, with the mutators
+	// released between slices (see collect and docs/ALGORITHM.md,
+	// "Pause-budget collections").
 	// Generation-0 collections stay fully stop-the-world regardless —
 	// the nursery sweep is the cheap case slicing exists to protect.
 	// Guardian salvage and weak-pair breaking are pinned to the final
@@ -140,25 +109,17 @@ type Config struct {
 
 // Validate checks the configuration for nonsensical values and
 // returns a descriptive error for the first one found. Zero values
-// that have documented defaults (TriggerWords, Radix, Workers) are
-// not errors: New normalizes them. Validate is what New runs before
+// that have documented defaults (Policy, Workers) are not errors: New
+// normalizes them. Validate is what New runs before
 // constructing a heap — construction no longer panics on a bad
 // Config; it returns the Validate error instead.
 func (c Config) Validate() error {
 	if c.Generations < 1 {
 		return fmt.Errorf("heap: Config.Generations must be >= 1 (got %d)", c.Generations)
 	}
-	if c.TriggerWords < 0 {
-		return fmt.Errorf("heap: Config.TriggerWords must be >= 0 (got %d; 0 selects the default)", c.TriggerWords)
-	}
-	if c.Radix < 0 || c.Radix == 1 {
-		return fmt.Errorf("heap: Config.Radix must be 0 (default) or >= 2 (got %d)", c.Radix)
-	}
-	if c.Policy != nil && c.AutoTune {
-		return fmt.Errorf("heap: Config.AutoTune and Config.Policy are mutually exclusive (set Policy to a configured *AdaptivePolicy instead)")
-	}
-	if c.TargetGen != nil && (c.Policy != nil || c.AutoTune) {
-		return fmt.Errorf("heap: deprecated Config.TargetGen cannot be combined with Config.Policy/AutoTune (move it to RadixPolicy{Target: fn})")
+	if rp, static := c.Policy.(RadixPolicy); c.AutoTune && c.Policy != nil &&
+		(!static || rp.Target != nil || (rp.Radix != 0 && rp.Radix != DefaultRadix)) {
+		return fmt.Errorf("heap: Config.AutoTune replaces only a stock-cadence RadixPolicy without a Target (set Policy to a configured *AdaptivePolicy instead)")
 	}
 	if rp, ok := c.Policy.(RadixPolicy); ok {
 		if rp.Radix < 0 || rp.Radix == 1 {
@@ -182,10 +143,9 @@ func (c Config) Validate() error {
 // trigger, and radix-4 automatic collection.
 func DefaultConfig() Config {
 	return Config{
-		Generations:  4,
-		TriggerWords: 64 * seg.Words,
-		Radix:        4,
-		UseDirtySet:  true,
+		Generations: 4,
+		Policy:      RadixPolicy{Trigger: 64 * seg.Words, Radix: 4},
+		UseDirtySet: true,
 		// Sequential, not auto: the defaults describe the paper's
 		// collector, and parallelism stays an explicit opt-in.
 		Workers: 1,
@@ -268,8 +228,6 @@ type Heap struct {
 	rootChunks atomic.Pointer[[]*rootChunk]
 	rootsLen   int
 	rootsFree  []int
-	rootVisit  func(*obj.Value)          // persistent visitor: keeps Collect allocation-free
-	fwdFn      func(obj.Value) obj.Value // persistent forwarder, same purpose
 	providers  []*providerEntry
 	protected  [][]ProtEntry
 	// rem is the sharded remembered set (remset.go). dirtyMap, normally
@@ -281,15 +239,14 @@ type Heap struct {
 	handler     func(*Heap)
 	postCollect []func(*Heap, *CollectionReport)
 
-	stamp      uint64
-	inCollect  atomic.Bool
-	gcGen      int
-	gcTarget   int
-	gcWorkers  int // worker count chosen for the current collection
-	sweepQ     []sweepItem
-	sweepSpare []sweepItem // second sweep buffer; ping-pongs with sweepQ per pass
-	newWeak    []uint64
-	pendWeak   []uint64
+	stamp     uint64
+	inCollect atomic.Bool
+	// failed is set when a panic unwound out of a collection, leaving
+	// from-space half-copied: every later collection or allocation slow
+	// path refuses with "heap unusable after failed collection".
+	failed   atomic.Bool
+	gcGen    int
+	gcTarget int
 	// Guardian-phase scratch, retained across collections so the
 	// salvage fixpoint does not allocate in steady state: the gathered
 	// protected entries in registration order, and the pend-hold /
@@ -297,6 +254,7 @@ type Heap struct {
 	guardEnts      []ProtEntry
 	guardHold      []ProtEntry
 	guardFinal     []ProtEntry
+	protLim        []int // protected-list lengths at collection start (guardianPhase)
 	fromScratch    []int // reusable from-space segment list (Collect)
 	gen0Words      int
 	needCollect    atomic.Bool
@@ -308,7 +266,7 @@ type Heap struct {
 	// serializes every segment-table mutation and chain append outside
 	// a stop-the-world window: mutator TLAB refills and large
 	// allocations, root/guardian registration in mutator mode, and the
-	// parallel collector's to-space segment claims. The handshake
+	// to-space segment claims of copiers in company. The handshake
 	// fields live under spMu; spStop mirrors stopReq for the lock-free
 	// safepoint poll.
 	allocMu    sync.Mutex
@@ -326,35 +284,61 @@ type Heap struct {
 	muts     []*Mutator // registered mutators
 	mutCount atomic.Int32
 	// spWaitNS / spSuspended carry the handshake figures of the
-	// current collection into collectSTW's report (zero in legacy
-	// mode).
+	// current collection into its report (zero in legacy mode).
 	spWaitNS    int64
 	spSuspended int
 
-	// Parallel collection state (see parallel.go), built lazily the
-	// first time a collection runs with cfg.Workers > 1 and reused
-	// across collections.
-	par *parGC
+	// The copiers (collect.go, parallel.go). lead is copiers[0]: it
+	// runs inline on the collecting goroutine and does all sequential
+	// collector work; further copiers are created the first time a
+	// collection chooses more than one and reused across collections.
+	// active are the copiers taking part in the current collection.
+	lead    *copier
+	copiers []*copier
+	active  []*copier
+	// Fan-out state of the current collection (run): the phase every
+	// active copier executes, the join, and the peers' panic slots —
+	// reused, so a steady-state phase allocates nothing. pending counts
+	// the sweep items copiers in company have pushed but not yet swept;
+	// abort tells their termination spin that a copier panicked.
+	// deadline, when non-zero, ends the current drain early (a slice of
+	// a sliced collection): written before the fan-out, read-only to
+	// the copiers.
+	phase    gcPhase
+	wg       sync.WaitGroup
+	panics   []any
+	pending  atomic.Int64
+	abort    atomic.Bool
+	deadline time.Time
+	cands    []int // reusable old-scan candidate-segment list
+	// Guardian classification fan-out (guardClassify): the two entry
+	// lists a round covers (pend-final then pend-hold, or the gathered
+	// entries and nil for the initial partition), the per-entry verdict
+	// slots the copiers fill at disjoint strided indices, and whether
+	// the round classifies Obj (initial partition) or Tconc (salvage
+	// rounds). inGuardian routes drain and classification time to the
+	// guardian-phase worker columns while the guardian phase runs.
+	guardA, guardB []ProtEntry
+	guardVerdicts  []bool
+	guardObj       bool
+	inGuardian     bool
 
-	// Sliced-collection state (Config.PauseBudget > 0; see
-	// collectSliced in collect.go). sliceActive is true from the first
-	// slice of a sliced collection until its final slice completes —
-	// including the mutator windows in between, when inCollect is
-	// false. It gates the window write barrier (sliceRecord), the
-	// forwarding read barrier (fwdNorm), the guardian prefix split, and
-	// Verify's mid-collection relaxations. sliceDirty collects pointer
-	// stores made during windows (drained by sliceFixup at the next
-	// slice); curFrom holds the detached from-space segment list across
-	// slices; sliceProtLim snapshots per-generation protected-list
-	// lengths at collection start so window registrations defer to the
-	// next collection; sliceGen0Done tracks how far each gen-0 chain
-	// has been scanned for window allocations; slicePBase is the
-	// phaseNS snapshot at slice start for per-slice phase attribution.
+	// Sliced-collection state (Config.PauseBudget > 0; see collect in
+	// collect.go). sliceActive is true from the first slice of a sliced
+	// collection until its final slice completes — including the
+	// mutator windows in between, when inCollect is false. It gates the
+	// window write barrier (sliceRecord), the forwarding read barrier
+	// (fwdNorm), and Verify's mid-collection relaxations. sliceDirty
+	// collects pointer stores made during windows (drained by
+	// sliceFixup at the next slice); curFrom holds the detached
+	// from-space segment list across slices; sliceGen0Done tracks how
+	// far each gen-0 chain has been scanned for window allocations;
+	// slicePBase is the phaseNS snapshot at slice start for per-slice
+	// phase attribution.
 	sliceActive   atomic.Bool
 	sliceMu       sync.Mutex
 	sliceDirty    []dirtyCell
 	curFrom       []int
-	sliceProtLim  []int
 	sliceGen0Done [seg.NumSpaces]int
 	slicePBase    [NumPhases]int64
 	// sliceHook, when non-nil, runs inside every mutator window of a
@@ -385,12 +369,6 @@ func New(cfg Config) (*Heap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TriggerWords == 0 {
-		cfg.TriggerWords = DefaultTriggerWords
-	}
-	if cfg.Radix == 0 {
-		cfg.Radix = DefaultRadix
-	}
 	cfg.Workers = clampWorkers(cfg.Workers)
 	h := &Heap{
 		tab:    &seg.Table{},
@@ -404,8 +382,6 @@ func New(cfg Config) (*Heap, error) {
 	}
 	h.spCond = sync.NewCond(&h.spMu)
 	h.rootChunks.Store(&[]*rootChunk{})
-	h.rootVisit = func(pv *obj.Value) { *pv = h.forward(*pv) }
-	h.fwdFn = h.forward
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		h.cur[sp] = make([]cursor, cfg.Generations)
 		for g := range h.cur[sp] {
@@ -414,31 +390,27 @@ func New(cfg Config) (*Heap, error) {
 		h.chains[sp] = make([][]int, cfg.Generations)
 	}
 	h.protected = make([][]ProtEntry, cfg.Generations)
+	h.activate(1)
 	return h, nil
 }
 
 // resolvePolicy maps a validated Config to the Policy the heap will
-// consult: an explicit Policy wins (cloned when stateful, so one
-// Config can build many independently tuned heaps), AutoTune selects a
-// fresh AdaptivePolicy seeded from the (already normalized)
-// TriggerWords knob, and otherwise the deprecated knobs are wrapped in
-// a RadixPolicy — the one-release shim documented on each knob.
+// consult: AutoTune selects a fresh AdaptivePolicy (starting from the
+// static policy's trigger, if one is set), an explicit Policy is
+// cloned when stateful, so one Config can build many independently
+// tuned heaps, and nil is the stock static strategy.
 func resolvePolicy(cfg Config) Policy {
-	if cfg.Policy != nil {
-		p := cfg.Policy
-		if c, ok := p.(PolicyCloner); ok {
-			p = c.ClonePolicy()
-		}
-		return p
-	}
 	if cfg.AutoTune {
-		return &AdaptivePolicy{Initial: cfg.TriggerWords}
+		rp, _ := cfg.Policy.(RadixPolicy)
+		return &AdaptivePolicy{Initial: rp.Trigger}
 	}
-	return RadixPolicy{
-		Trigger: cfg.TriggerWords,
-		Radix:   cfg.Radix,
-		Target:  cfg.TargetGen,
+	switch p := cfg.Policy.(type) {
+	case PolicyCloner:
+		return p.ClonePolicy()
+	case nil:
+		return RadixPolicy{}
 	}
+	return cfg.Policy
 }
 
 // MustNew is New for configurations known to be valid: it panics on a
@@ -463,7 +435,7 @@ func (h *Heap) MaxGeneration() int { return h.cfg.Generations - 1 }
 
 // Policy returns the heap's resolved collection policy: the explicit
 // Config.Policy (cloned if stateful), the AdaptivePolicy selected by
-// Config.AutoTune, or the RadixPolicy wrapping the deprecated knobs.
+// Config.AutoTune, or the stock RadixPolicy.
 func (h *Heap) Policy() Policy { return h.policy }
 
 // TriggerWords returns the live generation-0 trigger: the number of
@@ -514,12 +486,12 @@ func clampWorkers(n int) int {
 const maxObjectWords = 128 * 1024
 
 // allocWords carves n words out of the given space and generation and
-// returns the address of the first. It is the legacy-mode (and
-// collector-time) allocation path: while Mutator handles are
-// registered, mutator allocation must go through their TLABs instead,
-// and calling this outside a collection panics (checked on the slow
-// path, which a fresh registration forces by closing the open
-// cursors).
+// returns the address of the first. It is the legacy-mode mutator
+// allocation path (the collector's copiers bump their own to-space
+// cursors, copier.alloc): while Mutator handles are registered,
+// mutator allocation must go through their TLABs instead, and calling
+// this panics (checked on the slow path, which a fresh registration
+// forces by closing the open cursors).
 //
 // The fast path is the same pure bump the TLAB path has: no atomics,
 // no trigger arithmetic, no OOM check. All per-allocation bookkeeping
@@ -552,72 +524,76 @@ func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) uint64 {
 	if n <= 0 || n > maxObjectWords {
 		panic(fmt.Sprintf("heap: bad allocation size %d", n))
 	}
-	inGC := h.inCollect.Load()
-	if !inGC && h.mutCount.Load() != 0 {
+	h.check(!h.failed.Load(), "heap unusable after failed collection")
+	if h.mutCount.Load() != 0 {
 		panic("heap: direct Heap allocation while mutators are registered (allocate through a Mutator handle)")
 	}
-	need := (n + seg.Words - 1) / seg.Words
-	// Reserved segments (worker affinity caches, mutator TLAB caches)
-	// count toward the bound: they are committed at Reserve time, so
-	// the OOM check here must see them or a bounded heap could hand
-	// out MaxSegments live segments on top of a full cache. Idle worker
-	// reservations are reclaimable, though — drain them before
-	// declaring OOM, so the accounting stays exact: a bounded heap can
-	// always reach MaxSegments live segments.
-	if h.cfg.MaxSegments > 0 {
-		if h.tab.CommittedCount()+need > h.cfg.MaxSegments {
-			h.releaseSegCaches()
-		}
-		if h.tab.CommittedCount()+need > h.cfg.MaxSegments {
-			panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (%d words requested)",
-				h.cfg.MaxSegments, n))
-		}
-	}
-	if !inGC {
-		// Pre-charge the claimed segment against the generation-0
-		// trigger, mirroring the TLAB slow path: the trigger fires at
-		// most one segment's worth of words early, and the bump path
-		// stays free of trigger arithmetic. Large objects charge their
-		// exact size (they occupy their run exclusively).
-		if n > seg.Words {
-			h.gen0Words += n
-		} else {
-			h.gen0Words += seg.Words
-		}
-		if h.gen0Words >= h.trigger {
-			h.needCollect.Store(true)
-		}
+	k := (n + seg.Words - 1) / seg.Words
+	h.claimable(k, k, "allocation")
+	// Pre-charge the claimed segment against the generation-0 trigger,
+	// mirroring the TLAB slow path: the trigger fires at most one
+	// segment's worth of words early, and the bump path stays free of
+	// trigger arithmetic. Large objects charge their exact size (they
+	// occupy their run exclusively).
+	h.gen0Words += max(n, seg.Words)
+	if h.gen0Words >= h.trigger {
+		h.needCollect.Store(true)
 	}
 	h.Stats.WordsAllocated += uint64(n)
+	h.Stats.SegmentsAllocated += uint64(k)
 	if n > seg.Words {
 		// Large object: a contiguous run, pooled by size class in the
 		// segment table (seg.Table.AllocRun reuses a retired run of the
 		// same length before growing).
-		k := need
 		first := h.tab.AllocRun(space, gen, h.stamp, k)
-		h.Stats.SegmentsAllocated += uint64(k)
-		rem := n
+		h.fillRun(first, k, n)
 		for i := 0; i < k; i++ {
-			s := h.tab.Seg(first + i)
-			s.Fill = min(rem, seg.Words)
-			rem -= s.Fill
 			h.chains[space][gen] = append(h.chains[space][gen], first+i)
 		}
 		return seg.BaseAddr(first)
 	}
 	idx := h.tab.Alloc(space, gen, h.stamp)
-	h.Stats.SegmentsAllocated++
 	h.chains[space][gen] = append(h.chains[space][gen], idx)
 	c := &h.cur[space][gen]
 	c.seg, c.off = idx, n
-	s := h.tab.Seg(idx)
-	s.Fill = n
+	h.tab.Seg(idx).Fill = n
 	return seg.BaseAddr(idx)
 }
 
-// allocGC allocates during a collection, into the target generation.
-func (h *Heap) allocGC(space seg.Space, n int) uint64 {
-	return h.allocWords(space, h.gcTarget, n)
+// claimable clamps a request for want more segments to what a bounded
+// heap can still commit, and panics out of memory when fewer than need
+// are left. Reserved segments (copier affinity caches, mutator TLAB
+// caches) count toward the bound — they are committed at Reserve time,
+// so the check must see them or a bounded heap could hand out
+// MaxSegments live segments on top of a full cache — but idle
+// reservations are reclaimable: they are drained before declaring OOM,
+// so the accounting stays exact and a bounded heap can always reach
+// MaxSegments live segments. Caller holds allocMu or is the only
+// goroutine running (see reclaimReservedLocked).
+func (h *Heap) claimable(want, need int, what string) int {
+	if h.cfg.MaxSegments == 0 {
+		return want
+	}
+	head := h.cfg.MaxSegments - h.tab.CommittedCount()
+	if head < need {
+		h.reclaimReservedLocked()
+		head = h.cfg.MaxSegments - h.tab.CommittedCount()
+	}
+	if head < need {
+		panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (%s, %d segments requested)",
+			h.cfg.MaxSegments, what, need))
+	}
+	return min(want, head)
+}
+
+// fillRun sets the Fill of the k segments of a large-object run
+// holding n words.
+func (h *Heap) fillRun(first, k, n int) {
+	for i := 0; i < k; i++ {
+		s := h.tab.Seg(first + i)
+		s.Fill = min(n, seg.Words)
+		n -= s.Fill
+	}
 }
 
 // word / setWord are raw heap accesses without barriers.

@@ -161,14 +161,18 @@ func (h *Heap) saveImage(w io.Writer) error {
 	iw.str(imageMagic)
 
 	// Configuration. The trigger slot carries the live trigger
-	// (Heap.TriggerWords) rather than the configured knob, so a heap
-	// tuned by AdaptivePolicy resumes from its tuned nursery size; the
-	// policy itself, like the old TargetGen func, is not serialized —
-	// LoadImage reconstructs a Config whose legacy knobs New wraps in
-	// a RadixPolicy.
+	// (Heap.TriggerWords) rather than the configured one, so a heap
+	// tuned by AdaptivePolicy resumes from its tuned nursery size. The
+	// policy itself is not serialized: LoadImage maps the trigger and
+	// radix slots to a RadixPolicy, so the radix slot carries a
+	// RadixPolicy's cadence and the stock one for anything else.
+	radix := DefaultRadix
+	if rp, ok := h.policy.(RadixPolicy); ok && rp.Radix != 0 {
+		radix = rp.Radix
+	}
 	iw.u64(uint64(h.cfg.Generations))
 	iw.u64(uint64(h.trigger))
-	iw.u64(uint64(h.cfg.Radix))
+	iw.u64(uint64(radix))
 	iw.u8(b2u(h.cfg.UseDirtySet))
 	iw.u8(b2u(h.cfg.WeakScanAll))
 	iw.u64(uint64(h.cfg.MaxSegments))
@@ -270,12 +274,11 @@ func LoadImage(r io.Reader) (*Heap, []*Root, error) {
 	}
 	tpl := &Template{
 		cfg: Config{
-			Generations:  int(ir.u64()),
-			TriggerWords: int(ir.u64()),
-			Radix:        int(ir.u64()),
-			UseDirtySet:  ir.u8() != 0,
-			WeakScanAll:  ir.u8() != 0,
-			MaxSegments:  int(ir.u64()),
+			Generations: int(ir.u64()),
+			Policy:      RadixPolicy{Trigger: int(ir.u64()), Radix: int(ir.u64())},
+			UseDirtySet: ir.u8() != 0,
+			WeakScanAll: ir.u8() != 0,
+			MaxSegments: int(ir.u64()),
 		},
 	}
 	tpl.stamp = ir.u64()

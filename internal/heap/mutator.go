@@ -112,6 +112,7 @@ func (m *Mutator) allocSlow(space seg.Space, n int) uint64 {
 		h.parkLocked(m)
 		h.spMu.Unlock()
 	}
+	h.check(!h.failed.Load(), "heap unusable after failed collection")
 	if n > seg.Words {
 		return m.allocLarge(space, n)
 	}
@@ -150,20 +151,11 @@ func (m *Mutator) allocLarge(space seg.Space, n int) uint64 {
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
 	k := (n + seg.Words - 1) / seg.Words
-	if h.cfg.MaxSegments > 0 && h.tab.CommittedCount()+k > h.cfg.MaxSegments {
-		h.reclaimReservedLocked() // idle worker/mutator reservations are reclaimable
-		if h.tab.CommittedCount()+k > h.cfg.MaxSegments {
-			panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (%d words requested)",
-				h.cfg.MaxSegments, n))
-		}
-	}
+	h.claimable(k, k, "large object")
 	first := h.tab.AllocRun(space, 0, h.stamp, k)
 	h.Stats.SegmentsAllocated += uint64(k)
-	rem := n
+	h.fillRun(first, k, n)
 	for i := 0; i < k; i++ {
-		s := h.tab.Seg(first + i)
-		s.Fill = min(rem, seg.Words)
-		rem -= s.Fill
 		h.chains[space][0] = append(h.chains[space][0], first+i)
 	}
 	h.gen0Words += n
@@ -177,28 +169,11 @@ func (m *Mutator) allocLarge(space seg.Space, n int) uint64 {
 
 // refillCacheLocked reserves a batch of segments for this mutator's
 // cache. Caller holds allocMu. On bounded heaps the batch is clamped
-// to the remaining headroom — reserved segments are committed
-// (seg.Table.CommittedCount) and must never push past MaxSegments —
-// and idle collector-worker and peer-mutator reservations are drained
-// before declaring OOM, so the bound stays exact.
+// to the remaining headroom (claimable) — reserved segments are
+// committed (seg.Table.CommittedCount) and must never push past
+// MaxSegments.
 func (m *Mutator) refillCacheLocked() {
-	h := m.h
-	k := tlabCacheBatch
-	if h.cfg.MaxSegments > 0 {
-		head := h.cfg.MaxSegments - h.tab.CommittedCount()
-		if head < 1 {
-			h.reclaimReservedLocked()
-			head = h.cfg.MaxSegments - h.tab.CommittedCount()
-		}
-		if head < 1 {
-			panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (mutator TLAB refill)",
-				h.cfg.MaxSegments))
-		}
-		if k > head {
-			k = head
-		}
-	}
-	m.cache = h.tab.Reserve(m.cache, k)
+	m.cache = m.h.tab.Reserve(m.cache, m.h.claimable(tlabCacheBatch, 1, "mutator TLAB refill"))
 }
 
 // flushStatsLocked merges the mutator's fast-path allocation counter

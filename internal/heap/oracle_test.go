@@ -9,7 +9,7 @@ import (
 	"repro/internal/obj"
 )
 
-// The comment on scanAllOld calls it "a correctness oracle for the
+// The comment on copier.oldScanPhase calls it "a correctness oracle for the
 // dirty-set implementation"; this test actually cross-checks the two.
 // A seeded random workload — allocation, mutation, root drops,
 // guardian registration, weak pairs, collections of random
@@ -279,9 +279,9 @@ func TestParallelOracle(t *testing.T) {
 			})
 		}
 	}
-	// The conservative old-generation scan has its own parallel path
-	// (scanOldPhase); cross-check it against the sequential dirty-set
-	// collector so both axes differ at once.
+	// The conservative old-generation scan (copier.oldScanPhase) deals
+	// its segments across the copiers; cross-check it against the
+	// sequential dirty-set collector so both axes differ at once.
 	t.Run("scan-all-old-parallel", func(t *testing.T) {
 		a := newOracleHeap(nil)
 		b := newOracleHeap(func(cfg *heap.Config) {

@@ -1,187 +1,119 @@
 package heap
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obj"
 	"repro/internal/seg"
 )
 
-// This file implements the opt-in parallel collection mode
-// (Config.Workers > 1, or Workers == 0 with the adaptive policy
-// choosing more than one). The three forwarding phases of a collection
-// — roots, old-space scan, and the Cheney kleene-sweep — fan out over
-// N worker goroutines; the guardian and weak phases that follow stay
-// sequential, preserving the paper's ordering (guardians before the
-// weak second pass). The design, and the argument for why the result
-// is isomorphic to the sequential collector's, is laid out in
-// docs/ALGORITHM.md; the lockstep oracle in oracle_test.go checks it
-// after every collection.
+// This file holds what a collection needs when more than one copier is
+// active (Config.Workers > 1, or Workers == 0 with the adaptive policy
+// choosing more than one): the choice of copier count, the fan-out
+// that runs a phase on every active copier, and the shared halves of
+// the copying core's three mode points (see copier in collect.go).
+// The forwarding phases — roots, old-space scan, the kleene-sweep —
+// and the guardian phase's accessibility checks fan out; guardian
+// salvage and the weak phase stay with the lead copier, preserving the
+// paper's ordering (guardians before the weak second pass). The
+// argument for why the result is isomorphic to the one-copier
+// collector's is laid out in docs/ALGORITHM.md; the lockstep oracle in
+// oracle_test.go checks it after every collection.
 //
 // The concurrency protocol in brief:
 //
-//   - Each worker owns a private to-space allocation buffer: one open
+//   - Each copier owns a private to-space allocation buffer: one open
 //     segment per space, bump-allocated without locks. Fresh segments
-//     come from the worker's own reserved-segment cache (segment
+//     come from the copier's own reserved-segment cache (segment
 //     affinity), refilled from the table in batches under the heap's
 //     allocation mutex (Heap.allocMu, shared with the mutator TLAB
 //     refill path); large-object runs always go through the mutex.
 //     Segment structs are stable pointers (package seg's chunked
-//     table), so one worker growing the table never invalidates
-//     another worker's reads.
-//   - Forwarding words are installed with compare-and-swap. A worker
-//     reads from-space word 0 atomically, copies the object using that
-//     loaded value (words 1..n are immutable during the parallel
-//     phases and may be read plainly), and CASes MakeFwd(na) over the
-//     loaded word. The loser rolls its bump allocation back and
-//     follows the winner's forwarding address, so every object is
-//     copied exactly once and the copy is published with
-//     acquire/release semantics: whoever reads the forwarding word
-//     sees the fully initialized copy and its segment metadata.
-//   - Copied objects that need sweeping go onto the copying worker's
+//     table), so one copier growing the table never invalidates
+//     another's reads.
+//   - Forwarding words are installed with compare-and-swap
+//     (copier.install), so racing copiers copy an object exactly once.
+//   - Copied objects that need sweeping go onto the copying copier's
 //     lock-free Chase–Lev deque (deque.go); the owner pushes and pops
-//     the bottom, idle workers steal the top with a CAS. Termination
-//     uses a global count of pushed-but-unprocessed items: it is
-//     incremented before an item becomes visible and decremented only
-//     after the item and all pushes it performed are done, so
+//     the bottom, idle peers steal the top with a CAS. Termination
+//     uses a global count of pushed-but-unswept items (Heap.pending):
+//     it is incremented before an item becomes visible and decremented
+//     only after the item and all pushes it performed are done, so
 //     pending == 0 proves the sweep has reached its fixpoint.
-type parGC struct {
-	workers []*parWorker // all workers ever created, id order
-	active  []*parWorker // workers participating in this collection
-	pending atomic.Int64 // sweep items pushed but not yet processed
-	abort   atomic.Bool  // a worker panicked; spinners must exit
 
-	// Per-phase fan-out state, hoisted here so runPar allocates
-	// nothing per phase (TestCollectSteadyStateAllocs covers
-	// Workers > 1): the WaitGroup and panic slots are reused, and the
-	// phase selector plus candScratch parameterize the workers'
-	// persistent goroutine bodies.
-	wg     sync.WaitGroup
-	phase  parPhase
-	panics []any
-
-	candScratch []int // reusable scanAllOld candidate-segment list
-
-	// Guardian-phase fan-out state (see guardianPhase in collect.go):
-	// the two entry lists a classification round covers (pend-final
-	// then pend-hold, or the gathered entries and nil for the initial
-	// partition), the per-entry verdict slots the workers fill at
-	// disjoint strided indices, and whether the round classifies Obj
-	// (initial partition) or Tconc (salvage rounds). inGuardian routes
-	// the sweep drain's busy/idle accounting to the guardian-phase
-	// columns while the salvage fixpoint's re-sweeps run.
-	guardA, guardB []ProtEntry
-	guardVerdicts  []bool
-	guardObj       bool
-	inGuardian     bool
-
-	// deadlineNS, when non-zero, is the current slice's deadline
-	// (UnixNano) for a sliced collection's budgeted sweep drain:
-	// workers exit sweepPhase when they cross it, leaving their deques
-	// parked — pending stays > 0 and the items resume next slice. A
-	// plain field, not atomic: it is written before the fan-out and the
-	// goroutine-start edge publishes it; workers only read it.
-	deadlineNS int64
-}
-
-// parPhase selects which phase body a worker's persistent goroutine
-// runs; set by runPar before the fan-out (the goroutine-start edge
-// orders the write against the workers' reads).
-type parPhase uint8
-
-const (
-	parPhaseRoots parPhase = iota
-	parPhaseDirty
-	parPhaseOld
-	parPhaseSweep
-	parPhaseGuardClassify
-)
-
-// parStats are the per-worker deltas of the Stats counters touched by
-// the forwarding phases, merged into Heap.Stats after the workers join
-// so the shared counters are never written concurrently.
-type parStats struct {
-	wordsAllocated    uint64
-	segmentsAllocated uint64
-	wordsCopied       uint64
-	pairsCopied       uint64
-	objectsCopied     uint64
-	cellsSwept        uint64
-	dirtyCellsScanned uint64
-}
-
-type parWorker struct {
-	id int
-	h  *Heap
-
-	// Private to-space allocation buffer: the open segment per space,
-	// always in the collection's target generation.
-	cur [seg.NumSpaces]cursor
-
-	// dq is this worker's lock-free sweep deque: owner pushes/pops the
-	// bottom, thieves CAS the top (deque.go).
-	dq deque
+// peer is the part of a copier that only a shared collection uses.
+type peer struct {
+	// dq is this copier's lock-free sweep deque: owner pushes/pops the
+	// bottom, thieves CAS the top (deque.go). sweeping is set while an
+	// item taken from the deques is being swept; the next take retires
+	// it from Heap.pending.
+	dq       deque
+	sweeping bool
 
 	// segCache holds segment indices reserved from the table for this
-	// worker (seg.Table.Reserve): taking a fresh to-space segment pops
+	// copier (seg.Table.Reserve): taking a fresh to-space segment pops
 	// the cache without locking, and the cache survives across
 	// collections — the segment-affinity design that keeps
 	// steady-state collections off allocMu. Bounded heaps get the same
 	// fast path: reserved segments are committed against MaxSegments
 	// at Reserve time (seg.Table.CommittedCount), so refills clamp to
 	// the remaining headroom instead of gating the cache off — and
-	// because an idle reservation in one worker's cache must never
-	// starve another worker into a spurious OOM, the cache is
-	// *stealable*: a drainer holding allocMu pops it with the same CAS
-	// protocol the owner uses (see segCache doc). newSegs buffers the
-	// segments this worker claimed during the current collection,
-	// merged into the target generation's chains after the join.
+	// because an idle reservation in one copier's cache must never
+	// starve another into a spurious OOM, the cache is *stealable*: a
+	// drainer holding allocMu pops it with the same CAS protocol the
+	// owner uses (see segCache doc). newSegs buffers the segments this
+	// copier took from its cache during the current collection, linked
+	// into the target generation's chains by mergeCopiers (nothing
+	// reads those chains during the copying phases).
 	segCache   segCache
 	segScratch []int // Reserve() staging, cap segCacheBatch (0-alloc refills)
 	newSegs    [seg.NumSpaces][]int
 
-	newWeak  []uint64 // weak pairs this worker copied
-	pendWeak []uint64 // weak cars this worker deferred (dirty/old scan)
-
-	stats parStats
-	// busyNS/idleNS split the main sweep drain's wall time: busy is
-	// spent processing items (and scanning for work), idle is spent
-	// yielding in the termination spin. Idle dominates exactly when
-	// load is imbalanced, which is the signal the adaptive worker
-	// policy and the worker_busy_ns/worker_idle_ns trace fields exist
-	// to expose. guardBusyNS/guardIdleNS are the same split for the
-	// guardian phase's classification fan-outs and salvage re-sweeps
-	// (parGC.inGuardian selects which pair a drain accrues to),
-	// surfaced as CollectionReport.WorkerGuardianBusy/Idle and the
+	// sweepBusy/sweepIdle split the main sweep drains' wall time: busy
+	// is spent sweeping items (and scanning for work), idle is spent
+	// yielding in the termination spin (spinNS, per drain). Idle
+	// dominates exactly when load is imbalanced, which is the signal
+	// the adaptive worker policy and the worker_busy_ns/worker_idle_ns
+	// trace fields exist to expose. guardBusy/guardIdle are the same
+	// split for the guardian phase's classification fan-outs and
+	// salvage re-sweeps (Heap.inGuardian selects the pair), surfaced
+	// as CollectionReport.WorkerGuardianBusy/Idle and the
 	// guardian_busy_ns/guardian_idle_ns trace fields.
-	busyNS      int64
-	idleNS      int64
-	guardBusyNS int64
-	guardIdleNS int64
+	spinNS               int64
+	sweepBusy, sweepIdle int64
+	guardBusy, guardIdle int64
 
-	body  func()                    // persistent goroutine body for runPar
-	visit func(*obj.Value)          // persistent visitor closure for providers
-	fwd   func(obj.Value) obj.Value // persistent forwarder for scanRemShard
+	body func() // persistent goroutine body for run
 }
+
+// gcPhase selects which phase body run executes on every active
+// copier; set before the fan-out (the goroutine-start edge orders the
+// write against the peers' reads).
+type gcPhase uint8
+
+const (
+	phaseRoots gcPhase = iota
+	phaseDirty
+	phaseOld
+	phaseSweep
+	phaseGuardClassify
+)
 
 // MaxWorkers bounds Config.Workers. Sixteen covers every machine this
 // collector is likely to meet while keeping per-heap worker state
 // small.
 const MaxWorkers = 16
 
-// segCacheBatch is how many segments a worker reserves from the table
+// segCacheBatch is how many segments a copier reserves from the table
 // per allocMu acquisition when its affinity cache runs dry.
 const segCacheBatch = 8
 
-// segCache is a worker's stack of reserved segment indices. The owning
-// worker pops it lock-free during the parallel phases; anyone holding
+// segCache is a copier's stack of reserved segment indices. The owning
+// copier pops it lock-free during the copying phases; anyone holding
 // allocMu may concurrently takeAll it, and the CAS on n arbitrates who
 // gets each slot. That stealability is what keeps bounded-heap OOM
-// accounting exact: a worker (or mutator) that finds no headroom under
+// accounting exact: a copier (or mutator) that finds no headroom under
 // allocMu reclaims the idle reservations parked in peer caches instead
 // of panicking while memory is still free.
 //
@@ -228,8 +160,8 @@ func (c *segCache) takeAll() []int {
 // per this many live from-space segments, so a collection needs at
 // least 2*autoSegsPerWorker segments (~96 KB of from-space) before it
 // fans out at all. Below that, goroutine start/join and CAS overhead
-// outweigh the copying work — a 10-segment nursery collection runs
-// sequentially.
+// outweigh the copying work — a 10-segment nursery collection runs on
+// the lead copier alone.
 const autoSegsPerWorker = 12
 
 // autoWorkerCount is the pure adaptive policy: the worker count for a
@@ -249,7 +181,7 @@ func autoWorkerCount(liveSegs, procs int) int {
 	return w
 }
 
-// chooseWorkers picks the worker count for a collection of generations
+// chooseWorkers picks the copier count for a collection of generations
 // 0..g: the configured count when one is set, otherwise the adaptive
 // policy applied to GOMAXPROCS and the number of live segments in the
 // collected generations (counted from the chains before from-space is
@@ -271,90 +203,104 @@ func (h *Heap) chooseWorkers(g int) int {
 	return autoWorkerCount(segs, runtime.GOMAXPROCS(0))
 }
 
-// ensurePar lazily builds (and per-collection resets) the parallel
-// collection state for the given worker count. Workers are created
+// activate selects the first n copiers for the collection that is
+// beginning and resets their per-collection state. Copiers are created
 // once and reused; changing the count between collections just changes
-// how many take part. Workers left inactive by a smaller count return
-// their reserved segments to the table.
-func (h *Heap) ensurePar(workers int) *parGC {
-	if h.par == nil {
-		h.par = &parGC{}
+// how many take part. This is where the collection's one mode fact is
+// established: the copiers are shared when there is more than one.
+func (h *Heap) activate(n int) {
+	for len(h.copiers) < n {
+		h.copiers = append(h.copiers, newCopier(h, len(h.copiers)))
+		h.panics = append(h.panics, nil)
 	}
-	p := h.par
-	for len(p.workers) < workers {
-		pw := &parWorker{id: len(p.workers), h: h}
-		pw.visit = func(pv *obj.Value) { *pv = pw.forward(*pv) }
-		pw.fwd = pw.forward
-		pw.body = pw.runPhase
-		pw.segScratch = make([]int, 0, segCacheBatch)
-		pw.dq.init()
-		p.workers = append(p.workers, pw)
-	}
-	for len(p.panics) < len(p.workers) {
-		p.panics = append(p.panics, nil)
-	}
-	p.active = p.workers[:workers]
-	p.pending.Store(0)
-	p.abort.Store(false)
-	for i, pw := range p.active {
-		p.panics[i] = nil
-		for sp := range pw.cur {
-			pw.cur[sp] = cursor{seg: seg.None}
+	h.lead, h.active = h.copiers[0], h.copiers[:n]
+	shared := n > 1
+	for _, c := range h.active {
+		c.shared = shared
+		for sp := range c.cur {
+			c.cur[sp] = cursor{seg: seg.None}
 		}
-		pw.newWeak = pw.newWeak[:0]
-		pw.pendWeak = pw.pendWeak[:0]
-		pw.stats = parStats{}
-		pw.busyNS, pw.idleNS = 0, 0
-		pw.guardBusyNS, pw.guardIdleNS = 0, 0
+		c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
+		c.sweepBusy, c.sweepIdle, c.guardBusy, c.guardIdle = 0, 0, 0, 0
 	}
-	p.inGuardian = false
-	p.deadlineNS = 0
-	for _, pw := range p.workers[workers:] {
-		for _, idx := range pw.segCache.takeAll() {
-			h.tab.Unreserve(idx)
+	rep := &h.report
+	rep.WorkersChosen = n
+	rows := 0 // per-worker report rows: none for a lone copier
+	idle := h.copiers[n:]
+	if shared {
+		// Racing copiers read and write heap words lock-free (CAS
+		// installs through WordPtr), and the lazy copy-on-write
+		// privatize is unsynchronized single-threaded machinery: eagerly
+		// privatize anything still shared with a heap template before
+		// the fan-out.
+		h.tab.PrivatizeAll()
+		for _, c := range h.active {
+			c.dq.init()
 		}
+		rows = n
+	} else {
+		// A lone copier carries on in the target generation's open
+		// segments (none when the oldest generation collects into
+		// itself: collectBegin reset those cursors, so copies go to
+		// fresh segments). Copiers in company start fresh ones instead:
+		// an open segment of an older generation is also a segment a
+		// peer may be scanning. And it claims segments directly, so it
+		// holds no reservations either.
+		for sp := range h.cur {
+			h.lead.cur[sp] = h.cur[sp][h.gcTarget]
+		}
+		idle = h.copiers
 	}
-	return p
+	rep.WorkerSweepBusy = resizeDurations(rep.WorkerSweepBusy, rows)
+	rep.WorkerSweepIdle = resizeDurations(rep.WorkerSweepIdle, rows)
+	rep.WorkerGuardianBusy = resizeDurations(rep.WorkerGuardianBusy, rows)
+	rep.WorkerGuardianIdle = resizeDurations(rep.WorkerGuardianIdle, rows)
+	// Reservations never outlive the company that made them: copiers
+	// left out return their reserved segments to the table, so after
+	// any one-copier collection the table has no reserved segments at
+	// all.
+	for _, c := range idle {
+		c.unreserve()
+	}
 }
 
-// releaseSegCaches returns every worker's reserved segments to the
-// table. Called when a collection runs sequentially, so reservations
-// never outlive the parallel mode that made them: after any sequential
-// collection the table has no reserved segments at all.
-func (h *Heap) releaseSegCaches() {
-	if h.par == nil {
-		return
+// unreserve returns the copier's cached segment reservations to the
+// table. The caller holds allocMu or knows the copier is quiescent
+// (segCache.takeAll).
+func (c *copier) unreserve() {
+	for _, idx := range c.segCache.takeAll() {
+		c.h.tab.Unreserve(idx)
 	}
-	for _, pw := range h.par.workers {
-		for _, idx := range pw.segCache.takeAll() {
-			h.tab.Unreserve(idx)
-		}
+}
+
+func resizeDurations(s []time.Duration, n int) []time.Duration {
+	s = s[:0]
+	for len(s) < n {
+		s = append(s, 0)
 	}
+	return s
 }
 
 // reclaimReservedLocked returns every idle reservation in the heap —
-// each collector worker's affinity cache and each registered mutator's
-// TLAB cache — to the table. OOM paths call this when the committed
-// count reaches MaxSegments: reservations held in a peer's cache are
-// committed but unused, and without reclaiming them a worker could
-// panic out-of-memory while another worker sits on a batch of free
-// segments it will never touch again this collection.
+// each copier's affinity cache and each registered mutator's TLAB
+// cache — to the table. OOM paths call this when the committed count
+// reaches MaxSegments: reservations held in a peer's cache are
+// committed but unused, and without reclaiming them a copier could
+// panic out-of-memory while another sits on a batch of free segments
+// it will never touch again this collection.
 //
-// Caller must hold allocMu. That makes every drain safe: mutator
-// caches are only ever mutated under allocMu (allocSlow, refill,
-// Unregister — and mid-collection their owners are parked anyway),
-// worker caches are stolen through the segCache CAS protocol, and
-// h.muts itself is written only with both spMu and allocMu held. The
-// caller's own cache is drained too, which is harmless: it is either
-// already empty (that is why it is refilling) or about to be
-// deliberately given up (allocRun).
+// Caller must hold allocMu, or be the only goroutine running (the
+// legacy mutator, or a stopped world's lone copier). That makes every
+// drain safe: mutator caches are only ever mutated under allocMu
+// (allocSlow, refill, Unregister — and mid-collection their owners are
+// parked anyway), copier caches are stolen through the segCache CAS
+// protocol, and h.muts itself is written only with both spMu and
+// allocMu held. The caller's own cache is drained too, which is
+// harmless: it is either already empty (that is why it is refilling)
+// or about to be deliberately given up (allocRun).
 func (h *Heap) reclaimReservedLocked() {
-	if h.par != nil {
-		for _, pw := range h.par.workers {
-			for _, idx := range pw.segCache.takeAll() {
-				h.tab.Unreserve(idx)
-			}
-		}
+	for _, c := range h.copiers {
+		c.unreserve()
 	}
 	for _, m := range h.muts {
 		for _, idx := range m.cache {
@@ -364,496 +310,183 @@ func (h *Heap) reclaimReservedLocked() {
 	}
 }
 
-// collectParallel runs the roots, old-scan, and sweep phases of a
-// collection of generations 0..g over h.gcWorkers workers. It is
-// called from Collect with the same phase-clock value the sequential
-// path would use and returns the clock after marking PhaseSweep;
-// everything before (setup) and after (guardian, weak, hooks, free)
-// is the shared sequential code.
-func (h *Heap) collectParallel(g int, t time.Time) time.Time {
-	p := h.ensurePar(h.gcWorkers)
-
-	h.runPar(parPhaseRoots)
-	t = h.phaseMark(PhaseRoots, t)
-
-	if h.cfg.UseDirtySet {
-		// The sharded remembered set needs no sequential snapshot
-		// pre-pass: each worker owns a disjoint subset of shards for
-		// the whole phase and scans them with in-place compaction.
-		h.runPar(parPhaseDirty)
-		t = h.phaseMark(PhaseDirtyScan, t)
-	} else {
-		h.oldSegCandidates(g)
-		h.runPar(parPhaseOld)
-		t = h.phaseMark(PhaseOldScan, t)
+// run executes the selected phase on every active copier — the lead
+// inline on the calling goroutine, its peers on goroutines of their
+// own — and waits for all of them. A panic on any copier sets the
+// abort flag (so sweep spinners exit instead of waiting for a pending
+// count that will never reach zero); a peer's panic is re-raised here
+// after the join, the lead's simply keeps unwinding once the peers
+// have stopped. The fan-out reuses the peers' persistent goroutine
+// bodies and the heap's WaitGroup and panic slots, so a steady-state
+// phase allocates nothing.
+func (h *Heap) run(ph gcPhase) {
+	h.phase = ph
+	peers := h.active[1:]
+	for _, c := range peers {
+		h.wg.Add(1)
+		go c.body()
 	}
-
-	// The whole parallel drain counts as one kleene-sweep pass: waves
-	// lose their meaning when workers race through the transitive
-	// closure, so SweepPasses reports sequential sweep depth only.
-	if p.pending.Load() > 0 {
-		h.Stats.SweepPasses++
-	}
-	h.runPar(parPhaseSweep)
-	t = h.phaseMark(PhaseSweep, t)
-
-	// mergeWorkers runs later, from Collect, after the guardian phase:
-	// the salvage fixpoint's parallel re-sweeps keep using the
-	// workers' private buffers and deques, so the per-worker state is
-	// folded back only once all parallel work is done.
-	return t
-}
-
-// collectParallelSliced is collectParallel for a sliced collection: it
-// fans out the roots and dirty/old scan phases exactly as
-// collectParallel does but leaves the sweep to the slice loop
-// (parSliceSweep). ensurePar runs here, once per collection — the
-// slice loop must not re-run it, since it would reset the pending
-// count the parked deques still depend on.
-func (h *Heap) collectParallelSliced(g int, t time.Time) time.Time {
-	h.ensurePar(h.gcWorkers)
-
-	h.runPar(parPhaseRoots)
-	t = h.phaseMark(PhaseRoots, t)
-
-	if h.cfg.UseDirtySet {
-		h.runPar(parPhaseDirty)
-		t = h.phaseMark(PhaseDirtyScan, t)
-	} else {
-		h.oldSegCandidates(g)
-		h.runPar(parPhaseOld)
-		t = h.phaseMark(PhaseOldScan, t)
-	}
-	return t
-}
-
-// parSliceSweep runs one slice's worth of the parallel sweep fixpoint,
-// bounded by the deadline, and reports whether the fixpoint completed.
-// Items staged on h.sweepQ by the slice's sequential fixup work
-// (sliceFixup's root re-forwarding and window-segment scans use the
-// sequential forward) are dealt round-robin onto the active deques
-// first, exactly like parGuardianSweep — with no worker running, the
-// owner-only push rule is respected and the fan-out's goroutine-start
-// edge publishes the pushes. Between calls the un-drained items stay
-// parked on the deques with pending as their exact count. Each slice
-// that drains anything counts as one sweep pass, matching the
-// sequential budgeted sweep.
-func (h *Heap) parSliceSweep(deadline time.Time) bool {
-	t0 := time.Now()
-	p := h.par
-	for i, it := range h.sweepQ {
-		pw := p.active[i%len(p.active)]
-		p.pending.Add(1)
-		pw.dq.push(packSweepItem(it))
-	}
-	h.sweepQ = h.sweepQ[:0]
-	if p.pending.Load() == 0 {
-		h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-		return true
-	}
-	h.Stats.SweepPasses++
-	p.deadlineNS = deadline.UnixNano()
-	h.runPar(parPhaseSweep)
-	p.deadlineNS = 0
-	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-	return p.pending.Load() == 0
-}
-
-// runPar runs the selected phase on every active worker and waits for
-// all of them. A worker panic sets the abort flag (so sweep spinners
-// exit instead of waiting for a pending count that will never reach
-// zero) and is re-raised on the coordinator after the join. The
-// fan-out reuses the workers' persistent goroutine bodies and the
-// parGC's WaitGroup and panic slots, so a steady-state phase allocates
-// nothing.
-func (h *Heap) runPar(ph parPhase) {
-	p := h.par
-	p.phase = ph
-	for _, pw := range p.active {
-		p.wg.Add(1)
-		go pw.body()
-	}
-	p.wg.Wait()
-	for i := range p.active {
-		if r := p.panics[i]; r != nil {
-			p.panics[i] = nil
-			panic(r)
-		}
-	}
-}
-
-// runPhase is the persistent goroutine body spawned by runPar: it
-// dispatches on the phase selector, recovers panics into the worker's
-// slot, and signals the join.
-func (pw *parWorker) runPhase() {
-	p := pw.h.par
-	defer p.wg.Done()
+	done := false
 	defer func() {
-		if r := recover(); r != nil {
-			p.panics[pw.id] = r
-			p.abort.Store(true)
+		if !done {
+			h.abort.Store(true)
+		}
+		h.wg.Wait()
+		for _, c := range peers {
+			if r := h.panics[c.id]; r != nil && done {
+				h.panics[c.id] = nil
+				panic(r)
+			}
 		}
 	}()
-	switch p.phase {
-	case parPhaseRoots:
-		pw.rootsPhase()
-	case parPhaseDirty:
-		pw.dirtyShardPhase(pw.h.gcGen)
-	case parPhaseOld:
-		pw.scanOldPhase(p.candScratch)
-	case parPhaseSweep:
-		pw.sweepPhase()
-	case parPhaseGuardClassify:
-		pw.guardClassifyPhase()
+	h.lead.runPhase()
+	done = true
+}
+
+// runPeer is the persistent goroutine body spawned by run: it runs the
+// selected phase, recovers a panic into the copier's slot, and signals
+// the join.
+func (c *copier) runPeer() {
+	h := c.h
+	defer h.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			h.panics[c.id] = r
+			h.abort.Store(true)
+		}
+	}()
+	c.runPhase()
+}
+
+func (c *copier) runPhase() {
+	switch c.h.phase {
+	case phaseRoots:
+		c.rootsPhase()
+	case phaseDirty:
+		c.dirtyPhase()
+	case phaseOld:
+		c.oldScanPhase()
+	case phaseSweep:
+		c.sweepPhase()
+	case phaseGuardClassify:
+		c.guardClassifyPhase()
 	}
 }
 
-// mergeWorkers folds the per-worker state back into the heap after all
-// parallel work of a collection — the forwarding phases and the
-// guardian phase's classification fan-outs and re-sweep drains — has
-// joined: stats deltas, the weak-pair lists the weak pass consumes,
-// the segments each worker claimed (appended to the target
-// generation's chains), and the per-worker sweep and guardian timings
-// surfaced on the CollectionReport. Over-grown sweep deques shrink
-// back here so a heap whose peak collection swept a huge structure
-// does not retain the peak-size rings for its lifetime.
-func (h *Heap) mergeWorkers(p *parGC) {
+// mergeCopiers folds the copiers' private state back into the heap
+// once all copying of a collection is done: the lead's to-space
+// cursors (handed back so the next collection — or, when generation 0
+// is the target, the legacy allocator — carries on in the open
+// segments), stats deltas, the segments each copier took from its
+// cache (appended to the target generation's chains), and the
+// per-worker sweep and guardian timings surfaced on the
+// CollectionReport. Over-grown sweep deques shrink back here so a heap
+// whose peak collection swept a huge structure does not retain the
+// peak-size rings for its lifetime.
+func (h *Heap) mergeCopiers() {
 	st := &h.Stats
 	rep := &h.report
-	for _, pw := range p.active {
-		st.WordsAllocated += pw.stats.wordsAllocated
-		st.SegmentsAllocated += pw.stats.segmentsAllocated
-		st.WordsCopied += pw.stats.wordsCopied
-		st.PairsCopied += pw.stats.pairsCopied
-		st.ObjectsCopied += pw.stats.objectsCopied
-		st.CellsSwept += pw.stats.cellsSwept
-		st.DirtyCellsScanned += pw.stats.dirtyCellsScanned
-		h.newWeak = append(h.newWeak, pw.newWeak...)
-		h.pendWeak = append(h.pendWeak, pw.pendWeak...)
-		for sp := range pw.newSegs {
-			h.chains[sp][h.gcTarget] = append(h.chains[sp][h.gcTarget], pw.newSegs[sp]...)
-			pw.newSegs[sp] = pw.newSegs[sp][:0]
+	for sp := range h.lead.cur {
+		h.cur[sp][h.gcTarget] = h.lead.cur[sp]
+	}
+	for _, c := range h.active {
+		st.WordsAllocated += c.stats.wordsAllocated
+		st.SegmentsAllocated += c.stats.segmentsAllocated
+		st.WordsCopied += c.stats.wordsCopied
+		st.PairsCopied += c.stats.pairsCopied
+		st.ObjectsCopied += c.stats.objectsCopied
+		st.CellsSwept += c.stats.cellsSwept
+		st.SweepPasses += c.stats.sweepPasses
+		st.DirtyCellsScanned += c.stats.dirtyCellsScanned
+		c.stats = copyStats{}
+		for sp := range c.newSegs {
+			h.chains[sp][h.gcTarget] = append(h.chains[sp][h.gcTarget], c.newSegs[sp]...)
+			c.newSegs[sp] = c.newSegs[sp][:0]
 		}
-		rep.WorkerSweepBusy = append(rep.WorkerSweepBusy, time.Duration(pw.busyNS))
-		rep.WorkerSweepIdle = append(rep.WorkerSweepIdle, time.Duration(pw.idleNS))
-		rep.WorkerGuardianBusy = append(rep.WorkerGuardianBusy, time.Duration(pw.guardBusyNS))
-		rep.WorkerGuardianIdle = append(rep.WorkerGuardianIdle, time.Duration(pw.guardIdleNS))
-		pw.dq.shrink()
+		c.dq.shrink()
+	}
+	for i := range rep.WorkerSweepBusy {
+		c := h.active[i]
+		rep.WorkerSweepBusy[i] = time.Duration(c.sweepBusy)
+		rep.WorkerSweepIdle[i] = time.Duration(c.sweepIdle)
+		rep.WorkerGuardianBusy[i] = time.Duration(c.guardBusy)
+		rep.WorkerGuardianIdle[i] = time.Duration(c.guardIdle)
 	}
 }
 
-// rootsPhase forwards this worker's share of the explicit root slots
-// and root providers. Root chunks are strided by worker id; each
-// provider is visited by exactly one worker (providers own disjoint
-// root storage).
-func (pw *parWorker) rootsPhase() {
-	h, w := pw.h, len(pw.h.par.active)
-	dir := *h.rootChunks.Load()
-	for ci := pw.id; ci < len(dir); ci += w {
-		c := dir[ci]
-		for o := range c.vals {
-			if c.live[o] {
-				c.vals[o] = pw.forward(c.vals[o])
-			}
-		}
-	}
-	for j := pw.id; j < len(h.providers); j += w {
-		h.providers[j].v.VisitRoots(pw.visit)
-	}
-	// Registered mutators' pin slots (Mutator.tmp), strided like the
-	// explicit slots; the world is stopped, so muts is stable.
-	for j := pw.id; j < len(h.muts); j += w {
-		m := h.muts[j]
-		for i := range m.tmp {
-			m.tmp[i] = pw.forward(m.tmp[i])
-		}
-	}
-}
-
-// dirtyShardPhase scans this worker's share of the remembered-set
-// shards, strided by worker id so each shard is owned by exactly one
-// worker for the whole phase. Shard ownership makes every shard
-// mutation (compaction, index rewrites) and every remembered-cell
-// write single-writer without locks: a cell's address determines its
-// shard, so no other worker can touch the same cell. Racing forwards
-// of shared referents go through the usual CAS protocol (pw.forward),
-// and reads of freshly copied objects' segment metadata are ordered by
-// the forwarding-word acquire/release publication. Deferred weak cars
-// go to the worker's private pendWeak list, merged after the join.
-func (pw *parWorker) dirtyShardPhase(g int) {
-	h, w := pw.h, len(pw.h.par.active)
-	for k := pw.id; k < RemShards; k += w {
-		n := h.scanRemShard(&h.rem.shards[k], g, pw.fwd, &pw.pendWeak)
-		// Disjoint indices per worker, so these writes never collide.
-		h.report.ShardDirty[k] = n
-		pw.stats.dirtyCellsScanned += n
-	}
-}
-
-// oldSegCandidates snapshots the segments scanAllOld would visit into
-// parGC.candScratch. Taken sequentially before the workers start so
-// nobody iterates the table while to-space allocation grows it;
-// segments created during the phases carry the current stamp and would
-// be skipped anyway.
-func (h *Heap) oldSegCandidates(g int) {
-	cands := h.par.candScratch[:0]
-	for idx := 0; idx < h.tab.Len(); idx++ {
-		s := h.tab.Seg(idx)
-		if !s.InUse || s.Cont || s.Gen <= g || s.Stamp == h.stamp {
-			continue
-		}
-		cands = append(cands, idx)
-	}
-	h.par.candScratch = cands
-}
-
-// scanOldPhase is the parallel body of scanAllOld: each candidate
-// segment is scanned by exactly one worker, so in-place forwarding
-// writes never collide.
-func (pw *parWorker) scanOldPhase(cands []int) {
-	h, w := pw.h, len(pw.h.par.active)
-	for k := pw.id; k < len(cands); k += w {
-		idx := cands[k]
-		s := h.tab.Seg(idx)
-		base := seg.BaseAddr(idx)
-		switch s.Space {
-		case seg.SpacePair:
-			for off := 0; off+1 < s.Fill; off += 2 {
-				a := base + uint64(off)
-				h.setWord(a, uint64(pw.forward(h.valueAt(a))))
-				h.setWord(a+1, uint64(pw.forward(h.valueAt(a+1))))
-				pw.stats.dirtyCellsScanned += 2
-			}
-		case seg.SpaceWeak:
-			for off := 0; off+1 < s.Fill; off += 2 {
-				a := base + uint64(off)
-				pw.pendWeak = append(pw.pendWeak, a)
-				h.setWord(a+1, uint64(pw.forward(h.valueAt(a+1))))
-				pw.stats.dirtyCellsScanned += 2
-			}
-		case seg.SpaceObj:
-			off := 0
-			for off < s.Fill {
-				hw := h.word(base + uint64(off))
-				h.check(obj.IsHeader(hw), "scanOldPhase: missing header in segment %d", idx)
-				n := obj.PayloadWords(obj.HeaderKind(hw), obj.HeaderLength(hw))
-				for i := 1; i <= n; i++ {
-					a := base + uint64(off+i)
-					h.setWord(a, uint64(pw.forward(h.valueAt(a))))
-					pw.stats.dirtyCellsScanned++
-				}
-				off += 1 + n
-			}
-		case seg.SpaceData:
-			// No pointers.
-		}
-	}
-}
-
-// forward is the parallel counterpart of Heap.forward: identical
-// semantics, but the forwarding word is installed with CAS so two
-// workers racing on one object copy it exactly once. The CAS loser
-// rolls back its speculative copy and follows the winner.
-func (pw *parWorker) forward(v obj.Value) obj.Value {
-	h := pw.h
-	if !v.IsPointer() {
-		return v
-	}
-	addr := v.Addr()
-	s := h.tab.SegOf(addr)
-	if s.Stamp == h.stamp || s.Gen > h.gcGen {
-		return v
-	}
-	wp := h.tab.WordPtr(addr)
-	w0 := atomic.LoadUint64(wp)
-	if obj.IsFwd(w0) {
-		return v.WithAddr(obj.FwdAddr(w0))
-	}
-	if v.IsPair() {
-		space := s.Space
-		na := pw.alloc(space, 2)
-		// Copy word 0 from the atomically loaded value — re-reading it
-		// plainly would race with another worker's CAS. Word 1 is
-		// immutable during the parallel phases.
-		h.setWord(na, w0)
-		h.setWord(na+1, h.word(addr+1))
-		if !atomic.CompareAndSwapUint64(wp, w0, obj.MakeFwd(na)) {
-			pw.unalloc(space, 2)
-			return pw.followFwd(v, wp)
-		}
-		pw.stats.pairsCopied++
-		pw.stats.wordsCopied += 2
-		if space == seg.SpaceWeak {
-			pw.push(sweepItem{na, sweepWeakPair})
-			pw.newWeak = append(pw.newWeak, na)
-		} else {
-			pw.push(sweepItem{na, sweepPair})
-		}
-		return v.WithAddr(na)
-	}
-	h.check(obj.IsHeader(w0), "forward: object without header at %d", addr)
-	kind := obj.HeaderKind(w0)
-	n := obj.PayloadWords(kind, obj.HeaderLength(w0))
-	space := seg.SpaceObj
-	if !kind.HasPointers() {
-		space = seg.SpaceData
-	}
-	total := 1 + n
-	var na uint64
-	var runFirst, runLen int
-	if total > seg.Words {
-		na, runFirst, runLen = pw.allocRun(space, total)
+// accrue books one drain's (or classification's) wall time, of which
+// spun was spent yielding, to the guardian columns while the guardian
+// phase is running and to the sweep columns otherwise.
+func (c *copier) accrue(wall, spun int64) {
+	if c.h.inGuardian {
+		c.guardBusy += wall - spun
+		c.guardIdle += spun
 	} else {
-		na = pw.alloc(space, total)
+		c.sweepBusy += wall - spun
+		c.sweepIdle += spun
 	}
-	h.setWord(na, w0)
-	for i := uint64(1); i <= uint64(n); i++ {
-		h.setWord(na+i, h.word(addr+i))
-	}
-	if !atomic.CompareAndSwapUint64(wp, w0, obj.MakeFwd(na)) {
-		if runLen > 0 {
-			pw.freeRun(runFirst, runLen, total)
-		} else {
-			pw.unalloc(space, total)
-		}
-		return pw.followFwd(v, wp)
-	}
-	if runLen > 0 {
-		pw.publishRun(space, runFirst, runLen)
-	}
-	pw.stats.objectsCopied++
-	pw.stats.wordsCopied += uint64(total)
-	if kind.HasPointers() {
-		pw.push(sweepItem{na, sweepObj})
-	}
-	return v.WithAddr(na)
 }
 
-// followFwd resolves v through the forwarding word another worker won
-// the race to install.
-func (pw *parWorker) followFwd(v obj.Value, wp *uint64) obj.Value {
-	w := atomic.LoadUint64(wp)
-	pw.h.check(obj.IsFwd(w), "parallel forward: lost CAS to a non-forwarding word")
-	return v.WithAddr(obj.FwdAddr(w))
-}
-
-// alloc bump-allocates n (<= seg.Words) words from this worker's
-// private buffer for the given space, taking a fresh target-generation
-// segment when the open one is full.
-func (pw *parWorker) alloc(space seg.Space, n int) uint64 {
-	h := pw.h
-	pw.stats.wordsAllocated += uint64(n)
-	c := &pw.cur[space]
-	if c.seg == seg.None || c.off+n > seg.Words {
-		c.seg, c.off = pw.newSeg(space), 0
-		pw.stats.segmentsAllocated++
-	}
-	addr := seg.BaseAddr(c.seg) + uint64(c.off)
-	c.off += n
-	h.tab.Seg(c.seg).Fill = c.off
-	return addr
-}
-
-// unalloc rolls back this worker's most recent alloc of n words after
-// a lost forwarding CAS. Safe because forward performs no other
-// allocation between alloc and the CAS.
-func (pw *parWorker) unalloc(space seg.Space, n int) {
-	c := &pw.cur[space]
-	c.off -= n
-	pw.h.tab.Seg(c.seg).Fill = c.off
-	pw.stats.wordsAllocated -= uint64(n)
-}
-
-// newSeg takes a fresh segment in the target generation: it pops the
-// worker's reserved-segment cache, refilled from the table in
+// takeReserved is newSeg for copiers in company: it pops the copier's
+// reserved-segment cache, refilled from the table in
 // segCacheBatch-sized gulps under allocMu — the segment-affinity fast
 // path: a steady-state collection whose survivors fit the cached
 // segments touches the mutex once per batch instead of once per
 // segment, and activating a cached segment (seg.InitReserved) mutates
-// only worker-owned state. The claimed segment is recorded in newSegs;
-// the coordinator links it into the target generation's chain after
-// the join (nothing reads those chains during the parallel phases).
-func (pw *parWorker) newSeg(space seg.Space) int {
-	h := pw.h
+// only copier-owned state.
+func (c *copier) takeReserved(space seg.Space) int {
+	h := c.h
 	// Loop: a peer hitting its OOM path can steal a fresh refill out
 	// from under us (takeAll between our refill and our pop).
-	idx, ok := pw.segCache.pop()
+	idx, ok := c.segCache.pop()
 	for !ok {
-		pw.refillSegCache()
-		idx, ok = pw.segCache.pop()
+		c.refillSegCache()
+		idx, ok = c.segCache.pop()
 	}
 	h.tab.InitReserved(idx, space, h.gcTarget, h.stamp)
-	pw.newSegs[space] = append(pw.newSegs[space], idx)
+	c.newSegs[space] = append(c.newSegs[space], idx)
 	return idx
 }
 
-// refillSegCache reserves a batch of segments for this worker. On
-// bounded heaps reserved segments are committed against MaxSegments
-// (seg.Table.CommittedCount counts them like live ones), so the batch
-// clamps to the remaining headroom; when the headroom is gone the idle
-// reservations sitting in peer caches are reclaimed first, and only a
-// heap that is full with every cache empty is genuinely out of memory
-// — OOM accounting stays exact with the affinity cache enabled.
-func (pw *parWorker) refillSegCache() {
-	h := pw.h
+// refillSegCache reserves a batch of segments for this copier, clamped
+// on bounded heaps to the remaining headroom (claimable) — OOM
+// accounting stays exact with the affinity cache enabled.
+func (c *copier) refillSegCache() {
+	h := c.h
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
-	k := segCacheBatch
-	if h.cfg.MaxSegments > 0 {
-		head := h.cfg.MaxSegments - h.tab.CommittedCount()
-		if head <= 0 {
-			h.reclaimReservedLocked()
-			head = h.cfg.MaxSegments - h.tab.CommittedCount()
-		}
-		if head < k {
-			k = head
-		}
-		if k <= 0 {
-			panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (parallel copy)",
-				h.cfg.MaxSegments))
-		}
-	}
+	k := h.claimable(segCacheBatch, 1, "to-space segment")
 	// Stage through segScratch: the cache's own slots may not be
 	// appended to (n is the published length), and reusing one
 	// persistent slice keeps steady-state refills allocation-free.
-	pw.segScratch = h.tab.Reserve(pw.segScratch[:0], k)
-	n := copy(pw.segCache.slots[:], pw.segScratch)
-	pw.segCache.n.Store(int32(n))
+	c.segScratch = h.tab.Reserve(c.segScratch[:0], k)
+	n := copy(c.segCache.slots[:], c.segScratch)
+	c.segCache.n.Store(int32(n))
 }
 
-// allocRun allocates a large-object run of contiguous segments. Unlike
-// the sequential path the run is NOT linked into the segment chains
-// yet: the copy is still speculative until the forwarding CAS wins, so
-// publishRun/freeRun finish or undo the allocation afterwards.
-func (pw *parWorker) allocRun(space seg.Space, total int) (addr uint64, first, k int) {
-	h := pw.h
+// allocRun allocates a large-object run of contiguous segments for a
+// copy. The run is NOT linked into the segment chains yet: the copy is
+// speculative until its install wins, so publishRun/freeRun finish or
+// undo the allocation afterwards.
+func (c *copier) allocRun(space seg.Space, total int) (addr uint64, first, k int) {
+	h := c.h
 	k = (total + seg.Words - 1) / seg.Words
-	h.allocMu.Lock()
-	if h.cfg.MaxSegments > 0 && h.tab.CommittedCount()+k > h.cfg.MaxSegments {
-		h.reclaimReservedLocked() // idle peer reservations count as committed
-		if h.tab.CommittedCount()+k > h.cfg.MaxSegments {
-			h.allocMu.Unlock()
-			panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (%d words requested)",
-				h.cfg.MaxSegments, total))
-		}
-	}
-	first = h.tab.AllocRun(space, h.gcTarget, h.stamp, k)
-	h.allocMu.Unlock()
-	rem := total
-	for i := 0; i < k; i++ {
-		s := h.tab.Seg(first + i)
-		s.Fill = min(rem, seg.Words)
-		rem -= s.Fill
-	}
-	pw.stats.wordsAllocated += uint64(total)
-	pw.stats.segmentsAllocated += uint64(k)
+	func() {
+		h.allocMu.Lock()
+		defer h.allocMu.Unlock() // claimable panics on out of memory
+		h.claimable(k, k, "large object")
+		first = h.tab.AllocRun(space, h.gcTarget, h.stamp, k)
+	}()
+	h.fillRun(first, k, total)
+	c.stats.wordsAllocated += uint64(total)
+	c.stats.segmentsAllocated += uint64(k)
 	return seg.BaseAddr(first), first, k
 }
 
 // publishRun links a large-object run into the target generation's
-// chains after its forwarding CAS won.
-func (pw *parWorker) publishRun(space seg.Space, first, k int) {
-	h := pw.h
+// chains after its install won.
+func (c *copier) publishRun(space seg.Space, first, k int) {
+	h := c.h
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
 	for i := 0; i < k; i++ {
@@ -861,208 +494,122 @@ func (pw *parWorker) publishRun(space seg.Space, first, k int) {
 	}
 }
 
-// freeRun retires a speculative large-object run after its forwarding
-// CAS lost: the segments were never published, so they go straight
-// back to the pool (FreeRun keeps the run assembled for the next
-// same-length allocation — typically the very object whose CAS won).
-func (pw *parWorker) freeRun(first, k, total int) {
-	h := pw.h
+// freeRun retires a speculative large-object run after its install
+// lost: the segments were never published, so they go straight back to
+// the pool (FreeRun keeps the run assembled for the next same-length
+// allocation — typically the very object whose install won).
+func (c *copier) freeRun(first, k, total int) {
+	h := c.h
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
 	h.tab.FreeRun(first)
-	pw.stats.wordsAllocated -= uint64(total)
-	pw.stats.segmentsAllocated -= uint64(k)
+	c.stats.wordsAllocated -= uint64(total)
+	c.stats.segmentsAllocated -= uint64(k)
 }
 
-// push makes a sweep item visible to the work-stealing drain. The
-// pending count is incremented before the item is published so the
+// pushShared makes a sweep item visible to the work-stealing drain.
+// The pending count is incremented before the item is published so the
 // count can never understate the outstanding work (a spinner observing
 // pending == 0 proves the fixpoint).
-func (pw *parWorker) push(it sweepItem) {
-	pw.h.par.pending.Add(1)
-	pw.dq.push(packSweepItem(it))
+func (c *copier) pushShared(it sweepItem) {
+	c.h.pending.Add(1)
+	c.dq.push(packSweepItem(it))
 }
 
-// popOwn pops this worker's own newest item (LIFO keeps the working
-// set hot and leaves the deque's top for thieves).
-func (pw *parWorker) popOwn() (sweepItem, bool) {
-	x, ok := pw.dq.pop()
-	if !ok {
-		return sweepItem{}, false
-	}
-	return unpackSweepItem(x), true
-}
-
-// steal takes the oldest item from some other worker's deque. A failed
+// steal takes the oldest item from some other copier's deque. A failed
 // CAS on a victim just moves on to the next; the pending counter, not
 // the deques, decides when the drain is over.
-func (pw *parWorker) steal() (sweepItem, bool) {
-	act := pw.h.par.active
+func (c *copier) steal() (uint64, bool) {
+	act := c.h.active
 	for k := 1; k < len(act); k++ {
-		if x, ok := act[(pw.id+k)%len(act)].dq.steal(); ok {
+		if x, ok := act[(c.id+k)%len(act)].dq.steal(); ok {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+// takeShared is take for copiers in company: pop own work (LIFO keeps
+// the working set hot and leaves the deque's top for thieves), steal
+// when empty, spin (yielding) while peers may still push, stop when
+// nothing is pending anywhere. The item handed out last time — and
+// every push its sweep performed — is retired from pending first. A
+// drain with a deadline adds a deadline exit: the busy path checks it
+// every 32 items, before popping, so a copier never leaves holding a
+// popped-but-unswept item — and the termination spin checks it
+// unconditionally, because once a peer has left at the deadline with
+// items still parked in its deque, pending can stay positive forever
+// and a spinner that only watched pending would never leave.
+func (c *copier) takeShared(n int) (sweepItem, bool) {
+	h := c.h
+	if c.sweeping {
+		c.sweeping = false
+		h.pending.Add(-1)
+	}
+	for !h.abort.Load() {
+		if n != 0 && n&31 == 0 && h.pastDeadline() {
+			break
+		}
+		x, ok := c.dq.pop()
+		if !ok {
+			x, ok = c.steal()
+		}
+		if ok {
+			c.sweeping = true
 			return unpackSweepItem(x), true
 		}
+		if h.pending.Load() == 0 || h.pastDeadline() {
+			break
+		}
+		ti := time.Now()
+		runtime.Gosched()
+		c.spinNS += time.Since(ti).Nanoseconds()
 	}
 	return sweepItem{}, false
 }
 
-// sweepPhase drains the work-stealing deques to the Cheney fixpoint:
-// pop own work, steal when empty, spin (yielding) while other workers
-// may still push, stop when nothing is pending anywhere. Wall time is
-// split into busy (processing and scanning for work) and idle (the
-// yield in the termination spin) so the per-worker numbers reported in
-// the CollectionReport and the trace reflect load imbalance instead of
-// hiding it. One collection can run several drains — the main sweep
-// plus one per guardian salvage round — so the counters accumulate;
-// parGC.inGuardian routes a drain's time to the guardian columns.
-// Sliced collections (parGC.deadlineNS != 0) add a deadline exit: the
-// busy loop checks the slice deadline every 32 items — before popping,
-// so a worker never exits holding a popped-but-unprocessed item — and
-// the termination spin checks it unconditionally, because once a peer
-// has exited at the deadline with items still parked in its deque,
-// pending can stay positive forever and a spinner that only watched
-// pending would never leave.
-func (pw *parWorker) sweepPhase() {
-	t0 := time.Now()
-	var idle int64
-	n := 0
-	p := pw.h.par
-	for {
-		if p.abort.Load() {
-			break
-		}
-		if p.deadlineNS != 0 && n > 0 && n&31 == 0 && time.Now().UnixNano() >= p.deadlineNS {
-			break
-		}
-		it, ok := pw.popOwn()
-		if !ok {
-			it, ok = pw.steal()
-		}
-		if !ok {
-			if p.pending.Load() == 0 {
-				break
-			}
-			if p.deadlineNS != 0 && time.Now().UnixNano() >= p.deadlineNS {
-				break
-			}
-			ti := time.Now()
-			runtime.Gosched()
-			idle += time.Since(ti).Nanoseconds()
-			continue
-		}
-		pw.process(it)
-		p.pending.Add(-1)
-		n++
-	}
-	busy := time.Since(t0).Nanoseconds() - idle
-	if p.inGuardian {
-		pw.guardIdleNS += idle
-		pw.guardBusyNS += busy
-	} else {
-		pw.idleNS += idle
-		pw.busyNS += busy
-	}
-}
-
-// guardClassifyPar computes the accessibility verdicts for the
-// protected entries of a then b over the worker pool: verdict i is
+// guardClassify computes the accessibility verdicts for the protected
+// entries of a then b over the active copiers: verdict i is
 // isForwarded of entry i's Obj (checkObj, the initial pend-hold /
-// pend-final partition) or Tconc (the salvage rounds). The protected
-// lists partition across workers by index striding; every verdict slot
-// is written by exactly one worker, and the phase performs no heap
-// mutation at all — workers only read forwarding words and segment
+// pend-final partition) or Tconc (the salvage rounds). The entries
+// partition across copiers by index striding; every verdict slot is
+// written by exactly one copier, and the phase performs no heap
+// mutation at all — copiers only read forwarding words and segment
 // metadata, so the fan-out is race-free by construction. The verdict
-// slice is parGC-owned scratch, valid until the next classification.
-func (h *Heap) guardClassifyPar(a, b []ProtEntry, checkObj bool) []bool {
-	p := h.par
+// slice is heap-owned scratch, valid until the next classification.
+func (h *Heap) guardClassify(a, b []ProtEntry, checkObj bool) []bool {
 	n := len(a) + len(b)
-	if cap(p.guardVerdicts) < n {
-		p.guardVerdicts = make([]bool, n)
+	if cap(h.guardVerdicts) < n {
+		h.guardVerdicts = make([]bool, n)
 	}
-	p.guardVerdicts = p.guardVerdicts[:n]
-	p.guardA, p.guardB, p.guardObj = a, b, checkObj
-	p.inGuardian = true
-	h.runPar(parPhaseGuardClassify)
-	p.inGuardian = false
-	p.guardA, p.guardB = nil, nil
-	return p.guardVerdicts
+	h.guardVerdicts = h.guardVerdicts[:n]
+	h.guardA, h.guardB, h.guardObj = a, b, checkObj
+	h.run(phaseGuardClassify)
+	h.guardA, h.guardB = nil, nil
+	return h.guardVerdicts
 }
 
-// guardClassifyPhase is one worker's share of a guardian
-// classification fan-out: a strided walk over the combined entry
-// lists, recording each entry's accessibility verdict in its private
-// slot. Time spent here counts as guardian-phase busy time.
-func (pw *parWorker) guardClassifyPhase() {
+// guardClassifyPhase is one copier's share of a guardian
+// classification: a strided walk over the combined entry lists,
+// recording each entry's accessibility verdict in its private slot.
+// Time spent here counts as guardian-phase busy time.
+func (c *copier) guardClassifyPhase() {
 	t0 := time.Now()
-	h, p := pw.h, pw.h.par
-	w := len(p.active)
-	nA := len(p.guardA)
-	total := nA + len(p.guardB)
-	for i := pw.id; i < total; i += w {
+	h := c.h
+	nA := len(h.guardA)
+	total := nA + len(h.guardB)
+	for i := c.id; i < total; i += len(h.active) {
 		var e *ProtEntry
 		if i < nA {
-			e = &p.guardA[i]
+			e = &h.guardA[i]
 		} else {
-			e = &p.guardB[i-nA]
+			e = &h.guardB[i-nA]
 		}
 		v := e.Tconc
-		if p.guardObj {
+		if h.guardObj {
 			v = e.Obj
 		}
-		p.guardVerdicts[i] = h.isForwarded(v)
+		h.guardVerdicts[i] = h.isForwarded(v)
 	}
-	pw.guardBusyNS += time.Since(t0).Nanoseconds()
-}
-
-// parGuardianSweep is the parallel form of the kleene-sweep a guardian
-// salvage round triggers: the items the sequential merge staged on
-// h.sweepQ (salvaged representatives and the tconc pairs they
-// reached) are dealt round-robin onto the workers' deques and drained
-// through the usual work-stealing fixpoint. Dealing happens before
-// the fan-out, with no worker running, so the owner-only push rule of
-// the Chase-Lev deque is respected (the goroutine-start edge publishes
-// the pushes). Time accrues to PhaseSweep exactly like the sequential
-// kleene-sweep, keeping the guardian column's "bookkeeping only"
-// meaning; the workers' busy/idle split lands in the guardian-phase
-// columns via parGC.inGuardian.
-func (h *Heap) parGuardianSweep() {
-	if len(h.sweepQ) == 0 {
-		return
-	}
-	t0 := time.Now()
-	p := h.par
-	for i, it := range h.sweepQ {
-		pw := p.active[i%len(p.active)]
-		p.pending.Add(1)
-		pw.dq.push(packSweepItem(it))
-	}
-	h.sweepQ = h.sweepQ[:0]
-	// Like the main parallel drain, the whole re-sweep counts as one
-	// kleene-sweep pass (waves lose their meaning under stealing).
-	h.Stats.SweepPasses++
-	p.inGuardian = true
-	h.runPar(parPhaseSweep)
-	p.inGuardian = false
-	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-}
-
-// process sweeps one copied object, mirroring kleeneSweep's cases.
-func (pw *parWorker) process(it sweepItem) {
-	h := pw.h
-	switch it.kind {
-	case sweepPair:
-		h.setWord(it.addr, uint64(pw.forward(h.valueAt(it.addr))))
-		h.setWord(it.addr+1, uint64(pw.forward(h.valueAt(it.addr+1))))
-		pw.stats.cellsSwept += 2
-	case sweepWeakPair:
-		h.setWord(it.addr+1, uint64(pw.forward(h.valueAt(it.addr+1))))
-		pw.stats.cellsSwept++
-	case sweepObj:
-		w := h.word(it.addr)
-		n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-		for i := uint64(1); i <= uint64(n); i++ {
-			h.setWord(it.addr+i, uint64(pw.forward(h.valueAt(it.addr+i))))
-		}
-		pw.stats.cellsSwept += uint64(n)
-	}
+	c.accrue(time.Since(t0).Nanoseconds(), 0)
 }

@@ -8,8 +8,8 @@ import "repro/internal/seg"
 // words are allocated between collect requests — goes through one
 // Policy value set via Config.Policy. Three stock implementations
 // cover the space: SimplePolicy (the paper's fixed strategy),
-// RadixPolicy (the configurable strategy the deprecated
-// TargetGen/Radix/TriggerWords knobs shim onto), and AdaptivePolicy
+// RadixPolicy (the configurable static strategy, and what a nil
+// Config.Policy resolves to), and AdaptivePolicy
 // (Config.AutoTune: feedback-driven from CollectionReport survival
 // rates, modeled on CertiCoq's empirically sized nursery and the VGC
 // survival-driven zone policy).
@@ -113,11 +113,9 @@ func (SimplePolicy) CollectGen(n uint64, maxGen int) int {
 func (SimplePolicy) NextTrigger(rep *CollectionReport, cur int) int { return cur }
 
 // RadixPolicy is the configurable static strategy: a fixed trigger, a
-// fixed radix cadence, and an optional promotion function. It is what
-// the deprecated Config.TargetGen/Radix/TriggerWords knobs wrap onto
-// (see the migration table in docs/ALGORITHM.md); zero fields select
-// the same defaults New used to apply to the knobs, so
-// RadixPolicy{} ≡ SimplePolicy{}.
+// fixed radix cadence, and an optional promotion function. Zero fields
+// select the stock defaults, so RadixPolicy{} ≡ SimplePolicy{}; it is
+// also the policy heap images round-trip (LoadImage).
 type RadixPolicy struct {
 	// Trigger is the generation-0 trigger in words; 0 selects
 	// DefaultTriggerWords.

@@ -56,8 +56,7 @@ func TestPolicyGuardiansStillWork(t *testing.T) {
 	tc := h.NewRoot(makeTconc(h))
 	keep := h.NewRoot(h.Cons(obj.FromFixnum(3), obj.Nil))
 	h.InstallGuardian(keep.Get(), tc.Get())
-	h.Collect(0) // everything tenures to the oldest generation
-	byGen := h.ProtectedCountByGen()
+	byGen := h.Collect(0).ProtectedByGen // everything tenures to the oldest generation
 	if byGen[h.MaxGeneration()] != 1 {
 		t.Fatalf("entry should follow the policy's target: %v", byGen)
 	}

@@ -131,8 +131,8 @@ func (r *remSet) count() int {
 // scanRemShard processes one shard against a collection of
 // generations 0..g, compacting the shard in place: stale entries
 // (collected or retired cells) are dropped, weak cells are deferred to
-// *pend for the weak pass, and strong cells are forwarded through fwd
-// with the cell updated in place. Entries that still hold an
+// the copier's pendWeak list for the weak pass, and strong cells are
+// forwarded with the cell updated in place. Entries that still hold an
 // old-to-young pointer afterwards are kept, with the dedup index
 // rewritten to the compacted positions. It returns the number of
 // live remembered cells examined (the DirtyCellsScanned contribution).
@@ -145,33 +145,34 @@ func (r *remSet) count() int {
 // concurrently with a scan: collections only happen with every
 // registered mutator suspended, and the handshake's lock edges order
 // the inserts and the scan either side of the stop.
-func (h *Heap) scanRemShard(sh *remShard, g int, fwd func(obj.Value) obj.Value, pend *[]uint64) (scanned uint64) {
+func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
+	h := c.h
 	live := sh.entries[:0]
-	for _, c := range sh.entries {
-		s := h.tab.SegOf(c.addr)
+	for _, e := range sh.entries {
+		s := h.tab.SegOf(e.addr)
 		if !s.InUse || s.Gen <= g {
 			// Collected (or defensively: freed) cell — the copy, if
 			// any, is swept normally.
-			delete(sh.index, c.addr)
+			delete(sh.index, e.addr)
 			continue
 		}
 		scanned++
-		if c.weak {
+		if e.weak {
 			// Defer to the weak pass; it re-inserts the cell if it
 			// still points to a younger generation afterwards.
-			delete(sh.index, c.addr)
-			*pend = append(*pend, c.addr)
+			delete(sh.index, e.addr)
+			c.pendWeak = append(c.pendWeak, e.addr)
 			continue
 		}
-		v := obj.Value(h.tab.Word(c.addr))
-		nv := fwd(v)
-		h.tab.SetWord(c.addr, uint64(nv))
+		v := obj.Value(h.tab.Word(e.addr))
+		nv := c.forward(v)
+		h.tab.SetWord(e.addr, uint64(nv))
 		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
-			delete(sh.index, c.addr)
+			delete(sh.index, e.addr)
 			continue
 		}
-		sh.index[c.addr] = int32(len(live))
-		live = append(live, dirtyCell{c.addr, false})
+		sh.index[e.addr] = int32(len(live))
+		live = append(live, dirtyCell{e.addr, false})
 	}
 	sh.entries = live
 	return scanned
@@ -195,100 +196,77 @@ func (h *Heap) sliceRecord(addr uint64, weak bool) {
 	h.sliceMu.Unlock()
 }
 
+// dirtyPhase processes this copier's share of the remembered set:
+// cells in generations older than those collected that may hold
+// pointers into them. Strong cells are forwarded in place; weak car
+// cells are deferred to the weak-pair pass (the copier's pendWeak
+// list). Entries whose segments are being collected are dropped (the
+// copies are swept normally), as are entries that no longer point to a
+// younger generation. Shards are strided by copier id, so each is
+// owned by exactly one copier for the whole phase — no sequential
+// snapshot pre-pass is needed — and scanned with in-place compaction
+// (scanRemShard), so steady-state collections do not allocate here
+// (asserted by TestCollectSteadyStateAllocs). Shard ownership makes
+// every shard mutation (compaction, index rewrites) and every
+// remembered-cell write single-writer without locks: a cell's address
+// determines its shard, so no other copier can touch the same cell.
+// Racing forwards of shared referents go through the usual install
+// protocol, and reads of freshly copied objects' segment metadata are
+// ordered by the forwarding-word acquire/release publication. The
+// map-based test oracle takes its own path in remset_oracle.go.
+func (c *copier) dirtyPhase() {
+	h := c.h
+	if h.dirtyMap != nil {
+		h.scanDirtyMap(h.gcGen)
+		return
+	}
+	for k := c.id; k < RemShards; k += len(h.active) {
+		n := c.scanRemShard(&h.rem.shards[k], h.gcGen)
+		// Disjoint indices per copier, so these writes never collide.
+		h.report.ShardDirty[k] = n
+		c.stats.dirtyCellsScanned += n
+	}
+}
+
 // sliceFixup runs at the start of every slice after a mutator window:
 // it re-establishes the collection's invariants over everything the
 // mutators did while the world was running. Three sources of new work:
 // roots (slots may have been rebound, new roots registered, pin slots
-// loaded — all re-forwarded, idempotently), the window store buffer
-// (each recorded strong cell is re-forwarded in place; weak cells
-// defer to the weak pass), and window allocations (fresh gen-0
+// loaded — the roots phase again, idempotently), the window store
+// buffer (each recorded strong cell is re-forwarded in place; weak
+// cells defer to the weak pass), and window allocations (fresh gen-0
 // segments, scanned like to-space — the "allocate black" rule; the
 // per-space chain cursor makes each segment scanned exactly once,
 // which suffices because a flushed TLAB segment is never refilled and
-// later stores into it are caught by the store buffer). Items staged
-// on the sweep queue are drained by the slice's budgeted sweep. Time
-// accrues to the roots and dirty-scan phases; no window time can leak
-// in, because this runs strictly inside the stopped world.
+// later stores into it are caught by the store buffer). The store
+// buffer and the window segments are the lead copier's; what it copies
+// lands on its own work list and is drained by the slice's sweep (when
+// copiers are in company, stolen from there). Time accrues to the
+// roots and dirty-scan phases; no window time can leak in, because
+// this runs strictly inside the stopped world.
 func (h *Heap) sliceFixup() {
 	t := time.Now()
-	for _, c := range *h.rootChunks.Load() {
-		for o := range c.vals {
-			if c.live[o] {
-				c.vals[o] = h.forward(c.vals[o])
-			}
-		}
-	}
-	for _, p := range h.providers {
-		p.v.VisitRoots(h.rootVisit)
-	}
-	for _, m := range h.muts {
-		for i := range m.tmp {
-			m.tmp[i] = h.forward(m.tmp[i])
-		}
-	}
+	h.run(phaseRoots)
 	t = h.phaseMark(PhaseRoots, t)
 
-	for _, c := range h.sliceDirty {
-		h.Stats.DirtyCellsScanned++
-		if c.weak {
-			h.pendWeak = append(h.pendWeak, c.addr)
+	c := h.lead
+	for _, d := range h.sliceDirty {
+		c.stats.dirtyCellsScanned++
+		if d.weak {
+			c.pendWeak = append(c.pendWeak, d.addr)
 			continue
 		}
-		h.setWord(c.addr, uint64(h.forward(h.valueAt(c.addr))))
+		c.fwdCell(d.addr)
 	}
 	h.sliceDirty = h.sliceDirty[:0]
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		chain := h.chains[sp][0]
 		for _, idx := range chain[h.sliceGen0Done[sp]:] {
-			h.sliceScanSeg(seg.Space(sp), idx)
+			c.scanSeg(idx)
 		}
 		h.sliceGen0Done[sp] = len(chain)
 	}
 	h.phaseMark(PhaseDirtyScan, t)
-}
-
-// sliceScanSeg scans one window-allocated generation-0 segment,
-// forwarding every pointer field, exactly as scanAllOld walks an old
-// segment. Large-object continuation segments are skipped: the header
-// walk of the run's head segment covers the whole run (payload
-// addresses are linear across it).
-func (h *Heap) sliceScanSeg(space seg.Space, idx int) {
-	s := h.tab.Seg(idx)
-	if s.Cont {
-		return
-	}
-	base := seg.BaseAddr(idx)
-	switch space {
-	case seg.SpacePair:
-		for off := 0; off+1 < s.Fill; off += 2 {
-			a := base + uint64(off)
-			h.setWord(a, uint64(h.forward(h.valueAt(a))))
-			h.setWord(a+1, uint64(h.forward(h.valueAt(a+1))))
-			h.Stats.DirtyCellsScanned += 2
-		}
-	case seg.SpaceWeak:
-		for off := 0; off+1 < s.Fill; off += 2 {
-			a := base + uint64(off)
-			h.pendWeak = append(h.pendWeak, a)
-			h.setWord(a+1, uint64(h.forward(h.valueAt(a+1))))
-			h.Stats.DirtyCellsScanned += 2
-		}
-	case seg.SpaceObj:
-		off := 0
-		for off < s.Fill {
-			w := h.word(base + uint64(off))
-			h.check(obj.IsHeader(w), "sliceScanSeg: missing header in segment %d", idx)
-			n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-			for i := 1; i <= n; i++ {
-				a := base + uint64(off+i)
-				h.setWord(a, uint64(h.forward(h.valueAt(a))))
-				h.Stats.DirtyCellsScanned++
-			}
-			off += 1 + n
-		}
-	case seg.SpaceData:
-		// No pointers.
-	}
 }
 
 // RemSetShardSizes returns the deduplicated remembered-set size of

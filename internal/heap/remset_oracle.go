@@ -36,6 +36,7 @@ func (h *Heap) scanDirtyMap(g int) {
 	if len(h.dirtyMap) == 0 {
 		return
 	}
+	lead := h.lead
 	scratch := make([]dirtyCell, 0, len(h.dirtyMap))
 	for addr, weak := range h.dirtyMap {
 		scratch = append(scratch, dirtyCell{addr, weak})
@@ -49,11 +50,11 @@ func (h *Heap) scanDirtyMap(g int) {
 		h.Stats.DirtyCellsScanned++
 		if c.weak {
 			delete(h.dirtyMap, c.addr)
-			h.pendWeak = append(h.pendWeak, c.addr)
+			lead.pendWeak = append(lead.pendWeak, c.addr)
 			continue
 		}
 		v := h.valueAt(c.addr)
-		nv := h.forward(v)
+		nv := lead.forward(v)
 		h.setWord(c.addr, uint64(nv))
 		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
 			delete(h.dirtyMap, c.addr)

@@ -81,8 +81,7 @@ type CollectionReport struct {
 
 	// ProtectedByGen is the per-generation protected-list size after
 	// the guardian phase, snapshotted so hooks (and any goroutine
-	// handed the report) never race with the live lists the way the
-	// deprecated ProtectedCountByGen accessor could.
+	// handed the report) never race with the live lists.
 	ProtectedByGen []int
 
 	// MutatorsSuspended is the number of registered mutators the

@@ -22,12 +22,15 @@ import (
 // Mutator.Safepoint poll on a loop back-edge, or the standing
 // safepoint of Idle — flushes its TLABs, and parks. Once
 // parked+idle covers every other mutator the coordinator flushes its
-// own TLABs and runs the unmodified stop-the-world collection
-// (collectSTW: the sequential algorithm or the parallel worker
-// fan-out, exactly as in legacy mode). Resume is two-phase: stopReq
+// own TLABs and runs the unmodified stop-the-world collection body
+// (collect, exactly as in legacy mode). Resume is two-phase: stopReq
 // clears and parked mutators drain out, then `collecting` clears,
 // allowing the next election — the drain guarantees a mutator parked
 // for collection k can never be trapped by collection k+1's stopReq.
+// The resume also runs when the body panics (resumeWorld is deferred):
+// the heap is then marked failed, and the released mutators — like
+// every later Collect — fail fast instead of hanging on a handshake
+// nobody will ever lower.
 //
 // Lock order: spMu before allocMu, never the reverse. parkLocked and
 // the coordinator both flush TLABs (allocMu) while holding spMu; the
@@ -289,6 +292,10 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 			h.spCond.Wait()
 		}
 	}
+	if h.failed.Load() {
+		h.spMu.Unlock()
+		panic("heap: heap unusable after failed collection")
+	}
 	h.collecting = true
 	h.stopReq = true
 	h.spStop.Store(true)
@@ -311,21 +318,17 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 
 	// The world is stopped: every registered mutator is parked or idle
 	// with flushed TLABs, and new registrations wait on `collecting`.
-	// Run the unmodified stop-the-world collection — or, when a pause
-	// budget is set and the collection includes old space, the sliced
-	// body, which releases and re-stops the world between sweep slices
-	// (generation-0 collections are never sliced: their sweeps are the
-	// cheap case the budget exists to protect).
-	var rep *CollectionReport
-	if h.cfg.PauseBudget > 0 && g >= 1 {
-		rep = h.collectSliced(self, g)
-	} else {
-		rep = h.collectSTW(g)
-	}
+	// Run the collection body; with a pause budget set it releases and
+	// re-stops the world between sweep slices itself (sliceWindow).
+	defer h.resumeWorld()
+	return h.collect(self, g)
+}
 
-	// Two-phase resume: release the parked mutators and wait for all
-	// of them to leave parkLocked before allowing the next election,
-	// so none can be trapped by a back-to-back collection's stopReq.
+// resumeWorld is the two-phase resume that ends a collection round:
+// release the parked mutators and wait for all of them to leave
+// parkLocked before allowing the next election, so none can be trapped
+// by a back-to-back collection's stopReq.
+func (h *Heap) resumeWorld() {
 	h.spMu.Lock()
 	h.stopReq = false
 	h.spStop.Store(false)
@@ -336,7 +339,6 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 	h.collecting = false
 	h.spCond.Broadcast()
 	h.spMu.Unlock()
-	return rep
 }
 
 // sliceWindow opens a mutator window between two slices of a sliced

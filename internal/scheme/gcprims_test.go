@@ -9,7 +9,7 @@ import (
 
 // TestGCPolicyPrim pins the (gc-policy) introspection contract: a pair
 // of the policy's name symbol and the live gen-0 trigger. The default
-// heap runs the deprecated-knob shim (a RadixPolicy); an AutoTune heap
+// heap runs the stock static policy (a RadixPolicy); an AutoTune heap
 // reports adaptive, and its trigger is the live, retunable value — not
 // the configured constant.
 func TestGCPolicyPrim(t *testing.T) {

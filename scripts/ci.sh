@@ -51,15 +51,11 @@ echo "== concurrent mutator gate (-race)"
 go test -race -run 'TestMutator|TestBoundedHeap' ./internal/heap/
 
 echo "== policy / autotune gate (-race)"
-# The Config.Policy seam: the shim-equivalence suite proves a heap
-# built with the deprecated TargetGen/Radix/TriggerWords knobs
-# bit-for-bit identical (salvage order, promotion decisions, cadence)
-# to one built with the wrapping RadixPolicy at Workers {1,2,8,auto} x
-# PauseBudget {0,1ms}; the AutoTune gate runs a trigger-driven churn
-# workload with a full Verify after every collection plus the
+# The Config.Policy seam: the AutoTune gate runs a trigger-driven
+# churn workload with a full Verify after every collection plus the
 # adaptive-autotune stress configuration, and the steady-state test
 # holds the feedback path to zero Go allocations per collection.
-go test -race -run 'TestPolicyShim|TestAdaptive|TestAutoTune|TestCollectSteadyStateAllocsAutoTune|TestStressAllConfigurations/adaptive-autotune' ./internal/heap/
+go test -race -run 'TestAdaptive|TestAutoTune|TestCollectSteadyStateAllocsAutoTune|TestStressAllConfigurations/adaptive-autotune' ./internal/heap/
 
 echo "== pause-budget gate (-race)"
 # Sliced (pause-budget) collections: TestMutatorStressPauseBudget
@@ -68,8 +64,9 @@ echo "== pause-budget gate (-race)"
 # churn so the window write barrier, sliceFixup, and the allocate-black
 # rule all fire under the race detector — and the TestSliced suite
 # covers the slice loop, window invariants (Verify's sliceActive
-# relaxations plus invariant 10), the auto-collect defer, and the
-# budget actually bounding slices.
+# relaxations plus invariant 10), the auto-collect defer, the
+# no-deadline equivalence with monolithic collections, and the budget
+# actually bounding slices.
 go test -race -run 'TestMutatorStressPauseBudget|TestSliced' ./internal/heap/
 
 echo "== multi-session server gate (-race)"
@@ -143,6 +140,18 @@ rm -f /tmp/BENCH_fork_ci.json
 go run ./cmd/benchgc -tune-bench -tune-reps 1 -tune-ops 60000 \
     -out /tmp/BENCH_tune_ci.json >/dev/null
 rm -f /tmp/BENCH_tune_ci.json
+
+echo "== benchmark module (bench/)"
+# bench/ is its own module, so nothing above builds it: an internal/*
+# API change that breaks the benchmark would otherwise first be
+# noticed by whoever runs it next. Vet and test it, then run the two
+# direct-heap workloads for two seconds each through the real entry
+# point and require that no operation failed.
+go vet -C bench ./...
+go test -C bench ./...
+for wl in heap-young heap-guardian; do
+    bash bench/run.sh --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
+done
 
 echo "== parallel collection baseline"
 # The summary (kept visible, unlike the other smokes) leads with

@@ -239,7 +239,7 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 		for gen := 0; gen <= g; gen++ {
 			from = append(from, h.chains[sp][gen]...)
 			h.chains[sp][gen] = h.chains[sp][gen][:0]
-			h.cur[sp][gen] = cursor{seg: seg.None}
+			h.cur[sp][gen].close()
 		}
 		h.sliceGen0Done[sp] = 0
 	}
@@ -505,6 +505,11 @@ func newCopier(h *Heap, id int) *copier {
 // the (possibly updated) value. Immediates and referents in older
 // generations or in to-space are returned unchanged.
 //
+// The segment table is consulted once, as in §4: the entry that places
+// the referent also gives the window src it is read and forwarded
+// through (privatized first if it aliases a template array), and alloc
+// returns the to-space window dst. Only a large object goes by address.
+//
 // The object's first word is read once, atomically, and the copy is
 // made from that value: when copiers race on one object, re-reading
 // the word plainly would race with a peer's install, while words 1..n
@@ -517,71 +522,73 @@ func (c *copier) forward(v obj.Value) obj.Value {
 	}
 	h := c.h
 	addr := v.Addr()
-	s := h.tab.SegOf(addr)
+	idx := seg.SegIndexOf(addr)
+	s := h.tab.Seg(idx)
 	if s.Stamp == h.stamp || s.Gen > h.gcGen {
 		return v
 	}
-	wp := h.tab.WordPtr(addr)
-	w0 := atomic.LoadUint64(wp)
+	if h.tab.IsShared(idx) {
+		s = h.tab.Writable(idx) // the same entry, its Words now private
+	}
+	src := s.Words[seg.Offset(addr):]
+	w0 := atomic.LoadUint64(&src[0])
 	if obj.IsFwd(w0) {
 		return v.WithAddr(obj.FwdAddr(w0))
 	}
-	if v.IsPair() {
-		space := s.Space
-		na := c.alloc(space, 2)
-		h.setWord(na, w0)
-		h.setWord(na+1, h.word(addr+1))
-		if !c.install(wp, w0, na) {
-			c.unalloc(space, 2)
-			return c.followFwd(v, wp)
-		}
-		c.stats.pairsCopied++
-		c.stats.wordsCopied += 2
-		if space == seg.SpaceWeak {
-			// Weak pairs are traced like normal pairs except that the
-			// car is not touched; the cdr is swept, and the car is
-			// fixed by the second pass.
-			c.push(sweepItem{na, sweepWeakPair})
-			c.newWeak = append(c.newWeak, na)
-		} else {
-			c.push(sweepItem{na, sweepPair})
-		}
-		return v.WithAddr(na)
+	// Weak pairs are traced like normal pairs except that the car is
+	// not touched; the cdr is swept, and the car is fixed by the second
+	// pass.
+	space, total, kind := s.Space, 2, sweepPair
+	if space == seg.SpaceWeak {
+		kind = sweepWeakPair
 	}
-	h.check(obj.IsHeader(w0), "forward: object without header at %d", addr)
-	kind := obj.HeaderKind(w0)
-	n := obj.PayloadWords(kind, obj.HeaderLength(w0))
-	space := seg.SpaceObj
-	if !kind.HasPointers() {
-		space = seg.SpaceData
+	if !v.IsPair() {
+		if !obj.IsHeader(w0) {
+			h.noHeader("forward", addr)
+		}
+		k := obj.HeaderKind(w0)
+		space, total, kind = objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0)), sweepObj
 	}
-	total := 1 + n
 	var na uint64
 	var runFirst, runLen int
 	if total > seg.Words {
 		na, runFirst, runLen = c.allocRun(space, total)
+		h.setWord(na, w0)
+		for i := uint64(1); i < uint64(total); i++ {
+			h.setWord(na+i, h.word(addr+i))
+		}
 	} else {
-		na = c.alloc(space, total)
+		var dst []uint64
+		na, dst = c.alloc(space, total)
+		dst[0] = w0
+		if total == 2 {
+			dst[1] = src[1] // the common case, without copy's call
+		} else {
+			copy(dst[1:], src[1:total])
+		}
 	}
-	h.setWord(na, w0)
-	for i := uint64(1); i <= uint64(n); i++ {
-		h.setWord(na+i, h.word(addr+i))
-	}
-	if !c.install(wp, w0, na) {
+	if !c.install(&src[0], w0, na) {
 		if runLen > 0 {
 			c.freeRun(runFirst, runLen, total)
 		} else {
 			c.unalloc(space, total)
 		}
-		return c.followFwd(v, wp)
+		return c.followFwd(v, &src[0])
 	}
 	if runLen > 0 {
 		c.publishRun(space, runFirst, runLen)
 	}
-	c.stats.objectsCopied++
+	if v.IsPair() {
+		c.stats.pairsCopied++
+	} else {
+		c.stats.objectsCopied++
+	}
 	c.stats.wordsCopied += uint64(total)
-	if kind.HasPointers() {
-		c.push(sweepItem{na, sweepObj})
+	if space != seg.SpaceData { // data objects hold no pointers to sweep
+		c.push(sweepItem{na, kind})
+	}
+	if kind == sweepWeakPair {
+		c.newWeak = append(c.newWeak, na)
 	}
 	return v.WithAddr(na)
 }
@@ -610,18 +617,15 @@ func (c *copier) followFwd(v obj.Value, wp *uint64) obj.Value {
 
 // alloc bump-allocates n (<= seg.Words) words of to-space in the given
 // space, opening a fresh target-generation segment when the open one
-// is full.
-func (c *copier) alloc(space seg.Space, n int) uint64 {
+// is full, and returns their address and the words themselves.
+func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
 	c.stats.wordsAllocated += uint64(n)
 	cur := &c.cur[space]
-	if cur.seg == seg.None || cur.off+n > seg.Words {
-		cur.seg, cur.off = c.newSeg(space), 0
+	if !cur.fits(n) {
+		cur.open(c.h.tab, c.newSeg(space))
 		c.stats.segmentsAllocated++
 	}
-	addr := seg.BaseAddr(cur.seg) + uint64(cur.off)
-	cur.off += n
-	c.h.tab.Seg(cur.seg).Fill = cur.off
-	return addr
+	return cur.bump(n)
 }
 
 // unalloc rolls back this copier's most recent alloc of n words after
@@ -630,7 +634,7 @@ func (c *copier) alloc(space seg.Space, n int) uint64 {
 func (c *copier) unalloc(space seg.Space, n int) {
 	cur := &c.cur[space]
 	cur.off -= n
-	c.h.tab.Seg(cur.seg).Fill = cur.off
+	cur.s.Fill = cur.off
 	c.stats.wordsAllocated -= uint64(n)
 }
 
@@ -717,31 +721,46 @@ func (c *copier) sweepPhase() {
 	c.accrue(time.Since(t0).Nanoseconds(), c.spinNS)
 }
 
-// fwdCell forwards the pointer field at addr in place.
-func (c *copier) fwdCell(addr uint64) {
-	h := c.h
-	h.setWord(addr, uint64(c.forward(h.valueAt(addr))))
+// fwdWindow forwards in place every pointer field of the window w.
+func (c *copier) fwdWindow(w []uint64) {
+	for i := range w {
+		w[i] = uint64(c.forward(obj.Value(w[i])))
+	}
 }
 
+// fwdWords forwards in place the n pointer fields at addr, a segment
+// window at a time: more than one only inside a large object's run.
+func (c *copier) fwdWords(addr uint64, n int) {
+	for n > 0 {
+		w := c.h.window(addr, n)
+		c.fwdWindow(w)
+		addr, n = addr+uint64(len(w)), n-len(w)
+	}
+}
+
+// fwdCell forwards in place one isolated cell (a recorded store).
+func (c *copier) fwdCell(addr uint64) { c.fwdWords(addr, 1) }
+
 // sweep sweeps one copied object: every pointer field is forwarded in
-// place.
+// place, through the object's window.
 func (c *copier) sweep(it sweepItem) {
+	w := c.h.window(it.addr, seg.Words)
 	switch it.kind {
 	case sweepPair:
-		c.fwdCell(it.addr)
-		c.fwdCell(it.addr + 1)
-		c.stats.cellsSwept += 2
+		w = w[:2]
 	case sweepWeakPair:
-		c.fwdCell(it.addr + 1)
-		c.stats.cellsSwept++
+		w = w[1:2]
 	case sweepObj:
-		w := c.h.word(it.addr)
-		n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-		for i := uint64(1); i <= uint64(n); i++ {
-			c.fwdCell(it.addr + i)
+		n := obj.PayloadWords(obj.HeaderKind(w[0]), obj.HeaderLength(w[0]))
+		if n >= len(w) { // a large object: the fields run on past the head segment
+			c.fwdWords(it.addr+1, n)
+			c.stats.cellsSwept += uint64(n)
+			return
 		}
-		c.stats.cellsSwept += uint64(n)
+		w = w[1 : 1+n]
 	}
+	c.fwdWindow(w)
+	c.stats.cellsSwept += uint64(len(w))
 }
 
 // scanSeg forwards in place every pointer field of every object in
@@ -750,40 +769,35 @@ func (c *copier) sweep(it sweepItem) {
 // (oldScanPhase), and of a segment allocated during a sliced
 // collection's window (sliceFixup). Large-object continuation segments
 // are skipped: the header walk of the run's head segment covers the
-// whole run (payload addresses are linear across it).
+// whole run (fwdWords carries on through it); data segments hold no
+// pointers.
 func (c *copier) scanSeg(idx int) {
-	h := c.h
-	s := h.tab.Seg(idx)
+	s := c.h.tab.Seg(idx)
 	if s.Cont {
 		return
 	}
 	base := seg.BaseAddr(idx)
 	switch s.Space {
-	case seg.SpacePair, seg.SpaceWeak:
+	case seg.SpacePair:
+		c.fwdWords(base, s.Fill)
+		c.stats.dirtyCellsScanned += uint64(s.Fill)
+	case seg.SpaceWeak:
 		for off := 0; off+1 < s.Fill; off += 2 {
-			a := base + uint64(off)
-			if s.Space == seg.SpaceWeak {
-				c.pendWeak = append(c.pendWeak, a)
-			} else {
-				c.fwdCell(a)
-			}
-			c.fwdCell(a + 1)
+			c.pendWeak = append(c.pendWeak, base+uint64(off))
+			c.fwdCell(base + uint64(off) + 1)
 			c.stats.dirtyCellsScanned += 2
 		}
 	case seg.SpaceObj:
-		off := 0
-		for off < s.Fill {
-			w := h.word(base + uint64(off))
-			h.check(obj.IsHeader(w), "scanSeg: missing header in segment %d", idx)
-			n := obj.PayloadWords(obj.HeaderKind(w), obj.HeaderLength(w))
-			for i := 1; i <= n; i++ {
-				c.fwdCell(base + uint64(off+i))
+		for off := 0; off < s.Fill; {
+			hd := s.Words[off] // s.Words afresh each time: fwdWords may privatize it
+			if !obj.IsHeader(hd) {
+				c.h.noHeader("scanSeg", base+uint64(off))
 			}
+			n := obj.PayloadWords(obj.HeaderKind(hd), obj.HeaderLength(hd))
+			c.fwdWords(base+uint64(off)+1, n)
 			c.stats.dirtyCellsScanned += uint64(n)
 			off += 1 + n
 		}
-	case seg.SpaceData:
-		// No pointers.
 	}
 }
 
@@ -849,31 +863,33 @@ func (c *copier) oldScanPhase() {
 // generation older than those being collected (including to-space).
 // Immediates are trivially accessible.
 func (h *Heap) isForwarded(v obj.Value) bool {
-	if !v.IsPointer() {
-		return true
-	}
-	addr := v.Addr()
-	s := h.tab.SegOf(addr)
-	if s.Stamp == h.stamp || s.Gen > h.gcGen {
-		return true
-	}
-	return obj.IsFwd(h.word(addr))
+	_, ok := h.survivor(v)
+	return ok
 }
 
 // fwdAddrOf implements get-fwd-addr: the forwarding address of v, or v
 // itself when it was not subject to collection.
 func (h *Heap) fwdAddrOf(v obj.Value) obj.Value {
+	nv, ok := h.survivor(v)
+	h.check(ok, "fwdAddrOf: object not forwarded at %d", v.Addr())
+	return nv
+}
+
+// survivor returns v's location after the collection in progress, and
+// false when it has none: the referent is subject to the collection (in
+// a collected generation, not in to-space) and not forwarded (yet).
+func (h *Heap) survivor(v obj.Value) (obj.Value, bool) {
 	if !v.IsPointer() {
-		return v
+		return v, true
 	}
-	addr := v.Addr()
-	s := h.tab.SegOf(addr)
+	s := h.tab.SegOf(v.Addr())
 	if s.Stamp == h.stamp || s.Gen > h.gcGen {
-		return v
+		return v, true
 	}
-	w := h.word(addr)
-	h.check(obj.IsFwd(w), "fwdAddrOf: object not forwarded at %d", addr)
-	return v.WithAddr(obj.FwdAddr(w))
+	if w := s.Words[seg.Offset(v.Addr())]; obj.IsFwd(w) {
+		return v.WithAddr(obj.FwdAddr(w)), true
+	}
+	return obj.False, false
 }
 
 // AddPostCollectHook registers fn to run at the end of every
@@ -893,18 +909,7 @@ func (h *Heap) AddPostCollectHook(fn func(*Heap, *CollectionReport)) {
 // trivially survive.
 func (h *Heap) Survived(v obj.Value) (obj.Value, bool) {
 	h.check(h.inCollect.Load(), "Survived called outside a post-collect hook")
-	if !v.IsPointer() {
-		return v, true
-	}
-	s := h.tab.SegOf(v.Addr())
-	if s.Stamp == h.stamp || s.Gen > h.gcGen {
-		return v, true
-	}
-	w := h.word(v.Addr())
-	if obj.IsFwd(w) {
-		return v.WithAddr(obj.FwdAddr(w)), true
-	}
-	return obj.False, false
+	return h.survivor(v)
 }
 
 // InstallGuardian registers v with the guardian represented by the
@@ -1112,9 +1117,8 @@ func (h *Heap) protListGen(e ProtEntry, target int) int {
 func (h *Heap) tconcAddGC(tc, v obj.Value) {
 	last := h.valueAt(tc.Addr() + 1)
 	h.check(last.IsPair(), "tconc: malformed header (cdr not a pair)")
-	na := h.lead.alloc(seg.SpacePair, 2)
-	h.setWord(na, uint64(obj.False))
-	h.setWord(na+1, uint64(obj.False))
+	na, w := h.lead.alloc(seg.SpacePair, 2)
+	w[0], w[1] = uint64(obj.False), uint64(obj.False)
 	newLast := obj.PairAt(na)
 	h.writeGC(last.Addr(), v)         // car of old last := element
 	h.writeGC(last.Addr()+1, newLast) // cdr of old last := new last
@@ -1190,34 +1194,27 @@ func (h *Heap) weakFixCell(addr uint64) {
 // own (so the caller can keep it in the dirty set).
 func (h *Heap) weakFix(addr uint64) bool {
 	h.Stats.WeakPairsScanned++
-	if h.sliceActive.Load() {
+	idx, off := seg.SegIndexOf(addr), seg.Offset(addr)
+	as := h.tab.Seg(idx)
+	if h.sliceActive.Load() && as.Gen <= h.gcGen && as.Stamp != h.stamp {
 		// A sliced collection's window can record a weak store into a
-		// from-space weak pair (the pair was not yet forwarded when the
-		// mutator wrote it). By the time the weak pass runs, the pair
-		// may have been forwarded — its copy is on newWeak and handled
-		// there — or died with from-space. Either way the from-space
-		// cell must be left alone: fixing it is at best wasted work and
-		// its address must never re-enter the dirty set.
-		as := h.tab.SegOf(addr)
-		if as.Gen <= h.gcGen && as.Stamp != h.stamp {
-			return false
-		}
+		// from-space weak pair, not yet forwarded when the mutator wrote
+		// it. By now the pair has been forwarded (its copy is on newWeak)
+		// or died with from-space; either way the from-space cell is left
+		// alone: its address must never re-enter the dirty set.
+		return false
 	}
-	v := h.valueAt(addr)
+	v := obj.Value(as.Words[off])
 	if !v.IsPointer() {
 		return false
 	}
-	s := h.tab.SegOf(v.Addr())
-	if s.Stamp != h.stamp && s.Gen <= h.gcGen {
-		w := h.word(v.Addr())
-		if obj.IsFwd(w) {
-			v = v.WithAddr(obj.FwdAddr(w))
-			h.setWord(addr, uint64(v))
-		} else {
-			h.setWord(addr, uint64(obj.False))
-			h.Stats.WeakPointersBroken++
-			return false
-		}
+	nv, ok := h.survivor(v)
+	if nv != v {
+		h.tab.Writable(idx).Words[off] = uint64(nv) // redirected, or broken to #f
 	}
-	return h.tab.SegOf(v.Addr()).Gen < h.tab.SegOf(addr).Gen
+	if !ok {
+		h.Stats.WeakPointersBroken++
+		return false
+	}
+	return h.tab.SegOf(nv.Addr()).Gen < as.Gen
 }

@@ -152,9 +152,40 @@ func DefaultConfig() Config {
 	}
 }
 
+// cursor is an allocation cursor: the open segment of one space and
+// generation and the next free word in it. s, the segment's table
+// entry, is resolved once, at open, so a bump walks no table — the
+// entry is what the table keeps stable, not its Words slice (privatize
+// and Free replace that). Only open, close and handTo set seg and s.
 type cursor struct {
-	seg int // open segment index, or seg.None
-	off int // next free word within the open segment
+	seg int          // open segment index, or seg.None
+	off int          // next free word within the open segment
+	s   *seg.Segment // the open segment; nil exactly when seg is seg.None
+}
+
+// open points the cursor at the start of the fresh, empty segment idx.
+func (c *cursor) open(t *seg.Table, idx int) { *c = cursor{seg: idx, s: t.Seg(idx)} }
+
+// close abandons the open segment; its Fill is already exact.
+func (c *cursor) close() { *c = cursor{seg: seg.None} }
+
+// handTo moves the open segment to dst: it has exactly one cursor.
+func (c *cursor) handTo(dst *cursor) {
+	*dst = *c
+	c.close()
+}
+
+// fits reports whether a segment is open with room for n more words.
+func (c *cursor) fits(n int) bool { return c.s != nil && c.off+n <= seg.Words }
+
+// bump carves the next n words out of the open segment — fits(n)
+// holds — and returns their address and the words themselves: the
+// window the caller initializes the object through.
+func (c *cursor) bump(n int) (uint64, []uint64) {
+	off := c.off
+	c.off = off + n
+	c.s.Fill = c.off
+	return seg.BaseAddr(c.seg) + uint64(off), c.s.Words[off:c.off]
 }
 
 // ProtEntry is one element of a protected list: an object registered
@@ -385,7 +416,7 @@ func New(cfg Config) (*Heap, error) {
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		h.cur[sp] = make([]cursor, cfg.Generations)
 		for g := range h.cur[sp] {
-			h.cur[sp][g] = cursor{seg: seg.None}
+			h.cur[sp][g].close()
 		}
 		h.chains[sp] = make([][]int, cfg.Generations)
 	}
@@ -486,7 +517,8 @@ func clampWorkers(n int) int {
 const maxObjectWords = 128 * 1024
 
 // allocWords carves n words out of the given space and generation and
-// returns the address of the first. It is the legacy-mode mutator
+// returns the address of the first and the words themselves (nil for
+// a large object: see window). It is the legacy-mode mutator
 // allocation path (the collector's copiers bump their own to-space
 // cursors, copier.alloc): while Mutator handles are registered,
 // mutator allocation must go through their TLABs instead, and calling
@@ -501,26 +533,23 @@ const maxObjectWords = 128 * 1024
 // trigger firing at most one segment early per open cursor
 // (TestAllocLegacySteadyStateAllocs pins the fast path allocation-free
 // and BenchmarkAllocLegacy its cost).
-func (h *Heap) allocWords(space seg.Space, gen, n int) uint64 {
+func (h *Heap) allocWords(space seg.Space, gen, n int) (uint64, []uint64) {
 	if h.allocForbidden {
 		panic("heap: allocation while allocation is forbidden (finalizer running inside GC)")
 	}
 	c := &h.cur[space][gen]
-	if n <= 0 || c.seg == seg.None || c.off+n > seg.Words {
+	if n <= 0 || !c.fits(n) {
 		return h.allocWordsSlow(space, gen, n)
 	}
-	addr := seg.BaseAddr(c.seg) + uint64(c.off)
-	c.off += n
-	h.tab.Seg(c.seg).Fill = c.off
 	h.Stats.WordsAllocated += uint64(n)
-	return addr
+	return c.bump(n)
 }
 
 // allocWordsSlow opens a fresh segment (or takes the large-object run
 // path) for the legacy allocator: validation, mode checks, the
 // per-segment generation-0 trigger charge, and the bounded-heap OOM
 // check all live here, off the bump path.
-func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) uint64 {
+func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) (uint64, []uint64) {
 	if n <= 0 || n > maxObjectWords {
 		panic(fmt.Sprintf("heap: bad allocation size %d", n))
 	}
@@ -550,14 +579,13 @@ func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) uint64 {
 		for i := 0; i < k; i++ {
 			h.chains[space][gen] = append(h.chains[space][gen], first+i)
 		}
-		return seg.BaseAddr(first)
+		return seg.BaseAddr(first), nil
 	}
 	idx := h.tab.Alloc(space, gen, h.stamp)
 	h.chains[space][gen] = append(h.chains[space][gen], idx)
 	c := &h.cur[space][gen]
-	c.seg, c.off = idx, n
-	h.tab.Seg(idx).Fill = n
-	return seg.BaseAddr(idx)
+	c.open(h.tab, idx)
+	return c.bump(n)
 }
 
 // claimable clamps a request for want more segments to what a bounded
@@ -596,10 +624,20 @@ func (h *Heap) fillRun(first, k, n int) {
 	}
 }
 
-// word / setWord are raw heap accesses without barriers.
+// word / setWord / valueAt are raw accesses without barriers to one
+// word at any address, a segment-table walk each; code that touches a
+// whole object goes through its window instead.
 func (h *Heap) word(addr uint64) uint64       { return h.tab.Word(addr) }
 func (h *Heap) setWord(addr, w uint64)        { h.tab.SetWord(addr, w) }
 func (h *Heap) valueAt(addr uint64) obj.Value { return obj.Value(h.tab.Word(addr)) }
+
+// window returns the words at addr for writing (seg.Table.Writable):
+// at most n, and no further than the end of addr's segment — only a
+// large object's words run on past it, into the next of its run.
+func (h *Heap) window(addr uint64, n int) []uint64 {
+	w := h.tab.Writable(seg.SegIndexOf(addr)).Words[seg.Offset(addr):]
+	return w[:min(n, len(w))]
+}
 
 // writeCell stores v at addr and maintains the remembered set: any
 // pointer cell written in a generation older than 0 is remembered so
@@ -615,7 +653,8 @@ func (h *Heap) valueAt(addr uint64) obj.Value { return obj.Value(h.tab.Word(addr
 // counter is updated atomically, so the barrier itself never races —
 // racing stores to the same cell remain the program's responsibility.
 func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
-	h.tab.SetWord(addr, uint64(v))
+	s := h.tab.Writable(seg.SegIndexOf(addr))
+	s.Words[seg.Offset(addr)] = uint64(v)
 	if !v.IsPointer() {
 		return
 	}
@@ -631,7 +670,6 @@ func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 	if !h.cfg.UseDirtySet {
 		return
 	}
-	s := h.tab.SegOf(addr)
 	if s.Gen > 0 {
 		h.dirtyInsert(addr, isWeakCar)
 		atomic.AddUint64(&h.Stats.BarrierHits, 1)
@@ -643,13 +681,12 @@ func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 // example, the collector appending a salvaged young object to a
 // guardian tconc living in an older generation, §4).
 func (h *Heap) writeGC(addr uint64, v obj.Value) {
-	h.tab.SetWord(addr, uint64(v))
+	s := h.tab.Writable(seg.SegIndexOf(addr))
+	s.Words[seg.Offset(addr)] = uint64(v)
 	if !h.cfg.UseDirtySet || !v.IsPointer() {
 		return
 	}
-	cg := h.tab.SegOf(addr).Gen
-	vg := h.tab.SegOf(v.Addr()).Gen
-	if cg > 0 && vg < cg {
+	if s.Gen > 0 && h.tab.SegOf(v.Addr()).Gen < s.Gen {
 		h.dirtyInsert(addr, false)
 	}
 }

@@ -86,23 +86,20 @@ func (m *Mutator) Heap() *Heap { return m.h }
 // segment is open). No safepoint poll here — the slow path runs at
 // least once per segment (256 pairs), which bounds how long a tight
 // allocation loop can delay a handshake.
-func (m *Mutator) alloc(space seg.Space, n int) uint64 {
+func (m *Mutator) alloc(space seg.Space, n int) (uint64, []uint64) {
 	c := &m.cur[space]
-	if c.seg == seg.None || c.off+n > seg.Words {
+	if !c.fits(n) {
 		return m.allocSlow(space, n)
 	}
-	addr := seg.BaseAddr(c.seg) + uint64(c.off)
-	c.off += n
-	m.h.tab.Seg(c.seg).Fill = c.off
 	m.words += uint64(n)
-	return addr
+	return c.bump(n)
 }
 
 // allocSlow refills the TLAB for one space (or takes the large-object
 // path) under allocMu. It polls the safepoint flag before taking the
 // lock: a mutator that parks here lets a pending collection run, then
 // claims its fresh segment from the post-collection heap.
-func (m *Mutator) allocSlow(space seg.Space, n int) uint64 {
+func (m *Mutator) allocSlow(space seg.Space, n int) (uint64, []uint64) {
 	h := m.h
 	if n <= 0 || n > maxObjectWords {
 		panic(fmt.Sprintf("heap: bad allocation size %d", n))
@@ -138,15 +135,14 @@ func (m *Mutator) allocSlow(space seg.Space, n int) uint64 {
 	m.words += uint64(n)
 	m.flushStatsLocked()
 	c := &m.cur[space]
-	c.seg, c.off = idx, n
-	h.tab.Seg(idx).Fill = n
-	return seg.BaseAddr(idx)
+	c.open(h.tab, idx)
+	return c.bump(n)
 }
 
 // allocLarge allocates a multi-segment run for an object wider than
 // one segment, entirely under allocMu (large objects are rare; they
 // never come from a TLAB).
-func (m *Mutator) allocLarge(space seg.Space, n int) uint64 {
+func (m *Mutator) allocLarge(space seg.Space, n int) (uint64, []uint64) {
 	h := m.h
 	h.allocMu.Lock()
 	defer h.allocMu.Unlock()
@@ -164,7 +160,7 @@ func (m *Mutator) allocLarge(space seg.Space, n int) uint64 {
 	}
 	m.words += uint64(n)
 	m.flushStatsLocked()
-	return seg.BaseAddr(first)
+	return seg.BaseAddr(first), nil
 }
 
 // refillCacheLocked reserves a batch of segments for this mutator's
@@ -191,7 +187,7 @@ func (m *Mutator) flushStatsLocked() {
 func (m *Mutator) flush() {
 	m.h.allocMu.Lock()
 	for sp := range m.cur {
-		m.cur[sp] = cursor{seg: seg.None}
+		m.cur[sp].close()
 	}
 	m.flushStatsLocked()
 	m.h.allocMu.Unlock()
@@ -206,8 +202,8 @@ func (m *Mutator) flush() {
 // Cons allocates an ordinary pair in generation 0.
 func (m *Mutator) Cons(car, cdr obj.Value) obj.Value {
 	m.tmp[0], m.tmp[1] = car, cdr
-	addr := m.alloc(seg.SpacePair, 2)
-	m.h.initPair(addr, m.tmp[0], m.tmp[1])
+	addr, w := m.alloc(seg.SpacePair, 2)
+	w[0], w[1] = uint64(m.tmp[0]), uint64(m.tmp[1])
 	m.tmp[0], m.tmp[1] = obj.False, obj.False
 	return obj.PairAt(addr)
 }
@@ -215,63 +211,55 @@ func (m *Mutator) Cons(car, cdr obj.Value) obj.Value {
 // WeakCons allocates a weak pair (see Heap.WeakCons).
 func (m *Mutator) WeakCons(car, cdr obj.Value) obj.Value {
 	m.tmp[0], m.tmp[1] = car, cdr
-	addr := m.alloc(seg.SpaceWeak, 2)
-	m.h.initPair(addr, m.tmp[0], m.tmp[1])
+	addr, w := m.alloc(seg.SpaceWeak, 2)
+	w[0], w[1] = uint64(m.tmp[0]), uint64(m.tmp[1])
 	m.tmp[0], m.tmp[1] = obj.False, obj.False
 	return obj.PairAt(addr)
 }
 
 // allocObj is the mutator-path counterpart of Heap.allocObj.
-func (m *Mutator) allocObj(kind obj.Kind, length, payloadWords int) uint64 {
-	space := seg.SpaceObj
-	if !kind.HasPointers() {
-		space = seg.SpaceData
-	}
-	addr := m.alloc(space, 1+payloadWords)
-	m.h.setWord(addr, obj.MakeHeader(kind, length))
-	return addr
+func (m *Mutator) allocObj(kind obj.Kind, length, payloadWords int) (uint64, []uint64) {
+	addr, w := m.alloc(objSpace(kind), 1+payloadWords)
+	return addr, m.h.putHeader(addr, w, kind, length)
 }
 
 // MakeVector allocates a vector of n elements initialized to fill.
 func (m *Mutator) MakeVector(n int, fill obj.Value) obj.Value {
 	m.h.check(n >= 0, "make-vector: negative length %d", n)
 	m.tmp[0] = fill
-	addr := m.allocObj(obj.KVector, n, n)
-	fill = m.tmp[0]
+	addr, p := m.allocObj(obj.KVector, n, n)
+	m.h.fillWords(addr+1, p, n, m.tmp[0])
 	m.tmp[0] = obj.False
-	for i := 0; i < n; i++ {
-		m.h.setWord(addr+1+uint64(i), uint64(fill))
-	}
 	return obj.ObjAt(addr)
 }
 
 // MakeString allocates an immutable string holding s.
 func (m *Mutator) MakeString(s string) obj.Value {
 	b := []byte(s)
-	addr := m.allocObj(obj.KString, len(b), (len(b)+7)/8)
-	m.h.fillBytes(addr, b)
+	addr, p := m.allocObj(obj.KString, len(b), (len(b)+7)/8)
+	m.h.fillBytes(addr+1, p, b)
 	return obj.ObjAt(addr)
 }
 
 // MakeBytevector allocates a zero-filled bytevector of n bytes.
 func (m *Mutator) MakeBytevector(n int) obj.Value {
 	m.h.check(n >= 0, "make-bytevector: negative length %d", n)
-	addr := m.allocObj(obj.KBytevector, n, (n+7)/8)
+	addr, _ := m.allocObj(obj.KBytevector, n, (n+7)/8) // fresh words are zero
 	return obj.ObjAt(addr)
 }
 
 // MakeFlonum allocates a boxed float64 in the data space.
 func (m *Mutator) MakeFlonum(f float64) obj.Value {
-	addr := m.allocObj(obj.KFlonum, 1, 1)
-	m.h.setWord(addr+1, math.Float64bits(f))
+	addr, p := m.allocObj(obj.KFlonum, 1, 1)
+	p[0] = math.Float64bits(f)
 	return obj.ObjAt(addr)
 }
 
 // MakeBox allocates a one-cell box holding v.
 func (m *Mutator) MakeBox(v obj.Value) obj.Value {
 	m.tmp[0] = v
-	addr := m.allocObj(obj.KBox, 1, 1)
-	m.h.setWord(addr+1, uint64(m.tmp[0]))
+	addr, p := m.allocObj(obj.KBox, 1, 1)
+	p[0] = uint64(m.tmp[0])
 	m.tmp[0] = obj.False
 	return obj.ObjAt(addr)
 }

@@ -32,20 +32,25 @@ func (h *Heap) badPair(op string, v obj.Value) {
 	panic(fmt.Sprintf("heap: %s: not a pair: %v", op, v))
 }
 
+// noHeader reports an object pointer to a non-header word; out of
+// line like badPair, because h.check would box addr for every object
+// the collector copies.
+//
+//go:noinline
+func (h *Heap) noHeader(op string, addr uint64) {
+	panic(fmt.Sprintf("heap: %s: object without header at %d", op, addr))
+}
+
 // --- Pairs -----------------------------------------------------------
 
-// initPair writes the two cells of a freshly allocated pair. New
-// objects need no write barrier (nothing in an older generation can
-// point at them yet). Shared by the Heap and Mutator constructors.
-func (h *Heap) initPair(addr uint64, car, cdr obj.Value) {
-	h.setWord(addr, uint64(car))
-	h.setWord(addr+1, uint64(cdr))
-}
+// Constructors fill a fresh object through the window its allocation
+// returned. New objects need no write barrier: nothing in an older
+// generation can point at them yet.
 
 // Cons allocates an ordinary pair in generation 0.
 func (h *Heap) Cons(car, cdr obj.Value) obj.Value {
-	addr := h.allocWords(seg.SpacePair, 0, 2)
-	h.initPair(addr, car, cdr)
+	addr, w := h.allocWords(seg.SpacePair, 0, 2)
+	w[0], w[1] = uint64(car), uint64(cdr)
 	return obj.PairAt(addr)
 }
 
@@ -53,8 +58,8 @@ func (h *Heap) Cons(car, cdr obj.Value) obj.Value {
 // #f by the collector when the car's referent becomes inaccessible
 // (and is not saved by a guardian). The cdr is an ordinary pointer.
 func (h *Heap) WeakCons(car, cdr obj.Value) obj.Value {
-	addr := h.allocWords(seg.SpaceWeak, 0, 2)
-	h.initPair(addr, car, cdr)
+	addr, w := h.allocWords(seg.SpaceWeak, 0, 2)
+	w[0], w[1] = uint64(car), uint64(cdr)
 	return obj.PairAt(addr)
 }
 
@@ -139,14 +144,45 @@ func (h *Heap) ListLength(v obj.Value) int {
 
 // --- Generic object helpers ------------------------------------------
 
-func (h *Heap) allocObj(kind obj.Kind, length, payloadWords int, gen int) uint64 {
-	space := seg.SpaceObj
-	if !kind.HasPointers() {
-		space = seg.SpaceData
+// objSpace is the space objects of the given kind are allocated in.
+func objSpace(kind obj.Kind) seg.Space {
+	if kind.HasPointers() {
+		return seg.SpaceObj
 	}
-	addr := h.allocWords(space, gen, 1+payloadWords)
-	h.setWord(addr, obj.MakeHeader(kind, length))
-	return addr
+	return seg.SpaceData
+}
+
+// allocObj allocates a header-prefixed object and returns its address
+// and payload window: the words after the header (of a large object,
+// those in its head segment; fillWords and fillBytes carry on).
+func (h *Heap) allocObj(kind obj.Kind, length, payloadWords int, gen int) (uint64, []uint64) {
+	addr, w := h.allocWords(objSpace(kind), gen, 1+payloadWords)
+	return addr, h.putHeader(addr, w, kind, length)
+}
+
+// putHeader writes a fresh object's header through its window w (nil
+// for a large object: looked up) and returns the payload window.
+func (h *Heap) putHeader(addr uint64, w []uint64, kind obj.Kind, length int) []uint64 {
+	if w == nil {
+		w = h.window(addr, seg.Words)
+	}
+	w[0] = obj.MakeHeader(kind, length)
+	return w[1:]
+}
+
+// fillWords stores v in the n payload words at addr; p is their
+// leading window, all of them unless the object is large.
+func (h *Heap) fillWords(addr uint64, p []uint64, n int, v obj.Value) {
+	for {
+		for i := range p {
+			p[i] = uint64(v)
+		}
+		if n -= len(p); n == 0 {
+			return
+		}
+		addr += uint64(len(p))
+		p = h.window(addr, n)
+	}
 }
 
 // KindOf returns the kind of a header-prefixed heap object. The
@@ -185,20 +221,23 @@ func (h *Heap) mustKind(v obj.Value, k obj.Kind, op string) uint64 {
 // fill, in generation 0.
 func (h *Heap) MakeVector(n int, fill obj.Value) obj.Value {
 	h.check(n >= 0, "make-vector: negative length %d", n)
-	addr := h.allocObj(obj.KVector, n, n, 0)
-	for i := 0; i < n; i++ {
-		h.setWord(addr+1+uint64(i), uint64(fill))
-	}
+	addr, p := h.allocObj(obj.KVector, n, n, 0)
+	h.fillWords(addr+1, p, n, fill)
 	return obj.ObjAt(addr)
 }
 
 // Vector builds a vector from the given values.
 func (h *Heap) Vector(vs ...obj.Value) obj.Value {
-	v := h.MakeVector(len(vs), obj.False)
-	for i, x := range vs {
-		h.setWord(v.Addr()+1+uint64(i), uint64(x))
+	addr, p := h.allocObj(obj.KVector, len(vs), len(vs), 0)
+	for a := addr + 1; ; p = h.window(a, len(vs)) {
+		for i := range p {
+			p[i] = uint64(vs[i])
+		}
+		if vs = vs[len(p):]; len(vs) == 0 {
+			return obj.ObjAt(addr)
+		}
+		a += uint64(len(p))
 	}
-	return v
 }
 
 // VectorLength returns the element count of a vector.
@@ -225,32 +264,43 @@ func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
 
 // --- Strings and bytevectors -------------------------------------------
 
-// fillBytes packs b into the payload words following the header at
-// addr, little-endian within each word. The payload must be
-// zero-initialized (fresh allocation). Shared by the Heap and Mutator
-// byte-object constructors.
-func (h *Heap) fillBytes(addr uint64, b []byte) {
-	for i, c := range b {
-		w := addr + 1 + uint64(i/8)
-		sh := uint(i%8) * 8
-		h.setWord(w, h.word(w)|uint64(c)<<sh)
+// fillBytes packs b into the payload words at addr, little-endian
+// within each word (each stored whole); p as for fillWords. Shared by
+// the Heap and Mutator byte-object constructors.
+func (h *Heap) fillBytes(addr uint64, p []uint64, b []byte) {
+	for {
+		for i := range p {
+			var w uint64
+			for j, c := range b[:min(8, len(b))] {
+				w |= uint64(c) << (8 * j)
+			}
+			p[i], b = w, b[min(8, len(b)):]
+		}
+		if len(b) == 0 {
+			return
+		}
+		addr += uint64(len(p))
+		p = h.window(addr, (len(b)+7)/8)
 	}
 }
 
 func (h *Heap) makeBytes(kind obj.Kind, b []byte) obj.Value {
-	words := (len(b) + 7) / 8
-	addr := h.allocObj(kind, len(b), words, 0)
-	h.fillBytes(addr, b)
+	addr, p := h.allocObj(kind, len(b), (len(b)+7)/8, 0)
+	h.fillBytes(addr+1, p, b)
 	return obj.ObjAt(addr)
 }
 
 func (h *Heap) bytesOf(v obj.Value, kind obj.Kind, op string) []byte {
 	addr := h.mustKind(v, kind, op)
-	n := obj.HeaderLength(h.word(addr))
-	out := make([]byte, n)
-	for i := range out {
-		w := h.word(addr + 1 + uint64(i/8))
-		out[i] = byte(w >> (uint(i%8) * 8))
+	out := make([]byte, obj.HeaderLength(h.word(addr)))
+	for i := 0; i < len(out); {
+		p := h.tab.Window(addr + 1 + uint64(i/8))
+		for _, w := range p[:min(len(p), (len(out)-i+7)/8)] {
+			for j := 0; j < 8 && i < len(out); j++ {
+				out[i] = byte(w >> (8 * j))
+				i++
+			}
+		}
 	}
 	return out
 }
@@ -309,8 +359,8 @@ func (h *Heap) BytevectorBytes(v obj.Value) []byte {
 
 // MakeFlonum allocates a boxed float64 in the data space.
 func (h *Heap) MakeFlonum(f float64) obj.Value {
-	addr := h.allocObj(obj.KFlonum, 1, 1, 0)
-	h.setWord(addr+1, math.Float64bits(f))
+	addr, p := h.allocObj(obj.KFlonum, 1, 1, 0)
+	p[0] = math.Float64bits(f)
 	return obj.ObjAt(addr)
 }
 
@@ -328,10 +378,8 @@ func (h *Heap) FlonumValue(v obj.Value) float64 {
 // string object name. Interning is the scheme package's concern.
 func (h *Heap) MakeSymbol(name obj.Value) obj.Value {
 	h.check(h.IsKind(name, obj.KString), "make-symbol: name must be a string")
-	addr := h.allocObj(obj.KSymbol, 3, 3, 0)
-	h.setWord(addr+1, uint64(name))
-	h.setWord(addr+2, uint64(obj.Unbound))
-	h.setWord(addr+3, uint64(obj.Nil))
+	addr, p := h.allocObj(obj.KSymbol, 3, 3, 0)
+	p[0], p[1], p[2] = uint64(name), uint64(obj.Unbound), uint64(obj.Nil)
 	return obj.ObjAt(addr)
 }
 
@@ -401,10 +449,8 @@ func (h *Heap) SetSymbolPlist(v, x obj.Value) {
 
 // MakeClosure allocates a closure.
 func (h *Heap) MakeClosure(clauses, env, name obj.Value) obj.Value {
-	addr := h.allocObj(obj.KClosure, 3, 3, 0)
-	h.setWord(addr+1, uint64(clauses))
-	h.setWord(addr+2, uint64(env))
-	h.setWord(addr+3, uint64(name))
+	addr, p := h.allocObj(obj.KClosure, 3, 3, 0)
+	p[0], p[1], p[2] = uint64(clauses), uint64(env), uint64(name)
 	return obj.ObjAt(addr)
 }
 
@@ -435,9 +481,8 @@ func (h *Heap) SetClosureName(v, name obj.Value) {
 
 // MakePrimitive allocates a primitive-procedure object.
 func (h *Heap) MakePrimitive(index int, name obj.Value) obj.Value {
-	addr := h.allocObj(obj.KPrimitive, 2, 2, 0)
-	h.setWord(addr+1, uint64(obj.FromFixnum(int64(index))))
-	h.setWord(addr+2, uint64(name))
+	addr, p := h.allocObj(obj.KPrimitive, 2, 2, 0)
+	p[0], p[1] = uint64(obj.FromFixnum(int64(index))), uint64(name)
 	return obj.ObjAt(addr)
 }
 
@@ -462,8 +507,8 @@ func (h *Heap) IsProcedure(v obj.Value) bool {
 
 // MakeBox allocates a one-cell box holding v.
 func (h *Heap) MakeBox(v obj.Value) obj.Value {
-	addr := h.allocObj(obj.KBox, 1, 1, 0)
-	h.setWord(addr+1, uint64(v))
+	addr, p := h.allocObj(obj.KBox, 1, 1, 0)
+	p[0] = uint64(v)
 	return obj.ObjAt(addr)
 }
 
@@ -496,13 +541,10 @@ const (
 
 // MakePort allocates a port object with the given fields.
 func (h *Heap) MakePort(flags, fileID int64, buffer obj.Value) obj.Value {
-	addr := h.allocObj(obj.KPort, portFields, portFields, 0)
-	h.setWord(addr+1, uint64(obj.FromFixnum(flags)))
-	h.setWord(addr+2, uint64(obj.FromFixnum(fileID)))
-	h.setWord(addr+3, uint64(buffer))
-	h.setWord(addr+4, uint64(obj.FromFixnum(0)))
-	h.setWord(addr+5, uint64(obj.FromFixnum(0)))
-	h.setWord(addr+6, uint64(obj.True))
+	addr, p := h.allocObj(obj.KPort, portFields, portFields, 0)
+	p[PortFlags], p[PortFileID] = uint64(obj.FromFixnum(flags)), uint64(obj.FromFixnum(fileID))
+	p[PortBuffer], p[PortOpen] = uint64(buffer), uint64(obj.True)
+	p[PortIndex], p[PortLimit] = uint64(obj.FromFixnum(0)), uint64(obj.FromFixnum(0))
 	return obj.ObjAt(addr)
 }
 
@@ -528,11 +570,9 @@ func (h *Heap) SetPortField(v obj.Value, i int, x obj.Value) {
 // field count, fields initialized to #f.
 func (h *Heap) MakeRecord(rtd obj.Value, nfields int) obj.Value {
 	h.check(nfields >= 0, "make-record: negative field count")
-	addr := h.allocObj(obj.KRecord, 1+nfields, 1+nfields, 0)
-	h.setWord(addr+1, uint64(rtd))
-	for i := 0; i < nfields; i++ {
-		h.setWord(addr+2+uint64(i), uint64(obj.False))
-	}
+	addr, p := h.allocObj(obj.KRecord, 1+nfields, 1+nfields, 0)
+	p[0] = uint64(rtd)
+	h.fillWords(addr+2, p[1:], nfields, obj.False)
 	return obj.ObjAt(addr)
 }
 

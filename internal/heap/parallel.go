@@ -218,7 +218,7 @@ func (h *Heap) activate(n int) {
 	for _, c := range h.active {
 		c.shared = shared
 		for sp := range c.cur {
-			c.cur[sp] = cursor{seg: seg.None}
+			c.cur[sp].close()
 		}
 		c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
 		c.sweepBusy, c.sweepIdle, c.guardBusy, c.guardIdle = 0, 0, 0, 0
@@ -247,7 +247,7 @@ func (h *Heap) activate(n int) {
 		// peer may be scanning. And it claims segments directly, so it
 		// holds no reservations either.
 		for sp := range h.cur {
-			h.lead.cur[sp] = h.cur[sp][h.gcTarget]
+			h.cur[sp][h.gcTarget].handTo(&h.lead.cur[sp])
 		}
 		idle = h.copiers
 	}
@@ -377,7 +377,8 @@ func (c *copier) runPhase() {
 // once all copying of a collection is done: the lead's to-space
 // cursors (handed back so the next collection — or, when generation 0
 // is the target, the legacy allocator — carries on in the open
-// segments), stats deltas, the segments each copier took from its
+// segments; its peers' are closed: they may sit the next one out),
+// stats deltas, the segments each copier took from its
 // cache (appended to the target generation's chains), and the
 // per-worker sweep and guardian timings surfaced on the
 // CollectionReport. Over-grown sweep deques shrink back here so a heap
@@ -386,10 +387,14 @@ func (c *copier) runPhase() {
 func (h *Heap) mergeCopiers() {
 	st := &h.Stats
 	rep := &h.report
-	for sp := range h.lead.cur {
-		h.cur[sp][h.gcTarget] = h.lead.cur[sp]
-	}
 	for _, c := range h.active {
+		for sp := range c.cur {
+			if c == h.lead {
+				c.cur[sp].handTo(&h.cur[sp][h.gcTarget])
+			} else {
+				c.cur[sp].close()
+			}
+		}
 		st.WordsAllocated += c.stats.wordsAllocated
 		st.SegmentsAllocated += c.stats.segmentsAllocated
 		st.WordsCopied += c.stats.wordsCopied

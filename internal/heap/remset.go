@@ -149,7 +149,8 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	h := c.h
 	live := sh.entries[:0]
 	for _, e := range sh.entries {
-		s := h.tab.SegOf(e.addr)
+		idx := seg.SegIndexOf(e.addr)
+		s := h.tab.Seg(idx)
 		if !s.InUse || s.Gen <= g {
 			// Collected (or defensively: freed) cell — the copy, if
 			// any, is swept normally.
@@ -164,9 +165,9 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 			c.pendWeak = append(c.pendWeak, e.addr)
 			continue
 		}
-		v := obj.Value(h.tab.Word(e.addr))
-		nv := c.forward(v)
-		h.tab.SetWord(e.addr, uint64(nv))
+		cell := &h.tab.Writable(idx).Words[seg.Offset(e.addr)]
+		nv := c.forward(obj.Value(*cell))
+		*cell = uint64(nv)
 		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
 			delete(sh.index, e.addr)
 			continue

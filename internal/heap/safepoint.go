@@ -56,7 +56,7 @@ import (
 func (h *Heap) RegisterMutator() *Mutator {
 	m := &Mutator{h: h}
 	for sp := range m.cur {
-		m.cur[sp] = cursor{seg: seg.None}
+		m.cur[sp].close()
 	}
 	h.spMu.Lock()
 	for h.collecting {
@@ -77,7 +77,7 @@ func (h *Heap) RegisterMutator() *Mutator {
 	// stray Heap allocation after this registration must miss its
 	// bump segment and fall through to the check immediately.
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
-		h.cur[sp][0] = cursor{seg: seg.None}
+		h.cur[sp][0].close()
 	}
 	h.muts = append(h.muts, m)
 	h.allocMu.Unlock()

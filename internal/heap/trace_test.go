@@ -275,12 +275,22 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 			}
 			h.Collect(h.MaxGeneration())
 			h.Collect(h.MaxGeneration())
-			// Old-generation mutations keep scanDirty busy every round.
+			// Old-generation mutations keep scanDirty busy every round. The
+			// vector, record and string go through the constructors that
+			// fill a whole window, and are copied: the tenured pair holds
+			// them.
 			steady := func() {
-				h.SetCar(lst.Get(), h.Cons(fx(-1), obj.Nil))
+				objs := h.List(h.MakeVector(64, lst.Get()), h.MakeRecord(fx(3), 5), h.MakeString("a short string"))
+				h.SetCar(lst.Get(), h.Cons(fx(-1), objs))
 				churn(h, 1000)
 				h.Collect(0)
 			}
+			// Survivors land in generation 1, which nothing here collects:
+			// every round keeps a few more segments (copiers in company
+			// open fresh ones per space). Stock the free list so they are
+			// recycled segments, not table growth.
+			churn(h, 100000)
+			h.Collect(0)
 			for i := 0; i < 3; i++ {
 				steady() // warm buffer capacities
 			}

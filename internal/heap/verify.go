@@ -53,7 +53,13 @@ import (
 //  11. copy-on-write state is consistent for template clones: every
 //     segment still marked shared (seg.Table.IsShared) is in use with
 //     a full-length word array, and the count of shared bits matches
-//     SharedCount.
+//     SharedCount;
+//  12. no allocation cursor is stale: an open cursor (the heap's, a
+//     TLAB's, a copier's) caches the table entry of the segment it
+//     names, which is in use, not shared with a template (clones start
+//     with closed cursors), of the cursor's space and generation, with
+//     Fill equal to the cursor's offset; a copier's is open only while
+//     a collection is in flight.
 //
 // During the mutator windows of a sliced collection the heap is only
 // partially forwarded, so Verify relaxes itself while sliceActive:
@@ -377,11 +383,33 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
+	// Cursors (invariant 12): a stale one would bump-allocate into a
+	// freed or re-purposed segment, or into a template's array.
+	checkCursor := func(who string, c *cursor, sp, gen int, mayBeOpen bool) {
+		if s := c.s; s == nil && c.seg == seg.None {
+			return
+		} else if !mayBeOpen || c.seg < 0 || c.seg >= h.tab.Len() || s != h.tab.Seg(c.seg) ||
+			!s.InUse || h.tab.IsShared(c.seg) || int(s.Space) != sp || s.Gen != gen || s.Fill != c.off {
+			report("%s cursor (%v, gen %d) stale: open on segment %d at offset %d", who, seg.Space(sp), gen, c.seg, c.off)
+		}
+	}
+	for sp := range h.cur {
+		for gen := range h.cur[sp] {
+			checkCursor("heap", &h.cur[sp][gen], sp, gen, true)
+		}
+		for _, c := range h.copiers {
+			checkCursor("copier", &c.cur[sp], sp, h.gcTarget, sliced || h.inCollect.Load())
+		}
+	}
+
 	// Mutator consistency (invariant 9). Lock order: spMu then allocMu,
 	// matching the handshake paths.
 	h.spMu.Lock()
 	h.allocMu.Lock()
 	for mi, m := range h.muts {
+		for sp := range m.cur {
+			checkCursor("mutator", &m.cur[sp], sp, 0, true)
+		}
 		if m.parked || m.idle || h.inCollect.Load() {
 			for sp := range m.cur {
 				if m.cur[sp].seg != seg.None {

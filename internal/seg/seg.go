@@ -71,7 +71,7 @@ type Segment struct {
 // Segments are stored in fixed-size chunks so that a *Segment returned
 // by Seg, and the backing word arrays, never move when the table grows.
 // The chunk directory is published through an atomic pointer and grown
-// copy-on-write, which makes table *reads* (Seg/SegOf/Word/SetWord)
+// copy-on-write, which makes table *reads* (Seg/SegOf/Window/Writable)
 // safe to run concurrently with a single grower: the parallel collector
 // has N workers reading and writing heap words while one of them, under
 // the heap's allocation mutex, allocates fresh to-space segments.
@@ -87,13 +87,14 @@ type segChunk [chunkSize]Segment
 // segments. The zero value is ready to use.
 //
 // Concurrency contract: all mutating methods (Alloc, AllocRun, Free)
-// must be serialized by the caller. Read methods (Seg, SegOf, Word,
-// SetWord, Len, ...) may run concurrently with a serialized mutator,
-// provided each reader only touches segments that were published to it
-// (allocated before the reader started, or handed over through a
-// synchronizing operation such as the collector's CAS-installed
-// forwarding words). SetWord "reads" the table and writes one heap
-// word; racing word accesses are the caller's to synchronize.
+// must be serialized by the caller. Read methods (Seg, SegOf, Window,
+// Writable, Word, SetWord, Len, ...) may run concurrently with a
+// serialized mutator, provided each reader only touches segments that
+// were published to it (allocated before the reader started, or handed
+// over through a synchronizing operation such as the collector's
+// CAS-installed forwarding words). Writable and SetWord "read" the
+// table and let the caller write heap words; racing word accesses are
+// the caller's to synchronize.
 type Table struct {
 	chunks atomic.Pointer[[]*segChunk]
 	nseg   int
@@ -132,8 +133,8 @@ type Table struct {
 	// created after the clone lie beyond the bitmap and are never
 	// shared.
 	//
-	// The lazy privatize in SetWord/WordPtr is deliberately
-	// unsynchronized: it is only correct in single-threaded regimes
+	// The lazy privatize in Writable (and so SetWord/WordPtr) is
+	// deliberately unsynchronized: it is only correct in single-threaded regimes
 	// (the legacy single-mutator heap, or the sequential collector).
 	// Callers entering a multi-threaded regime — the parallel collector
 	// fan-out, or registering a concurrent mutator — must call
@@ -256,8 +257,8 @@ func (t *Table) clearShared(idx int) {
 
 // PrivatizeAll eagerly privatizes every still-shared segment. Required
 // before any multi-threaded access to the table's words (parallel
-// collector workers, concurrent mutators): the lazy copy in
-// SetWord/WordPtr is unsynchronized and safe only while a single
+// collector workers, concurrent mutators): the lazy copy in Writable
+// (SetWord/WordPtr) is unsynchronized and safe only while a single
 // goroutine touches heap words. Serialized like Alloc/Free.
 func (t *Table) PrivatizeAll() {
 	cow := t.cowBits
@@ -609,34 +610,44 @@ func BaseAddr(idx int) uint64 { return uint64(idx) * Words }
 // SegOf returns the segment containing the word address addr.
 func (t *Table) SegOf(addr uint64) *Segment { return t.Seg(int(addr / Words)) }
 
-// Word returns the heap word at addr.
-func (t *Table) Word(addr uint64) uint64 {
-	return t.SegOf(addr).Words[addr%Words]
+// Window returns the words from addr to the end of its segment, for
+// reading: one table walk however many of them the caller then reads.
+// Reads never fault — a segment aliasing a template array is read in
+// place.
+func (t *Table) Window(addr uint64) []uint64 {
+	return t.SegOf(addr).Words[addr%Words:]
 }
 
-// SetWord stores w at addr, privatizing the segment first when it
-// still aliases a template array (copy-on-write). The privatize is
-// unsynchronized — see the cowBits field doc for the regime contract.
-func (t *Table) SetWord(addr uint64, w uint64) {
-	if t.cowBits != nil {
-		if idx := int(addr / Words); t.isShared(idx) {
-			t.privatize(idx)
-		}
+// Writable returns segment idx with its Words safe to store through:
+// a segment that still aliases a template array (copy-on-write) is
+// privatized first. This is the one place the privatize-before-first-
+// write rule lives — SetWord and WordPtr are expressed on it, and
+// callers that write several words of one segment (a freshly copied
+// object, a swept object's fields) call it once and index the slice.
+// The privatize is unsynchronized — see the cowBits field doc for the
+// regime contract. Re-read Words after every call: privatize replaces
+// the slice (the *Segment itself is stable).
+func (t *Table) Writable(idx int) *Segment {
+	if t.cowBits != nil && t.isShared(idx) {
+		t.privatize(idx)
 	}
-	t.SegOf(addr).Words[addr%Words] = w
+	return t.Seg(idx)
+}
+
+// Word returns the heap word at addr. Word, SetWord and WordPtr are
+// for one word at an arbitrary address; code that touches a whole
+// object resolves its segment once (Window, Writable) instead.
+func (t *Table) Word(addr uint64) uint64 { return t.Window(addr)[0] }
+
+// SetWord stores w at addr (copy-on-write: see Writable).
+func (t *Table) SetWord(addr uint64, w uint64) {
+	t.Writable(int(addr / Words)).Words[addr%Words] = w
 }
 
 // WordPtr returns the address of the heap word at addr, for callers
-// that need atomic access to it — the parallel collector installs
-// forwarding words with compare-and-swap through this pointer. Taking
-// a word's address is treated as a write for copy-on-write purposes
-// (the pointer exists to be stored through), so a shared segment is
-// privatized first.
+// that need atomic access to it. Taking a word's address is treated as
+// a write for copy-on-write purposes (the pointer exists to be stored
+// through), so a shared segment is privatized first.
 func (t *Table) WordPtr(addr uint64) *uint64 {
-	if t.cowBits != nil {
-		if idx := int(addr / Words); t.isShared(idx) {
-			t.privatize(idx)
-		}
-	}
-	return &t.SegOf(addr).Words[addr%Words]
+	return &t.Writable(int(addr / Words)).Words[addr%Words]
 }

@@ -204,3 +204,43 @@ func TestSpaceNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWritableIsTheCopyOnWriteRule checks the two word accessors of a
+// copy-on-write table: Window (and Word on it) reads a shared segment
+// in place, Writable privatizes it exactly once, and SetWord and
+// WordPtr — expressed on Writable — never write through to the
+// template's array.
+func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
+	arrays := make([][]uint64, 3)
+	segs := make([]TemplateSeg, 3)
+	for i := range segs {
+		arrays[i] = make([]uint64, Words)
+		arrays[i][7] = uint64(100 + i)
+		segs[i] = TemplateSeg{Words: arrays[i], Space: SpacePair, Fill: 8}
+	}
+	tab := NewTableFromSegs(segs, true)
+	if w := tab.Window(BaseAddr(1) + 7); len(w) != Words-7 || w[0] != 101 || tab.Word(BaseAddr(2)+7) != 102 {
+		t.Fatalf("window of %d words starting %d", len(w), w[0])
+	}
+	if tab.COWCopies() != 0 || tab.SharedCount() != 3 {
+		t.Fatalf("reads faulted: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
+	}
+	s := tab.Writable(0)
+	if s != tab.Seg(0) || &s.Words[0] == &arrays[0][0] || s.Words[7] != 100 {
+		t.Fatal("Writable did not return segment 0 with a private copy of its words")
+	}
+	s.Words[7] = 1
+	if tab.Writable(0); tab.COWCopies() != 1 || tab.IsShared(0) {
+		t.Fatalf("second Writable: %d copies, shared %v", tab.COWCopies(), tab.IsShared(0))
+	}
+	tab.SetWord(BaseAddr(1)+7, 2)
+	*tab.WordPtr(BaseAddr(2) + 7) = 3
+	if tab.COWCopies() != 3 || tab.SharedCount() != 0 {
+		t.Fatalf("after SetWord and WordPtr: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
+	}
+	for i := range arrays {
+		if arrays[i][7] != uint64(100+i) || tab.Word(BaseAddr(i)+7) != uint64(i+1) {
+			t.Fatalf("segment %d: template word %d, table word %d", i, arrays[i][7], tab.Word(BaseAddr(i)+7))
+		}
+	}
+}

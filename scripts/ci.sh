@@ -86,6 +86,16 @@ echo "== heap template / fork gate (-race)"
 # rebuild on donor DefinePrim, template-boot churn with zero leaks).
 go test -race -run 'TestTemplate|TestClone|TestSaveAndCaptureDuringSlicedCollection|TestLoadImage|TestMachineTemplate|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/
 
+echo "== segment-window gate (-race)"
+# Word access by window: cursors that cache their open segment, objects
+# at the one-segment limit either side of the window/run boundary, the
+# lost-install rollback, forward privatizing a template-shared
+# from-space segment without touching the template, and Verify's
+# stale-cursor invariant — each at Workers {1, 2}. The steady-state
+# test holds the window-filling constructors and the copying core to
+# zero Go allocations per round.
+go test -race -run 'TestWindow|TestUnallocRestoresCursor|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs' ./internal/heap/
+
 echo "== deque property gate (-race)"
 # The Chase-Lev work-stealing deque carries every parallel sweep item;
 # the randomized owner/thief property test under the race detector is
@@ -114,6 +124,11 @@ go test -run '^$' -fuzz 'FuzzReader' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzDifferential' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzEval' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime=10s ./internal/server/
+
+echo "== hot-path benchmarks (compile and run once)"
+# The local before/after for the allocation path and the copying core;
+# one iteration each, so they cannot rot.
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore' -benchtime 1x ./internal/heap/
 
 echo "== benchgc smoke"
 go run ./cmd/benchgc -trace -phases -gcs 5 >/dev/null

@@ -139,6 +139,13 @@ func NewManager(h *heap.Heap, arena *Arena) *Manager {
 // Arena returns the manager's arena.
 func (m *Manager) Arena() *Arena { return m.arena }
 
+// Release drops the manager's heap references (its guardian and the
+// record type descriptor); the manager must not be used afterwards.
+func (m *Manager) Release() {
+	m.g.Release()
+	m.rtd.Release()
+}
+
 // Wrap allocates an external resource of the given kind and size and
 // returns its Scheme header, registered with the manager's guardian.
 func (m *Manager) Wrap(kind Kind, size int) obj.Value {

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -871,8 +872,18 @@ func (h *Heap) isForwarded(v obj.Value) bool {
 // itself when it was not subject to collection.
 func (h *Heap) fwdAddrOf(v obj.Value) obj.Value {
 	nv, ok := h.survivor(v)
-	h.check(ok, "fwdAddrOf: object not forwarded at %d", v.Addr())
+	if !ok {
+		h.notForwarded(v.Addr())
+	}
 	return nv
+}
+
+// notForwarded is fwdAddrOf's failure, out of line like noHeader: the
+// guardian phase calls fwdAddrOf for every entry it keeps or salvages.
+//
+//go:noinline
+func (h *Heap) notForwarded(addr uint64) {
+	panic(fmt.Sprintf("heap: fwdAddrOf: object not forwarded at %d", addr))
 }
 
 // survivor returns v's location after the collection in progress, and
@@ -927,7 +938,9 @@ func (h *Heap) InstallGuardian(v, tconc obj.Value) {
 // reclaimed when something smaller suffices for finalization. With
 // rep == v this is the plain interface.
 func (h *Heap) InstallGuardianRep(v, rep, tconc obj.Value) {
-	h.check(tconc.IsPair(), "install-guardian: tconc must be a pair: %v", tconc)
+	if !tconc.IsPair() {
+		h.badTconc(tconc)
+	}
 	if !h.inCollect.Load() && h.mutCount.Load() != 0 {
 		// Concurrent mutators may register guardians concurrently; the
 		// protected list rides the allocation mutex (registration is
@@ -937,6 +950,14 @@ func (h *Heap) InstallGuardianRep(v, rep, tconc obj.Value) {
 	}
 	h.protected[0] = append(h.protected[0], ProtEntry{Obj: v, Rep: rep, Tconc: tconc})
 	h.Stats.GuardianRegistrations++
+}
+
+// badTconc is InstallGuardianRep's failure, out of line so that a
+// registration boxes nothing.
+//
+//go:noinline
+func (h *Heap) badTconc(tconc obj.Value) {
+	panic(fmt.Sprintf("heap: install-guardian: tconc must be a pair: %v", tconc))
 }
 
 // ProtectedCount returns the total number of pending protected-list

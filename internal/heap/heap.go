@@ -121,7 +121,11 @@ func (c Config) Validate() error {
 		(!static || rp.Target != nil || (rp.Radix != 0 && rp.Radix != DefaultRadix)) {
 		return fmt.Errorf("heap: Config.AutoTune replaces only a stock-cadence RadixPolicy without a Target (set Policy to a configured *AdaptivePolicy instead)")
 	}
-	if rp, ok := c.Policy.(RadixPolicy); ok {
+	inner := c.Policy
+	if st, ok := inner.(staticTop); ok {
+		inner = st.Policy
+	}
+	if rp, ok := inner.(RadixPolicy); ok {
 		if rp.Radix < 0 || rp.Radix == 1 {
 			return fmt.Errorf("heap: RadixPolicy.Radix must be 0 (default) or >= 2 (got %d)", rp.Radix)
 		}
@@ -463,6 +467,18 @@ func (h *Heap) Config() Config { return h.cfg }
 
 // MaxGeneration returns the oldest generation number.
 func (h *Heap) MaxGeneration() int { return h.cfg.Generations - 1 }
+
+// OldestDynamic returns the oldest generation automatic collections
+// reach: MaxGeneration, or the one below it when the policy holds the
+// oldest static (StaticTop). Collect(OldestDynamic()) is a full
+// collection of everything the program has allocated since the static
+// generation was filled.
+func (h *Heap) OldestDynamic() int {
+	if _, ok := h.policy.(staticTop); ok {
+		return max(h.MaxGeneration()-1, 0)
+	}
+	return h.MaxGeneration()
+}
 
 // Policy returns the heap's resolved collection policy: the explicit
 // Config.Policy (cloned if stateful), the AdaptivePolicy selected by

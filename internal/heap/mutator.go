@@ -225,7 +225,9 @@ func (m *Mutator) allocObj(kind obj.Kind, length, payloadWords int) (uint64, []u
 
 // MakeVector allocates a vector of n elements initialized to fill.
 func (m *Mutator) MakeVector(n int, fill obj.Value) obj.Value {
-	m.h.check(n >= 0, "make-vector: negative length %d", n)
+	if n < 0 {
+		m.h.negLength("make-vector", n)
+	}
 	m.tmp[0] = fill
 	addr, p := m.allocObj(obj.KVector, n, n)
 	m.h.fillWords(addr+1, p, n, m.tmp[0])
@@ -243,7 +245,9 @@ func (m *Mutator) MakeString(s string) obj.Value {
 
 // MakeBytevector allocates a zero-filled bytevector of n bytes.
 func (m *Mutator) MakeBytevector(n int) obj.Value {
-	m.h.check(n >= 0, "make-bytevector: negative length %d", n)
+	if n < 0 {
+		m.h.negLength("make-bytevector", n)
+	}
 	addr, _ := m.allocObj(obj.KBytevector, n, (n+7)/8) // fresh words are zero
 	return obj.ObjAt(addr)
 }

@@ -41,6 +41,31 @@ func (h *Heap) noHeader(op string, addr uint64) {
 	panic(fmt.Sprintf("heap: %s: object without header at %d", op, addr))
 }
 
+// badKind, badIndex, badPortField and negLength are the out-of-line
+// halves of the header accessors' checks, for the same reason: the
+// interpreter calls SymbolValue, ClosureEnv or RecordRef thousands of
+// times a request, and h.check boxed their operands on every one.
+
+//go:noinline
+func (h *Heap) badKind(op string, k obj.Kind, v obj.Value) {
+	panic(fmt.Sprintf("heap: %s: not a %v: %v", op, k, v))
+}
+
+//go:noinline
+func (h *Heap) badIndex(op string, i, n int) {
+	panic(fmt.Sprintf("heap: %s: index %d out of range [0,%d)", op, i, n))
+}
+
+//go:noinline
+func (h *Heap) badPortField(op string, i int) {
+	panic(fmt.Sprintf("heap: %s: bad index %d", op, i))
+}
+
+//go:noinline
+func (h *Heap) negLength(op string, n int) {
+	panic(fmt.Sprintf("heap: %s: negative length %d", op, n))
+}
+
 // --- Pairs -----------------------------------------------------------
 
 // Constructors fill a fresh object through the window its allocation
@@ -210,8 +235,9 @@ func (h *Heap) IsKind(v obj.Value, k obj.Kind) bool {
 
 func (h *Heap) mustKind(v obj.Value, k obj.Kind, op string) uint64 {
 	v = h.fwdNorm(v)
-	got, ok := h.KindOf(v)
-	h.check(ok && got == k, "%s: not a %v: %v", op, k, v)
+	if got, ok := h.KindOf(v); !ok || got != k {
+		h.badKind(op, k, v)
+	}
 	return v.Addr()
 }
 
@@ -220,7 +246,9 @@ func (h *Heap) mustKind(v obj.Value, k obj.Kind, op string) uint64 {
 // MakeVector allocates a vector of n elements, each initialized to
 // fill, in generation 0.
 func (h *Heap) MakeVector(n int, fill obj.Value) obj.Value {
-	h.check(n >= 0, "make-vector: negative length %d", n)
+	if n < 0 {
+		h.negLength("make-vector", n)
+	}
 	addr, p := h.allocObj(obj.KVector, n, n, 0)
 	h.fillWords(addr+1, p, n, fill)
 	return obj.ObjAt(addr)
@@ -250,7 +278,9 @@ func (h *Heap) VectorLength(v obj.Value) int {
 func (h *Heap) VectorRef(v obj.Value, i int) obj.Value {
 	addr := h.mustKind(v, obj.KVector, "vector-ref")
 	n := obj.HeaderLength(h.word(addr))
-	h.check(i >= 0 && i < n, "vector-ref: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("vector-ref", i, n)
+	}
 	return h.valueAt(addr + 1 + uint64(i))
 }
 
@@ -258,7 +288,9 @@ func (h *Heap) VectorRef(v obj.Value, i int) obj.Value {
 func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
 	addr := h.mustKind(v, obj.KVector, "vector-set!")
 	n := obj.HeaderLength(h.word(addr))
-	h.check(i >= 0 && i < n, "vector-set!: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("vector-set!", i, n)
+	}
 	h.writeCell(addr+1+uint64(i), x, false)
 }
 
@@ -321,7 +353,9 @@ func (h *Heap) StringLength(v obj.Value) int {
 
 // MakeBytevector allocates a zero-filled bytevector of n bytes.
 func (h *Heap) MakeBytevector(n int) obj.Value {
-	h.check(n >= 0, "make-bytevector: negative length %d", n)
+	if n < 0 {
+		h.negLength("make-bytevector", n)
+	}
 	return h.makeBytes(obj.KBytevector, make([]byte, n))
 }
 
@@ -335,7 +369,9 @@ func (h *Heap) BytevectorLength(v obj.Value) int {
 func (h *Heap) ByteRef(v obj.Value, i int) byte {
 	addr := h.mustKind(v, obj.KBytevector, "bytevector-ref")
 	n := obj.HeaderLength(h.word(addr))
-	h.check(i >= 0 && i < n, "bytevector-ref: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("bytevector-ref", i, n)
+	}
 	return byte(h.word(addr+1+uint64(i/8)) >> (uint(i%8) * 8))
 }
 
@@ -344,7 +380,9 @@ func (h *Heap) ByteRef(v obj.Value, i int) byte {
 func (h *Heap) ByteSet(v obj.Value, i int, c byte) {
 	addr := h.mustKind(v, obj.KBytevector, "bytevector-set!")
 	n := obj.HeaderLength(h.word(addr))
-	h.check(i >= 0 && i < n, "bytevector-set!: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("bytevector-set!", i, n)
+	}
 	w := addr + 1 + uint64(i/8)
 	sh := uint(i%8) * 8
 	h.setWord(w, h.word(w)&^(0xff<<sh)|uint64(c)<<sh)
@@ -551,14 +589,18 @@ func (h *Heap) MakePort(flags, fileID int64, buffer obj.Value) obj.Value {
 // PortField returns field i of a port.
 func (h *Heap) PortField(v obj.Value, i int) obj.Value {
 	addr := h.mustKind(v, obj.KPort, "port-field")
-	h.check(i >= 0 && i < portFields, "port-field: bad index %d", i)
+	if i < 0 || i >= portFields {
+		h.badPortField("port-field", i)
+	}
 	return h.valueAt(addr + 1 + uint64(i))
 }
 
 // SetPortField stores x as field i of a port.
 func (h *Heap) SetPortField(v obj.Value, i int, x obj.Value) {
 	addr := h.mustKind(v, obj.KPort, "set-port-field!")
-	h.check(i >= 0 && i < portFields, "set-port-field!: bad index %d", i)
+	if i < 0 || i >= portFields {
+		h.badPortField("set-port-field!", i)
+	}
 	h.writeCell(addr+1+uint64(i), x, false)
 }
 
@@ -591,7 +633,9 @@ func (h *Heap) RecordLength(v obj.Value) int {
 func (h *Heap) RecordRef(v obj.Value, i int) obj.Value {
 	addr := h.mustKind(v, obj.KRecord, "record-ref")
 	n := obj.HeaderLength(h.word(addr)) - 1
-	h.check(i >= 0 && i < n, "record-ref: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("record-ref", i, n)
+	}
 	return h.valueAt(addr + 2 + uint64(i))
 }
 
@@ -599,6 +643,8 @@ func (h *Heap) RecordRef(v obj.Value, i int) obj.Value {
 func (h *Heap) RecordSet(v obj.Value, i int, x obj.Value) {
 	addr := h.mustKind(v, obj.KRecord, "record-set!")
 	n := obj.HeaderLength(h.word(addr)) - 1
-	h.check(i >= 0 && i < n, "record-set!: index %d out of range [0,%d)", i, n)
+	if i < 0 || i >= n {
+		h.badIndex("record-set!", i, n)
+	}
 	h.writeCell(addr+2+uint64(i), x, false)
 }

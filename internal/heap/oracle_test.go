@@ -23,6 +23,9 @@ type oracleHeap struct {
 	h     *heap.Heap
 	roots []*heap.Root
 	tconc *heap.Root
+	// collect is the workload's collection op; nil collects a random
+	// generation range of the heap's own.
+	collect func(h *heap.Heap, rng *rand.Rand)
 }
 
 func newOracleHeap(mut func(*heap.Config)) *oracleHeap {
@@ -138,6 +141,14 @@ func (o *oracleHeap) compare(other *oracleHeap) error {
 	if sa.GuardianEntriesDropped != sb.GuardianEntriesDropped {
 		return fmt.Errorf("dropped differ: %d vs %d", sa.GuardianEntriesDropped, sb.GuardianEntriesDropped)
 	}
+	// So is the copying itself: the same objects survive, each copied
+	// once, and the same protected-list prefixes are examined.
+	if sa.WordsCopied != sb.WordsCopied {
+		return fmt.Errorf("words copied differ: %d vs %d", sa.WordsCopied, sb.WordsCopied)
+	}
+	if sa.GuardianEntriesScanned != sb.GuardianEntriesScanned {
+		return fmt.Errorf("guardian entries scanned differ: %d vs %d", sa.GuardianEntriesScanned, sb.GuardianEntriesScanned)
+	}
 	return nil
 }
 
@@ -207,16 +218,34 @@ func oracleStep(o *oracleHeap, rng *rand.Rand) bool {
 	case op < 90: // register a dropped object (salvage fodder)
 		h.InstallGuardian(h.Cons(obj.FromFixnum(int64(rng.Intn(50))), obj.Nil), o.tconc.Get())
 	default: // collect a random generation range
-		h.Collect(rng.Intn(h.MaxGeneration() + 1))
+		if o.collect != nil {
+			o.collect(h, rng)
+		} else {
+			h.Collect(rng.Intn(h.MaxGeneration() + 1))
+		}
 		return true
 	}
 	return false
 }
 
 // runOracleLockstep drives heaps a and b through the same seeded
-// workload, verifying both heaps and requiring isomorphism (and
-// identical guardian/weak outcomes) after every collection.
+// workload (oracleLockstep) and closes with a full collection of each,
+// draining the guardians, and a last comparison.
 func runOracleLockstep(t *testing.T, seed int64, steps int, a, b *oracleHeap, aName, bName string) {
+	t.Helper()
+	oracleLockstep(t, seed, steps, a, b, aName, bName, nil)
+	a.h.Collect(a.h.MaxGeneration())
+	b.h.Collect(b.h.MaxGeneration())
+	if err := a.compare(b); err != nil {
+		t.Fatalf("final: %v", err)
+	}
+}
+
+// oracleLockstep applies the same seeded ops to heaps a and b,
+// verifying both heaps and requiring isomorphism (and identical
+// guardian/weak outcomes) after every collection; after, when non-nil,
+// then runs the caller's own checks.
+func oracleLockstep(t *testing.T, seed int64, steps int, a, b *oracleHeap, aName, bName string, after func()) {
 	t.Helper()
 	collections := 0
 	master := rand.New(rand.NewSource(seed))
@@ -238,16 +267,13 @@ func runOracleLockstep(t *testing.T, seed int64, steps int, a, b *oracleHeap, aN
 			if err := a.compare(b); err != nil {
 				t.Fatalf("step %d (after collection): %v", i, err)
 			}
+			if after != nil {
+				after()
+			}
 		}
 	}
 	if collections < steps/30 {
 		t.Fatalf("workload only collected %d times; oracle too weak", collections)
-	}
-	// Final full comparison, including draining the guardians.
-	a.h.Collect(a.h.MaxGeneration())
-	b.h.Collect(b.h.MaxGeneration())
-	if err := a.compare(b); err != nil {
-		t.Fatalf("final: %v", err)
 	}
 }
 

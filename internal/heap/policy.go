@@ -12,7 +12,8 @@ import "repro/internal/seg"
 // Config.Policy resolves to), and AdaptivePolicy
 // (Config.AutoTune: feedback-driven from CollectionReport survival
 // rates, modeled on CertiCoq's empirically sized nursery and the VGC
-// survival-driven zone policy).
+// survival-driven zone policy). StaticTop wraps any of them to hold the
+// oldest generation out of automatic collection altogether.
 
 // Policy decides, for one heap, when each generation is collected,
 // where survivors go, and how large the generation-0 allocation budget
@@ -154,6 +155,42 @@ func (p RadixPolicy) InitialTrigger() int {
 }
 
 func (p RadixPolicy) NextTrigger(rep *CollectionReport, cur int) int { return cur }
+
+// StaticTop wraps p so that the oldest generation is static, in the
+// manner of the generation the paper's host keeps its boot heap in:
+// automatic collections never collect it and survivors are never
+// promoted into it. Below it p runs the remaining generations exactly
+// as it would run a heap with one generation fewer — same cadence, same
+// targets, the oldest dynamic generation collecting into itself. Only
+// an explicit Collect(MaxGeneration()) reaches the static generation,
+// and it tenures every survivor there: that is how a template donor
+// fills it (scheme.CaptureTemplate), after which its clones share it
+// untouched and copy-on-write never has a collection to fault on. A
+// one-generation heap has nothing to hold static and runs p unchanged.
+func StaticTop(p Policy) Policy { return staticTop{p} }
+
+type staticTop struct{ Policy }
+
+func (s staticTop) Name() string { return "static-top+" + s.Policy.Name() }
+
+func (s staticTop) TargetGen(g, maxGen int) int {
+	if g >= maxGen {
+		return maxGen
+	}
+	return min(s.Policy.TargetGen(g, maxGen-1), maxGen-1)
+}
+
+func (s staticTop) CollectGen(n uint64, maxGen int) int {
+	return s.Policy.CollectGen(n, max(maxGen-1, 0))
+}
+
+// ClonePolicy gives each heap its own copy of a stateful inner policy.
+func (s staticTop) ClonePolicy() Policy {
+	if c, ok := s.Policy.(PolicyCloner); ok {
+		return staticTop{c.ClonePolicy()}
+	}
+	return s
+}
 
 // Defaults of AdaptivePolicy's exported knobs.
 const (

@@ -1,6 +1,8 @@
 package heap_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/heap"
@@ -171,4 +173,121 @@ func TestPolicyOutOfRangeClamped(t *testing.T) {
 	}
 	h.MustVerify()
 	h2.MustVerify()
+}
+
+// staticTopPair builds the two heaps StaticTop promises behave alike:
+// three generations under the radix policy, and four generations under
+// StaticTop of the same policy. The workload's collection op is an
+// automatic collection or an explicit one of a dynamic generation, the
+// same on both.
+func staticTopPair() (plain, static *oracleHeap) {
+	collect := func(h *heap.Heap, rng *rand.Rand) {
+		if g := rng.Intn(4); g < 3 {
+			h.Collect(g)
+		} else {
+			h.CollectAuto()
+		}
+	}
+	plain = newOracleHeap(func(cfg *heap.Config) { cfg.Generations = 3 })
+	static = newOracleHeap(func(cfg *heap.Config) {
+		cfg.Generations = 4
+		cfg.Policy = heap.StaticTop(cfg.Policy)
+	})
+	plain.collect, static.collect = collect, collect
+	return plain, static
+}
+
+// TestStaticTopMatchesOneGenerationFewer: on the same op trace the
+// dynamic generations of a StaticTop heap are the heap with one
+// generation fewer — same reachable structure, same tconc contents and
+// order, same weak-pair states, same words copied and guardian entries
+// scanned after every collection (oracleHeap.compare), every object in
+// the same generation, and nothing in the static one. An explicit
+// Collect(MaxGeneration()) then tenures every survivor into the static
+// generation and salvages exactly what the plain heap's full
+// collection does.
+func TestStaticTopMatchesOneGenerationFewer(t *testing.T) {
+	for _, seed := range []int64{1, 7, 20261005} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			a, b := staticTopPair()
+			top := b.h.MaxGeneration()
+			oracleLockstep(t, seed, 3000, a, b, "three-generation", "static-top", func() {
+				for i := range a.roots {
+					ga, gb := a.h.Generation(a.roots[i].Get()), b.h.Generation(b.roots[i].Get())
+					if ga != gb {
+						t.Fatalf("root %d: generation %d on the plain heap, %d under StaticTop", i, ga, gb)
+					}
+				}
+				c := b.h.Census()
+				if n := c.Gen(top).Segments; n != 0 {
+					t.Fatalf("%d segments reached the static generation", n)
+				}
+			})
+			// Leave a registration only the full collection can salvage:
+			// dropped once it sits in generation 2.
+			for _, o := range []*oracleHeap{a, b} {
+				r := o.h.NewRoot(o.h.Cons(obj.FromFixnum(4242), obj.Nil))
+				o.h.InstallGuardian(r.Get(), o.tconc.Get())
+				o.h.Collect(1)
+				r.Release()
+			}
+			salvaged := b.h.Stats.GuardianEntriesSalvaged
+			a.h.Collect(a.h.MaxGeneration())
+			if rep := b.h.Collect(top); rep.Gen != top || rep.Target != top {
+				t.Fatalf("explicit full collection ran %d -> %d, want %d -> %d", rep.Gen, rep.Target, top, top)
+			}
+			if err := a.compare(b); err != nil {
+				t.Fatalf("after the full collection: %v", err)
+			}
+			if b.h.Stats.GuardianEntriesSalvaged == salvaged {
+				t.Fatal("the full collection salvaged nothing")
+			}
+			for i, r := range b.roots {
+				if v := r.Get(); v.IsPointer() && b.h.Generation(v) != top {
+					t.Fatalf("root %d: generation %d after the full collection, want %d", i, b.h.Generation(v), top)
+				}
+			}
+			b.h.MustVerify()
+			// And the static generation stays put from then on.
+			copied := b.h.Stats.WordsCopied
+			for i := 0; i < 40; i++ {
+				b.h.CollectAuto()
+			}
+			if b.h.Stats.WordsCopied != copied {
+				t.Fatalf("automatic collections copied %d words out of a heap tenured into the static generation",
+					b.h.Stats.WordsCopied-copied)
+			}
+		})
+	}
+}
+
+// TestStaticTopEdges: a one-generation heap has no generation to hold
+// static, a stateful inner policy is cloned per heap, and the wrapper's
+// inner RadixPolicy is validated like a bare one.
+func TestStaticTopEdges(t *testing.T) {
+	cfg := heap.DefaultConfig()
+	cfg.Generations = 1
+	cfg.Policy = heap.StaticTop(heap.RadixPolicy{Trigger: 1 << 20})
+	h := heap.MustNew(cfg)
+	r := h.NewRoot(h.Cons(obj.FromFixnum(1), obj.Nil))
+	h.CollectAuto()
+	if h.OldestDynamic() != 0 || h.Car(r.Get()).FixnumValue() != 1 {
+		t.Fatal("one-generation heap under StaticTop lost its object")
+	}
+	h.MustVerify()
+
+	cfg = heap.DefaultConfig()
+	cfg.Policy = heap.StaticTop(heap.NewAdaptivePolicy())
+	h1, h2 := heap.MustNew(cfg), heap.MustNew(cfg)
+	if h1.Policy() == h2.Policy() {
+		t.Fatal("two heaps share one adaptive policy under StaticTop")
+	}
+	if h1.OldestDynamic() != h1.MaxGeneration()-1 || heap.NewDefault().OldestDynamic() != 3 {
+		t.Fatal("OldestDynamic does not follow the policy")
+	}
+
+	cfg.Policy = heap.StaticTop(heap.RadixPolicy{Radix: 1})
+	if _, err := heap.New(cfg); err == nil {
+		t.Fatal("StaticTop hid an invalid RadixPolicy from Validate")
+	}
 }

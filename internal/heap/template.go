@@ -25,6 +25,11 @@ import (
 // copy-on-write bitmap forces a private copy before any store). A
 // clone that frees a shared segment drops the alias without zeroing
 // the template array (seg.Table.Free/FreeLazy).
+//
+// The one mutable thing a template owns is its clones' segment pool
+// (seg.Pool, internally locked): the word arrays clones retire pass
+// through it to whichever clone needs storage next, so a parked clone
+// holds arrays only for the segments it has in use.
 type Template struct {
 	cfg       Config
 	stamp     uint64
@@ -34,6 +39,7 @@ type Template struct {
 	rootLive  []bool
 	protected [][]ProtEntry
 	dirty     []dirtyCell
+	pool      *seg.Pool
 }
 
 // Config returns the configuration clones will be constructed with.
@@ -92,6 +98,7 @@ func (h *Heap) captureStopped() (*Template, error) {
 		autoCount: h.autoCount,
 		segs:      make([]seg.TemplateSeg, h.tab.Len()),
 		protected: make([][]ProtEntry, len(h.protected)),
+		pool:      &seg.Pool{},
 	}
 	for i := 0; i < h.tab.Len(); i++ {
 		s := h.tab.Seg(i)
@@ -152,7 +159,8 @@ func CloneFromTemplate(tpl *Template) (*Heap, []*Root, error) {
 // instantiate builds a heap from the template's parts. shared selects
 // copy-on-write aliasing of the word arrays (CloneFromTemplate) versus
 // outright ownership (LoadImage, whose parsed arrays are freshly
-// built and referenced nowhere else).
+// built and referenced nowhere else — and whose template, never
+// captured, has no pool for the heap to join).
 func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 	h, err := New(tpl.cfg)
 	if err != nil {
@@ -160,7 +168,7 @@ func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 	}
 	h.stamp = tpl.stamp
 	h.autoCount = tpl.autoCount
-	h.tab = seg.NewTableFromSegs(tpl.segs, shared)
+	h.tab = seg.NewTableFromSegs(tpl.segs, shared, tpl.pool)
 	// Rebuild the allocation chains in index order; cursors stay closed
 	// (New left them at seg.None), so the clone's first allocation into
 	// any (space, generation) opens a fresh segment rather than bumping

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obj"
 	"repro/internal/seg"
@@ -298,4 +299,111 @@ func TestVerifyCatchesStaleCursor(t *testing.T) {
 	}
 	h.cur[seg.SpaceObj][0].close()
 	h.MustVerify()
+}
+
+// TestCloneStaticTemplateAndPool is the clone family at work: the donor
+// tenures its state into the static generation of a StaticTop heap, two
+// clones churn through automatic collections, and throughout (a) no
+// clone ever faults on — or stops sharing — a template segment, (b) a
+// clone's retired segments are bare slots, their arrays parked in the
+// template's pool, all zero, never more than the cap, and Verify
+// accepts the bare slots, (c) the template's arrays stay byte-identical.
+// The last clone runs sliced collections, whose lazily retired words
+// must not reach the pool unzeroed.
+func TestCloneStaticTemplateAndPool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = StaticTop(RadixPolicy{Trigger: 4 * seg.Words})
+	donor := MustNew(cfg)
+	lst := donor.NewRoot(obj.Nil)
+	for i := 0; i < 2000; i++ {
+		lst.Set(donor.Cons(fix(i), lst.Get()))
+	}
+	str := donor.NewRoot(donor.MakeString("tenured"))
+	if rep := donor.Collect(donor.MaxGeneration()); rep.Target != donor.MaxGeneration() {
+		t.Fatalf("donor's full collection targeted generation %d", rep.Target)
+	}
+	tpl, err := donor.CaptureTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := templateChecksum(tpl)
+
+	churn := func(t *testing.T, h *Heap, roots []*Root) {
+		t.Helper()
+		keep := h.NewRoot(obj.Nil)
+		for i := 0; i < 30000; i++ {
+			p := h.Cons(fix(i), h.MakeString("x"))
+			if i%64 == 0 {
+				keep.Set(h.Cons(p, keep.Get()))
+			}
+			if i%2048 == 0 {
+				keep.Set(obj.Nil)
+			}
+			if h.CollectPending() {
+				h.Checkpoint()
+				for idx := 0; idx < h.tab.Len(); idx++ {
+					if s := h.tab.Seg(idx); !s.InUse && s.Words != nil && h.cfg.PauseBudget == 0 {
+						t.Fatalf("retired segment %d keeps its word array", idx)
+					}
+				}
+			}
+		}
+		h.Collect(0) // park with the nursery's arrays in the pool
+		h.MustVerify()
+		if h.Stats.Collections < 40 {
+			t.Fatalf("only %d collections", h.Stats.Collections)
+		}
+		if h.SharedSegments() != tpl.Segments() || h.COWCopies() != 0 {
+			t.Fatalf("clone shares %d of %d template segments after %d copy-on-write faults",
+				h.SharedSegments(), tpl.Segments(), h.COWCopies())
+		}
+		if got := h.StringValue(roots[str.idx].Get()); got != "tenured" || h.ListLength(roots[lst.idx].Get()) != 2000 {
+			t.Fatalf("template state damaged: %q", got)
+		}
+	}
+	// poolAllZero drains the pool through a scratch table of the family
+	// and looks at every array.
+	poolAllZero := func() {
+		t.Helper()
+		n := tpl.pool.Len()
+		if n == 0 || n > seg.PoolCap {
+			t.Fatalf("pool holds %d arrays (cap %d)", n, seg.PoolCap)
+		}
+		scratch := seg.NewTableFromSegs(nil, false, tpl.pool)
+		for ; n > 0; n-- {
+			for i, x := range scratch.Seg(scratch.Alloc(seg.SpacePair, 0, 1)).Words {
+				if x != 0 {
+					t.Fatalf("pooled array holds %#x at word %d", x, i)
+				}
+			}
+		}
+	}
+	for i := 0; i < 2; i++ {
+		h, roots, err := CloneFromTemplate(tpl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		churn(t, h, roots)
+		poolAllZero()
+	}
+	sliced := *tpl
+	sliced.cfg.PauseBudget = time.Microsecond
+	h, roots, err := CloneFromTemplate(&sliced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slicedCollections := 0
+	h.AddPostCollectHook(func(_ *Heap, rep *CollectionReport) {
+		if len(rep.Slices) > 0 {
+			slicedCollections++
+		}
+	})
+	churn(t, h, roots)
+	if slicedCollections == 0 {
+		t.Fatal("no collection was sliced")
+	}
+	poolAllZero()
+	if got := templateChecksum(tpl); got != sum {
+		t.Fatalf("template arrays changed: checksum %x, was %x", got, sum)
+	}
 }

@@ -43,6 +43,10 @@ func NewManager(h *heap.Heap, fs *FS) *Manager {
 // FS returns the manager's file system.
 func (m *Manager) FS() *FS { return m.fs }
 
+// Release drops the manager's heap references (its guardian); the
+// manager must not be used afterwards.
+func (m *Manager) Release() { m.g.Release() }
+
 func (m *Manager) newPort(flags int64, fd int) obj.Value {
 	buf := m.h.MakeBytevector(BufferSize)
 	return m.h.MakePort(flags, int64(fd), buf)

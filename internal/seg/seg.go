@@ -9,6 +9,7 @@ package seg
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -76,12 +77,62 @@ type Segment struct {
 // has N workers reading and writing heap words while one of them, under
 // the heap's allocation mutex, allocates fresh to-space segments.
 const (
-	chunkBits = 8 // 256 segments (1 MB of heap) per chunk
+	chunkBits = 6 // 64 segments (256 KB of heap) per chunk
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
 
 type segChunk [chunkSize]Segment
+
+// PoolCap bounds a Pool: 64 arrays, 256 KB parked at most. A running
+// session cycles through its nursery's worth of arrays (the server's
+// sessions trigger at 8 segments) between two collections, and only as
+// many sessions run at once as the host has workers, so a few dozen
+// arrays cover the swing; anything above the cap goes back to the Go
+// collector.
+const PoolCap = 64
+
+// Pool is a bounded LIFO of zeroed segment word arrays shared by the
+// tables of one clone family (NewTableFromSegs): a table hands the
+// array of every segment it retires with Free to the pool and takes
+// one back when it next needs storage, so a parked heap holds arrays
+// only for the segments it has in use, and the heap that runs next
+// gets the arrays the last one just let go of. Every pooled array is
+// all zero. Safe for concurrent use; the zero value is ready.
+type Pool struct {
+	mu   sync.Mutex
+	free [][]uint64
+}
+
+// get returns a zeroed array, or nil when the pool is empty.
+func (p *Pool) get() []uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	w := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return w
+}
+
+// put parks the zeroed array w; a full pool drops it instead.
+func (p *Pool) put(w []uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < PoolCap {
+		p.free = append(p.free, w)
+	}
+}
+
+// Len returns the number of arrays parked in the pool.
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
+}
 
 // Table is the segment information table plus the free list of retired
 // segments. The zero value is ready to use.
@@ -142,6 +193,21 @@ type Table struct {
 	cowBits   []uint64
 	cowShared int
 	cowCopies uint64
+
+	// pool, when non-nil, is where Free sends retired word arrays and
+	// where fresh storage comes from before make (see Pool).
+	pool *Pool
+}
+
+// newWords returns a zeroed word array: from the pool when the table
+// has one with an array parked, otherwise freshly made.
+func (t *Table) newWords() []uint64 {
+	if t.pool != nil {
+		if w := t.pool.get(); w != nil {
+			return w
+		}
+	}
+	return make([]uint64, Words)
 }
 
 // TemplateSeg describes one segment slot for NewTableFromSegs: either a
@@ -162,11 +228,13 @@ type TemplateSeg struct {
 // segments alias the provided word arrays copy-on-write (the arrays
 // must then be treated as immutable by the caller for the table's
 // lifetime); with shared=false the table takes ownership of the arrays
-// outright. Chain links (Next) are left as None — the heap rebuilds its
-// chains from its own segment walk. Panics if a populated entry's Words
-// is not exactly seg.Words long.
-func NewTableFromSegs(segs []TemplateSeg, shared bool) *Table {
-	t := &Table{}
+// outright. A non-nil pool makes the table one of a clone family that
+// passes retired word arrays around (see Pool). Chain links (Next) are
+// left as None — the heap rebuilds its chains from its own segment
+// walk. Panics if a populated entry's Words is not exactly seg.Words
+// long.
+func NewTableFromSegs(segs []TemplateSeg, shared bool, pool *Pool) *Table {
+	t := &Table{pool: pool}
 	for t.nseg < len(segs) {
 		t.grow()
 		t.nseg++
@@ -238,7 +306,7 @@ func (t *Table) COWCopies() uint64 { return t.cowCopies }
 // entirely.
 func (t *Table) privatize(idx int) {
 	s := t.Seg(idx)
-	w := make([]uint64, Words)
+	w := t.newWords()
 	copy(w, s.Words)
 	s.Words = w
 	t.clearShared(idx)
@@ -297,7 +365,7 @@ func (t *Table) grow() {
 func (t *Table) initSeg(idx int, space Space, gen int, stamp uint64, cont bool) *Segment {
 	s := t.Seg(idx)
 	if s.Words == nil {
-		s.Words = make([]uint64, Words)
+		s.Words = t.newWords()
 	}
 	s.Space = space
 	s.Gen = gen
@@ -470,7 +538,7 @@ func (t *Table) Reserve(dst []int, k int) []int {
 	for i := 0; i < k; i++ {
 		idx := t.claim()
 		if s := t.Seg(idx); s.Words == nil {
-			s.Words = make([]uint64, Words)
+			s.Words = t.newWords()
 		}
 		dst = append(dst, idx)
 	}
@@ -513,7 +581,10 @@ func (t *Table) ReservedCount() int { return int(t.reserved.Load()) }
 
 // Free retires segment idx onto the free list. Its words are zeroed so
 // that any dangling pointer into it reads as fixnum 0 rather than a
-// stale heap value, which keeps collector bugs loud.
+// stale heap value, which keeps collector bugs loud. A table with a
+// pool then gives the zeroed array away and keeps the bare slot, the
+// state a dropped template alias leaves it in too. (FreeLazy and
+// FreeRun retire words unzeroed, so theirs stay with the table.)
 func (t *Table) Free(idx int) {
 	s := t.Seg(idx)
 	if !s.InUse {
@@ -527,6 +598,10 @@ func (t *Table) Free(idx int) {
 		t.clearShared(idx)
 	} else {
 		clear(s.Words)
+		if t.pool != nil {
+			t.pool.put(s.Words)
+			s.Words = nil
+		}
 	}
 	s.InUse = false
 	s.Next = None

@@ -1,6 +1,10 @@
 package seg
 
-import "testing"
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
 
 func TestAllocBasics(t *testing.T) {
 	var tab Table
@@ -218,7 +222,7 @@ func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 		arrays[i][7] = uint64(100 + i)
 		segs[i] = TemplateSeg{Words: arrays[i], Space: SpacePair, Fill: 8}
 	}
-	tab := NewTableFromSegs(segs, true)
+	tab := NewTableFromSegs(segs, true, nil)
 	if w := tab.Window(BaseAddr(1) + 7); len(w) != Words-7 || w[0] != 101 || tab.Word(BaseAddr(2)+7) != 102 {
 		t.Fatalf("window of %d words starting %d", len(w), w[0])
 	}
@@ -242,5 +246,162 @@ func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 		if arrays[i][7] != uint64(100+i) || tab.Word(BaseAddr(i)+7) != uint64(i+1) {
 			t.Fatalf("segment %d: template word %d, table word %d", i, arrays[i][7], tab.Word(BaseAddr(i)+7))
 		}
+	}
+}
+
+// poolFamily builds n tables over one three-segment template and one
+// pool, the way a heap template's clones are built.
+func poolFamily(n int) (*Pool, []*Table) {
+	segs := make([]TemplateSeg, 3)
+	for i := range segs {
+		segs[i] = TemplateSeg{Words: make([]uint64, Words), Space: SpacePair, Fill: 8}
+		segs[i].Words[0] = 1000 + uint64(i)
+	}
+	pool := &Pool{}
+	tabs := make([]*Table, n)
+	for i := range tabs {
+		tabs[i] = NewTableFromSegs(segs, true, pool)
+	}
+	return pool, tabs
+}
+
+// fillSeg stamps every word of segment idx with pat.
+func fillSeg(t *Table, idx int, pat uint64) {
+	w := t.Writable(idx).Words
+	for i := range w {
+		w[i] = pat
+	}
+}
+
+// TestPoolPassesZeroedArraysBetweenTables: Free leaves the slot bare
+// and parks the zeroed array, the next table to need storage gets that
+// very array, all zero, and an array in use by one table is never
+// handed to another (each table's fill pattern survives the other's
+// churn). Dropped template aliases and lazily retired words never
+// reach the pool.
+func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
+	pool, tabs := poolFamily(2)
+	a, b := tabs[0], tabs[1]
+	ia := a.Alloc(SpacePair, 0, 1)
+	fillSeg(a, ia, 0xAAAA)
+	arr := &a.Seg(ia).Words[0]
+	a.Free(ia)
+	if a.Seg(ia).Words != nil || pool.Len() != 1 {
+		t.Fatalf("after Free: slot keeps %d words, pool holds %d arrays", len(a.Seg(ia).Words), pool.Len())
+	}
+	ib := b.Alloc(SpaceObj, 0, 1)
+	if &b.Seg(ib).Words[0] != arr || pool.Len() != 0 {
+		t.Fatal("the second table did not get the array the first one retired")
+	}
+	for i, w := range b.Seg(ib).Words {
+		if w != 0 {
+			t.Fatalf("pooled array word %d = %#x, want 0", i, w)
+		}
+	}
+	fillSeg(b, ib, 0xBBBB)
+
+	// Churn a: its segments never alias b's live one.
+	for round := 0; round < 3*PoolCap; round++ {
+		i := a.Alloc(SpacePair, 0, 1)
+		if &a.Seg(i).Words[0] == &b.Seg(ib).Words[0] {
+			t.Fatal("two tables hold one array")
+		}
+		fillSeg(a, i, 0xAAAA)
+		a.Free(i)
+	}
+	for i, w := range b.Seg(ib).Words {
+		if w != 0xBBBB {
+			t.Fatalf("table b word %d = %#x after table a's churn", i, w)
+		}
+	}
+
+	// A privatized template segment comes out of the pool too, and
+	// carries the template's words, not a stale pattern.
+	if pool.Len() == 0 {
+		t.Fatal("churn left the pool empty")
+	}
+	n := pool.Len()
+	if w := a.Writable(1).Words; w[0] != 1001 || w[1] != 0 || pool.Len() != n-1 {
+		t.Fatalf("privatized words %d,%d with %d arrays pooled (were %d)", w[0], w[1], pool.Len(), n)
+	}
+
+	// What must not be pooled: a shared array (the template's), and
+	// words retired without zeroing.
+	x, y := a.Alloc(SpacePair, 0, 1), a.Alloc(SpacePair, 0, 1)
+	a.Free(x)
+	a.Free(y)
+	n = pool.Len()
+	a.Free(2) // still shared
+	il := a.Alloc(SpacePair, 0, 1)
+	fillSeg(a, il, 0xCCCC)
+	a.FreeLazy(il)
+	if pool.Len() != n-1 { // the Alloc took one; neither retirement gave one back
+		t.Fatalf("pool holds %d arrays, want %d", pool.Len(), n-1)
+	}
+	if a.Seg(il).Words == nil {
+		t.Fatal("FreeLazy gave its unzeroed words away")
+	}
+}
+
+// TestPoolIsBounded: a burst of retirements parks at most PoolCap
+// arrays; the rest go back to the Go collector.
+func TestPoolIsBounded(t *testing.T) {
+	pool, tabs := poolFamily(1)
+	tab := tabs[0]
+	var idx []int
+	for i := 0; i < 2*PoolCap; i++ {
+		idx = append(idx, tab.Alloc(SpacePair, 0, 1))
+	}
+	for _, i := range idx {
+		tab.Free(i)
+		if tab.Seg(i).Words != nil {
+			t.Fatalf("segment %d keeps its words after Free", i)
+		}
+	}
+	if pool.Len() != PoolCap {
+		t.Fatalf("pool holds %d arrays, want the cap %d", pool.Len(), PoolCap)
+	}
+}
+
+// TestPoolConcurrentTables runs two tables of one family on two
+// goroutines (each table single-threaded, as a session's heap is):
+// under -race this is the check that the pool is the only thing they
+// share, and the pattern check that no array is ever in two hands.
+func TestPoolConcurrentTables(t *testing.T) {
+	_, tabs := poolFamily(2)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(tabs))
+	for k, tab := range tabs {
+		wg.Add(1)
+		go func(tab *Table, pat uint64) {
+			defer wg.Done()
+			var live []int
+			for round := 0; round < 2000; round++ {
+				i := tab.Alloc(SpacePair, 0, 1)
+				for j, w := range tab.Seg(i).Words {
+					if w != 0 {
+						errs <- fmt.Errorf("table %#x: fresh segment word %d = %#x", pat, j, w)
+						return
+					}
+				}
+				fillSeg(tab, i, pat)
+				live = append(live, i)
+				if len(live) > 8 {
+					for _, j := range live {
+						if w := tab.Seg(j).Words; w[0] != pat || w[Words-1] != pat {
+							errs <- fmt.Errorf("table %#x: segment %d overwritten (%#x)", pat, j, w[0])
+							return
+						}
+						tab.Free(j)
+					}
+					live = live[:0]
+				}
+			}
+		}(tab, 0xA0+uint64(k))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -1,0 +1,173 @@
+package server
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// Tests for what a standing session costs in memory: a template-booted
+// session shares the whole template for as long as it lives (the
+// prelude sits in the static generation, which no collection of the
+// session's copies), and what it holds privately does not grow with
+// the requests it has served (retired segment arrays go back to the
+// clone family's pool instead of staying on the session's free list).
+
+// steadyDefs is the request handler of bench's serve-steady workload:
+// (work k n) replaces the session's state with a fresh n-element list.
+// (fill k n) allocates as much and keeps as much through a handful of
+// primitive calls, for the test that needs thousands of requests.
+const steadyDefs = `(begin
+  (define port (open-session-port "steady.log"))
+  (define res (session-alloc 0 64))
+  (define state '())
+  (define total 0)
+  (define (build k n)
+    (let loop ((i (- n 1)) (acc '()))
+      (if (< i 0) acc (loop (- i 1) (cons (+ k i) acc)))))
+  (define (sum l)
+    (let loop ((l l) (s 0))
+      (if (null? l) s (loop (cdr l) (+ s (car l))))))
+  (define (work k n)
+    (set! state (build k n))
+    (set! total (+ total (sum state)))
+    total)
+  (define (fill k n)
+    (set! state (reverse (append (vector->list (make-vector n k))
+                                 (vector->list (make-vector n k)))))
+    (set! total (+ total n))
+    total)
+  0)`
+
+// serveRounds sends every session `rounds` requests to handler op,
+// round-robin, through the synchronous drive.
+func serveRounds(t *testing.T, srv *Server, log *replyLog, ids []SessionID, op string, from, rounds int) {
+	t.Helper()
+	for r := from; r < from+rounds; r++ {
+		for _, id := range ids {
+			mustSend(t, srv, id, fmt.Sprintf("(%s %d %d)", op, r*200, 50+(r*37+int(id)*11)%151))
+		}
+		srv.Poll()
+	}
+	for _, id := range ids {
+		if _, err := log.last(id); err != nil {
+			t.Fatalf("session %d: %v", id, err)
+		}
+	}
+}
+
+func liveHeapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestSessionsKeepSharingTemplate: two full radix cycles of automatic
+// collections (16 each, three or so requests a collection) leave every
+// session still aliasing every template segment, with no copy-on-write
+// fault taken — and the heap verifies.
+func TestSessionsKeepSharingTemplate(t *testing.T) {
+	log := newReplyLog()
+	srv := syncServer(t, log)
+	var ids []SessionID
+	for i := 0; i < 4; i++ {
+		ids = append(ids, mustRegister(t, srv, steadyDefs))
+	}
+	srv.Poll()
+	serveRounds(t, srv, log, ids, "work", 0, 120)
+	want := srv.tpl.HeapTemplate().Segments()
+	for _, id := range ids {
+		h := srv.Session(id).Heap()
+		if n := h.Stats.Collections; n < 40 {
+			t.Fatalf("session %d ran %d collections, want two radix cycles' worth", id, n)
+		}
+		if got := h.SharedSegments(); got != want {
+			t.Errorf("session %d shares %d template segments, want all %d", id, got, want)
+		}
+		if got := h.COWCopies(); got != 0 {
+			t.Errorf("session %d took %d copy-on-write faults, want 0", id, got)
+		}
+		if errs := h.Verify(); len(errs) > 0 {
+			t.Errorf("session %d: Verify: %v", id, errs[0])
+		}
+	}
+}
+
+// TestSessionMemoryFlatInRequests: the Go heap a standing population
+// holds is the same after 20 and after 80 requests per session. What
+// one session holds swings by a few segments over its 16-collection
+// radix cycle (and the family's pool by its 64 arrays), so the sessions
+// start staggered and each figure is the mean over the sixteen rounds
+// leading up to it.
+func TestSessionMemoryFlatInRequests(t *testing.T) {
+	log := newReplyLog()
+	srv := New(Config{}) // no OnReply: a reply log would grow with the requests
+	base := liveHeapAlloc()
+	var ids []SessionID
+	for i := 0; i < 64; i++ {
+		ids = append(ids, mustRegister(t, srv, steadyDefs))
+	}
+	srv.Poll()
+	for i := range ids {
+		serveRounds(t, srv, log, ids[i:i+1], "fill", 0, i%16)
+	}
+	round := 16
+	perSessionAt := func(requests int) float64 {
+		var sum float64
+		for ; round < 16+requests; round++ {
+			serveRounds(t, srv, log, ids, "fill", round, 1)
+			if round >= 16+requests-16 {
+				sum += float64(liveHeapAlloc()-base) / float64(len(ids)) / 1024
+			}
+		}
+		return sum / 16
+	}
+	after20, after80 := perSessionAt(20), perSessionAt(80)
+	t.Logf("per session: %.1f KiB after 20 requests, %.1f KiB after 80", after20, after80)
+	if d := (after80 - after20) / after20; d > 0.03 || d < -0.03 {
+		t.Errorf("memory per session moved %.1f%% between 20 and 80 requests (%.1f -> %.1f KiB)",
+			100*d, after20, after80)
+	}
+	runtime.KeepAlive(srv)
+}
+
+// TestTemplateCarriesNoRoots: the donor's own managers and mailbox are
+// released before the capture, so clones inherit no root handle — in a
+// static generation nothing would ever reclaim what one pinned.
+func TestTemplateCarriesNoRoots(t *testing.T) {
+	srv := syncServer(t, nil)
+	mustRegister(t, srv, "")
+	_, roots, err := srv.tpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range roots {
+		if r != nil {
+			t.Errorf("template root slot %d is live", i)
+		}
+	}
+}
+
+// TestDrainReachesProgramTenuredResources: a program that tenures its
+// own data with an explicit full collection puts it where the first
+// drain pass does not look; the second pass collects every generation
+// and the port is still reclaimed through its guardian.
+func TestDrainReachesProgramTenuredResources(t *testing.T) {
+	log := newReplyLog()
+	srv := syncServer(t, log)
+	id := mustRegister(t, srv, "")
+	evalIn(t, srv, log, id, `(begin (define p (open-session-port "t.log")) (collect 99) 'ok)`)
+	if err := srv.Disconnect(id); err != nil {
+		t.Fatal(err)
+	}
+	srv.Poll()
+	recs := srv.ReclaimRecords()
+	if len(recs) != 1 {
+		t.Fatalf("records = %d", len(recs))
+	}
+	if r := recs[0]; r.Ports != 1 || r.LeakedPorts != 0 || r.Collections != 2 {
+		t.Fatalf("reclaim record %+v, want the port reclaimed by the second pass", r)
+	}
+}

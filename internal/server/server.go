@@ -78,11 +78,16 @@ type Config struct {
 
 // DefaultSessionHeapConfig is the per-session heap shape: small
 // nursery (sessions are small by design — the scale axis is session
-// count), three generations, dirty set on, sequential collector.
+// count), three dynamic generations under a static one, dirty set on,
+// sequential collector. The static generation is where the template
+// donor tenures the prelude (scheme.CaptureTemplate), so a clone's
+// collections never copy it and the clone goes on sharing the
+// template's segments for as long as it lives; a prelude-booted
+// session leaves it empty.
 func DefaultSessionHeapConfig() heap.Config {
 	return heap.Config{
-		Generations: 3,
-		Policy:      heap.RadixPolicy{Trigger: 8 * seg.Words},
+		Generations: 4,
+		Policy:      heap.StaticTop(heap.RadixPolicy{Trigger: 8 * seg.Words}),
 		UseDirtySet: true,
 		Workers:     1,
 	}
@@ -127,16 +132,20 @@ type Stats struct {
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sessions map[SessionID]*Session
-	nextID   SessionID
-	readyQ   []*Session
-	gcQ      []*Session
-	busy     int // sessions currently owned by a worker
-	started  bool
-	closed   bool
-	wg       sync.WaitGroup
+	mu sync.Mutex
+	// readyCond wakes executors, gcCond GC workers: each is signalled
+	// when its own queue grows, so a served request wakes nobody who has
+	// nothing to pop. Both are broadcast on Close.
+	readyCond *sync.Cond
+	gcCond    *sync.Cond
+	sessions  map[SessionID]*Session
+	nextID    SessionID
+	readyQ    []*Session
+	gcQ       []*Session
+	busy      int // sessions currently owned by a worker
+	started   bool
+	closed    bool
+	wg        sync.WaitGroup
 
 	stats    Stats
 	reclaims []ReclaimRecord
@@ -157,7 +166,8 @@ func New(cfg Config) *Server {
 		cfg:      cfg.withDefaults(),
 		sessions: make(map[SessionID]*Session),
 	}
-	srv.cond = sync.NewCond(&srv.mu)
+	srv.readyCond = sync.NewCond(&srv.mu)
+	srv.gcCond = sync.NewCond(&srv.mu)
 	return srv
 }
 
@@ -250,9 +260,7 @@ func (srv *Server) Disconnect(id SessionID) error {
 	s.wire = nil
 	switch s.state {
 	case stIdle:
-		s.state = stGCQueued
-		srv.gcQ = append(srv.gcQ, s)
-		srv.cond.Broadcast()
+		srv.queueGCLocked(s)
 	case stReady:
 		// Already queued; the executor pop reroutes drain-requested
 		// sessions to the GC queue.
@@ -266,10 +274,23 @@ func (srv *Server) Disconnect(id SessionID) error {
 // srv.mu.
 func (srv *Server) markReadyLocked(s *Session) {
 	if s.state == stIdle {
-		s.state = stReady
-		srv.readyQ = append(srv.readyQ, s)
-		srv.cond.Broadcast()
+		srv.queueReadyLocked(s)
 	}
+}
+
+// queueReadyLocked / queueGCLocked append s to a queue and wake one
+// worker of the kind that pops it. Callers hold srv.mu and own s (or
+// found it parked).
+func (srv *Server) queueReadyLocked(s *Session) {
+	s.state = stReady
+	srv.readyQ = append(srv.readyQ, s)
+	srv.readyCond.Signal()
+}
+
+func (srv *Server) queueGCLocked(s *Session) {
+	s.state = stGCQueued
+	srv.gcQ = append(srv.gcQ, s)
+	srv.gcCond.Signal()
 }
 
 // popRequest hands the owning goroutine the next pending request.
@@ -333,10 +354,8 @@ func (srv *Server) gcSession(s *Session) {
 			return
 		}
 		// Not yet reclaimed: another pass.
-		s.state = stGCQueued
-		srv.gcQ = append(srv.gcQ, s)
+		srv.queueGCLocked(s)
 		srv.busy--
-		srv.cond.Broadcast()
 		srv.mu.Unlock()
 		return
 	}
@@ -367,7 +386,6 @@ func (srv *Server) finishLocked(s *Session) {
 	s.state = stDead
 	delete(srv.sessions, s.id)
 	srv.busy--
-	srv.cond.Broadcast()
 }
 
 // release returns an owned session to the right queue (or parks it).
@@ -377,18 +395,14 @@ func (srv *Server) release(s *Session) {
 	srv.busy--
 	switch {
 	case s.drainReq:
-		s.state = stGCQueued
-		srv.gcQ = append(srv.gcQ, s)
+		srv.queueGCLocked(s)
 	case len(s.inbox) > 0 || len(s.wire) > 0:
-		s.state = stReady
-		srv.readyQ = append(srv.readyQ, s)
+		srv.queueReadyLocked(s)
 	case s.h.CollectPending():
-		s.state = stGCQueued
-		srv.gcQ = append(srv.gcQ, s)
+		srv.queueGCLocked(s)
 	default:
 		s.state = stIdle
 	}
-	srv.cond.Broadcast()
 }
 
 // popReadyLocked / popGCLocked transfer ownership out of a queue.
@@ -398,9 +412,7 @@ func (srv *Server) popReadyLocked() *Session {
 		s := srv.readyQ[0]
 		srv.readyQ = srv.readyQ[1:]
 		if s.drainReq {
-			s.state = stGCQueued
-			srv.gcQ = append(srv.gcQ, s)
-			srv.cond.Broadcast()
+			srv.queueGCLocked(s)
 			continue
 		}
 		s.state = stRunning
@@ -486,7 +498,7 @@ func (srv *Server) executorLoop() {
 			if s = srv.popReadyLocked(); s != nil {
 				break
 			}
-			srv.cond.Wait()
+			srv.readyCond.Wait()
 		}
 		srv.mu.Unlock()
 		srv.stepSession(s)
@@ -506,7 +518,7 @@ func (srv *Server) gcLoop() {
 			if s = srv.popGCLocked(); s != nil {
 				break
 			}
-			srv.cond.Wait()
+			srv.gcCond.Wait()
 		}
 		srv.mu.Unlock()
 		srv.gcSession(s)
@@ -543,7 +555,8 @@ func (srv *Server) Close() {
 		return
 	}
 	srv.closed = true
-	srv.cond.Broadcast()
+	srv.readyCond.Broadcast()
+	srv.gcCond.Broadcast()
 	srv.mu.Unlock()
 	srv.wg.Wait()
 }

@@ -333,12 +333,20 @@ func (s *Session) teardown() {
 }
 
 // drainPass runs one disconnect-drain step: teardown (first pass
-// only), a full collection, and a salvage pass. It reports whether
-// the session is fully reclaimed: no open descriptors and no live
-// external resources.
+// only), a collection, and a salvage pass. The first pass collects the
+// dynamic generations — everything the session allocated, unless its
+// own program tenured something with an explicit (collect n) — and
+// leaves a static template generation shared; if resources are still
+// held after it, later passes collect every generation. It reports
+// whether the session is fully reclaimed: no open descriptors and no
+// live external resources.
 func (s *Session) drainPass() bool {
 	s.teardown()
-	s.h.Collect(s.h.MaxGeneration())
+	g := s.h.OldestDynamic()
+	if s.drainPasses > 0 {
+		g = s.h.MaxGeneration()
+	}
+	s.h.Collect(g)
 	s.salvage()
 	s.drainPasses++
 	return s.fs.OpenCount() == 0 && s.arena.Live() == 0

@@ -23,12 +23,14 @@ import (
 // its own file system, port manager, arena, resource manager, and
 // mailbox, and re-registers the server primitives (DefinePrim replays
 // the donor's registration order, hitting the allocation-free fast
-// path). The donor's own managers and mailbox live in the template
-// heap too — the clone releases the inherited root handles at boot, so
-// those structures are garbage from the clone's perspective and fall
-// to its first full collection. Disconnect/drain semantics are
-// unchanged: teardown, full collects, and guardian salvage run on the
-// clone exactly as on a prelude-booted session.
+// path). The donor's own managers and mailbox are released before the
+// capture, so the template holds the prelude and nothing else: the
+// capture tenures it into the static generation of
+// DefaultSessionHeapConfig, which no clone's collection ever copies —
+// whatever were left in there would stay for good. Disconnect/drain
+// semantics are unchanged: teardown, collections of everything the
+// session allocated (the dynamic generations), and guardian salvage
+// run on the clone exactly as on a prelude-booted session.
 
 // bootSession builds the session for Register: template clone by
 // default, prelude boot when configured (Config.PreludeBoot) or when
@@ -79,6 +81,12 @@ func (srv *Server) sessionTemplate() (*scheme.MachineTemplate, error) {
 		srv.tplBroken = true
 		return nil, err
 	}
+	// From here on the donor only witnesses PermVersion: drop the roots
+	// of its own managers and mailbox so the capture's collection
+	// reclaims them and clones inherit no root at all.
+	donor.pm.Release()
+	donor.em.Release()
+	donor.mbox.release()
 	tpl, err := scheme.CaptureTemplate(donor.m)
 	if err != nil {
 		srv.tplBroken = true
@@ -93,18 +101,11 @@ func (srv *Server) sessionTemplate() (*scheme.MachineTemplate, error) {
 // newSession, with which it must stay in lockstep: same managers, same
 // primitive registration order, same collect-request handler.
 func newSessionFromTemplate(srv *Server, id SessionID, tpl *scheme.MachineTemplate) (*Session, error) {
-	h, inherited, err := tpl.Clone()
+	// The template carries no live root (sessionTemplate released the
+	// donor's), so there are no inherited handles to deal with.
+	h, _, err := tpl.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("server: session %d: %w", id, err)
-	}
-	// The inherited root handles pin the donor's port manager, resource
-	// manager, and mailbox structures — Go-side state this session
-	// replaces with its own below. Release them all so the structures
-	// they pinned are reclaimed by the clone's first full collection.
-	for _, r := range inherited {
-		if r != nil {
-			r.Release()
-		}
 	}
 	s := &Session{id: id, srv: srv, h: h}
 	s.fs = ports.NewFS()

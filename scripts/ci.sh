@@ -74,8 +74,11 @@ echo "== multi-session server gate (-race)"
 # goroutines against the started pools (every session must reclaim
 # through the guardian path with zero leaked descriptors/resources),
 # plus the reclaim-order determinism suite replaying a fixed schedule
-# at collector Workers {1,2,8,auto} x PauseBudget {0,1ms}.
-SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke' ./internal/server/
+# at collector Workers {1,2,8,auto} x PauseBudget {0,1ms}, and the
+# session-memory suite: every template segment still shared after two
+# radix cycles, memory per standing session flat in requests served, a
+# drain that reaches what a program tenured by hand.
+SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke|TestSessionsKeepSharingTemplate|TestSessionMemoryFlatInRequests|TestDrainReachesProgramTenuredResources' ./internal/server/
 
 echo "== heap template / fork gate (-race)"
 # Copy-on-write heap templates: the clone matrix (remset + guardians
@@ -83,8 +86,13 @@ echo "== heap template / fork gate (-race)"
 # bit-for-bit salvage order), the COW fault/privatization semantics,
 # the mid-slice SaveImage/CaptureTemplate rejection, the corrupt-image
 # regression sweep, and the server-side template boot suite (staleness
-# rebuild on donor DefinePrim, template-boot churn with zero leaks).
-go test -race -run 'TestTemplate|TestClone|TestSaveAndCaptureDuringSlicedCollection|TestLoadImage|TestMachineTemplate|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/
+# rebuild on donor DefinePrim, template-boot churn with zero leaks, no
+# root inherited from the donor). With them what keeps a clone sharing:
+# the StaticTop lockstep against a heap one generation shorter, clones
+# churning under a static template generation (TestClone...), and the
+# clone family's segment pool — zeroed, never aliased, bounded, two
+# tables on two goroutines.
+go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringSlicedCollection|TestLoadImage|TestMachineTemplate|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
 
 echo "== segment-window gate (-race)"
 # Word access by window: cursors that cache their open segment, objects
@@ -127,8 +135,11 @@ go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime=10s ./internal/server/
 
 echo "== hot-path benchmarks (compile and run once)"
 # The local before/after for the allocation path and the copying core;
-# one iteration each, so they cannot rot.
+# one iteration each, so they cannot rot. Beside them the accessors the
+# interpreter calls per variable reference and application, held to
+# zero Go allocations a call.
 go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore' -benchtime 1x ./internal/heap/
+go test -run 'TestHeaderAccessorsDoNotAllocate' ./internal/heap/
 
 echo "== benchgc smoke"
 go run ./cmd/benchgc -trace -phases -gcs 5 >/dev/null

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
-// The five JSON-report benchmarks (-parallel-bench, -pause-bench,
-// -server-bench, -fork-bench, -tune-bench) share one runner: each
+// The four JSON-report benchmarks (-pause-bench, -server-bench,
+// -fork-bench, -tune-bench) share one runner: each
 // registers a flag and a default report path here, main dispatches the
 // first selected entry, and the shared -out flag overrides the default
 // path uniformly. Every report goes through writeBenchReport, which
@@ -19,7 +20,7 @@ import (
 
 // benchEntry is one registered benchmark entry point.
 type benchEntry struct {
-	name       string // flag name, e.g. "parallel-bench"
+	name       string // flag name, e.g. "pause-bench"
 	defaultOut string // report path when -out is not given
 	selected   *bool
 	run        func(w io.Writer, outPath string) error
@@ -82,4 +83,36 @@ func writeBenchReport(w io.Writer, label, path string, rep, fresh any, check fun
 	}
 	fmt.Fprintf(w, "%s: wrote %s\n", label, path)
 	return nil
+}
+
+// benchQuantiles summarizes a sample of nanosecond figures.
+type benchQuantiles struct {
+	P50  int64 `json:"p50_ns"`
+	P90  int64 `json:"p90_ns"`
+	P99  int64 `json:"p99_ns"`
+	Max  int64 `json:"max_ns"`
+	Mean int64 `json:"mean_ns"`
+}
+
+func quantilesOf(ns []int64) benchQuantiles {
+	if len(ns) == 0 {
+		return benchQuantiles{}
+	}
+	sorted := append([]int64(nil), ns...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum int64
+	for _, v := range sorted {
+		sum += v
+	}
+	at := func(q float64) int64 {
+		i := int(q * float64(len(sorted)-1))
+		return sorted[i]
+	}
+	return benchQuantiles{
+		P50:  at(0.50),
+		P90:  at(0.90),
+		P99:  at(0.99),
+		Max:  sorted[len(sorted)-1],
+		Mean: sum / int64(len(sorted)),
+	}
 }

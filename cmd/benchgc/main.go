@@ -10,9 +10,7 @@
 //	benchgc -trace     # run the trace workload; one JSON line per collection
 //	benchgc -phases    # run the trace workload; per-phase pause summary
 //	benchgc -trace -phases -gcs 100   # both, over 100 collections
-//	benchgc -trace -workers 4         # same workload, parallel collector
 //	benchgc -trace -pause-budget 1ms  # same workload, deadline-sliced full collections
-//	benchgc -parallel-bench           # pause/sweep percentiles per worker count -> BENCH_parallel.json
 //	benchgc -pause-bench              # sliced-vs-monolithic pause bound -> BENCH_pause.json
 //	benchgc -server-bench             # multi-session server churn -> BENCH_server.json
 //	benchgc -fork-bench               # template-clone vs prelude session boot -> BENCH_fork.json
@@ -34,14 +32,13 @@ import (
 
 func main() {
 	var (
-		one     = flag.String("e", "", "run a single experiment by id (e1..e10, a1..a4)")
-		list    = flag.Bool("list", false, "list experiments and exit")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		trace   = flag.Bool("trace", false, "run the GC trace workload and emit one JSON line per collection")
-		phases  = flag.Bool("phases", false, "run the GC trace workload and print a per-phase pause summary")
-		gcs     = flag.Int("gcs", 50, "number of collections for -trace/-phases/-parallel-bench/-pause-bench")
-		workers = flag.Int("workers", 1, "collector workers for the -trace/-phases workload (1 = sequential, 0 = adaptive)")
-		out     = flag.String("out", "", "output path for the selected -*-bench report (default: that bench's BENCH_*.json)")
+		one    = flag.String("e", "", "run a single experiment by id (e1..e10, a1..a4)")
+		list   = flag.Bool("list", false, "list experiments and exit")
+		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		trace  = flag.Bool("trace", false, "run the GC trace workload and emit one JSON line per collection")
+		phases = flag.Bool("phases", false, "run the GC trace workload and print a per-phase pause summary")
+		gcs    = flag.Int("gcs", 50, "number of collections for -trace/-phases/-pause-bench")
+		out    = flag.String("out", "", "output path for the selected -*-bench report (default: that bench's BENCH_*.json)")
 
 		pauseBudget = flag.Duration("pause-budget", 0,
 			"PauseBudget for the -trace/-phases workload (0 = monolithic); with -pause-bench, the sliced run's budget (default 1ms)")
@@ -51,9 +48,6 @@ func main() {
 		tuneReps       = flag.Int("tune-reps", 5, "repetitions per workload x policy cell for -tune-bench")
 		tuneOps        = flag.Int("tune-ops", tuneDefaultOps, "per-rep operation count for -tune-bench workloads")
 	)
-	registerBench("parallel-bench", "BENCH_parallel.json",
-		"run the parallel collection baseline across worker counts",
-		func(w io.Writer, path string) error { return runParallelBench(w, path, *gcs) })
 	registerBench("pause-bench", "BENCH_pause.json",
 		"run the pause-budget benchmark (deadline-sliced vs monolithic full collections)",
 		func(w io.Writer, path string) error { return runPauseBench(w, path, *gcs, *pauseBudget) })
@@ -78,7 +72,7 @@ func main() {
 		return
 	}
 	if *trace || *phases {
-		h, err := runTraceWorkload(os.Stdout, *gcs, *workers, *pauseBudget, *trace)
+		h, err := runTraceWorkload(os.Stdout, *gcs, *pauseBudget, *trace)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgc: %v\n", err)
 			os.Exit(1)

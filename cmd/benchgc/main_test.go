@@ -19,7 +19,7 @@ import (
 func TestTraceEmitsValidJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	const gcs = 25
-	h, err := runTraceWorkload(&buf, gcs, 1, 0, true)
+	h, err := runTraceWorkload(&buf, gcs, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTraceEmitsValidJSONLines(t *testing.T) {
 // at least one collection reports slices.
 func TestTraceWithPauseBudgetEmitsSlices(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := runTraceWorkload(&buf, 25, 1, 200*time.Microsecond, true); err != nil {
+	if _, err := runTraceWorkload(&buf, 25, 200*time.Microsecond, true); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -170,7 +170,7 @@ func TestTuneBenchReducedScale(t *testing.T) {
 
 func TestPhaseSummaryRendersAllPhases(t *testing.T) {
 	var sink bytes.Buffer
-	h, err := runTraceWorkload(&sink, 5, 1, 0, false)
+	h, err := runTraceWorkload(&sink, 5, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

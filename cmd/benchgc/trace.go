@@ -14,18 +14,15 @@ import (
 // runTraceWorkload drives a representative workload — a tenured list,
 // guardians with both held and salvaged registrations, weak pairs,
 // old-generation mutations, and generation-0 churn — for exactly the
-// requested number of collections under the radix policy. workers
-// selects the collector worker count (1 = sequential, 0 = the
-// adaptive per-collection policy); a non-zero budget runs the
-// old-space collections deadline-sliced (Config.PauseBudget). When
+// requested number of collections under the radix policy. A non-zero
+// budget runs the old-space collections deadline-sliced (Config.PauseBudget). When
 // emitJSON is set, every collection's TraceEvent is written to out as
 // one JSON line (JSON Lines, oldest first). The heap is returned so
 // the caller can render phase summaries from its Stats.
-func runTraceWorkload(out io.Writer, collections, workers int, budget time.Duration, emitJSON bool) (*heap.Heap, error) {
+func runTraceWorkload(out io.Writer, collections int, budget time.Duration, emitJSON bool) (*heap.Heap, error) {
 	cfg := heap.DefaultConfig()
 	cfg.PauseBudget = budget
 	h := heap.MustNew(cfg)
-	h.SetWorkers(workers)
 	var emitErr error
 	if emitJSON {
 		enc := json.NewEncoder(out)

@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obj"
@@ -15,9 +14,8 @@ import (
 // pend-final-list with repeated sweeps), and the weak-pair second pass
 // that runs after guardian handling so that salvaged objects keep
 // their weak references. There is one collection body (collect) and
-// one copying core (copier); parallel.go holds what more than one
-// copier needs, remset.go the remembered set and the window fix-up of
-// pause-budgeted collections.
+// one copying core (copier); remset.go holds the remembered set and
+// the window fix-up of pause-budgeted collections.
 
 // Collect performs a stop-and-copy collection of generations 0
 // through g. Survivors are copied into the target generation (g+1,
@@ -28,7 +26,7 @@ import (
 // updated or broken.
 //
 // Collect returns the collection's report: pause and per-phase
-// timings, worker figures, guardian-round breakdown, and the
+// timings, guardian-round breakdown, and the
 // per-collection counter deltas. The report is heap-owned and reused
 // by the next collection (see CollectionReport).
 //
@@ -92,18 +90,17 @@ func (h *Heap) collect(self *Mutator, g int) *CollectionReport {
 	}()
 	t := h.collectBegin(g, start)
 
-	h.run(phaseRoots)
+	h.cp.rootsPhase()
 	t = h.phaseMark(PhaseRoots, t)
 	// Old-to-young pointers: the remembered set's dirty cells, or a
 	// conservative scan of all older generations when the dirty set
 	// is disabled. Each strategy gets its own phase column so the
 	// trace distinguishes remembered-set time from full-scan time.
 	if h.cfg.UseDirtySet {
-		h.run(phaseDirty)
+		h.cp.dirtyPhase()
 		h.phaseMark(PhaseDirtyScan, t)
 	} else {
-		h.oldSegCandidates(g)
-		h.run(phaseOld)
+		h.cp.oldScanPhase()
 		h.phaseMark(PhaseOldScan, t)
 	}
 
@@ -134,36 +131,28 @@ func (h *Heap) collect(self *Mutator, g int) *CollectionReport {
 	return rep
 }
 
-// drain runs the kleene-sweep — every active copier sweeping copied
-// objects until there are no newly copied objects to sweep (§4) — to
-// its fixpoint, or until the deadline when one is set, and reports
-// whether the fixpoint was reached. Work left at a deadline stays
-// parked on the copiers' work lists for the next drain. Time spent
-// here accrues to PhaseSweep regardless of the caller.
+// drain runs the kleene-sweep — sweeping copied objects until there
+// are no newly copied objects to sweep (§4) — to its fixpoint, or
+// until the deadline when one is set, and reports whether the fixpoint
+// was reached. The deadline is checked every 32 objects, and the first
+// is always swept, so slices always make progress. Work left at a
+// deadline stays parked on the copier's work list for the next drain.
+// Time spent here accrues to PhaseSweep regardless of the caller.
 func (h *Heap) drain(deadline time.Time) bool {
 	t0 := time.Now()
-	if h.pending.Load() > 0 {
-		// A drain shared between copiers counts as one kleene-sweep
-		// pass: waves lose their meaning when copiers race through the
-		// transitive closure. A lone copier's work list is not counted
-		// in pending; it counts each wave as it takes it (take).
-		h.Stats.SweepPasses++
-	}
-	h.deadline = deadline
-	h.run(phaseSweep)
-	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-	for _, c := range h.active {
-		if !c.idle() {
-			return false
+	c := &h.cp
+	for n := 0; ; n++ {
+		if n != 0 && n&31 == 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
+			break
 		}
+		it, ok := c.take()
+		if !ok {
+			break
+		}
+		c.sweep(it)
 	}
-	return true
-}
-
-// pastDeadline reports whether the current drain's deadline, if it has
-// one, has passed.
-func (h *Heap) pastDeadline() bool {
-	return !h.deadline.IsZero() && !time.Now().Before(h.deadline)
+	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
+	return c.idle()
 }
 
 // sliceEnd closes the current slice: its pause and the phase time
@@ -180,8 +169,8 @@ func (h *Heap) sliceEnd(sliceStart time.Time) {
 }
 
 // collectBegin is the collection prologue: policy resolution (target
-// generation, copier count), report reset, from-space detachment (into
-// h.curFrom, which collectFinish frees), and work-list resets. g is
+// generation), report reset, from-space detachment (into h.curFrom,
+// which collectFinish frees), and the copier's to-space cursors. g is
 // already clamped. It accrues PhaseSetup and returns the running phase
 // clock. The caller has already set inCollect (and sliceActive, when
 // slicing).
@@ -216,7 +205,6 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 	rep.TriggerWords = h.trigger
 	rep.Pause = 0
 	rep.Phases = [NumPhases]time.Duration{}
-	rep.Workers = h.cfg.Workers
 	rep.GuardianRounds = 0
 	rep.GuardianRoundDurations = rep.GuardianRoundDurations[:0]
 	rep.ShardDirty = [RemShards]uint64{} // repopulated by the dirty scan
@@ -224,10 +212,6 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 	rep.MutatorsSuspended = h.spSuspended
 	rep.SafepointWait = time.Duration(h.spWaitNS)
 	rep.Slices = rep.Slices[:0] // repopulated by the slice loop
-	// Pick the copier count while the from-space chains are still
-	// attached: the adaptive policy (Config.Workers == 0) sizes the
-	// fan-out by the number of live segments about to be collected.
-	workers := h.chooseWorkers(g)
 
 	// Detach from-space: the segment chains of every collected
 	// generation. When the oldest generation collects into itself, its
@@ -245,7 +229,12 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 		h.sliceGen0Done[sp] = 0
 	}
 	h.curFrom = from
-	h.activate(workers)
+	// The copier carries on in the target generation's open segments
+	// (none when the oldest generation collects into itself: the loop
+	// above closed its cursors, so copies go to fresh segments).
+	for sp := range h.cur {
+		h.cur[sp][target].handTo(&h.cp.cur[sp])
+	}
 	h.sliceDirty = h.sliceDirty[:0]
 	// Snapshot the protected-list lengths: the guardian phase handles
 	// exactly these prefixes. Entries registered during the windows of
@@ -259,7 +248,7 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 }
 
 // collectFinish runs the ordered tail every collection shares —
-// guardian fixpoint, weak pass, copier merge, report snapshot, hooks,
+// guardian fixpoint, weak pass, cursor hand-back, report snapshot, hooks,
 // from-space free — and finalizes the report. For a sliced collection
 // (sliced == true) these phases all belong to the final slice, which
 // began at sliceStart; the report's Pause is then the sum of the slice
@@ -295,10 +284,11 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 		h.sliceRetainSuffix()
 		t = time.Now() // the retention accrued its own time (guardian, sweep)
 	}
-	// All copying is done: fold the copiers' private state (stats
-	// deltas, claimed segments, sweep/guardian timings) back into the
-	// heap.
-	h.mergeCopiers()
+	// All copying is done: the target generation's allocation carries
+	// on in the copier's open segments.
+	for sp := range h.cp.cur {
+		h.cp.cur[sp].handTo(&h.cur[sp][target])
+	}
 
 	// Snapshot the per-generation protected-list sizes and the counter
 	// deltas into the report before the hooks run, so a hook (or any
@@ -413,7 +403,7 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 // main weak pass has already run (and emptied the weak lists).
 func (h *Heap) sliceRetainSuffix() {
 	t0 := time.Now()
-	c := h.lead
+	c := &h.cp
 	for i := range h.protected[0] {
 		e := &h.protected[0][i]
 		e.Obj = c.forward(e.Obj)
@@ -437,68 +427,38 @@ func (h *Heap) phaseMark(p Phase, t0 time.Time) time.Time {
 // copier is the copying core of §4: forward, the sweep of one copied
 // object, and the work list the kleene-sweep drains, written once and
 // parameterized — in the manner of CertiCoq's forward — by the "next
-// available spot in to-space" it owns (cur). The heap's lead copier
-// runs inline on the collecting goroutine and does all of a
-// one-copier collection, plus every sequential step of a larger one:
-// guardian salvage, tconc appends, the window fix-up of sliced
-// collections. Config.Workers > 1 runs further copiers as goroutines
-// around the same code (parallel.go).
-//
-// The core consults one per-collection fact, shared — more than one
-// copier is active — at exactly three points: how a forwarding word is
-// installed (install), how the work list is pushed and taken (push,
-// take), and where a fresh to-space segment comes from (newSeg). A
-// lone copier keeps the paper's plain stores, a FIFO work list drained
-// in waves, and direct segment claims; the measured cost of running it
-// through the shared protocol instead (CAS, Chase–Lev deque, batched
-// segment cache) is recorded in ROADMAP.md.
+// available spot in to-space" it owns (cur). The heap has exactly one
+// (Heap.cp). It runs inline on the collecting goroutine with the world
+// stopped, so it installs forwarding words with plain stores and claims
+// to-space segments straight from the table.
 type copier struct {
-	id     int
-	h      *Heap
-	shared bool // more than one copier is active this collection
+	h *Heap
 
 	// cur is the to-space cursor: the open target-generation segment
 	// per space, bump-allocated without locks.
 	cur [seg.NumSpaces]cursor
 
-	// The work list of a lone copier: wave holds the objects being
-	// swept (from head on), next the objects copied while sweeping
-	// them — the following wave. Both buffers are retained, so
-	// steady-state sweeping does not allocate. A shared collection uses
-	// the deque dq instead (parallel.go).
+	// The work list: wave holds the objects being swept (from head on),
+	// next the objects copied while sweeping them — the following wave.
+	// Both buffers are retained, so steady-state sweeping does not
+	// allocate.
 	wave, next []sweepItem
 	head       int
 
-	newWeak  []uint64 // weak pairs this copier copied
-	pendWeak []uint64 // weak cars this copier deferred (dirty/old scan)
-
-	stats copyStats
+	newWeak  []uint64 // weak pairs copied this collection
+	pendWeak []uint64 // weak cars deferred by the dirty or old scan
 
 	visit func(*obj.Value) // persistent visitor closure for root providers
-
-	peer // what a copier needs only in company (parallel.go)
 }
 
-// copyStats are a copier's deltas of the Stats counters the copying
-// core touches, merged into Heap.Stats by mergeCopiers so the shared
-// counters are never written concurrently.
-type copyStats struct {
-	wordsAllocated    uint64
-	segmentsAllocated uint64
-	wordsCopied       uint64
-	pairsCopied       uint64
-	objectsCopied     uint64
-	cellsSwept        uint64
-	sweepPasses       uint64
-	dirtyCellsScanned uint64
-}
-
-func newCopier(h *Heap, id int) *copier {
-	c := &copier{id: id, h: h}
+// init readies the heap's copier: closed cursors and the root
+// providers' visitor.
+func (c *copier) init(h *Heap) {
+	c.h = h
 	c.visit = func(pv *obj.Value) { *pv = c.forward(*pv) }
-	c.body = c.runPeer
-	c.segScratch = make([]int, 0, segCacheBatch)
-	return c
+	for sp := range c.cur {
+		c.cur[sp].close()
+	}
 }
 
 // forward copies v's referent into the target generation if it lives
@@ -510,13 +470,6 @@ func newCopier(h *Heap, id int) *copier {
 // the referent also gives the window src it is read and forwarded
 // through (privatized first if it aliases a template array), and alloc
 // returns the to-space window dst. Only a large object goes by address.
-//
-// The object's first word is read once, atomically, and the copy is
-// made from that value: when copiers race on one object, re-reading
-// the word plainly would race with a peer's install, while words 1..n
-// are immutable during the copying phases. The copier whose install
-// loses rolls its allocation back and follows the winner's forwarding
-// address, so every object is copied exactly once.
 func (c *copier) forward(v obj.Value) obj.Value {
 	if !v.IsPointer() {
 		return v
@@ -532,7 +485,7 @@ func (c *copier) forward(v obj.Value) obj.Value {
 		s = h.tab.Writable(idx) // the same entry, its Words now private
 	}
 	src := s.Words[seg.Offset(addr):]
-	w0 := atomic.LoadUint64(&src[0])
+	w0 := src[0]
 	if obj.IsFwd(w0) {
 		return v.WithAddr(obj.FwdAddr(w0))
 	}
@@ -551,9 +504,8 @@ func (c *copier) forward(v obj.Value) obj.Value {
 		space, total, kind = objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0)), sweepObj
 	}
 	var na uint64
-	var runFirst, runLen int
 	if total > seg.Words {
-		na, runFirst, runLen = c.allocRun(space, total)
+		na = c.allocRun(space, total)
 		h.setWord(na, w0)
 		for i := uint64(1); i < uint64(total); i++ {
 			h.setWord(na+i, h.word(addr+i))
@@ -568,25 +520,16 @@ func (c *copier) forward(v obj.Value) obj.Value {
 			copy(dst[1:], src[1:total])
 		}
 	}
-	if !c.install(&src[0], w0, na) {
-		if runLen > 0 {
-			c.freeRun(runFirst, runLen, total)
-		} else {
-			c.unalloc(space, total)
-		}
-		return c.followFwd(v, &src[0])
-	}
-	if runLen > 0 {
-		c.publishRun(space, runFirst, runLen)
-	}
+	src[0] = obj.MakeFwd(na)
+	st := &h.Stats
 	if v.IsPair() {
-		c.stats.pairsCopied++
+		st.PairsCopied++
 	} else {
-		c.stats.objectsCopied++
+		st.ObjectsCopied++
 	}
-	c.stats.wordsCopied += uint64(total)
+	st.WordsCopied += uint64(total)
 	if space != seg.SpaceData { // data objects hold no pointers to sweep
-		c.push(sweepItem{na, kind})
+		c.next = append(c.next, sweepItem{na, kind})
 	}
 	if kind == sweepWeakPair {
 		c.newWeak = append(c.newWeak, na)
@@ -594,82 +537,41 @@ func (c *copier) forward(v obj.Value) obj.Value {
 	return v.WithAddr(na)
 }
 
-// install makes na the forwarding address of the from-space object
-// whose first word, at wp, was read as w0, and reports whether this
-// copier's copy is the one published. A lone copier stores the word.
-// Racing copiers compare-and-swap it over w0, which also publishes the
-// copy with acquire/release semantics: whoever reads the forwarding
-// word sees the fully initialized copy and its segment metadata.
-func (c *copier) install(wp *uint64, w0, na uint64) bool {
-	if !c.shared {
-		*wp = obj.MakeFwd(na)
-		return true
-	}
-	return atomic.CompareAndSwapUint64(wp, w0, obj.MakeFwd(na))
-}
-
-// followFwd resolves v through the forwarding word another copier won
-// the race to install.
-func (c *copier) followFwd(v obj.Value, wp *uint64) obj.Value {
-	w := atomic.LoadUint64(wp)
-	c.h.check(obj.IsFwd(w), "forward: lost the install to a non-forwarding word")
-	return v.WithAddr(obj.FwdAddr(w))
-}
-
 // alloc bump-allocates n (<= seg.Words) words of to-space in the given
 // space, opening a fresh target-generation segment when the open one
 // is full, and returns their address and the words themselves.
 func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
-	c.stats.wordsAllocated += uint64(n)
+	h := c.h
+	h.Stats.WordsAllocated += uint64(n)
 	cur := &c.cur[space]
 	if !cur.fits(n) {
-		cur.open(c.h.tab, c.newSeg(space))
-		c.stats.segmentsAllocated++
+		h.claimable(1, 1, "to-space segment")
+		idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
+		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
+		cur.open(h.tab, idx)
+		h.Stats.SegmentsAllocated++
 	}
 	return cur.bump(n)
 }
 
-// unalloc rolls back this copier's most recent alloc of n words after
-// a lost install. Safe because forward performs no other allocation
-// between alloc and install.
-func (c *copier) unalloc(space seg.Space, n int) {
-	cur := &c.cur[space]
-	cur.off -= n
-	cur.s.Fill = cur.off
-	c.stats.wordsAllocated -= uint64(n)
-}
-
-// newSeg takes a fresh segment in the target generation. A lone copier
-// claims it from the table and links it into the generation's chain
-// directly, with the exact bounded-heap check. Copiers in company pop
-// their reserved-segment caches instead (takeReserved).
-func (c *copier) newSeg(space seg.Space) int {
-	if c.shared {
-		return c.takeReserved(space)
-	}
+// allocRun allocates a large-object run of contiguous target-generation
+// segments for a copy of total words and returns its address.
+func (c *copier) allocRun(space seg.Space, total int) uint64 {
 	h := c.h
-	h.claimable(1, 1, "to-space segment")
-	idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
-	h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
-	return idx
-}
-
-// push puts a copied object that needs sweeping on the work list: the
-// next wave of a lone copier, or the copier's deque, where idle peers
-// can steal it.
-func (c *copier) push(it sweepItem) {
-	if c.shared {
-		c.pushShared(it)
-		return
+	k := (total + seg.Words - 1) / seg.Words
+	h.claimable(k, k, "large object")
+	first := h.tab.AllocRun(space, h.gcTarget, h.stamp, k)
+	h.fillRun(first, k, total)
+	for i := 0; i < k; i++ {
+		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], first+i)
 	}
-	c.next = append(c.next, it)
+	h.Stats.WordsAllocated += uint64(total)
+	h.Stats.SegmentsAllocated += uint64(k)
+	return seg.BaseAddr(first)
 }
 
-// take returns the next object to sweep, or false when this copier's
-// part in the drain is over: the work is exhausted, or the drain's
-// deadline has passed (checked every 32 objects; n counts the objects
-// already swept, and the first is always taken, so slices always make
-// progress). A lone copier sweeps breadth-first in waves — the objects
+// take returns the next object to sweep, or false when the work is
+// exhausted. The copier sweeps breadth-first in waves — the objects
 // copied while sweeping one wave form the next — and each wave it
 // starts counts as one pass, so Stats.SweepPasses reports the paper's
 // "iterated" sweep depth faithfully: a drain that finds nothing to
@@ -677,49 +579,22 @@ func (c *copier) push(it sweepItem) {
 // guardian phase's salvage loop are counted like any other. A wave
 // interrupted by a deadline resumes where it stopped, so a sliced
 // sweep visits objects in the order a monolithic one does.
-func (c *copier) take(n int) (sweepItem, bool) {
-	if c.shared {
-		return c.takeShared(n)
-	}
-	if n != 0 && n&31 == 0 && c.h.pastDeadline() {
-		return sweepItem{}, false
-	}
+func (c *copier) take() (sweepItem, bool) {
 	if c.head == len(c.wave) {
 		c.wave, c.next, c.head = c.next, c.wave[:0], 0
 		if len(c.wave) == 0 {
 			return sweepItem{}, false
 		}
-		c.stats.sweepPasses++
+		c.h.Stats.SweepPasses++
 	}
 	it := c.wave[c.head]
 	c.head++
 	return it, true
 }
 
-// idle reports whether the copier's work lists are empty. Quiescent
-// use only: between drains, with every peer joined.
+// idle reports whether the copier's work list is empty.
 func (c *copier) idle() bool {
-	return c.head == len(c.wave) && len(c.next) == 0 && c.dq.size() == 0
-}
-
-// sweepPhase is a copier's part in a drain: take, sweep, repeat. Wall
-// time is split into busy and idle (the yield in a shared drain's
-// termination spin) so the per-worker numbers in the CollectionReport
-// and the trace reflect load imbalance instead of hiding it. One
-// collection can run several drains — the main sweep plus one per
-// guardian salvage round — so the counters accumulate; the guardian
-// phase's drains go to the guardian columns.
-func (c *copier) sweepPhase() {
-	t0 := time.Now()
-	c.spinNS = 0
-	for n := 0; ; n++ {
-		it, ok := c.take(n)
-		if !ok {
-			break
-		}
-		c.sweep(it)
-	}
-	c.accrue(time.Since(t0).Nanoseconds(), c.spinNS)
+	return c.head == len(c.wave) && len(c.next) == 0
 }
 
 // fwdWindow forwards in place every pointer field of the window w.
@@ -755,13 +630,13 @@ func (c *copier) sweep(it sweepItem) {
 		n := obj.PayloadWords(obj.HeaderKind(w[0]), obj.HeaderLength(w[0]))
 		if n >= len(w) { // a large object: the fields run on past the head segment
 			c.fwdWords(it.addr+1, n)
-			c.stats.cellsSwept += uint64(n)
+			c.h.Stats.CellsSwept += uint64(n)
 			return
 		}
 		w = w[1 : 1+n]
 	}
 	c.fwdWindow(w)
-	c.stats.cellsSwept += uint64(len(w))
+	c.h.Stats.CellsSwept += uint64(len(w))
 }
 
 // scanSeg forwards in place every pointer field of every object in
@@ -773,6 +648,7 @@ func (c *copier) sweep(it sweepItem) {
 // whole run (fwdWords carries on through it); data segments hold no
 // pointers.
 func (c *copier) scanSeg(idx int) {
+	st := &c.h.Stats
 	s := c.h.tab.Seg(idx)
 	if s.Cont {
 		return
@@ -781,12 +657,12 @@ func (c *copier) scanSeg(idx int) {
 	switch s.Space {
 	case seg.SpacePair:
 		c.fwdWords(base, s.Fill)
-		c.stats.dirtyCellsScanned += uint64(s.Fill)
+		st.DirtyCellsScanned += uint64(s.Fill)
 	case seg.SpaceWeak:
 		for off := 0; off+1 < s.Fill; off += 2 {
 			c.pendWeak = append(c.pendWeak, base+uint64(off))
 			c.fwdCell(base + uint64(off) + 1)
-			c.stats.dirtyCellsScanned += 2
+			st.DirtyCellsScanned += 2
 		}
 	case seg.SpaceObj:
 		for off := 0; off < s.Fill; {
@@ -796,66 +672,47 @@ func (c *copier) scanSeg(idx int) {
 			}
 			n := obj.PayloadWords(obj.HeaderKind(hd), obj.HeaderLength(hd))
 			c.fwdWords(base+uint64(off)+1, n)
-			c.stats.dirtyCellsScanned += uint64(n)
+			st.DirtyCellsScanned += uint64(n)
 			off += 1 + n
 		}
 	}
 }
 
-// rootsPhase forwards this copier's share of the roots: explicit root
-// slots, then registered providers, then the registered mutators' pin
-// slots (Mutator.tmp: constructor arguments held across the allocation
-// slow path — the world is stopped, so muts is stable and the owners
-// are not looking). Each is strided by copier id; a provider is
-// visited by exactly one copier (providers own disjoint root storage).
+// rootsPhase forwards the roots: explicit root slots, then registered
+// providers, then the registered mutators' pin slots (Mutator.tmp:
+// constructor arguments held across the allocation slow path — the
+// world is stopped, so muts is stable and the owners are not looking).
 func (c *copier) rootsPhase() {
-	h, w := c.h, len(c.h.active)
-	dir := *h.rootChunks.Load()
-	for ci := c.id; ci < len(dir); ci += w {
-		rc := dir[ci]
+	h := c.h
+	for _, rc := range *h.rootChunks.Load() {
 		for o := range rc.vals {
 			if rc.live[o] {
 				rc.vals[o] = c.forward(rc.vals[o])
 			}
 		}
 	}
-	for j := c.id; j < len(h.providers); j += w {
-		h.providers[j].v.VisitRoots(c.visit)
+	for _, p := range h.providers {
+		p.v.VisitRoots(c.visit)
 	}
-	for j := c.id; j < len(h.muts); j += w {
-		m := h.muts[j]
+	for _, m := range h.muts {
 		for i := range m.tmp {
 			m.tmp[i] = c.forward(m.tmp[i])
 		}
 	}
 }
 
-// oldSegCandidates snapshots the segments of generations older than g
-// — what a collector without remembered sets must scan — into h.cands.
-// Taken before the copiers start so nobody iterates the table while
-// to-space allocation grows it; segments created during the phases
-// carry the current stamp and would be skipped anyway.
-func (h *Heap) oldSegCandidates(g int) {
-	h.cands = h.cands[:0]
-	for idx := 0; idx < h.tab.Len(); idx++ {
-		s := h.tab.Seg(idx)
-		if !s.InUse || s.Cont || s.Gen <= g || s.Stamp == h.stamp {
-			continue
-		}
-		h.cands = append(h.cands, idx)
-	}
-}
-
 // oldScanPhase is the conservative alternative to the dirty set: every
 // cell of every older generation is visited, exactly as a collector
 // without remembered sets must. It exists as an ablation baseline and
-// as a correctness oracle for the dirty-set implementation. Each
-// candidate segment is scanned by exactly one copier, so in-place
-// forwarding writes never collide.
+// as a correctness oracle for the dirty-set implementation. Segments
+// the scan itself allocates carry the current stamp and are skipped.
 func (c *copier) oldScanPhase() {
-	cands := c.h.cands
-	for k := c.id; k < len(cands); k += len(c.h.active) {
-		c.scanSeg(cands[k])
+	h := c.h
+	for idx := 0; idx < h.tab.Len(); idx++ {
+		s := h.tab.Seg(idx)
+		if s.InUse && !s.Cont && s.Gen > h.gcGen && s.Stamp != h.stamp {
+			c.scanSeg(idx)
+		}
 	}
 }
 
@@ -984,23 +841,14 @@ func (h *Heap) ProtectedCount() int {
 // the overhead is proportional to the work the collector is already
 // doing (the paper's generation-friendliness claim, experiment E1).
 //
-// The accessibility checks — the dominant cost on large protected
-// lists — are computed by all active copiers: each classifies a
-// strided share of the entries into a private verdict slot
-// (guardClassify), and each round's triggered re-sweep is an ordinary
-// drain. All mutation — forwarding representatives, tconc appends,
-// migration to the target list — is the lead copier's alone, in
-// original registration order, and every negative round-start verdict
-// is re-checked at merge time. isForwarded is monotone within a
-// collection (objects only become forwarded), so the merged verdicts
-// reproduce the one-copier algorithm's decisions bit-for-bit: the
-// tconc contents, their order, and the Figure 4 mutator protocol are
-// identical at any worker count, which is what keeps the
-// seq-vs-parallel lockstep oracle meaningful.
+// Each round checks every pending entry's tconc once, in registration
+// order, so a salvage earlier in a round can make a later entry's
+// tconc accessible within the same round, exactly as the paper's loop
+// observes it.
 func (h *Heap) guardianPhase(g, target int) {
 	st := &h.Stats
 	rep := &h.report
-	c := h.lead
+	c := &h.cp
 	// Gather the protected entries of every collected generation in
 	// registration order (generation 0..g, list order within each);
 	// this order is what the per-round passes below preserve. Only
@@ -1021,17 +869,12 @@ func (h *Heap) guardianPhase(g, target int) {
 	if len(ents) == 0 {
 		return
 	}
-	// Drains and classifications from here on are the guardian
-	// phase's: their busy/idle split goes to the guardian columns.
-	h.inGuardian = true
 
 	// Initial partition: accessible objects pend-hold, inaccessible
-	// pend-final. No heap mutation happens here, so the classification
-	// needs no re-check — a verdict cannot go stale.
-	verdicts := h.guardClassify(ents, nil, true)
+	// pend-final.
 	pendHold, pendFinal := h.guardHold[:0], h.guardFinal[:0]
-	for i, e := range ents {
-		if verdicts[i] {
+	for _, e := range ents {
+		if h.isForwarded(e.Obj) {
 			pendHold = append(pendHold, e)
 		} else {
 			pendFinal = append(pendFinal, e)
@@ -1041,17 +884,10 @@ func (h *Heap) guardianPhase(g, target int) {
 	for {
 		rep.GuardianRounds++
 		roundStart := time.Now()
-		// Round-start accessibility verdicts for every pending tconc. A
-		// verdict of true is final (monotonicity); a verdict of false
-		// is only a hint, because a salvage performed earlier in this
-		// very round can make a later entry's tconc accessible — the
-		// paper's algorithm observes that mid-round, so the merge below
-		// re-checks negative verdicts to match it exactly.
-		verdicts = h.guardClassify(pendFinal, pendHold, false)
 		progress := false
 		rest := pendFinal[:0]
-		for i, e := range pendFinal {
-			if verdicts[i] || h.isForwarded(e.Tconc) {
+		for _, e := range pendFinal {
+			if h.isForwarded(e.Tconc) {
 				// The object is inaccessible and its guardian is
 				// alive: save the representative from destruction and
 				// enqueue it on the guardian's tconc.
@@ -1064,11 +900,10 @@ func (h *Heap) guardianPhase(g, target int) {
 				rest = append(rest, e)
 			}
 		}
-		nf := len(pendFinal)
 		pendFinal = rest
 		restH := pendHold[:0]
-		for j, e := range pendHold {
-			if verdicts[nf+j] || h.isForwarded(e.Tconc) {
+		for _, e := range pendHold {
+			if h.isForwarded(e.Tconc) {
 				ne := ProtEntry{
 					Obj:   h.fwdAddrOf(e.Obj),
 					Rep:   c.forward(e.Rep),
@@ -1096,7 +931,6 @@ func (h *Heap) guardianPhase(g, target int) {
 			break // ablation: no fixpoint iteration
 		}
 	}
-	h.inGuardian = false
 	h.guardHold, h.guardFinal = pendHold[:0], pendFinal[:0]
 	// Remaining entries belong to guardians that are themselves
 	// inaccessible: both the entries and (eventually) the registered
@@ -1138,7 +972,7 @@ func (h *Heap) protListGen(e ProtEntry, target int) int {
 func (h *Heap) tconcAddGC(tc, v obj.Value) {
 	last := h.valueAt(tc.Addr() + 1)
 	h.check(last.IsPair(), "tconc: malformed header (cdr not a pair)")
-	na, w := h.lead.alloc(seg.SpacePair, 2)
+	na, w := h.cp.alloc(seg.SpacePair, 2)
 	w[0], w[1] = uint64(obj.False), uint64(obj.False)
 	newLast := obj.PairAt(na)
 	h.writeGC(last.Addr(), v)         // car of old last := element
@@ -1169,30 +1003,24 @@ func (h *Heap) weakPass(g int) {
 				h.weakFixCell(base + uint64(off))
 			}
 		}
-		for _, c := range h.active {
-			c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
-		}
+		h.cp.newWeak, h.cp.pendWeak = h.cp.newWeak[:0], h.cp.pendWeak[:0]
 		return
 	}
 	h.fixWeakLists()
 }
 
-// fixWeakLists gives every weak pair the copiers copied (newWeak) and
-// every weak car they deferred (pendWeak) the second-pass treatment,
-// and empties the lists.
+// fixWeakLists gives every weak pair the copier copied (newWeak) and
+// every weak car it deferred (pendWeak) the second-pass treatment, and
+// empties the lists.
 func (h *Heap) fixWeakLists() {
-	for _, c := range h.active {
-		for _, addr := range c.newWeak {
-			h.weakFixCell(addr)
-		}
-		c.newWeak = c.newWeak[:0]
+	c := &h.cp
+	for _, addr := range c.newWeak {
+		h.weakFixCell(addr)
 	}
-	for _, c := range h.active {
-		for _, addr := range c.pendWeak {
-			h.weakFixCell(addr)
-		}
-		c.pendWeak = c.pendWeak[:0]
+	for _, addr := range c.pendWeak {
+		h.weakFixCell(addr)
 	}
+	c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
 }
 
 // weakFixCell fixes the weak car at addr and keeps it remembered when

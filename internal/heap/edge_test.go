@@ -320,22 +320,18 @@ func TestLiveWordsAndSegmentsTrackUsage(t *testing.T) {
 func TestCollectPanicReleasesHandshake(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		workers int
 		mutator bool
 		large   bool
 	}{
-		{"pairs/legacy", 1, false, false},
-		{"pairs/mutator", 1, true, false},
-		{"pairs/workers2", 2, false, false},
-		{"large/legacy", 1, false, true},
-		{"large/mutator", 1, true, true},
-		{"large/workers2", 2, false, true},
+		{"pairs/legacy", false, false},
+		{"pairs/mutator", true, false},
+		{"large/legacy", false, true},
+		{"large/mutator", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := heap.DefaultConfig()
 			cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
 			cfg.MaxSegments = 40
-			cfg.Workers = tc.workers
 			h := heap.MustNew(cfg)
 			cons, vector, collect := h.Cons, h.MakeVector, h.Collect
 			if tc.mutator {

@@ -10,11 +10,8 @@ import (
 // FuzzRememberedSet drives the write barrier and the collector through
 // fuzzer-chosen interleavings of strong writes, weak-car writes,
 // guardian registrations, and collections of arbitrary generation
-// ranges, at Workers 1, 4, and 0 (the adaptive policy), with the full
-// heap verifier run after every single step. All worker
-// configurations must agree on the
-// observable outcome: surviving root structure, deduplicated dirty
-// count, and weak/guardian counters. The corpus is seeded with the
+// ranges, with the full heap verifier run after every single step.
+// The corpus is seeded with the
 // cross-generation guardian scenario (collector-performed old-to-young
 // tconc writes, crossgen_test.go) and a weak-promotion scenario (weak
 // pairs promoted past their referents re-entering the remembered set,
@@ -24,21 +21,9 @@ import (
 // are taken mod 10. Inputs are capped at 120 operations so each
 // execution stays cheap enough to verify at every step.
 
-// fuzzOutcome is the observable result of one fuzz run, compared
-// across worker counts.
-type fuzzOutcome struct {
-	rootsDesc  string
-	dirty      int
-	weakBroken uint64
-	salvaged   uint64
-	dropped    uint64
-}
-
-func runRemsetFuzz(t *testing.T, data []byte, workers int) fuzzOutcome {
-	t.Helper()
+func runRemsetFuzz(t *testing.T, data []byte) {
 	cfg := heap.DefaultConfig()
 	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30} // collections are fuzz ops only
-	cfg.Workers = workers
 	h := heap.MustNew(cfg)
 	tconc := h.NewRoot(makeTconc(h))
 	roots := []*heap.Root{h.NewRoot(h.Cons(obj.FromFixnum(0), obj.Nil))}
@@ -54,7 +39,7 @@ func runRemsetFuzz(t *testing.T, data []byte, workers int) fuzzOutcome {
 	}
 	verify := func(step int, op byte) {
 		if errs := h.Verify(); len(errs) > 0 {
-			t.Fatalf("workers=%d step %d (op %d): heap unsound: %v", workers, step, op, errs[0])
+			t.Fatalf("step %d (op %d): heap unsound: %v", step, op, errs[0])
 		}
 	}
 	const maxOps = 120
@@ -99,13 +84,6 @@ func runRemsetFuzz(t *testing.T, data []byte, workers int) fuzzOutcome {
 	}
 	h.Collect(h.MaxGeneration())
 	verify(maxOps, 6)
-	return fuzzOutcome{
-		rootsDesc:  describeHeapRoots(h),
-		dirty:      h.DirtyCount(),
-		weakBroken: h.Stats.WeakPointersBroken,
-		salvaged:   h.Stats.GuardianEntriesSalvaged,
-		dropped:    h.Stats.GuardianEntriesDropped,
-	}
 }
 
 func FuzzRememberedSet(f *testing.F) {
@@ -138,22 +116,5 @@ func FuzzRememberedSet(f *testing.F) {
 		0, 11, 2, 2, 6, 1, 5, 3, 9, 0, 6, 2, 1, 13, 4, 1,
 		6, 3, 9, 9,
 	})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		seq := runRemsetFuzz(t, data, 1)
-		// 4 = fixed parallel, 0 = the adaptive policy picking its own
-		// count per collection; both must match the sequential outcome.
-		for _, workers := range []int{4, 0} {
-			par := runRemsetFuzz(t, data, workers)
-			if seq.rootsDesc != par.rootsDesc {
-				t.Fatalf("surviving roots differ across worker counts:\n--- workers=1:\n%s\n--- workers=%d:\n%s",
-					seq.rootsDesc, workers, par.rootsDesc)
-			}
-			if seq.dirty != par.dirty {
-				t.Fatalf("dirty counts differ at workers=%d: %d vs %d", workers, seq.dirty, par.dirty)
-			}
-			if seq.weakBroken != par.weakBroken || seq.salvaged != par.salvaged || seq.dropped != par.dropped {
-				t.Fatalf("outcome counters differ at workers=%d: %+v vs %+v", workers, seq, par)
-			}
-		}
-	})
+	f.Fuzz(runRemsetFuzz)
 }

@@ -58,10 +58,10 @@ type Config struct {
 	// generation-friendly weak handling.
 	WeakScanAll bool
 	// MaxSegments bounds the heap: allocations that would bring the
-	// number of committed segments — in use, plus reserved in worker
-	// or mutator affinity caches (seg.Table.CommittedCount) — above
-	// the limit panic with an out-of-memory error, after draining any
-	// idle worker reservations. 0 means unbounded.
+	// number of committed segments — in use, plus reserved in mutator
+	// TLAB caches (seg.Table.CommittedCount) — above the limit panic
+	// with an out-of-memory error, after draining any idle mutator
+	// reservations. 0 means unbounded.
 	MaxSegments int
 	// GuardianSinglePass makes the guardian phase run its
 	// salvage/migrate pass at most once instead of iterating to
@@ -71,24 +71,10 @@ type Config struct {
 	// another guardian, §3), and a single pass misses them. Experiment
 	// A4 demonstrates the failure.
 	GuardianSinglePass bool
-	// Workers is the number of collector workers used for the
-	// forwarding phases of a collection (roots, old-space scan, the
-	// Cheney sweep, and the guardian phase's accessibility
-	// classification and salvage re-sweeps). 1 selects the exact
-	// sequential algorithm of the paper, run inline on the collecting
-	// goroutine; 2..MaxWorkers run the same copying core on further
-	// goroutines, with per-copier to-space allocation buffers and
-	// CAS-installed forwarding words (see copier in collect.go,
-	// parallel.go and docs/ALGORITHM.md). 0 selects the adaptive policy: each
-	// collection picks its own count from GOMAXPROCS and the number of
-	// live from-space segments, so small collections run sequentially
-	// and only big ones fan out (chooseWorkers; the count actually used
-	// is reported in CollectionReport.WorkersChosen and the trace's
-	// workers_chosen field). All guardian salvage decisions and tconc
-	// appends — and the whole weak phase — still run sequentially in
-	// registration order, so the paper's ordering guarantees hold at
-	// any worker count (see guardianPhase).
-	// Negative values select auto; values above MaxWorkers are clamped.
+	// Workers is deprecated and has no effect: the collector has one
+	// copier, run inline on the collecting goroutine, as in §4. It stays
+	// so that configurations setting it to 1 (or leaving it 0) still
+	// build; Validate rejects every other value.
 	Workers int
 	// PauseBudget, when positive, bounds the stop-the-world pause of
 	// collections that include old space (g >= 1 after clamping to the
@@ -109,7 +95,7 @@ type Config struct {
 
 // Validate checks the configuration for nonsensical values and
 // returns a descriptive error for the first one found. Zero values
-// that have documented defaults (Policy, Workers) are not errors: New
+// that have documented defaults (Policy) are not errors: New
 // normalizes them. Validate is what New runs before
 // constructing a heap — construction no longer panics on a bad
 // Config; it returns the Validate error instead.
@@ -139,6 +125,9 @@ func (c Config) Validate() error {
 	if c.PauseBudget < 0 {
 		return fmt.Errorf("heap: Config.PauseBudget must be >= 0 (got %v; 0 disables slicing)", c.PauseBudget)
 	}
+	if c.Workers != 0 && c.Workers != 1 {
+		return fmt.Errorf("heap: Config.Workers must be 0 or 1 (got %d): the parallel collector was removed", c.Workers)
+	}
 	return nil
 }
 
@@ -150,9 +139,6 @@ func DefaultConfig() Config {
 		Generations: 4,
 		Policy:      RadixPolicy{Trigger: 64 * seg.Words, Radix: 4},
 		UseDirtySet: true,
-		// Sequential, not auto: the defaults describe the paper's
-		// collector, and parallelism stays an explicit opt-in.
-		Workers: 1,
 	}
 }
 
@@ -300,10 +286,9 @@ type Heap struct {
 	// Concurrent-mutator state (mutator.go, safepoint.go). allocMu
 	// serializes every segment-table mutation and chain append outside
 	// a stop-the-world window: mutator TLAB refills and large
-	// allocations, root/guardian registration in mutator mode, and the
-	// to-space segment claims of copiers in company. The handshake
-	// fields live under spMu; spStop mirrors stopReq for the lock-free
-	// safepoint poll.
+	// allocations, and root/guardian registration in mutator mode. The
+	// handshake fields live under spMu; spStop mirrors stopReq for the
+	// lock-free safepoint poll.
 	allocMu    sync.Mutex
 	spMu       sync.Mutex
 	spCond     *sync.Cond
@@ -323,40 +308,9 @@ type Heap struct {
 	spWaitNS    int64
 	spSuspended int
 
-	// The copiers (collect.go, parallel.go). lead is copiers[0]: it
-	// runs inline on the collecting goroutine and does all sequential
-	// collector work; further copiers are created the first time a
-	// collection chooses more than one and reused across collections.
-	// active are the copiers taking part in the current collection.
-	lead    *copier
-	copiers []*copier
-	active  []*copier
-	// Fan-out state of the current collection (run): the phase every
-	// active copier executes, the join, and the peers' panic slots —
-	// reused, so a steady-state phase allocates nothing. pending counts
-	// the sweep items copiers in company have pushed but not yet swept;
-	// abort tells their termination spin that a copier panicked.
-	// deadline, when non-zero, ends the current drain early (a slice of
-	// a sliced collection): written before the fan-out, read-only to
-	// the copiers.
-	phase    gcPhase
-	wg       sync.WaitGroup
-	panics   []any
-	pending  atomic.Int64
-	abort    atomic.Bool
-	deadline time.Time
-	cands    []int // reusable old-scan candidate-segment list
-	// Guardian classification fan-out (guardClassify): the two entry
-	// lists a round covers (pend-final then pend-hold, or the gathered
-	// entries and nil for the initial partition), the per-entry verdict
-	// slots the copiers fill at disjoint strided indices, and whether
-	// the round classifies Obj (initial partition) or Tconc (salvage
-	// rounds). inGuardian routes drain and classification time to the
-	// guardian-phase worker columns while the guardian phase runs.
-	guardA, guardB []ProtEntry
-	guardVerdicts  []bool
-	guardObj       bool
-	inGuardian     bool
+	// cp is the copier (collect.go): it does all of a collection's
+	// copying, inline on the collecting goroutine.
+	cp copier
 
 	// Sliced-collection state (Config.PauseBudget > 0; see collect in
 	// collect.go). sliceActive is true from the first slice of a sliced
@@ -404,7 +358,6 @@ func New(cfg Config) (*Heap, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.Workers = clampWorkers(cfg.Workers)
 	h := &Heap{
 		tab:    &seg.Table{},
 		cfg:    cfg,
@@ -425,7 +378,7 @@ func New(cfg Config) (*Heap, error) {
 		h.chains[sp] = make([][]int, cfg.Generations)
 	}
 	h.protected = make([][]ProtEntry, cfg.Generations)
-	h.activate(1)
+	h.cp.init(h)
 	return h, nil
 }
 
@@ -496,38 +449,6 @@ func (h *Heap) TriggerWords() int { return h.trigger }
 // collection has happened since they last hashed addresses.
 func (h *Heap) Stamp() uint64 { return h.stamp }
 
-// Workers returns the configured collector worker count: 1 means the
-// sequential collector, 0 the adaptive policy (see Config.Workers; the
-// count a particular collection actually used is in
-// CollectionReport.WorkersChosen).
-func (h *Heap) Workers() int { return h.cfg.Workers }
-
-// SetWorkers changes the number of collector workers for subsequent
-// collections. It may be called at any time outside a collection; the
-// heap contents are unaffected (worker count only changes how the
-// forwarding phases are scheduled). n <= 0 selects the adaptive
-// policy; values above MaxWorkers are clamped.
-func (h *Heap) SetWorkers(n int) {
-	h.check(!h.inCollect.Load() && !h.sliceActive.Load(), "SetWorkers called during a collection")
-	n = clampWorkers(n)
-	// The map-based remembered-set oracle has no shards to hand out to
-	// workers and is not safe for concurrent mutation; it exists only
-	// to cross-check the sequential algorithm. Auto is fine: the policy
-	// stays sequential while the oracle is enabled.
-	h.check(n <= 1 || h.dirtyMap == nil, "SetWorkers: map-oracle remembered set is sequential-only")
-	h.cfg.Workers = n
-}
-
-func clampWorkers(n int) int {
-	if n < 0 {
-		return 0 // auto
-	}
-	if n > MaxWorkers {
-		return MaxWorkers
-	}
-	return n
-}
-
 // maxObjectWords caps single-object size (128 K words = 1 MB) to catch
 // runaway allocations early.
 const maxObjectWords = 128 * 1024
@@ -535,7 +456,7 @@ const maxObjectWords = 128 * 1024
 // allocWords carves n words out of the given space and generation and
 // returns the address of the first and the words themselves (nil for
 // a large object: see window). It is the legacy-mode mutator
-// allocation path (the collector's copiers bump their own to-space
+// allocation path (the collector's copier bumps its own to-space
 // cursors, copier.alloc): while Mutator handles are registered,
 // mutator allocation must go through their TLABs instead, and calling
 // this panics (checked on the slow path, which a fresh registration
@@ -606,14 +527,14 @@ func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) (uint64, []uint64) {
 
 // claimable clamps a request for want more segments to what a bounded
 // heap can still commit, and panics out of memory when fewer than need
-// are left. Reserved segments (copier affinity caches, mutator TLAB
-// caches) count toward the bound — they are committed at Reserve time,
-// so the check must see them or a bounded heap could hand out
-// MaxSegments live segments on top of a full cache — but idle
-// reservations are reclaimable: they are drained before declaring OOM,
-// so the accounting stays exact and a bounded heap can always reach
-// MaxSegments live segments. Caller holds allocMu or is the only
-// goroutine running (see reclaimReservedLocked).
+// are left. Reserved segments (mutator TLAB caches) count toward the
+// bound — they are committed at Reserve time, so the check must see
+// them or a bounded heap could hand out MaxSegments live segments on
+// top of a full cache — but idle reservations are reclaimable: they
+// are drained before declaring OOM, so the accounting stays exact and
+// a bounded heap can always reach MaxSegments live segments. Caller
+// holds allocMu or is the only goroutine running (see
+// reclaimReservedLocked).
 func (h *Heap) claimable(want, need int, what string) int {
 	if h.cfg.MaxSegments == 0 {
 		return want

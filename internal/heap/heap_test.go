@@ -1,6 +1,7 @@
 package heap_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/heap"
@@ -291,5 +292,54 @@ func TestGenerationOfValues(t *testing.T) {
 	p := h.Cons(obj.Nil, obj.Nil)
 	if h.Generation(p) != 0 {
 		t.Fatal("fresh pair should be in generation 0")
+	}
+}
+
+// TestConfigValidate checks the redesigned construction API: New
+// returns the Validate error instead of panicking, MustNew still
+// panics, and zero defaults remain accepted.
+func TestConfigValidate(t *testing.T) {
+	bad := []struct {
+		name string
+		mut  func(*heap.Config)
+		want string
+	}{
+		{"zero generations", func(c *heap.Config) { c.Generations = 0 }, "Generations"},
+		{"negative trigger", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Trigger: -1} }, "Trigger"},
+		{"radix one", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: 1} }, "Radix"},
+		{"negative radix", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: -4} }, "Radix"},
+		{"negative max segments", func(c *heap.Config) { c.MaxSegments = -2 }, "MaxSegments"},
+		{"autotune over a set radix", func(c *heap.Config) { c.AutoTune, c.Policy = true, heap.RadixPolicy{Radix: 8} }, "AutoTune"},
+		{"parallel workers", func(c *heap.Config) { c.Workers = 2 }, "parallel collector was removed"},
+	}
+	for _, tc := range bad {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := heap.DefaultConfig()
+			tc.mut(&cfg)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want error mentioning %q", err, tc.want)
+			}
+			if h, err := heap.New(cfg); err == nil || h != nil {
+				t.Fatalf("New() = (%v, %v), want (nil, error)", h, err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("MustNew did not panic on an invalid Config")
+				}
+			}()
+			heap.MustNew(cfg)
+		})
+	}
+	// Zero values with documented defaults are normalized, not rejected.
+	cfg := heap.Config{Generations: 2}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("minimal config rejected: %v", err)
+	}
+	h, err := heap.New(cfg)
+	if err != nil {
+		t.Fatalf("New(minimal) failed: %v", err)
+	}
+	if h.TriggerWords() != heap.DefaultTriggerWords || h.Policy().Name() != "radix" {
+		t.Fatalf("defaults not applied: trigger %d, policy %q", h.TriggerWords(), h.Policy().Name())
 	}
 }

@@ -14,10 +14,9 @@ import (
 // segment it bump-allocates from without any synchronization — the
 // same pure-bump fast path the legacy single-mutator allocWords has.
 // The slow path claims a fresh segment from the mutator's private
-// reserved-segment cache (seg.Table.Reserve, the same machinery as the
-// collector's worker affinity caches) under the heap's allocation
-// mutex, which is also where safepoints are polled, the generation-0
-// trigger is charged, and allocation stats are merged.
+// reserved-segment cache (seg.Table.Reserve) under the heap's
+// allocation mutex, which is also where safepoints are polled, the
+// generation-0 trigger is charged, and allocation stats are merged.
 //
 // Ownership rules that make the fast path sound:
 //
@@ -37,7 +36,7 @@ import (
 // table per allocMu acquisition when its cache runs dry. On bounded
 // heaps the batch is clamped to the remaining headroom, so reserved
 // TLAB segments never push the committed count past MaxSegments.
-const tlabCacheBatch = segCacheBatch
+const tlabCacheBatch = 8
 
 // Mutator is a registered allocation handle for one mutator goroutine.
 // Obtain one with Heap.RegisterMutator; all allocation and collection
@@ -170,6 +169,29 @@ func (m *Mutator) allocLarge(space seg.Space, n int) (uint64, []uint64) {
 // MaxSegments.
 func (m *Mutator) refillCacheLocked() {
 	m.cache = m.h.tab.Reserve(m.cache, m.h.claimable(tlabCacheBatch, 1, "mutator TLAB refill"))
+}
+
+// reclaimReservedLocked returns every registered mutator's idle TLAB
+// cache reservations to the table. OOM paths call it when the
+// committed count reaches MaxSegments: reserved segments are committed
+// but unused, and without reclaiming them an allocation could fail out
+// of memory while some mutator sits on a batch of free segments.
+//
+// Caller must hold allocMu, or be the only goroutine running (the
+// legacy mutator, or the collector of a stopped world). Mutator caches
+// are only ever mutated under allocMu (allocSlow, refill, Unregister —
+// and mid-collection their owners are parked anyway), and h.muts itself
+// is written only with both spMu and allocMu held. The caller's own
+// cache is drained too, which is harmless: it is empty, which is why
+// the caller is refilling, or its owner is allocating a large object,
+// which never comes from the cache.
+func (h *Heap) reclaimReservedLocked() {
+	for _, m := range h.muts {
+		for _, idx := range m.cache {
+			h.tab.Unreserve(idx)
+		}
+		m.cache = m.cache[:0]
+	}
 }
 
 // flushStatsLocked merges the mutator's fast-path allocation counter

@@ -286,34 +286,3 @@ func TestDirtySetOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestParallelOracle is the tentpole correctness gate for the parallel
-// collection mode: a sequential heap and a Workers=N heap are stepped
-// in lockstep, and after every collection the two must be isomorphic
-// with identical guardian tconc contents and weak/guardian outcome
-// counters. Copy order (and therefore addresses) differ between the
-// two — structEqual demands a bijection, not address equality. Run
-// under -race this also exercises the CAS forwarding protocol and the
-// work-stealing sweep for data races.
-func TestParallelOracle(t *testing.T) {
-	for _, workers := range []int{0, 2, 8} { // 0 = adaptive per-collection choice
-		for _, seed := range []int64{1, 20260805} {
-			t.Run(fmt.Sprintf("workers=%d/seed=%d", workers, seed), func(t *testing.T) {
-				a := newOracleHeap(nil)
-				b := newOracleHeap(func(cfg *heap.Config) { cfg.Workers = workers })
-				runOracleLockstep(t, seed, 2000, a, b, "sequential", "parallel")
-			})
-		}
-	}
-	// The conservative old-generation scan (copier.oldScanPhase) deals
-	// its segments across the copiers; cross-check it against the
-	// sequential dirty-set collector so both axes differ at once.
-	t.Run("scan-all-old-parallel", func(t *testing.T) {
-		a := newOracleHeap(nil)
-		b := newOracleHeap(func(cfg *heap.Config) {
-			cfg.UseDirtySet = false
-			cfg.Workers = 4
-		})
-		runOracleLockstep(t, 7, 2000, a, b, "sequential", "parallel-scan-all")
-	})
-}

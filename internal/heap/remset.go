@@ -13,10 +13,9 @@ import (
 // dirty-scan phase. The paper's generational collector depends on the
 // remembered set to find old-to-young pointers without scanning older
 // generations (§4); sharding it by segment index lets the mutator
-// barrier touch exactly one shard per store and lets the collector fan
-// the dirty scan out over the parallel workers with no sequential
-// snapshot pre-pass — each worker owns a disjoint subset of shards for
-// the whole phase.
+// barrier touch exactly one shard per store, so concurrent mutators'
+// barriers contend only when they write cells of segments that hash to
+// the same shard.
 //
 // Representation. RemShards shards (a power of two), each holding an
 // append-only slice of dirty-cell entries plus a dedup index mapping a
@@ -39,9 +38,9 @@ import (
 // has an entry, not the converse.
 
 const (
-	// remShardBits picks the shard count. 32 shards keep the fan-out
-	// comfortably above MaxWorkers (16) so every worker has shards to
-	// own even at the maximum worker count.
+	// remShardBits picks the shard count: 32 shards stripe the
+	// mutator write barrier's locks. The count is part of the trace
+	// schema (DirtyShardCells) and of Census.RemSetShards.
 	remShardBits = 5
 	// RemShards is the number of remembered-set shards (a power of
 	// two). Per-shard figures in CollectionReport.ShardDirty, the trace
@@ -63,8 +62,7 @@ func remShardOf(addr uint64) int {
 // concurrent-mutator mode any number of goroutines run the write
 // barrier at once, and sharding means they contend only when writing
 // cells of segments that hash to the same shard. The collector's
-// dirty scan does NOT take mu — scanRemShard stays lock-free by
-// partition (each shard owned by one worker for the whole phase), and
+// dirty scan does NOT take mu — it runs with the world stopped, and
 // the safepoint handshake orders every mutator's locked inserts
 // before the scan and the scan's compaction before every post-resume
 // insert. In legacy single-mutator mode the mutex is uncontended and
@@ -137,14 +135,11 @@ func (r *remSet) count() int {
 // rewritten to the compacted positions. It returns the number of
 // live remembered cells examined (the DirtyCellsScanned contribution).
 //
-// Concurrency: the caller must own the shard for the duration of the
-// scan — it deliberately does not take the shard mutex. The parallel
-// collector assigns each shard to exactly one worker, so shard state
-// is never shared; cell writes cannot collide either, because a cell's
-// address determines its shard. Mutator-side inserts cannot run
-// concurrently with a scan: collections only happen with every
-// registered mutator suspended, and the handshake's lock edges order
-// the inserts and the scan either side of the stop.
+// Concurrency: the scan deliberately does not take the shard mutex.
+// Mutator-side inserts cannot run concurrently with it: collections
+// only happen with every registered mutator suspended, and the
+// handshake's lock edges order the inserts and the scan either side of
+// the stop.
 func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	h := c.h
 	live := sh.entries[:0]
@@ -197,23 +192,14 @@ func (h *Heap) sliceRecord(addr uint64, weak bool) {
 	h.sliceMu.Unlock()
 }
 
-// dirtyPhase processes this copier's share of the remembered set:
-// cells in generations older than those collected that may hold
-// pointers into them. Strong cells are forwarded in place; weak car
-// cells are deferred to the weak-pair pass (the copier's pendWeak
-// list). Entries whose segments are being collected are dropped (the
-// copies are swept normally), as are entries that no longer point to a
-// younger generation. Shards are strided by copier id, so each is
-// owned by exactly one copier for the whole phase — no sequential
-// snapshot pre-pass is needed — and scanned with in-place compaction
-// (scanRemShard), so steady-state collections do not allocate here
-// (asserted by TestCollectSteadyStateAllocs). Shard ownership makes
-// every shard mutation (compaction, index rewrites) and every
-// remembered-cell write single-writer without locks: a cell's address
-// determines its shard, so no other copier can touch the same cell.
-// Racing forwards of shared referents go through the usual install
-// protocol, and reads of freshly copied objects' segment metadata are
-// ordered by the forwarding-word acquire/release publication. The
+// dirtyPhase processes the remembered set: cells in generations older
+// than those collected that may hold pointers into them. Strong cells
+// are forwarded in place; weak car cells are deferred to the weak-pair
+// pass (the copier's pendWeak list). Entries whose segments are being
+// collected are dropped (the copies are swept normally), as are entries
+// that no longer point to a younger generation. Each shard is scanned
+// with in-place compaction (scanRemShard), so steady-state collections
+// do not allocate here (asserted by TestCollectSteadyStateAllocs). The
 // map-based test oracle takes its own path in remset_oracle.go.
 func (c *copier) dirtyPhase() {
 	h := c.h
@@ -221,11 +207,10 @@ func (c *copier) dirtyPhase() {
 		h.scanDirtyMap(h.gcGen)
 		return
 	}
-	for k := c.id; k < RemShards; k += len(h.active) {
+	for k := range h.rem.shards {
 		n := c.scanRemShard(&h.rem.shards[k], h.gcGen)
-		// Disjoint indices per copier, so these writes never collide.
 		h.report.ShardDirty[k] = n
-		c.stats.dirtyCellsScanned += n
+		h.Stats.DirtyCellsScanned += n
 	}
 }
 
@@ -240,19 +225,18 @@ func (c *copier) dirtyPhase() {
 // per-space chain cursor makes each segment scanned exactly once,
 // which suffices because a flushed TLAB segment is never refilled and
 // later stores into it are caught by the store buffer). The store
-// buffer and the window segments are the lead copier's; what it copies
-// lands on its own work list and is drained by the slice's sweep (when
-// copiers are in company, stolen from there). Time accrues to the
-// roots and dirty-scan phases; no window time can leak in, because
-// this runs strictly inside the stopped world.
+// buffer and the window segments are forwarded by the copier; what it
+// copies lands on its work list and is drained by the slice's sweep.
+// Time accrues to the roots and dirty-scan phases; no window time can
+// leak in, because this runs strictly inside the stopped world.
 func (h *Heap) sliceFixup() {
 	t := time.Now()
-	h.run(phaseRoots)
+	c := &h.cp
+	c.rootsPhase()
 	t = h.phaseMark(PhaseRoots, t)
 
-	c := h.lead
 	for _, d := range h.sliceDirty {
-		c.stats.dirtyCellsScanned++
+		h.Stats.DirtyCellsScanned++
 		if d.weak {
 			c.pendWeak = append(c.pendWeak, d.addr)
 			continue

@@ -9,18 +9,13 @@ package heap
 // the same mutation trace against both and compares surviving object
 // graphs, guardian/weak outcomes, and DirtyCount after every
 // collection. The mode is test-only: it is enabled through an
-// unexported switch (exported to the test package in export_test.go)
-// and refuses parallel collection, which the map cannot support — the
-// inability to fan out is exactly why it was replaced.
+// unexported switch (exported to the test package in export_test.go).
 
 // enableMapRemsetOracle switches the heap to the map-based remembered
-// set. It must be called on a heap whose remembered set is still empty
-// and whose worker count is 1; the switch is one-way.
+// set. It must be called on a heap whose remembered set is still
+// empty; the switch is one-way.
 func (h *Heap) enableMapRemsetOracle() {
 	h.check(!h.inCollect.Load(), "enableMapRemsetOracle during a collection")
-	// Workers <= 1 covers auto (0): chooseWorkers stays sequential
-	// while the oracle is active.
-	h.check(h.cfg.Workers <= 1, "enableMapRemsetOracle: map oracle is sequential-only")
 	h.check(h.rem.count() == 0, "enableMapRemsetOracle: remembered set already populated")
 	h.dirtyMap = make(map[uint64]bool)
 }
@@ -36,28 +31,28 @@ func (h *Heap) scanDirtyMap(g int) {
 	if len(h.dirtyMap) == 0 {
 		return
 	}
-	lead := h.lead
+	c := &h.cp
 	scratch := make([]dirtyCell, 0, len(h.dirtyMap))
 	for addr, weak := range h.dirtyMap {
 		scratch = append(scratch, dirtyCell{addr, weak})
 	}
-	for _, c := range scratch {
-		s := h.tab.SegOf(c.addr)
+	for _, d := range scratch {
+		s := h.tab.SegOf(d.addr)
 		if !s.InUse || s.Gen <= g {
-			delete(h.dirtyMap, c.addr)
+			delete(h.dirtyMap, d.addr)
 			continue
 		}
 		h.Stats.DirtyCellsScanned++
-		if c.weak {
-			delete(h.dirtyMap, c.addr)
-			lead.pendWeak = append(lead.pendWeak, c.addr)
+		if d.weak {
+			delete(h.dirtyMap, d.addr)
+			c.pendWeak = append(c.pendWeak, d.addr)
 			continue
 		}
-		v := h.valueAt(c.addr)
-		nv := lead.forward(v)
-		h.setWord(c.addr, uint64(nv))
+		v := h.valueAt(d.addr)
+		nv := c.forward(v)
+		h.setWord(d.addr, uint64(nv))
 		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
-			delete(h.dirtyMap, c.addr)
+			delete(h.dirtyMap, d.addr)
 		}
 	}
 }

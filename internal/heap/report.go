@@ -4,9 +4,8 @@ import "time"
 
 // CollectionReport is the per-collection record returned by Collect
 // and CollectAuto and passed to post-collect hooks. It replaces the
-// former Stats.Last* fields (LastPause, LastPhases, LastWorkerSweep,
-// LastWorkerIdle, LastWorkersChosen, LastShardDirty): Stats now holds
-// cumulative counters only, and everything scoped to a single
+// former Stats.Last* fields (LastPause, LastPhases, LastShardDirty):
+// Stats now holds cumulative counters only, and everything scoped to a single
 // collection lives here, snapshotted at a well-defined point so
 // readers never observe a collection's state mid-phase.
 //
@@ -45,24 +44,6 @@ type CollectionReport struct {
 	// entries of Phases sum to Pause up to timer granularity.
 	Pause  time.Duration
 	Phases [NumPhases]time.Duration
-
-	// Workers is the configured collector worker count (0 = the
-	// adaptive "auto" policy); WorkersChosen is the count this
-	// collection actually used (1 = the sequential algorithm ran).
-	Workers       int
-	WorkersChosen int
-
-	// WorkerSweepBusy and WorkerSweepIdle split each worker's time in
-	// the main parallel sweep drain, indexed by worker id: busy is
-	// item processing and work probing, idle is the yielding spin
-	// while waiting for global termination. WorkerGuardianBusy and
-	// WorkerGuardianIdle are the same split for the drains and
-	// classification fan-outs run inside the guardian phase's salvage
-	// fixpoint. All four are empty after a sequential collection.
-	WorkerSweepBusy    []time.Duration
-	WorkerSweepIdle    []time.Duration
-	WorkerGuardianBusy []time.Duration
-	WorkerGuardianIdle []time.Duration
 
 	// GuardianRounds is the number of salvage-fixpoint rounds the
 	// guardian phase ran (0 when no protected entries were scanned at
@@ -135,10 +116,6 @@ type SliceReport struct {
 // next collection overwrites the heap-owned original.
 func (r *CollectionReport) Clone() *CollectionReport {
 	c := *r
-	c.WorkerSweepBusy = append([]time.Duration(nil), r.WorkerSweepBusy...)
-	c.WorkerSweepIdle = append([]time.Duration(nil), r.WorkerSweepIdle...)
-	c.WorkerGuardianBusy = append([]time.Duration(nil), r.WorkerGuardianBusy...)
-	c.WorkerGuardianIdle = append([]time.Duration(nil), r.WorkerGuardianIdle...)
 	c.GuardianRoundDurations = append([]time.Duration(nil), r.GuardianRoundDurations...)
 	c.ProtectedByGen = append([]int(nil), r.ProtectedByGen...)
 	c.Slices = append([]SliceReport(nil), r.Slices...)

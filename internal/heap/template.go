@@ -148,10 +148,9 @@ func (h *Heap) captureStopped() (*Template, error) {
 // identical to the heap verified at capture time.
 //
 // The clone starts in legacy single-mutator mode with the lazy
-// copy-on-write path armed; registering a mutator or running a
-// parallel collection privatizes all remaining shared segments first
-// (seg.Table.PrivatizeAll), so the unsynchronized lazy copy never runs
-// in a multi-threaded regime.
+// copy-on-write path armed; registering a mutator privatizes all
+// remaining shared segments first (seg.Table.PrivatizeAll), so the
+// unsynchronized lazy copy never runs in a multi-threaded regime.
 func CloneFromTemplate(tpl *Template) (*Heap, []*Root, error) {
 	return tpl.instantiate(true)
 }

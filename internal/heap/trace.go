@@ -28,9 +28,8 @@ const (
 	// root providers.
 	PhaseRoots
 	// PhaseDirtyScan processes the sharded remembered set: the dirty
-	// cells recorded by the write barrier, scanned shard-by-shard (and
-	// fanned out over the workers in parallel mode). Zero when the
-	// dirty set is disabled.
+	// cells recorded by the write barrier, scanned shard-by-shard. Zero
+	// when the dirty set is disabled.
 	PhaseDirtyScan
 	// PhaseOldScan is the conservative scan of every cell of every
 	// older generation, used when the dirty set is disabled
@@ -95,24 +94,6 @@ type TraceEvent struct {
 	WeakScanned       uint64           `json:"weak_scanned"`
 	WeakBroken        uint64           `json:"weak_broken"`
 	SegmentsFreed     uint64           `json:"segments_freed"`
-	// Workers is the configured collector worker count (0 = the
-	// adaptive "auto" policy); WorkersChosen is the count this
-	// collection actually used (1 = the sequential algorithm ran).
-	// WorkerBusyNS and WorkerIdleNS split each worker's time in the
-	// parallel sweep drain, indexed by worker id: busy is item
-	// processing and work probing, idle is the yielding spin while
-	// waiting for global termination. Both nil for sequential
-	// collections. (They replace the former worker_sweep_ns field,
-	// which reported wall time = busy + idle.)
-	// WorkerGuardianBusyNS / WorkerGuardianIdleNS are the same split
-	// for the guardian phase's parallel classification fan-outs and
-	// salvage re-sweep drains.
-	Workers              int     `json:"workers"`
-	WorkersChosen        int     `json:"workers_chosen"`
-	WorkerBusyNS         []int64 `json:"worker_busy_ns,omitempty"`
-	WorkerIdleNS         []int64 `json:"worker_idle_ns,omitempty"`
-	WorkerGuardianBusyNS []int64 `json:"worker_guardian_busy_ns,omitempty"`
-	WorkerGuardianIdleNS []int64 `json:"worker_guardian_idle_ns,omitempty"`
 	// GuardianRounds is the number of salvage-fixpoint rounds the
 	// guardian phase ran (0 when no protected entries were scanned);
 	// GuardianRoundNS holds each round's duration including the
@@ -225,8 +206,6 @@ func (h *Heap) recordTrace(rep *CollectionReport) {
 		GuardianRounds:    rep.GuardianRounds,
 	}
 	ev.PhaseNS = h.phaseNS
-	ev.Workers = rep.Workers
-	ev.WorkersChosen = rep.WorkersChosen
 	ev.MutatorsSuspended = rep.MutatorsSuspended
 	ev.SafepointWaitNS = rep.SafepointWait.Nanoseconds()
 	if h.cfg.UseDirtySet && h.dirtyMap == nil {
@@ -246,18 +225,6 @@ func (h *Heap) recordTrace(rep *CollectionReport) {
 		ev.GuardianRoundNS = make([]int64, n)
 		for i, d := range rep.GuardianRoundDurations {
 			ev.GuardianRoundNS[i] = d.Nanoseconds()
-		}
-	}
-	if n := len(rep.WorkerSweepBusy); n > 0 {
-		ev.WorkerBusyNS = make([]int64, n)
-		ev.WorkerIdleNS = make([]int64, n)
-		ev.WorkerGuardianBusyNS = make([]int64, n)
-		ev.WorkerGuardianIdleNS = make([]int64, n)
-		for i := range rep.WorkerSweepBusy {
-			ev.WorkerBusyNS[i] = rep.WorkerSweepBusy[i].Nanoseconds()
-			ev.WorkerIdleNS[i] = rep.WorkerSweepIdle[i].Nanoseconds()
-			ev.WorkerGuardianBusyNS[i] = rep.WorkerGuardianBusy[i].Nanoseconds()
-			ev.WorkerGuardianIdleNS[i] = rep.WorkerGuardianIdle[i].Nanoseconds()
 		}
 	}
 	if h.traceBuf != nil {

@@ -45,21 +45,19 @@ import (
 //     has flushed TLAB cursors, and no mutator's reserved-segment
 //     cache entry is marked in use;
 //  10. between the slices of a pause-budgeted collection (sliceActive),
-//     the checkpointed sweep work is sound: every staged sweep item —
-//     on the sequential sweep queue or parked on a worker deque —
-//     addresses an in-use to-space segment of the current collection
-//     stamp, and in parallel mode the pending counter equals the total
-//     number of parked deque items;
+//     the checkpointed sweep work is sound: every item on the copier's
+//     work list addresses an in-use to-space segment of the current
+//     collection stamp;
 //  11. copy-on-write state is consistent for template clones: every
 //     segment still marked shared (seg.Table.IsShared) is in use with
 //     a full-length word array, and the count of shared bits matches
 //     SharedCount;
 //  12. no allocation cursor is stale: an open cursor (the heap's, a
-//     TLAB's, a copier's) caches the table entry of the segment it
+//     TLAB's, the copier's) caches the table entry of the segment it
 //     names, which is in use, not shared with a template (clones start
 //     with closed cursors), of the cursor's space and generation, with
-//     Fill equal to the cursor's offset; a copier's is open only while
-//     a collection is in flight.
+//     Fill equal to the cursor's offset; the copier's is open only
+//     while a collection is in flight.
 //
 // During the mutator windows of a sliced collection the heap is only
 // partially forwarded, so Verify relaxes itself while sliceActive:
@@ -321,42 +319,32 @@ func (h *Heap) Verify() []error {
 	}
 
 	// Checkpointed sweep work (invariant 10). Only meaningful between
-	// the slices of a pause-budgeted collection: the parked deques (or
-	// the sequential sweep queue) are the collection's entire unswept
-	// frontier, so a stale item — one addressing a freed or from-space
-	// segment — would make the next slice sweep garbage.
+	// the slices of a pause-budgeted collection: the copier's work list
+	// is the collection's entire unswept frontier, so a stale item — one
+	// addressing a freed or from-space segment — would make the next
+	// slice sweep garbage.
 	if sliced {
-		checkItem := func(queue string, it sweepItem) {
+		checkItem := func(it sweepItem) {
 			if seg.SegIndexOf(it.addr) >= h.tab.Len() {
-				report("%s sweep item @%d: past end of heap", queue, it.addr)
+				report("queued sweep item @%d: past end of heap", it.addr)
 				return
 			}
 			s := h.tab.SegOf(it.addr)
 			switch {
 			case !s.InUse:
-				report("%s sweep item @%d: addresses freed segment %d",
-					queue, it.addr, seg.SegIndexOf(it.addr))
+				report("queued sweep item @%d: addresses freed segment %d",
+					it.addr, seg.SegIndexOf(it.addr))
 			case s.Stamp != h.stamp && s.Gen <= h.gcGen:
-				report("%s sweep item @%d: addresses from-space segment %d (gen %d, stamp %d)",
-					queue, it.addr, seg.SegIndexOf(it.addr), s.Gen, s.Stamp)
+				report("queued sweep item @%d: addresses from-space segment %d (gen %d, stamp %d)",
+					it.addr, seg.SegIndexOf(it.addr), s.Gen, s.Stamp)
 			}
 		}
-		parked := 0
-		for _, c := range h.copiers {
-			for _, it := range c.wave[c.head:] {
-				checkItem("queued", it)
-			}
-			for _, it := range c.next {
-				checkItem("queued", it)
-			}
-			c.dq.each(func(x uint64) {
-				checkItem("parked", unpackSweepItem(x))
-			})
-			parked += c.dq.size()
+		c := &h.cp
+		for _, it := range c.wave[c.head:] {
+			checkItem(it)
 		}
-		if pend := int(h.pending.Load()); pend != parked {
-			report("sliced collection: pending counter %d but %d items parked on deques",
-				pend, parked)
+		for _, it := range c.next {
+			checkItem(it)
 		}
 	}
 
@@ -397,9 +385,7 @@ func (h *Heap) Verify() []error {
 		for gen := range h.cur[sp] {
 			checkCursor("heap", &h.cur[sp][gen], sp, gen, true)
 		}
-		for _, c := range h.copiers {
-			checkCursor("copier", &c.cur[sp], sp, h.gcTarget, sliced || h.inCollect.Load())
-		}
+		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, sliced || h.inCollect.Load())
 	}
 
 	// Mutator consistency (invariant 9). Lock order: spMu then allocMu,

@@ -69,41 +69,6 @@ func TestGCPhaseStats(t *testing.T) {
 		  (> (apply + (map caddr (gc-phase-stats))) before))`, "#t")
 }
 
-func TestCollectWorkersPrim(t *testing.T) {
-	m := newMachine(t)
-	// Default is the sequential collector.
-	expectEval(t, m, "(collect-workers)", "1")
-	// Setting returns the (possibly clamped) new value, and parallel
-	// collections behave identically to sequential ones as far as the
-	// mutator can tell.
-	expectEval(t, m, "(collect-workers 4)", "4")
-	expectEval(t, m, `
-		(begin
-		  (define keep (cons 1 (cons 2 '())))
-		  (collect)
-		  (collect 3)
-		  (and (= (collect-workers) 4) (= (car keep) 1) (= (cadr keep) 2)))`, "#t")
-	// Huge counts clamp to the implementation maximum rather than fail.
-	expectEval(t, m, "(> (collect-workers 10000) 1)", "#t")
-	expectEval(t, m, "(collect-workers 1)", "1")
-	// 'auto selects the adaptive per-collection policy; the setting
-	// reads back as the symbol, and collections still work.
-	expectEval(t, m, "(collect-workers 'auto)", "auto")
-	expectEval(t, m, `
-		(begin
-		  (define keep2 (cons 3 4))
-		  (collect)
-		  (and (eq? (collect-workers) 'auto) (= (car keep2) 3) (= (cdr keep2) 4)))`, "#t")
-	expectEval(t, m, "(collect-workers 1)", "1")
-	// Bad arguments are errors.
-	if _, err := m.EvalString("(collect-workers 0)"); err == nil {
-		t.Fatal("(collect-workers 0) should error")
-	}
-	if _, err := m.EvalString("(collect-workers 'many)"); err == nil {
-		t.Fatal("(collect-workers 'many) should error")
-	}
-}
-
 func TestGCTracePrim(t *testing.T) {
 	m := newMachine(t)
 	// Disabled by default: no buffered events.

@@ -728,32 +728,6 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		})
 		return obj.Void, nil
 	})
-	def("collect-workers", 0, 1, func(m *Machine, a Args) (obj.Value, error) {
-		// (collect-workers) returns the collector worker count — a
-		// fixnum, or the symbol auto when the adaptive policy is
-		// active; (collect-workers n) sets it (clamped to
-		// [1, MaxWorkers]) for subsequent collections, and
-		// (collect-workers 'auto) selects the adaptive policy, which
-		// picks a count per collection from the CPU count and the live
-		// from-space size. 1 is the paper's sequential algorithm;
-		// higher counts run the forwarding phases in parallel (see
-		// docs/ALGORITHM.md).
-		if a.Len() == 1 {
-			n := a.Get(0)
-			switch {
-			case n.IsFixnum() && n.FixnumValue() >= 1:
-				h.SetWorkers(int(n.FixnumValue()))
-			case n == m.Intern("auto"):
-				h.SetWorkers(0)
-			default:
-				return obj.Void, m.errf(n, "collect-workers: expected a positive fixnum or 'auto")
-			}
-		}
-		if h.Workers() == 0 {
-			return m.Intern("auto"), nil
-		}
-		return obj.FromFixnum(int64(h.Workers())), nil
-	})
 	def("gc-policy", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
 		// (gc-policy) returns (policy-name-symbol . trigger-words): the
 		// generation policy the heap was built with (simple, radix, or

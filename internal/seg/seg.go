@@ -73,9 +73,9 @@ type Segment struct {
 // by Seg, and the backing word arrays, never move when the table grows.
 // The chunk directory is published through an atomic pointer and grown
 // copy-on-write, which makes table *reads* (Seg/SegOf/Window/Writable)
-// safe to run concurrently with a single grower: the parallel collector
-// has N workers reading and writing heap words while one of them, under
-// the heap's allocation mutex, allocates fresh to-space segments.
+// safe to run concurrently with a single grower: concurrent mutators
+// read and write heap words while one of them, under the heap's
+// allocation mutex, claims fresh segments.
 const (
 	chunkBits = 6 // 64 segments (256 KB of heap) per chunk
 	chunkSize = 1 << chunkBits
@@ -155,9 +155,8 @@ type Table struct {
 	lazy []int
 	// reserved counts segments handed out by Reserve but not yet
 	// initialized with InitReserved (nor returned with Unreserve).
-	// Reserving happens under the caller's allocation mutex, but
-	// InitReserved is called lock-free from parallel collector workers,
-	// so the counter is atomic.
+	// The counter is atomic so ReservedCount and CommittedCount may be
+	// read without the caller's allocation mutex.
 	reserved atomic.Int64
 
 	// runPool pools retired large-object runs by size class: runPool[k]
@@ -186,10 +185,9 @@ type Table struct {
 	//
 	// The lazy privatize in Writable (and so SetWord/WordPtr) is
 	// deliberately unsynchronized: it is only correct in single-threaded regimes
-	// (the legacy single-mutator heap, or the sequential collector).
-	// Callers entering a multi-threaded regime — the parallel collector
-	// fan-out, or registering a concurrent mutator — must call
-	// PrivatizeAll first.
+	// (the legacy single-mutator heap, or the collector of a stopped
+	// world). Callers entering a multi-threaded regime — registering a
+	// concurrent mutator — must call PrivatizeAll first.
 	cowBits   []uint64
 	cowShared int
 	cowCopies uint64
@@ -324,10 +322,10 @@ func (t *Table) clearShared(idx int) {
 }
 
 // PrivatizeAll eagerly privatizes every still-shared segment. Required
-// before any multi-threaded access to the table's words (parallel
-// collector workers, concurrent mutators): the lazy copy in Writable
-// (SetWord/WordPtr) is unsynchronized and safe only while a single
-// goroutine touches heap words. Serialized like Alloc/Free.
+// before any multi-threaded access to the table's words (concurrent
+// mutators): the lazy copy in Writable (and SetWord) is unsynchronized
+// and safe only while a single goroutine touches heap words.
+// Serialized like Alloc/Free.
 func (t *Table) PrivatizeAll() {
 	cow := t.cowBits
 	for wi, bw := range cow {
@@ -528,9 +526,9 @@ func (t *Table) FreeRun(head int) int {
 // indices to dst, and returns the extended slice. Reserved segments are
 // not in use (InUseCount excludes them) and not on the free list; they
 // belong to the caller until InitReserved activates them or Unreserve
-// gives them back. The parallel collector's per-worker segment caches
-// use this to refill in batches under one allocation-mutex acquisition
-// instead of locking per segment. Backing word arrays are materialized
+// gives them back. Mutator TLAB caches use this to refill in batches
+// under one allocation-mutex acquisition instead of locking per
+// segment. Backing word arrays are materialized
 // here, so InitReserved itself performs no allocation.
 //
 // Reserve mutates the table and must be serialized like Alloc/Free.
@@ -547,12 +545,8 @@ func (t *Table) Reserve(dst []int, k int) []int {
 }
 
 // InitReserved activates a segment previously handed out by Reserve,
-// assigning it to the given space and generation. Unlike the other
-// mutating methods it may be called concurrently by parallel collector
-// workers without holding the table's serialization lock: it touches
-// only the segment's own (caller-owned) struct and the atomic reserved
-// counter. Publication of the initialized segment to other readers is
-// the caller's job (the collector publishes via forwarding-word CAS).
+// assigning it to the given space and generation. It touches only the
+// segment's own (caller-owned) struct and the atomic reserved counter.
 func (t *Table) InitReserved(idx int, space Space, gen int, stamp uint64) {
 	s := t.Seg(idx)
 	if s.InUse {
@@ -666,8 +660,8 @@ func (t *Table) InUseCount() int {
 // CommittedCount returns the number of segments the table has handed
 // out and not gotten back: in-use plus reserved. Bounded heaps charge
 // reservations against Config.MaxSegments at Reserve time using this
-// figure, so a segment parked in an affinity cache or a mutator's TLAB
-// cache counts against the limit exactly like a live one. Pooled runs
+// figure, so a segment parked in a mutator's TLAB cache counts against
+// the limit exactly like a live one. Pooled runs
 // are reclaimable (claim breaks them up before growing the table) and
 // do not count.
 func (t *Table) CommittedCount() int { return t.nseg - t.FreeCount() }
@@ -696,7 +690,7 @@ func (t *Table) Window(addr uint64) []uint64 {
 // Writable returns segment idx with its Words safe to store through:
 // a segment that still aliases a template array (copy-on-write) is
 // privatized first. This is the one place the privatize-before-first-
-// write rule lives — SetWord and WordPtr are expressed on it, and
+// write rule lives — SetWord is expressed on it, and
 // callers that write several words of one segment (a freshly copied
 // object, a swept object's fields) call it once and index the slice.
 // The privatize is unsynchronized — see the cowBits field doc for the
@@ -709,20 +703,12 @@ func (t *Table) Writable(idx int) *Segment {
 	return t.Seg(idx)
 }
 
-// Word returns the heap word at addr. Word, SetWord and WordPtr are
-// for one word at an arbitrary address; code that touches a whole
+// Word returns the heap word at addr. Word and SetWord are for one
+// word at an arbitrary address; code that touches a whole
 // object resolves its segment once (Window, Writable) instead.
 func (t *Table) Word(addr uint64) uint64 { return t.Window(addr)[0] }
 
 // SetWord stores w at addr (copy-on-write: see Writable).
 func (t *Table) SetWord(addr uint64, w uint64) {
 	t.Writable(int(addr / Words)).Words[addr%Words] = w
-}
-
-// WordPtr returns the address of the heap word at addr, for callers
-// that need atomic access to it. Taking a word's address is treated as
-// a write for copy-on-write purposes (the pointer exists to be stored
-// through), so a shared segment is privatized first.
-func (t *Table) WordPtr(addr uint64) *uint64 {
-	return &t.Writable(int(addr / Words)).Words[addr%Words]
 }

@@ -211,9 +211,9 @@ func TestSpaceNames(t *testing.T) {
 
 // TestWritableIsTheCopyOnWriteRule checks the two word accessors of a
 // copy-on-write table: Window (and Word on it) reads a shared segment
-// in place, Writable privatizes it exactly once, and SetWord and
-// WordPtr — expressed on Writable — never write through to the
-// template's array.
+// in place, Writable privatizes it exactly once, and neither it nor
+// SetWord — expressed on Writable — writes through to the template's
+// array.
 func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 	arrays := make([][]uint64, 3)
 	segs := make([]TemplateSeg, 3)
@@ -238,9 +238,9 @@ func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 		t.Fatalf("second Writable: %d copies, shared %v", tab.COWCopies(), tab.IsShared(0))
 	}
 	tab.SetWord(BaseAddr(1)+7, 2)
-	*tab.WordPtr(BaseAddr(2) + 7) = 3
+	tab.Writable(2).Words[7] = 3
 	if tab.COWCopies() != 3 || tab.SharedCount() != 0 {
-		t.Fatalf("after SetWord and WordPtr: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
+		t.Fatalf("after SetWord and Writable: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
 	}
 	for i := range arrays {
 		if arrays[i][7] != uint64(100+i) || tab.Word(BaseAddr(i)+7) != uint64(i+1) {

@@ -41,14 +41,13 @@ var deterministicScripts = []string{
 }
 
 // runDeterministicWorkload drives a fixed 3-session script schedule on
-// a synchronous server with the given collector configuration and
+// a synchronous server with the given pause budget and
 // returns a rendering of every observable reclaim ordering: the
 // per-session salvage logs (mid-life and drain, in order) and the
 // final reclaim records.
-func runDeterministicWorkload(t *testing.T, workers int, pause time.Duration) string {
+func runDeterministicWorkload(t *testing.T, pause time.Duration) string {
 	t.Helper()
 	hc := DefaultSessionHeapConfig()
-	hc.Workers = workers
 	hc.PauseBudget = pause
 	srv := New(Config{Heap: hc})
 
@@ -91,31 +90,17 @@ func runDeterministicWorkload(t *testing.T, workers int, pause time.Duration) st
 }
 
 // TestServerReclaimOrderDeterminism extends the collector-level
-// determinism guarantees (parallel salvage, PR5; pause-sliced sweeps,
-// PR7) to the server layer: the same session scripts on the same
-// synchronous schedule produce bit-for-bit identical reclaim logs at
-// every combination of collector worker count (sequential, parallel,
-// over-provisioned, adaptive) and pause budget (unsliced, sliced).
+// determinism guarantee for pause-sliced sweeps to the server layer:
+// the same session scripts on the same synchronous schedule produce
+// bit-for-bit identical reclaim logs with and without a pause budget.
 func TestServerReclaimOrderDeterminism(t *testing.T) {
-	type combo struct {
-		workers int
-		pause   time.Duration
-	}
-	combos := []combo{
-		{1, 0}, {2, 0}, {8, 0}, {0, 0},
-		{1, time.Millisecond}, {2, time.Millisecond},
-		{8, time.Millisecond}, {0, time.Millisecond},
-	}
-	baseline := runDeterministicWorkload(t, combos[0].workers, combos[0].pause)
+	baseline := runDeterministicWorkload(t, 0)
 	if baseline == "" {
 		t.Fatal("baseline workload produced no log")
 	}
-	for _, c := range combos[1:] {
-		got := runDeterministicWorkload(t, c.workers, c.pause)
-		if got != baseline {
-			t.Errorf("workers=%d pause=%v diverges from workers=%d pause=%v:\n--- baseline ---\n%s--- got ---\n%s",
-				c.workers, c.pause, combos[0].workers, combos[0].pause, baseline, got)
-		}
+	if got := runDeterministicWorkload(t, time.Millisecond); got != baseline {
+		t.Errorf("pause=%v diverges from the unsliced run:\n--- baseline ---\n%s--- got ---\n%s",
+			time.Millisecond, baseline, got)
 	}
 }
 
@@ -123,8 +108,8 @@ func TestServerReclaimOrderDeterminism(t *testing.T) {
 // the same logs — the schedule itself is deterministic, so divergence
 // in the cross-config test indicts the collector, not the harness.
 func TestServerReclaimOrderRepeatable(t *testing.T) {
-	a := runDeterministicWorkload(t, 1, 0)
-	b := runDeterministicWorkload(t, 1, 0)
+	a := runDeterministicWorkload(t, 0)
+	b := runDeterministicWorkload(t, 0)
 	if a != b {
 		t.Fatalf("same config diverged:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}

@@ -37,8 +37,8 @@ import (
 // Config shapes a server.
 type Config struct {
 	// Heap is the per-session heap configuration. The zero value
-	// selects DefaultSessionHeapConfig. Collector knobs (Workers,
-	// PauseBudget) apply within each session's heap.
+	// selects DefaultSessionHeapConfig. Collector knobs (PauseBudget,
+	// the Policy) apply within each session's heap.
 	Heap heap.Config
 	// Executors is the number of goroutines stepping ready sessions
 	// after Start. 0 means the server is driven synchronously with
@@ -78,8 +78,8 @@ type Config struct {
 
 // DefaultSessionHeapConfig is the per-session heap shape: small
 // nursery (sessions are small by design — the scale axis is session
-// count), three dynamic generations under a static one, dirty set on,
-// sequential collector. The static generation is where the template
+// count), three dynamic generations under a static one, dirty set on.
+// The static generation is where the template
 // donor tenures the prelude (scheme.CaptureTemplate), so a clone's
 // collections never copy it and the clone goes on sharing the
 // template's segments for as long as it lives; a prelude-booted
@@ -89,7 +89,6 @@ func DefaultSessionHeapConfig() heap.Config {
 		Generations: 4,
 		Policy:      heap.StaticTop(heap.RadixPolicy{Trigger: 8 * seg.Words}),
 		UseDirtySet: true,
-		Workers:     1,
 	}
 }
 

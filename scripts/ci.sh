@@ -23,27 +23,19 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== parallel collector gate (-race)"
-# Redundant with the full -race run above, but kept as an explicit,
-# named gate: the lockstep oracles (sequential-vs-parallel and
-# map-vs-sharded remembered set) and the multi-worker stress tests are
-# the proof that Workers=N (and Workers=0, the adaptive policy) is
-# isomorphic to Workers=1.
-go test -race -run 'TestParallelOracle|TestRemsetMapOracle|TestStressParallelWorkers' ./internal/heap/
-
-echo "== parallel guardian gate (-race)"
-# The guardian salvage fixpoint fans its accessibility checks and
-# re-sweeps out over the workers but must keep tconc append order
-# bit-for-bit identical to the sequential algorithm: the determinism
-# suite replays randomized guardian/weak workloads at Workers
-# {1, 2, 8, auto} and compares every collection's queue contents.
-go test -race -run 'TestGuardianParallelDeterminism|TestGuardianChainSalvageOrder|TestGuardianWorkerAttribution' ./internal/heap/
+echo "== guardian gate (-race)"
+# The guardian salvage fixpoint must append to tconcs in registration
+# order: the chain suite pins §4's rounds and salvage order, and the
+# sliced determinism suite replays a randomized guardian/weak workload
+# with and without a pause budget and compares every collection's
+# queue contents.
+go test -race -run 'TestGuardian' ./internal/heap/
 
 echo "== concurrent mutator gate (-race)"
 # Concurrent-mutator mode: N goroutines allocating through TLABs while
 # collections run the stop-the-world safepoint handshake. The stress
-# suite races allocation, the write barrier, guardians, and collections
-# at Workers {1, 2, 8, auto}; the lockstep oracle proves the
+# suite races allocation, the write barrier, guardians, and
+# collections; the lockstep oracle proves the
 # multi-handle allocator isomorphic to the legacy single-mutator heap
 # (with the map remembered-set oracle on the reference side); the
 # bounded-heap tests pin the reserved-segments-count-toward-MaxSegments
@@ -74,7 +66,7 @@ echo "== multi-session server gate (-race)"
 # goroutines against the started pools (every session must reclaim
 # through the guardian path with zero leaked descriptors/resources),
 # plus the reclaim-order determinism suite replaying a fixed schedule
-# at collector Workers {1,2,8,auto} x PauseBudget {0,1ms}, and the
+# at PauseBudget {0,1ms}, and the
 # session-memory suite: every template segment still shared after two
 # radix cycles, memory per standing session flat in requests served, a
 # drain that reaches what a program tenured by hand.
@@ -82,8 +74,7 @@ SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerR
 
 echo "== heap template / fork gate (-race)"
 # Copy-on-write heap templates: the clone matrix (remset + guardians
-# round-tripped at Workers {1,2,8,auto} x PauseBudget {0,1ms} with
-# bit-for-bit salvage order), the COW fault/privatization semantics,
+# round-tripped at PauseBudget {0,1ms} with bit-for-bit salvage order), the COW fault/privatization semantics,
 # the mid-slice SaveImage/CaptureTemplate rejection, the corrupt-image
 # regression sweep, and the server-side template boot suite (staleness
 # rebuild on donor DefinePrim, template-boot churn with zero leaks, no
@@ -96,20 +87,12 @@ go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCap
 
 echo "== segment-window gate (-race)"
 # Word access by window: cursors that cache their open segment, objects
-# at the one-segment limit either side of the window/run boundary, the
-# lost-install rollback, forward privatizing a template-shared
-# from-space segment without touching the template, and Verify's
-# stale-cursor invariant — each at Workers {1, 2}. The steady-state
-# test holds the window-filling constructors and the copying core to
-# zero Go allocations per round.
-go test -race -run 'TestWindow|TestUnallocRestoresCursor|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs' ./internal/heap/
-
-echo "== deque property gate (-race)"
-# The Chase-Lev work-stealing deque carries every parallel sweep item;
-# the randomized owner/thief property test under the race detector is
-# the direct check of its lock-free protocol (exactly-once delivery,
-# no torn or stale slot reads).
-go test -race -run 'TestDeque' ./internal/heap/
+# at the one-segment limit either side of the window/run boundary,
+# forward privatizing a template-shared from-space segment without
+# touching the template, and Verify's stale-cursor invariant. The
+# steady-state test holds the window-filling constructors and the
+# copying core to zero Go allocations per round.
+go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs' ./internal/heap/
 
 echo "== heap repeat gate (-count=2 -race)"
 # Runs the heap suite twice in one process: shakes out state leaking
@@ -123,7 +106,7 @@ echo "== fuzz smoke"
 # fuzzing land in testdata/ and then run as plain tests in the -race
 # pass above.
 go test -run '^$' -fuzz 'FuzzRememberedSet' -fuzztime=10s ./internal/heap/
-go test -run '^$' -fuzz 'FuzzGuardianParallel' -fuzztime=10s ./internal/heap/
+go test -run '^$' -fuzz '^FuzzGuardian$' -fuzztime=10s ./internal/heap/
 # -fuzzminimizetime: new interesting inputs otherwise get the default
 # 60s minimization budget each, which dwarfs the 10s fuzz budget.
 go test -run '^$' -fuzz 'FuzzMutatorOps' -fuzztime=10s -fuzzminimizetime=1s ./internal/heap/
@@ -143,8 +126,6 @@ go test -run 'TestHeaderAccessorsDoNotAllocate' ./internal/heap/
 
 echo "== benchgc smoke"
 go run ./cmd/benchgc -trace -phases -gcs 5 >/dev/null
-go run ./cmd/benchgc -trace -workers 4 -gcs 5 >/dev/null
-go run ./cmd/benchgc -trace -workers 0 -gcs 5 >/dev/null
 go run ./cmd/benchgc -trace -pause-budget 200us -gcs 5 >/dev/null
 go run ./cmd/benchgc -e e1 >/dev/null
 # Reduced-scale server bench: exercises all three phases and the
@@ -178,21 +159,5 @@ go test -C bench ./...
 for wl in heap-young heap-guardian; do
     bash bench/run.sh --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep -q '"failed":0'
 done
-
-echo "== parallel collection baseline"
-# The summary (kept visible, unlike the other smokes) leads with
-# GOMAXPROCS so the log records which regime produced the numbers:
-# without real cores the parallel rows show honest overhead, not
-# speedup. The gate's own pass/fail line repeats GOMAXPROCS so a
-# scraped one-line CI status still shows the regime (the GOMAXPROCS=1
-# blind spot is a ROADMAP open item).
-gmp="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}"
-if go run ./cmd/benchgc -parallel-bench -gcs 5 -out /tmp/BENCH_parallel_ci.json; then
-    echo "parallel-bench smoke: PASS (GOMAXPROCS=$gmp)"
-else
-    echo "parallel-bench smoke: FAIL (GOMAXPROCS=$gmp)" >&2
-    exit 1
-fi
-rm -f /tmp/BENCH_parallel_ci.json
 
 echo "CI OK"

@@ -104,14 +104,14 @@ func (m *Machine) desugar(form formID, expr obj.Value) (obj.Value, error) {
 		test := h.Car(clause)
 		body := h.Cdr(clause)
 		more := h.Cons(sym("cond"), h.Cdr(rest))
-		if m.isSymbol(test) && test == m.syms[m.symElse] {
+		if m.isSymbol(test) && test == m.keywords[kwElse] {
 			return h.Cons(sym("begin"), body), nil
 		}
 		if body == obj.Nil {
 			// (cond (t) rest...) => (or t (cond rest...))
 			return list(sym("or"), test, more), nil
 		}
-		if m.isSymbol(h.Car(body)) && h.Car(body) == m.syms[m.symArrow] {
+		if m.isSymbol(h.Car(body)) && h.Car(body) == m.keywords[kwArrow] {
 			// (cond (t => f) rest...) =>
 			// (let ((tmp t)) (if tmp (f tmp) (cond rest...)))
 			tmp := m.Gensym()
@@ -137,8 +137,8 @@ func (m *Machine) desugar(form formID, expr obj.Value) (obj.Value, error) {
 			}
 			data := h.Car(cl)
 			body := h.Cdr(cl)
-			if m.isSymbol(data) && data == m.syms[m.symElse] {
-				built = append(built, h.Cons(m.syms[m.symElse], body))
+			if m.isSymbol(data) && data == m.keywords[kwElse] {
+				built = append(built, h.Cons(m.keywords[kwElse], body))
 				continue
 			}
 			test := list(sym("memv"), tmp, list(sym("quote"), data))

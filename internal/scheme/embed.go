@@ -23,7 +23,7 @@ import (
 // symbols still works, but its symbol is then permanent only if no
 // user symbol was interned first.
 func (m *Machine) DefinePrim(name string, min, max int, fn func(*Machine, Args) (obj.Value, error)) {
-	idx := len(m.prims)
+	idx := len(builtins) + len(m.hostPrims)
 	// Clone fast path: a machine attached to a template clone
 	// (MachineTemplate.Attach) inherits the donor's DefinePrim state in
 	// the heap — the symbol is already permanent and its global value is
@@ -33,33 +33,36 @@ func (m *Machine) DefinePrim(name string, min, max int, fn func(*Machine, Args) 
 	// install it and return without touching the heap or the snapshot,
 	// which keeps clone boot allocation-free and — because nothing
 	// changes — does not bump permVersion. The index check makes this
-	// exact: m.prims only ever grows, so an index collision is only
+	// exact: m.hostPrims only ever grows, so an index collision is only
 	// possible by replaying the same registration order on a heap that
 	// already contains it.
-	if i, ok := m.symIdx[name]; ok && i < m.permanentSyms && m.syms[i] != obj.False {
-		if val, _, ok2 := m.H.PeekSymbol(m.syms[i]); ok2 &&
+	if i, ok := m.symbolIndex(name); ok && i < m.permanentSyms && m.symbol(i) != obj.False {
+		if val, _, ok2 := m.H.PeekSymbol(m.symbol(i)); ok2 &&
 			m.H.IsKind(val, obj.KPrimitive) && m.H.PrimitiveIndex(val) == idx {
-			m.prims = append(m.prims, prim{name: name, min: min, max: max, fn: fn})
+			m.hostPrims = append(m.hostPrims, prim{name: name, min: min, max: max, fn: fn})
 			return
 		}
 	}
-	m.prims = append(m.prims, prim{name: name, min: min, max: max, fn: fn})
+	m.hostPrims = append(m.hostPrims, prim{name: name, min: min, max: max, fn: fn})
 	symS := m.slot(m.Intern(name))
 	p := m.H.MakePrimitive(idx, m.get(symS))
 	m.H.SetSymbolValue(m.get(symS), p)
 	m.stack = m.stack[:len(m.stack)-1]
 	// Freshly interned at the permanence watermark: extend it, so the
 	// primitive's global binding survives DropUserState like the
-	// built-ins do.
-	if i, ok := m.symIdx[name]; ok {
+	// built-ins do. Either way the snapshots change, so a machine still
+	// sharing its template's flattens first.
+	if i, ok := m.symbolIndex(name); ok {
 		switch {
 		case i == m.permanentSyms:
+			m.flatten()
 			m.permanentSyms++
 			m.snapshotPermanents()
 		case i < m.permanentSyms:
 			// Rebinding an already-permanent symbol: refresh its
 			// snapshot so DropUserState keeps the primitive, not the
 			// binding it replaced.
+			m.flatten()
 			m.permValues[i] = p
 		}
 	}
@@ -93,7 +96,7 @@ func (m *Machine) DropUserState() {
 	// a permanent slot), and such a binding must not outlive the
 	// hosted program.
 	for i := 0; i < m.permanentSyms; i++ {
-		v := m.syms[i]
+		v := m.symbol(i)
 		if v == obj.False {
 			continue // freed slot
 		}
@@ -106,7 +109,7 @@ func (m *Machine) DropUserState() {
 			}
 		}
 	}
-	for i := m.permanentSyms; i < len(m.syms); i++ {
+	for i := m.permanentSyms - len(m.baseSyms); i < len(m.syms); i++ {
 		v := m.syms[i]
 		if v == obj.False {
 			continue // freed slot
@@ -134,7 +137,8 @@ func (m *Machine) PermVersion() uint64 { return m.permVersion }
 // hosts chasing object retention through the symbol table. The machine
 // must be quiescent (no Eval or collection in progress).
 func (m *Machine) VisitSymbols(fn func(idx int, name string, value, plist obj.Value)) {
-	for i, v := range m.syms {
+	for i := 0; i < m.numSymbolSlots(); i++ {
+		v := m.symbol(i)
 		if v == obj.False {
 			continue // freed slot
 		}
@@ -142,6 +146,6 @@ func (m *Machine) VisitSymbols(fn func(idx int, name string, value, plist obj.Va
 		if !ok {
 			continue
 		}
-		fn(i, m.symNames[i], value, plist)
+		fn(i, m.symbolName(i), value, plist)
 	}
 }

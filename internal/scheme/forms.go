@@ -238,7 +238,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 				return fail("malformed cond clause")
 			}
 			test := h.Car(clause)
-			if m.isSymbol(test) && test == m.syms[m.symElse] {
+			if m.isSymbol(test) && test == m.keywords[kwElse] {
 				bodyS := m.slot(h.Cdr(clause))
 				return m.tailBody(bodyS, envS)
 			}
@@ -254,7 +254,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 			if body == obj.Nil {
 				return obj.Void, obj.Void, t, true, nil
 			}
-			if m.isSymbol(h.Car(body)) && h.Car(body) == m.syms[m.symArrow] {
+			if m.isSymbol(h.Car(body)) && h.Car(body) == m.keywords[kwArrow] {
 				tS := m.slot(t)
 				recv, err := m.Eval(h.Car(h.Cdr(body)), m.get(envS))
 				if err != nil {
@@ -286,7 +286,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 				return fail("malformed case clause")
 			}
 			data := h.Car(clause)
-			match := m.isSymbol(data) && data == m.syms[m.symElse]
+			match := m.isSymbol(data) && data == m.keywords[kwElse]
 			for d := data; !match && d.IsPair(); d = h.Cdr(d) {
 				if h.Eqv(h.Car(d), m.get(keyS)) {
 					match = true

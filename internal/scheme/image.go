@@ -15,7 +15,7 @@ import (
 
 // Machine images layer the symbol table over heap images: SaveImage
 // writes the heap followed by every interned symbol (name and heap
-// value), and LoadMachineImage rebuilds a machine whose globals,
+// value) and the permanent symbols' snapshots, and LoadMachineImage rebuilds a machine whose globals,
 // closures, and guardians — everything expressible in Scheme — pick up
 // exactly where the saved session stopped. This mirrors Chez Scheme's
 // saved heaps.
@@ -23,9 +23,9 @@ import (
 // Restrictions: the machine must be quiescent (no evaluation in
 // progress) and must not have compiled code (bytecode is a Go-side
 // table that a heap image cannot carry); primitives are re-installed
-// by index, which is stable because installPrims is deterministic.
+// by index, which is stable because the builtins table only grows.
 
-const machineMagic = "GUARDMACH2\n"
+const machineMagic = "GUARDMACH3\n"
 
 // SaveImage writes the machine (heap + symbol table) to w.
 func (m *Machine) SaveImage(w io.Writer) error {
@@ -50,26 +50,41 @@ func (m *Machine) SaveImage(w io.Writer) error {
 	if err := wr(uint64(m.gensymN)); err != nil {
 		return err
 	}
+	// Permanent slots are never freed, so the watermark is also the
+	// number of written symbols that are permanent.
+	if err := wr(uint64(m.permanentSyms)); err != nil {
+		return err
+	}
+	n := m.numSymbolSlots()
 	live := 0
-	for i := range m.syms {
-		if m.syms[i] != obj.False || m.symNames[i] != "" {
+	for i := 0; i < n; i++ {
+		if m.symbol(i) != obj.False || m.symbolName(i) != "" {
 			live++
 		}
 	}
 	if err := wr(uint64(live)); err != nil {
 		return err
 	}
-	for i := range m.syms {
-		if m.syms[i] == obj.False && m.symNames[i] == "" {
+	for i := 0; i < n; i++ {
+		sym, name := m.symbol(i), m.symbolName(i)
+		if sym == obj.False && name == "" {
 			continue // freed (pruned) slot
 		}
-		if err := wr(uint64(len(m.symNames[i]))); err != nil {
+		if err := wr(uint64(len(name))); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(m.symNames[i]); err != nil {
+		if _, err := bw.WriteString(name); err != nil {
 			return err
 		}
-		if err := wr(uint64(m.syms[i])); err != nil {
+		if err := wr(uint64(sym)); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < m.permanentSyms; i++ {
+		if err := wr(uint64(m.permValues[i])); err != nil {
+			return err
+		}
+		if err := wr(uint64(m.permPlists[i])); err != nil {
 			return err
 		}
 	}
@@ -96,6 +111,7 @@ func LoadMachineImage(r io.Reader, pm *ports.Manager) (*Machine, error) {
 		H:      h,
 		PM:     pm,
 		Out:    os.Stdout,
+		base:   emptyBase,
 		symIdx: make(map[string]int),
 		fuel:   -1,
 	}
@@ -111,8 +127,12 @@ func LoadMachineImage(r io.Reader, pm *ports.Manager) (*Machine, error) {
 		return nil, err
 	}
 	m.gensymN = int(g)
+	perm, err := rd()
+	if err != nil {
+		return nil, err
+	}
 	count, err := rd()
-	if err != nil || count > 1<<24 {
+	if err != nil || count > 1<<24 || perm > count {
 		return nil, fmt.Errorf("scheme: corrupt machine image")
 	}
 	for k := uint64(0); k < count; k++ {
@@ -133,21 +153,38 @@ func LoadMachineImage(r io.Reader, pm *ports.Manager) (*Machine, error) {
 		m.syms = append(m.syms, obj.Value(sv))
 		m.symNames = append(m.symNames, name)
 	}
+	// The saved machine's permanent symbols are permanent again, and
+	// DropUserState reverts them to the saved snapshots; the rest are
+	// the saved program's, prunable and dropped like any user symbol.
+	m.permanentSyms = int(perm)
+	for i := 0; i < m.permanentSyms; i++ {
+		v, err := rd()
+		if err != nil {
+			return nil, fmt.Errorf("scheme: corrupt machine image (snapshot)")
+		}
+		pl, err := rd()
+		if err != nil {
+			return nil, fmt.Errorf("scheme: corrupt machine image (snapshot)")
+		}
+		m.permValues = append(m.permValues, obj.Value(v))
+		m.permPlists = append(m.permPlists, obj.Value(pl))
+	}
 
 	// Rebind the machine's internals against the restored table.
-	for name, id := range formNames {
-		m.Intern(name)
-		m.formSyms[id] = m.symIdx[name]
-	}
-	m.Intern("else")
-	m.symElse = m.symIdx["else"]
-	m.Intern("=>")
-	m.symArrow = m.symIdx["=>"]
-	// Primitives: same deterministic order as New, so primitive
+	m.internForms()
+	// Primitives: the builtins table's order, as in New, so primitive
 	// objects restored from the heap carry valid indexes; installPrims
 	// also rebinds each name's global cell to a fresh primitive.
 	m.installPrims()
-	m.permanentSyms = len(m.syms)
+	// Every keyword and built-in must be among the permanent symbols.
+	if len(m.syms) != int(count) {
+		return nil, fmt.Errorf("scheme: corrupt machine image (built-ins missing)")
+	}
+	for _, p := range builtins {
+		if i, _ := m.symbolIndex(p.name); i >= m.permanentSyms {
+			return nil, fmt.Errorf("scheme: corrupt machine image (built-in %s not permanent)", p.name)
+		}
+	}
 	h.AddPostCollectHook(m.pruneDeadSymbols)
 	return m, nil
 }

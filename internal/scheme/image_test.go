@@ -104,3 +104,32 @@ func TestMachineImageContinuesCollecting(t *testing.T) {
 		t.Fatal("expected collections on restored machine")
 	}
 }
+
+// TestMachineImageDropUserState: a loaded machine carries the saved
+// machine's permanent-symbol snapshots, so DropUserState reverts a
+// rebound built-in and drops the saved program's globals.
+func TestMachineImageDropUserState(t *testing.T) {
+	m := scheme.New(heap.NewDefault(), nil)
+	m.MustEval("(define saved-global (list 1 2 3))")
+	var buf bytes.Buffer
+	if err := m.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := scheme.LoadMachineImage(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m2.PermanentSymbols(), m.PermanentSymbols(); got != want {
+		t.Fatalf("loaded machine has %d permanent symbols, want %d", got, want)
+	}
+	m2.MustEval("(define car 5)")
+	m2.DropUserState()
+	expectEval(t, m2, "(car '(1 2))", "1")
+	if _, err := m2.EvalString("saved-global"); err == nil {
+		t.Fatal("the saved program's global survived DropUserState")
+	}
+	m2.H.Collect(m2.H.MaxGeneration())
+	if errs := m2.H.Verify(); len(errs) > 0 {
+		t.Fatalf("heap unsound after DropUserState: %v", errs[0])
+	}
+}

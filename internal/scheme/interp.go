@@ -49,6 +49,14 @@ const (
 	numForms
 )
 
+// Indexes of the two other keywords in Machine.keywords, after the
+// special forms.
+const (
+	kwElse = int(numForms) + iota
+	kwArrow
+	numKeywords
+)
+
 var formNames = map[string]formID{
 	"quote": fQuote, "if": fIf, "define": fDefine, "set!": fSet,
 	"lambda": fLambda, "case-lambda": fCaseLambda, "begin": fBegin,
@@ -77,15 +85,28 @@ type Machine struct {
 	PM  *ports.Manager
 	Out io.Writer
 
-	symIdx   map[string]int
-	syms     []obj.Value
-	symNames []string
-	symsFree []int
-	stack    []obj.Value
-	prims    []prim
-	formSyms [numForms]int // index into syms for each special form
-	symElse  int
-	symArrow int
+	// The symbol table (symtab.go): base is the frozen prefix shared
+	// with every machine attached to the same template, and baseSyms
+	// its symbol values — base.syms itself while shared is set, the
+	// machine's private copy once it has flattened. The overlay holds
+	// symbol indexes from len(baseSyms) on: symIdx maps its names to
+	// indexes, syms[i] and symNames[i] are slot len(baseSyms)+i
+	// (obj.False and "" once pruned), symsFree lists pruned slots.
+	base      *symBase
+	baseSyms  []obj.Value
+	shared    bool      // baseSyms, permValues and permPlists alias base
+	visitCell obj.Value // visitShared's copy of the base slot being visited
+	symIdx    map[string]int
+	syms      []obj.Value
+	symNames  []string
+	symsFree  []int
+
+	stack     []obj.Value
+	hostPrims []prim // DefinePrim's primitives, indexed from len(builtins)
+	// keywords holds the symbol of each special form (by formID), then
+	// else and =>: the evaluator compares against them on every
+	// application. Visited as roots, so they track their symbols.
+	keywords [numKeywords]obj.Value
 	gensymN  int
 	depth    int
 
@@ -101,7 +122,9 @@ type Machine struct {
 	// short names like "p" as lambda parameters, so a user-level
 	// (define p ...) lands on a permanent slot); DropUserState
 	// restores these snapshots so such bindings do not outlive the
-	// hosted program. The snapshots are visited as strong roots.
+	// hosted program. The snapshots are visited as strong roots. An
+	// attached machine reads its template's snapshots (base.values,
+	// base.plists) until it flattens.
 	permValues []obj.Value
 	permPlists []obj.Value
 	// permanentCodes is the length of codes at machine initialization;
@@ -161,18 +184,12 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 		H:      h,
 		PM:     pm,
 		Out:    os.Stdout,
+		base:   emptyBase,
 		symIdx: make(map[string]int),
 		fuel:   -1,
 	}
 	h.AddRootProvider(m)
-	for name, id := range formNames {
-		m.Intern(name)
-		m.formSyms[id] = m.symIdx[name]
-	}
-	m.Intern("else")
-	m.symElse = m.symIdx["else"]
-	m.Intern("=>")
-	m.symArrow = m.symIdx["=>"]
+	m.internForms()
 	m.installPrims()
 	if _, err := m.EvalString(prelude); err != nil {
 		panic(fmt.Sprintf("scheme: prelude failed: %v", err))
@@ -187,6 +204,16 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 	return m
 }
 
+// internForms interns the special-form keywords, else and =>, and
+// records their symbols.
+func (m *Machine) internForms() {
+	for name, id := range formNames {
+		m.keywords[id] = m.Intern(name)
+	}
+	m.keywords[kwElse] = m.Intern("else")
+	m.keywords[kwArrow] = m.Intern("=>")
+}
+
 // snapshotPermanents records the global value and property list of
 // permanent symbol slots not yet snapshotted, up to the current
 // watermark, so DropUserState can restore them. Called from New for
@@ -194,7 +221,7 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 func (m *Machine) snapshotPermanents() {
 	for i := len(m.permValues); i < m.permanentSyms; i++ {
 		value, plist := obj.Unbound, obj.Nil
-		if v := m.syms[i]; v != obj.False {
+		if v := m.symbol(i); v != obj.False {
 			if val, pl, ok := m.H.PeekSymbol(v); ok {
 				value, plist = val, pl
 			}
@@ -211,16 +238,18 @@ func (m *Machine) snapshotPermanents() {
 func (m *Machine) EnableSymbolPruning(on bool) { m.pruneSymbols = on }
 
 // InternedSymbols returns the number of currently interned symbols.
-func (m *Machine) InternedSymbols() int { return len(m.symIdx) }
+func (m *Machine) InternedSymbols() int { return len(m.base.idx) + len(m.symIdx) }
 
 // pruneDeadSymbols is the post-collect hook implementing the weak
 // symbol table: prunable symbols are not visited as roots, so a
 // symbol survives only if something else in the heap kept it alive.
+// Permanent symbols, the base among them, are never pruned.
 func (m *Machine) pruneDeadSymbols(h *heap.Heap, _ *heap.CollectionReport) {
 	if !m.pruneSymbols {
 		return
 	}
-	for i := m.permanentSyms; i < len(m.syms); i++ {
+	nb := len(m.baseSyms)
+	for i := m.permanentSyms - nb; i < len(m.syms); i++ {
 		v := m.syms[i]
 		if v == obj.False {
 			continue // already freed slot
@@ -232,7 +261,7 @@ func (m *Machine) pruneDeadSymbols(h *heap.Heap, _ *heap.CollectionReport) {
 		delete(m.symIdx, m.symNames[i])
 		m.syms[i] = obj.False
 		m.symNames[i] = ""
-		m.symsFree = append(m.symsFree, i)
+		m.symsFree = append(m.symsFree, nb+i)
 	}
 }
 
@@ -240,14 +269,17 @@ func (m *Machine) pruneDeadSymbols(h *heap.Heap, _ *heap.CollectionReport) {
 // shadow stack. With symbol pruning enabled, a non-permanent symbol
 // without a global value or property list is deliberately *not*
 // visited; if nothing else in the heap references it, the post-collect
-// hook uninterns it.
+// hook uninterns it. Base symbols and the permanent-symbol snapshots
+// go through visitShared, which never stores into a template's base.
 func (m *Machine) VisitRoots(visit func(*obj.Value)) {
+	m.visitShared(&m.baseSyms, visit)
+	nb := len(m.baseSyms)
 	for i := range m.syms {
 		v := m.syms[i]
 		if v == obj.False {
 			continue // freed slot
 		}
-		if m.pruneSymbols && i >= m.permanentSyms {
+		if m.pruneSymbols && nb+i >= m.permanentSyms {
 			if val, plist, ok := m.H.PeekSymbol(v); ok &&
 				val == obj.Unbound && plist == obj.Nil {
 				continue // weak: survives only via other references
@@ -255,11 +287,10 @@ func (m *Machine) VisitRoots(visit func(*obj.Value)) {
 		}
 		visit(&m.syms[i])
 	}
-	for i := range m.permValues {
-		visit(&m.permValues[i])
-	}
-	for i := range m.permPlists {
-		visit(&m.permPlists[i])
+	m.visitShared(&m.permValues, visit)
+	m.visitShared(&m.permPlists, visit)
+	for i := range m.keywords {
+		visit(&m.keywords[i])
 	}
 	for i := range m.stack {
 		visit(&m.stack[i])
@@ -275,22 +306,29 @@ func (m *Machine) VisitRoots(visit func(*obj.Value)) {
 }
 
 // Intern returns the unique symbol named name, creating it on first
-// use.
+// use. A new symbol goes in the overlay.
 func (m *Machine) Intern(name string) obj.Value {
+	if idx, ok := m.base.idx[name]; ok {
+		return m.baseSyms[idx]
+	}
+	nb := len(m.baseSyms)
 	if idx, ok := m.symIdx[name]; ok {
-		return m.syms[idx]
+		return m.syms[idx-nb]
 	}
 	s := m.H.MakeSymbol(m.H.MakeString(name))
 	var idx int
 	if n := len(m.symsFree); n > 0 {
 		idx = m.symsFree[n-1]
 		m.symsFree = m.symsFree[:n-1]
-		m.syms[idx] = s
-		m.symNames[idx] = name
+		m.syms[idx-nb] = s
+		m.symNames[idx-nb] = name
 	} else {
-		idx = len(m.syms)
+		idx = nb + len(m.syms)
 		m.syms = append(m.syms, s)
 		m.symNames = append(m.symNames, name)
+	}
+	if m.symIdx == nil {
+		m.symIdx = make(map[string]int)
 	}
 	m.symIdx[name] = idx
 	return s
@@ -345,9 +383,9 @@ func (m *Machine) specialFormOf(head obj.Value) (formID, bool) {
 	if !m.isSymbol(head) {
 		return 0, false
 	}
-	for id := formID(0); id < numForms; id++ {
-		if head == m.syms[m.formSyms[id]] {
-			return id, true
+	for id, kw := range m.keywords[:numForms] {
+		if head == kw {
+			return formID(id), true
 		}
 	}
 	return 0, false
@@ -536,7 +574,12 @@ func (m *Machine) evalBodyButLast(body, env obj.Value, eExpr, eEnv slot) (empty 
 // callPrim checks arity and invokes a primitive.
 func (m *Machine) callPrim(fn obj.Value, a Args) (obj.Value, error) {
 	idx := m.H.PrimitiveIndex(fn)
-	p := &m.prims[idx]
+	var p *prim
+	if idx < len(builtins) {
+		p = &builtins[idx]
+	} else {
+		p = &m.hostPrims[idx-len(builtins)]
+	}
 	if a.n < p.min || (p.max >= 0 && a.n > p.max) {
 		return obj.Void, fmt.Errorf("scheme: %s: wrong number of arguments (%d)", p.name, a.n)
 	}

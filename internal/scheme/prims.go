@@ -9,61 +9,51 @@ import (
 	"repro/internal/obj"
 )
 
-// installPrims registers every primitive procedure as the global value
-// of its name.
-func (m *Machine) installPrims() { m.registerBuiltins(false) }
+// builtins is the dispatch table of the built-in primitives: entry i
+// is primitive index i on every machine, and each entry reaches the
+// machine that calls it (and its heap) through its first argument, so
+// one table serves every machine in the process. Host primitives
+// (DefinePrim) follow it in each machine's own hostPrims. The order is
+// part of the image and template contract — a primitive object in a
+// heap carries its index — so entries are only ever appended.
+var builtins []prim
 
-// registerBuiltins installs the built-in primitives. With goSideOnly
-// set it only rebuilds the Go-side dispatch table (m.prims) and
-// touches no heap state: a machine attached to a template clone
-// (MachineTemplate.Attach) inherits the primitive *objects* — and the
-// global bindings — from the cloned heap, where the indexes assigned
-// here are already baked in, so only the index→function mapping needs
-// reconstructing. The registration order is therefore part of the
-// image/template contract: it must stay deterministic.
-func (m *Machine) registerBuiltins(goSideOnly bool) {
+// init fills builtins. It is not a variable initializer because that
+// would be an initialization cycle: primitives such as apply dispatch
+// back through callPrim, which reads the table.
+func init() {
 	def := func(name string, min, max int, fn func(*Machine, Args) (obj.Value, error)) {
-		idx := len(m.prims)
-		m.prims = append(m.prims, prim{name: name, min: min, max: max, fn: fn})
-		if goSideOnly {
-			return
-		}
-		symS := m.slot(m.Intern(name))
-		p := m.H.MakePrimitive(idx, m.get(symS))
-		m.H.SetSymbolValue(m.get(symS), p)
-		m.stack = m.stack[:len(m.stack)-1]
+		builtins = append(builtins, prim{name: name, min: min, max: max, fn: fn})
 	}
-
-	h := m.H
 
 	// --- Pairs and lists -------------------------------------------------
 	def("cons", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		return h.Cons(a.Get(0), a.Get(1)), nil
+		return m.H.Cons(a.Get(0), a.Get(1)), nil
 	})
 	def("car", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		if !a.Get(0).IsPair() {
 			return obj.Void, m.errf(a.Get(0), "car: not a pair")
 		}
-		return h.Car(a.Get(0)), nil
+		return m.H.Car(a.Get(0)), nil
 	})
 	def("cdr", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		if !a.Get(0).IsPair() {
 			return obj.Void, m.errf(a.Get(0), "cdr: not a pair")
 		}
-		return h.Cdr(a.Get(0)), nil
+		return m.H.Cdr(a.Get(0)), nil
 	})
 	def("set-car!", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
 		if !a.Get(0).IsPair() {
 			return obj.Void, m.errf(a.Get(0), "set-car!: not a pair")
 		}
-		h.SetCar(a.Get(0), a.Get(1))
+		m.H.SetCar(a.Get(0), a.Get(1))
 		return obj.Void, nil
 	})
 	def("set-cdr!", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
 		if !a.Get(0).IsPair() {
 			return obj.Void, m.errf(a.Get(0), "set-cdr!: not a pair")
 		}
-		h.SetCdr(a.Get(0), a.Get(1))
+		m.H.SetCdr(a.Get(0), a.Get(1))
 		return obj.Void, nil
 	})
 	def("pair?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
@@ -75,21 +65,21 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 	def("list", 0, -1, func(m *Machine, a Args) (obj.Value, error) {
 		out := m.slot(obj.Nil)
 		for i := a.Len() - 1; i >= 0; i-- {
-			m.set(out, h.Cons(a.Get(i), m.get(out)))
+			m.set(out, m.H.Cons(a.Get(i), m.get(out)))
 		}
 		v := m.get(out)
 		m.stack = m.stack[:len(m.stack)-1]
 		return v, nil
 	})
 	def("length", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		n := h.ListLength(a.Get(0))
+		n := m.H.ListLength(a.Get(0))
 		if n < 0 {
 			return obj.Void, m.errf(a.Get(0), "length: not a proper list")
 		}
 		return obj.FromFixnum(int64(n)), nil
 	})
 	def("list?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.ListLength(a.Get(0)) >= 0), nil
+		return obj.FromBool(m.H.ListLength(a.Get(0)) >= 0), nil
 	})
 	def("append", 0, -1, func(m *Machine, a Args) (obj.Value, error) {
 		if a.Len() == 0 {
@@ -110,6 +100,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return v, nil
 	})
 	def("reverse", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		outS := m.slot(obj.Nil)
 		pS := m.slot(a.Get(0))
 		for m.get(pS).IsPair() {
@@ -121,6 +112,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return v, nil
 	})
 	def("memq", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		for p := a.Get(1); p.IsPair(); p = h.Cdr(p) {
 			if h.Car(p) == a.Get(0) {
 				return p, nil
@@ -129,6 +121,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.False, nil
 	})
 	def("assq", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		for p := a.Get(1); p.IsPair(); p = h.Cdr(p) {
 			e := h.Car(p)
 			if e.IsPair() && h.Car(e) == a.Get(0) {
@@ -139,6 +132,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 	})
 	def("remq", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
 		// Copy the list, dropping elements eq to the first argument.
+		h := m.H
 		outBase := len(m.stack)
 		for p := m.slot(a.Get(1)); m.get(p).IsPair(); m.set(p, h.Cdr(m.get(p))) {
 			if c := h.Car(m.get(p)); c != a.Get(0) {
@@ -154,6 +148,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return v, nil
 	})
 	def("list-ref", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		p := a.Get(0)
 		for i := a.Get(1).FixnumValue(); i > 0; i-- {
 			if !p.IsPair() {
@@ -172,7 +167,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromBool(a.Get(0) == a.Get(1)), nil
 	})
 	def("eqv?", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.Eqv(a.Get(0), a.Get(1))), nil
+		return obj.FromBool(m.H.Eqv(a.Get(0), a.Get(1))), nil
 	})
 	def("equal?", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromBool(m.equalValues(a.Get(0), a.Get(1), 1000)), nil
@@ -186,10 +181,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromBool(m.isSymbol(a.Get(0))), nil
 	})
 	def("string?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KString)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KString)), nil
 	})
 	def("vector?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KVector)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KVector)), nil
 	})
 	def("procedure?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromBool(m.isApplicable(a.Get(0))), nil
@@ -201,7 +196,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromBool(a.Get(0).IsChar()), nil
 	})
 	def("number?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(a.Get(0).IsFixnum() || h.IsKind(a.Get(0), obj.KFlonum)), nil
+		return obj.FromBool(a.Get(0).IsFixnum() || m.H.IsKind(a.Get(0), obj.KFlonum)), nil
 	})
 	def("integer?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromBool(a.Get(0).IsFixnum()), nil
@@ -210,21 +205,22 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromBool(a.Get(0) == obj.EOF), nil
 	})
 	def("weak-pair?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsWeakPair(a.Get(0))), nil
+		return obj.FromBool(m.H.IsWeakPair(a.Get(0))), nil
 	})
 	def("box?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KBox)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KBox)), nil
 	})
 
 	// --- Arithmetic -------------------------------------------------------------
-	def("+", 0, -1, m.arithPrim(0, func(x, y int64) int64 { return x + y },
+	def("+", 0, -1, arithPrim(0, func(x, y int64) int64 { return x + y },
 		func(x, y float64) float64 { return x + y }))
-	def("*", 0, -1, m.arithPrim(1, func(x, y int64) int64 { return x * y },
+	def("*", 0, -1, arithPrim(1, func(x, y int64) int64 { return x * y },
 		func(x, y float64) float64 { return x * y }))
-	def("-", 1, -1, m.arithSubPrim(func(x, y int64) int64 { return x - y },
+	def("-", 1, -1, arithSubPrim(func(x, y int64) int64 { return x - y },
 		func(x, y float64) float64 { return x - y }, 0))
 	def("/", 1, -1, func(m *Machine, a Args) (obj.Value, error) {
 		// Division always yields a flonum unless exact and evenly divisible.
+		h := m.H
 		x, err := m.numAsFloat(a.Get(0))
 		if err != nil {
 			return obj.Void, err
@@ -259,19 +255,19 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		}
 		return h.MakeFlonum(acc), nil
 	})
-	def("quotient", 2, 2, m.intBinPrim("quotient", func(x, y int64) (int64, error) {
+	def("quotient", 2, 2, intBinPrim("quotient", func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, fmt.Errorf("scheme: quotient: division by zero")
 		}
 		return x / y, nil
 	}))
-	def("remainder", 2, 2, m.intBinPrim("remainder", func(x, y int64) (int64, error) {
+	def("remainder", 2, 2, intBinPrim("remainder", func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, fmt.Errorf("scheme: remainder: division by zero")
 		}
 		return x % y, nil
 	}))
-	def("modulo", 2, 2, m.intBinPrim("modulo", func(x, y int64) (int64, error) {
+	def("modulo", 2, 2, intBinPrim("modulo", func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, fmt.Errorf("scheme: modulo: division by zero")
 		}
@@ -281,11 +277,11 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		}
 		return r, nil
 	}))
-	def("=", 2, -1, m.cmpPrim(func(x, y float64) bool { return x == y }))
-	def("<", 2, -1, m.cmpPrim(func(x, y float64) bool { return x < y }))
-	def(">", 2, -1, m.cmpPrim(func(x, y float64) bool { return x > y }))
-	def("<=", 2, -1, m.cmpPrim(func(x, y float64) bool { return x <= y }))
-	def(">=", 2, -1, m.cmpPrim(func(x, y float64) bool { return x >= y }))
+	def("=", 2, -1, cmpPrim(func(x, y float64) bool { return x == y }))
+	def("<", 2, -1, cmpPrim(func(x, y float64) bool { return x < y }))
+	def(">", 2, -1, cmpPrim(func(x, y float64) bool { return x > y }))
+	def("<=", 2, -1, cmpPrim(func(x, y float64) bool { return x <= y }))
+	def(">=", 2, -1, cmpPrim(func(x, y float64) bool { return x >= y }))
 	def("zero?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		x, err := m.numAsFloat(a.Get(0))
 		return obj.FromBool(x == 0), err
@@ -319,10 +315,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		if f < 0 {
 			f = -f
 		}
-		return h.MakeFlonum(f), nil
+		return m.H.MakeFlonum(f), nil
 	})
-	def("min", 1, -1, m.minmaxPrim(func(x, y float64) bool { return x < y }))
-	def("max", 1, -1, m.minmaxPrim(func(x, y float64) bool { return x > y }))
+	def("min", 1, -1, minmaxPrim(func(x, y float64) bool { return x < y }))
+	def("max", 1, -1, minmaxPrim(func(x, y float64) bool { return x > y }))
 
 	// --- Characters ------------------------------------------------------------
 	def("char->integer", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
@@ -337,10 +333,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 
 	// --- Strings ----------------------------------------------------------------
 	def("string-length", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromFixnum(int64(h.StringLength(a.Get(0)))), nil
+		return obj.FromFixnum(int64(m.H.StringLength(a.Get(0)))), nil
 	})
 	def("string-ref", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		s := h.StringValue(a.Get(0))
+		s := m.H.StringValue(a.Get(0))
 		i := int(a.Get(1).FixnumValue())
 		if i < 0 || i >= len(s) {
 			return obj.Void, fmt.Errorf("scheme: string-ref: index out of range")
@@ -348,6 +344,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromChar(rune(s[i])), nil
 	})
 	def("string-append", 0, -1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		out := ""
 		for i := 0; i < a.Len(); i++ {
 			out += h.StringValue(a.Get(i))
@@ -355,6 +352,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return h.MakeString(out), nil
 	})
 	def("substring", 3, 3, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		s := h.StringValue(a.Get(0))
 		i, j := int(a.Get(1).FixnumValue()), int(a.Get(2).FixnumValue())
 		if i < 0 || j > len(s) || i > j {
@@ -363,18 +361,19 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return h.MakeString(s[i:j]), nil
 	})
 	def("string=?", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.StringValue(a.Get(0)) == h.StringValue(a.Get(1))), nil
+		return obj.FromBool(m.H.StringValue(a.Get(0)) == m.H.StringValue(a.Get(1))), nil
 	})
 	def("symbol->string", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return h.MakeString(h.SymbolString(a.Get(0))), nil
+		return m.H.MakeString(m.H.SymbolString(a.Get(0))), nil
 	})
 	def("string->symbol", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return m.Intern(h.StringValue(a.Get(0))), nil
+		return m.Intern(m.H.StringValue(a.Get(0))), nil
 	})
 	def("number->string", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return h.MakeString(m.DisplayString(a.Get(0))), nil
+		return m.H.MakeString(m.DisplayString(a.Get(0))), nil
 	})
 	def("string->number", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		s := h.StringValue(a.Get(0))
 		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return obj.FromFixnum(n), nil
@@ -391,7 +390,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		if !a.Get(0).IsChar() {
 			return obj.Void, m.errf(a.Get(0), "char->string: not a character")
 		}
-		return h.MakeString(string(a.Get(0).CharValue())), nil
+		return m.H.MakeString(string(a.Get(0).CharValue())), nil
 	})
 	def("char-upcase", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		r := a.Get(0).CharValue()
@@ -411,23 +410,23 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.FromBool(a.Get(0).CharValue() < a.Get(1).CharValue()), nil
 	})
 	def("string<?", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.StringValue(a.Get(0)) < h.StringValue(a.Get(1))), nil
+		return obj.FromBool(m.H.StringValue(a.Get(0)) < m.H.StringValue(a.Get(1))), nil
 	})
 	def("string-copy", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return h.MakeString(h.StringValue(a.Get(0))), nil
+		return m.H.MakeString(m.H.StringValue(a.Get(0))), nil
 	})
 	def("exact?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromBool(a.Get(0).IsFixnum()), nil
 	})
 	def("inexact?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KFlonum)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KFlonum)), nil
 	})
 	def("exact->inexact", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		f, err := m.numAsFloat(a.Get(0))
 		if err != nil {
 			return obj.Void, err
 		}
-		return h.MakeFlonum(f), nil
+		return m.H.MakeFlonum(f), nil
 	})
 	def("inexact->exact", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		if a.Get(0).IsFixnum() {
@@ -461,9 +460,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		if n < 0 {
 			return obj.Void, fmt.Errorf("scheme: make-vector: negative length")
 		}
-		return h.MakeVector(int(n), fill), nil
+		return m.H.MakeVector(int(n), fill), nil
 	})
 	def("vector", 0, -1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		vS := m.slot(h.MakeVector(a.Len(), obj.False))
 		for i := 0; i < a.Len(); i++ {
 			h.VectorSet(m.get(vS), i, a.Get(i))
@@ -473,6 +473,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return v, nil
 	})
 	def("vector-ref", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		i := int(a.Get(1).FixnumValue())
 		if !h.IsKind(a.Get(0), obj.KVector) || i < 0 || i >= h.VectorLength(a.Get(0)) {
 			return obj.Void, m.errf(a.Get(0), "vector-ref: bad vector or index %d", i)
@@ -480,6 +481,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return h.VectorRef(a.Get(0), i), nil
 	})
 	def("vector-set!", 3, 3, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		i := int(a.Get(1).FixnumValue())
 		if !h.IsKind(a.Get(0), obj.KVector) || i < 0 || i >= h.VectorLength(a.Get(0)) {
 			return obj.Void, m.errf(a.Get(0), "vector-set!: bad vector or index %d", i)
@@ -488,15 +490,17 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.Void, nil
 	})
 	def("vector-length", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromFixnum(int64(h.VectorLength(a.Get(0)))), nil
+		return obj.FromFixnum(int64(m.H.VectorLength(a.Get(0)))), nil
 	})
 	def("vector-fill!", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		for i, n := 0, h.VectorLength(a.Get(0)); i < n; i++ {
 			h.VectorSet(a.Get(0), i, a.Get(1))
 		}
 		return obj.Void, nil
 	})
 	def("vector->list", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		outS := m.slot(obj.Nil)
 		for i := h.VectorLength(a.Get(0)) - 1; i >= 0; i-- {
 			m.set(outS, h.Cons(h.VectorRef(a.Get(0), i), m.get(outS)))
@@ -506,6 +510,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return v, nil
 	})
 	def("list->vector", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		n := h.ListLength(a.Get(0))
 		if n < 0 {
 			return obj.Void, m.errf(a.Get(0), "list->vector: not a proper list")
@@ -523,19 +528,20 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 
 	// --- Boxes ---------------------------------------------------------------------
 	def("box", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return h.MakeBox(a.Get(0)), nil
+		return m.H.MakeBox(a.Get(0)), nil
 	})
 	def("unbox", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return h.Unbox(a.Get(0)), nil
+		return m.H.Unbox(a.Get(0)), nil
 	})
 	def("set-box!", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		h.SetBox(a.Get(0), a.Get(1))
+		m.H.SetBox(a.Get(0), a.Get(1))
 		return obj.Void, nil
 	})
 
 	// --- Control ---------------------------------------------------------------------
 	def("apply", 2, -1, func(m *Machine, a Args) (obj.Value, error) {
 		// (apply f a b ... rest-list)
+		h := m.H
 		var args []obj.Value
 		for i := 1; i < a.Len()-1; i++ {
 			args = append(args, a.Get(i))
@@ -564,6 +570,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.Void, &ExitError{Code: code}
 	})
 	def("disassemble", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		fn := a.Get(0)
 		if !m.isCompiledClosure(fn) {
 			return obj.Void, m.errf(fn, "disassemble: not a compiled procedure")
@@ -598,10 +605,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 
 	// --- Ports (the paper's motivating subsystem) ----------------------------------------
 	def("open-input-file", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return m.PM.OpenInput(h.StringValue(a.Get(0)))
+		return m.PM.OpenInput(m.H.StringValue(a.Get(0)))
 	})
 	def("open-output-file", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return m.PM.OpenOutput(h.StringValue(a.Get(0)))
+		return m.PM.OpenOutput(m.H.StringValue(a.Get(0)))
 	})
 	def("close-input-port", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.Void, m.PM.Close(a.Get(0))
@@ -619,21 +626,22 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.Void, m.PM.WriteChar(a.Get(1), byte(a.Get(0).CharValue()))
 	})
 	def("port?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KPort)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KPort)), nil
 	})
 	def("input-port?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KPort) && m.PM.IsInput(a.Get(0))), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KPort) && m.PM.IsInput(a.Get(0))), nil
 	})
 	def("output-port?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KPort) && m.PM.IsOutput(a.Get(0))), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KPort) && m.PM.IsOutput(a.Get(0))), nil
 	})
 	def("port-open?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromBool(m.PM.IsOpen(a.Get(0))), nil
 	})
 	def("file-exists?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(m.PM.FS().Exists(h.StringValue(a.Get(0)))), nil
+		return obj.FromBool(m.PM.FS().Exists(m.H.StringValue(a.Get(0)))), nil
 	})
 	def("file-contents", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		b, ok := m.PM.FS().ReadFile(h.StringValue(a.Get(0)))
 		if !ok {
 			return obj.False, nil
@@ -641,11 +649,11 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return h.MakeString(string(b)), nil
 	})
 	def("make-file", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		m.PM.FS().WriteFile(h.StringValue(a.Get(0)), []byte(h.StringValue(a.Get(1))))
+		m.PM.FS().WriteFile(m.H.StringValue(a.Get(0)), []byte(m.H.StringValue(a.Get(1))))
 		return obj.Void, nil
 	})
 	def("open-input-string", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return m.PM.OpenInputString(h.StringValue(a.Get(0)))
+		return m.PM.OpenInputString(m.H.StringValue(a.Get(0)))
 	})
 	def("open-output-string", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
 		return m.PM.OpenOutputString()
@@ -655,10 +663,10 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		if err != nil {
 			return obj.Void, err
 		}
-		return h.MakeString(s), nil
+		return m.H.MakeString(s), nil
 	})
 	def("string-port?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KPort) && m.PM.IsStringPort(a.Get(0))), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KPort) && m.PM.IsStringPort(a.Get(0))), nil
 	})
 	def("read-line", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		var line []byte
@@ -678,16 +686,17 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 			}
 			line = append(line, byte(c.CharValue()))
 		}
-		return h.MakeString(string(line)), nil
+		return m.H.MakeString(string(line)), nil
 	})
 
 	// --- Weak pairs and the guardian substrate (§3, §4) -----------------------------------
 	def("weak-cons", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
-		return h.WeakCons(a.Get(0), a.Get(1)), nil
+		return m.H.WeakCons(a.Get(0), a.Get(1)), nil
 	})
 	def("install-guardian", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		// The low-level interface of §4: the argument is a pair of the
 		// object and the guardian's tconc.
+		h := m.H
 		p := a.Get(0)
 		if !p.IsPair() || !h.Cdr(p).IsPair() {
 			return obj.Void, m.errf(p, "install-guardian: expected (obj . tconc)")
@@ -697,6 +706,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 	})
 	def("install-guardian-rep", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		// §5's generalization: the argument is (obj rep . tconc).
+		h := m.H
 		p := a.Get(0)
 		if !p.IsPair() || !h.Cdr(p).IsPair() || !h.Cdr(h.Cdr(p)).IsPair() {
 			return obj.Void, m.errf(p, "install-guardian-rep: expected (obj rep . tconc)")
@@ -707,6 +717,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 
 	// --- Collector control -----------------------------------------------------------------
 	def("collect", 0, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		if a.Len() == 1 {
 			h.Collect(int(a.Get(0).FixnumValue()))
 		} else {
@@ -715,6 +726,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return obj.Void, nil
 	})
 	def("collect-request-handler", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		if !h.IsProcedure(a.Get(0)) {
 			return obj.Void, m.errf(a.Get(0), "collect-request-handler: not a procedure")
 		}
@@ -734,23 +746,25 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		// adaptive — Config.Policy is the seam; see docs/ALGORITHM.md)
 		// and the LIVE gen-0 trigger, which the adaptive policy retunes
 		// after every collection, so successive calls can watch it move.
+		h := m.H
 		return h.Cons(m.Intern(h.Policy().Name()),
 			obj.FromFixnum(int64(h.TriggerWords()))), nil
 	})
 	def("generation", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromFixnum(int64(h.Generation(a.Get(0)))), nil
+		return obj.FromFixnum(int64(m.H.Generation(a.Get(0)))), nil
 	})
 	def("collections", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromFixnum(int64(h.Stats.Collections)), nil
+		return obj.FromFixnum(int64(m.H.Stats.Collections)), nil
 	})
 	def("bytes-allocated", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromFixnum(int64(h.Stats.WordsAllocated * 8)), nil
+		return obj.FromFixnum(int64(m.H.Stats.WordsAllocated * 8)), nil
 	})
 	def("gc-phase-stats", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
 		// A list of (phase-symbol last-ns total-ns), one entry per
 		// collection phase, in phase order. The last-collection column
 		// comes from the CollectionReport (zero before the first
 		// collection); the totals from the cumulative Stats.
+		h := m.H
 		var last [heap.NumPhases]time.Duration
 		if rep := h.LastReport(); rep != nil {
 			last = rep.Phases
@@ -769,6 +783,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		// of per-shard sizes: (total shard0 shard1 ...). The shard list
 		// is empty when the sharded set is not in use (the dirty set
 		// disabled entirely, or the map-based test oracle active).
+		h := m.H
 		shards := obj.Nil
 		sizes := h.RemSetShardSizes()
 		for i := len(sizes) - 1; i >= 0; i-- {
@@ -780,6 +795,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		// (gc-trace n) enables the trace ring with capacity n (0
 		// disables); (gc-trace) returns the buffered collection records,
 		// oldest first, each an association list.
+		h := m.H
 		if a.Len() == 1 {
 			n := a.Get(0)
 			if !n.IsFixnum() || n.FixnumValue() < 0 {
@@ -819,24 +835,27 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		if nf < 0 {
 			return obj.Void, fmt.Errorf("scheme: make-record: negative field count")
 		}
-		return h.MakeRecord(a.Get(0), int(nf)), nil
+		return m.H.MakeRecord(a.Get(0), int(nf)), nil
 	})
 	def("record?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
-		return obj.FromBool(h.IsKind(a.Get(0), obj.KRecord)), nil
+		return obj.FromBool(m.H.IsKind(a.Get(0), obj.KRecord)), nil
 	})
 	def("record-rtd", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		if !h.IsKind(a.Get(0), obj.KRecord) {
 			return obj.Void, m.errf(a.Get(0), "record-rtd: not a record")
 		}
 		return h.RecordRTD(a.Get(0)), nil
 	})
 	def("record-length", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		if !h.IsKind(a.Get(0), obj.KRecord) {
 			return obj.Void, m.errf(a.Get(0), "record-length: not a record")
 		}
 		return obj.FromFixnum(int64(h.RecordLength(a.Get(0)))), nil
 	})
 	def("record-ref", 2, 2, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		r, i := a.Get(0), int(a.Get(1).FixnumValue())
 		if !h.IsKind(r, obj.KRecord) || i < 0 || i >= h.RecordLength(r) {
 			return obj.Void, m.errf(r, "record-ref: bad record or index %d", i)
@@ -844,6 +863,7 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 		return h.RecordRef(r, i), nil
 	})
 	def("record-set!", 3, 3, func(m *Machine, a Args) (obj.Value, error) {
+		h := m.H
 		r, i := a.Get(0), int(a.Get(1).FixnumValue())
 		if !h.IsKind(r, obj.KRecord) || i < 0 || i >= h.RecordLength(r) {
 			return obj.Void, m.errf(r, "record-set!: bad record or index %d", i)
@@ -862,6 +882,19 @@ func (m *Machine) registerBuiltins(goSideOnly bool) {
 	def("interned-count", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
 		return obj.FromFixnum(int64(m.InternedSymbols())), nil
 	})
+}
+
+// installPrims binds the name of every built-in to a primitive object
+// carrying its index, in table order. Machines booted by New and
+// LoadMachineImage call it; a machine attached to a template inherits
+// the objects and bindings with the cloned heap and installs nothing.
+func (m *Machine) installPrims() {
+	for idx := range builtins {
+		symS := m.slot(m.Intern(builtins[idx].name))
+		p := m.H.MakePrimitive(idx, m.get(symS))
+		m.H.SetSymbolValue(m.get(symS), p)
+		m.stack = m.stack[:len(m.stack)-1]
+	}
 }
 
 func (m *Machine) outputPrim(a Args, write bool) (obj.Value, error) {
@@ -897,7 +930,7 @@ func (m *Machine) anyFlonum(a Args) bool {
 	return false
 }
 
-func (m *Machine) arithPrim(id int64, fi func(x, y int64) int64, ff func(x, y float64) float64) func(*Machine, Args) (obj.Value, error) {
+func arithPrim(id int64, fi func(x, y int64) int64, ff func(x, y float64) float64) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		if m.anyFlonum(a) {
 			acc := float64(id)
@@ -927,7 +960,7 @@ func (m *Machine) arithPrim(id int64, fi func(x, y int64) int64, ff func(x, y fl
 	}
 }
 
-func (m *Machine) arithSubPrim(fi func(x, y int64) int64, ff func(x, y float64) float64, id int64) func(*Machine, Args) (obj.Value, error) {
+func arithSubPrim(fi func(x, y int64) int64, ff func(x, y float64) float64, id int64) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		if m.anyFlonum(a) {
 			x, err := m.numAsFloat(a.Get(0))
@@ -963,7 +996,7 @@ func (m *Machine) arithSubPrim(fi func(x, y int64) int64, ff func(x, y float64) 
 	}
 }
 
-func (m *Machine) cmpPrim(cmp func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
+func cmpPrim(cmp func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		for i := 0; i+1 < a.Len(); i++ {
 			x, err := m.numAsFloat(a.Get(i))
@@ -982,7 +1015,7 @@ func (m *Machine) cmpPrim(cmp func(x, y float64) bool) func(*Machine, Args) (obj
 	}
 }
 
-func (m *Machine) minmaxPrim(better func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
+func minmaxPrim(better func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		best := 0
 		bx, err := m.numAsFloat(a.Get(0))
@@ -1002,7 +1035,7 @@ func (m *Machine) minmaxPrim(better func(x, y float64) bool) func(*Machine, Args
 	}
 }
 
-func (m *Machine) intBinPrim(name string, fn func(x, y int64) (int64, error)) func(*Machine, Args) (obj.Value, error) {
+func intBinPrim(name string, fn func(x, y int64) (int64, error)) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		if !a.Get(0).IsFixnum() || !a.Get(1).IsFixnum() {
 			return obj.Void, fmt.Errorf("scheme: %s: expected fixnums", name)

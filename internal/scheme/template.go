@@ -14,18 +14,19 @@ import (
 // memory and copy-on-write: CaptureTemplate snapshots a quiescent,
 // prelude-loaded machine once, and Clone + Attach boot a new machine
 // from it in microseconds — the clone's heap shares the template's
-// segments read-only (heap.CloneFromTemplate), and the machine side
-// copies only the Go-level tables (symbol slice, snapshots), rebuilding
-// the primitive dispatch table without touching the heap.
+// segments read-only (heap.CloneFromTemplate), and the machine shares
+// the template's frozen symbol-table base (symtab.go) and the
+// package's built-in primitive table, copying only the few symbols
+// past the base.
 //
 // Host-primitive contract: a donor that called DefinePrim before
 // capture has those primitives' indexes and global bindings baked into
-// the template's heap. Attach rebuilds only the built-in dispatch
-// entries; the host must re-DefinePrim its extra primitives on each
-// attached machine, in the same order as on the donor. DefinePrim
-// detects the replay (the permanent symbol already holds a primitive
-// with the index being assigned) and takes an allocation-free fast
-// path, so the replay costs no heap writes.
+// the template's heap, but their functions are the host's, so Attach
+// cannot install them: the host must re-DefinePrim its extra
+// primitives on each attached machine, in the same order as on the
+// donor. DefinePrim detects the replay (the permanent symbol already
+// holds a primitive with the index being assigned) and takes an
+// allocation-free fast path, so the replay costs no heap writes.
 //
 // Staleness: DefinePrim on the donor after capture bumps the donor's
 // PermVersion; the template records the version at capture, so holders
@@ -34,18 +35,14 @@ import (
 // prelude (the server's sessionTemplate does exactly this).
 type MachineTemplate struct {
 	ht          *heap.Template
-	symNames    []string
-	syms        []obj.Value
+	base        *symBase // the donor's permanent symbols, shared by every attached machine
+	tailNames   []string // the donor's symbols past the base, copied per machine
+	tailSyms    []obj.Value
 	symsFree    []int
-	formSyms    [numForms]int
-	symElse     int
-	symArrow    int
+	keywords    [numKeywords]obj.Value
 	gensymN     int
 	nextContID  int64
 	pruneSyms   bool
-	permSyms    int
-	permValues  []obj.Value
-	permPlists  []obj.Value
 	permVersion uint64
 }
 
@@ -76,22 +73,21 @@ func CaptureTemplate(m *Machine) (*MachineTemplate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MachineTemplate{
+	t := &MachineTemplate{
 		ht:          ht,
-		symNames:    append([]string(nil), m.symNames...),
-		syms:        append([]obj.Value(nil), m.syms...),
+		base:        m.freezeBase(),
 		symsFree:    append([]int(nil), m.symsFree...),
-		formSyms:    m.formSyms,
-		symElse:     m.symElse,
-		symArrow:    m.symArrow,
+		keywords:    m.keywords,
 		gensymN:     m.gensymN,
 		nextContID:  m.nextContID,
 		pruneSyms:   m.pruneSymbols,
-		permSyms:    m.permanentSyms,
-		permValues:  append([]obj.Value(nil), m.permValues...),
-		permPlists:  append([]obj.Value(nil), m.permPlists...),
 		permVersion: m.permVersion,
-	}, nil
+	}
+	for i := m.permanentSyms; i < m.numSymbolSlots(); i++ {
+		t.tailNames = append(t.tailNames, m.symbolName(i))
+		t.tailSyms = append(t.tailSyms, m.symbol(i))
+	}
+	return t, nil
 }
 
 // Clone spawns a copy-on-write heap from the template (see
@@ -105,49 +101,58 @@ func (t *MachineTemplate) Clone() (*heap.Heap, []*heap.Root, error) {
 
 // Attach builds a Machine over h — a heap cloned from this template —
 // bound to pm (a fresh manager over an empty simulated file system if
-// nil). Every Go-side table is copied, never shared: the collector
-// forwards symbol slots and snapshots in place per heap, so two clones
-// sharing a slice would corrupt each other at their first collections.
-// The permanent-symbol snapshot is inherited from the donor rather
-// than re-captured, so every clone reverts (DropUserState) to the
-// donor's exact prelude state.
+// nil). The machine reads the template's symbol-table base — names,
+// symbol values, the name→index map, the permanent-symbol snapshots —
+// in place, and copies only the donor's symbols past it into its
+// overlay. It never writes the base: a collection that moves a base
+// value, or a DefinePrim that changes permanent state, first gives this
+// machine alone a private copy (symtab.go). The snapshots are the
+// donor's, never re-captured, so every clone reverts (DropUserState)
+// to the donor's exact prelude state.
 //
-// Attach installs only the built-in primitive dispatch entries; the
-// host must re-DefinePrim any donor-registered primitives in the
-// donor's order before running hosted code (see the package comment on
-// the contract and the DefinePrim fast path).
+// Attach installs no primitive: the built-ins dispatch through the
+// package's one table, and the host must re-DefinePrim any
+// donor-registered primitives in the donor's order before running
+// hosted code (see the type comment on the contract and the DefinePrim
+// fast path).
 func (t *MachineTemplate) Attach(h *heap.Heap, pm *ports.Manager) *Machine {
 	if pm == nil {
 		pm = ports.NewManager(h, ports.NewFS())
 	}
+	b := t.base
+	n := len(b.syms)
 	m := &Machine{
-		H:          h,
-		PM:         pm,
-		Out:        os.Stdout,
-		symIdx:     make(map[string]int, len(t.symNames)),
-		fuel:       -1,
-		gensymN:    t.gensymN,
-		nextContID: t.nextContID,
+		H:   h,
+		PM:  pm,
+		Out: os.Stdout,
+		// Full slice expressions: an append can never reach the base.
+		base:          b,
+		baseSyms:      b.syms[:n:n],
+		permValues:    b.values[:n:n],
+		permPlists:    b.plists[:n:n],
+		shared:        true,
+		permanentSyms: n,
+		keywords:      t.keywords,
+		pruneSymbols:  t.pruneSyms,
+		permVersion:   t.permVersion,
+		fuel:          -1,
+		gensymN:       t.gensymN,
+		nextContID:    t.nextContID,
 	}
-	m.syms = append([]obj.Value(nil), t.syms...)
-	m.symNames = append([]string(nil), t.symNames...)
-	m.symsFree = append([]int(nil), t.symsFree...)
-	for i, name := range m.symNames {
-		if m.syms[i] == obj.False && name == "" {
-			continue // freed (pruned) slot
+	if len(t.tailSyms) > 0 {
+		m.syms = append([]obj.Value(nil), t.tailSyms...)
+		m.symNames = append([]string(nil), t.tailNames...)
+		m.symIdx = make(map[string]int, len(t.tailNames))
+		for i, name := range m.symNames {
+			if m.syms[i] == obj.False && name == "" {
+				continue // freed (pruned) slot
+			}
+			m.symIdx[name] = n + i
 		}
-		m.symIdx[name] = i
 	}
-	m.formSyms = t.formSyms
-	m.symElse = t.symElse
-	m.symArrow = t.symArrow
-	m.pruneSymbols = t.pruneSyms
-	m.permanentSyms = t.permSyms
-	m.permValues = append([]obj.Value(nil), t.permValues...)
-	m.permPlists = append([]obj.Value(nil), t.permPlists...)
-	m.permVersion = t.permVersion
-	m.permanentCodes = 0 // capture rejects compiled code
-	m.registerBuiltins(true)
+	if len(t.symsFree) > 0 {
+		m.symsFree = append([]int(nil), t.symsFree...)
+	}
 	h.AddRootProvider(m)
 	h.AddPostCollectHook(m.pruneDeadSymbols)
 	return m

@@ -9,8 +9,8 @@ import (
 	"sort"
 )
 
-// The four JSON-report benchmarks (-pause-bench, -server-bench,
-// -fork-bench, -tune-bench) share one runner: each
+// The three JSON-report benchmarks (-server-bench, -fork-bench,
+// -tune-bench) share one runner: each
 // registers a flag and a default report path here, main dispatches the
 // first selected entry, and the shared -out flag overrides the default
 // path uniformly. Every report goes through writeBenchReport, which
@@ -20,7 +20,7 @@ import (
 
 // benchEntry is one registered benchmark entry point.
 type benchEntry struct {
-	name       string // flag name, e.g. "pause-bench"
+	name       string // flag name, e.g. "server-bench"
 	defaultOut string // report path when -out is not given
 	selected   *bool
 	run        func(w io.Writer, outPath string) error

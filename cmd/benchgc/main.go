@@ -10,8 +10,6 @@
 //	benchgc -trace     # run the trace workload; one JSON line per collection
 //	benchgc -phases    # run the trace workload; per-phase pause summary
 //	benchgc -trace -phases -gcs 100   # both, over 100 collections
-//	benchgc -trace -pause-budget 1ms  # same workload, deadline-sliced full collections
-//	benchgc -pause-bench              # sliced-vs-monolithic pause bound -> BENCH_pause.json
 //	benchgc -server-bench             # multi-session server churn -> BENCH_server.json
 //	benchgc -fork-bench               # template-clone vs prelude session boot -> BENCH_fork.json
 //	benchgc -tune-bench               # AutoTune vs fixed policy ablation -> BENCH_tune.json
@@ -37,20 +35,15 @@ func main() {
 		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		trace  = flag.Bool("trace", false, "run the GC trace workload and emit one JSON line per collection")
 		phases = flag.Bool("phases", false, "run the GC trace workload and print a per-phase pause summary")
-		gcs    = flag.Int("gcs", 50, "number of collections for -trace/-phases/-pause-bench")
+		gcs    = flag.Int("gcs", 50, "number of collections for -trace/-phases")
 		out    = flag.String("out", "", "output path for the selected -*-bench report (default: that bench's BENCH_*.json)")
 
-		pauseBudget = flag.Duration("pause-budget", 0,
-			"PauseBudget for the -trace/-phases workload (0 = monolithic); with -pause-bench, the sliced run's budget (default 1ms)")
 		serverSessions = flag.Int("server-sessions", 10000, "standing session population for -server-bench")
 		serverChurn    = flag.Int("server-churn", 2000, "register/run/disconnect cycles for -server-bench")
 		forkSessions   = flag.Int("fork-sessions", 5000, "sessions per boot mode for -fork-bench")
 		tuneReps       = flag.Int("tune-reps", 5, "repetitions per workload x policy cell for -tune-bench")
 		tuneOps        = flag.Int("tune-ops", tuneDefaultOps, "per-rep operation count for -tune-bench workloads")
 	)
-	registerBench("pause-bench", "BENCH_pause.json",
-		"run the pause-budget benchmark (deadline-sliced vs monolithic full collections)",
-		func(w io.Writer, path string) error { return runPauseBench(w, path, *gcs, *pauseBudget) })
 	registerBench("server-bench", "BENCH_server.json",
 		"run the multi-session server benchmark (standing population + churn)",
 		func(w io.Writer, path string) error {
@@ -72,7 +65,7 @@ func main() {
 		return
 	}
 	if *trace || *phases {
-		h, err := runTraceWorkload(os.Stdout, *gcs, *pauseBudget, *trace)
+		h, err := runTraceWorkload(os.Stdout, *gcs, *trace)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgc: %v\n", err)
 			os.Exit(1)

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/heap"
 )
@@ -19,7 +18,7 @@ import (
 func TestTraceEmitsValidJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	const gcs = 25
-	h, err := runTraceWorkload(&buf, gcs, 0, true)
+	h, err := runTraceWorkload(&buf, gcs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,64 +75,6 @@ func TestTraceEmitsValidJSONLines(t *testing.T) {
 	}
 }
 
-// TestTraceWithPauseBudgetEmitsSlices checks the -pause-budget wiring:
-// with a budget set, old-space collections in the trace workload run
-// sliced, every event's slice pauses sum exactly to its pause_ns, and
-// at least one collection reports slices.
-func TestTraceWithPauseBudgetEmitsSlices(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := runTraceWorkload(&buf, 25, 200*time.Microsecond, true); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	sliced := 0
-	for sc.Scan() {
-		var ev heap.TraceEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if len(ev.Slices) == 0 {
-			continue
-		}
-		sliced++
-		var sum int64
-		for _, s := range ev.Slices {
-			sum += s.PauseNS
-		}
-		if sum != ev.PauseNS {
-			t.Fatalf("gen %d collection: slice pauses sum to %d, pause_ns %d", ev.Gen, sum, ev.PauseNS)
-		}
-	}
-	if sliced == 0 {
-		t.Fatal("no collection ran sliced under -pause-budget")
-	}
-}
-
-// TestPauseWorkloadOrderDeterminism is the cheap in-process version of
-// the -pause-bench acceptance claim: the same workload run monolithic
-// and sliced must salvage the same guardian representatives in the
-// same tconc order.
-func TestPauseWorkloadOrderDeterminism(t *testing.T) {
-	const gcs, pairs = 4, 20000
-	_, _, _, ref, err := runPauseWorkload(0, gcs, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != gcs*64 {
-		t.Fatalf("monolithic run salvaged %d, want %d", len(ref), gcs*64)
-	}
-	_, slices, _, got, err := runPauseWorkload(300*time.Microsecond, gcs, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slices) == 0 {
-		t.Fatal("sliced run reported no slices")
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatalf("tconc order diverged: monolithic %d entries vs sliced %d", len(ref), len(got))
-	}
-}
-
 // TestTuneBenchReducedScale runs the AutoTune ablation at toy scale
 // through the shared runner path: the report must be written, re-read,
 // and pass its schema self-check (the comparative acceptance bounds
@@ -170,7 +111,7 @@ func TestTuneBenchReducedScale(t *testing.T) {
 
 func TestPhaseSummaryRendersAllPhases(t *testing.T) {
 	var sink bytes.Buffer
-	h, err := runTraceWorkload(&sink, 5, 0, false)
+	h, err := runTraceWorkload(&sink, 5, false)
 	if err != nil {
 		t.Fatal(err)
 	}

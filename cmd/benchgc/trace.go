@@ -14,15 +14,12 @@ import (
 // runTraceWorkload drives a representative workload — a tenured list,
 // guardians with both held and salvaged registrations, weak pairs,
 // old-generation mutations, and generation-0 churn — for exactly the
-// requested number of collections under the radix policy. A non-zero
-// budget runs the old-space collections deadline-sliced (Config.PauseBudget). When
+// requested number of collections under the radix policy. When
 // emitJSON is set, every collection's TraceEvent is written to out as
 // one JSON line (JSON Lines, oldest first). The heap is returned so
 // the caller can render phase summaries from its Stats.
-func runTraceWorkload(out io.Writer, collections int, budget time.Duration, emitJSON bool) (*heap.Heap, error) {
-	cfg := heap.DefaultConfig()
-	cfg.PauseBudget = budget
-	h := heap.MustNew(cfg)
+func runTraceWorkload(out io.Writer, collections int, emitJSON bool) (*heap.Heap, error) {
+	h := heap.MustNew(heap.DefaultConfig())
 	var emitErr error
 	if emitJSON {
 		enc := json.NewEncoder(out)

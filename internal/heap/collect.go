@@ -14,8 +14,7 @@ import (
 // pend-final-list with repeated sweeps), and the weak-pair second pass
 // that runs after guardian handling so that salvaged objects keep
 // their weak references. There is one collection body (collect) and
-// one copying core (copier); remset.go holds the remembered set and
-// the window fix-up of pause-budgeted collections.
+// one copying core (copier); remset.go holds the remembered set.
 
 // Collect performs a stop-and-copy collection of generations 0
 // through g. Survivors are copied into the target generation (g+1,
@@ -43,52 +42,25 @@ func (h *Heap) Collect(g int) *CollectionReport {
 
 // collect is the collection body, run by collectAs once the world is
 // stopped (in legacy mode the single mutator is stopped by virtue of
-// calling it): begin, roots, old-to-young scan, the kleene-sweep, and
-// the ordered tail of collectFinish. The sweep runs against a
-// deadline. A monolithic collection has none — the zero deadline is
-// never checked, the first drain reaches the fixpoint and the loop
-// body never runs. With Config.PauseBudget set and old space included
-// (g >= 1 after clamping; generation-0 sweeps are the cheap case the
-// budget exists to protect) each drain is one bounded slice: when the
-// budget is exhausted with work remaining the slice closes, the world
-// resumes for a window (sliceWindow), and the next slice re-forwards
-// whatever the mutators did (sliceFixup) before resuming the parked
-// work lists — nothing about the work representation changes.
-// Mutator progress during a window is kept sound by three mechanisms:
-// the write barrier records every window pointer store for
-// re-forwarding at the next slice (sliceRecord / sliceFixup), window
-// allocation goes to current-stamp gen-0 segments that the next slice
-// scans like to-space ("allocate black" — their chains are walked by
-// sliceFixup), and the read barrier (fwdNorm) normalizes from-space
-// values fished out of unswept cells. Guardian salvage and weak-pair
-// breaking are pinned to the final slice, after the sweep fixpoint has
-// fully drained, so the paper's ordering — and the tconc salvage
-// order — is bit-for-bit what PauseBudget == 0 produces. Guardians
-// registered during a window take effect at the NEXT collection: their
-// entries sit past the protLim snapshot, are skipped by the guardian
-// phase, and are kept alive until then (sliceRetainSuffix).
+// calling it): begin, roots, old-to-young scan, the kleene-sweep to its
+// fixpoint, and the ordered tail of collectFinish — guardian fixpoint,
+// weak pass, hooks, free.
 //
 // A panic unwinding out of the body (out of memory on a bounded heap,
 // a failed check, a panicking hook) leaves from-space half-copied:
 // the heap is marked failed and refuses further use.
-func (h *Heap) collect(self *Mutator, g int) *CollectionReport {
+func (h *Heap) collect(g int) *CollectionReport {
 	start := time.Now()
 	g = max(0, min(g, h.MaxGeneration()))
-	budget := h.cfg.PauseBudget
-	if g == 0 {
-		budget = 0
-	}
 	h.inCollect.Store(true)
-	h.sliceActive.Store(budget > 0)
 	done := false
 	defer func() {
-		h.sliceActive.Store(false)
 		h.inCollect.Store(false)
 		if !done {
 			h.failed.Store(true)
 		}
 	}()
-	t := h.collectBegin(g, start)
+	from, t := h.collectBegin(g, start)
 
 	h.cp.rootsPhase()
 	t = h.phaseMark(PhaseRoots, t)
@@ -104,77 +76,30 @@ func (h *Heap) collect(self *Mutator, g int) *CollectionReport {
 		h.phaseMark(PhaseOldScan, t)
 	}
 
-	// The slice loop. `finishing` guarantees termination: once the
-	// sweep has drained, at most one more window is taken (so the final
-	// phases get a fresh slice when the draining slice is already
-	// mostly spent), and the loop then exits as soon as that window's
-	// fixup work has drained too — an allocation storm cannot postpone
-	// the final phases forever.
-	sliceStart, finishing := start, false
-	for {
-		var deadline time.Time
-		if budget > 0 {
-			deadline = sliceStart.Add(budget)
-		}
-		drained := h.drain(deadline)
-		if drained && (budget == 0 || finishing || time.Since(sliceStart) <= budget/4) {
-			break
-		}
-		finishing = finishing || drained
-		h.sliceEnd(sliceStart)
-		h.sliceWindow(self)
-		sliceStart = time.Now()
-		h.sliceFixup()
-	}
-	rep := h.collectFinish(start, sliceStart, budget > 0)
+	h.drain()
+	rep := h.collectFinish(from, start)
 	done = true
 	return rep
 }
 
 // drain runs the kleene-sweep — sweeping copied objects until there
-// are no newly copied objects to sweep (§4) — to its fixpoint, or
-// until the deadline when one is set, and reports whether the fixpoint
-// was reached. The deadline is checked every 32 objects, and the first
-// is always swept, so slices always make progress. Work left at a
-// deadline stays parked on the copier's work list for the next drain.
-// Time spent here accrues to PhaseSweep regardless of the caller.
-func (h *Heap) drain(deadline time.Time) bool {
+// are no newly copied objects to sweep (§4) — to its fixpoint. Time
+// spent here accrues to PhaseSweep regardless of the caller.
+func (h *Heap) drain() {
 	t0 := time.Now()
 	c := &h.cp
-	for n := 0; ; n++ {
-		if n != 0 && n&31 == 0 && !deadline.IsZero() && !time.Now().Before(deadline) {
-			break
-		}
-		it, ok := c.take()
-		if !ok {
-			break
-		}
+	for it, ok := c.take(); ok; it, ok = c.take() {
 		c.sweep(it)
 	}
 	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
-	return c.idle()
-}
-
-// sliceEnd closes the current slice: its pause and the phase time
-// accrued since the previous slice boundary are appended to the
-// report's Slices.
-func (h *Heap) sliceEnd(sliceStart time.Time) {
-	var sr SliceReport
-	sr.Pause = time.Since(sliceStart)
-	for i := range h.phaseNS {
-		sr.Phases[i] = time.Duration(h.phaseNS[i] - h.slicePBase[i])
-	}
-	h.slicePBase = h.phaseNS
-	h.report.Slices = append(h.report.Slices, sr)
 }
 
 // collectBegin is the collection prologue: policy resolution (target
-// generation), report reset, from-space detachment (into h.curFrom,
-// which collectFinish frees), and the copier's to-space cursors. g is
+// generation), report reset, from-space detachment (returned, for
+// collectFinish to free), and the copier's to-space cursors. g is
 // already clamped. It accrues PhaseSetup and returns the running phase
-// clock. The caller has already set inCollect (and sliceActive, when
-// slicing).
-func (h *Heap) collectBegin(g int, start time.Time) time.Time {
+// clock. The caller has already set inCollect.
+func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	h.stamp++
 	h.gcGen = g
 	target := h.policy.TargetGen(g, h.MaxGeneration())
@@ -194,7 +119,6 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 	st.countCollection(g)
 	h.statsSnap = *st // per-collection deltas for the report and trace
 	h.phaseNS = [NumPhases]int64{}
-	h.slicePBase = [NumPhases]int64{}
 	rep := &h.report
 	rep.Seq = st.Collections
 	rep.Gen, rep.Target = g, target
@@ -211,14 +135,12 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 	rep.ProtectedByGen = rep.ProtectedByGen[:0]
 	rep.MutatorsSuspended = h.spSuspended
 	rep.SafepointWait = time.Duration(h.spWaitNS)
-	rep.Slices = rep.Slices[:0] // repopulated by the slice loop
 
 	// Detach from-space: the segment chains of every collected
 	// generation. When the oldest generation collects into itself, its
 	// survivors land in fresh segments stamped with the current
 	// collection, so the forwarding check can tell to-space from
-	// from-space. The list lives on the heap (curFrom) because a sliced
-	// collection spans many calls; collectFinish frees it.
+	// from-space.
 	from := h.fromScratch[:0]
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		for gen := 0; gen <= g; gen++ {
@@ -226,39 +148,24 @@ func (h *Heap) collectBegin(g int, start time.Time) time.Time {
 			h.chains[sp][gen] = h.chains[sp][gen][:0]
 			h.cur[sp][gen].close()
 		}
-		h.sliceGen0Done[sp] = 0
 	}
-	h.curFrom = from
 	// The copier carries on in the target generation's open segments
 	// (none when the oldest generation collects into itself: the loop
 	// above closed its cursors, so copies go to fresh segments).
 	for sp := range h.cur {
 		h.cur[sp][target].handTo(&h.cp.cur[sp])
 	}
-	h.sliceDirty = h.sliceDirty[:0]
-	// Snapshot the protected-list lengths: the guardian phase handles
-	// exactly these prefixes. Entries registered during the windows of
-	// a sliced collection land past them and defer to the next
-	// collection.
-	h.protLim = h.protLim[:0]
-	for i := 0; i <= g; i++ {
-		h.protLim = append(h.protLim, len(h.protected[i]))
-	}
-	return h.phaseMark(PhaseSetup, start)
+	return from, h.phaseMark(PhaseSetup, start)
 }
 
-// collectFinish runs the ordered tail every collection shares —
-// guardian fixpoint, weak pass, cursor hand-back, report snapshot, hooks,
-// from-space free — and finalizes the report. For a sliced collection
-// (sliced == true) these phases all belong to the final slice, which
-// began at sliceStart; the report's Pause is then the sum of the slice
-// pauses rather than wall time since start (the windows in between
-// were mutator time, not pause).
-func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *CollectionReport {
+// collectFinish runs the ordered tail of every collection — guardian
+// fixpoint, weak pass, cursor hand-back, report snapshot, hooks, free
+// of from-space (the segments collectBegin detached) — and finalizes
+// the report.
+func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 	g, target := h.gcGen, h.gcTarget
 	st := &h.Stats
 	rep := &h.report
-	from := h.curFrom
 
 	// The guardian phase's nested kleene-sweeps accrue to PhaseSweep;
 	// subtracting them leaves the protected-list bookkeeping alone in
@@ -272,18 +179,6 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 	h.weakPass(g)
 	t = h.phaseMark(PhaseWeak, t)
 
-	if sliced {
-		// Guardian entries registered during mutator windows are
-		// deferred to the next collection (they sit past the protLim
-		// snapshot, untouched above) — but the values they name may
-		// live in from-space, which is about to be freed. Keep them
-		// alive by forwarding them now. This runs after the weak pass
-		// on purpose: a window registration's values count as
-		// resurrected, so weak pointers to them were already treated
-		// exactly as PauseBudget == 0 would have.
-		h.sliceRetainSuffix()
-		t = time.Now() // the retention accrued its own time (guardian, sweep)
-	}
 	// All copying is done: the target generation's allocation carries
 	// on in the copier's open segments.
 	for sp := range h.cp.cur {
@@ -324,15 +219,10 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 	}
 	t = h.phaseMark(PhaseHooks, t)
 
-	// Sliced collections retire from-space lazily: the per-segment
-	// zeroing Free performs is the one Free-phase cost proportional to
-	// heap size, and it would all land in the final slice's bounded
-	// pause. FreeLazy defers each clear to the allocation that reuses
-	// the segment (seg.Table.claim), off the pause path. Large-object
-	// runs are retired whole through FreeRun, which pools them by size
-	// class for reuse by the next same-length allocation; a
-	// continuation whose head was already retired keeps its Cont mark,
-	// so the loop recognizes and skips it.
+	// Large-object runs are retired whole through FreeRun, which pools
+	// them by size class for reuse by the next same-length allocation;
+	// a continuation whose head was already retired keeps its Cont
+	// mark, so the loop recognizes and skips it.
 	for _, si := range from {
 		s := h.tab.Seg(si)
 		if s.Cont {
@@ -342,37 +232,16 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 			st.SegmentsFreed += uint64(h.tab.FreeRun(si))
 			continue
 		}
-		if sliced {
-			h.tab.FreeLazy(si)
-		} else {
-			h.tab.Free(si)
-		}
+		h.tab.Free(si)
 		st.SegmentsFreed++
 	}
 	h.fromScratch = from[:0]
-	h.curFrom = nil
 	h.phaseMark(PhaseFree, t)
 
-	// Window allocations charged the gen-0 trigger; the collection that
-	// just completed covers them, so the counter resets like any other
-	// collection's (documented on Config.PauseBudget in ALGORITHM.md).
 	h.gen0Words = 0
 	h.needCollect.Store(false)
 	rep.SegmentsFreed = st.SegmentsFreed - snap.SegmentsFreed
-	if sliced {
-		// Close the final slice, then define the pause as the sum of
-		// the slice pauses: the windows in between were mutator time.
-		// The handshake figures were updated by every window's re-stop.
-		h.sliceEnd(sliceStart)
-		rep.MutatorsSuspended = h.spSuspended
-		rep.SafepointWait = time.Duration(h.spWaitNS)
-		rep.Pause = 0
-		for i := range rep.Slices {
-			rep.Pause += rep.Slices[i].Pause
-		}
-	} else {
-		rep.Pause = time.Since(start)
-	}
+	rep.Pause = time.Since(start)
 	st.TotalPause += rep.Pause
 	for i := range h.phaseNS {
 		d := time.Duration(h.phaseNS[i])
@@ -391,29 +260,6 @@ func (h *Heap) collectFinish(start, sliceStart time.Time, sliced bool) *Collecti
 	}
 	h.recordTrace(rep)
 	return rep
-}
-
-// sliceRetainSuffix keeps alive the guardian entries registered during
-// this sliced collection's mutator windows (the suffix past the
-// protLim snapshot, which the guardian phase left in place): their
-// Obj/Rep/Tconc values are forwarded out of from-space and the copies
-// swept to the fixpoint. Window registrations always land in
-// generation 0's list, so that is the only suffix; the weak pairs the
-// retention sweep copies get the standard weak fix-up here because the
-// main weak pass has already run (and emptied the weak lists).
-func (h *Heap) sliceRetainSuffix() {
-	t0 := time.Now()
-	c := &h.cp
-	for i := range h.protected[0] {
-		e := &h.protected[0][i]
-		e.Obj = c.forward(e.Obj)
-		e.Rep = c.forward(e.Rep)
-		e.Tconc = c.forward(e.Tconc)
-	}
-	sweepBase := h.phaseNS[PhaseSweep]
-	h.drain(time.Time{})
-	h.fixWeakLists()
-	h.phaseNS[PhaseGuardian] += time.Since(t0).Nanoseconds() - (h.phaseNS[PhaseSweep] - sweepBase)
 }
 
 // phaseMark accrues the time elapsed since t0 to phase p and returns
@@ -576,9 +422,7 @@ func (c *copier) allocRun(space seg.Space, total int) uint64 {
 // starts counts as one pass, so Stats.SweepPasses reports the paper's
 // "iterated" sweep depth faithfully: a drain that finds nothing to
 // sweep records no pass, and the re-sweeps triggered inside the
-// guardian phase's salvage loop are counted like any other. A wave
-// interrupted by a deadline resumes where it stopped, so a sliced
-// sweep visits objects in the order a monolithic one does.
+// guardian phase's salvage loop are counted like any other.
 func (c *copier) take() (sweepItem, bool) {
 	if c.head == len(c.wave) {
 		c.wave, c.next, c.head = c.next, c.wave[:0], 0
@@ -590,11 +434,6 @@ func (c *copier) take() (sweepItem, bool) {
 	it := c.wave[c.head]
 	c.head++
 	return it, true
-}
-
-// idle reports whether the copier's work list is empty.
-func (c *copier) idle() bool {
-	return c.head == len(c.wave) && len(c.next) == 0
 }
 
 // fwdWindow forwards in place every pointer field of the window w.
@@ -642,11 +481,9 @@ func (c *copier) sweep(it sweepItem) {
 // scanSeg forwards in place every pointer field of every object in
 // segment idx, deferring weak cars to the weak-pair pass: the walk of
 // an older generation's segment when the dirty set is disabled
-// (oldScanPhase), and of a segment allocated during a sliced
-// collection's window (sliceFixup). Large-object continuation segments
-// are skipped: the header walk of the run's head segment covers the
-// whole run (fwdWords carries on through it); data segments hold no
-// pointers.
+// (oldScanPhase). Large-object continuation segments are skipped: the
+// header walk of the run's head segment covers the whole run (fwdWords
+// carries on through it); data segments hold no pointers.
 func (c *copier) scanSeg(idx int) {
 	st := &c.h.Stats
 	s := c.h.tab.Seg(idx)
@@ -851,18 +688,11 @@ func (h *Heap) guardianPhase(g, target int) {
 	c := &h.cp
 	// Gather the protected entries of every collected generation in
 	// registration order (generation 0..g, list order within each);
-	// this order is what the per-round passes below preserve. Only
-	// entries present when the collection began participate (protLim):
-	// registrations made during a sliced collection's mutator windows
-	// (always in generation 0's list, past the snapshot) defer to the
-	// next collection, keeping the salvage order identical to
-	// PauseBudget == 0. The retained suffix slides to the front of the
-	// list; its values are kept alive by sliceRetainSuffix.
+	// this order is what the per-round passes below preserve.
 	ents := h.guardEnts[:0]
 	for i := 0; i <= g; i++ {
-		lst, lim := h.protected[i], h.protLim[i]
-		ents = append(ents, lst[:lim]...)
-		h.protected[i] = append(lst[:0], lst[lim:]...)
+		ents = append(ents, h.protected[i]...)
+		h.protected[i] = h.protected[i][:0]
 	}
 	h.guardEnts = ents
 	st.GuardianEntriesScanned += uint64(len(ents))
@@ -925,7 +755,7 @@ func (h *Heap) guardianPhase(g, target int) {
 		// Salvaged objects (and newly forwarded representatives) may
 		// point at tconcs of other guardians, making them accessible;
 		// sweep and try again.
-		h.drain(time.Time{})
+		h.drain()
 		rep.GuardianRoundDurations = append(rep.GuardianRoundDurations, time.Since(roundStart))
 		if h.cfg.GuardianSinglePass {
 			break // ablation: no fixpoint iteration
@@ -988,6 +818,7 @@ func (h *Heap) tconcAddGC(tc, v obj.Value) {
 // and broken to #f otherwise. Deferred dirty weak cells in older
 // generations get the same treatment.
 func (h *Heap) weakPass(g int) {
+	c := &h.cp
 	if h.cfg.WeakScanAll {
 		// Ablation baseline: visit every weak pair in the heap.
 		for idx := 0; idx < h.tab.Len(); idx++ {
@@ -1003,17 +834,9 @@ func (h *Heap) weakPass(g int) {
 				h.weakFixCell(base + uint64(off))
 			}
 		}
-		h.cp.newWeak, h.cp.pendWeak = h.cp.newWeak[:0], h.cp.pendWeak[:0]
+		c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
 		return
 	}
-	h.fixWeakLists()
-}
-
-// fixWeakLists gives every weak pair the copier copied (newWeak) and
-// every weak car it deferred (pendWeak) the second-pass treatment, and
-// empties the lists.
-func (h *Heap) fixWeakLists() {
-	c := &h.cp
 	for _, addr := range c.newWeak {
 		h.weakFixCell(addr)
 	}
@@ -1045,14 +868,6 @@ func (h *Heap) weakFix(addr uint64) bool {
 	h.Stats.WeakPairsScanned++
 	idx, off := seg.SegIndexOf(addr), seg.Offset(addr)
 	as := h.tab.Seg(idx)
-	if h.sliceActive.Load() && as.Gen <= h.gcGen && as.Stamp != h.stamp {
-		// A sliced collection's window can record a weak store into a
-		// from-space weak pair, not yet forwarded when the mutator wrote
-		// it. By now the pair has been forwarded (its copy is on newWeak)
-		// or died with from-space; either way the from-space cell is left
-		// alone: its address must never re-enter the dirty set.
-		return false
-	}
 	v := obj.Value(as.Words[off])
 	if !v.IsPointer() {
 		return false

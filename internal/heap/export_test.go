@@ -15,12 +15,6 @@ func UsesMapRemset(h *Heap) bool { return h.dirtyMap != nil }
 // parked in mutator TLAB caches (reserved: neither free nor in use).
 func ReservedSegments(h *Heap) int { return h.tab.ReservedCount() }
 
-// SetSliceWindowHook installs fn to run inside every mutator window of
-// a sliced collection (world resumed, sweep work parked). Test-only:
-// the sliced-collection suite uses it to run Verify between slices —
-// the only moment invariant 10 is checkable — and to count windows.
-func SetSliceWindowHook(h *Heap, fn func()) { h.sliceHook = fn }
-
 // AllocLockFree reports whether the allocation mutex is free — false
 // means some path leaked it (every later taker would hang).
 func AllocLockFree(h *Heap) bool {

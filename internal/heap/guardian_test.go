@@ -3,8 +3,8 @@ package heap_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obj"
@@ -35,14 +35,11 @@ func tconcIDs(h *heap.Heap, tc obj.Value) []int64 {
 // drops, and collections, recording the guardian tconc's ID sequence
 // after every collection. Two heaps run with the same seed consume
 // identical random streams, so any divergence in the returned
-// history is the collector's doing. A non-zero budget runs the same
-// workload with pause-budgeted (sliced) collections, which must be
-// unobservable here (TestGuardianSlicedDeterminism).
-func guardianWorkload(t *testing.T, budget time.Duration, seed int64, steps int) (history [][]int64, salvaged, held uint64) {
+// history is the collector's doing.
+func guardianWorkload(t *testing.T, seed int64, steps int) (history [][]int64, salvaged, held uint64) {
 	t.Helper()
 	cfg := heap.DefaultConfig()
 	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30} // collections are explicit ops only
-	cfg.PauseBudget = budget
 	h := heap.MustNew(cfg)
 	tc := h.NewRoot(makeTconc(h))
 	var roots []*heap.Root
@@ -89,7 +86,7 @@ func guardianWorkload(t *testing.T, budget time.Duration, seed int64, steps int)
 		default: // collect a random generation range and snapshot the tconc
 			h.Collect(rng.Intn(h.MaxGeneration() + 1))
 			if errs := h.Verify(); len(errs) > 0 {
-				t.Fatalf("budget=%v step %d: heap unsound: %v", budget, i, errs[0])
+				t.Fatalf("seed %d step %d: heap unsound: %v", seed, i, errs[0])
 			}
 			history = append(history, tconcIDs(h, tc.Get()))
 		}
@@ -97,6 +94,41 @@ func guardianWorkload(t *testing.T, budget time.Duration, seed int64, steps int)
 	h.Collect(h.MaxGeneration())
 	history = append(history, tconcIDs(h, tc.Get()))
 	return history, h.Stats.GuardianEntriesSalvaged, h.Stats.GuardianEntriesHeld
+}
+
+// TestGuardianWorkloadSalvagesOnce runs the randomized guardian
+// workload twice with one seed. The two tconc histories must be
+// identical: the collector is deterministic. Nothing reads the tconc,
+// so each snapshot must extend the one before it, and no ID may be
+// salvaged twice, since every object is registered once.
+func TestGuardianWorkloadSalvagesOnce(t *testing.T) {
+	const steps = 1200
+	const seed = 20260808
+	ref, refSalvaged, refHeld := guardianWorkload(t, seed, steps)
+	if refSalvaged == 0 || refHeld == 0 {
+		t.Fatalf("weak workload: salvaged=%d held=%d", refSalvaged, refHeld)
+	}
+	got, salvaged, held := guardianWorkload(t, seed, steps)
+	if salvaged != refSalvaged || held != refHeld || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("second run diverges: salvaged/held %d/%d vs %d/%d, %d vs %d collections",
+			salvaged, held, refSalvaged, refHeld, len(got), len(ref))
+	}
+	for c := 1; c < len(ref); c++ {
+		if prev := ref[c-1]; len(ref[c]) < len(prev) || !slices.Equal(ref[c][:len(prev)], prev) {
+			t.Fatalf("tconc after collection %d does not extend the one before:\nbefore: %v\nafter:  %v", c, prev, ref[c])
+		}
+	}
+	final := ref[len(ref)-1]
+	if uint64(len(final)) != refSalvaged {
+		t.Fatalf("tconc holds %d items, %d salvaged", len(final), refSalvaged)
+	}
+	seen := map[int64]bool{}
+	for _, id := range final {
+		if seen[id] {
+			t.Fatalf("ID %d salvaged twice: %v", id, final)
+		}
+		seen[id] = true
+	}
 }
 
 // TestGuardianChainSalvageOrder pins the §4 fixpoint semantics in

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obj"
 	"repro/internal/seg"
@@ -76,21 +75,6 @@ type Config struct {
 	// so that configurations setting it to 1 (or leaving it 0) still
 	// build; Validate rejects every other value.
 	Workers int
-	// PauseBudget, when positive, bounds the stop-the-world pause of
-	// collections that include old space (g >= 1 after clamping to the
-	// heap's generations): the old-space sweep is split into bounded
-	// slices resumable across safepoint handshakes, with the mutators
-	// released between slices (see collect and docs/ALGORITHM.md,
-	// "Pause-budget collections").
-	// Generation-0 collections stay fully stop-the-world regardless —
-	// the nursery sweep is the cheap case slicing exists to protect.
-	// Guardian salvage and weak-pair breaking are pinned to the final
-	// slice, so the paper's ordering (and the tconc salvage order) is
-	// bit-for-bit identical to PauseBudget == 0. The budget bounds each
-	// slice's sweep loop, not the largest single object: a slice that
-	// picks up a multi-segment object finishes it. 0 (the default)
-	// keeps every collection fully stop-the-world.
-	PauseBudget time.Duration
 }
 
 // Validate checks the configuration for nonsensical values and
@@ -121,9 +105,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxSegments < 0 {
 		return fmt.Errorf("heap: Config.MaxSegments must be >= 0 (got %d; 0 means unbounded)", c.MaxSegments)
-	}
-	if c.PauseBudget < 0 {
-		return fmt.Errorf("heap: Config.PauseBudget must be >= 0 (got %v; 0 disables slicing)", c.PauseBudget)
 	}
 	if c.Workers != 0 && c.Workers != 1 {
 		return fmt.Errorf("heap: Config.Workers must be 0 or 1 (got %d): the parallel collector was removed", c.Workers)
@@ -275,7 +256,6 @@ type Heap struct {
 	guardEnts      []ProtEntry
 	guardHold      []ProtEntry
 	guardFinal     []ProtEntry
-	protLim        []int // protected-list lengths at collection start (guardianPhase)
 	fromScratch    []int // reusable from-space segment list (Collect)
 	gen0Words      int
 	needCollect    atomic.Bool
@@ -311,30 +291,6 @@ type Heap struct {
 	// cp is the copier (collect.go): it does all of a collection's
 	// copying, inline on the collecting goroutine.
 	cp copier
-
-	// Sliced-collection state (Config.PauseBudget > 0; see collect in
-	// collect.go). sliceActive is true from the first slice of a sliced
-	// collection until its final slice completes — including the
-	// mutator windows in between, when inCollect is false. It gates the
-	// window write barrier (sliceRecord), the forwarding read barrier
-	// (fwdNorm), and Verify's mid-collection relaxations. sliceDirty
-	// collects pointer stores made during windows (drained by
-	// sliceFixup at the next slice); curFrom holds the detached
-	// from-space segment list across slices; sliceGen0Done tracks how
-	// far each gen-0 chain has been scanned for window allocations;
-	// slicePBase is the phaseNS snapshot at slice start for per-slice
-	// phase attribution.
-	sliceActive   atomic.Bool
-	sliceMu       sync.Mutex
-	sliceDirty    []dirtyCell
-	curFrom       []int
-	sliceGen0Done [seg.NumSpaces]int
-	slicePBase    [NumPhases]int64
-	// sliceHook, when non-nil, runs inside every mutator window of a
-	// sliced collection (world running, collection parked). Test-only:
-	// the invariant-10 suite uses it to Verify the parked sweep state
-	// between slices.
-	sliceHook func()
 
 	// Observability (see trace.go and report.go): per-collection phase
 	// timing scratch, the reusable per-collection report, the optional
@@ -595,15 +551,6 @@ func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 	if !v.IsPointer() {
 		return
 	}
-	if h.sliceActive.Load() {
-		// A sliced collection is between slices: the store may plant a
-		// from-space pointer in a cell the collection already scanned
-		// (an old-generation cell after slice 1's dirty scan, or a
-		// window-allocated gen-0 cell after its chain scan). Record it
-		// unconditionally — the next slice's fixup re-forwards the cell
-		// (remset.go, sliceRecord/sliceFixup).
-		h.sliceRecord(addr, isWeakCar)
-	}
 	if !h.cfg.UseDirtySet {
 		return
 	}
@@ -726,33 +673,12 @@ func (h *Heap) CollectAuto() *CollectionReport {
 	return h.collectAs(nil, 0, true)
 }
 
-// fwdNorm is the read barrier of sliced collections: between the
-// slices of a PauseBudget collection a mutator can fish a from-space
-// pointer out of a not-yet-swept to-space cell, and the referent may
-// already have been forwarded by an earlier slice (its first word is a
-// forwarding word). Public accessors normalize such values to the
-// to-space copy before using them, so reads see the moved object and
-// writes land in the copy rather than the doomed original. Outside a
-// sliced collection this is a single atomic load; no forwarding word
-// is ever visible then (invariant 1), matching the unconditional
-// forwarding-pointer check a real implementation's read path performs.
-func (h *Heap) fwdNorm(v obj.Value) obj.Value {
-	if !h.sliceActive.Load() || !v.IsPointer() {
-		return v
-	}
-	if w := h.word(v.Addr()); obj.IsFwd(w) {
-		return v.WithAddr(obj.FwdAddr(w))
-	}
-	return v
-}
-
 // Generation returns the generation a value currently resides in, or
 // -1 for immediates.
 func (h *Heap) Generation(v obj.Value) int {
 	if !v.IsPointer() {
 		return -1
 	}
-	v = h.fwdNorm(v)
 	return h.tab.SegOf(v.Addr()).Gen
 }
 
@@ -762,7 +688,7 @@ func (h *Heap) Generation(v obj.Value) int {
 // value itself for immediates.
 func (h *Heap) AddressOf(v obj.Value) uint64 {
 	if v.IsPointer() {
-		return h.fwdNorm(v).Addr()
+		return v.Addr()
 	}
 	return uint64(v)
 }
@@ -809,7 +735,6 @@ func (h *Heap) SetAllocForbidden(forbid bool) { h.allocForbidden = forbid }
 // value identity for immediates, except that flonums compare by their
 // float bits.
 func (h *Heap) Eqv(a, b obj.Value) bool {
-	a, b = h.fwdNorm(a), h.fwdNorm(b)
 	if a == b {
 		return true
 	}

@@ -83,9 +83,7 @@ func (ir *imageReader) str() string {
 	return string(b)
 }
 
-// SaveImage writes the heap to w. The heap must not be mid-collection
-// (nor inside a mutator window of a sliced collection — the parked
-// sweep state is not serializable).
+// SaveImage writes the heap to w. The heap must not be mid-collection.
 //
 // With mutators registered, serialization must not race their TLAB
 // bump allocation: a mutator publishes a segment's Fill before it
@@ -97,13 +95,12 @@ func (ir *imageReader) str() string {
 // TLAB — drains the per-mutator reserved-segment caches, serializes
 // the stopped heap, and resumes the world. The caller must not itself
 // be a registered mutator goroutine (it would wait for its own park).
-// A mid-collection save — including the mutator windows of a sliced
-// (PauseBudget) collection, when the parked sweep state is not
-// serializable — returns an error rather than serializing a
-// half-forwarded heap; retry after the collection finishes.
+// A mid-collection save (from a post-collect hook, say) returns an
+// error rather than serializing a half-forwarded heap; retry after the
+// collection finishes.
 func (h *Heap) SaveImage(w io.Writer) error {
-	if h.inCollect.Load() || h.sliceActive.Load() {
-		return fmt.Errorf("heap: SaveImage during a collection (sliced collection in progress?)")
+	if h.inCollect.Load() {
+		return fmt.Errorf("heap: SaveImage during a collection")
 	}
 	if h.mutCount.Load() != 0 {
 		return h.withWorldStopped(func() error { return h.saveImage(w) })

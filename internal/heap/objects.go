@@ -92,24 +92,14 @@ func (h *Heap) WeakCons(car, cdr obj.Value) obj.Value {
 // space. Weak pairs answer true to IsPair as well, matching the paper:
 // they are manipulated with the normal list operations.
 func (h *Heap) IsWeakPair(v obj.Value) bool {
-	v = h.fwdNorm(v)
 	return v.IsPair() && h.tab.SegOf(v.Addr()).Space == seg.SpaceWeak
 }
 
 // Car returns the car of a pair (ordinary or weak).
-//
-// The pair accessors (and every header accessor via mustKind) route
-// the operand through fwdNorm: during the mutator windows of a sliced
-// collection a live reference may still address the from-space copy of
-// an already-forwarded pair, and reads must follow the forwarding word
-// while writes must land in (and be barrier-recorded against) the
-// to-space copy, or the store would be discarded with from-space.
-// Outside sliced collections fwdNorm is one atomic load.
 func (h *Heap) Car(p obj.Value) obj.Value {
 	if !p.IsPair() {
 		h.badPair("car", p)
 	}
-	p = h.fwdNorm(p)
 	return h.valueAt(p.Addr())
 }
 
@@ -118,7 +108,6 @@ func (h *Heap) Cdr(p obj.Value) obj.Value {
 	if !p.IsPair() {
 		h.badPair("cdr", p)
 	}
-	p = h.fwdNorm(p)
 	return h.valueAt(p.Addr() + 1)
 }
 
@@ -128,7 +117,6 @@ func (h *Heap) SetCar(p, v obj.Value) {
 	if !p.IsPair() {
 		h.badPair("set-car!", p)
 	}
-	p = h.fwdNorm(p)
 	h.writeCell(p.Addr(), v, h.tab.SegOf(p.Addr()).Space == seg.SpaceWeak)
 }
 
@@ -137,7 +125,6 @@ func (h *Heap) SetCdr(p, v obj.Value) {
 	if !p.IsPair() {
 		h.badPair("set-cdr!", p)
 	}
-	p = h.fwdNorm(p)
 	h.writeCell(p.Addr()+1, v, false)
 }
 
@@ -210,16 +197,11 @@ func (h *Heap) fillWords(addr uint64, p []uint64, n int, v obj.Value) {
 	}
 }
 
-// KindOf returns the kind of a header-prefixed heap object. The
-// operand is normalized through fwdNorm first: during a sliced
-// collection's mutator windows an already-forwarded object's old
-// header slot holds a forwarding word, which would otherwise read as
-// "not a header".
+// KindOf returns the kind of a header-prefixed heap object.
 func (h *Heap) KindOf(v obj.Value) (obj.Kind, bool) {
 	if !v.IsObj() {
 		return 0, false
 	}
-	v = h.fwdNorm(v)
 	w := h.word(v.Addr())
 	if !obj.IsHeader(w) {
 		return 0, false
@@ -234,7 +216,6 @@ func (h *Heap) IsKind(v obj.Value, k obj.Kind) bool {
 }
 
 func (h *Heap) mustKind(v obj.Value, k obj.Kind, op string) uint64 {
-	v = h.fwdNorm(v)
 	if got, ok := h.KindOf(v); !ok || got != k {
 		h.badKind(op, k, v)
 	}

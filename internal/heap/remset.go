@@ -2,7 +2,6 @@ package heap
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/obj"
 	"repro/internal/seg"
@@ -174,24 +173,6 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	return scanned
 }
 
-// sliceRecord is the window half of the sliced-collection write
-// barrier: while a sliced collection is between slices (sliceActive),
-// every mutator pointer store is recorded — whatever generation the
-// cell lives in — because the store may plant a from-space pointer in
-// a cell the collection has already scanned. The next slice drains the
-// buffer (sliceFixup) and re-forwards each cell. This is "treat
-// in-progress space as dirty": the regular remembered-set insert still
-// runs for old-generation cells (future collections need it); this
-// buffer is what keeps the CURRENT collection sound. The buffer is
-// mutator-shared, so it takes its own mutex; it is touched only during
-// windows of a sliced collection, never on the steady-state barrier
-// path, where sliceActive costs one atomic load.
-func (h *Heap) sliceRecord(addr uint64, weak bool) {
-	h.sliceMu.Lock()
-	h.sliceDirty = append(h.sliceDirty, dirtyCell{addr, weak})
-	h.sliceMu.Unlock()
-}
-
 // dirtyPhase processes the remembered set: cells in generations older
 // than those collected that may hold pointers into them. Strong cells
 // are forwarded in place; weak car cells are deferred to the weak-pair
@@ -212,46 +193,6 @@ func (c *copier) dirtyPhase() {
 		h.report.ShardDirty[k] = n
 		h.Stats.DirtyCellsScanned += n
 	}
-}
-
-// sliceFixup runs at the start of every slice after a mutator window:
-// it re-establishes the collection's invariants over everything the
-// mutators did while the world was running. Three sources of new work:
-// roots (slots may have been rebound, new roots registered, pin slots
-// loaded — the roots phase again, idempotently), the window store
-// buffer (each recorded strong cell is re-forwarded in place; weak
-// cells defer to the weak pass), and window allocations (fresh gen-0
-// segments, scanned like to-space — the "allocate black" rule; the
-// per-space chain cursor makes each segment scanned exactly once,
-// which suffices because a flushed TLAB segment is never refilled and
-// later stores into it are caught by the store buffer). The store
-// buffer and the window segments are forwarded by the copier; what it
-// copies lands on its work list and is drained by the slice's sweep.
-// Time accrues to the roots and dirty-scan phases; no window time can
-// leak in, because this runs strictly inside the stopped world.
-func (h *Heap) sliceFixup() {
-	t := time.Now()
-	c := &h.cp
-	c.rootsPhase()
-	t = h.phaseMark(PhaseRoots, t)
-
-	for _, d := range h.sliceDirty {
-		h.Stats.DirtyCellsScanned++
-		if d.weak {
-			c.pendWeak = append(c.pendWeak, d.addr)
-			continue
-		}
-		c.fwdCell(d.addr)
-	}
-	h.sliceDirty = h.sliceDirty[:0]
-	for sp := 0; sp < int(seg.NumSpaces); sp++ {
-		chain := h.chains[sp][0]
-		for _, idx := range chain[h.sliceGen0Done[sp]:] {
-			c.scanSeg(idx)
-		}
-		h.sliceGen0Done[sp] = len(chain)
-	}
-	h.phaseMark(PhaseDirtyScan, t)
 }
 
 // RemSetShardSizes returns the deduplicated remembered-set size of

@@ -69,19 +69,9 @@ type CollectionReport struct {
 	// safepoint handshake suspended (parked or idle) for this
 	// collection, and SafepointWait is how long the coordinator waited
 	// for the last of them to reach a safepoint. Both are zero in
-	// legacy single-mutator mode (no mutators registered). For a sliced
-	// collection SafepointWait is the sum over every stop (the initial
-	// one plus one re-stop per mutator window).
+	// legacy single-mutator mode (no mutators registered).
 	MutatorsSuspended int
 	SafepointWait     time.Duration
-
-	// Slices holds one entry per stop-the-world slice of a
-	// pause-budgeted collection (Config.PauseBudget > 0 and the
-	// collection included old space), in execution order. Empty for a
-	// monolithic collection. For sliced collections Pause is the sum of
-	// the slice pauses — mutator windows between slices are not pause —
-	// and Phases is the element-wise sum of the slice Phases.
-	Slices []SliceReport
 
 	// Per-collection deltas of the cumulative Stats counters.
 	WordsCopied       uint64
@@ -99,26 +89,12 @@ type CollectionReport struct {
 	SegmentsFreed     uint64
 }
 
-// SliceReport records one stop-the-world slice of a pause-budgeted
-// collection: its pause and the per-phase attribution of that pause.
-// A slice's Phases sum to its Pause up to timer granularity, exactly
-// as a monolithic collection's do (asserted by the sliced variant of
-// TestPhasesSumToPause). Every slice but the last holds only fixup
-// (roots, dirty-scan) and sweep time; the final slice additionally
-// carries the guardian, weak, hooks, and free phases, which are
-// pinned there to preserve the paper's ordering.
-type SliceReport struct {
-	Pause  time.Duration
-	Phases [NumPhases]time.Duration
-}
-
 // Clone returns a deep copy of the report, safe to retain after the
 // next collection overwrites the heap-owned original.
 func (r *CollectionReport) Clone() *CollectionReport {
 	c := *r
 	c.GuardianRoundDurations = append([]time.Duration(nil), r.GuardianRoundDurations...)
 	c.ProtectedByGen = append([]int(nil), r.ProtectedByGen...)
-	c.Slices = append([]SliceReport(nil), r.Slices...)
 	return &c
 }
 

@@ -1,7 +1,6 @@
 package heap
 
 import (
-	"runtime"
 	"time"
 
 	"repro/internal/seg"
@@ -248,17 +247,8 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 	// every mutator suspended, so any caller observing inCollect is on
 	// a collector-machinery goroutine (a root provider, post-collect
 	// hook, or trace callback re-entering Collect) — waiting for the
-	// election would deadlock on our own collection. One exception: an
-	// automatic request during a sliced collection defers (the sliced
-	// collection in progress IS the collection the trigger asked for —
-	// its final slice clears the trigger), returning nil rather than
-	// panicking.
-	if h.inCollect.Load() {
-		if auto && h.sliceActive.Load() {
-			return nil
-		}
-		h.check(false, "Collect called during a collection")
-	}
+	// election would deadlock on our own collection.
+	h.check(!h.inCollect.Load(), "Collect called during a collection")
 	h.check(self == nil || (self.registered && !self.idle && !self.parked),
 		"collect: coordinating mutator must be registered and active")
 	h.spMu.Lock()
@@ -270,17 +260,6 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 	// collection happen after the request.
 	for h.collecting {
 		if auto && !h.stopReq {
-			if h.sliceActive.Load() {
-				// A sliced collection's mutator window: the trigger the
-				// caller is serving can re-fire mid-slice-sequence
-				// (window allocations re-satisfy it), but the sliced
-				// collection already underway subsumes it — its final
-				// slice resets the trigger. Defer with nil; the
-				// caller's report is not ready yet and LastReport would
-				// hand back a half-built record.
-				h.spMu.Unlock()
-				return nil
-			}
 			// The round's report is final once stopReq clears (only the
 			// resume drain remains).
 			h.spMu.Unlock()
@@ -318,10 +297,8 @@ func (h *Heap) collectAs(self *Mutator, g int, auto bool) *CollectionReport {
 
 	// The world is stopped: every registered mutator is parked or idle
 	// with flushed TLABs, and new registrations wait on `collecting`.
-	// Run the collection body; with a pause budget set it releases and
-	// re-stops the world between sweep slices itself (sliceWindow).
 	defer h.resumeWorld()
-	return h.collect(self, g)
+	return h.collect(g)
 }
 
 // resumeWorld is the two-phase resume that ends a collection round:
@@ -339,51 +316,4 @@ func (h *Heap) resumeWorld() {
 	h.collecting = false
 	h.spCond.Broadcast()
 	h.spMu.Unlock()
-}
-
-// sliceWindow opens a mutator window between two slices of a sliced
-// collection: the parked mutators are released, given a chance to run,
-// and then stopped again. `collecting` stays true throughout, so no
-// other election can slip in and no registration can complete
-// mid-collection; inCollect is false for the window's duration so that
-// mutator-side entry points (guardian registration, the auto-collect
-// defer path) behave as between collections. The shape is collectAs's
-// resume followed by its stop, with one extra broadcast: a mutator
-// blocked in the election loop's Wait (an explicit Collect call made
-// during a window) must be woken when stopReq rises again, or it would
-// never re-check the flag and park — and the coordinator would wait
-// for it forever.
-func (h *Heap) sliceWindow(self *Mutator) {
-	h.inCollect.Store(false)
-	h.spMu.Lock()
-	h.stopReq = false
-	h.spStop.Store(false)
-	h.spCond.Broadcast()
-	for h.spParked > 0 {
-		h.spCond.Wait()
-	}
-	h.spMu.Unlock()
-
-	// The window: every runnable mutator may allocate, write (the
-	// sliceRecord barrier watches), and register roots or guardians.
-	// Yield so they actually get scheduled on small GOMAXPROCS.
-	runtime.Gosched()
-	if h.sliceHook != nil {
-		h.sliceHook()
-	}
-
-	h.spMu.Lock()
-	h.stopReq = true
-	h.spStop.Store(true)
-	h.spCond.Broadcast() // wake election-loop waiters so they park
-	if h.spParked+h.spIdle < h.othersOf(self) {
-		waitStart := time.Now()
-		for h.spParked+h.spIdle < h.othersOf(self) {
-			h.spCond.Wait()
-		}
-		h.spWaitNS += time.Since(waitStart).Nanoseconds()
-	}
-	h.spSuspended = h.spParked + h.spIdle
-	h.spMu.Unlock()
-	h.inCollect.Store(true)
 }

@@ -24,7 +24,7 @@ import (
 // donor heap (capture deep-copies every word) and not by clones (the
 // copy-on-write bitmap forces a private copy before any store). A
 // clone that frees a shared segment drops the alias without zeroing
-// the template array (seg.Table.Free/FreeLazy).
+// the template array (seg.Table.Free).
 //
 // The one mutable thing a template owns is its clones' segment pool
 // (seg.Pool, internally locked): the word arrays clones retire pass
@@ -58,9 +58,9 @@ func (t *Template) Segments() int {
 }
 
 // CaptureTemplate snapshots the heap into an immutable Template. The
-// heap must not be mid-collection — a sliced collection in progress
-// (sliceActive) is an error, not a panic, because the natural caller
-// is a server that can simply retry after the collection finishes.
+// heap must not be mid-collection — a capture from a post-collect hook
+// is an error, not a panic, because the caller can simply retry after
+// the collection finishes.
 // With mutators registered the capture runs under the same
 // stop-the-world handshake SaveImage uses. The heap is verified as
 // part of the capture (clones skip verification — they are bit-for-bit
@@ -71,8 +71,8 @@ func (t *Template) Segments() int {
 // (maximal sharing, empty nursery) should Collect(MaxGeneration())
 // first; capture itself does not collect.
 func (h *Heap) CaptureTemplate() (*Template, error) {
-	if h.inCollect.Load() || h.sliceActive.Load() {
-		return nil, fmt.Errorf("heap: CaptureTemplate during a collection (sliced collection in progress?)")
+	if h.inCollect.Load() {
+		return nil, fmt.Errorf("heap: CaptureTemplate during a collection")
 	}
 	if h.mutCount.Load() != 0 {
 		var tpl *Template

@@ -3,8 +3,8 @@ package heap_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obj"
@@ -14,8 +14,7 @@ import (
 // in-memory, copy-on-write counterpart of SaveImage/LoadImage. The
 // acceptance bar: a clone is observationally identical to its donor —
 // same structure, same remembered-set behaviour, and bit-for-bit the
-// same guardian salvage order — with and without a PauseBudget, while
-// sharing segments with the template until first write and never
+// same guardian salvage order — while sharing segments with the template until first write and never
 // writing through to it.
 
 // templateDonor bundles the root handles of the donor heap built by
@@ -36,12 +35,11 @@ const (
 // items already salvaged onto its tconc and pending retrieval at
 // capture time — and guarded objects still alive (some registered with
 // both guardians).
-func buildTemplateDonor(t *testing.T, workers int, budget time.Duration) (*heap.Heap, []*heap.Root) {
+func buildTemplateDonor(t *testing.T, workers int) (*heap.Heap, []*heap.Root) {
 	t.Helper()
 	cfg := heap.DefaultConfig()
 	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
 	cfg.Workers = workers
-	cfg.PauseBudget = budget
 	h := heap.MustNew(cfg)
 
 	roots := make([]*heap.Root, tplSlots)
@@ -149,61 +147,60 @@ func driveGuardians(t *testing.T, h *heap.Heap, roots []*heap.Root) []int64 {
 // TestTemplateCloneMatrix is the round-trip matrix: capture a donor
 // with a populated sharded remset (strong + weak entries) and live
 // guardians with pending tconc items, clone it, and run the identical
-// guardian/collection script on donor and clone, monolithic and
-// sliced, at both Config.Workers values Validate accepts (1 and
-// unset; each is the one copier). The clone's salvage order must be
-// bit-for-bit the donor's — the donor IS the prelude-booted heap the
-// clone claims to be a copy of.
+// guardian/collection script on donor and clone, at both
+// Config.Workers values Validate accepts (1 and unset; each is the one
+// copier). The clone's salvage order must be bit-for-bit the donor's —
+// the donor IS the prelude-booted heap the clone claims to be a copy
+// of. The subtests keep the names they had when the matrix also ran
+// sliced collections; "budget=0s" is every collection now.
 func TestTemplateCloneMatrix(t *testing.T) {
 	for _, w := range []int{1, 0} {
-		for _, b := range []time.Duration{0, time.Millisecond} {
-			t.Run(fmt.Sprintf("workers=%d,budget=%v", w, b), func(t *testing.T) {
-				donor, droots := buildTemplateDonor(t, w, b)
-				tpl, err := donor.CaptureTemplate()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tpl.Segments() == 0 {
-					t.Fatal("template captured no segments")
-				}
-				clone, croots, err := heap.CloneFromTemplate(tpl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if clone.SharedSegments() == 0 {
-					t.Fatal("clone shares no segments with the template")
-				}
-				if clone.DirtyCount() != donor.DirtyCount() {
-					t.Fatalf("clone DirtyCount %d, donor %d", clone.DirtyCount(), donor.DirtyCount())
-				}
-				if clone.ProtectedCount() != donor.ProtectedCount() {
-					t.Fatalf("clone ProtectedCount %d, donor %d", clone.ProtectedCount(), donor.ProtectedCount())
-				}
+		t.Run(fmt.Sprintf("workers=%d,budget=0s", w), func(t *testing.T) {
+			donor, droots := buildTemplateDonor(t, w)
+			tpl, err := donor.CaptureTemplate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tpl.Segments() == 0 {
+				t.Fatal("template captured no segments")
+			}
+			clone, croots, err := heap.CloneFromTemplate(tpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clone.SharedSegments() == 0 {
+				t.Fatal("clone shares no segments with the template")
+			}
+			if clone.DirtyCount() != donor.DirtyCount() {
+				t.Fatalf("clone DirtyCount %d, donor %d", clone.DirtyCount(), donor.DirtyCount())
+			}
+			if clone.ProtectedCount() != donor.ProtectedCount() {
+				t.Fatalf("clone ProtectedCount %d, donor %d", clone.ProtectedCount(), donor.ProtectedCount())
+			}
 
-				cloneSeq := driveGuardians(t, clone, croots)
-				donorSeq := driveGuardians(t, donor, droots)
-				if len(donorSeq) != 4+6+3 {
-					t.Fatalf("donor retrieved %d guarded objects (%v), want 13", len(donorSeq), donorSeq)
+			cloneSeq := driveGuardians(t, clone, croots)
+			donorSeq := driveGuardians(t, donor, droots)
+			if len(donorSeq) != 4+6+3 {
+				t.Fatalf("donor retrieved %d guarded objects (%v), want 13", len(donorSeq), donorSeq)
+			}
+			pre := map[int64]bool{}
+			for _, v := range donorSeq[:4] {
+				pre[v] = true
+			}
+			for i := int64(100); i < 104; i++ {
+				if !pre[1000+i] {
+					t.Fatalf("pre-captured pending item %d not drained first (%v)", i, donorSeq[:4])
 				}
-				pre := map[int64]bool{}
-				for _, v := range donorSeq[:4] {
-					pre[v] = true
+			}
+			if len(cloneSeq) != len(donorSeq) {
+				t.Fatalf("salvage order diverged: clone %v, donor %v", cloneSeq, donorSeq)
+			}
+			for i := range donorSeq {
+				if cloneSeq[i] != donorSeq[i] {
+					t.Fatalf("salvage order diverged at %d: clone %v, donor %v", i, cloneSeq, donorSeq)
 				}
-				for i := int64(100); i < 104; i++ {
-					if !pre[1000+i] {
-						t.Fatalf("pre-captured pending item %d not drained first (%v)", i, donorSeq[:4])
-					}
-				}
-				if len(cloneSeq) != len(donorSeq) {
-					t.Fatalf("salvage order diverged: clone %v, donor %v", cloneSeq, donorSeq)
-				}
-				for i := range donorSeq {
-					if cloneSeq[i] != donorSeq[i] {
-						t.Fatalf("salvage order diverged at %d: clone %v, donor %v", i, cloneSeq, donorSeq)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -361,34 +358,51 @@ func TestCloneRootSlots(t *testing.T) {
 	c.MustVerify()
 }
 
-// TestSaveAndCaptureDuringSlicedCollection is the regression test for
-// the mid-collection serialization bug: from a mutator window of a
-// sliced collection, both SaveImage and CaptureTemplate must fail
-// cleanly (the parked sweep state is not serializable), and the
-// collection must then complete exactly as if nothing had been
-// attempted.
-func TestSaveAndCaptureDuringSlicedCollection(t *testing.T) {
-	h, lst := slicedHeap(t, 200*time.Microsecond)
+// listLen counts the spine of the rooted test list.
+func listLen(h *heap.Heap, v obj.Value) int {
+	n := 0
+	for v.IsPair() {
+		n++
+		v = h.Cdr(v)
+	}
+	return n
+}
+
+// TestSaveAndCaptureDuringCollection pins the mid-collection guard:
+// from a post-collect hook, where from-space is not yet freed, both
+// SaveImage and CaptureTemplate must fail cleanly rather than
+// serialize a half-forwarded heap, and the collection must then
+// complete exactly as if nothing had been attempted.
+func TestSaveAndCaptureDuringCollection(t *testing.T) {
+	h := heap.NewDefault()
+	lst := h.NewRoot(obj.Nil)
+	for i := 0; i < 20000; i++ {
+		p := h.Cons(fx(int64(i)), obj.Nil)
+		lst.Set(h.Cons(p, lst.Get()))
+		if i%16 == 0 {
+			lst.Set(h.Cons(h.WeakCons(p, obj.Nil), lst.Get()))
+		}
+	}
+	h.Collect(0) // promote the list to generation 1
 	before := listLen(h, lst.Get())
 	var saveErr, capErr error
-	windows := 0
-	heap.SetSliceWindowHook(h, func() {
-		if windows == 0 {
+	hooks := 0
+	h.AddPostCollectHook(func(hh *heap.Heap, _ *heap.CollectionReport) {
+		if hooks == 0 {
 			var buf bytes.Buffer
-			saveErr = h.SaveImage(&buf)
-			_, capErr = h.CaptureTemplate()
+			saveErr = hh.SaveImage(&buf)
+			_, capErr = hh.CaptureTemplate()
 		}
-		windows++
+		hooks++
 	})
-	rep := h.Collect(1)
-	if windows == 0 || len(rep.Slices) < 2 {
-		t.Fatalf("collection ran %d windows / %d slices; the test needs a real sliced collection", windows, len(rep.Slices))
+	h.Collect(1)
+	if hooks != 1 {
+		t.Fatalf("post-collect hook ran %d times, want 1", hooks)
 	}
-	if saveErr == nil {
-		t.Fatal("SaveImage from a slice window succeeded; want error")
-	}
-	if capErr == nil {
-		t.Fatal("CaptureTemplate from a slice window succeeded; want error")
+	for _, err := range []error{saveErr, capErr} {
+		if err == nil || !strings.Contains(err.Error(), "during a collection") {
+			t.Fatalf("save or capture from a post-collect hook: got %v, want a during-a-collection error", err)
+		}
 	}
 	if got := listLen(h, lst.Get()); got != before {
 		t.Fatalf("list length %d after collection, want %d: the failed save disturbed the collection", got, before)

@@ -111,19 +111,6 @@ type TraceEvent struct {
 	// of them. Both zero (and omitted) in legacy single-mutator mode.
 	MutatorsSuspended int   `json:"mutators_suspended,omitempty"`
 	SafepointWaitNS   int64 `json:"safepoint_wait_ns,omitempty"`
-	// Slices holds one record per stop-the-world slice of a
-	// pause-budgeted collection, in execution order; pause_ns is then
-	// the sum of the slice pauses and phase_ns the element-wise sum of
-	// the slice phase vectors. Omitted for monolithic collections.
-	Slices []TraceSlice `json:"slices,omitempty"`
-}
-
-// TraceSlice is one stop-the-world slice of a sliced collection:
-// its pause and the per-phase split of that pause (indexed by Phase,
-// same layout as PhaseNS).
-type TraceSlice struct {
-	PauseNS int64            `json:"pause_ns"`
-	PhaseNS [NumPhases]int64 `json:"phase_ns"`
 }
 
 // PhaseDurations returns the event's phase timings keyed by phase
@@ -211,15 +198,6 @@ func (h *Heap) recordTrace(rep *CollectionReport) {
 	if h.cfg.UseDirtySet && h.dirtyMap == nil {
 		ev.DirtyShardCells = make([]uint64, RemShards)
 		copy(ev.DirtyShardCells, rep.ShardDirty[:])
-	}
-	if n := len(rep.Slices); n > 0 {
-		ev.Slices = make([]TraceSlice, n)
-		for i, s := range rep.Slices {
-			ev.Slices[i].PauseNS = s.Pause.Nanoseconds()
-			for p, d := range s.Phases {
-				ev.Slices[i].PhaseNS[p] = d.Nanoseconds()
-			}
-		}
 	}
 	if n := len(rep.GuardianRoundDurations); n > 0 {
 		ev.GuardianRoundNS = make([]int64, n)

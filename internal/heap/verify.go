@@ -44,28 +44,16 @@ import (
 //     mutator (parked, idle, or any mutator while a collection runs)
 //     has flushed TLAB cursors, and no mutator's reserved-segment
 //     cache entry is marked in use;
-//  10. between the slices of a pause-budgeted collection (sliceActive),
-//     the checkpointed sweep work is sound: every item on the copier's
-//     work list addresses an in-use to-space segment of the current
-//     collection stamp;
-//  11. copy-on-write state is consistent for template clones: every
+//  10. copy-on-write state is consistent for template clones: every
 //     segment still marked shared (seg.Table.IsShared) is in use with
 //     a full-length word array, and the count of shared bits matches
 //     SharedCount;
-//  12. no allocation cursor is stale: an open cursor (the heap's, a
+//  11. no allocation cursor is stale: an open cursor (the heap's, a
 //     TLAB's, the copier's) caches the table entry of the segment it
 //     names, which is in use, not shared with a template (clones start
 //     with closed cursors), of the cursor's space and generation, with
 //     Fill equal to the cursor's offset; the copier's is open only
 //     while a collection is in flight.
-//
-// During the mutator windows of a sliced collection the heap is only
-// partially forwarded, so Verify relaxes itself while sliceActive:
-// from-space segments (collected generation, stale stamp) are skipped
-// entirely, forwarding words are legitimate cell contents, pointers to
-// from-space are accepted (the next slice re-forwards them), and the
-// dirty-set invariant (3/4) is deferred to collection end. Invariant
-// 10 is checked only in that state — it is vacuous otherwise.
 //
 // In concurrent-mutator mode Verify must run on a quiescent heap —
 // every registered mutator parked, idle, or otherwise not allocating —
@@ -78,16 +66,6 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	sliced := h.sliceActive.Load()
-	// fromSpace reports whether s is from-space of the in-progress
-	// sliced collection: a collected generation whose stamp is stale.
-	// Such segments hold a mix of forwarding words and not-yet-copied
-	// originals; their contents are exempt from checking until the
-	// final slice frees them.
-	fromSpace := func(s *seg.Segment) bool {
-		return sliced && s.Gen <= h.gcGen && s.Stamp != h.stamp
-	}
-
 	checkValue := func(where string, addr uint64, v obj.Value, weakCar, genCheck bool) {
 		switch v.Tag() {
 		case obj.TagFixnum, obj.TagImm:
@@ -96,9 +74,7 @@ func (h *Heap) Verify() []error {
 			report("%s @%d: header word used as value", where, addr)
 			return
 		case obj.TagFwd:
-			if !sliced {
-				report("%s @%d: forwarding word outside collection", where, addr)
-			}
+			report("%s @%d: forwarding word outside collection", where, addr)
 			return
 		}
 		ta := v.Addr()
@@ -109,12 +85,6 @@ func (h *Heap) Verify() []error {
 		ts := h.tab.SegOf(ta)
 		if !ts.InUse {
 			report("%s @%d: dangling pointer into freed segment %d", where, addr, seg.SegIndexOf(ta))
-			return
-		}
-		if fromSpace(ts) {
-			// Not yet re-forwarded; the next slice's fixup or sweep
-			// resolves it. Content checks against the stale copy would
-			// be meaningless.
 			return
 		}
 		switch {
@@ -133,9 +103,7 @@ func (h *Heap) Verify() []error {
 		}
 		// Generational invariant: old cell pointing young must be
 		// remembered (or be a deferred weak car, also remembered).
-		// Deferred while sliced: mid-collection the dirty set is partly
-		// consumed and the window store buffer holds the rest.
-		if genCheck && h.cfg.UseDirtySet && !h.inCollect.Load() && !sliced {
+		if genCheck && h.cfg.UseDirtySet && !h.inCollect.Load() {
 			cellGen := h.tab.SegOf(addr).Gen
 			if ts.Gen < cellGen {
 				if got, ok := h.dirtyLookup(addr); !ok || (weakCar && !got) {
@@ -180,7 +148,7 @@ func (h *Heap) Verify() []error {
 
 	for idx := 0; idx < h.tab.Len(); idx++ {
 		s := h.tab.Seg(idx)
-		if !s.InUse || s.Cont || fromSpace(s) {
+		if !s.InUse || s.Cont {
 			continue
 		}
 		base := seg.BaseAddr(idx)
@@ -318,38 +286,8 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Checkpointed sweep work (invariant 10). Only meaningful between
-	// the slices of a pause-budgeted collection: the copier's work list
-	// is the collection's entire unswept frontier, so a stale item — one
-	// addressing a freed or from-space segment — would make the next
-	// slice sweep garbage.
-	if sliced {
-		checkItem := func(it sweepItem) {
-			if seg.SegIndexOf(it.addr) >= h.tab.Len() {
-				report("queued sweep item @%d: past end of heap", it.addr)
-				return
-			}
-			s := h.tab.SegOf(it.addr)
-			switch {
-			case !s.InUse:
-				report("queued sweep item @%d: addresses freed segment %d",
-					it.addr, seg.SegIndexOf(it.addr))
-			case s.Stamp != h.stamp && s.Gen <= h.gcGen:
-				report("queued sweep item @%d: addresses from-space segment %d (gen %d, stamp %d)",
-					it.addr, seg.SegIndexOf(it.addr), s.Gen, s.Stamp)
-			}
-		}
-		c := &h.cp
-		for _, it := range c.wave[c.head:] {
-			checkItem(it)
-		}
-		for _, it := range c.next {
-			checkItem(it)
-		}
-	}
-
-	// Copy-on-write consistency (invariant 11). A shared bit on a free
-	// or truncated segment means Free/FreeLazy or privatize lost track
+	// Copy-on-write consistency (invariant 10). A shared bit on a free
+	// or truncated segment means Free or privatize lost track
 	// of the template aliasing, and a mismatched count would let the
 	// hot-path nil test retire the bitmap too early or too late.
 	if n := h.tab.SharedCount(); n > 0 {
@@ -371,7 +309,7 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Cursors (invariant 12): a stale one would bump-allocate into a
+	// Cursors (invariant 11): a stale one would bump-allocate into a
 	// freed or re-purposed segment, or into a template's array.
 	checkCursor := func(who string, c *cursor, sp, gen int, mayBeOpen bool) {
 		if s := c.s; s == nil && c.seg == seg.None {
@@ -385,7 +323,7 @@ func (h *Heap) Verify() []error {
 		for gen := range h.cur[sp] {
 			checkCursor("heap", &h.cur[sp][gen], sp, gen, true)
 		}
-		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, sliced || h.inCollect.Load())
+		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect.Load())
 	}
 
 	// Mutator consistency (invariant 9). Lock order: spMu then allocMu,

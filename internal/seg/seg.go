@@ -150,8 +150,10 @@ type Table struct {
 	chunks atomic.Pointer[[]*segChunk]
 	nseg   int
 	free   []int
-	// lazy holds segments retired by FreeLazy: reusable like free ones,
-	// but their words are stale and are zeroed only when claimed.
+	// lazy holds segments retired with their words unzeroed (single
+	// segments from FreeRun, and pooled runs broken up for reuse):
+	// reusable like free ones, but their words are stale and are
+	// zeroed only when claimed.
 	lazy []int
 	// reserved counts segments handed out by Reserve but not yet
 	// initialized with InitReserved (nor returned with Unreserve).
@@ -166,7 +168,7 @@ type Table struct {
 	// bound, since free single segments are never adjacent. The pools
 	// are plain index free lists (push on FreeRun, pop on AllocRun):
 	// steady-state large allocation performs no Go allocations. Pooled
-	// words are stale (FreeLazy semantics) and are zeroed when the run
+	// words are stale and are zeroed when the run
 	// is reused; pooled counts the segments parked across all classes.
 	// The slice is indexed by k and grown (rarely) to the largest
 	// class seen; class 0/1 are unused.
@@ -485,8 +487,8 @@ func (t *Table) RunLen(head int) int {
 // intact by size class for reuse by a same-length AllocRun, keeping
 // their contiguity (a run broken into singles could never be
 // reassembled, so large-object churn would grow the table without
-// bound). Words are not zeroed here (FreeLazy semantics: the clear is
-// deferred to reuse); COW-shared template words are dropped rather
+// bound). Words are not zeroed here (the clear is deferred to the
+// claim that reuses them); COW-shared template words are dropped rather
 // than cleared, exactly as in Free. Returns the run length. Serialized
 // like Free.
 func (t *Table) FreeRun(head int) int {
@@ -577,8 +579,8 @@ func (t *Table) ReservedCount() int { return int(t.reserved.Load()) }
 // that any dangling pointer into it reads as fixnum 0 rather than a
 // stale heap value, which keeps collector bugs loud. A table with a
 // pool then gives the zeroed array away and keeps the bare slot, the
-// state a dropped template alias leaves it in too. (FreeLazy and
-// FreeRun retire words unzeroed, so theirs stay with the table.)
+// state a dropped template alias leaves it in too. (FreeRun retires
+// words unzeroed, so its stay with the table.)
 func (t *Table) Free(idx int) {
 	s := t.Seg(idx)
 	if !s.InUse {
@@ -602,35 +604,6 @@ func (t *Table) Free(idx int) {
 	s.Cont = false
 	s.Fill = 0
 	t.free = append(t.free, idx)
-}
-
-// FreeLazy retires segment idx without zeroing its words; the clear is
-// deferred to the claim that reuses it. Sliced (pause-budget)
-// collections retire the whole from-space inside the final
-// stop-the-world slice, and the O(segment-size) zeroing of thousands
-// of segments is the one Free-phase cost proportional to heap size —
-// deferring it moves that work off the bounded pause and onto later
-// allocation slow paths, at the price of the freed-words-read-as-zero
-// debugging property (a dangling pointer into a lazily freed segment
-// reads stale words until the segment is reclaimed). Serialized like
-// Free.
-func (t *Table) FreeLazy(idx int) {
-	s := t.Seg(idx)
-	if !s.InUse {
-		panic(fmt.Sprintf("seg: double free of segment %d", idx))
-	}
-	if t.cowBits != nil && t.isShared(idx) {
-		// Never zero a shared template array — drop the alias. The
-		// deferred clear in claim no-ops on the nil slice and
-		// initSeg/Reserve materialize a fresh array on reuse.
-		s.Words = nil
-		t.clearShared(idx)
-	}
-	s.InUse = false
-	s.Next = None
-	s.Cont = false
-	s.Fill = 0
-	t.lazy = append(t.lazy, idx)
 }
 
 // Seg returns the segment with the given index. The pointer is stable:

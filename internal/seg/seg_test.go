@@ -325,21 +325,11 @@ func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
 		t.Fatalf("privatized words %d,%d with %d arrays pooled (were %d)", w[0], w[1], pool.Len(), n)
 	}
 
-	// What must not be pooled: a shared array (the template's), and
-	// words retired without zeroing.
-	x, y := a.Alloc(SpacePair, 0, 1), a.Alloc(SpacePair, 0, 1)
-	a.Free(x)
-	a.Free(y)
+	// What must not be pooled: a shared array (the template's).
 	n = pool.Len()
 	a.Free(2) // still shared
-	il := a.Alloc(SpacePair, 0, 1)
-	fillSeg(a, il, 0xCCCC)
-	a.FreeLazy(il)
-	if pool.Len() != n-1 { // the Alloc took one; neither retirement gave one back
-		t.Fatalf("pool holds %d arrays, want %d", pool.Len(), n-1)
-	}
-	if a.Seg(il).Words == nil {
-		t.Fatal("FreeLazy gave its unzeroed words away")
+	if pool.Len() != n {
+		t.Fatalf("freeing a shared segment pooled its array: %d arrays, want %d", pool.Len(), n)
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 // deterministicScript is the fixed workload each session runs in the
@@ -41,15 +40,12 @@ var deterministicScripts = []string{
 }
 
 // runDeterministicWorkload drives a fixed 3-session script schedule on
-// a synchronous server with the given pause budget and
-// returns a rendering of every observable reclaim ordering: the
+// a synchronous server and returns a rendering of every observable reclaim ordering: the
 // per-session salvage logs (mid-life and drain, in order) and the
 // final reclaim records.
-func runDeterministicWorkload(t *testing.T, pause time.Duration) string {
+func runDeterministicWorkload(t *testing.T) string {
 	t.Helper()
-	hc := DefaultSessionHeapConfig()
-	hc.PauseBudget = pause
-	srv := New(Config{Heap: hc})
+	srv := New(Config{Heap: DefaultSessionHeapConfig()})
 
 	const n = 3
 	ids := make([]SessionID, 0, n)
@@ -89,27 +85,12 @@ func runDeterministicWorkload(t *testing.T, pause time.Duration) string {
 	return out
 }
 
-// TestServerReclaimOrderDeterminism extends the collector-level
-// determinism guarantee for pause-sliced sweeps to the server layer:
-// the same session scripts on the same synchronous schedule produce
-// bit-for-bit identical reclaim logs with and without a pause budget.
-func TestServerReclaimOrderDeterminism(t *testing.T) {
-	baseline := runDeterministicWorkload(t, 0)
-	if baseline == "" {
-		t.Fatal("baseline workload produced no log")
-	}
-	if got := runDeterministicWorkload(t, time.Millisecond); got != baseline {
-		t.Errorf("pause=%v diverges from the unsliced run:\n--- baseline ---\n%s--- got ---\n%s",
-			time.Millisecond, baseline, got)
-	}
-}
-
 // TestServerReclaimOrderRepeatable: the same configuration twice gives
-// the same logs — the schedule itself is deterministic, so divergence
-// in the cross-config test indicts the collector, not the harness.
+// the same logs — the schedule and the collector are both
+// deterministic.
 func TestServerReclaimOrderRepeatable(t *testing.T) {
-	a := runDeterministicWorkload(t, 0)
-	b := runDeterministicWorkload(t, 0)
+	a := runDeterministicWorkload(t)
+	b := runDeterministicWorkload(t)
 	if a != b {
 		t.Fatalf("same config diverged:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}

@@ -37,8 +37,8 @@ import (
 // Config shapes a server.
 type Config struct {
 	// Heap is the per-session heap configuration. The zero value
-	// selects DefaultSessionHeapConfig. Collector knobs (PauseBudget,
-	// the Policy) apply within each session's heap.
+	// selects DefaultSessionHeapConfig. Collector knobs (the Policy,
+	// MaxSegments) apply within each session's heap.
 	Heap heap.Config
 	// Executors is the number of goroutines stepping ready sessions
 	// after Start. 0 means the server is driven synchronously with

@@ -26,9 +26,9 @@ go test -race ./...
 echo "== guardian gate (-race)"
 # The guardian salvage fixpoint must append to tconcs in registration
 # order: the chain suite pins §4's rounds and salvage order, and the
-# sliced determinism suite replays a randomized guardian/weak workload
-# with and without a pause budget and compares every collection's
-# queue contents.
+# workload suite replays a randomized guardian/weak workload twice and
+# checks every collection's queue contents: identical across the runs,
+# append-only, no object salvaged twice.
 go test -race -run 'TestGuardian' ./internal/heap/
 
 echo "== concurrent mutator gate (-race)"
@@ -49,33 +49,21 @@ echo "== policy / autotune gate (-race)"
 # holds the feedback path to zero Go allocations per collection.
 go test -race -run 'TestAdaptive|TestAutoTune|TestCollectSteadyStateAllocsAutoTune|TestStressAllConfigurations/adaptive-autotune' ./internal/heap/
 
-echo "== pause-budget gate (-race)"
-# Sliced (pause-budget) collections: TestMutatorStressPauseBudget
-# races mutator goroutines against deadline-sliced old-space
-# collections at an aggressive 200us budget — maximizing slice/window
-# churn so the window write barrier, sliceFixup, and the allocate-black
-# rule all fire under the race detector — and the TestSliced suite
-# covers the slice loop, window invariants (Verify's sliceActive
-# relaxations plus invariant 10), the auto-collect defer, the
-# no-deadline equivalence with monolithic collections, and the budget
-# actually bounding slices.
-go test -race -run 'TestMutatorStressPauseBudget|TestSliced' ./internal/heap/
-
 echo "== multi-session server gate (-race)"
 # The session server: 10k register/run/disconnect cycles from 4 client
 # goroutines against the started pools (every session must reclaim
 # through the guardian path with zero leaked descriptors/resources),
-# plus the reclaim-order determinism suite replaying a fixed schedule
-# at PauseBudget {0,1ms}, and the
-# session-memory suite: every template segment still shared after two
+# plus the reclaim-order suite replaying a fixed schedule twice, and
+# the session-memory suite: every template segment still shared after two
 # radix cycles, memory per standing session flat in requests served, a
 # drain that reaches what a program tenured by hand.
 SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke|TestSessionsKeepSharingTemplate|TestSessionMemoryFlatInRequests|TestDrainReachesProgramTenuredResources' ./internal/server/
 
 echo "== heap template / fork gate (-race)"
 # Copy-on-write heap templates: the clone matrix (remset + guardians
-# round-tripped at PauseBudget {0,1ms} with bit-for-bit salvage order), the COW fault/privatization semantics,
-# the mid-slice SaveImage/CaptureTemplate rejection, the corrupt-image
+# round-tripped with bit-for-bit salvage order), the COW
+# fault/privatization semantics, the mid-collection
+# SaveImage/CaptureTemplate rejection, the corrupt-image
 # regression sweep, and the server-side template boot suite (staleness
 # rebuild on donor DefinePrim, template-boot churn with zero leaks, no
 # root inherited from the donor). With them what keeps a clone sharing:
@@ -89,7 +77,7 @@ echo "== heap template / fork gate (-race)"
 # snapshots. Sibling clones running on two goroutines repeat five
 # times: a root visitor that stored into the shared base is a data
 # race there.
-go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringSlicedCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
+go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
 go test -race -count=5 -run 'TestAttachedMachinesRunConcurrently' ./internal/scheme/
 
 echo "== segment-window gate (-race)"
@@ -139,7 +127,6 @@ go test -run 'TestHeaderAccessorsDoNotAllocate' ./internal/heap/
 
 echo "== benchgc smoke"
 go run ./cmd/benchgc -trace -phases -gcs 5 >/dev/null
-go run ./cmd/benchgc -trace -pause-budget 200us -gcs 5 >/dev/null
 go run ./cmd/benchgc -e e1 >/dev/null
 # Reduced-scale server bench: exercises all three phases and the
 # report's schema self-check (peak population, quantile ordering,

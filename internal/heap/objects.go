@@ -265,6 +265,28 @@ func (h *Heap) VectorRef(v obj.Value, i int) obj.Value {
 	return h.valueAt(addr + 1 + uint64(i))
 }
 
+// VectorWords returns the elements of vector v from element i on, as
+// the words of their Values, read in place: up to the end of the
+// vector, and no further than the end of element i's segment (a large
+// vector runs on into the next segment of its run; ask again from
+// there). It is for a reader that walks many elements between two
+// collections — the VM fetching instructions. The slice aliases heap
+// storage, possibly a template's: it must not be written through (that
+// would bypass the write barrier and copy-on-write), and it is valid
+// only until the next collection, which may move v.
+func (h *Heap) VectorWords(v obj.Value, i int) []uint64 {
+	addr := h.mustKind(v, obj.KVector, "vector-words")
+	n := obj.HeaderLength(h.word(addr))
+	if i < 0 || i > n {
+		h.badIndex("vector-words", i, n)
+	}
+	if i == n {
+		return nil
+	}
+	w := h.tab.Window(addr + 1 + uint64(i))
+	return w[:min(len(w), n-i)]
+}
+
 // VectorSet stores x as element i of a vector, with the write barrier.
 func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
 	addr := h.mustKind(v, obj.KVector, "vector-set!")

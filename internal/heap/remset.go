@@ -170,6 +170,11 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 		live = append(live, dirtyCell{e.addr, false})
 	}
 	sh.entries = live
+	if len(live) == 0 {
+		// A Go map never shrinks: an emptied shard gives its index and
+		// entry array back, and the next insert allocates them afresh.
+		sh.entries, sh.index = nil, nil
+	}
 	return scanned
 }
 

@@ -29,12 +29,9 @@ type contEscape struct {
 	val obj.Value
 }
 
-// contRTD returns the record type descriptor marking continuations.
-func (m *Machine) contRTD() obj.Value { return m.Intern("%continuation") }
-
 // isContinuation reports whether v is an escape-continuation record.
 func (m *Machine) isContinuation(v obj.Value) bool {
-	return m.H.IsKind(v, obj.KRecord) && m.H.RecordRTD(v) == m.contRTD()
+	return m.H.IsKind(v, obj.KRecord) && m.H.RecordRTD(v) == m.keywords[kwContinuation]
 }
 
 // invokeContinuation escapes to the owning call/cc activation.
@@ -62,7 +59,7 @@ func (m *Machine) callCC(f obj.Value) (result obj.Value, err error) {
 
 	base := len(m.stack)
 	fS := m.slot(f)
-	k := m.H.MakeRecord(m.contRTD(), 1)
+	k := m.H.MakeRecord(m.keywords[kwContinuation], 1)
 	m.H.RecordSet(k, 0, obj.FromFixnum(id))
 	kS := m.slot(k)
 

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/obj"
 )
@@ -10,9 +11,10 @@ import (
 // tree-walking evaluator interprets. The paper's host system (Chez
 // Scheme) is a compiler; compiling gives the reproduction a second,
 // faster execution engine over the identical heap — closures,
-// environments, and constants are all heap values, so compiled code
-// drives the collector exactly like interpreted code and the two
-// engines are differentially tested against each other.
+// environments, constants and the compiled code itself are all heap
+// values, so compiled code drives the collector exactly like
+// interpreted code and the two engines are differentially tested
+// against each other.
 //
 // Derived forms (cond, case, and, or, when, unless, let, let*, letrec,
 // named let, do, quasiquote) are desugared into the core language
@@ -35,7 +37,7 @@ const (
 	OpGlobal                // push global value of symbol consts[A]
 	OpSetGlobal             // pop into global cell of consts[A]; push #<void>
 	OpDefGlobal             // pop, define global consts[A]; push #<void>
-	OpClosure               // push compiled closure over codes[A], current env
+	OpClosure               // push compiled closure over code object consts[A], current env
 	OpJump                  // pc = A
 	OpJumpIfFalse           // pop; if false, pc = A
 	OpCall                  // call with A args: stack [.. fn a1..aA]
@@ -57,38 +59,124 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Instr is one instruction.
+// Instr is one decoded instruction. A code object stores it as one
+// fixnum: the opcode in the low byte, A in the next 32 bits, B in the
+// 20 above.
 type Instr struct {
 	Op   Op
 	A, B int
 }
 
-// Code is one compiled procedure body (one clause of a lambda or
-// case-lambda, or a top-level form). Its constants are heap values,
-// visited as machine roots.
-type Code struct {
-	Name   string
-	NReq   int  // required parameters
-	Rest   bool // accepts a rest list
-	NSlots int  // frame slots: params (+ rest) + internal defines
-	Consts []obj.Value
-	Instrs []Instr
-	// Clauses is non-nil for case-lambda entry points: the runtime
-	// selects the first clause matching the argument count.
-	Clauses []*Code
+const (
+	maxOperandA = 1<<32 - 1
+	maxOperandB = 1<<20 - 1
+)
+
+func (in Instr) word() obj.Value {
+	return obj.FromFixnum(int64(in.Op) | int64(in.A)<<8 | int64(in.B)<<40)
 }
 
-// cenv is the compile-time environment: one name list per frame.
+func decode(v obj.Value) Instr {
+	w := v.FixnumValue()
+	return Instr{Op: Op(w), A: int(w >> 8 & maxOperandA), B: int(w >> 40 & maxOperandB)}
+}
+
+// A code object is one compiled procedure body (one clause of a lambda
+// or case-lambda, or a top-level form), and it is ordinary heap data:
+// a vector [instrs, shape, const0, const1, ...]. instrs is a vector
+// holding one fixnum per instruction; shape is a fixnum (codeShape);
+// the constants are the quoted data, global symbols and nested code
+// objects the instructions index. A case-lambda entry has #f for instrs
+// and its clauses' code objects for constants. Nothing else holds
+// compiled code: a compiled closure [code, env, name] and the VM frames
+// running it reach a code object, and once none does the collector
+// reclaims it like any other garbage.
+//
+// The instructions are fixnums in the object space rather than a
+// bytevector in the data space so that code adds no space to a
+// session's heap: a data-space segment per generation, and the
+// generation-0 trigger's charge for opening one after every
+// collection, cost more than sweeping a few tagged words does.
+const (
+	instrsSlot = iota // the instruction vector
+	shapeSlot         // the shape fixnum
+	constsSlot        // constant 0
+)
+
+// codeKind names what a code object was compiled from.
+type codeKind uint8
+
+const (
+	kindTop codeKind = iota
+	kindLambda
+	kindCaseLambda // an entry: selects one of its clauses
+	kindClause     // one clause of a case-lambda
+)
+
+var codeKindNames = [...]string{"top", "lambda", "case-lambda", "case-lambda-clause"}
+
+// codeShape is what a call needs to know about a code object before
+// running it, packed into its shape fixnum.
+type codeShape struct {
+	kind   codeKind
+	rest   bool // accepts a rest list
+	nreq   int  // required parameters
+	nslots int  // frame slots: params (+ rest) + internal defines
+}
+
+const maxShapeCount = 1<<24 - 1
+
+func (s codeShape) fixnum() obj.Value {
+	v := int64(s.kind) | int64(s.nreq)<<3 | int64(s.nslots)<<27
+	if s.rest {
+		v |= 1 << 2
+	}
+	return obj.FromFixnum(v)
+}
+
+func shapeOf(v obj.Value) codeShape {
+	x := v.FixnumValue()
+	return codeShape{
+		kind:   codeKind(x & 3),
+		rest:   x&(1<<2) != 0,
+		nreq:   int(x >> 3 & maxShapeCount),
+		nslots: int(x >> 27 & maxShapeCount),
+	}
+}
+
+func (s codeShape) accepts(n int) bool { return n >= s.nreq && (s.rest || n == s.nreq) }
+
+// compileScratch is a reusable compile workspace, so that compiling a
+// request costs no Go allocation once it has warmed up. The code
+// objects being built form a stack — a nested lambda is compiled while
+// its parent is open, above it — and each compiler keeps its
+// instructions and slots contiguous on these stacks, truncating them
+// back when its code object is built. Slots hold heap values that no
+// root visits; that is safe because compilation allocates but never
+// collects. A machine holds one only while it compiles: the scratches
+// are pooled across machines, so a standing session keeps none.
+type compileScratch struct {
+	instrs []Instr
+	slots  []obj.Value // per open code: instrs, shape, constants...
+	names  []obj.Value // the variables of every open lexical frame
+	words  []obj.Value // the encoding of the code being built
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// cenv is the compile-time environment: one frame of variable symbols
+// per enclosing lambda. Symbols compare by identity: compilation never
+// collects, so none moves or is pruned meanwhile.
 type cenv struct {
-	names  []string
+	names  []obj.Value
 	parent *cenv
 }
 
-func (e *cenv) lookup(name string) (depth, index int, ok bool) {
+func (e *cenv) lookup(sym obj.Value) (depth, index int, ok bool) {
 	d := 0
 	for f := e; f != nil; f = f.parent {
 		for i, n := range f.names {
-			if n == name {
+			if n == sym {
 				return d, i, true
 			}
 		}
@@ -97,52 +185,94 @@ func (e *cenv) lookup(name string) (depth, index int, ok bool) {
 	return 0, 0, false
 }
 
-// compiler accumulates code for one procedure body.
+// compiler accumulates one code object on the machine's scratch:
+// instructions from m.cs.instrs[ilo], slots from m.cs.slots[klo].
 type compiler struct {
-	m    *Machine
-	code *Code
+	m        *Machine
+	ilo, klo int
+}
+
+// openCode starts a code object on top of the scratch stacks.
+func (m *Machine) openCode() compiler {
+	c := compiler{m: m, ilo: len(m.cs.instrs), klo: len(m.cs.slots)}
+	m.cs.slots = append(m.cs.slots, obj.False, obj.False) // instrs, shape
+	return c
 }
 
 func (c *compiler) emit(op Op, a, b int) int {
-	c.code.Instrs = append(c.code.Instrs, Instr{Op: op, A: a, B: b})
-	return len(c.code.Instrs) - 1
+	c.m.cs.instrs = append(c.m.cs.instrs, Instr{Op: op, A: a, B: b})
+	return c.pc() - 1
 }
 
-func (c *compiler) patch(at int, target int) { c.code.Instrs[at].A = target }
+// pc is the index the next emitted instruction gets.
+func (c *compiler) pc() int { return len(c.m.cs.instrs) - c.ilo }
+
+func (c *compiler) patch(at int, target int) { c.m.cs.instrs[c.ilo+at].A = target }
 
 func (c *compiler) constIdx(v obj.Value) int {
-	for i, k := range c.code.Consts {
+	consts := c.m.cs.slots[c.klo+constsSlot:]
+	for i, k := range consts {
 		if k == v {
 			return i
 		}
 	}
-	c.code.Consts = append(c.code.Consts, v)
-	return len(c.code.Consts) - 1
+	c.m.cs.slots = append(c.m.cs.slots, v)
+	return len(consts)
+}
+
+// finish builds the heap code object from the scratch and pops it.
+func (c *compiler) finish(shape codeShape) (obj.Value, error) {
+	m := c.m
+	cs := m.cs
+	ins, slots := cs.instrs[c.ilo:], cs.slots[c.klo:]
+	cs.instrs, cs.slots = cs.instrs[:c.ilo], cs.slots[:c.klo]
+	if shape.nreq > maxShapeCount || shape.nslots > maxShapeCount || len(slots) > maxOperandA {
+		return obj.Void, fmt.Errorf("compile: procedure too large")
+	}
+	slots[shapeSlot] = shape.fixnum()
+	if shape.kind != kindCaseLambda {
+		optimize(ins)
+		words := cs.words[:0]
+		for _, in := range ins {
+			if in.A > maxOperandA || in.B > maxOperandB {
+				return obj.Void, fmt.Errorf("compile: procedure too large")
+			}
+			words = append(words, in.word())
+		}
+		cs.words = words
+		slots[instrsSlot] = m.H.Vector(words...)
+	}
+	return m.H.Vector(slots...), nil
 }
 
 func (c *compiler) errf(expr obj.Value, format string, args ...any) error {
 	return fmt.Errorf("compile: %s: %s", fmt.Sprintf(format, args...), c.m.WriteString(expr))
 }
 
-// CompileTop compiles a top-level form into a zero-argument Code.
-// Compilation allocates heap values (desugaring builds expressions)
-// but never collects, so no rooting is needed during compilation;
-// the finished code's constants are registered as machine roots.
-func (m *Machine) CompileTop(expr obj.Value) (*Code, error) {
-	c := &compiler{m: m, code: &Code{Name: "top"}}
+// CompileTop compiles a top-level form into a zero-argument code
+// object. Compilation allocates heap values (desugaring builds
+// expressions, and the code objects are heap data) but never collects,
+// so no rooting is needed during compilation; the result is valid
+// until the next collection, and is garbage once nothing runs it.
+// Compilation runs no Scheme code, so it never re-enters CompileTop.
+func (m *Machine) CompileTop(expr obj.Value) (obj.Value, error) {
+	m.cs = scratchPool.Get().(*compileScratch)
+	defer m.releaseScratch()
+	c := m.openCode()
 	if err := c.compile(expr, nil, true); err != nil {
-		return nil, err
+		return obj.Void, err
 	}
 	c.emit(OpReturn, 0, 0)
-	optimize(c.code)
-	m.registerCode(c.code)
-	return c.code, nil
+	return c.finish(codeShape{kind: kindTop})
 }
 
-// registerCode adds code (and nested codes reachable from it) to the
-// machine's code table so their constants are visited as roots.
-func (m *Machine) registerCode(c *Code) {
-	m.codes = append(m.codes, c)
+// releaseScratch empties the machine's compile scratch and returns it
+// to the pool.
+func (m *Machine) releaseScratch() {
+	cs := m.cs
+	m.cs = nil
+	cs.instrs, cs.slots, cs.names = cs.instrs[:0], cs.slots[:0], cs.names[:0]
+	scratchPool.Put(cs)
 }
 
 // compile compiles expr in compile-time environment env; tail marks
@@ -152,8 +282,7 @@ func (c *compiler) compile(expr obj.Value, env *cenv, tail bool) error {
 	h := m.H
 	switch {
 	case m.isSymbol(expr):
-		name := h.SymbolString(expr)
-		if d, i, ok := env.lookupFrom(name); ok {
+		if d, i, ok := env.lookupFrom(expr); ok {
 			c.emit(OpLocal, d, i)
 		} else {
 			c.emit(OpGlobal, c.constIdx(expr), 0)
@@ -195,17 +324,17 @@ func (c *compiler) compile(expr obj.Value, env *cenv, tail bool) error {
 }
 
 // lookupFrom is lookup on a possibly-nil cenv.
-func (e *cenv) lookupFrom(name string) (int, int, bool) {
+func (e *cenv) lookupFrom(sym obj.Value) (int, int, bool) {
 	if e == nil {
 		return 0, 0, false
 	}
-	return e.lookup(name)
+	return e.lookup(sym)
 }
 
 // shadowed reports whether a keyword symbol is bound as a variable in
 // the compile-time environment (matching the interpreter's rule).
 func (c *compiler) shadowed(sym obj.Value, env *cenv) bool {
-	_, _, ok := env.lookupFrom(c.m.H.SymbolString(sym))
+	_, _, ok := env.lookupFrom(sym)
 	return ok
 }
 
@@ -251,7 +380,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 			return err
 		}
 		jEnd := c.emit(OpJump, 0, 0)
-		c.patch(jf, len(c.code.Instrs))
+		c.patch(jf, c.pc())
 		if need(3) {
 			if err := c.compile(operand(2), env, tail); err != nil {
 				return err
@@ -259,7 +388,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		} else {
 			c.emit(OpVoid, 0, 0)
 		}
-		c.patch(jEnd, len(c.code.Instrs))
+		c.patch(jEnd, c.pc())
 		return nil
 
 	case fDefine:
@@ -272,7 +401,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if target.IsPair() {
 			// (define (f . formals) body...) => (define f (lambda formals body...))
 			name = h.Car(target)
-			valExpr = h.Cons(m.Intern("lambda"), h.Cons(h.Cdr(target), h.Cdr(rest)))
+			valExpr = h.Cons(m.keywords[fLambda], h.Cons(h.Cdr(target), h.Cdr(rest)))
 		} else {
 			name = target
 			if need(2) {
@@ -287,7 +416,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if err := c.compile(valExpr, env, false); err != nil {
 			return err
 		}
-		if d, i, ok := env.lookupFrom(h.SymbolString(name)); ok {
+		if d, i, ok := env.lookupFrom(name); ok {
 			c.emit(OpSetLocal, d, i)
 		} else if env != nil {
 			return c.errf(expr, "internal define of %s not at body start", h.SymbolString(name))
@@ -303,8 +432,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if err := c.compile(operand(1), env, false); err != nil {
 			return err
 		}
-		name := h.SymbolString(operand(0))
-		if d, i, ok := env.lookupFrom(name); ok {
+		if d, i, ok := env.lookupFrom(operand(0)); ok {
 			c.emit(OpSetLocal, d, i)
 		} else {
 			c.emit(OpSetGlobal, c.constIdx(operand(0)), 0)
@@ -315,30 +443,33 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if !need(1) {
 			return c.errf(expr, "malformed lambda")
 		}
-		code, err := c.compileLambdaClause(operand(0), h.Cdr(rest), env, "lambda")
+		code, err := c.compileLambdaClause(operand(0), h.Cdr(rest), env, kindLambda)
 		if err != nil {
 			return err
 		}
-		c.m.registerCode(code)
-		c.emit(OpClosure, c.codeIdx(code), 0)
+		c.emit(OpClosure, c.constIdx(code), 0)
 		return nil
 
 	case fCaseLambda:
-		entry := &Code{Name: "case-lambda"}
+		// The entry's constants are its clauses, each built above it on
+		// the scratch and then pushed as the entry's next constant.
+		entry := m.openCode()
 		for p := rest; p.IsPair(); p = h.Cdr(p) {
 			cl := h.Car(p)
 			if !cl.IsPair() {
 				return c.errf(expr, "malformed case-lambda clause")
 			}
-			code, err := c.compileLambdaClause(h.Car(cl), h.Cdr(cl), env, "case-lambda-clause")
+			code, err := c.compileLambdaClause(h.Car(cl), h.Cdr(cl), env, kindClause)
 			if err != nil {
 				return err
 			}
-			entry.Clauses = append(entry.Clauses, code)
-			c.m.registerCode(code)
+			m.cs.slots = append(m.cs.slots, code)
 		}
-		c.m.registerCode(entry)
-		c.emit(OpClosure, c.codeIdx(entry), 0)
+		code, err := entry.finish(codeShape{kind: kindCaseLambda})
+		if err != nil {
+			return err
+		}
+		c.emit(OpClosure, c.constIdx(code), 0)
 		return nil
 
 	case fBegin:
@@ -352,16 +483,6 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		}
 		return c.compile(desugared, env, tail)
 	}
-}
-
-// codeIdx returns a code's index in the machine code table.
-func (c *compiler) codeIdx(code *Code) int {
-	for i := len(c.m.codes) - 1; i >= 0; i-- {
-		if c.m.codes[i] == code {
-			return i
-		}
-	}
-	panic("scheme: unregistered code object")
 }
 
 // compileBody compiles a body sequence (non-empty for lambda bodies;
@@ -384,27 +505,28 @@ func (c *compiler) compileBody(body obj.Value, env *cenv, tail bool) error {
 	return nil
 }
 
-// compileLambdaClause compiles one (formals . body) clause into a Code.
-func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, name string) (*Code, error) {
+// compileLambdaClause compiles one (formals . body) clause into a code
+// object.
+func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, kind codeKind) (obj.Value, error) {
 	m := c.m
 	h := m.H
-	code := &Code{Name: name}
-	var names []string
+	shape := codeShape{kind: kind}
+	nlo := len(m.cs.names)
 	f := formals
 	for f.IsPair() {
 		if !m.isSymbol(h.Car(f)) {
-			return nil, c.errf(formals, "non-symbol formal")
+			return obj.Void, c.errf(formals, "non-symbol formal")
 		}
-		names = append(names, h.SymbolString(h.Car(f)))
-		code.NReq++
+		m.cs.names = append(m.cs.names, h.Car(f))
+		shape.nreq++
 		f = h.Cdr(f)
 	}
 	if f != obj.Nil {
 		if !m.isSymbol(f) {
-			return nil, c.errf(formals, "non-symbol rest formal")
+			return obj.Void, c.errf(formals, "non-symbol rest formal")
 		}
-		names = append(names, h.SymbolString(f))
-		code.Rest = true
+		m.cs.names = append(m.cs.names, f)
+		shape.rest = true
 	}
 	// Internal defines at the head of the body get frame slots
 	// (letrec* semantics: they are in scope throughout the body).
@@ -424,17 +546,17 @@ func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, name 
 			dn = target
 		}
 		if !m.isSymbol(dn) {
-			return nil, c.errf(e, "define of non-symbol")
+			return obj.Void, c.errf(e, "define of non-symbol")
 		}
-		names = append(names, h.SymbolString(dn))
+		m.cs.names = append(m.cs.names, dn)
 	}
-	code.NSlots = len(names)
-	sub := &compiler{m: m, code: code}
-	newEnv := &cenv{names: names, parent: env}
+	shape.nslots = len(m.cs.names) - nlo
+	sub := m.openCode()
+	newEnv := &cenv{names: m.cs.names[nlo:], parent: env}
 	if err := sub.compileBody(body, newEnv, true); err != nil {
-		return nil, err
+		return obj.Void, err
 	}
 	sub.emit(OpReturn, 0, 0)
-	optimize(code)
-	return code, nil
+	m.cs.names = m.cs.names[:nlo]
+	return sub.finish(shape)
 }

@@ -280,7 +280,7 @@ func TestCompiledSymbolPruningInterop(t *testing.T) {
 	m := scheme.New(h, nil)
 	m.EnableSymbolPruning(true)
 	// Compiled code's constants keep their symbols alive even with
-	// pruning on: the code table is a root provider.
+	// pruning on: the code object is heap data the closure reaches.
 	if _, err := m.EvalStringCompiled(`(define (uses-sym) 'kept-by-code)`); err != nil {
 		t.Fatal(err)
 	}

@@ -3,52 +3,73 @@ package scheme
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/obj"
 )
 
-// Disassemble renders compiled code as readable assembly, one
+// CodeInstrs decodes a code object's instructions (none for a
+// case-lambda entry, whose constants are its clauses).
+func (m *Machine) CodeInstrs(code obj.Value) []Instr {
+	iv := m.H.VectorRef(code, instrsSlot)
+	if iv == obj.False {
+		return nil
+	}
+	out := make([]Instr, m.H.VectorLength(iv))
+	for i := range out {
+		out[i] = decode(m.H.VectorRef(iv, i))
+	}
+	return out
+}
+
+// Disassemble renders a code object as readable assembly, one
 // instruction per line, with constants printed via the machine's
 // writer. Nested clause codes of a case-lambda are listed after the
 // entry.
-func (m *Machine) Disassemble(code *Code) string {
+func (m *Machine) Disassemble(code obj.Value) string {
 	var b strings.Builder
-	seen := map[*Code]bool{}
+	seen := map[obj.Value]bool{}
 	m.disasmRec(&b, code, "", seen)
 	return b.String()
 }
 
-func (m *Machine) disasmRec(b *strings.Builder, code *Code, indent string, seen map[*Code]bool) {
+func (m *Machine) disasmRec(b *strings.Builder, code obj.Value, indent string, seen map[obj.Value]bool) {
 	if seen[code] {
 		return
 	}
 	seen[code] = true
+	h := m.H
 	m.disasmOne(b, code, indent)
-	for i, cl := range code.Clauses {
-		fmt.Fprintf(b, "%sclause %d:\n", indent, i)
-		m.disasmRec(b, cl, indent+"  ", seen)
+	if shapeOf(h.VectorRef(code, shapeSlot)).kind == kindCaseLambda {
+		for i := constsSlot; i < h.VectorLength(code); i++ {
+			fmt.Fprintf(b, "%sclause %d:\n", indent, i-constsSlot)
+			m.disasmRec(b, h.VectorRef(code, i), indent+"  ", seen)
+		}
 	}
 	// Nested lambdas referenced by closure instructions.
-	for _, in := range code.Instrs {
+	for _, in := range m.CodeInstrs(code) {
 		if in.Op == OpClosure {
-			m.disasmRec(b, m.codes[in.A], indent+"  ", seen)
+			m.disasmRec(b, h.VectorRef(code, constsSlot+in.A), indent+"  ", seen)
 		}
 	}
 }
 
-func (m *Machine) disasmOne(b *strings.Builder, code *Code, indent string) {
-	fmt.Fprintf(b, "%s;; %s: %d required", indent, code.Name, code.NReq)
-	if code.Rest {
+func (m *Machine) disasmOne(b *strings.Builder, code obj.Value, indent string) {
+	h := m.H
+	s := shapeOf(h.VectorRef(code, shapeSlot))
+	fmt.Fprintf(b, "%s;; %s: %d required", indent, codeKindNames[s.kind], s.nreq)
+	if s.rest {
 		fmt.Fprintf(b, " + rest")
 	}
-	fmt.Fprintf(b, ", %d slots, %d consts\n", code.NSlots, len(code.Consts))
-	for pc, in := range code.Instrs {
+	fmt.Fprintf(b, ", %d slots, %d consts\n", s.nslots, h.VectorLength(code)-constsSlot)
+	for pc, in := range m.CodeInstrs(code) {
 		fmt.Fprintf(b, "%s%4d  %-14s", indent, pc, in.Op)
 		switch in.Op {
 		case OpConst, OpGlobal, OpSetGlobal, OpDefGlobal:
-			fmt.Fprintf(b, "%d    ; %s", in.A, m.WriteString(code.Consts[in.A]))
+			fmt.Fprintf(b, "%d    ; %s", in.A, m.WriteString(h.VectorRef(code, constsSlot+in.A)))
 		case OpLocal, OpSetLocal:
 			fmt.Fprintf(b, "%d %d", in.A, in.B)
 		case OpClosure:
-			fmt.Fprintf(b, "%d    ; %s", in.A, m.codes[in.A].Name)
+			fmt.Fprintf(b, "%d    ; %s", in.A, m.codeName(h.VectorRef(code, constsSlot+in.A)))
 		case OpJump, OpJumpIfFalse, OpCall, OpTailCall:
 			fmt.Fprintf(b, "%d", in.A)
 		}

@@ -78,14 +78,16 @@ func (m *Machine) DefinePrim(name string, min, max int, fn func(*Machine, Args) 
 // hosted program created: every symbol interned after machine
 // initialization (and after any host DefinePrim calls) loses its
 // global value and property list, permanent symbols revert to the
-// bindings they had at initialization, compiled code registered since
-// initialization is dropped, and the shadow stack and VM frames are
-// cleared. Nothing is freed directly — the next collection proves the
-// now-unreferenced objects inaccessible, and any guardians they were
-// registered with (ports, external resources) retrieve them through
-// the ordinary tconc path. That is the point: a server disconnecting a
-// session reclaims the session's external resources purely through the
-// guardian mechanism, not through a parallel bookkeeping structure.
+// bindings they had at initialization, and the shadow stack and VM
+// frames are cleared. Compiled code needs no step of its own: it is
+// heap data that the program's closures and running frames reach, so
+// it goes with them. Nothing is freed directly — the next collection
+// proves the now-unreferenced objects inaccessible, and any guardians
+// they were registered with (ports, external resources) retrieve them
+// through the ordinary tconc path. That is the point: a server
+// disconnecting a session reclaims the session's external resources
+// purely through the guardian mechanism, not through a parallel
+// bookkeeping structure.
 //
 // The machine must be quiescent (no Eval in progress). It remains
 // usable afterwards: the prelude and primitives are untouched.
@@ -117,7 +119,6 @@ func (m *Machine) DropUserState() {
 		m.H.SetSymbolValue(v, obj.Unbound)
 		m.H.SetSymbolPlist(v, obj.Nil)
 	}
-	m.codes = m.codes[:m.permanentCodes]
 	m.vmFrames = m.vmFrames[:0]
 	m.stack = m.stack[:0]
 }

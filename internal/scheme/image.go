@@ -16,14 +16,13 @@ import (
 // Machine images layer the symbol table over heap images: SaveImage
 // writes the heap followed by every interned symbol (name and heap
 // value) and the permanent symbols' snapshots, and LoadMachineImage rebuilds a machine whose globals,
-// closures, and guardians — everything expressible in Scheme — pick up
-// exactly where the saved session stopped. This mirrors Chez Scheme's
-// saved heaps.
+// closures — compiled ones included, their code being heap data — and
+// guardians, everything expressible in Scheme, pick up exactly where
+// the saved session stopped. This mirrors Chez Scheme's saved heaps.
 //
 // Restrictions: the machine must be quiescent (no evaluation in
-// progress) and must not have compiled code (bytecode is a Go-side
-// table that a heap image cannot carry); primitives are re-installed
-// by index, which is stable because the builtins table only grows.
+// progress); primitives are re-installed by index, which is stable
+// because the builtins table only grows.
 
 const machineMagic = "GUARDMACH3\n"
 
@@ -31,9 +30,6 @@ const machineMagic = "GUARDMACH3\n"
 func (m *Machine) SaveImage(w io.Writer) error {
 	if len(m.stack) != 0 || len(m.vmFrames) != 0 {
 		return fmt.Errorf("scheme: SaveImage requires a quiescent machine")
-	}
-	if len(m.codes) != 0 {
-		return fmt.Errorf("scheme: SaveImage does not support machines that have compiled code")
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(machineMagic); err != nil {

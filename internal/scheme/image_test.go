@@ -2,6 +2,7 @@ package scheme_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/heap"
@@ -63,15 +64,44 @@ func TestMachineImageGensymCounterSurvives(t *testing.T) {
 	}
 }
 
-func TestMachineImageRefusesCompiledCode(t *testing.T) {
+// TestMachineImageCarriesCompiledCode: compiled closures are heap data,
+// so a machine image carries them; the loaded machine calls them,
+// collects, and calls them again.
+func TestMachineImageCarriesCompiledCode(t *testing.T) {
 	m := scheme.New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled("(define (f) 1)"); err != nil {
+	if _, err := m.EvalStringCompiled(compiledDefs); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := m.SaveImage(&buf); err == nil {
-		t.Fatal("SaveImage should refuse machines with compiled code")
+	expectCompiled := func(m *scheme.Machine, src, want string) {
+		t.Helper()
+		v, err := m.EvalStringCompiled(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := m.WriteString(v); got != want {
+			t.Fatalf("%s = %s, want %s", src, got, want)
+		}
 	}
+	expectCompiled(m, "(counter)", "101")
+	var buf bytes.Buffer
+	if err := m.SaveImage(&buf); err != nil {
+		t.Fatalf("SaveImage of a machine with compiled code: %v", err)
+	}
+	m2, err := scheme.LoadMachineImage(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		expectCompiled(m2, "(counter)", fmt.Sprint(102+round))
+		expectCompiled(m2, "(list (arity) (arity 1) (arity 1 2))", "(none (one 1) (1 2))")
+		expectCompiled(m2, "((adder 4 5) 1)", "10")
+		expectCompiled(m2, "(table)", `(#(1 2) "three")`)
+		m2.H.Collect(m2.H.MaxGeneration())
+		if errs := m2.H.Verify(); len(errs) > 0 {
+			t.Fatalf("loaded heap after collection: %v", errs[0])
+		}
+	}
+	expectEval(t, m2, "(arity 7)", "(one 7)")
 }
 
 func TestMachineImageRejectsGarbage(t *testing.T) {

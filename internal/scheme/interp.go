@@ -49,11 +49,14 @@ const (
 	numForms
 )
 
-// Indexes of the two other keywords in Machine.keywords, after the
-// special forms.
+// Indexes of the other fixed symbols in Machine.keywords, after the
+// special forms: else and =>, then the record-type tags of compiled
+// closures and escape continuations.
 const (
 	kwElse = int(numForms) + iota
 	kwArrow
+	kwCompiledClosure
+	kwContinuation
 	numKeywords
 )
 
@@ -104,8 +107,11 @@ type Machine struct {
 	stack     []obj.Value
 	hostPrims []prim // DefinePrim's primitives, indexed from len(builtins)
 	// keywords holds the symbol of each special form (by formID), then
-	// else and =>: the evaluator compares against them on every
-	// application. Visited as roots, so they track their symbols.
+	// else and =>, then the compiled-closure and continuation record
+	// tags: the evaluator and the VM compare against them on every
+	// application. Interned at machine build, so a template's clones
+	// find them in its shared base. Visited as roots, so they track
+	// their symbols.
 	keywords [numKeywords]obj.Value
 	gensymN  int
 	depth    int
@@ -127,10 +133,6 @@ type Machine struct {
 	// base.plists) until it flattens.
 	permValues []obj.Value
 	permPlists []obj.Value
-	// permanentCodes is the length of codes at machine initialization;
-	// DropUserState truncates back to it so compiled user code (whose
-	// constants are visited as roots) does not pin user objects.
-	permanentCodes int
 	// permVersion counts changes to the permanent-symbol snapshot
 	// (DefinePrim promotions and rebindings). A MachineTemplate records
 	// the donor's version at capture; a mismatch later means the donor
@@ -143,8 +145,8 @@ type Machine struct {
 	activeConts map[int64]bool
 
 	// Bytecode engine (see compile.go and vm.go).
-	codes    []*Code
 	vmFrames []vmFrame
+	cs       *compileScratch // while compiling (compile.go)
 
 	// fuel bounds execution steps when non-negative; -1 = unlimited.
 	fuel int64
@@ -198,20 +200,21 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 	// everything the prelude mentions) are permanent; symbols interned
 	// later are candidates for pruning.
 	m.permanentSyms = len(m.syms)
-	m.permanentCodes = len(m.codes)
 	m.snapshotPermanents()
 	h.AddPostCollectHook(m.pruneDeadSymbols)
 	return m
 }
 
-// internForms interns the special-form keywords, else and =>, and
-// records their symbols.
+// internForms interns the special-form keywords, else, => and the
+// record tags, and records their symbols.
 func (m *Machine) internForms() {
 	for name, id := range formNames {
 		m.keywords[id] = m.Intern(name)
 	}
 	m.keywords[kwElse] = m.Intern("else")
 	m.keywords[kwArrow] = m.Intern("=>")
+	m.keywords[kwCompiledClosure] = m.Intern("%compiled-closure")
+	m.keywords[kwContinuation] = m.Intern("%continuation")
 }
 
 // snapshotPermanents records the global value and property list of
@@ -265,12 +268,15 @@ func (m *Machine) pruneDeadSymbols(h *heap.Heap, _ *heap.CollectionReport) {
 	}
 }
 
-// VisitRoots implements heap.RootVisitor: interned symbols and the
-// shadow stack. With symbol pruning enabled, a non-permanent symbol
-// without a global value or property list is deliberately *not*
-// visited; if nothing else in the heap references it, the post-collect
-// hook uninterns it. Base symbols and the permanent-symbol snapshots
-// go through visitShared, which never stores into a template's base.
+// VisitRoots implements heap.RootVisitor: interned symbols, the
+// shadow stack and the VM frames' code objects and environments.
+// Compiled code has no root of its own: it is heap data, reachable
+// from the closures over it and the frames running it. With symbol
+// pruning enabled, a non-permanent symbol without a global value or
+// property list is deliberately *not* visited; if nothing else in the
+// heap references it, the post-collect hook uninterns it. Base symbols
+// and the permanent-symbol snapshots go through visitShared, which
+// never stores into a template's base.
 func (m *Machine) VisitRoots(visit func(*obj.Value)) {
 	m.visitShared(&m.baseSyms, visit)
 	nb := len(m.baseSyms)
@@ -295,12 +301,8 @@ func (m *Machine) VisitRoots(visit func(*obj.Value)) {
 	for i := range m.stack {
 		visit(&m.stack[i])
 	}
-	for _, c := range m.codes {
-		for i := range c.Consts {
-			visit(&c.Consts[i])
-		}
-	}
 	for i := range m.vmFrames {
+		visit(&m.vmFrames[i].code)
 		visit(&m.vmFrames[i].env)
 	}
 }

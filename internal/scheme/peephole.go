@@ -6,22 +6,22 @@ package scheme
 // destination. Nested ifs and desugared cond/case chains produce such
 // jump-to-jump sequences. Instructions are never inserted or removed,
 // so no target remapping is needed.
-func optimize(code *Code) {
+func optimize(instrs []Instr) {
 	final := func(target int) int {
 		seen := 0
-		for target < len(code.Instrs) && code.Instrs[target].Op == OpJump {
-			target = code.Instrs[target].A
+		for target < len(instrs) && instrs[target].Op == OpJump {
+			target = instrs[target].A
 			seen++
-			if seen > len(code.Instrs) { // jump cycle: leave as-is
+			if seen > len(instrs) { // jump cycle: leave as-is
 				return target
 			}
 		}
 		return target
 	}
-	for i := range code.Instrs {
-		switch code.Instrs[i].Op {
+	for i := range instrs {
+		switch instrs[i].Op {
 		case OpJump, OpJumpIfFalse:
-			code.Instrs[i].A = final(code.Instrs[i].A)
+			instrs[i].A = final(instrs[i].A)
 		}
 	}
 }

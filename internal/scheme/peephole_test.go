@@ -25,9 +25,10 @@ func TestJumpThreading(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for pc, in := range code.Instrs {
+		instrs := m.CodeInstrs(code)
+		for pc, in := range instrs {
 			if in.Op.String() == "jump" || in.Op.String() == "jump-if-false" {
-				if in.A < len(code.Instrs) && code.Instrs[in.A].Op.String() == "jump" {
+				if in.A < len(instrs) && instrs[in.A].Op.String() == "jump" {
 					t.Errorf("%s: pc %d jumps to a jump at %d:\n%s",
 						src, pc, in.A, m.Disassemble(code))
 				}

@@ -575,8 +575,7 @@ func init() {
 		if !m.isCompiledClosure(fn) {
 			return obj.Void, m.errf(fn, "disassemble: not a compiled procedure")
 		}
-		idx := int(h.RecordRef(fn, 0).FixnumValue())
-		return h.MakeString(m.Disassemble(m.codes[idx])), nil
+		return h.MakeString(m.Disassemble(h.RecordRef(fn, 0))), nil
 	})
 	def("call-with-current-continuation", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		return m.callCC(a.Get(0))

@@ -210,7 +210,13 @@ func TestAttachedMachinesRunConcurrently(t *testing.T) {
 				if g == 0 && i == 30 {
 					src = "(begin (collect 3) " + src + ")"
 				}
-				v, err := m.EvalString(src)
+				// Every other request compiles, so the two machines also
+				// share the compile scratch pool.
+				eval := m.EvalString
+				if i%2 == 1 {
+					eval = m.EvalStringCompiled
+				}
+				v, err := eval(src)
 				if err != nil {
 					errs[g] = err
 					return

@@ -54,9 +54,9 @@ func (t *MachineTemplate) PermVersion() uint64 { return t.permVersion }
 func (t *MachineTemplate) HeapTemplate() *heap.Template { return t.ht }
 
 // CaptureTemplate snapshots m into a MachineTemplate. The machine must
-// be quiescent (no evaluation in progress) and must not have compiled
-// code (bytecode is a Go-side table, same restriction as SaveImage).
-// The machine's heap is fully collected first — the paper's "stopped,
+// be quiescent (no evaluation in progress); compiled closures it holds
+// are heap data like any other, so clones share them too. The
+// machine's heap is fully collected first — the paper's "stopped,
 // collected heap" — so clones share a compacted heap with an empty
 // nursery and (in practice) an empty remembered set, minimizing the
 // copy-on-write faults each clone can take. The donor remains fully
@@ -64,9 +64,6 @@ func (t *MachineTemplate) HeapTemplate() *heap.Template { return t.ht }
 func CaptureTemplate(m *Machine) (*MachineTemplate, error) {
 	if len(m.stack) != 0 || len(m.vmFrames) != 0 {
 		return nil, fmt.Errorf("scheme: CaptureTemplate requires a quiescent machine")
-	}
-	if len(m.codes) != 0 {
-		return nil, fmt.Errorf("scheme: CaptureTemplate does not support machines that have compiled code")
 	}
 	m.H.Collect(m.H.MaxGeneration())
 	ht, err := m.H.CaptureTemplate()

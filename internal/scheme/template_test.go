@@ -1,6 +1,7 @@
 package scheme_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/heap"
@@ -169,15 +170,71 @@ func TestMachineTemplatePermSnapshotShared(t *testing.T) {
 	}
 }
 
-func TestMachineTemplateRefusesCompiledCodeAndBusyMachines(t *testing.T) {
-	m := scheme.New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled("(define (f) 1)"); err != nil {
+// compiledDefs defines compiled procedures of every shape the compiler
+// emits: a closure over a counter, a case-lambda, a rest-argument
+// procedure returning a nested lambda, and quoted data.
+const compiledDefs = `
+	(define counter
+	  (let ([n 100])
+	    (lambda () (set! n (+ n 1)) n)))
+	(define arity
+	  (case-lambda [() 'none] [(a) (list 'one a)] [(a . r) (cons a r)]))
+	(define (adder . ks)
+	  (let ([k (apply + ks)]) (lambda (x) (+ x k))))
+	(define (table) '(#(1 2) "three"))`
+
+// TestMachineTemplateCarriesCompiledCode: compiled code is heap data,
+// so a template captured from a machine holding compiled definitions
+// carries them, and each clone calls them, collects, and calls them
+// again with its own copy of their state.
+func TestMachineTemplateCarriesCompiledCode(t *testing.T) {
+	donor := scheme.New(heap.NewDefault(), nil)
+	if _, err := donor.EvalStringCompiled(compiledDefs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scheme.CaptureTemplate(m); err == nil {
-		t.Fatal("CaptureTemplate should refuse machines with compiled code")
+	tpl, err := scheme.CaptureTemplate(donor)
+	if err != nil {
+		t.Fatalf("CaptureTemplate of a machine with compiled code: %v", err)
 	}
+	clones := make([]*scheme.Machine, 2)
+	for i := range clones {
+		h, _, err := tpl.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clones[i] = tpl.Attach(h, nil)
+	}
+	for _, c := range clones {
+		for round := 0; round < 2; round++ {
+			for _, q := range []struct{ src, want string }{
+				{"(counter)", fmt.Sprint(101 + round)},
+				{"(arity)", "none"},
+				{"(arity 1)", "(one 1)"},
+				{"(arity 1 2 3)", "(1 2 3)"},
+				{"((adder 1 2 3) 10)", "16"},
+				{"(table)", `(#(1 2) "three")`},
+				{"counter", "#<procedure counter>"},
+			} {
+				v, err := c.EvalStringCompiled(q.src)
+				if err != nil {
+					t.Fatalf("%s: %v", q.src, err)
+				}
+				if got := c.WriteString(v); got != q.want {
+					t.Fatalf("round %d: %s = %s, want %s", round, q.src, got, q.want)
+				}
+			}
+			c.H.Collect(c.H.MaxGeneration())
+			if errs := c.H.Verify(); len(errs) > 0 {
+				t.Fatalf("clone heap after collection: %v", errs[0])
+			}
+		}
+	}
+	// The tree-walker calls the same compiled closures.
+	expectEval(t, clones[0], "(counter)", "103")
+	expectEval(t, donor, "(counter)", "101")
+}
 
+func TestMachineTemplateRefusesBusyMachines(t *testing.T) {
 	m2 := scheme.New(heap.NewDefault(), nil)
 	captured := false
 	m2.DefinePrim("capture-now", 0, 0, func(mm *scheme.Machine, a scheme.Args) (obj.Value, error) {

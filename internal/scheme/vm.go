@@ -6,92 +6,92 @@ import (
 	"repro/internal/obj"
 )
 
-// The stack VM executing compiled Code. Its value stack is the
-// machine's shadow stack and its call frames' environments are visited
-// as roots, so collections may happen at VM safe points (calls and
-// backward jumps) with every live value accounted for. The two
-// engines interoperate freely: compiled code can call interpreted
-// closures, primitives, and continuations, and vice versa.
+// The stack VM executing compiled code objects. Its value stack is the
+// machine's shadow stack and its call frames' code objects and
+// environments are visited as roots, so collections may happen at VM
+// safe points (calls and backward jumps) with every live value
+// accounted for. The two engines interoperate freely: compiled code
+// can call interpreted closures, primitives, and continuations, and
+// vice versa.
+
+// maxVMFrames bounds the VM's frame stack: non-tail recursion that
+// deep becomes an error instead of growing without limit.
+const maxVMFrames = 100000
 
 // vmFrame is one activation of compiled code.
 type vmFrame struct {
-	code *Code
+	code obj.Value // the code object running: a root, like env
 	pc   int
 	env  obj.Value // chain of frame vectors: [parent, slot0, ...]
 	base int       // value-stack floor for this activation
 }
 
-// compiledRTD returns the record type descriptor marking compiled
-// closures: records with fields [codeIdx, env, name].
-func (m *Machine) compiledRTD() obj.Value { return m.Intern("%compiled-closure") }
-
 func (m *Machine) isCompiledClosure(v obj.Value) bool {
-	return m.H.IsKind(v, obj.KRecord) && m.H.RecordRTD(v) == m.compiledRTD()
+	return m.H.IsKind(v, obj.KRecord) && m.H.RecordRTD(v) == m.keywords[kwCompiledClosure]
 }
 
-func (m *Machine) makeCompiledClosure(codeIdx int, env obj.Value) obj.Value {
-	base := len(m.stack)
-	envS := m.slot(env)
-	rec := m.H.MakeRecord(m.compiledRTD(), 3)
-	m.H.RecordSet(rec, 0, obj.FromFixnum(int64(codeIdx)))
-	m.H.RecordSet(rec, 1, m.get(envS))
-	m.H.RecordSet(rec, 2, obj.False)
-	m.stack = m.stack[:base]
+// makeCompiledClosure allocates a compiled closure record [code, env,
+// name]; the name is #f until a define names it. Allocation never
+// collects, so code and env need no rooting here.
+func (m *Machine) makeCompiledClosure(code, env obj.Value) obj.Value {
+	rec := m.H.MakeRecord(m.keywords[kwCompiledClosure], 3)
+	m.H.RecordSet(rec, 0, code)
+	m.H.RecordSet(rec, 1, env)
 	return rec
 }
 
-// selectClause picks the code clause matching n arguments.
-func selectClause(code *Code, n int) *Code {
-	try := func(c *Code) *Code {
-		if n >= c.NReq && (c.Rest || n == c.NReq) {
-			return c
+// selectClause picks the code object that runs a call of code with n
+// arguments — code itself, or a case-lambda entry's first matching
+// clause — and its shape.
+func (m *Machine) selectClause(code obj.Value, n int) (obj.Value, codeShape, bool) {
+	h := m.H
+	s := shapeOf(h.VectorRef(code, shapeSlot))
+	if s.kind != kindCaseLambda {
+		return code, s, s.accepts(n)
+	}
+	for i := constsSlot; i < h.VectorLength(code); i++ {
+		cl := h.VectorRef(code, i)
+		if cs := shapeOf(h.VectorRef(cl, shapeSlot)); cs.accepts(n) {
+			return cl, cs, true
 		}
-		return nil
 	}
-	if code.Clauses == nil {
-		return try(code)
-	}
-	for _, c := range code.Clauses {
-		if got := try(c); got != nil {
-			return got
-		}
-	}
-	return nil
+	return obj.Void, codeShape{}, false
 }
 
 // buildFrame allocates the environment frame vector for a call:
 // [parent, arg0, ..., rest?, defineSlots...]. Arguments are read from
 // the machine stack at argsBase. Unfilled slots (internal defines)
 // start Unbound so use-before-initialization is caught.
-func (m *Machine) buildFrame(clause *Code, parent obj.Value, argsBase, n int) obj.Value {
+func (m *Machine) buildFrame(s codeShape, parent obj.Value, argsBase, n int) obj.Value {
 	h := m.H
-	base := len(m.stack)
-	parentS := m.slot(parent)
-	fv := h.MakeVector(1+clause.NSlots, obj.Unbound)
-	fvS := m.slot(fv)
-	h.VectorSet(m.get(fvS), 0, m.get(parentS))
-	for i := 0; i < clause.NReq; i++ {
-		h.VectorSet(m.get(fvS), 1+i, m.stack[argsBase+i])
+	fv := h.MakeVector(1+s.nslots, obj.Unbound)
+	h.VectorSet(fv, 0, parent)
+	for i := 0; i < s.nreq; i++ {
+		h.VectorSet(fv, 1+i, m.stack[argsBase+i])
 	}
-	if clause.Rest {
-		restList := m.slot(obj.Nil)
-		for i := n - 1; i >= clause.NReq; i-- {
-			m.set(restList, h.Cons(m.stack[argsBase+i], m.get(restList)))
+	if s.rest {
+		restList := obj.Value(obj.Nil)
+		for i := n - 1; i >= s.nreq; i-- {
+			restList = h.Cons(m.stack[argsBase+i], restList)
 		}
-		h.VectorSet(m.get(fvS), 1+clause.NReq, m.get(restList))
+		h.VectorSet(fv, 1+s.nreq, restList)
 	}
-	out := m.get(fvS)
-	m.stack = m.stack[:base]
-	return out
+	return fv
 }
 
-// RunCode executes a compiled top-level Code and returns its value.
-func (m *Machine) RunCode(code *Code) (obj.Value, error) {
+// RunCode executes a compiled top-level code object and returns its
+// value.
+func (m *Machine) RunCode(code obj.Value) (obj.Value, error) {
 	return m.execute(code, obj.Nil)
 }
 
-func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err error) {
+func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 	h := m.H
+	m.depth++
+	defer func() { m.depth-- }()
+	if m.depth > maxEvalDepth {
+		return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
+	}
 	frameFloor := len(m.vmFrames)
 	stackFloor := len(m.stack)
 	done := false
@@ -109,16 +109,28 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 		return obj.Void, fmt.Errorf("vm: "+format, args...)
 	}
 
+	// ins is the Go view of the top frame's instruction words from word
+	// lo on (heap.VectorWords). Objects move only at safe points,
+	// and any call, return or backward jump may pass one, so each of
+	// them drops the view and the next fetch re-derives it from the
+	// frame's code object.
+	var ins []uint64
+	lo := 0
 	for {
 		f := &m.vmFrames[len(m.vmFrames)-1]
-		if f.pc >= len(f.code.Instrs) {
-			return fail("fell off end of %s", f.code.Name)
+		i := f.pc - lo
+		if uint(i) >= uint(len(ins)) {
+			iv := h.VectorRef(f.code, instrsSlot)
+			if f.pc >= h.VectorLength(iv) {
+				return fail("fell off end of %s", m.codeName(f.code))
+			}
+			ins, lo, i = h.VectorWords(iv, f.pc), f.pc, 0
 		}
-		in := f.code.Instrs[f.pc]
+		in := decode(obj.Value(ins[i]))
 		f.pc++
 		switch in.Op {
 		case OpConst:
-			m.stack = append(m.stack, f.code.Consts[in.A])
+			m.stack = append(m.stack, h.VectorRef(f.code, constsSlot+in.A))
 		case OpVoid:
 			m.stack = append(m.stack, obj.Void)
 		case OpLocal:
@@ -128,7 +140,7 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			}
 			v := h.VectorRef(fr, 1+in.B)
 			if v == obj.Unbound {
-				return fail("variable used before initialization in %s", f.code.Name)
+				return fail("variable used before initialization in %s", m.codeName(f.code))
 			}
 			m.stack = append(m.stack, v)
 		case OpSetLocal:
@@ -141,14 +153,14 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			h.VectorSet(fr, 1+in.B, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpGlobal:
-			sym := f.code.Consts[in.A]
+			sym := h.VectorRef(f.code, constsSlot+in.A)
 			v := h.SymbolValue(sym)
 			if v == obj.Unbound {
 				return fail("unbound variable %s", h.SymbolString(sym))
 			}
 			m.stack = append(m.stack, v)
 		case OpSetGlobal:
-			sym := f.code.Consts[in.A]
+			sym := h.VectorRef(f.code, constsSlot+in.A)
 			v := m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 			if h.SymbolValue(sym) == obj.Unbound {
@@ -157,7 +169,7 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			h.SetSymbolValue(sym, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpDefGlobal:
-			sym := f.code.Consts[in.A]
+			sym := h.VectorRef(f.code, constsSlot+in.A)
 			v := m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 			if m.isCompiledClosure(v) && h.RecordRef(v, 2) == obj.False {
@@ -166,13 +178,14 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			h.SetSymbolValue(sym, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpClosure:
-			m.stack = append(m.stack, m.makeCompiledClosure(in.A, f.env))
+			m.stack = append(m.stack, m.makeCompiledClosure(h.VectorRef(f.code, constsSlot+in.A), f.env))
 		case OpJump:
 			if in.A < f.pc {
 				m.safepoint() // backward jump: loop safe point
 				if err := m.burn(); err != nil {
 					return obj.Void, err
 				}
+				ins = nil
 			}
 			f.pc = in.A
 		case OpJumpIfFalse:
@@ -189,31 +202,33 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			m.vmFrames = m.vmFrames[:len(m.vmFrames)-1]
 			if len(m.vmFrames) == frameFloor {
 				done = true
-				m.vmFrames = m.vmFrames[:frameFloor]
 				return res, nil
 			}
 			m.stack = append(m.stack, res)
+			ins = nil
 		case OpCall, OpTailCall:
 			m.safepoint()
 			if err := m.burn(); err != nil {
 				return obj.Void, err
 			}
+			ins = nil
 			n := in.A
 			fnIdx := len(m.stack) - n - 1
 			fn := m.stack[fnIdx]
 			if m.isCompiledClosure(fn) {
-				codeIdx := int(h.RecordRef(fn, 0).FixnumValue())
-				callee := m.codes[codeIdx]
-				clause := selectClause(callee, n)
-				if clause == nil {
+				clause, s, ok := m.selectClause(h.RecordRef(fn, 0), n)
+				if !ok {
 					return fail("no matching clause for %d arguments in %s",
 						n, m.closureName(fn))
 				}
-				newEnv := m.buildFrame(clause, h.RecordRef(m.stack[fnIdx], 1), fnIdx+1, n)
+				newEnv := m.buildFrame(s, h.RecordRef(fn, 1), fnIdx+1, n)
 				if in.Op == OpTailCall {
 					m.stack = m.stack[:f.base]
 					f.code, f.pc, f.env = clause, 0, newEnv
 				} else {
+					if len(m.vmFrames) >= maxVMFrames {
+						return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
+					}
 					m.stack = m.stack[:fnIdx]
 					m.vmFrames = append(m.vmFrames, vmFrame{
 						code: clause, env: newEnv, base: len(m.stack)})
@@ -239,6 +254,8 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 			if cerr != nil {
 				return obj.Void, cerr
 			}
+			// The callee may have grown vmFrames: re-take the frame.
+			f = &m.vmFrames[len(m.vmFrames)-1]
 			if in.Op == OpTailCall {
 				m.stack = m.stack[:f.base]
 				m.vmFrames = m.vmFrames[:len(m.vmFrames)-1]
@@ -257,6 +274,11 @@ func (m *Machine) execute(code *Code, env obj.Value) (result obj.Value, err erro
 	}
 }
 
+// codeName names a code object's kind for error messages.
+func (m *Machine) codeName(code obj.Value) string {
+	return codeKindNames[shapeOf(m.H.VectorRef(code, shapeSlot)).kind]
+}
+
 func (m *Machine) closureName(fn obj.Value) string {
 	if name := m.H.RecordRef(fn, 2); m.isSymbol(name) {
 		return m.H.SymbolString(name)
@@ -269,26 +291,26 @@ func (m *Machine) closureName(fn obj.Value) string {
 // cross-engine calls).
 func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error) {
 	h := m.H
-	codeIdx := int(h.RecordRef(fn, 0).FixnumValue())
-	callee := m.codes[codeIdx]
-	clause := selectClause(callee, n)
-	if clause == nil {
+	clause, s, ok := m.selectClause(h.RecordRef(fn, 0), n)
+	if !ok {
 		return obj.Void, fmt.Errorf("scheme: no matching clause for %d arguments in %s",
 			n, m.closureName(fn))
 	}
-	env := m.buildFrame(clause, h.RecordRef(fn, 1), argsBase, n)
+	env := m.buildFrame(s, h.RecordRef(fn, 1), argsBase, n)
 	return m.execute(clause, env)
 }
 
 // EvalStringCompiled reads src and runs every form through the
 // bytecode compiler and VM, returning the last value — the compiled
-// counterpart of EvalString.
+// counterpart of EvalString. Each form's top-level code object is
+// garbage once it has run.
 func (m *Machine) EvalStringCompiled(src string) (v obj.Value, err error) {
-	stackBase, frameBase := len(m.stack), len(m.vmFrames)
+	stackBase, frameBase, depthBase := len(m.stack), len(m.vmFrames), m.depth
 	defer func() {
 		if r := recover(); r != nil {
 			m.stack = m.stack[:stackBase]
 			m.vmFrames = m.vmFrames[:frameBase]
+			m.depth = depthBase
 			v, err = obj.Void, fmt.Errorf("scheme: %v", r)
 		}
 	}()

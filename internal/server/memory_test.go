@@ -133,6 +133,57 @@ func TestSessionMemoryFlatInRequests(t *testing.T) {
 	runtime.KeepAlive(srv)
 }
 
+// TestCompiledCodeIsCollected: a session's requests are compiled, and
+// compiled code is heap data that nothing roots once it has run. A
+// thousand requests that each compile a top-level form, a redefined
+// procedure, a case-lambda and an applied lambda leave the session's
+// live objects and the process's Go heap where they were, within 3 %.
+func TestCompiledCodeIsCollected(t *testing.T) {
+	var bad error
+	want := "0" // the init script's reply
+	srv := New(Config{OnReply: func(id SessionID, reply string, err error) {
+		if err == nil && reply != want {
+			err = fmt.Errorf("reply %q, want %q", reply, want)
+		}
+		if err != nil && bad == nil {
+			bad = err
+		}
+	}})
+	id := mustRegister(t, srv, "0")
+	srv.Poll()
+	h := srv.Session(id).Heap()
+	serve := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			want = fmt.Sprint(3 * i)
+			mustSend(t, srv, id, fmt.Sprintf(`(begin
+			  (define (handler x) (+ x %d))
+			  (define pick (case-lambda [(a) a] [(a b) (+ a b)]))
+			  ((lambda (y) (pick (handler y) %d)) %d))`, i, i, i))
+			srv.Poll()
+		}
+		if bad != nil {
+			t.Fatal(bad)
+		}
+	}
+	measure := func() (objects uint64, goHeap uint64) {
+		h.Collect(h.MaxGeneration())
+		census := h.Census()
+		return census.Total().Objects, liveHeapAlloc()
+	}
+	serve(0, 100)
+	objs0, go0 := measure()
+	serve(100, 1000)
+	objs1, go1 := measure()
+	t.Logf("live objects %d -> %d, Go heap %d -> %d bytes", objs0, objs1, go0, go1)
+	if d := float64(objs1) - float64(objs0); d > 0.03*float64(objs0) || d < -0.03*float64(objs0) {
+		t.Errorf("live objects moved from %d to %d over 1000 compiled requests", objs0, objs1)
+	}
+	if d := float64(go1) - float64(go0); d > 0.03*float64(go0) || d < -0.03*float64(go0) {
+		t.Errorf("Go heap moved from %d to %d bytes over 1000 compiled requests", go0, go1)
+	}
+	runtime.KeepAlive(srv)
+}
+
 // TestTemplateCarriesNoRoots: the donor's own managers and mailbox are
 // released before the capture, so clones inherit no root handle — in a
 // static generation nothing would ever reclaim what one pinned.

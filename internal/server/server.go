@@ -53,9 +53,10 @@ type Config struct {
 	// bounded step budget that keeps one chatty session from starving
 	// the rest.
 	StepRequests int
-	// StepFuel bounds evaluator steps per request (default 1<<20); a
-	// runaway request fails with a budget error instead of wedging its
-	// executor.
+	// StepFuel bounds the work of one request (default 1<<20): a unit
+	// is a procedure call or a backward jump of the VM, which runs
+	// every request. A runaway request fails with a budget error
+	// instead of wedging its executor.
 	StepFuel int64
 	// DrainPasses caps disconnect-drain collections per session
 	// (default 3). A session still holding descriptors or resources
@@ -146,8 +147,12 @@ type Server struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	stats    Stats
-	reclaims []ReclaimRecord
+	stats Stats
+	// The reclaim history, one row per fully reclaimed session and all
+	// their salvage logs end to end in one array (ReclaimRecords builds
+	// the public records from them).
+	reclaimRows   []reclaimRow
+	reclaimEvents []reclaimEvent
 
 	// Session-boot template state (template.go), guarded by tplMu (its
 	// own mutex: building the first template evaluates a whole prelude,
@@ -377,11 +382,12 @@ func (s *Session) isDraining() bool {
 
 // finishLocked records the drain outcome and removes the session.
 func (srv *Server) finishLocked(s *Session) {
-	rec := s.finalRecord()
-	srv.reclaims = append(srv.reclaims, rec)
+	row := s.finalRow()
+	srv.reclaimEvents = append(srv.reclaimEvents, s.reclaimLog...)
+	srv.reclaimRows = append(srv.reclaimRows, row)
 	srv.stats.Reclaimed++
-	srv.stats.LeakedPorts += uint64(rec.LeakedPorts)
-	srv.stats.LeakedRes += uint64(rec.LeakedResources)
+	srv.stats.LeakedPorts += uint64(row.leakedPorts)
+	srv.stats.LeakedRes += uint64(row.leakedResources)
 	s.state = stDead
 	delete(srv.sessions, s.id)
 	srv.busy--
@@ -574,7 +580,14 @@ func (srv *Server) Stats() Stats {
 func (srv *Server) ReclaimRecords() []ReclaimRecord {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	return append([]ReclaimRecord(nil), srv.reclaims...)
+	out := make([]ReclaimRecord, len(srv.reclaimRows))
+	evs := srv.reclaimEvents
+	for i := range srv.reclaimRows {
+		r := &srv.reclaimRows[i]
+		out[i] = r.record(evs[:r.logLen])
+		evs = evs[r.logLen:]
+	}
+	return out
 }
 
 // Session returns a live session by id (tests; the caller must not

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/extres"
@@ -36,6 +37,40 @@ const (
 type ReclaimEvent struct {
 	Kind string // "port" or an extres.Kind string ("malloc", ...)
 	ID   int
+}
+
+// reclaimEvent is a ReclaimEvent as the server keeps it: eight bytes,
+// no pointer. kind is an extres.Kind, or evPort, or evUnknown when the
+// arena no longer knew the resource (or its kind does not fit).
+type reclaimEvent struct {
+	kind int32
+	id   int32
+}
+
+const (
+	evPort    = -1
+	evUnknown = -2
+)
+
+func (e reclaimEvent) public() ReclaimEvent {
+	switch e.kind {
+	case evPort:
+		return ReclaimEvent{Kind: "port", ID: int(e.id)}
+	case evUnknown:
+		return ReclaimEvent{Kind: "extres", ID: int(e.id)}
+	}
+	return ReclaimEvent{Kind: extres.Kind(e.kind).String(), ID: int(e.id)}
+}
+
+func publicEvents(evs []reclaimEvent) []ReclaimEvent {
+	if len(evs) == 0 {
+		return nil
+	}
+	out := make([]ReclaimEvent, len(evs))
+	for i, e := range evs {
+		out[i] = e.public()
+	}
+	return out
 }
 
 // ReclaimRecord summarizes the teardown of one disconnected session.
@@ -102,7 +137,7 @@ type Session struct {
 	// together are salvaged in registration order.
 	openedFDs  []int
 	allocedIDs []int
-	reclaimLog []ReclaimEvent
+	reclaimLog []reclaimEvent
 	// guardianPorts / guardianResources count reclaims through the
 	// guardian path during the session's whole life (drain included).
 	guardianPorts     int
@@ -126,7 +161,7 @@ func (s *Session) OpenedFDs() []int { return append([]int(nil), s.openedFDs...) 
 func (s *Session) AllocedIDs() []int { return append([]int(nil), s.allocedIDs...) }
 
 // ReclaimLog returns the salvage log so far (guardian tconc order).
-func (s *Session) ReclaimLog() []ReclaimEvent { return append([]ReclaimEvent(nil), s.reclaimLog...) }
+func (s *Session) ReclaimLog() []ReclaimEvent { return publicEvents(s.reclaimLog) }
 
 // newSession boots one session: heap, machine (prelude included),
 // per-session file system and arena, guardian managers, mailbox, and
@@ -257,8 +292,9 @@ func (s *Session) deliverWire(msgs []wireMsg) {
 	}
 }
 
-// step serves up to budget pending requests, each under its own fuel
-// bound. Runs on the owning goroutine (an executor, or Poll).
+// step serves up to budget pending requests, each compiled and run on
+// the bytecode VM under its own fuel bound. Runs on the owning
+// goroutine (an executor, or Poll).
 func (s *Session) step(budget int, fuel int64) {
 	for i := 0; i < budget; i++ {
 		src, ok := s.srv.popRequest(s)
@@ -267,7 +303,7 @@ func (s *Session) step(budget int, fuel int64) {
 		}
 		s.out.Reset()
 		s.m.SetFuel(fuel)
-		v, err := s.m.EvalString(src)
+		v, err := s.m.EvalStringCompiled(src)
 		s.m.SetFuel(-1)
 		s.srv.addRequestServed()
 		if cb := s.srv.cfg.OnReply; cb != nil {
@@ -294,7 +330,7 @@ func (s *Session) salvage() {
 			break
 		}
 		s.guardianPorts++
-		s.reclaimLog = append(s.reclaimLog, ReclaimEvent{Kind: "port", ID: fd})
+		s.reclaimLog = append(s.reclaimLog, reclaimEvent{kind: evPort, id: int32(fd)})
 	}
 	for {
 		id, ok := s.em.ReleaseNext()
@@ -302,26 +338,27 @@ func (s *Session) salvage() {
 			break
 		}
 		s.guardianResources++
-		s.reclaimLog = append(s.reclaimLog, ReclaimEvent{Kind: s.kindOfID(id), ID: id})
+		s.reclaimLog = append(s.reclaimLog, reclaimEvent{kind: s.kindOfID(id), id: int32(id)})
 	}
 }
 
 // kindOfID is best-effort: the arena no longer knows the kind once
 // freed, so the log uses the generic name when lookup fails.
-func (s *Session) kindOfID(id int) string {
-	if k, ok := s.arena.KindOf(id); ok {
-		return k.String()
+func (s *Session) kindOfID(id int) int32 {
+	if k, ok := s.arena.KindOf(id); ok && k >= 0 && k <= math.MaxInt32 {
+		return int32(k)
 	}
-	return "extres"
+	return evUnknown
 }
 
 // teardown severs every reference the server holds into the session's
-// heap on behalf of the disconnected client: user globals, compiled
-// code, the mailbox (delivered values and their transport-guardian
-// metadata), and undelivered wire text. After teardown, the only
-// paths to the session's ports and resource headers are the guardian
-// protected lists — the next collection proves them inaccessible and
-// the salvage pass reclaims them through the tconc protocol.
+// heap on behalf of the disconnected client: user globals (and with
+// them the compiled code of their closures), the mailbox (delivered
+// values and their transport-guardian metadata), and undelivered wire
+// text. After teardown, the only paths to the session's ports and
+// resource headers are the guardian protected lists — the next
+// collection proves them inaccessible and the salvage pass reclaims
+// them through the tconc protocol.
 func (s *Session) teardown() {
 	if s.tornDown {
 		return
@@ -352,18 +389,45 @@ func (s *Session) drainPass() bool {
 	return s.fs.OpenCount() == 0 && s.arena.Live() == 0
 }
 
-// finalRecord summarizes the finished (or capped) drain.
-func (s *Session) finalRecord() ReclaimRecord {
-	census := s.h.Census()
+// reclaimRow is a ReclaimRecord as the server keeps it: 48 bytes, no
+// pointer. Its log is the next logLen events of Server.reclaimEvents,
+// after the previous rows' logs.
+type reclaimRow struct {
+	id                            SessionID
+	latency                       time.Duration
+	finalObjects                  uint64
+	collections, ports, resources int32
+	leakedPorts, leakedResources  int32
+	logLen                        int32
+}
+
+func (r *reclaimRow) record(log []reclaimEvent) ReclaimRecord {
 	return ReclaimRecord{
-		ID:              s.id,
-		Latency:         time.Since(s.disconnectedAt),
-		Collections:     s.drainPasses,
-		Ports:           s.guardianPorts,
-		Resources:       s.guardianResources,
-		LeakedPorts:     s.fs.OpenCount(),
-		LeakedResources: s.arena.Live(),
-		FinalObjects:    census.Total().Objects,
-		Log:             s.reclaimLog,
+		ID:              r.id,
+		Latency:         r.latency,
+		Collections:     int(r.collections),
+		Ports:           int(r.ports),
+		Resources:       int(r.resources),
+		LeakedPorts:     int(r.leakedPorts),
+		LeakedResources: int(r.leakedResources),
+		FinalObjects:    r.finalObjects,
+		Log:             publicEvents(log),
+	}
+}
+
+// finalRow summarizes the finished (or capped) drain; its log is the
+// session's reclaimLog.
+func (s *Session) finalRow() reclaimRow {
+	census := s.h.Census()
+	return reclaimRow{
+		id:              s.id,
+		latency:         time.Since(s.disconnectedAt),
+		collections:     int32(s.drainPasses),
+		ports:           int32(s.guardianPorts),
+		resources:       int32(s.guardianResources),
+		leakedPorts:     int32(s.fs.OpenCount()),
+		leakedResources: int32(s.arena.Live()),
+		finalObjects:    census.Total().Objects,
+		logLen:          int32(len(s.reclaimLog)),
 	}
 }

@@ -56,8 +56,9 @@ echo "== multi-session server gate (-race)"
 # plus the reclaim-order suite replaying a fixed schedule twice, and
 # the session-memory suite: every template segment still shared after two
 # radix cycles, memory per standing session flat in requests served, a
-# drain that reaches what a program tenured by hand.
-SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke|TestSessionsKeepSharingTemplate|TestSessionMemoryFlatInRequests|TestDrainReachesProgramTenuredResources' ./internal/server/
+# drain that reaches what a program tenured by hand, and a thousand
+# requests' compiled code reclaimed by the session's collector.
+SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke|TestSessionsKeepSharingTemplate|TestSessionMemoryFlatInRequests|TestDrainReachesProgramTenuredResources|TestCompiledCodeIsCollected' ./internal/server/
 
 echo "== heap template / fork gate (-race)"
 # Copy-on-write heap templates: the clone matrix (remset + guardians
@@ -74,7 +75,9 @@ echo "== heap template / fork gate (-race)"
 # template's symbol-table base and never writing it (TestAttach...,
 # flattening on a collection that moves a base value, Attach's
 # allocation count), and machine images keeping the permanent-symbol
-# snapshots. Sibling clones running on two goroutines repeat five
+# snapshots. Templates and images carry compiled closures, whose code
+# is heap data (TestMachineTemplateCarriesCompiledCode,
+# TestMachineImageCarriesCompiledCode). Sibling clones running on two goroutines repeat five
 # times: a root visitor that stored into the shared base is a data
 # race there.
 go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/

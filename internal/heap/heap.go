@@ -405,6 +405,15 @@ func (h *Heap) TriggerWords() int { return h.trigger }
 // collection has happened since they last hashed addresses.
 func (h *Heap) Stamp() uint64 { return h.stamp }
 
+// Epoch returns a count that advances whenever a slice of heap words
+// handed out earlier (VectorWords, ObjectWords) may have gone stale:
+// at every collection, which moves objects and frees their old
+// segments, and at every copy-on-write privatization, which gives a
+// segment new storage. Nothing resets it (Stats.Reset leaves it
+// alone), so a reader that keeps such a slice across calls that may
+// collect or write keeps it while Epoch is unchanged.
+func (h *Heap) Epoch() uint64 { return h.stamp + h.tab.COWCopies() }
+
 // maxObjectWords caps single-object size (128 K words = 1 MB) to catch
 // runaway allocations early.
 const maxObjectWords = 128 * 1024

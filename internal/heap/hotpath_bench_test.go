@@ -72,3 +72,43 @@ func BenchmarkBarrieredStore(b *testing.B) {
 		h.SetCar(o, y)
 	}
 }
+
+// The header accessors the VM calls per instruction: each resolves its
+// object's segment once, and BenchmarkVectorRef reads across a
+// large vector's two segments.
+//
+//	go test -run '^$' -bench 'VectorRef|RecordRef|SymbolValue' ./internal/heap/
+
+// accessorSink keeps the accessor benchmarks' reads from being
+// optimized away.
+var accessorSink obj.Value
+
+// BenchmarkVectorRef reads every element of a 600-element vector, a
+// large object whose run spans two segments, in turn.
+func BenchmarkVectorRef(b *testing.B) {
+	h := heap.NewDefault()
+	v := h.MakeVector(600, obj.False)
+	for i := 0; i < b.N; i++ {
+		accessorSink = h.VectorRef(v, i%600)
+	}
+}
+
+// BenchmarkRecordRef reads the fields of a compiled-closure-sized
+// record ([code, env, name]) in turn.
+func BenchmarkRecordRef(b *testing.B) {
+	h := heap.NewDefault()
+	r := h.MakeRecord(obj.True, 3)
+	for i := 0; i < b.N; i++ {
+		accessorSink = h.RecordRef(r, i%3)
+	}
+}
+
+// BenchmarkSymbolValue is a global variable reference.
+func BenchmarkSymbolValue(b *testing.B) {
+	h := heap.NewDefault()
+	s := h.MakeSymbol(h.MakeString("x"))
+	h.SetSymbolValue(s, obj.True)
+	for i := 0; i < b.N; i++ {
+		accessorSink = h.SymbolValue(s)
+	}
+}

@@ -199,14 +199,8 @@ func (h *Heap) fillWords(addr uint64, p []uint64, n int, v obj.Value) {
 
 // KindOf returns the kind of a header-prefixed heap object.
 func (h *Heap) KindOf(v obj.Value) (obj.Kind, bool) {
-	if !v.IsObj() {
-		return 0, false
-	}
-	w := h.word(v.Addr())
-	if !obj.IsHeader(w) {
-		return 0, false
-	}
-	return obj.HeaderKind(w), true
+	k, _, ok := h.ObjectWords(v)
+	return k, ok
 }
 
 // IsKind reports whether v is a heap object of kind k.
@@ -215,11 +209,50 @@ func (h *Heap) IsKind(v obj.Value, k obj.Kind) bool {
 	return ok && got == k
 }
 
-func (h *Heap) mustKind(v obj.Value, k obj.Kind, op string) uint64 {
-	if got, ok := h.KindOf(v); !ok || got != k {
-		h.badKind(op, k, v)
+// ObjectWords returns the kind of header-prefixed object v and its
+// payload words (those after the header), read in place: up to the end
+// of the payload, and no further than the end of the header's segment
+// — only a large object's payload runs on past it. ok is false when v
+// is not such an object. It is for a reader that takes several fields
+// of one object at once, the VM dispatching a call; the slice follows
+// VectorWords' rules: never written through, valid only while Epoch is
+// unchanged.
+func (h *Heap) ObjectWords(v obj.Value) (kind obj.Kind, payload []uint64, ok bool) {
+	if !v.IsObj() {
+		return 0, nil, false
 	}
-	return v.Addr()
+	w := h.tab.Window(v.Addr())
+	if !obj.IsHeader(w[0]) {
+		return 0, nil, false
+	}
+	kind = obj.HeaderKind(w[0])
+	n := obj.PayloadWords(kind, obj.HeaderLength(w[0]))
+	return kind, w[1:min(len(w), 1+n)], true
+}
+
+// object is the header accessors' one segment-table walk (§4: the
+// collector, too, reads the table once per object): it checks that v is
+// an object of kind k and returns its words from the header on, to the
+// end of the header's segment. A small object lies wholly in that
+// window; a large one's later fields are read through fieldAt.
+func (h *Heap) object(v obj.Value, k obj.Kind, op string) []uint64 {
+	if v.IsObj() {
+		if w := h.tab.Window(v.Addr()); obj.IsHeader(w[0]) && obj.HeaderKind(w[0]) == k {
+			return w
+		}
+	}
+	h.badKind(op, k, v)
+	return nil
+}
+
+// fieldAt returns word i (the header is word 0) of the object at
+// address v.Addr() whose window from object is w: from w unless the
+// word lies past the end of the header's segment.
+func (h *Heap) fieldAt(v obj.Value, w []uint64, i int) obj.Value {
+	if i < len(w) {
+		return obj.Value(w[i])
+	}
+	return h.valueAt(v.Addr() + uint64(i))
 }
 
 // --- Vectors ----------------------------------------------------------
@@ -251,18 +284,17 @@ func (h *Heap) Vector(vs ...obj.Value) obj.Value {
 
 // VectorLength returns the element count of a vector.
 func (h *Heap) VectorLength(v obj.Value) int {
-	addr := h.mustKind(v, obj.KVector, "vector-length")
-	return obj.HeaderLength(h.word(addr))
+	return obj.HeaderLength(h.object(v, obj.KVector, "vector-length")[0])
 }
 
 // VectorRef returns element i of a vector.
 func (h *Heap) VectorRef(v obj.Value, i int) obj.Value {
-	addr := h.mustKind(v, obj.KVector, "vector-ref")
-	n := obj.HeaderLength(h.word(addr))
+	w := h.object(v, obj.KVector, "vector-ref")
+	n := obj.HeaderLength(w[0])
 	if i < 0 || i >= n {
 		h.badIndex("vector-ref", i, n)
 	}
-	return h.valueAt(addr + 1 + uint64(i))
+	return h.fieldAt(v, w, 1+i)
 }
 
 // VectorWords returns the elements of vector v from element i on, as
@@ -273,28 +305,31 @@ func (h *Heap) VectorRef(v obj.Value, i int) obj.Value {
 // collections — the VM fetching instructions. The slice aliases heap
 // storage, possibly a template's: it must not be written through (that
 // would bypass the write barrier and copy-on-write), and it is valid
-// only until the next collection, which may move v.
+// only while Epoch is unchanged — the next collection may move v, and a
+// copy-on-write privatization gives its segment new storage.
 func (h *Heap) VectorWords(v obj.Value, i int) []uint64 {
-	addr := h.mustKind(v, obj.KVector, "vector-words")
-	n := obj.HeaderLength(h.word(addr))
+	w := h.object(v, obj.KVector, "vector-words")
+	n := obj.HeaderLength(w[0])
 	if i < 0 || i > n {
 		h.badIndex("vector-words", i, n)
 	}
 	if i == n {
 		return nil
 	}
-	w := h.tab.Window(addr + 1 + uint64(i))
+	if 1+i < len(w) {
+		return w[1+i : min(len(w), 1+n)]
+	}
+	w = h.tab.Window(v.Addr() + 1 + uint64(i))
 	return w[:min(len(w), n-i)]
 }
 
 // VectorSet stores x as element i of a vector, with the write barrier.
 func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
-	addr := h.mustKind(v, obj.KVector, "vector-set!")
-	n := obj.HeaderLength(h.word(addr))
+	n := obj.HeaderLength(h.object(v, obj.KVector, "vector-set!")[0])
 	if i < 0 || i >= n {
 		h.badIndex("vector-set!", i, n)
 	}
-	h.writeCell(addr+1+uint64(i), x, false)
+	h.writeCell(v.Addr()+1+uint64(i), x, false)
 }
 
 // --- Strings and bytevectors -------------------------------------------
@@ -326,10 +361,9 @@ func (h *Heap) makeBytes(kind obj.Kind, b []byte) obj.Value {
 }
 
 func (h *Heap) bytesOf(v obj.Value, kind obj.Kind, op string) []byte {
-	addr := h.mustKind(v, kind, op)
-	out := make([]byte, obj.HeaderLength(h.word(addr)))
-	for i := 0; i < len(out); {
-		p := h.tab.Window(addr + 1 + uint64(i/8))
+	o := h.object(v, kind, op)
+	out := make([]byte, obj.HeaderLength(o[0]))
+	for i, p := 0, o[1:]; i < len(out); p = h.tab.Window(v.Addr() + 1 + uint64(i/8)) {
 		for _, w := range p[:min(len(p), (len(out)-i+7)/8)] {
 			for j := 0; j < 8 && i < len(out); j++ {
 				out[i] = byte(w >> (8 * j))
@@ -350,8 +384,7 @@ func (h *Heap) StringValue(v obj.Value) string {
 
 // StringLength returns the byte length of a string object.
 func (h *Heap) StringLength(v obj.Value) int {
-	addr := h.mustKind(v, obj.KString, "string-length")
-	return obj.HeaderLength(h.word(addr))
+	return obj.HeaderLength(h.object(v, obj.KString, "string-length")[0])
 }
 
 // MakeBytevector allocates a zero-filled bytevector of n bytes.
@@ -364,31 +397,30 @@ func (h *Heap) MakeBytevector(n int) obj.Value {
 
 // BytevectorLength returns the byte length of a bytevector.
 func (h *Heap) BytevectorLength(v obj.Value) int {
-	addr := h.mustKind(v, obj.KBytevector, "bytevector-length")
-	return obj.HeaderLength(h.word(addr))
+	return obj.HeaderLength(h.object(v, obj.KBytevector, "bytevector-length")[0])
 }
 
 // ByteRef returns byte i of a bytevector.
 func (h *Heap) ByteRef(v obj.Value, i int) byte {
-	addr := h.mustKind(v, obj.KBytevector, "bytevector-ref")
-	n := obj.HeaderLength(h.word(addr))
+	w := h.object(v, obj.KBytevector, "bytevector-ref")
+	n := obj.HeaderLength(w[0])
 	if i < 0 || i >= n {
 		h.badIndex("bytevector-ref", i, n)
 	}
-	return byte(h.word(addr+1+uint64(i/8)) >> (uint(i%8) * 8))
+	return byte(h.fieldAt(v, w, 1+i/8) >> (uint(i%8) * 8))
 }
 
 // ByteSet stores c at byte i of a bytevector. Bytevectors hold no
 // pointers, so no write barrier is needed.
 func (h *Heap) ByteSet(v obj.Value, i int, c byte) {
-	addr := h.mustKind(v, obj.KBytevector, "bytevector-set!")
-	n := obj.HeaderLength(h.word(addr))
+	o := h.object(v, obj.KBytevector, "bytevector-set!")
+	n := obj.HeaderLength(o[0])
 	if i < 0 || i >= n {
 		h.badIndex("bytevector-set!", i, n)
 	}
-	w := addr + 1 + uint64(i/8)
 	sh := uint(i%8) * 8
-	h.setWord(w, h.word(w)&^(0xff<<sh)|uint64(c)<<sh)
+	old := uint64(h.fieldAt(v, o, 1+i/8))
+	h.setWord(v.Addr()+1+uint64(i/8), old&^(0xff<<sh)|uint64(c)<<sh)
 }
 
 // BytevectorBytes returns a copy of the bytevector's contents.
@@ -407,8 +439,7 @@ func (h *Heap) MakeFlonum(f float64) obj.Value {
 
 // FlonumValue returns the float64 held by a flonum.
 func (h *Heap) FlonumValue(v obj.Value) float64 {
-	addr := h.mustKind(v, obj.KFlonum, "flonum-value")
-	return math.Float64frombits(h.word(addr + 1))
+	return math.Float64frombits(h.object(v, obj.KFlonum, "flonum-value")[1])
 }
 
 // --- Symbols -------------------------------------------------------------
@@ -426,8 +457,7 @@ func (h *Heap) MakeSymbol(name obj.Value) obj.Value {
 
 // SymbolName returns a symbol's print-name string object.
 func (h *Heap) SymbolName(v obj.Value) obj.Value {
-	addr := h.mustKind(v, obj.KSymbol, "symbol-name")
-	return h.valueAt(addr + 1)
+	return obj.Value(h.object(v, obj.KSymbol, "symbol-name")[1])
 }
 
 // SymbolString returns a symbol's print name as a Go string.
@@ -437,14 +467,13 @@ func (h *Heap) SymbolString(v obj.Value) string {
 
 // SymbolValue returns a symbol's global binding, obj.Unbound if none.
 func (h *Heap) SymbolValue(v obj.Value) obj.Value {
-	addr := h.mustKind(v, obj.KSymbol, "symbol-value")
-	return h.valueAt(addr + 2)
+	return obj.Value(h.object(v, obj.KSymbol, "symbol-value")[2])
 }
 
 // SetSymbolValue stores a symbol's global binding.
 func (h *Heap) SetSymbolValue(v, x obj.Value) {
-	addr := h.mustKind(v, obj.KSymbol, "set-symbol-value!")
-	h.writeCell(addr+2, x, false)
+	h.object(v, obj.KSymbol, "set-symbol-value!")
+	h.writeCell(v.Addr()+2, x, false)
 }
 
 // PeekSymbol returns a symbol's global value and property list, even
@@ -472,14 +501,13 @@ func (h *Heap) PeekSymbol(v obj.Value) (value, plist obj.Value, ok bool) {
 
 // SymbolPlist returns a symbol's property list.
 func (h *Heap) SymbolPlist(v obj.Value) obj.Value {
-	addr := h.mustKind(v, obj.KSymbol, "symbol-plist")
-	return h.valueAt(addr + 3)
+	return obj.Value(h.object(v, obj.KSymbol, "symbol-plist")[3])
 }
 
 // SetSymbolPlist stores a symbol's property list.
 func (h *Heap) SetSymbolPlist(v, x obj.Value) {
-	addr := h.mustKind(v, obj.KSymbol, "set-symbol-plist!")
-	h.writeCell(addr+3, x, false)
+	h.object(v, obj.KSymbol, "set-symbol-plist!")
+	h.writeCell(v.Addr()+3, x, false)
 }
 
 // --- Closures --------------------------------------------------------------
@@ -497,22 +525,23 @@ func (h *Heap) MakeClosure(clauses, env, name obj.Value) obj.Value {
 
 // ClosureClauses returns a closure's clause list.
 func (h *Heap) ClosureClauses(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KClosure, "closure-clauses") + 1)
+	return obj.Value(h.object(v, obj.KClosure, "closure-clauses")[1])
 }
 
 // ClosureEnv returns a closure's captured environment.
 func (h *Heap) ClosureEnv(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KClosure, "closure-env") + 2)
+	return obj.Value(h.object(v, obj.KClosure, "closure-env")[2])
 }
 
 // ClosureName returns a closure's name (a symbol or #f).
 func (h *Heap) ClosureName(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KClosure, "closure-name") + 3)
+	return obj.Value(h.object(v, obj.KClosure, "closure-name")[3])
 }
 
 // SetClosureName names a closure (used by define).
 func (h *Heap) SetClosureName(v, name obj.Value) {
-	h.writeCell(h.mustKind(v, obj.KClosure, "set-closure-name!")+3, name, false)
+	h.object(v, obj.KClosure, "set-closure-name!")
+	h.writeCell(v.Addr()+3, name, false)
 }
 
 // --- Primitives --------------------------------------------------------------
@@ -529,13 +558,12 @@ func (h *Heap) MakePrimitive(index int, name obj.Value) obj.Value {
 
 // PrimitiveIndex returns the host-table index of a primitive.
 func (h *Heap) PrimitiveIndex(v obj.Value) int {
-	addr := h.mustKind(v, obj.KPrimitive, "primitive-index")
-	return int(h.valueAt(addr + 1).FixnumValue())
+	return int(obj.Value(h.object(v, obj.KPrimitive, "primitive-index")[1]).FixnumValue())
 }
 
 // PrimitiveName returns a primitive's name value.
 func (h *Heap) PrimitiveName(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KPrimitive, "primitive-name") + 2)
+	return obj.Value(h.object(v, obj.KPrimitive, "primitive-name")[2])
 }
 
 // IsProcedure reports whether v is applicable (closure or primitive).
@@ -555,12 +583,13 @@ func (h *Heap) MakeBox(v obj.Value) obj.Value {
 
 // Unbox returns a box's contents.
 func (h *Heap) Unbox(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KBox, "unbox") + 1)
+	return obj.Value(h.object(v, obj.KBox, "unbox")[1])
 }
 
 // SetBox stores x into a box, with the write barrier.
 func (h *Heap) SetBox(v, x obj.Value) {
-	h.writeCell(h.mustKind(v, obj.KBox, "set-box!")+1, x, false)
+	h.object(v, obj.KBox, "set-box!")
+	h.writeCell(v.Addr()+1, x, false)
 }
 
 // --- Ports ---------------------------------------------------------------------
@@ -591,20 +620,20 @@ func (h *Heap) MakePort(flags, fileID int64, buffer obj.Value) obj.Value {
 
 // PortField returns field i of a port.
 func (h *Heap) PortField(v obj.Value, i int) obj.Value {
-	addr := h.mustKind(v, obj.KPort, "port-field")
+	w := h.object(v, obj.KPort, "port-field")
 	if i < 0 || i >= portFields {
 		h.badPortField("port-field", i)
 	}
-	return h.valueAt(addr + 1 + uint64(i))
+	return obj.Value(w[1+i])
 }
 
 // SetPortField stores x as field i of a port.
 func (h *Heap) SetPortField(v obj.Value, i int, x obj.Value) {
-	addr := h.mustKind(v, obj.KPort, "set-port-field!")
+	h.object(v, obj.KPort, "set-port-field!")
 	if i < 0 || i >= portFields {
 		h.badPortField("set-port-field!", i)
 	}
-	h.writeCell(addr+1+uint64(i), x, false)
+	h.writeCell(v.Addr()+1+uint64(i), x, false)
 }
 
 // --- Records -----------------------------------------------------------------
@@ -623,31 +652,29 @@ func (h *Heap) MakeRecord(rtd obj.Value, nfields int) obj.Value {
 
 // RecordRTD returns a record's type descriptor.
 func (h *Heap) RecordRTD(v obj.Value) obj.Value {
-	return h.valueAt(h.mustKind(v, obj.KRecord, "record-rtd") + 1)
+	return obj.Value(h.object(v, obj.KRecord, "record-rtd")[1])
 }
 
 // RecordLength returns a record's field count.
 func (h *Heap) RecordLength(v obj.Value) int {
-	addr := h.mustKind(v, obj.KRecord, "record-length")
-	return obj.HeaderLength(h.word(addr)) - 1
+	return obj.HeaderLength(h.object(v, obj.KRecord, "record-length")[0]) - 1
 }
 
 // RecordRef returns field i of a record.
 func (h *Heap) RecordRef(v obj.Value, i int) obj.Value {
-	addr := h.mustKind(v, obj.KRecord, "record-ref")
-	n := obj.HeaderLength(h.word(addr)) - 1
+	w := h.object(v, obj.KRecord, "record-ref")
+	n := obj.HeaderLength(w[0]) - 1
 	if i < 0 || i >= n {
 		h.badIndex("record-ref", i, n)
 	}
-	return h.valueAt(addr + 2 + uint64(i))
+	return h.fieldAt(v, w, 2+i)
 }
 
 // RecordSet stores x as field i of a record, with the write barrier.
 func (h *Heap) RecordSet(v obj.Value, i int, x obj.Value) {
-	addr := h.mustKind(v, obj.KRecord, "record-set!")
-	n := obj.HeaderLength(h.word(addr)) - 1
+	n := obj.HeaderLength(h.object(v, obj.KRecord, "record-set!")[0]) - 1
 	if i < 0 || i >= n {
 		h.badIndex("record-set!", i, n)
 	}
-	h.writeCell(addr+2+uint64(i), x, false)
+	h.writeCell(v.Addr()+2+uint64(i), x, false)
 }

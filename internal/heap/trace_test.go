@@ -315,6 +315,15 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 		"ClosureClauses": func() { sink = h.ClosureClauses(clo) },
 		"RecordRef":      func() { sink = h.RecordRef(rec, 300) },
 		"VectorSet":      func() { h.VectorSet(vec, 300, sym) },
+		// The rest of what the VM calls per instruction and per call.
+		"VectorRef":      func() { sink = h.VectorRef(vec, 300) },
+		"VectorLength":   func() { sink = fx(int64(h.VectorLength(vec))) },
+		"VectorWords":    func() { sink = obj.Value(h.VectorWords(vec, 300)[0]) },
+		"ObjectWords":    func() { _, p, _ := h.ObjectWords(prim); sink = obj.Value(p[0]) },
+		"KindOf":         func() { k, _ := h.KindOf(rec); sink = fx(int64(k)) },
+		"RecordRTD":      func() { sink = h.RecordRTD(rec) },
+		"SetSymbolValue": func() { h.SetSymbolValue(sym, vec) },
+		"Epoch":          func() { sink = fx(int64(h.Epoch())) },
 	} {
 		if avg := testing.AllocsPerRun(100, fn); avg != 0 {
 			t.Errorf("%s allocates %.1f objects a call, want 0", name, avg)

@@ -573,9 +573,14 @@ func (m *Machine) evalBodyButLast(body, env obj.Value, eExpr, eEnv slot) (empty 
 	return false, nil
 }
 
-// callPrim checks arity and invokes a primitive.
+// callPrim invokes primitive fn.
 func (m *Machine) callPrim(fn obj.Value, a Args) (obj.Value, error) {
-	idx := m.H.PrimitiveIndex(fn)
+	return m.callPrimIndex(m.H.PrimitiveIndex(fn), a)
+}
+
+// callPrimIndex checks arity and invokes the primitive with host-table
+// index idx.
+func (m *Machine) callPrimIndex(idx int, a Args) (obj.Value, error) {
 	var p *prim
 	if idx < len(builtins) {
 		p = &builtins[idx]

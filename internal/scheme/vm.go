@@ -109,28 +109,35 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 		return obj.Void, fmt.Errorf("vm: "+format, args...)
 	}
 
-	// ins is the Go view of the top frame's instruction words from word
-	// lo on (heap.VectorWords). Objects move only at safe points,
-	// and any call, return or backward jump may pass one, so each of
-	// them drops the view and the next fetch re-derives it from the
-	// frame's code object.
-	var ins []uint64
-	lo := 0
+	// The top frame's views of its code, read in place
+	// (heap.VectorWords): cw is the code vector [instrs, shape,
+	// consts...] from word 0, ins the instruction words from word lo on,
+	// each up to the end of its segment. Re-deriving them is two
+	// segment-table walks. They are kept until the frame's code changes
+	// (a compiled call, tail call or return drops them) or the heap may
+	// have moved or privatized something since they were taken: a
+	// collection at a safe point, or anything a call out of compiled
+	// code does. heap.Epoch tells; it is checked after each of those.
+	var cw, ins []uint64
+	var lo int
+	var epoch uint64
 	for {
 		f := &m.vmFrames[len(m.vmFrames)-1]
+		if cw == nil {
+			cw, ins, epoch = h.VectorWords(f.code, 0), nil, h.Epoch()
+		}
 		i := f.pc - lo
 		if uint(i) >= uint(len(ins)) {
-			iv := h.VectorRef(f.code, instrsSlot)
-			if f.pc >= h.VectorLength(iv) {
+			ins, lo, i = h.VectorWords(obj.Value(cw[instrsSlot]), f.pc), f.pc, 0
+			if len(ins) == 0 {
 				return fail("fell off end of %s", m.codeName(f.code))
 			}
-			ins, lo, i = h.VectorWords(iv, f.pc), f.pc, 0
 		}
 		in := decode(obj.Value(ins[i]))
 		f.pc++
 		switch in.Op {
 		case OpConst:
-			m.stack = append(m.stack, h.VectorRef(f.code, constsSlot+in.A))
+			m.stack = append(m.stack, m.constant(f.code, cw, in.A))
 		case OpVoid:
 			m.stack = append(m.stack, obj.Void)
 		case OpLocal:
@@ -153,14 +160,14 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 			h.VectorSet(fr, 1+in.B, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpGlobal:
-			sym := h.VectorRef(f.code, constsSlot+in.A)
+			sym := m.constant(f.code, cw, in.A)
 			v := h.SymbolValue(sym)
 			if v == obj.Unbound {
 				return fail("unbound variable %s", h.SymbolString(sym))
 			}
 			m.stack = append(m.stack, v)
 		case OpSetGlobal:
-			sym := h.VectorRef(f.code, constsSlot+in.A)
+			sym := m.constant(f.code, cw, in.A)
 			v := m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 			if h.SymbolValue(sym) == obj.Unbound {
@@ -169,7 +176,7 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 			h.SetSymbolValue(sym, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpDefGlobal:
-			sym := h.VectorRef(f.code, constsSlot+in.A)
+			sym := m.constant(f.code, cw, in.A)
 			v := m.stack[len(m.stack)-1]
 			m.stack = m.stack[:len(m.stack)-1]
 			if m.isCompiledClosure(v) && h.RecordRef(v, 2) == obj.False {
@@ -178,14 +185,16 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 			h.SetSymbolValue(sym, v)
 			m.stack = append(m.stack, obj.Void)
 		case OpClosure:
-			m.stack = append(m.stack, m.makeCompiledClosure(h.VectorRef(f.code, constsSlot+in.A), f.env))
+			m.stack = append(m.stack, m.makeCompiledClosure(m.constant(f.code, cw, in.A), f.env))
 		case OpJump:
 			if in.A < f.pc {
 				m.safepoint() // backward jump: loop safe point
 				if err := m.burn(); err != nil {
 					return obj.Void, err
 				}
-				ins = nil
+				if h.Epoch() != epoch {
+					cw = nil
+				}
 			}
 			f.pc = in.A
 		case OpJumpIfFalse:
@@ -205,23 +214,32 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 				return res, nil
 			}
 			m.stack = append(m.stack, res)
-			ins = nil
+			cw = nil
 		case OpCall, OpTailCall:
+			// A collection at this safe point is caught below: a
+			// compiled call drops the views anyway, any other call
+			// checks the epoch when it returns.
 			m.safepoint()
 			if err := m.burn(); err != nil {
 				return obj.Void, err
 			}
-			ins = nil
 			n := in.A
 			fnIdx := len(m.stack) - n - 1
 			fn := m.stack[fnIdx]
-			if m.isCompiledClosure(fn) {
-				clause, s, ok := m.selectClause(h.RecordRef(fn, 0), n)
+			var res obj.Value
+			var cerr error
+			// One lookup for fn's kind and fields; a non-object reads
+			// as kind 0, a vector, which nothing applies.
+			kind, p, _ := h.ObjectWords(fn)
+			switch {
+			case kind == obj.KRecord && obj.Value(p[0]) == m.keywords[kwCompiledClosure]:
+				env := obj.Value(p[2])
+				clause, s, ok := m.selectClause(obj.Value(p[1]), n)
 				if !ok {
 					return fail("no matching clause for %d arguments in %s",
 						n, m.closureName(fn))
 				}
-				newEnv := m.buildFrame(s, h.RecordRef(fn, 1), fnIdx+1, n)
+				newEnv := m.buildFrame(s, env, fnIdx+1, n)
 				if in.Op == OpTailCall {
 					m.stack = m.stack[:f.base]
 					f.code, f.pc, f.env = clause, 0, newEnv
@@ -233,26 +251,27 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 					m.vmFrames = append(m.vmFrames, vmFrame{
 						code: clause, env: newEnv, base: len(m.stack)})
 				}
+				cw = nil
 				continue
-			}
-			// Primitive, interpreted closure, or continuation.
-			var res obj.Value
-			var cerr error
-			if kind, _ := h.KindOf(fn); kind == obj.KPrimitive {
-				res, cerr = m.callPrim(fn, Args{m: m, base: fnIdx + 1, n: n})
-			} else if m.isContinuation(fn) {
+			case kind == obj.KPrimitive:
+				res, cerr = m.callPrimIndex(int(obj.Value(p[0]).FixnumValue()),
+					Args{m: m, base: fnIdx + 1, n: n})
+			case kind == obj.KRecord && obj.Value(p[0]) == m.keywords[kwContinuation]:
 				val := obj.Value(obj.Void)
 				if n >= 1 {
 					val = m.stack[fnIdx+1]
 				}
 				res, cerr = m.invokeContinuation(fn, val) // panics if live
-			} else if kind == obj.KClosure {
+			case kind == obj.KClosure:
 				res, cerr = m.Apply(fn, m.stack[fnIdx+1:fnIdx+1+n])
-			} else {
+			default:
 				cerr = fmt.Errorf("vm: attempt to apply non-procedure: %s", m.WriteString(fn))
 			}
 			if cerr != nil {
 				return obj.Void, cerr
+			}
+			if h.Epoch() != epoch {
+				cw = nil
 			}
 			// The callee may have grown vmFrames: re-take the frame.
 			f = &m.vmFrames[len(m.vmFrames)-1]
@@ -264,6 +283,7 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 					return res, nil
 				}
 				m.stack = append(m.stack, res)
+				cw = nil
 			} else {
 				m.stack = m.stack[:fnIdx]
 				m.stack = append(m.stack, res)
@@ -272,6 +292,15 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 			return fail("bad opcode %v", in.Op)
 		}
 	}
+}
+
+// constant returns constant a of code, whose window from word 0 is cw:
+// from cw unless it lies past the end of the code vector's segment.
+func (m *Machine) constant(code obj.Value, cw []uint64, a int) obj.Value {
+	if j := constsSlot + a; j < len(cw) {
+		return obj.Value(cw[j])
+	}
+	return m.H.VectorRef(code, constsSlot+a)
 }
 
 // codeName names a code object's kind for error messages.

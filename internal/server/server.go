@@ -148,11 +148,9 @@ type Server struct {
 	wg        sync.WaitGroup
 
 	stats Stats
-	// The reclaim history, one row per fully reclaimed session and all
-	// their salvage logs end to end in one array (ReclaimRecords builds
-	// the public records from them).
-	reclaimRows   []reclaimRow
-	reclaimEvents []reclaimEvent
+	// The reclaim history: every fully reclaimed session's record and
+	// salvage log, encoded (ReclaimRecords decodes it).
+	history reclaimHistory
 
 	// Session-boot template state (template.go), guarded by tplMu (its
 	// own mutex: building the first template evaluates a whole prelude,
@@ -382,12 +380,11 @@ func (s *Session) isDraining() bool {
 
 // finishLocked records the drain outcome and removes the session.
 func (srv *Server) finishLocked(s *Session) {
-	row := s.finalRow()
-	srv.reclaimEvents = append(srv.reclaimEvents, s.reclaimLog...)
-	srv.reclaimRows = append(srv.reclaimRows, row)
+	rec := s.finalRecord()
+	srv.history.add(&rec, s.reclaimLog)
 	srv.stats.Reclaimed++
-	srv.stats.LeakedPorts += uint64(row.leakedPorts)
-	srv.stats.LeakedRes += uint64(row.leakedResources)
+	srv.stats.LeakedPorts += uint64(rec.LeakedPorts)
+	srv.stats.LeakedRes += uint64(rec.LeakedResources)
 	s.state = stDead
 	delete(srv.sessions, s.id)
 	srv.busy--
@@ -580,14 +577,7 @@ func (srv *Server) Stats() Stats {
 func (srv *Server) ReclaimRecords() []ReclaimRecord {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	out := make([]ReclaimRecord, len(srv.reclaimRows))
-	evs := srv.reclaimEvents
-	for i := range srv.reclaimRows {
-		r := &srv.reclaimRows[i]
-		out[i] = r.record(evs[:r.logLen])
-		evs = evs[r.logLen:]
-	}
-	return out
+	return srv.history.records()
 }
 
 // Session returns a live session by id (tests; the caller must not

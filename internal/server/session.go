@@ -39,7 +39,7 @@ type ReclaimEvent struct {
 	ID   int
 }
 
-// reclaimEvent is a ReclaimEvent as the server keeps it: eight bytes,
+// reclaimEvent is a ReclaimEvent as a session logs it: eight bytes,
 // no pointer. kind is an extres.Kind, or evPort, or evUnknown when the
 // arena no longer knew the resource (or its kind does not fit).
 type reclaimEvent struct {
@@ -389,45 +389,18 @@ func (s *Session) drainPass() bool {
 	return s.fs.OpenCount() == 0 && s.arena.Live() == 0
 }
 
-// reclaimRow is a ReclaimRecord as the server keeps it: 48 bytes, no
-// pointer. Its log is the next logLen events of Server.reclaimEvents,
-// after the previous rows' logs.
-type reclaimRow struct {
-	id                            SessionID
-	latency                       time.Duration
-	finalObjects                  uint64
-	collections, ports, resources int32
-	leakedPorts, leakedResources  int32
-	logLen                        int32
-}
-
-func (r *reclaimRow) record(log []reclaimEvent) ReclaimRecord {
-	return ReclaimRecord{
-		ID:              r.id,
-		Latency:         r.latency,
-		Collections:     int(r.collections),
-		Ports:           int(r.ports),
-		Resources:       int(r.resources),
-		LeakedPorts:     int(r.leakedPorts),
-		LeakedResources: int(r.leakedResources),
-		FinalObjects:    r.finalObjects,
-		Log:             publicEvents(log),
-	}
-}
-
-// finalRow summarizes the finished (or capped) drain; its log is the
-// session's reclaimLog.
-func (s *Session) finalRow() reclaimRow {
+// finalRecord summarizes the finished (or capped) drain; its log,
+// left out, is the session's reclaimLog.
+func (s *Session) finalRecord() ReclaimRecord {
 	census := s.h.Census()
-	return reclaimRow{
-		id:              s.id,
-		latency:         time.Since(s.disconnectedAt),
-		collections:     int32(s.drainPasses),
-		ports:           int32(s.guardianPorts),
-		resources:       int32(s.guardianResources),
-		leakedPorts:     int32(s.fs.OpenCount()),
-		leakedResources: int32(s.arena.Live()),
-		finalObjects:    census.Total().Objects,
-		logLen:          int32(len(s.reclaimLog)),
+	return ReclaimRecord{
+		ID:              s.id,
+		Latency:         time.Since(s.disconnectedAt),
+		Collections:     s.drainPasses,
+		Ports:           s.guardianPorts,
+		Resources:       s.guardianResources,
+		LeakedPorts:     s.fs.OpenCount(),
+		LeakedResources: s.arena.Live(),
+		FinalObjects:    census.Total().Objects,
 	}
 }

@@ -116,10 +116,10 @@ go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime=10s ./internal/server/
 
 echo "== hot-path benchmarks (compile and run once)"
 # The local before/after for the allocation path and the copying core;
-# one iteration each, so they cannot rot. Beside them the accessors the
-# interpreter calls per variable reference and application, held to
-# zero Go allocations a call.
-go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore' -benchtime 1x ./internal/heap/
+# one iteration each, so they cannot rot; and the header accessors the
+# VM calls per instruction (VectorRef, RecordRef, SymbolValue). Beside
+# them those accessors are held to zero Go allocations a call.
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
 # What a template-booted session costs in Go: Attach (run with
 # -benchmem for its bytes and allocations) and one serve-steady request.
 go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server/

@@ -1,6 +1,7 @@
 package heap_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -341,5 +342,86 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if h.TriggerWords() != heap.DefaultTriggerWords || h.Policy().Name() != "radix" {
 		t.Fatalf("defaults not applied: trigger %d, policy %q", h.TriggerWords(), h.Policy().Name())
+	}
+}
+
+// TestRootsAcrossChunks: root slots live in fixed chunks of a few
+// slots. 150 roots span many chunks; released slots are reused before
+// the registry grows; every live root is forwarded by collections and
+// survives an image round trip at its index, with freed slots free.
+func TestRootsAcrossChunks(t *testing.T) {
+	const n = 150
+	h := newHeap(t)
+	roots := make([]*heap.Root, n)
+	for i := range roots {
+		roots[i] = h.NewRoot(h.Cons(obj.FromFixnum(int64(i)), obj.Nil))
+	}
+	for i := 0; i < n; i += 3 {
+		roots[i].Release()
+		roots[i] = nil
+	}
+	h.Collect(0)
+	for i := 0; i < n; i += 3 {
+		roots[i] = h.NewRoot(h.Cons(obj.FromFixnum(int64(i)), obj.Nil))
+	}
+	if _, ok := h.RootSlot(n); ok {
+		t.Fatalf("the registry grew past %d slots with %d freed slots to reuse", n, n/3)
+	}
+	check := func(what string, get func(i int) (obj.Value, bool)) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, ok := get(i)
+			if !ok || !v.IsPair() || h.Car(v).FixnumValue() != int64(i) {
+				t.Fatalf("%s: root %d lost", what, i)
+			}
+		}
+	}
+	h.Collect(h.MaxGeneration())
+	check("after collections", func(i int) (obj.Value, bool) { return roots[i].Get(), true })
+	if errs := h.Verify(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+
+	// Free a few more; through an image every slot comes back at its
+	// index, live with its value or free.
+	for i := 0; i < n; i += 7 {
+		roots[i].Release()
+	}
+	var buf bytes.Buffer
+	if err := h.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h2, loaded, err := heap.LoadImage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for i, r := range loaded {
+		want, ok := h.RootSlot(i)
+		if !ok {
+			t.Fatalf("slot %d missing from the saved heap", i)
+		}
+		if (r == nil) != (want == obj.False) {
+			t.Fatalf("slot %d: live %v after load", i, r != nil)
+		}
+		if r != nil {
+			live++
+			if h2.Car(r.Get()).FixnumValue() != h.Car(want).FixnumValue() {
+				t.Fatalf("slot %d: value changed across the image", i)
+			}
+		}
+	}
+	if wantLive := n - (n+6)/7; live != wantLive {
+		t.Fatalf("%d live roots after load, want %d", live, wantLive)
+	}
+	if errs := h2.Verify(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	// The loaded heap reuses its free slots before growing.
+	for i := 0; i < (n+6)/7; i++ {
+		h2.NewRoot(obj.Nil)
+	}
+	if _, ok := h2.RootSlot(n); ok {
+		t.Fatal("the loaded registry grew instead of reusing freed slots")
 	}
 }

@@ -26,11 +26,12 @@ type Root struct {
 	idx int
 }
 
-// rootChunkSlots is the number of root slots per chunk. Chunks are
-// allocated once and never move; only the directory slice is copied on
-// growth, so growth cost and garbage stay O(len/256), amortized O(1)
-// per root.
-const rootChunkSlots = 256
+// rootChunkSlots is the number of root slots per chunk, sized for a
+// server session, which holds a handful of roots: a chunk is 144
+// bytes. Chunks are allocated once and never move; the directory grows
+// by append, so it is copied only when its capacity doubles, amortized
+// O(1) per root.
+const rootChunkSlots = 16
 
 type rootChunk struct {
 	vals [rootChunkSlots]obj.Value
@@ -47,12 +48,12 @@ func (h *Heap) rootSlot(idx int) (*rootChunk, int) {
 }
 
 // growRootsLocked appends one chunk to the directory. Caller holds
-// allocMu in mutator mode (NewRoot) or owns the heap (image load).
+// allocMu in mutator mode (NewRoot) or owns the heap (image load). The
+// append may write the new chunk into the old directory's backing
+// array, past its length: no reader of the old directory indexes there,
+// and a reader of the new one loads it after the atomic store.
 func (h *Heap) growRootsLocked() {
-	old := *h.rootChunks.Load()
-	dir := make([]*rootChunk, len(old)+1)
-	copy(dir, old)
-	dir[len(old)] = &rootChunk{}
+	dir := append(*h.rootChunks.Load(), &rootChunk{})
 	h.rootChunks.Store(&dir)
 }
 

@@ -19,10 +19,13 @@ import (
 // Derived forms (cond, case, and, or, when, unless, let, let*, letrec,
 // named let, do, quasiquote) are desugared into the core language
 // (quote, if, lambda, case-lambda, begin, define, set!, application)
-// before code generation. Compiled environments are chains of vectors
-// — [parent, slot0, slot1, ...] — addressed by lexical (depth, index)
-// pairs computed at compile time, rather than the interpreter's
-// association-list frames.
+// before code generation. A lambda clause whose variables no nested
+// lambda refers to keeps its frame on the VM's value stack, its slots
+// addressed by index from the frame's base; a captured clause's frame
+// is a heap vector [parent, slot0, slot1, ...], and compiled
+// environments are chains of those, addressed by lexical (depth,
+// index) pairs computed at compile time — depth counting heap frames
+// only — rather than the interpreter's association-list frames.
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -32,8 +35,8 @@ type Op uint8
 const (
 	OpConst       Op = iota // push consts[A]
 	OpVoid                  // push #<void>
-	OpLocal                 // push frame value at depth A, index B
-	OpSetLocal              // pop into depth A, index B; push #<void>
+	OpLocal                 // push heap-frame value at depth A, index B
+	OpSetLocal              // pop into heap frame at depth A, index B; push #<void>
 	OpGlobal                // push global value of symbol consts[A]
 	OpSetGlobal             // pop into global cell of consts[A]; push #<void>
 	OpDefGlobal             // pop, define global consts[A]; push #<void>
@@ -44,12 +47,14 @@ const (
 	OpTailCall              // tail call with A args
 	OpReturn                // return top of stack
 	OpPop                   // drop top of stack
+	OpArg                   // push stack-frame slot A
+	OpSetArg                // pop into stack-frame slot A; push #<void>
 )
 
 var opNames = [...]string{
 	"const", "void", "local", "set-local", "global", "set-global",
 	"def-global", "closure", "jump", "jump-if-false", "call",
-	"tail-call", "return", "pop",
+	"tail-call", "return", "pop", "arg", "set-arg",
 }
 
 func (o Op) String() string {
@@ -120,16 +125,24 @@ var codeKindNames = [...]string{"top", "lambda", "case-lambda", "case-lambda-cla
 type codeShape struct {
 	kind   codeKind
 	rest   bool // accepts a rest list
+	stack  bool // the frame lives on the value stack (no lambda captures it)
 	nreq   int  // required parameters
 	nslots int  // frame slots: params (+ rest) + internal defines
 }
 
-const maxShapeCount = 1<<24 - 1
+const (
+	maxShapeCount = 1<<24 - 1
+	shapeRest     = 1 << 2
+	shapeStack    = 1 << 51 // clear on code compiled before frames could live on the stack
+)
 
 func (s codeShape) fixnum() obj.Value {
 	v := int64(s.kind) | int64(s.nreq)<<3 | int64(s.nslots)<<27
 	if s.rest {
-		v |= 1 << 2
+		v |= shapeRest
+	}
+	if s.stack {
+		v |= shapeStack
 	}
 	return obj.FromFixnum(v)
 }
@@ -138,7 +151,8 @@ func shapeOf(v obj.Value) codeShape {
 	x := v.FixnumValue()
 	return codeShape{
 		kind:   codeKind(x & 3),
-		rest:   x&(1<<2) != 0,
+		rest:   x&shapeRest != 0,
+		stack:  x&shapeStack != 0,
 		nreq:   int(x >> 3 & maxShapeCount),
 		nslots: int(x >> 27 & maxShapeCount),
 	}
@@ -155,34 +169,51 @@ func (s codeShape) accepts(n int) bool { return n >= s.nreq && (s.rest || n == s
 // root visits; that is safe because compilation allocates but never
 // collects. A machine holds one only while it compiles: the scratches
 // are pooled across machines, so a standing session keeps none.
+//
+// A form is compiled twice. The marking pass only finds which lambda
+// clauses a nested lambda captures, recording a bit per clause in the
+// order the clauses are entered; it builds no code object and keeps
+// every expression it derives (desugar, a procedure define's lambda) in
+// the same order. The emitting pass enters the clauses and derives the
+// expressions in that order again, so it reads each clause's placement
+// by position and takes the derived expressions back instead of
+// building them anew: the marking pass leaves nothing on the heap.
 type compileScratch struct {
 	instrs []Instr
 	slots  []obj.Value // per open code: instrs, shape, constants...
 	names  []obj.Value // the variables of every open lexical frame
 	words  []obj.Value // the encoding of the code being built
+
+	marking  bool
+	captured []bool      // per clause, in entry order: a nested lambda refers to its frame
+	derived  []obj.Value // expressions the marking pass derived, in order
+	nclause  int         // emitting pass: clauses entered so far
+	nderived int         // emitting pass: derived expressions taken back so far
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
 
 // cenv is the compile-time environment: one frame of variable symbols
-// per enclosing lambda. Symbols compare by identity: compilation never
-// collects, so none moves or is pruned meanwhile.
+// per enclosing lambda clause. Symbols compare by identity: compilation
+// never collects, so none moves or is pruned meanwhile.
 type cenv struct {
 	names  []obj.Value
 	parent *cenv
+	clause int  // the clause's entry index (compileScratch.captured)
+	heap   bool // emitting pass: the frame is a heap vector
 }
 
-func (e *cenv) lookup(sym obj.Value) (depth, index int, ok bool) {
-	d := 0
-	for f := e; f != nil; f = f.parent {
+// lookup finds sym's frame, depth frames out, and its index there.
+func (e *cenv) lookup(sym obj.Value) (f *cenv, depth, index int, ok bool) {
+	for f = e; f != nil; f = f.parent {
 		for i, n := range f.names {
 			if n == sym {
-				return d, i, true
+				return f, depth, i, true
 			}
 		}
-		d++
+		depth++
 	}
-	return 0, 0, false
+	return nil, 0, 0, false
 }
 
 // compiler accumulates one code object on the machine's scratch:
@@ -220,7 +251,8 @@ func (c *compiler) constIdx(v obj.Value) int {
 	return len(consts)
 }
 
-// finish builds the heap code object from the scratch and pops it.
+// finish builds the heap code object from the scratch and pops it (in
+// the marking pass, only pops it).
 func (c *compiler) finish(shape codeShape) (obj.Value, error) {
 	m := c.m
 	cs := m.cs
@@ -228,6 +260,9 @@ func (c *compiler) finish(shape codeShape) (obj.Value, error) {
 	cs.instrs, cs.slots = cs.instrs[:c.ilo], cs.slots[:c.klo]
 	if shape.nreq > maxShapeCount || shape.nslots > maxShapeCount || len(slots) > maxOperandA {
 		return obj.Void, fmt.Errorf("compile: procedure too large")
+	}
+	if cs.marking {
+		return obj.False, nil
 	}
 	slots[shapeSlot] = shape.fixnum()
 	if shape.kind != kindCaseLambda {
@@ -255,9 +290,21 @@ func (c *compiler) errf(expr obj.Value, format string, args ...any) error {
 // so no rooting is needed during compilation; the result is valid
 // until the next collection, and is garbage once nothing runs it.
 // Compilation runs no Scheme code, so it never re-enters CompileTop.
+// It makes two passes over expr, marking then emitting (see
+// compileScratch); the marking pass allocates nothing on the heap.
 func (m *Machine) CompileTop(expr obj.Value) (obj.Value, error) {
 	m.cs = scratchPool.Get().(*compileScratch)
 	defer m.releaseScratch()
+	m.cs.marking = true
+	if _, err := m.compileTopPass(expr); err != nil {
+		return obj.Void, err
+	}
+	m.cs.marking = false
+	return m.compileTopPass(expr)
+}
+
+// compileTopPass makes one pass of CompileTop.
+func (m *Machine) compileTopPass(expr obj.Value) (obj.Value, error) {
 	c := m.openCode()
 	if err := c.compile(expr, nil, true); err != nil {
 		return obj.Void, err
@@ -272,7 +319,55 @@ func (m *Machine) releaseScratch() {
 	cs := m.cs
 	m.cs = nil
 	cs.instrs, cs.slots, cs.names = cs.instrs[:0], cs.slots[:0], cs.names[:0]
+	cs.captured, cs.derived, cs.nclause, cs.nderived = cs.captured[:0], cs.derived[:0], 0, 0
 	scratchPool.Put(cs)
+}
+
+// derive returns an expression derived from the source: built by build
+// and kept in the marking pass, taken back in the emitting pass.
+func (c *compiler) derive(build func() (obj.Value, error)) (obj.Value, error) {
+	cs := c.m.cs
+	if !cs.marking {
+		v := cs.derived[cs.nderived]
+		cs.nderived++
+		return v, nil
+	}
+	v, err := build()
+	if err == nil {
+		cs.derived = append(cs.derived, v)
+	}
+	return v, err
+}
+
+// variable emits the read of a variable found depth frames out at index
+// i of frame f, or with set the store of the top of the stack into it.
+// A reference from a nested lambda marks f's clause captured; in the
+// emitting pass, then, only the current frame can be on the stack, and
+// a heap frame's depth counts the heap frames in between.
+func (c *compiler) variable(env, f *cenv, depth, i int, set bool) {
+	cs := c.m.cs
+	if cs.marking && depth > 0 {
+		cs.captured[f.clause] = true
+	}
+	if !f.heap {
+		if set {
+			c.emit(OpSetArg, i, 0)
+		} else {
+			c.emit(OpArg, i, 0)
+		}
+		return
+	}
+	d := 0
+	for e := env; e != f; e = e.parent {
+		if e.heap {
+			d++
+		}
+	}
+	if set {
+		c.emit(OpSetLocal, d, i)
+	} else {
+		c.emit(OpLocal, d, i)
+	}
 }
 
 // compile compiles expr in compile-time environment env; tail marks
@@ -282,8 +377,8 @@ func (c *compiler) compile(expr obj.Value, env *cenv, tail bool) error {
 	h := m.H
 	switch {
 	case m.isSymbol(expr):
-		if d, i, ok := env.lookupFrom(expr); ok {
-			c.emit(OpLocal, d, i)
+		if f, d, i, ok := env.lookupFrom(expr); ok {
+			c.variable(env, f, d, i, false)
 		} else {
 			c.emit(OpGlobal, c.constIdx(expr), 0)
 		}
@@ -324,9 +419,9 @@ func (c *compiler) compile(expr obj.Value, env *cenv, tail bool) error {
 }
 
 // lookupFrom is lookup on a possibly-nil cenv.
-func (e *cenv) lookupFrom(sym obj.Value) (int, int, bool) {
+func (e *cenv) lookupFrom(sym obj.Value) (*cenv, int, int, bool) {
 	if e == nil {
-		return 0, 0, false
+		return nil, 0, 0, false
 	}
 	return e.lookup(sym)
 }
@@ -334,7 +429,7 @@ func (e *cenv) lookupFrom(sym obj.Value) (int, int, bool) {
 // shadowed reports whether a keyword symbol is bound as a variable in
 // the compile-time environment (matching the interpreter's rule).
 func (c *compiler) shadowed(sym obj.Value, env *cenv) bool {
-	_, _, ok := env.lookupFrom(sym)
+	_, _, _, ok := env.lookupFrom(sym)
 	return ok
 }
 
@@ -401,7 +496,9 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if target.IsPair() {
 			// (define (f . formals) body...) => (define f (lambda formals body...))
 			name = h.Car(target)
-			valExpr = h.Cons(m.keywords[fLambda], h.Cons(h.Cdr(target), h.Cdr(rest)))
+			valExpr, _ = c.derive(func() (obj.Value, error) {
+				return h.Cons(m.keywords[fLambda], h.Cons(h.Cdr(target), h.Cdr(rest))), nil
+			})
 		} else {
 			name = target
 			if need(2) {
@@ -416,8 +513,8 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if err := c.compile(valExpr, env, false); err != nil {
 			return err
 		}
-		if d, i, ok := env.lookupFrom(name); ok {
-			c.emit(OpSetLocal, d, i)
+		if f, d, i, ok := env.lookupFrom(name); ok {
+			c.variable(env, f, d, i, true)
 		} else if env != nil {
 			return c.errf(expr, "internal define of %s not at body start", h.SymbolString(name))
 		} else {
@@ -432,8 +529,8 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 		if err := c.compile(operand(1), env, false); err != nil {
 			return err
 		}
-		if d, i, ok := env.lookupFrom(operand(0)); ok {
-			c.emit(OpSetLocal, d, i)
+		if f, d, i, ok := env.lookupFrom(operand(0)); ok {
+			c.variable(env, f, d, i, true)
 		} else {
 			c.emit(OpSetGlobal, c.constIdx(operand(0)), 0)
 		}
@@ -477,7 +574,7 @@ func (c *compiler) compileForm(form formID, expr obj.Value, env *cenv, tail bool
 
 	default:
 		// Every other form is desugared to the core language.
-		desugared, err := m.desugar(form, expr)
+		desugared, err := c.derive(func() (obj.Value, error) { return m.desugar(form, expr) })
 		if err != nil {
 			return err
 		}
@@ -512,12 +609,23 @@ func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, kind 
 	h := m.H
 	shape := codeShape{kind: kind}
 	nlo := len(m.cs.names)
+	// A formal named twice is bound to the later argument, as the
+	// interpreter binds it: the earlier slot keeps its argument under
+	// a name no symbol matches.
+	formal := func(sym obj.Value) {
+		for i, n := range m.cs.names[nlo:] {
+			if n == sym {
+				m.cs.names[nlo+i] = obj.Void
+			}
+		}
+		m.cs.names = append(m.cs.names, sym)
+	}
 	f := formals
 	for f.IsPair() {
 		if !m.isSymbol(h.Car(f)) {
 			return obj.Void, c.errf(formals, "non-symbol formal")
 		}
-		m.cs.names = append(m.cs.names, h.Car(f))
+		formal(h.Car(f))
 		shape.nreq++
 		f = h.Cdr(f)
 	}
@@ -525,7 +633,7 @@ func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, kind 
 		if !m.isSymbol(f) {
 			return obj.Void, c.errf(formals, "non-symbol rest formal")
 		}
-		m.cs.names = append(m.cs.names, f)
+		formal(f)
 		shape.rest = true
 	}
 	// Internal defines at the head of the body get frame slots
@@ -551,12 +659,24 @@ func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, kind 
 		m.cs.names = append(m.cs.names, dn)
 	}
 	shape.nslots = len(m.cs.names) - nlo
+	// The clause's placement: the marking pass records its entry, the
+	// emitting pass reads what the marking pass found.
+	cs := m.cs
+	newEnv := &cenv{names: cs.names[nlo:], parent: env}
+	if cs.marking {
+		newEnv.clause = len(cs.captured)
+		cs.captured = append(cs.captured, false)
+	} else {
+		newEnv.clause = cs.nclause
+		cs.nclause++
+		newEnv.heap = cs.captured[newEnv.clause]
+	}
 	sub := m.openCode()
-	newEnv := &cenv{names: m.cs.names[nlo:], parent: env}
 	if err := sub.compileBody(body, newEnv, true); err != nil {
 		return obj.Void, err
 	}
 	sub.emit(OpReturn, 0, 0)
 	m.cs.names = m.cs.names[:nlo]
+	shape.stack = !newEnv.heap
 	return sub.finish(shape)
 }

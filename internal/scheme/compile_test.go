@@ -60,6 +60,8 @@ var differentialPrograms = []string{
 	"(let ([x 'outer]) (define (probe) x) (let ([x 'inner]) (probe)))",
 	"(eq? 'interned 'interned)",
 	"((lambda (f) (f (f 3))) (lambda (x) (* x x)))",
+	"((case-lambda [(a) 0] [(a a) a]) 0 1)", "((lambda (a a . a) a) 1 2 3)",
+	"((lambda (x x) (define x (* x 10)) x) 1 2)",
 	"(string->list \"ab\")",
 	"(list->string '(#\\x #\\y))",
 	"(char-upcase #\\q)",

@@ -60,7 +60,15 @@ func (m *Machine) disasmOne(b *strings.Builder, code obj.Value, indent string) {
 	if s.rest {
 		fmt.Fprintf(b, " + rest")
 	}
-	fmt.Fprintf(b, ", %d slots, %d consts\n", s.nslots, h.VectorLength(code)-constsSlot)
+	fmt.Fprintf(b, ", %d slots, %d consts", s.nslots, h.VectorLength(code)-constsSlot)
+	switch {
+	case s.kind != kindLambda && s.kind != kindClause:
+	case s.stack:
+		b.WriteString(", stack frame")
+	default:
+		b.WriteString(", heap frame")
+	}
+	b.WriteByte('\n')
 	for pc, in := range m.CodeInstrs(code) {
 		fmt.Fprintf(b, "%s%4d  %-14s", indent, pc, in.Op)
 		switch in.Op {
@@ -70,7 +78,7 @@ func (m *Machine) disasmOne(b *strings.Builder, code obj.Value, indent string) {
 			fmt.Fprintf(b, "%d %d", in.A, in.B)
 		case OpClosure:
 			fmt.Fprintf(b, "%d    ; %s", in.A, m.codeName(h.VectorRef(code, constsSlot+in.A)))
-		case OpJump, OpJumpIfFalse, OpCall, OpTailCall:
+		case OpArg, OpSetArg, OpJump, OpJumpIfFalse, OpCall, OpTailCall:
 			fmt.Fprintf(b, "%d", in.A)
 		}
 		b.WriteByte('\n')

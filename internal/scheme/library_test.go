@@ -157,9 +157,22 @@ func TestDisassemblePrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := m.H.StringValue(v)
-	for _, want := range []string{"local", "global", "tail-call", "return"} {
+	for _, want := range []string{"stack frame", "arg", "global", "tail-call", "return"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
+		}
+	}
+	// A frame a nested lambda captures is a heap vector, read by depth.
+	v, err = m.EvalStringCompiled(`
+		(define (adder x) (lambda (y) (+ x y)))
+		(disassemble adder)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = m.H.StringValue(v)
+	for _, want := range []string{"heap frame", "closure", "local", "arg"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("captured-frame disassembly missing %q:\n%s", want, out)
 		}
 	}
 	// Interpreted closures are not compiled code.

@@ -18,11 +18,14 @@ import (
 // deep becomes an error instead of growing without limit.
 const maxVMFrames = 100000
 
-// vmFrame is one activation of compiled code.
+// vmFrame is one activation of compiled code. A stack frame's slots
+// are the value stack's words from base on, below its operands; a heap
+// frame's are in the vector env. Either way the collector sees them as
+// roots, the value stack being one.
 type vmFrame struct {
 	code obj.Value // the code object running: a root, like env
 	pc   int
-	env  obj.Value // chain of frame vectors: [parent, slot0, ...]
+	env  obj.Value // the innermost heap frame: [parent, slot0, ...], or Nil
 	base int       // value-stack floor for this activation
 }
 
@@ -58,34 +61,58 @@ func (m *Machine) selectClause(code obj.Value, n int) (obj.Value, codeShape, boo
 	return obj.Void, codeShape{}, false
 }
 
-// buildFrame allocates the environment frame vector for a call:
-// [parent, arg0, ..., rest?, defineSlots...]. Arguments are read from
-// the machine stack at argsBase. Unfilled slots (internal defines)
-// start Unbound so use-before-initialization is caught.
-func (m *Machine) buildFrame(s codeShape, parent obj.Value, argsBase, n int) obj.Value {
-	h := m.H
-	fv := h.MakeVector(1+s.nslots, obj.Unbound)
-	h.VectorSet(fv, 0, parent)
-	for i := 0; i < s.nreq; i++ {
-		h.VectorSet(fv, 1+i, m.stack[argsBase+i])
-	}
+// layFrame lays a call's frame slots out on the value stack from base:
+// the required arguments, which sit with the rest at from (from >=
+// base), moved down, then the rest list, then the internal defines'
+// slots, Unbound so that use before initialization is caught. The
+// stack ends with the slots.
+func (m *Machine) layFrame(s codeShape, base, from, n int) {
+	copy(m.stack[base:], m.stack[from:from+s.nreq])
+	top := base + s.nreq
 	if s.rest {
 		restList := obj.Value(obj.Nil)
 		for i := n - 1; i >= s.nreq; i-- {
-			restList = h.Cons(m.stack[argsBase+i], restList)
+			restList = m.H.Cons(m.stack[from+i], restList)
 		}
-		h.VectorSet(fv, 1+s.nreq, restList)
+		m.stack = append(m.stack[:top], restList)
+		top++
 	}
+	m.stack = m.stack[:top]
+	for ; top < base+s.nslots; top++ {
+		m.stack = append(m.stack, obj.Unbound)
+	}
+}
+
+// enterFrame sets up the frame of a call to clause shape s of a
+// closure over env, whose callee sits at m.stack[fnIdx] with its n
+// arguments above it, and returns the frame's environment. The frame's
+// value stack starts at base: fnIdx for a call, the caller's base for a
+// tail call. A stack frame's slots are laid out from base and its
+// environment is env. A heap frame is the vector [env, slots...],
+// filled through one allocation window from the slots laid out over
+// the callee, and the stack is cut back to base.
+func (m *Machine) enterFrame(s codeShape, env obj.Value, base, fnIdx, n int) obj.Value {
+	if s.stack {
+		m.layFrame(s, base, fnIdx+1, n)
+		return env
+	}
+	m.layFrame(s, fnIdx+1, fnIdx+1, n)
+	m.stack[fnIdx] = env
+	fv := m.H.Vector(m.stack[fnIdx:]...)
+	m.stack = m.stack[:base]
 	return fv
 }
 
 // RunCode executes a compiled top-level code object and returns its
 // value.
 func (m *Machine) RunCode(code obj.Value) (obj.Value, error) {
-	return m.execute(code, obj.Nil)
+	return m.execute(code, obj.Nil, len(m.stack))
 }
 
-func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
+// execute runs code in a new activation whose value stack starts at
+// base (a stack frame's slots already lie there) and whose innermost
+// heap frame is env.
+func (m *Machine) execute(code, env obj.Value, base int) (result obj.Value, err error) {
 	h := m.H
 	m.depth++
 	defer func() { m.depth-- }()
@@ -93,17 +120,16 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 		return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
 	}
 	frameFloor := len(m.vmFrames)
-	stackFloor := len(m.stack)
 	done := false
 	defer func() {
 		if !done { // error return or unwinding panic (continuation escape)
 			m.vmFrames = m.vmFrames[:frameFloor]
-			if len(m.stack) > stackFloor {
-				m.stack = m.stack[:stackFloor]
+			if len(m.stack) > base {
+				m.stack = m.stack[:base]
 			}
 		}
 	}()
-	m.vmFrames = append(m.vmFrames, vmFrame{code: code, env: env, base: len(m.stack)})
+	m.vmFrames = append(m.vmFrames, vmFrame{code: code, env: env, base: base})
 
 	fail := func(format string, args ...any) (obj.Value, error) {
 		return obj.Void, fmt.Errorf("vm: "+format, args...)
@@ -159,6 +185,16 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 			}
 			h.VectorSet(fr, 1+in.B, v)
 			m.stack = append(m.stack, obj.Void)
+		case OpArg:
+			v := m.stack[f.base+in.A]
+			if v == obj.Unbound {
+				return fail("variable used before initialization in %s", m.codeName(f.code))
+			}
+			m.stack = append(m.stack, v)
+		case OpSetArg:
+			top := len(m.stack) - 1
+			m.stack[f.base+in.A] = m.stack[top]
+			m.stack[top] = obj.Void
 		case OpGlobal:
 			sym := m.constant(f.code, cw, in.A)
 			v := h.SymbolValue(sym)
@@ -239,17 +275,14 @@ func (m *Machine) execute(code, env obj.Value) (result obj.Value, err error) {
 					return fail("no matching clause for %d arguments in %s",
 						n, m.closureName(fn))
 				}
-				newEnv := m.buildFrame(s, env, fnIdx+1, n)
 				if in.Op == OpTailCall {
-					m.stack = m.stack[:f.base]
-					f.code, f.pc, f.env = clause, 0, newEnv
+					f.code, f.pc, f.env = clause, 0, m.enterFrame(s, env, f.base, fnIdx, n)
 				} else {
 					if len(m.vmFrames) >= maxVMFrames {
 						return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
 					}
-					m.stack = m.stack[:fnIdx]
-					m.vmFrames = append(m.vmFrames, vmFrame{
-						code: clause, env: newEnv, base: len(m.stack)})
+					env = m.enterFrame(s, env, fnIdx, fnIdx, n)
+					m.vmFrames = append(m.vmFrames, vmFrame{code: clause, env: env, base: fnIdx})
 				}
 				cw = nil
 				continue
@@ -315,9 +348,11 @@ func (m *Machine) closureName(fn obj.Value) string {
 	return "anonymous procedure"
 }
 
-// applyCompiled invokes a compiled closure on arguments sitting on
-// the machine stack (used by the interpreter and Apply for
-// cross-engine calls).
+// applyCompiled invokes a compiled closure on the n arguments at the
+// top of the machine stack, from argsBase (used by the interpreter and
+// Apply for cross-engine calls). The frame's stack starts at argsBase.
+// The arguments move up one word, so that the stack reads as at a call
+// from the VM: the callee's word, then the arguments.
 func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error) {
 	h := m.H
 	clause, s, ok := m.selectClause(h.RecordRef(fn, 0), n)
@@ -325,8 +360,11 @@ func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error
 		return obj.Void, fmt.Errorf("scheme: no matching clause for %d arguments in %s",
 			n, m.closureName(fn))
 	}
-	env := m.buildFrame(s, h.RecordRef(fn, 1), argsBase, n)
-	return m.execute(clause, env)
+	m.stack = append(m.stack[:argsBase+n], obj.Void)
+	copy(m.stack[argsBase+1:], m.stack[argsBase:argsBase+n])
+	m.stack[argsBase] = fn
+	env := m.enterFrame(s, h.RecordRef(fn, 1), argsBase, argsBase, n)
+	return m.execute(clause, env, argsBase)
 }
 
 // EvalStringCompiled reads src and runs every form through the

@@ -44,12 +44,18 @@ func (s Space) String() string {
 const None = -1
 
 // Segment is one entry of the segment information table together with
-// its backing storage.
+// its backing storage. The one-byte fields share a word, so a
+// descriptor is 64 bytes and a chunk of the table 4 KiB (seg_test.go
+// pins both).
 type Segment struct {
 	Words []uint64 // backing storage, len == seg.Words
 	Space Space
-	Gen   int
 	InUse bool
+	// Cont marks a continuation segment of a large object that spans
+	// several contiguous segments; only the first segment of the run
+	// appears as an object start.
+	Cont bool
+	Gen  int
 	// Stamp records the collection stamp current when the segment was
 	// (re)allocated. The collector uses it to recognize to-space
 	// segments created during the current collection, both to avoid
@@ -59,10 +65,6 @@ type Segment struct {
 	// Next links segments belonging to the same (space, generation)
 	// chain, or None.
 	Next int
-	// Cont marks a continuation segment of a large object that spans
-	// several contiguous segments; only the first segment of the run
-	// appears as an object start.
-	Cont bool
 	// Fill is the number of words allocated in this segment. The
 	// collector uses it to iterate objects within a segment and to
 	// compute residency statistics.

@@ -4,7 +4,19 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestSegmentDescriptorSize pins the descriptor at 64 bytes — the
+// one-byte fields packed into one word — and a table chunk at 4 KiB.
+func TestSegmentDescriptorSize(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 64 {
+		t.Errorf("Segment is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(segChunk{}); got != 4096 {
+		t.Errorf("segChunk is %d bytes, want 4096", got)
+	}
+}
 
 func TestAllocBasics(t *testing.T) {
 	var tab Table

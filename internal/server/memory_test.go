@@ -65,7 +65,7 @@ func liveHeapAlloc() uint64 {
 }
 
 // TestSessionsKeepSharingTemplate: two full radix cycles of automatic
-// collections (16 each, three or so requests a collection) leave every
+// collections (16 each, a dozen or so requests a collection) leave every
 // session still aliasing every template segment, with no copy-on-write
 // fault taken — and the heap verifies.
 func TestSessionsKeepSharingTemplate(t *testing.T) {
@@ -76,7 +76,7 @@ func TestSessionsKeepSharingTemplate(t *testing.T) {
 		ids = append(ids, mustRegister(t, srv, steadyDefs))
 	}
 	srv.Poll()
-	serveRounds(t, srv, log, ids, "work", 0, 120)
+	serveRounds(t, srv, log, ids, "work", 0, 500)
 	want := srv.tpl.HeapTemplate().Segments()
 	for _, id := range ids {
 		h := srv.Session(id).Heap()

@@ -130,8 +130,6 @@ func TestAccessorPanicsUnchanged(t *testing.T) {
 		{wrong("closure-env", obj.KClosure, sym), func() { h.ClosureEnv(sym) }},
 		{wrong("closure-name", obj.KClosure, sym), func() { h.ClosureName(sym) }},
 		{wrong("set-closure-name!", obj.KClosure, sym), func() { h.SetClosureName(sym, sym) }},
-		{wrong("primitive-index", obj.KPrimitive, sym), func() { h.PrimitiveIndex(sym) }},
-		{wrong("primitive-name", obj.KPrimitive, sym), func() { h.PrimitiveName(sym) }},
 		{wrong("unbox", obj.KBox, vec), func() { h.Unbox(vec) }},
 		{wrong("set-box!", obj.KBox, vec), func() { h.SetBox(vec, vec) }},
 		{wrong("port-field", obj.KPort, rec), func() { h.PortField(rec, 0) }},
@@ -171,7 +169,7 @@ func TestAccessorPanicsUnchanged(t *testing.T) {
 func TestObjectWords(t *testing.T) {
 	h := NewDefault()
 	sym := h.MakeSymbol(h.MakeString("name"))
-	prim := h.MakePrimitive(9, sym)
+	box := h.MakeBox(sym)
 	str := h.MakeString("twelve bytes")
 	big := h.MakeVector(seg.Words+5, fix(1))
 	for _, c := range []struct {
@@ -179,7 +177,7 @@ func TestObjectWords(t *testing.T) {
 		kind obj.Kind
 		n    int
 	}{
-		{prim, obj.KPrimitive, 2},
+		{box, obj.KBox, 1},
 		{sym, obj.KSymbol, 3},
 		{str, obj.KString, 2},
 		{big, obj.KVector, seg.Words - 1},
@@ -189,10 +187,10 @@ func TestObjectWords(t *testing.T) {
 			t.Errorf("ObjectWords(%v) = %v, %d words, %v; want %v, %d words", c.v, k, len(p), ok, c.kind, c.n)
 		}
 	}
-	if _, p, _ := h.ObjectWords(prim); obj.Value(p[0]) != fix(9) || obj.Value(p[1]) != sym {
-		t.Errorf("primitive payload %v", p)
+	if _, p, _ := h.ObjectWords(box); obj.Value(p[0]) != sym {
+		t.Errorf("box payload %v", p)
 	}
-	for _, v := range []obj.Value{fix(1), obj.Nil, h.Cons(obj.Nil, obj.Nil)} {
+	for _, v := range []obj.Value{fix(1), obj.Nil, obj.FromPrim(9), h.Cons(obj.Nil, obj.Nil)} {
 		if _, _, ok := h.ObjectWords(v); ok {
 			t.Errorf("ObjectWords(%v) reports an object", v)
 		}

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/obj"
@@ -141,7 +142,9 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	// survivors land in fresh segments stamped with the current
 	// collection, so the forwarding check can tell to-space from
 	// from-space.
-	from := h.fromScratch[:0]
+	h.sc = getScratch()
+	h.cp.borrow(h.sc)
+	from := h.sc.from[:0]
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		for gen := 0; gen <= g; gen++ {
 			from = append(from, h.chains[sp][gen]...)
@@ -235,7 +238,10 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 		h.tab.Free(si)
 		st.SegmentsFreed++
 	}
-	h.fromScratch = from[:0]
+	h.sc.from = from[:0]
+	h.cp.giveBack(h.sc)
+	putScratch(h.sc)
+	h.sc = nil
 	h.phaseMark(PhaseFree, t)
 
 	h.gen0Words = 0
@@ -286,8 +292,8 @@ type copier struct {
 
 	// The work list: wave holds the objects being swept (from head on),
 	// next the objects copied while sweeping them — the following wave.
-	// Both buffers are retained, so steady-state sweeping does not
-	// allocate.
+	// These and the weak lists are the borrowed collectScratch's
+	// arrays during a collection (borrow, giveBack) and nil between.
 	wave, next []sweepItem
 	head       int
 
@@ -295,6 +301,72 @@ type copier struct {
 	pendWeak []uint64 // weak cars deferred by the dirty or old scan
 
 	visit func(*obj.Value) // persistent visitor closure for root providers
+}
+
+// collectScratch is a collection's work lists: the copier's sweep
+// waves and weak-pair lists, the guardian phase's gathered protected
+// entries (registration order) and its pend-hold / pend-final
+// partitions of §4, and the from-space segment list. A collection
+// borrows one from scratchPool and gives it back at its end with the
+// lists emptied and their arrays kept, so a steady-state collection
+// does not allocate and a heap between collections holds none of them.
+type collectScratch struct {
+	wave, next                       []sweepItem
+	newWeak, pendWeak                []uint64
+	guardEnts, guardHold, guardFinal []ProtEntry
+	from                             []int
+}
+
+// scratchPoolCap bounds scratchPool. Only as many collections run at
+// once as there are goroutines collecting, a few in a server; a put to
+// a full pool drops its scratch for the Go collector.
+const scratchPoolCap = 16
+
+// scratchPool is the process's bounded LIFO of collection scratch,
+// shared by every heap as seg.Pool's arrays are shared by a clone
+// family. LIFO hands a heap that collects again the scratch it just
+// gave back. Safe for concurrent use.
+var scratchPool struct {
+	mu   sync.Mutex
+	free []*collectScratch
+}
+
+// getScratch takes a scratch from the pool, or makes one when it is
+// empty.
+func getScratch() *collectScratch {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	n := len(scratchPool.free)
+	if n == 0 {
+		return new(collectScratch)
+	}
+	sc := scratchPool.free[n-1]
+	scratchPool.free[n-1] = nil
+	scratchPool.free = scratchPool.free[:n-1]
+	return sc
+}
+
+// putScratch parks sc; a full pool drops it instead.
+func putScratch(sc *collectScratch) {
+	scratchPool.mu.Lock()
+	defer scratchPool.mu.Unlock()
+	if len(scratchPool.free) < scratchPoolCap {
+		scratchPool.free = append(scratchPool.free, sc)
+	}
+}
+
+// borrow points the copier's work lists at sc's arrays, emptied.
+func (c *copier) borrow(sc *collectScratch) {
+	c.wave, c.next, c.head = sc.wave[:0], sc.next[:0], 0
+	c.newWeak, c.pendWeak = sc.newWeak[:0], sc.pendWeak[:0]
+}
+
+// giveBack stores the copier's work lists, grown or not, into sc and
+// drops the copier's references to them.
+func (c *copier) giveBack(sc *collectScratch) {
+	sc.wave, sc.next = c.wave[:0], c.next[:0]
+	sc.newWeak, sc.pendWeak = c.newWeak[:0], c.pendWeak[:0]
+	c.wave, c.next, c.newWeak, c.pendWeak = nil, nil, nil, nil
 }
 
 // init readies the heap's copier: closed cursors and the root
@@ -689,12 +761,13 @@ func (h *Heap) guardianPhase(g, target int) {
 	// Gather the protected entries of every collected generation in
 	// registration order (generation 0..g, list order within each);
 	// this order is what the per-round passes below preserve.
-	ents := h.guardEnts[:0]
+	sc := h.sc
+	ents := sc.guardEnts[:0]
 	for i := 0; i <= g; i++ {
 		ents = append(ents, h.protected[i]...)
 		h.protected[i] = h.protected[i][:0]
 	}
-	h.guardEnts = ents
+	sc.guardEnts = ents
 	st.GuardianEntriesScanned += uint64(len(ents))
 	if len(ents) == 0 {
 		return
@@ -702,7 +775,7 @@ func (h *Heap) guardianPhase(g, target int) {
 
 	// Initial partition: accessible objects pend-hold, inaccessible
 	// pend-final.
-	pendHold, pendFinal := h.guardHold[:0], h.guardFinal[:0]
+	pendHold, pendFinal := sc.guardHold[:0], sc.guardFinal[:0]
 	for _, e := range ents {
 		if h.isForwarded(e.Obj) {
 			pendHold = append(pendHold, e)
@@ -761,7 +834,7 @@ func (h *Heap) guardianPhase(g, target int) {
 			break // ablation: no fixpoint iteration
 		}
 	}
-	h.guardHold, h.guardFinal = pendHold[:0], pendFinal[:0]
+	sc.guardHold, sc.guardFinal = pendHold[:0], pendFinal[:0]
 	// Remaining entries belong to guardians that are themselves
 	// inaccessible: both the entries and (eventually) the registered
 	// objects are reclaimed.

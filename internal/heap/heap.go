@@ -249,14 +249,9 @@ type Heap struct {
 	failed   atomic.Bool
 	gcGen    int
 	gcTarget int
-	// Guardian-phase scratch, retained across collections so the
-	// salvage fixpoint does not allocate in steady state: the gathered
-	// protected entries in registration order, and the pend-hold /
-	// pend-final partitions of §4.
-	guardEnts      []ProtEntry
-	guardHold      []ProtEntry
-	guardFinal     []ProtEntry
-	fromScratch    []int // reusable from-space segment list (Collect)
+	// sc is the collection's work lists, borrowed from scratchPool for
+	// the length of a collection and nil otherwise (collect.go).
+	sc             *collectScratch
 	gen0Words      int
 	needCollect    atomic.Bool
 	autoCount      uint64

@@ -25,7 +25,7 @@ import (
 // entirely in the heap and survives intact; see the scheme package's
 // SaveImage for the symbol-table layer.
 
-const imageMagic = "GUARDIMG2\n"
+const imageMagic = "GUARDIMG3\n"
 
 type imageWriter struct {
 	w   *bufio.Writer
@@ -231,8 +231,9 @@ func (h *Heap) saveImage(w io.Writer) error {
 			iw.u8(b2u(weak))
 		}
 	} else {
-		for i := range h.rem.shards {
-			for _, c := range h.rem.shards[i].entries {
+		shards := h.rem.all()
+		for i := range shards {
+			for _, c := range shards[i].entries {
 				iw.u64(c.addr)
 				iw.u8(b2u(c.weak))
 			}

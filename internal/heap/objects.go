@@ -544,34 +544,6 @@ func (h *Heap) SetClosureName(v, name obj.Value) {
 	h.writeCell(v.Addr()+3, name, false)
 }
 
-// --- Primitives --------------------------------------------------------------
-
-// Primitive payload layout: [0] index into the host primitive table
-// (a fixnum), [1] name.
-
-// MakePrimitive allocates a primitive-procedure object.
-func (h *Heap) MakePrimitive(index int, name obj.Value) obj.Value {
-	addr, p := h.allocObj(obj.KPrimitive, 2, 2, 0)
-	p[0], p[1] = uint64(obj.FromFixnum(int64(index))), uint64(name)
-	return obj.ObjAt(addr)
-}
-
-// PrimitiveIndex returns the host-table index of a primitive.
-func (h *Heap) PrimitiveIndex(v obj.Value) int {
-	return int(obj.Value(h.object(v, obj.KPrimitive, "primitive-index")[1]).FixnumValue())
-}
-
-// PrimitiveName returns a primitive's name value.
-func (h *Heap) PrimitiveName(v obj.Value) obj.Value {
-	return obj.Value(h.object(v, obj.KPrimitive, "primitive-name")[2])
-}
-
-// IsProcedure reports whether v is applicable (closure or primitive).
-func (h *Heap) IsProcedure(v obj.Value) bool {
-	k, ok := h.KindOf(v)
-	return ok && (k == obj.KClosure || k == obj.KPrimitive)
-}
-
 // --- Boxes --------------------------------------------------------------------
 
 // MakeBox allocates a one-cell box holding v.

@@ -8,8 +8,8 @@ import (
 )
 
 // Direct unit tests for the object kinds primarily consumed by the
-// scheme package (closures, primitives, ports), so the heap package's
-// own suite covers every accessor.
+// scheme package (closures, ports), so the heap package's own suite
+// covers every accessor.
 
 func TestClosureObject(t *testing.T) {
 	h := heap.NewDefault()
@@ -17,8 +17,8 @@ func TestClosureObject(t *testing.T) {
 	env := h.Cons(obj.Nil, obj.Nil)
 	name := h.MakeSymbol(h.MakeString("f"))
 	c := h.MakeClosure(clauses, env, obj.False)
-	if !h.IsProcedure(c) {
-		t.Fatal("closure not a procedure")
+	if !h.IsKind(c, obj.KClosure) {
+		t.Fatal("closure has the wrong kind")
 	}
 	if h.ClosureClauses(c) != clauses || h.ClosureEnv(c) != env {
 		t.Fatal("closure fields wrong")
@@ -34,27 +34,6 @@ func TestClosureObject(t *testing.T) {
 	h.Collect(0)
 	if h.SymbolString(h.ClosureName(r.Get())) != "f" {
 		t.Fatal("closure name lost across collection")
-	}
-}
-
-func TestPrimitiveObject(t *testing.T) {
-	h := heap.NewDefault()
-	name := h.MakeSymbol(h.MakeString("car"))
-	p := h.MakePrimitive(7, name)
-	if !h.IsProcedure(p) {
-		t.Fatal("primitive not a procedure")
-	}
-	if h.PrimitiveIndex(p) != 7 {
-		t.Fatal("primitive index wrong")
-	}
-	if h.SymbolString(h.PrimitiveName(p)) != "car" {
-		t.Fatal("primitive name wrong")
-	}
-	if h.IsProcedure(h.Cons(obj.Nil, obj.Nil)) {
-		t.Fatal("pair is not a procedure")
-	}
-	if h.IsProcedure(obj.FromFixnum(1)) {
-		t.Fatal("fixnum is not a procedure")
 	}
 }
 

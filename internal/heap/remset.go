@@ -2,6 +2,7 @@ package heap
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obj"
 	"repro/internal/seg"
@@ -73,9 +74,21 @@ type remShard struct {
 }
 
 // remSet is the sharded remembered set. The zero value is ready to
-// use.
+// use. The shard array is allocated on the first insert, so a heap
+// whose barrier never records a cell — a standing server session that
+// stores no old-to-young pointer — carries none; every reader treats
+// a nil array as an empty set. The pointer is atomic because
+// concurrent mutators' barriers may race to allocate it.
 type remSet struct {
-	shards [RemShards]remShard
+	shards atomic.Pointer[[RemShards]remShard]
+}
+
+// all returns the shards, or nil before the first insert.
+func (r *remSet) all() []remShard {
+	if t := r.shards.Load(); t != nil {
+		return t[:]
+	}
+	return nil
 }
 
 // insert records addr as a remembered cell, deduplicating against the
@@ -83,7 +96,12 @@ type remSet struct {
 // weak car stays weak (weak-car cells are only ever written through
 // the weak-car barrier, so the flag never needs to clear).
 func (r *remSet) insert(addr uint64, weak bool) {
-	sh := &r.shards[remShardOf(addr)]
+	t := r.shards.Load()
+	if t == nil {
+		r.shards.CompareAndSwap(nil, new([RemShards]remShard))
+		t = r.shards.Load()
+	}
+	sh := &t[remShardOf(addr)]
 	sh.mu.Lock()
 	if sh.index == nil {
 		sh.index = make(map[uint64]int32)
@@ -103,7 +121,11 @@ func (r *remSet) insert(addr uint64, weak bool) {
 // lookup reports whether addr is remembered and whether its entry is
 // marked weak.
 func (r *remSet) lookup(addr uint64) (weak, ok bool) {
-	sh := &r.shards[remShardOf(addr)]
+	t := r.shards.Load()
+	if t == nil {
+		return false, false
+	}
+	sh := &t[remShardOf(addr)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i, ok := sh.index[addr]
@@ -116,8 +138,9 @@ func (r *remSet) lookup(addr uint64) (weak, ok bool) {
 // count returns the deduplicated entry count across all shards.
 func (r *remSet) count() int {
 	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
+	shards := r.all()
+	for i := range shards {
+		sh := &shards[i]
 		sh.mu.Lock()
 		n += len(sh.entries)
 		sh.mu.Unlock()
@@ -193,8 +216,9 @@ func (c *copier) dirtyPhase() {
 		h.scanDirtyMap(h.gcGen)
 		return
 	}
-	for k := range h.rem.shards {
-		n := c.scanRemShard(&h.rem.shards[k], h.gcGen)
+	shards := h.rem.all()
+	for k := range shards {
+		n := c.scanRemShard(&shards[k], h.gcGen)
 		h.report.ShardDirty[k] = n
 		h.Stats.DirtyCellsScanned += n
 	}
@@ -210,8 +234,9 @@ func (h *Heap) RemSetShardSizes() []int {
 		return nil
 	}
 	out := make([]int, RemShards)
-	for i := range h.rem.shards {
-		sh := &h.rem.shards[i]
+	shards := h.rem.all()
+	for i := range shards {
+		sh := &shards[i]
 		sh.mu.Lock()
 		out[i] = len(sh.entries)
 		sh.mu.Unlock()

@@ -133,8 +133,9 @@ func (h *Heap) captureStopped() (*Template, error) {
 			tpl.dirty = append(tpl.dirty, dirtyCell{addr, weak})
 		}
 	} else {
-		for i := range h.rem.shards {
-			tpl.dirty = append(tpl.dirty, h.rem.shards[i].entries...)
+		shards := h.rem.all()
+		for i := range shards {
+			tpl.dirty = append(tpl.dirty, shards[i].entries...)
 		}
 	}
 	return tpl, nil

@@ -302,7 +302,7 @@ func TestCollectSteadyStateAllocs(t *testing.T) {
 func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	h := heap.NewDefault()
 	sym := h.MakeSymbol(h.MakeString("x"))
-	prim := h.MakePrimitive(7, sym)
+	box := h.MakeBox(sym)
 	clo := h.MakeClosure(obj.Nil, obj.Nil, sym)
 	rec := h.MakeRecord(sym, 400)
 	vec := h.MakeVector(400, obj.Nil)
@@ -310,7 +310,7 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	var sink obj.Value
 	for name, fn := range map[string]func(){
 		"SymbolValue":    func() { sink = h.SymbolValue(sym) },
-		"PrimitiveIndex": func() { sink = fx(int64(h.PrimitiveIndex(prim))) },
+		"Unbox":          func() { sink = h.Unbox(box) },
 		"ClosureEnv":     func() { sink = h.ClosureEnv(clo) },
 		"ClosureClauses": func() { sink = h.ClosureClauses(clo) },
 		"RecordRef":      func() { sink = h.RecordRef(rec, 300) },
@@ -319,7 +319,7 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 		"VectorRef":      func() { sink = h.VectorRef(vec, 300) },
 		"VectorLength":   func() { sink = fx(int64(h.VectorLength(vec))) },
 		"VectorWords":    func() { sink = obj.Value(h.VectorWords(vec, 300)[0]) },
-		"ObjectWords":    func() { _, p, _ := h.ObjectWords(prim); sink = obj.Value(p[0]) },
+		"ObjectWords":    func() { _, p, _ := h.ObjectWords(box); sink = obj.Value(p[0]) },
 		"KindOf":         func() { k, _ := h.KindOf(rec); sink = fx(int64(k)) },
 		"RecordRTD":      func() { sink = h.RecordRTD(rec) },
 		"SetSymbolValue": func() { h.SetSymbolValue(sym, vec) },

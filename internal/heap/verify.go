@@ -262,8 +262,9 @@ func (h *Heap) Verify() []error {
 	// sharded representation has structure to check; the map oracle is
 	// consistent by construction.
 	if h.dirtyMap == nil {
-		for si := range h.rem.shards {
-			sh := &h.rem.shards[si]
+		shards := h.rem.all()
+		for si := range shards {
+			sh := &shards[si]
 			if len(sh.entries) != len(sh.index) {
 				report("remset shard %d: %d entries but %d index keys",
 					si, len(sh.entries), len(sh.index))

@@ -40,6 +40,7 @@ const (
 	immVoid
 	immUnbound
 	immChar
+	immPrim
 )
 
 // The immediate constants.
@@ -65,7 +66,6 @@ const (
 	KFlonum                 // one word of float64 bits (data space)
 	KSymbol                 // name string, global value, property list
 	KClosure                // clauses list, environment, name
-	KPrimitive              // primitive-table index (fixnum), name
 	KBox                    // one Value cell
 	KPort                   // flags, file id, buffer, index, limit, open
 	KRecord                 // type descriptor followed by field Values
@@ -74,7 +74,7 @@ const (
 
 var kindNames = [NumKinds]string{
 	"vector", "string", "bytevector", "flonum", "symbol",
-	"closure", "primitive", "box", "port", "record",
+	"closure", "box", "port", "record",
 }
 
 func (k Kind) String() string {
@@ -117,6 +117,20 @@ func FromChar(r rune) Value {
 
 // CharValue returns the rune carried by a character immediate.
 func (v Value) CharValue() rune { return rune(uint32(uint64(v) >> 8)) }
+
+// FromPrim returns the primitive-procedure immediate for dispatch
+// index idx. A primitive is not a heap object: the index is all it
+// carries, so telling one apart and finding its entry takes a tag test
+// and a shift, with no memory access.
+func FromPrim(idx int) Value {
+	return TagImm | immPrim<<tagBits | Value(uint64(uint32(idx)))<<8
+}
+
+// IsPrim reports whether v is a primitive-procedure immediate.
+func (v Value) IsPrim() bool { return v&0xff == TagImm|immPrim<<tagBits }
+
+// PrimIndex returns the dispatch index carried by a primitive immediate.
+func (v Value) PrimIndex() int { return int(uint32(uint64(v) >> 8)) }
 
 // FromBool returns True or False.
 func FromBool(b bool) Value {
@@ -219,6 +233,8 @@ func (v Value) String() string {
 		return "#<unbound>"
 	case v.IsChar():
 		return fmt.Sprintf("#\\%c", v.CharValue())
+	case v.IsPrim():
+		return fmt.Sprintf("#<primitive %d>", v.PrimIndex())
 	case v.IsPair():
 		return fmt.Sprintf("#<pair @%d>", v.Addr())
 	case v.IsObj():

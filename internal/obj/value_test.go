@@ -98,7 +98,7 @@ func TestKindProperties(t *testing.T) {
 			t.Errorf("%v should be a data kind", k)
 		}
 	}
-	for _, k := range []Kind{KVector, KSymbol, KClosure, KPort, KBox, KRecord, KPrimitive} {
+	for _, k := range []Kind{KVector, KSymbol, KClosure, KPort, KBox, KRecord} {
 		if !k.HasPointers() {
 			t.Errorf("%v should be a pointer kind", k)
 		}
@@ -118,11 +118,33 @@ func TestValueString(t *testing.T) {
 		FromChar('x'):   "#\\x",
 		FromBool(true):  "#t",
 		FromBool(false): "#f",
+		FromPrim(3):     "#<primitive 3>",
 	}
 	for v, want := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("%x.String() = %q, want %q", uint64(v), got, want)
 		}
+	}
+}
+
+func TestPrimImmediate(t *testing.T) {
+	for _, idx := range []int{0, 1, 135, 1 << 20} {
+		v := FromPrim(idx)
+		if !v.IsPrim() || !v.IsImmediate() || v.IsPointer() || v.IsChar() || v.IsFixnum() {
+			t.Errorf("FromPrim(%d) = %x: wrong predicates", idx, uint64(v))
+		}
+		if got := v.PrimIndex(); got != idx {
+			t.Errorf("FromPrim(%d).PrimIndex() = %d", idx, got)
+		}
+	}
+	for _, v := range []Value{FromChar(0), FromChar('a'), True, False, Nil, EOF, Void, Unbound,
+		FromFixnum(7), PairAt(8), ObjAt(8)} {
+		if v.IsPrim() {
+			t.Errorf("%v reads as a primitive", v)
+		}
+	}
+	if FromPrim(1) == FromPrim(2) || FromPrim(1) != FromPrim(1) {
+		t.Error("primitive immediates must be eq exactly when their indices are equal")
 	}
 }
 

@@ -78,10 +78,10 @@ func (m *Machine) callCC(f obj.Value) (result obj.Value, err error) {
 	return v, err
 }
 
-// isApplicable reports whether v can be applied: closure, primitive,
-// or continuation.
+// isApplicable reports whether v can be applied: a primitive, an
+// interpreted or compiled closure, or a continuation.
 func (m *Machine) isApplicable(v obj.Value) bool {
-	return m.H.IsProcedure(v) || m.isContinuation(v) || m.isCompiledClosure(v)
+	return v.IsPrim() || m.H.IsKind(v, obj.KClosure) || m.isCompiledClosure(v) || m.isContinuation(v)
 }
 
 // dynamicWind implements (dynamic-wind before thunk after) for escape

@@ -37,17 +37,14 @@ func (m *Machine) DefinePrim(name string, min, max int, fn func(*Machine, Args) 
 	// possible by replaying the same registration order on a heap that
 	// already contains it.
 	if i, ok := m.symbolIndex(name); ok && i < m.permanentSyms && m.symbol(i) != obj.False {
-		if val, _, ok2 := m.H.PeekSymbol(m.symbol(i)); ok2 &&
-			m.H.IsKind(val, obj.KPrimitive) && m.H.PrimitiveIndex(val) == idx {
+		if val, _, ok2 := m.H.PeekSymbol(m.symbol(i)); ok2 && val == obj.FromPrim(idx) {
 			m.hostPrims = append(m.hostPrims, prim{name: name, min: min, max: max, fn: fn})
 			return
 		}
 	}
 	m.hostPrims = append(m.hostPrims, prim{name: name, min: min, max: max, fn: fn})
-	symS := m.slot(m.Intern(name))
-	p := m.H.MakePrimitive(idx, m.get(symS))
-	m.H.SetSymbolValue(m.get(symS), p)
-	m.stack = m.stack[:len(m.stack)-1]
+	p := obj.FromPrim(idx)
+	m.H.SetSymbolValue(m.Intern(name), p)
 	// Freshly interned at the permanence watermark: extend it, so the
 	// primitive's global binding survives DropUserState like the
 	// built-ins do. Either way the snapshots change, so a machine still

@@ -356,6 +356,54 @@ func TestCollectRequestHandlerScheme(t *testing.T) {
 	}
 }
 
+// TestCollectRequestHandlerDuringCompiledLoop: the handler runs at the
+// VM's safe points (calls and backward jumps) and itself calls compiled
+// code that makes a non-tail compiled call, so each run pushes VM
+// frames and may move the frame stack the running loop's frame lives
+// in. Each loop allocates last before its back-edge, so the handler
+// runs there; the loops, a self tail call and a do loop, must still
+// count every iteration.
+func TestCollectRequestHandlerDuringCompiledLoop(t *testing.T) {
+	h := heap.MustNew(heap.Config{Generations: 4, Policy: heap.RadixPolicy{Trigger: 4096, Radix: 4}, UseDirtySet: true})
+	m := scheme.New(h, nil)
+	if _, err := m.EvalStringCompiled(`
+		(define (inc x) (+ x 1))
+		(define (twice x) (inc (inc x)))`); err != nil {
+		t.Fatal(err)
+	}
+	// The handler is interpreted; what it calls is compiled.
+	if _, err := m.EvalString(`
+		(begin
+		  (define handler-runs 0)
+		  (collect-request-handler
+		    (lambda ()
+		      (set! handler-runs (- (twice handler-runs) 1))
+		      (collect))))`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ src, want string }{
+		{`(define (burn n acc) (if (zero? n) (length acc) (burn (- n 1) (cons n acc))))
+		  (burn 20000 '())`, "20000"},
+		{`(do ((i 0 (+ i 1)) (acc '() (cons i acc))) ((= i 20000) (length acc)))`, "20000"},
+	} {
+		before := h.Stats.Collections
+		v, err := m.EvalStringCompiled(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.WriteString(v); got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.src, got, tc.want)
+		}
+		if h.Stats.Collections == before {
+			t.Errorf("%s: no collection ran", tc.src)
+		}
+	}
+	expectEval(t, m, "(> handler-runs 0)", "#t")
+	if errs := h.Verify(); len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+}
+
 func TestReaderErrors(t *testing.T) {
 	m := newMachine(t)
 	for _, src := range []string{"(", ")", "(1 . )", `"unterminated`, "#z", "(1 . 2 3)"} {

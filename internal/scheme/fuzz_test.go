@@ -55,6 +55,14 @@ func FuzzDifferential(f *testing.F) {
 		"(do ([i 0 (+ i 1)]) ((= i 3) i))", "`(a ,(+ 1 1))",
 		"((case-lambda [(a) a] [(a b) b]) 1 2)",
 		"(and 1 (or #f 2))", "(letrec ([f (lambda () 1)]) (f))",
+		// Rebound built-ins and fixnum-boundary operands: the VM's
+		// integrated primitives against the interpreter's table calls.
+		"(define (+ a b) (* a b)) (+ 3 4)", "(set! car cdr) (car '(1 2))",
+		"(define (f p) (car p)) (f '(1)) (set! car cdr) (f '(1 2))",
+		"(= 9007199254740993 9007199254740992)", "(< 9007199254740992 9007199254740993)",
+		"(max 9007199254740992 9007199254740993)", "(+ 1152921504606846975 1)",
+		"(- -1152921504606846976 1)", "(< 1 1.5)", "(car 1)", "(+ 1 #\\a)",
+		"(let loop ([i 0]) (if (< i 5) (loop (+ i 1)) (cons i (cdr '(x)))))",
 	} {
 		f.Add(seed)
 	}

@@ -24,7 +24,7 @@ import (
 // progress); primitives are re-installed by index, which is stable
 // because the builtins table only grows.
 
-const machineMagic = "GUARDMACH3\n"
+const machineMagic = "GUARDMACH4\n"
 
 // SaveImage writes the machine (heap + symbol table) to w.
 func (m *Machine) SaveImage(w io.Writer) error {

@@ -525,10 +525,11 @@ func (m *Machine) Eval(expr, env obj.Value) (v obj.Value, err error) {
 		if m.isCompiledClosure(fn) {
 			return m.applyCompiled(fn, argsBase, n)
 		}
+		if fn.IsPrim() {
+			return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: argsBase, n: n})
+		}
 		kind, _ := h.KindOf(fn)
 		switch kind {
-		case obj.KPrimitive:
-			return m.callPrim(fn, Args{m: m, base: argsBase, n: n})
 		case obj.KClosure:
 			newEnv, body, err := m.bindClause(fn, argsBase, n)
 			if err != nil {
@@ -573,19 +574,27 @@ func (m *Machine) evalBodyButLast(body, env obj.Value, eExpr, eEnv slot) (empty 
 	return false, nil
 }
 
-// callPrim invokes primitive fn.
-func (m *Machine) callPrim(fn obj.Value, a Args) (obj.Value, error) {
-	return m.callPrimIndex(m.H.PrimitiveIndex(fn), a)
+// primAt returns the dispatch entry of primitive index idx: a
+// built-in, or one of this machine's host primitives. It is nil for a
+// host index the machine has not registered (yet): a primitive
+// immediate restored from an image or a template before the host
+// re-ran its DefinePrim calls.
+func (m *Machine) primAt(idx int) *prim {
+	if idx < len(builtins) {
+		return &builtins[idx]
+	}
+	if idx -= len(builtins); idx < len(m.hostPrims) {
+		return &m.hostPrims[idx]
+	}
+	return nil
 }
 
 // callPrimIndex checks arity and invokes the primitive with host-table
 // index idx.
 func (m *Machine) callPrimIndex(idx int, a Args) (obj.Value, error) {
-	var p *prim
-	if idx < len(builtins) {
-		p = &builtins[idx]
-	} else {
-		p = &m.hostPrims[idx-len(builtins)]
+	p := m.primAt(idx)
+	if p == nil {
+		return obj.Void, fmt.Errorf("scheme: primitive %d is not installed", idx)
 	}
 	if a.n < p.min || (p.max >= 0 && a.n > p.max) {
 		return obj.Void, fmt.Errorf("scheme: %s: wrong number of arguments (%d)", p.name, a.n)
@@ -660,10 +669,11 @@ func (m *Machine) Apply(fn obj.Value, args []obj.Value) (obj.Value, error) {
 	if m.isCompiledClosure(m.get(fnS)) {
 		return m.applyCompiled(m.get(fnS), argsBase, len(args))
 	}
+	if fn.IsPrim() {
+		return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: argsBase, n: len(args)})
+	}
 	kind, _ := h.KindOf(m.get(fnS))
 	switch kind {
-	case obj.KPrimitive:
-		return m.callPrim(m.get(fnS), Args{m: m, base: argsBase, n: len(args)})
 	case obj.KClosure:
 		env, body, err := m.bindClause(m.get(fnS), argsBase, len(args))
 		if err != nil {

@@ -14,8 +14,9 @@ import (
 // machine that calls it (and its heap) through its first argument, so
 // one table serves every machine in the process. Host primitives
 // (DefinePrim) follow it in each machine's own hostPrims. The order is
-// part of the image and template contract — a primitive object in a
-// heap carries its index — so entries are only ever appended.
+// part of the image and template contract — a primitive immediate in a
+// heap (obj.FromPrim) carries its index — so entries are only ever
+// appended.
 var builtins []prim
 
 // init fills builtins. It is not a variable initializer because that
@@ -212,12 +213,10 @@ func init() {
 	})
 
 	// --- Arithmetic -------------------------------------------------------------
-	def("+", 0, -1, arithPrim(0, func(x, y int64) int64 { return x + y },
-		func(x, y float64) float64 { return x + y }))
+	def("+", 0, -1, arithPrim(0, fxAdd, func(x, y float64) float64 { return x + y }))
 	def("*", 0, -1, arithPrim(1, func(x, y int64) int64 { return x * y },
 		func(x, y float64) float64 { return x * y }))
-	def("-", 1, -1, arithSubPrim(func(x, y int64) int64 { return x - y },
-		func(x, y float64) float64 { return x - y }, 0))
+	def("-", 1, -1, arithSubPrim(fxSub, func(x, y float64) float64 { return x - y }, 0))
 	def("/", 1, -1, func(m *Machine, a Args) (obj.Value, error) {
 		// Division always yields a flonum unless exact and evenly divisible.
 		h := m.H
@@ -277,11 +276,14 @@ func init() {
 		}
 		return r, nil
 	}))
-	def("=", 2, -1, cmpPrim(func(x, y float64) bool { return x == y }))
-	def("<", 2, -1, cmpPrim(func(x, y float64) bool { return x < y }))
-	def(">", 2, -1, cmpPrim(func(x, y float64) bool { return x > y }))
-	def("<=", 2, -1, cmpPrim(func(x, y float64) bool { return x <= y }))
-	def(">=", 2, -1, cmpPrim(func(x, y float64) bool { return x >= y }))
+	def("=", 2, -1, cmpPrim(fxEqual, func(x, y float64) bool { return x == y }))
+	def("<", 2, -1, cmpPrim(fxLess, func(x, y float64) bool { return x < y }))
+	def(">", 2, -1, cmpPrim(func(x, y int64) bool { return x > y },
+		func(x, y float64) bool { return x > y }))
+	def("<=", 2, -1, cmpPrim(func(x, y int64) bool { return x <= y },
+		func(x, y float64) bool { return x <= y }))
+	def(">=", 2, -1, cmpPrim(func(x, y int64) bool { return x >= y },
+		func(x, y float64) bool { return x >= y }))
 	def("zero?", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		x, err := m.numAsFloat(a.Get(0))
 		return obj.FromBool(x == 0), err
@@ -317,8 +319,9 @@ func init() {
 		}
 		return m.H.MakeFlonum(f), nil
 	})
-	def("min", 1, -1, minmaxPrim(func(x, y float64) bool { return x < y }))
-	def("max", 1, -1, minmaxPrim(func(x, y float64) bool { return x > y }))
+	def("min", 1, -1, minmaxPrim(fxLess, func(x, y float64) bool { return x < y }))
+	def("max", 1, -1, minmaxPrim(func(x, y int64) bool { return x > y },
+		func(x, y float64) bool { return x > y }))
 
 	// --- Characters ------------------------------------------------------------
 	def("char->integer", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
@@ -726,7 +729,7 @@ func init() {
 	})
 	def("collect-request-handler", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		h := m.H
-		if !h.IsProcedure(a.Get(0)) {
+		if fn := a.Get(0); !fn.IsPrim() && !h.IsKind(fn, obj.KClosure) {
 			return obj.Void, m.errf(a.Get(0), "collect-request-handler: not a procedure")
 		}
 		hs := m.Intern("%collect-request-handler")
@@ -883,16 +886,117 @@ func init() {
 	})
 }
 
-// installPrims binds the name of every built-in to a primitive object
-// carrying its index, in table order. Machines booted by New and
+// The fixnum operations of the integrated arithmetic built-ins: their
+// table entries and the VM's in-place cases (integrated) both use
+// these, so each operation has one definition. + and - wrap to the
+// fixnum range, as obj.FromFixnum does.
+func fxAdd(x, y int64) int64  { return x + y }
+func fxSub(x, y int64) int64  { return x - y }
+func fxLess(x, y int64) bool  { return x < y }
+func fxEqual(x, y int64) bool { return x == y }
+
+// The dispatch indices of the built-ins the VM integrates, found in
+// the table by name.
+var primCons, primCar, primCdr, primPair, primNull, primEq, primNot,
+	primAdd, primSub, primEqual, primLess int
+
+func init() {
+	for idx := range builtins {
+		switch builtins[idx].name {
+		case "cons":
+			primCons = idx
+		case "car":
+			primCar = idx
+		case "cdr":
+			primCdr = idx
+		case "pair?":
+			primPair = idx
+		case "null?":
+			primNull = idx
+		case "eq?":
+			primEq = idx
+		case "not":
+			primNot = idx
+		case "+":
+			primAdd = idx
+		case "-":
+			primSub = idx
+		case "=":
+			primEqual = idx
+		case "<":
+			primLess = idx
+		}
+	}
+}
+
+// integrated computes a call of built-in idx on the n operands at
+// m.stack[base:] in place, as a compiler integrates a primitive call,
+// when idx is one of the integrated built-ins and the operands fit:
+// two fixnums for arithmetic and comparison, a pair for car and cdr,
+// the exact arity. Otherwise ok is false and the call goes through
+// callPrimIndex — a wrong type or arity, a flonum, or any other index —
+// whose table entry gives the same value or the same error. The test
+// is on the operator's value, so a program that rebinds + or car calls
+// its own procedure, never this.
+func (m *Machine) integrated(idx, base, n int) (v obj.Value, ok bool) {
+	a := m.stack[base : base+n]
+	// The cases are not constants, so they are tested in order: the
+	// arithmetic ones, the hottest, first.
+	switch idx {
+	case primAdd, primSub, primEqual, primLess:
+		if n != 2 || !a[0].IsFixnum() || !a[1].IsFixnum() {
+			break
+		}
+		x, y := a[0].FixnumValue(), a[1].FixnumValue()
+		switch idx {
+		case primAdd:
+			return obj.FromFixnum(fxAdd(x, y)), true
+		case primSub:
+			return obj.FromFixnum(fxSub(x, y)), true
+		case primEqual:
+			return obj.FromBool(fxEqual(x, y)), true
+		default:
+			return obj.FromBool(fxLess(x, y)), true
+		}
+	case primCons:
+		if n == 2 {
+			return m.H.Cons(a[0], a[1]), true
+		}
+	case primCar:
+		if n == 1 && a[0].IsPair() {
+			return m.H.Car(a[0]), true
+		}
+	case primCdr:
+		if n == 1 && a[0].IsPair() {
+			return m.H.Cdr(a[0]), true
+		}
+	case primPair:
+		if n == 1 {
+			return obj.FromBool(a[0].IsPair()), true
+		}
+	case primNull:
+		if n == 1 {
+			return obj.FromBool(a[0] == obj.Nil), true
+		}
+	case primNot:
+		if n == 1 {
+			return obj.FromBool(a[0] == obj.False), true
+		}
+	case primEq:
+		if n == 2 {
+			return obj.FromBool(a[0] == a[1]), true
+		}
+	}
+	return obj.Void, false
+}
+
+// installPrims binds the name of every built-in to the primitive
+// immediate carrying its index. Machines booted by New and
 // LoadMachineImage call it; a machine attached to a template inherits
-// the objects and bindings with the cloned heap and installs nothing.
+// the bindings with the cloned heap and installs nothing.
 func (m *Machine) installPrims() {
 	for idx := range builtins {
-		symS := m.slot(m.Intern(builtins[idx].name))
-		p := m.H.MakePrimitive(idx, m.get(symS))
-		m.H.SetSymbolValue(m.get(symS), p)
-		m.stack = m.stack[:len(m.stack)-1]
+		m.H.SetSymbolValue(m.Intern(builtins[idx].name), obj.FromPrim(idx))
 	}
 }
 
@@ -995,18 +1099,32 @@ func arithSubPrim(fi func(x, y int64) int64, ff func(x, y float64) float64, id i
 	}
 }
 
-func cmpPrim(cmp func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
+// numCompare compares two numbers: exactly when both are fixnums, as
+// float64 when either is a flonum. A fixnum beyond 2^53 has no exact
+// float64, so converting two of them could make distinct numbers equal.
+func (m *Machine) numCompare(x, y obj.Value, fi func(x, y int64) bool, ff func(x, y float64) bool) (bool, error) {
+	if x.IsFixnum() && y.IsFixnum() {
+		return fi(x.FixnumValue(), y.FixnumValue()), nil
+	}
+	xf, err := m.numAsFloat(x)
+	if err != nil {
+		return false, err
+	}
+	yf, err := m.numAsFloat(y)
+	if err != nil {
+		return false, err
+	}
+	return ff(xf, yf), nil
+}
+
+func cmpPrim(fi func(x, y int64) bool, ff func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
 		for i := 0; i+1 < a.Len(); i++ {
-			x, err := m.numAsFloat(a.Get(i))
+			ok, err := m.numCompare(a.Get(i), a.Get(i+1), fi, ff)
 			if err != nil {
 				return obj.Void, err
 			}
-			y, err := m.numAsFloat(a.Get(i + 1))
-			if err != nil {
-				return obj.Void, err
-			}
-			if !cmp(x, y) {
+			if !ok {
 				return obj.False, nil
 			}
 		}
@@ -1014,23 +1132,22 @@ func cmpPrim(cmp func(x, y float64) bool) func(*Machine, Args) (obj.Value, error
 	}
 }
 
-func minmaxPrim(better func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
+func minmaxPrim(fi func(x, y int64) bool, ff func(x, y float64) bool) func(*Machine, Args) (obj.Value, error) {
 	return func(m *Machine, a Args) (obj.Value, error) {
-		best := 0
-		bx, err := m.numAsFloat(a.Get(0))
-		if err != nil {
+		best := a.Get(0)
+		if _, err := m.numAsFloat(best); err != nil {
 			return obj.Void, err
 		}
 		for i := 1; i < a.Len(); i++ {
-			x, err := m.numAsFloat(a.Get(i))
+			better, err := m.numCompare(a.Get(i), best, fi, ff)
 			if err != nil {
 				return obj.Void, err
 			}
-			if better(x, bx) {
-				best, bx = i, x
+			if better {
+				best = a.Get(i)
 			}
 		}
-		return a.Get(best), nil
+		return best, nil
 	}
 }
 

@@ -62,6 +62,14 @@ func (m *Machine) print(b *strings.Builder, v obj.Value, write bool, depth int) 
 		} else {
 			b.WriteRune(v.CharValue())
 		}
+	case v.IsPrim():
+		// The immediate carries only its index; the name is the
+		// dispatch entry's.
+		if p := m.primAt(v.PrimIndex()); p != nil {
+			fmt.Fprintf(b, "#<procedure %s>", p.name)
+		} else {
+			b.WriteString("#<primitive>")
+		}
 	case v.IsPair():
 		m.printList(b, v, write, depth)
 	case v.IsObj():
@@ -158,12 +166,6 @@ func (m *Machine) printObj(b *strings.Builder, v obj.Value, write bool, depth in
 			fmt.Fprintf(b, "#<procedure %s>", s)
 		} else {
 			b.WriteString("#<procedure>")
-		}
-	case obj.KPrimitive:
-		if s, ok := m.symbolNameOf(h.PrimitiveName(v)); ok {
-			fmt.Fprintf(b, "#<procedure %s>", s)
-		} else {
-			b.WriteString("#<primitive>")
 		}
 	case obj.KBox:
 		b.WriteString("#&")

@@ -23,10 +23,11 @@ const maxVMFrames = 100000
 // frame's are in the vector env. Either way the collector sees them as
 // roots, the value stack being one.
 type vmFrame struct {
-	code obj.Value // the code object running: a root, like env
-	pc   int
-	env  obj.Value // the innermost heap frame: [parent, slot0, ...], or Nil
-	base int       // value-stack floor for this activation
+	code  obj.Value // the code object running: a root, like env
+	shape codeShape // code's shape, kept for a self tail call
+	pc    int
+	env   obj.Value // the innermost heap frame: [parent, slot0, ...], or Nil
+	base  int       // value-stack floor for this activation
 }
 
 func (m *Machine) isCompiledClosure(v obj.Value) bool {
@@ -106,13 +107,13 @@ func (m *Machine) enterFrame(s codeShape, env obj.Value, base, fnIdx, n int) obj
 // RunCode executes a compiled top-level code object and returns its
 // value.
 func (m *Machine) RunCode(code obj.Value) (obj.Value, error) {
-	return m.execute(code, obj.Nil, len(m.stack))
+	return m.execute(code, shapeOf(m.H.VectorRef(code, shapeSlot)), obj.Nil, len(m.stack))
 }
 
-// execute runs code in a new activation whose value stack starts at
-// base (a stack frame's slots already lie there) and whose innermost
-// heap frame is env.
-func (m *Machine) execute(code, env obj.Value, base int) (result obj.Value, err error) {
+// execute runs code, of shape s, in a new activation whose value stack
+// starts at base (a stack frame's slots already lie there) and whose
+// innermost heap frame is env.
+func (m *Machine) execute(code obj.Value, s codeShape, env obj.Value, base int) (result obj.Value, err error) {
 	h := m.H
 	m.depth++
 	defer func() { m.depth-- }()
@@ -129,7 +130,7 @@ func (m *Machine) execute(code, env obj.Value, base int) (result obj.Value, err 
 			}
 		}
 	}()
-	m.vmFrames = append(m.vmFrames, vmFrame{code: code, env: env, base: base})
+	m.vmFrames = append(m.vmFrames, vmFrame{code: code, shape: s, env: env, base: base})
 
 	fail := func(format string, args ...any) (obj.Value, error) {
 		return obj.Void, fmt.Errorf("vm: "+format, args...)
@@ -231,6 +232,8 @@ func (m *Machine) execute(code, env obj.Value, base int) (result obj.Value, err 
 				if h.Epoch() != epoch {
 					cw = nil
 				}
+				// A collect-request handler may have grown vmFrames.
+				f = &m.vmFrames[len(m.vmFrames)-1]
 			}
 			f.pc = in.A
 		case OpJumpIfFalse:
@@ -253,42 +256,70 @@ func (m *Machine) execute(code, env obj.Value, base int) (result obj.Value, err 
 			cw = nil
 		case OpCall, OpTailCall:
 			// A collection at this safe point is caught below: a
-			// compiled call drops the views anyway, any other call
-			// checks the epoch when it returns.
+			// compiled call drops the views anyway, a self tail call
+			// and any other call check the epoch. A collect-request
+			// handler run here may have grown vmFrames: re-take the
+			// frame.
 			m.safepoint()
 			if err := m.burn(); err != nil {
 				return obj.Void, err
 			}
+			f = &m.vmFrames[len(m.vmFrames)-1]
 			n := in.A
 			fnIdx := len(m.stack) - n - 1
 			fn := m.stack[fnIdx]
 			var res obj.Value
 			var cerr error
-			// One lookup for fn's kind and fields; a non-object reads
-			// as kind 0, a vector, which nothing applies.
-			kind, p, _ := h.ObjectWords(fn)
+			// One lookup for a heap operator's kind and fields; a
+			// primitive is an immediate and needs none. A non-object
+			// reads as kind 0, a vector, which nothing applies.
+			var kind obj.Kind
+			var p []uint64
+			if !fn.IsPrim() {
+				kind, p, _ = h.ObjectWords(fn)
+			}
 			switch {
+			case fn.IsPrim():
+				// The integrated built-ins run in place; the rest, and
+				// operands they do not take, go through the table.
+				idx, ok := fn.PrimIndex(), false
+				if res, ok = m.integrated(idx, fnIdx+1, n); !ok {
+					res, cerr = m.callPrimIndex(idx, Args{m: m, base: fnIdx + 1, n: n})
+				}
 			case kind == obj.KRecord && obj.Value(p[0]) == m.keywords[kwCompiledClosure]:
-				env := obj.Value(p[2])
-				clause, s, ok := m.selectClause(obj.Value(p[1]), n)
+				code, env := obj.Value(p[1]), obj.Value(p[2])
+				if in.Op == OpTailCall && code == f.code {
+					// A self tail call, the back-edge of a named let or
+					// a do loop: the running clause's shape and code
+					// views stand. A case-lambda entry never equals the
+					// clause it selected, so it takes the general path.
+					if !f.shape.accepts(n) {
+						return fail("no matching clause for %d arguments in %s",
+							n, m.closureName(fn))
+					}
+					f.pc, f.env = 0, m.enterFrame(f.shape, env, f.base, fnIdx, n)
+					if h.Epoch() != epoch {
+						cw = nil
+					}
+					continue
+				}
+				clause, s, ok := m.selectClause(code, n)
 				if !ok {
 					return fail("no matching clause for %d arguments in %s",
 						n, m.closureName(fn))
 				}
 				if in.Op == OpTailCall {
-					f.code, f.pc, f.env = clause, 0, m.enterFrame(s, env, f.base, fnIdx, n)
+					f.code, f.shape, f.pc = clause, s, 0
+					f.env = m.enterFrame(s, env, f.base, fnIdx, n)
 				} else {
 					if len(m.vmFrames) >= maxVMFrames {
 						return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
 					}
 					env = m.enterFrame(s, env, fnIdx, fnIdx, n)
-					m.vmFrames = append(m.vmFrames, vmFrame{code: clause, env: env, base: fnIdx})
+					m.vmFrames = append(m.vmFrames, vmFrame{code: clause, shape: s, env: env, base: fnIdx})
 				}
 				cw = nil
 				continue
-			case kind == obj.KPrimitive:
-				res, cerr = m.callPrimIndex(int(obj.Value(p[0]).FixnumValue()),
-					Args{m: m, base: fnIdx + 1, n: n})
 			case kind == obj.KRecord && obj.Value(p[0]) == m.keywords[kwContinuation]:
 				val := obj.Value(obj.Void)
 				if n >= 1 {
@@ -364,7 +395,7 @@ func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error
 	copy(m.stack[argsBase+1:], m.stack[argsBase:argsBase+n])
 	m.stack[argsBase] = fn
 	env := m.enterFrame(s, h.RecordRef(fn, 1), argsBase, argsBase, n)
-	return m.execute(clause, env, argsBase)
+	return m.execute(clause, s, env, argsBase)
 }
 
 // EvalStringCompiled reads src and runs every form through the

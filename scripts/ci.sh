@@ -77,10 +77,15 @@ echo "== heap template / fork gate (-race)"
 # allocation count), and machine images keeping the permanent-symbol
 # snapshots. Templates and images carry compiled closures, whose code
 # is heap data (TestMachineTemplateCarriesCompiledCode,
-# TestMachineImageCarriesCompiledCode). Sibling clones running on two goroutines repeat five
+# TestMachineImageCarriesCompiledCode). Primitives are immediates that
+# clones and images carry like fixnums, and a host primitive replayed
+# on a clone takes DefinePrim's fast path
+# (TestPrimitiveValuesAcrossTemplateAndImage); a heap that never
+# records a cell has no remembered-set shards and still saves and
+# captures (TestLazyRemSetAndBorrowedScratch). Sibling clones running on two goroutines repeat five
 # times: a root visitor that stored into the shared base is a data
 # race there.
-go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
+go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot|TestPrimitiveValuesAcrossTemplateAndImage|TestLazyRemSetAndBorrowedScratch' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
 go test -race -count=5 -run 'TestAttachedMachinesRunConcurrently' ./internal/scheme/
 
 echo "== segment-window gate (-race)"

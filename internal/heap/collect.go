@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -10,12 +11,13 @@ import (
 )
 
 // This file implements the stop-and-copy collection algorithm of §4:
-// forwarding, the iterative Cheney sweep the paper calls kleene-sweep,
-// the guardian protected-list algorithm (pend-hold-list /
-// pend-final-list with repeated sweeps), and the weak-pair second pass
-// that runs after guardian handling so that salvaged objects keep
-// their weak references. There is one collection body (collect) and
-// one copying core (copier); remset.go holds the remembered set.
+// forwarding, the iterative Cheney sweep the paper calls kleene-sweep
+// (a scan of to-space in place, up to the copier's own cursors), the
+// guardian protected-list algorithm (pend-hold-list / pend-final-list
+// with repeated sweeps), and the weak-pair second pass that runs after
+// guardian handling so that salvaged objects keep their weak
+// references. There is one collection body (collect) and one copying
+// core (copier); remset.go holds the remembered set.
 
 // Collect performs a stop-and-copy collection of generations 0
 // through g. Survivors are copied into the target generation (g+1,
@@ -88,10 +90,7 @@ func (h *Heap) collect(g int) *CollectionReport {
 // spent here accrues to PhaseSweep regardless of the caller.
 func (h *Heap) drain() {
 	t0 := time.Now()
-	c := &h.cp
-	for it, ok := c.take(); ok; it, ok = c.take() {
-		c.sweep(it)
-	}
+	h.cp.sweep()
 	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
 }
 
@@ -143,7 +142,6 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	// collection, so the forwarding check can tell to-space from
 	// from-space.
 	h.sc = getScratch()
-	h.cp.borrow(h.sc)
 	from := h.sc.from[:0]
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		for gen := 0; gen <= g; gen++ {
@@ -158,6 +156,7 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	for sp := range h.cur {
 		h.cur[sp][target].handTo(&h.cp.cur[sp])
 	}
+	h.cp.borrow(h.sc)
 	return from, h.phaseMark(PhaseSetup, start)
 }
 
@@ -183,7 +182,10 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 	t = h.phaseMark(PhaseWeak, t)
 
 	// All copying is done: the target generation's allocation carries
-	// on in the copier's open segments.
+	// on in the copier's open segments. A scan that stopped short of a
+	// cursor would leave copies pointing into from-space, found only
+	// collections later as dangling pointers; catch it here.
+	h.cp.checkSwept()
 	for sp := range h.cp.cur {
 		h.cp.cur[sp].handTo(&h.cur[sp][target])
 	}
@@ -276,13 +278,13 @@ func (h *Heap) phaseMark(p Phase, t0 time.Time) time.Time {
 	return now
 }
 
-// copier is the copying core of §4: forward, the sweep of one copied
-// object, and the work list the kleene-sweep drains, written once and
-// parameterized — in the manner of CertiCoq's forward — by the "next
-// available spot in to-space" it owns (cur). The heap has exactly one
-// (Heap.cp). It runs inline on the collecting goroutine with the world
-// stopped, so it installs forwarding words with plain stores and claims
-// to-space segments straight from the table.
+// copier is the copying core of §4: forward and the kleene-sweep's
+// scan of to-space, written once and parameterized — in the manner of
+// CertiCoq's forward — by the "next available spot in to-space" it owns
+// (cur), which is also the frontier the scan sweeps up to. The heap has
+// exactly one (Heap.cp). It runs inline on the collecting goroutine
+// with the world stopped, so it installs forwarding words with plain
+// stores and claims to-space segments straight from the table.
 type copier struct {
 	h *Heap
 
@@ -290,29 +292,51 @@ type copier struct {
 	// per space, bump-allocated without locks.
 	cur [seg.NumSpaces]cursor
 
-	// The work list: wave holds the objects being swept (from head on),
-	// next the objects copied while sweeping them — the following wave.
-	// These and the weak lists are the borrowed collectScratch's
-	// arrays during a collection (borrow, giveBack) and nil between.
-	wave, next []sweepItem
-	head       int
+	// pending has a bit per space (1<<space) allocated into since the
+	// current sweep pass took its frontiers: the spaces whose scans have
+	// work. fresh reports whether any of it is a copied object in a
+	// swept space: a pass counts in Stats.SweepPasses only when it
+	// sweeps one, so the tconc pairs the guardian phase appends make no
+	// pass of their own.
+	pending uint8
+	fresh   bool
 
+	// The lists below are the borrowed collectScratch's arrays during a
+	// collection (borrow, giveBack) and nil between.
+	large    []uint64 // large objects (runs) copied and not yet swept
 	newWeak  []uint64 // weak pairs copied this collection
 	pendWeak []uint64 // weak cars deferred by the dirty or old scan
 
 	visit func(*obj.Value) // persistent visitor closure for root providers
 }
 
-// collectScratch is a collection's work lists: the copier's sweep
-// waves and weak-pair lists, the guardian phase's gathered protected
-// entries (registration order) and its pend-hold / pend-final
-// partitions of §4, and the from-space segment list. A collection
-// borrows one from scratchPool and gives it back at its end with the
-// lists emptied and their arrays kept, so a steady-state collection
-// does not allocate and a heap between collections holds none of them.
+// swept has a bit per space the kleene-sweep scans; data-space objects
+// hold no pointers.
+const swept = 1<<seg.SpacePair | 1<<seg.SpaceWeak | 1<<seg.SpaceObj
+
+// spaceScan is the kleene-sweep's scan of one space: the to-space
+// segments the copier's cursor opened this collection, in order — the
+// first the target generation's open segment when it was handed over
+// part full — and the scan position, word off of segment segs[i],
+// below which every copy has been swept. The words of the handed-over
+// segment below the cursor were there before the collection and are
+// not swept; the cursor's position is the frontier the scan chases.
+type spaceScan struct {
+	segs   []int
+	i, off int
+}
+
+// collectScratch is a collection's work lists: the kleene-sweep's
+// to-space scans and large-object list, the copier's weak-pair lists,
+// the guardian phase's gathered protected entries (registration order)
+// and its pend-hold / pend-final partitions of §4, and the from-space
+// segment list. A collection borrows one from scratchPool and gives it
+// back at its end with the lists emptied and their arrays kept, so a
+// steady-state collection does not allocate and a heap between
+// collections holds none of them.
 type collectScratch struct {
-	wave, next                       []sweepItem
-	newWeak, pendWeak                []uint64
+	scan                             [seg.NumSpaces]spaceScan
+	large, newWeak, pendWeak         []uint64
 	guardEnts, guardHold, guardFinal []ProtEntry
 	from                             []int
 }
@@ -355,18 +379,28 @@ func putScratch(sc *collectScratch) {
 	}
 }
 
-// borrow points the copier's work lists at sc's arrays, emptied.
+// borrow points the copier's work lists at sc's arrays, emptied, and
+// starts each space's scan at its to-space cursor, which collectBegin
+// has just handed over.
 func (c *copier) borrow(sc *collectScratch) {
-	c.wave, c.next, c.head = sc.wave[:0], sc.next[:0], 0
+	c.pending, c.fresh = 0, false
+	c.large = sc.large[:0]
 	c.newWeak, c.pendWeak = sc.newWeak[:0], sc.pendWeak[:0]
+	for sp := range sc.scan {
+		s, cur := &sc.scan[sp], &c.cur[sp]
+		s.segs, s.i, s.off = s.segs[:0], 0, cur.off
+		if cur.s != nil && swept&(1<<sp) != 0 {
+			s.segs = append(s.segs, cur.seg)
+		}
+	}
 }
 
 // giveBack stores the copier's work lists, grown or not, into sc and
 // drops the copier's references to them.
 func (c *copier) giveBack(sc *collectScratch) {
-	sc.wave, sc.next = c.wave[:0], c.next[:0]
+	sc.large = c.large[:0]
 	sc.newWeak, sc.pendWeak = c.newWeak[:0], c.pendWeak[:0]
-	c.wave, c.next, c.newWeak, c.pendWeak = nil, nil, nil, nil
+	c.large, c.newWeak, c.pendWeak = nil, nil, nil
 }
 
 // init readies the heap's copier: closed cursors and the root
@@ -407,19 +441,13 @@ func (c *copier) forward(v obj.Value) obj.Value {
 	if obj.IsFwd(w0) {
 		return v.WithAddr(obj.FwdAddr(w0))
 	}
-	// Weak pairs are traced like normal pairs except that the car is
-	// not touched; the cdr is swept, and the car is fixed by the second
-	// pass.
-	space, total, kind := s.Space, 2, sweepPair
-	if space == seg.SpaceWeak {
-		kind = sweepWeakPair
-	}
+	space, total := s.Space, 2
 	if !v.IsPair() {
 		if !obj.IsHeader(w0) {
 			h.noHeader("forward", addr)
 		}
 		k := obj.HeaderKind(w0)
-		space, total, kind = objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0)), sweepObj
+		space, total = objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0))
 	}
 	var na uint64
 	if total > seg.Words {
@@ -427,6 +455,9 @@ func (c *copier) forward(v obj.Value) obj.Value {
 		h.setWord(na, w0)
 		for i := uint64(1); i < uint64(total); i++ {
 			h.setWord(na+i, h.word(addr+i))
+		}
+		if space != seg.SpaceData {
+			c.large = append(c.large, na) // no scan reaches a run
 		}
 	} else {
 		var dst []uint64
@@ -447,9 +478,9 @@ func (c *copier) forward(v obj.Value) obj.Value {
 	}
 	st.WordsCopied += uint64(total)
 	if space != seg.SpaceData { // data objects hold no pointers to sweep
-		c.next = append(c.next, sweepItem{na, kind})
+		c.fresh = true
 	}
-	if kind == sweepWeakPair {
+	if space == seg.SpaceWeak {
 		c.newWeak = append(c.newWeak, na)
 	}
 	return v.WithAddr(na)
@@ -461,11 +492,16 @@ func (c *copier) forward(v obj.Value) obj.Value {
 func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
 	h := c.h
 	h.Stats.WordsAllocated += uint64(n)
+	c.pending |= 1 << space
 	cur := &c.cur[space]
 	if !cur.fits(n) {
 		h.claimable(1, 1, "to-space segment")
 		idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
 		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
+		if swept&(1<<space) != 0 {
+			s := &h.sc.scan[space]
+			s.segs = append(s.segs, idx)
+		}
 		cur.open(h.tab, idx)
 		h.Stats.SegmentsAllocated++
 	}
@@ -488,24 +524,130 @@ func (c *copier) allocRun(space seg.Space, total int) uint64 {
 	return seg.BaseAddr(first)
 }
 
-// take returns the next object to sweep, or false when the work is
-// exhausted. The copier sweeps breadth-first in waves — the objects
-// copied while sweeping one wave form the next — and each wave it
-// starts counts as one pass, so Stats.SweepPasses reports the paper's
-// "iterated" sweep depth faithfully: a drain that finds nothing to
-// sweep records no pass, and the re-sweeps triggered inside the
-// guardian phase's salvage loop are counted like any other.
-func (c *copier) take() (sweepItem, bool) {
-	if c.head == len(c.wave) {
-		c.wave, c.next, c.head = c.next, c.wave[:0], 0
-		if len(c.wave) == 0 {
-			return sweepItem{}, false
+// sweep runs the kleene-sweep to its fixpoint, in passes. Each pass
+// first takes the frontier of every swept space allocated into since
+// the last pass took its own (the others have nothing to scan) from
+// the copier's cursor — before scanning any space, so that what one
+// space's scan copies into another waits for the next pass — then
+// scans each of those spaces from its scan position up to its
+// frontier, and sweeps the large objects queued before the pass. The objects copied while sweeping one pass form the
+// next, breadth-first, and each pass that sweeps a copied object counts
+// as one, so Stats.SweepPasses reports the paper's "iterated" sweep
+// depth: a drain that finds nothing to sweep records no pass, and the
+// re-sweeps triggered inside the guardian phase's salvage loop are
+// counted like any other.
+func (c *copier) sweep() {
+	h := c.h
+	sc := h.sc
+	for {
+		work := c.pending & swept
+		if work == 0 && len(c.large) == 0 {
+			return
 		}
-		c.h.Stats.SweepPasses++
+		c.pending = 0
+		if c.fresh {
+			h.Stats.SweepPasses++
+			c.fresh = false
+		}
+		// The frontier: segment (in the space's list) and offset.
+		var fi, fo [seg.NumSpaces]int
+		for m := work; m != 0; m &= m - 1 {
+			sp := bits.TrailingZeros8(m)
+			fi[sp], fo[sp] = len(sc.scan[sp].segs)-1, c.cur[sp].off
+		}
+		nl := len(c.large)
+		for m := work; m != 0; m &= m - 1 {
+			sp := seg.Space(bits.TrailingZeros8(m))
+			c.scanTo(sp, &sc.scan[sp], fi[sp], fo[sp])
+		}
+		for _, addr := range c.large[:nl] {
+			hd := h.word(addr)
+			n := obj.PayloadWords(obj.HeaderKind(hd), obj.HeaderLength(hd))
+			c.fwdWords(addr+1, n)
+			h.Stats.CellsSwept += uint64(n)
+		}
+		if nl > 0 {
+			c.large = append(c.large[:0], c.large[nl:]...)
+		}
 	}
-	it := c.wave[c.head]
-	c.head++
-	return it, true
+}
+
+// scanTo sweeps space sp's to-space, whose scan is s, from the scan
+// position up to word endOff of segment segs[endI], a window per
+// segment, and leaves the scan position there. The segment the cursor
+// is in needs no table walk; the pass may have moved the cursor on
+// since it took endI.
+func (c *copier) scanTo(sp seg.Space, s *spaceScan, endI, endOff int) {
+	for {
+		i, from, to := s.i, s.off, endOff
+		ts := c.cur[sp].s
+		if i != len(s.segs)-1 {
+			ts = c.h.tab.Seg(s.segs[i])
+		}
+		if i < endI {
+			to = ts.Fill // the cursor has moved past this segment
+			s.i, s.off = i+1, 0
+		} else {
+			s.off = to
+		}
+		c.sweepWindow(sp, s.segs[i], from, ts.Words[from:to])
+		if i == endI {
+			return
+		}
+	}
+}
+
+// sweepWindow forwards in place every pointer field of the objects
+// copied into w, words off.. of to-space segment idx of space sp: all
+// of a pair window, the cdrs of a weak-pair window (the weak-pair pass
+// fixes the cars), and each object's payload in an obj window, by a
+// header walk.
+func (c *copier) sweepWindow(sp seg.Space, idx, off int, w []uint64) {
+	st := &c.h.Stats
+	switch sp {
+	case seg.SpacePair:
+		c.fwdWindow(w)
+		st.CellsSwept += uint64(len(w))
+	case seg.SpaceWeak:
+		for i := 1; i < len(w); i += 2 {
+			w[i] = uint64(c.forward(obj.Value(w[i])))
+		}
+		st.CellsSwept += uint64(len(w) / 2)
+	case seg.SpaceObj:
+		for i := 0; i < len(w); {
+			hd := w[i]
+			if !obj.IsHeader(hd) {
+				c.h.noHeader("sweep", seg.BaseAddr(idx)+uint64(off+i))
+			}
+			n := obj.PayloadWords(obj.HeaderKind(hd), obj.HeaderLength(hd))
+			c.fwdWindow(w[i+1 : i+1+n])
+			st.CellsSwept += uint64(n)
+			i += 1 + n
+		}
+	}
+}
+
+// checkSwept checks that the kleene-sweep reached its fixpoint: every
+// swept space's scan position is at its cursor, and no large object
+// waits. The check fails out of line, so that it boxes nothing.
+func (c *copier) checkSwept() {
+	h := c.h
+	for sp := range seg.NumSpaces {
+		s := &h.sc.scan[sp]
+		if swept&(1<<sp) != 0 && len(s.segs) > 0 && (s.i != len(s.segs)-1 || s.off != c.cur[sp].off) {
+			h.sweptShort(sp.String())
+		}
+	}
+	if len(c.large) > 0 {
+		h.sweptShort("large-object")
+	}
+}
+
+// sweptShort is checkSwept's failure.
+//
+//go:noinline
+func (h *Heap) sweptShort(what string) {
+	h.check(false, "kleene-sweep stopped short of the %s to-space frontier", what)
 }
 
 // fwdWindow forwards in place every pointer field of the window w.
@@ -527,28 +669,6 @@ func (c *copier) fwdWords(addr uint64, n int) {
 
 // fwdCell forwards in place one isolated cell (a recorded store).
 func (c *copier) fwdCell(addr uint64) { c.fwdWords(addr, 1) }
-
-// sweep sweeps one copied object: every pointer field is forwarded in
-// place, through the object's window.
-func (c *copier) sweep(it sweepItem) {
-	w := c.h.window(it.addr, seg.Words)
-	switch it.kind {
-	case sweepPair:
-		w = w[:2]
-	case sweepWeakPair:
-		w = w[1:2]
-	case sweepObj:
-		n := obj.PayloadWords(obj.HeaderKind(w[0]), obj.HeaderLength(w[0]))
-		if n >= len(w) { // a large object: the fields run on past the head segment
-			c.fwdWords(it.addr+1, n)
-			c.h.Stats.CellsSwept += uint64(n)
-			return
-		}
-		w = w[1 : 1+n]
-	}
-	c.fwdWindow(w)
-	c.h.Stats.CellsSwept += uint64(len(w))
-}
 
 // scanSeg forwards in place every pointer field of every object in
 // segment idx, deferring weak cars to the weak-pair pass: the walk of

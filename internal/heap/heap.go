@@ -169,19 +169,6 @@ type ProtEntry struct {
 	Tconc obj.Value
 }
 
-type sweepKind uint8
-
-const (
-	sweepPair sweepKind = iota
-	sweepWeakPair
-	sweepObj
-)
-
-type sweepItem struct {
-	addr uint64
-	kind sweepKind
-}
-
 // dirtyCell is one entry of the sharded remembered set (see
 // remset.go): a remembered cell address, with weak marking weak car
 // cells whose referents belong to the weak-pair pass.

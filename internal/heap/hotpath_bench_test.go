@@ -12,6 +12,8 @@ import (
 // time. Public API only, so the file runs unchanged on an older commit.
 //
 //	go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore' ./internal/heap/
+//
+// (CollectYoungList matches BenchmarkCollectYoungLists too.)
 
 // BenchmarkCons is bump allocation plus the two-word initialization:
 // nothing is rooted, so the periodic collection copies nothing.
@@ -50,6 +52,36 @@ func BenchmarkCollectYoungList(b *testing.B) {
 		h.Collect(1)
 		for k := 0; k < 10000; k++ {
 			root.Set(h.Cons(obj.FromFixnum(int64(k)), root.Get()))
+		}
+		b.StartTimer()
+		words += h.Collect(0).WordsCopied
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
+}
+
+// BenchmarkCollectYoungLists is the copying core on heap-young's shape:
+// each iteration builds twelve 128-pair lists in generation 0, one per
+// root (untimed), and collects them into generation 1 together, so each
+// sweep pass finds one pair per list — 3 072 words — then drops them.
+// Beside BenchmarkCollectYoungList, whose single chain is one pair per
+// pass, the worst case for a sweep's per-pass overhead.
+func BenchmarkCollectYoungLists(b *testing.B) {
+	h := heap.NewDefault()
+	var roots [12]*heap.Root
+	for j := range roots {
+		roots[j] = h.NewRoot(obj.Nil)
+	}
+	var words uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, r := range roots {
+			r.Set(obj.Nil)
+		}
+		h.Collect(1)
+		for _, r := range roots {
+			for k := 0; k < 128; k++ {
+				r.Set(h.Cons(obj.FromFixnum(int64(k)), r.Get()))
+			}
 		}
 		b.StartTimer()
 		words += h.Collect(0).WordsCopied

@@ -62,7 +62,7 @@ func TestLazyRemSetAndBorrowedScratch(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	c := &h.cp
-	if h.sc != nil || c.wave != nil || c.next != nil || c.newWeak != nil || c.pendWeak != nil {
+	if h.sc != nil || c.large != nil || c.newWeak != nil || c.pendWeak != nil {
 		t.Fatal("heap kept collection scratch after the collection")
 	}
 }

@@ -29,10 +29,12 @@ type Stats struct {
 	PairsCopied      uint64
 	ObjectsCopied    uint64
 	CellsSwept       uint64
-	// SweepPasses counts kleene-sweep passes: one per wave of the
-	// sweep queue, so a chain of k pairs discovered one link at a time
-	// costs k passes, and the re-sweeps run inside the guardian
-	// phase's salvage loop are included (§4's "iterated" sweep).
+	// SweepPasses counts kleene-sweep passes that swept a copied
+	// object. A pass scans to-space up to the frontiers the cursors
+	// held when it began, so the objects copied during one pass are the
+	// next one's: a chain of k pairs discovered one link at a time
+	// costs k passes, and the re-sweeps run inside the guardian phase's
+	// salvage loop are included (§4's "iterated" sweep).
 	SweepPasses uint64
 
 	BarrierHits       uint64

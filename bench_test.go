@@ -448,7 +448,7 @@ func BenchmarkAblationDataSpace(b *testing.B) {
 	})
 }
 
-// --- Collector and interpreter micro-benchmarks ------------------------------------
+// --- Collector and Scheme micro-benchmarks ------------------------------------
 
 // BenchmarkAllocCons measures raw pair allocation.
 func BenchmarkAllocCons(b *testing.B) {
@@ -546,30 +546,16 @@ func BenchmarkGuardianRegister(b *testing.B) {
 	}
 }
 
-// BenchmarkSchemeEval measures interpreter throughput on a classic
+// BenchmarkSchemeEval measures Scheme throughput on a classic
 // allocation-heavy workload under automatic collection.
 func BenchmarkSchemeEval(b *testing.B) {
-	b.Run("fib-15-interpreted", func(b *testing.B) {
+	b.Run("fib-15", func(b *testing.B) {
 		m := scheme.New(heap.NewDefault(), nil)
 		m.MustEval("(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if v := m.MustEval("(fib 15)"); v.FixnumValue() != 610 {
 				b.Fatal("wrong answer")
-			}
-		}
-	})
-	b.Run("fib-15-compiled", func(b *testing.B) {
-		m := scheme.New(heap.NewDefault(), nil)
-		if _, err := m.EvalStringCompiled(
-			"(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v, err := m.EvalStringCompiled("(fib 15)")
-			if err != nil || v.FixnumValue() != 610 {
-				b.Fatalf("wrong answer: %v %v", v, err)
 			}
 		}
 	})

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		one    = flag.String("e", "", "run a single experiment by id (e1..e10, a1..a4)")
+		one    = flag.String("e", "", "run a single experiment by id (e1..e9, a1..a4)")
 		list   = flag.Bool("list", false, "list experiments and exit")
 		csv    = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		trace  = flag.Bool("trace", false, "run the GC trace workload and emit one JSON line per collection")
@@ -99,7 +99,7 @@ func main() {
 		return
 	}
 	fmt.Println("Guardians in a Generation-Based Garbage Collector (PLDI 1993)")
-	fmt.Println("reproduction experiments (E1–E10, A1–A4); see EXPERIMENTS.md for expected shapes")
+	fmt.Println("reproduction experiments (E1–E9, A1–A4); see EXPERIMENTS.md for expected shapes")
 	fmt.Println()
 	for _, e := range experiments.All() {
 		render(e.Run())

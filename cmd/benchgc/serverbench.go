@@ -14,7 +14,7 @@ import (
 // thousands of isolated guarded heaps behind one event loop:
 //
 //  1. Boot: register -server-sessions sessions (each a full heap +
-//     interpreter + prelude boot) holding a guarded port and a guarded
+//     Scheme machine + prelude boot) holding a guarded port and a guarded
 //     external resource, and keep all of them registered at once.
 //  2. Churn: -server-churn register/run/disconnect cycles on top of
 //     the standing population, measuring sessions/sec and the

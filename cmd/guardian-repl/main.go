@@ -42,9 +42,8 @@ func main() {
 		generations = flag.Int("generations", 4, "number of heap generations")
 		trigger     = flag.Int("trigger", 64*512, "gen-0 words between collect requests")
 		autotune    = flag.Bool("autotune", false, "self-tune the gen-0 trigger from measured survival")
-		compiled    = flag.Bool("compile", false, "execute via the bytecode compiler and VM")
 		loadImage   = flag.String("load-image", "", "restore a machine image saved with -save-image")
-		saveImage   = flag.String("save-image", "", "write a machine image at exit (interpreted sessions only)")
+		saveImage   = flag.String("save-image", "", "write a machine image at exit")
 	)
 	flag.Parse()
 
@@ -97,9 +96,6 @@ func main() {
 	}
 	defer writeImage()
 	eval := m.EvalString
-	if *compiled {
-		eval = m.EvalStringCompiled
-	}
 
 	if flag.NArg() > 0 {
 		src, err := os.ReadFile(flag.Arg(0))

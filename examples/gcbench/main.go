@@ -1,7 +1,7 @@
 // Gcbench: a classic garbage-collection workload (binary trees in the
-// style of Boehm's GCBench) run through the embedded Scheme
-// interpreter, with a guardian watching the long-lived trees. It
-// exercises the whole reproduction at once: the generational
+// style of Boehm's GCBench) run on the embedded Scheme machine
+// (bytecode compiler + VM), with a guardian watching the long-lived
+// trees. It exercises the whole reproduction at once: the generational
 // collector under sustained allocation, automatic radix-policy
 // collections, promotion, and guardian recovery of dropped trees —
 // then prints the collector's own accounting.

@@ -1,5 +1,5 @@
 // Scheme-session: runs the paper's §3 transcripts and Figure 1 through
-// the embedded Scheme interpreter, printing each form and its result —
+// the embedded Scheme machine, printing each form and its result —
 // the published sessions, reproduced end to end on the simulated heap.
 //
 //	go run ./examples/scheme-session

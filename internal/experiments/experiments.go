@@ -102,7 +102,6 @@ func All() []Experiment {
 		{"e7", E7, "tconc protocols: throughput of the critical-section-free queue"},
 		{"e8", E8, "guardians vs weak lists vs register-for-finalization"},
 		{"e9", E9, "weak symbol table (Friedman-Wise oblist pruning)"},
-		{"e10", E10, "execution engines: interpreter vs bytecode VM"},
 		{"a1", A1, "ablation: dirty set vs scanning all older generations"},
 		{"a2", A2, "ablation: weak pass on fresh pairs vs all weak segments"},
 		{"a3", A3, "ablation: unswept data space vs pointer-kind sweeping"},

@@ -199,23 +199,6 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
-func TestE10Shape(t *testing.T) {
-	tb := experiments.E10()
-	if len(tb.Rows) != 6 {
-		t.Fatalf("E10 rows = %d, want 6", len(tb.Rows))
-	}
-	// Guardian salvage counts must match across engines (rows 4,5).
-	if colValue(t, tb, 4, "salvaged") != colValue(t, tb, 5, "salvaged") {
-		t.Errorf("E10: engines salvaged different counts: %s vs %s",
-			colValue(t, tb, 4, "salvaged"), colValue(t, tb, 5, "salvaged"))
-	}
-	for i := range tb.Rows {
-		if colValue(t, tb, i, "result") == "" {
-			t.Errorf("E10 row %d: empty result", i)
-		}
-	}
-}
-
 func TestA4Shape(t *testing.T) {
 	tb := experiments.A4()
 	// Rows alternate iterated/single for each depth.
@@ -255,8 +238,8 @@ func TestRenderAndLookup(t *testing.T) {
 	if _, ok := experiments.Lookup("zz"); ok {
 		t.Error("Lookup(zz) should fail")
 	}
-	if len(experiments.All()) != 14 {
-		t.Errorf("All() = %d experiments, want 14", len(experiments.All()))
+	if len(experiments.All()) != 13 {
+		t.Errorf("All() = %d experiments, want 13", len(experiments.All()))
 	}
 	var csv strings.Builder
 	tb.RenderCSV(&csv)

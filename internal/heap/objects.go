@@ -43,7 +43,7 @@ func (h *Heap) noHeader(op string, addr uint64) {
 
 // badKind, badIndex, badPortField and negLength are the out-of-line
 // halves of the header accessors' checks, for the same reason: the
-// interpreter calls SymbolValue, ClosureEnv or RecordRef thousands of
+// Scheme VM calls SymbolValue, VectorRef or RecordRef thousands of
 // times a request, and h.check boxed their operands on every one.
 
 //go:noinline

@@ -18,7 +18,7 @@ import (
 // A continuation is represented as a one-field record whose type
 // descriptor is the interned symbol %continuation and whose field is
 // the activation id. Invoking it panics with a contEscape that the
-// owning call/cc activation recovers; each evaluator frame's deferred
+// owning call/cc activation recovers; each VM activation's deferred
 // shadow-stack truncation runs during unwinding, so the machine stays
 // consistent. Invoking a continuation whose call/cc has already
 // returned is an error (escape-only semantics; there is no
@@ -78,10 +78,10 @@ func (m *Machine) callCC(f obj.Value) (result obj.Value, err error) {
 	return v, err
 }
 
-// isApplicable reports whether v can be applied: a primitive, an
-// interpreted or compiled closure, or a continuation.
+// isApplicable reports whether v can be applied: a primitive, a
+// compiled closure, or a continuation.
 func (m *Machine) isApplicable(v obj.Value) bool {
-	return v.IsPrim() || m.H.IsKind(v, obj.KClosure) || m.isCompiledClosure(v) || m.isContinuation(v)
+	return v.IsPrim() || m.isCompiledClosure(v) || m.isContinuation(v) || m.isReference(v)
 }
 
 // dynamicWind implements (dynamic-wind before thunk after) for escape

@@ -7,14 +7,13 @@ import (
 	"repro/internal/obj"
 )
 
-// This file implements a bytecode compiler for the same language the
-// tree-walking evaluator interprets. The paper's host system (Chez
-// Scheme) is a compiler; compiling gives the reproduction a second,
-// faster execution engine over the identical heap — closures,
+// This file implements the bytecode compiler, the front half of the
+// machine's one execution engine (the VM in vm.go is the other). The
+// paper's host system (Chez Scheme) is a compiler. Closures,
 // environments, constants and the compiled code itself are all heap
-// values, so compiled code drives the collector exactly like
-// interpreted code and the two engines are differentially tested
-// against each other.
+// values, so running code drives the collector. The package's tests
+// keep a tree-walking reference evaluator of the same language and
+// check the VM against it.
 //
 // Derived forms (cond, case, and, or, when, unless, let, let*, letrec,
 // named let, do, quasiquote) are desugared into the core language
@@ -25,7 +24,7 @@ import (
 // is a heap vector [parent, slot0, slot1, ...], and compiled
 // environments are chains of those, addressed by lexical (depth,
 // index) pairs computed at compile time — depth counting heap frames
-// only — rather than the interpreter's association-list frames.
+// only — rather than the reference evaluator's association-list frames.
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -427,7 +426,7 @@ func (e *cenv) lookupFrom(sym obj.Value) (*cenv, int, int, bool) {
 }
 
 // shadowed reports whether a keyword symbol is bound as a variable in
-// the compile-time environment (matching the interpreter's rule).
+// the compile-time environment (matching the reference evaluator's rule).
 func (c *compiler) shadowed(sym obj.Value, env *cenv) bool {
 	_, _, _, ok := env.lookupFrom(sym)
 	return ok
@@ -610,8 +609,8 @@ func (c *compiler) compileLambdaClause(formals, body obj.Value, env *cenv, kind 
 	shape := codeShape{kind: kind}
 	nlo := len(m.cs.names)
 	// A formal named twice is bound to the later argument, as the
-	// interpreter binds it: the earlier slot keeps its argument under
-	// a name no symbol matches.
+	// reference evaluator binds it: the earlier slot keeps its
+	// argument under a name no symbol matches.
 	formal := func(sym obj.Value) {
 		for i, n := range m.cs.names[nlo:] {
 			if n == sym {

@@ -8,19 +8,9 @@ import (
 	"repro/internal/scheme"
 )
 
-// evalCompiled evaluates src through the bytecode compiler and VM.
-func evalCompiled(t *testing.T, m *scheme.Machine, src string) string {
-	t.Helper()
-	v, err := m.EvalStringCompiled(src)
-	if err != nil {
-		t.Fatalf("compile+run %q: %v", src, err)
-	}
-	return m.WriteString(v)
-}
-
 // differentialPrograms is shared by the differential test: every
-// program must produce identical results under the interpreter and the
-// compiler.
+// program must produce identical results on the reference evaluator and
+// on the VM.
 var differentialPrograms = []string{
 	"42", "#t", `"str"`, "'sym", "'(1 2 . 3)", "3.5",
 	"(+ 1 2 3)", "(* 2 (- 10 4))", "(quotient 17 5)",
@@ -95,38 +85,89 @@ func TestDifferentialInterpreterVsCompiler(t *testing.T) {
 	for _, src := range differentialPrograms {
 		src := src
 		t.Run(src[:min(len(src), 30)], func(t *testing.T) {
-			mi := scheme.New(heap.NewDefault(), nil)
+			mi := scheme.NewReference(heap.NewDefault(), nil)
 			mc := scheme.New(heap.NewDefault(), nil)
 			prep := "(define (case-lambda-test) ((case-lambda [() 0] [(a) (list 1 a)] [(a . r) (list 2 a r)]) 7 8))"
-			mi.MustEval(prep)
-			if _, err := mc.EvalStringCompiled(prep); err != nil {
+			if _, err := mi.RefEvalString(prep); err != nil {
 				t.Fatal(err)
 			}
-			iv, ierr := mi.EvalString(src)
-			cv, cerr := mc.EvalStringCompiled(src)
+			if _, err := mc.EvalString(prep); err != nil {
+				t.Fatal(err)
+			}
+			iv, ierr := mi.RefEvalString(src)
+			cv, cerr := mc.EvalString(src)
 			if (ierr == nil) != (cerr == nil) {
-				t.Fatalf("error divergence: interp=%v compiled=%v", ierr, cerr)
+				t.Fatalf("error divergence: reference=%v vm=%v", ierr, cerr)
 			}
 			if ierr != nil {
 				return
 			}
 			is, cs := mi.WriteString(iv), mc.WriteString(cv)
 			if is != cs {
-				t.Fatalf("result divergence:\n  interp:   %s\n  compiled: %s", is, cs)
+				t.Fatalf("result divergence:\n  reference: %s\n  vm:        %s", is, cs)
 			}
 		})
 	}
 }
 
+// TestReferenceAndVMSalvageAlike runs the same workloads on the
+// reference evaluator and on the VM over identically configured heaps:
+// the mechanism is independent of the execution engine, so both
+// compute the same result and salvage the same guardian entries.
+func TestReferenceAndVMSalvageAlike(t *testing.T) {
+	for _, w := range []struct{ name, src, want string }{
+		{"fib 17", `
+			(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
+			(fib 17)`, "1597"},
+		{"list churn", `
+			(define (build n) (if (zero? n) '() (cons n (build (- n 1)))))
+			(let loop ([i 0] [acc 0])
+			  (if (= i 200) acc (loop (+ i 1) (+ acc (length (build 50))))))`, "10000"},
+		{"guardian churn", `
+			(define G (make-guardian))
+			(define (spin n)
+			  (if (zero? n) 'ok (begin (G (cons n n)) (spin (- n 1)))))
+			(spin 3000)
+			(collect 3)
+			(let drain ([x (G)] [n 0])
+			  (if x (drain (G) (+ n 1)) n))`, "3000"},
+	} {
+		var salvaged [2]uint64
+		for i, ref := range []bool{true, false} {
+			cfg := heap.DefaultConfig()
+			cfg.Policy = heap.RadixPolicy{Trigger: 16 * 1024}
+			h := heap.MustNew(cfg)
+			m, run := scheme.New(h, nil), (*scheme.Machine).EvalString
+			if ref {
+				m, run = scheme.NewReference(h, nil), (*scheme.Machine).RefEvalString
+			}
+			v, err := run(m, w.src)
+			if err != nil {
+				t.Fatalf("%s (reference %v): %v", w.name, ref, err)
+			}
+			if got := m.WriteString(v); got != w.want {
+				t.Fatalf("%s (reference %v) = %s, want %s", w.name, ref, got, w.want)
+			}
+			if errs := h.Verify(); len(errs) > 0 {
+				t.Fatalf("%s (reference %v): %v", w.name, ref, errs[0])
+			}
+			salvaged[i] = h.Stats.GuardianEntriesSalvaged
+		}
+		if salvaged[0] != salvaged[1] {
+			t.Errorf("%s: reference salvaged %d, VM %d", w.name, salvaged[0], salvaged[1])
+		}
+	}
+}
+
 func TestCompiledTailCallsDontGrowStack(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define (count n) (if (zero? n) 'done (count (- n 1))))
 		(count 1000000)`)
 	if got != "done" {
 		t.Fatalf("got %s", got)
 	}
-	got = evalCompiled(t, m, `
+	got = evalStr(t, m, `
 		(letrec ([even? (lambda (n) (if (zero? n) #t (odd? (- n 1))))]
 		         [odd?  (lambda (n) (if (zero? n) #f (even? (- n 1))))])
 		  (even? 100001))`)
@@ -135,26 +176,9 @@ func TestCompiledTailCallsDontGrowStack(t *testing.T) {
 	}
 }
 
-func TestCompiledCrossEngineCalls(t *testing.T) {
-	m := newMachine(t)
-	// Interpreted closure defined first...
-	m.MustEval("(define (interp-double x) (* x 2))")
-	// ...called from compiled code; compiled closure defined...
-	got := evalCompiled(t, m, `
-		(define (compiled-inc x) (+ x 1))
-		(interp-double (compiled-inc 20))`)
-	if got != "42" {
-		t.Fatalf("compiled->interpreted call got %s", got)
-	}
-	// ...and called back from interpreted code.
-	expectEval(t, m, "(interp-double (compiled-inc 4))", "10")
-	expectEval(t, m, "(procedure? compiled-inc)", "#t")
-	expectEval(t, m, "(map compiled-inc '(1 2 3))", "(2 3 4)")
-}
-
 func TestCompiledGuardiansWork(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define G (make-guardian))
 		(define x (cons 'a 'b))
 		(G x)
@@ -164,7 +188,7 @@ func TestCompiledGuardiansWork(t *testing.T) {
 	if got != "(a . b)" {
 		t.Fatalf("guardian via compiled code got %s", got)
 	}
-	got = evalCompiled(t, m, "(G)")
+	got = evalStr(t, m, "(G)")
 	if got != "#f" {
 		t.Fatalf("second retrieval got %s", got)
 	}
@@ -173,7 +197,7 @@ func TestCompiledGuardiansWork(t *testing.T) {
 func TestCompiledCodeUnderAutomaticCollections(t *testing.T) {
 	h := heap.MustNew(heap.Config{Generations: 4, Policy: heap.RadixPolicy{Trigger: 2048, Radix: 4}, UseDirtySet: true})
 	m := scheme.New(h, nil)
-	v, err := m.EvalStringCompiled(`
+	v, err := m.EvalString(`
 		(define (build n) (if (zero? n) '() (cons n (build (- n 1)))))
 		(define (sum ls) (if (null? ls) 0 (+ (car ls) (sum (cdr ls)))))
 		(let loop ([i 0] [total 0])
@@ -196,7 +220,7 @@ func TestCompiledCodeUnderAutomaticCollections(t *testing.T) {
 
 func TestCompiledClosuresCaptureEnvironment(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define (make-counter)
 		  (let ([n 0])
 		    (lambda () (set! n (+ n 1)) n)))
@@ -221,19 +245,19 @@ func TestCompiledErrors(t *testing.T) {
 		"(let ([x]) x)",
 		"(letrec ([f (g)] [g (lambda () 1)]) f)", // use before init
 	} {
-		if _, err := m.EvalStringCompiled(src); err == nil {
+		if _, err := m.EvalString(src); err == nil {
 			t.Errorf("compiled %q: expected error", src)
 		}
 	}
 	// Machine still consistent.
-	if got := evalCompiled(t, m, "(+ 1 1)"); got != "2" {
+	if got := evalStr(t, m, "(+ 1 1)"); got != "2" {
 		t.Fatal("machine broken after compiled errors")
 	}
 }
 
 func TestCompiledDynamicWindAndCallCC(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define trace '())
 		(call/cc (lambda (k)
 		  (dynamic-wind
@@ -248,7 +272,7 @@ func TestCompiledDynamicWindAndCallCC(t *testing.T) {
 
 func TestCompiledDeepNonTailRecursion(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define (sum-to n) (if (zero? n) 0 (+ n (sum-to (- n 1)))))
 		(sum-to 10000)`)
 	if got != "50005000" {
@@ -258,7 +282,7 @@ func TestCompiledDeepNonTailRecursion(t *testing.T) {
 
 func TestCompiledTransportGuardianAndTable(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, `
+	got := evalStr(t, m, `
 		(define (phash k size) (modulo (car k) size))
 		(define tbl (make-guarded-hash-table phash 13))
 		(define k1 (cons 1 'k1))
@@ -271,7 +295,7 @@ func TestCompiledTransportGuardianAndTable(t *testing.T) {
 
 func TestCompilerShadowedKeyword(t *testing.T) {
 	m := newMachine(t)
-	got := evalCompiled(t, m, "(let ([if (lambda (a b c) 'shadowed)]) (if 1 2 3))")
+	got := evalStr(t, m, "(let ([if (lambda (a b c) 'shadowed)]) (if 1 2 3))")
 	if got != "shadowed" {
 		t.Fatalf("got %s", got)
 	}
@@ -283,11 +307,11 @@ func TestCompiledSymbolPruningInterop(t *testing.T) {
 	m.EnableSymbolPruning(true)
 	// Compiled code's constants keep their symbols alive even with
 	// pruning on: the code object is heap data the closure reaches.
-	if _, err := m.EvalStringCompiled(`(define (uses-sym) 'kept-by-code)`); err != nil {
+	if _, err := m.EvalString(`(define (uses-sym) 'kept-by-code)`); err != nil {
 		t.Fatal(err)
 	}
 	m.MustEval("(collect 3)")
-	got := evalCompiled(t, m, "(uses-sym)")
+	got := evalStr(t, m, "(uses-sym)")
 	if got != "kept-by-code" {
 		t.Fatalf("code constant symbol lost: %s", got)
 	}

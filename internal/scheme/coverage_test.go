@@ -86,7 +86,7 @@ func TestPrinterAllKinds(t *testing.T) {
 		t.Errorf("continuation prints %q", got)
 	}
 	// Compiled closure printing.
-	v, err := m.EvalStringCompiled("(define (compiled-named) 1) compiled-named")
+	v, err := m.EvalString("(define (compiled-named) 1) compiled-named")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestCompileErrorMessages(t *testing.T) {
 		"(case-lambda 5)",
 		"(let ([x 1]) (define y 2) (car 0) y)", // runtime error after internal define
 	} {
-		if _, err := m.EvalStringCompiled(src); err == nil {
+		if _, err := m.EvalString(src); err == nil {
 			t.Errorf("compiled %q: expected error", src)
 		}
 	}
 	// Internal define NOT at body head is rejected by the compiler.
-	if _, err := m.EvalStringCompiled("((lambda () 1 (define x 2) x))"); err == nil {
+	if _, err := m.EvalString("((lambda () 1 (define x 2) x))"); err == nil {
 		t.Error("late internal define should be a compile error")
 	}
 }

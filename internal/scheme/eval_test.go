@@ -366,28 +366,26 @@ func TestCollectRequestHandlerScheme(t *testing.T) {
 func TestCollectRequestHandlerDuringCompiledLoop(t *testing.T) {
 	h := heap.MustNew(heap.Config{Generations: 4, Policy: heap.RadixPolicy{Trigger: 4096, Radix: 4}, UseDirtySet: true})
 	m := scheme.New(h, nil)
-	if _, err := m.EvalStringCompiled(`
+	if _, err := m.EvalString(`
 		(define (inc x) (+ x 1))
 		(define (twice x) (inc (inc x)))`); err != nil {
 		t.Fatal(err)
 	}
-	// The handler is interpreted; what it calls is compiled.
-	if _, err := m.EvalString(`
-		(begin
-		  (define handler-runs 0)
-		  (collect-request-handler
-		    (lambda ()
-		      (set! handler-runs (- (twice handler-runs) 1))
-		      (collect))))`); err != nil {
-		t.Fatal(err)
-	}
+	// The handler, like what it calls, is compiled.
+	expectEval(t, m, `
+		(define handler-runs 0)
+		(define (handler)
+		  (set! handler-runs (- (twice handler-runs) 1))
+		  (collect))
+		(collect-request-handler handler)
+		(string? (disassemble handler))`, "#t")
 	for _, tc := range []struct{ src, want string }{
 		{`(define (burn n acc) (if (zero? n) (length acc) (burn (- n 1) (cons n acc))))
 		  (burn 20000 '())`, "20000"},
 		{`(do ((i 0 (+ i 1)) (acc '() (cons i acc))) ((= i 20000) (length acc)))`, "20000"},
 	} {
 		before := h.Stats.Collections
-		v, err := m.EvalStringCompiled(tc.src)
+		v, err := m.EvalString(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,11 +453,6 @@ func TestFuelBudget(t *testing.T) {
 	_, err = m.EvalString("(do ([i 0 (+ 1)]) ((= i 3) i))") // the fuzzer's find
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("non-advancing do should exhaust fuel, got %v", err)
-	}
-	m.SetFuel(5000)
-	_, err = m.EvalStringCompiled("(let loop () (loop))")
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("compiled infinite loop should exhaust fuel, got %v", err)
 	}
 	// Unlimited again.
 	m.SetFuel(-1)

@@ -11,7 +11,7 @@ import (
 // Tests for frame placement (compile.go, vm.go): a lambda clause whose
 // variables no nested lambda refers to keeps its frame on the VM's
 // value stack; a captured clause's frame is a heap vector. Every
-// program runs compiled and through the tree-walker, which builds
+// program runs on the VM and on the reference evaluator, which builds
 // association-list frames and knows nothing of placement, and the
 // placements the compiler chose are checked, so each case exercises
 // the frames it names.
@@ -47,18 +47,17 @@ func placement(m *Machine, name string) string {
 	return strings.Join(out, ",")
 }
 
-// runFrameCase runs c on a fresh machine per engine and checks the
-// value, the placements, that the VM left its stacks empty, and that
-// the heap verifies.
+// runFrameCase runs c on a fresh machine on the VM and on the
+// reference evaluator and checks the value, the placements, that the
+// VM left its stacks empty, and that the heap verifies.
 func runFrameCase(t *testing.T, c frameCase) {
 	t.Helper()
 	for _, compiled := range []bool{true, false} {
-		m := New(heap.NewDefault(), nil)
-		eval := m.EvalString
+		m, eval := NewReference(heap.NewDefault(), nil), (*Machine).RefEvalString
 		if compiled {
-			eval = m.EvalStringCompiled
+			m, eval = New(heap.NewDefault(), nil), (*Machine).EvalString
 		}
-		v, err := eval(c.src)
+		v, err := eval(m, c.src)
 		if err != nil {
 			t.Fatalf("%s (compiled %v): %v", c.name, compiled, err)
 		}
@@ -177,26 +176,26 @@ func TestFrameUseBeforeInit(t *testing.T) {
 	const defs = `
 		(define (early) (define a b) (define b 1) a)
 		(define (early-captured) (define a (lambda () b)) (define c (a)) (define b 1) c)`
-	m, im := New(heap.NewDefault(), nil), New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled(defs); err != nil {
+	m, im := New(heap.NewDefault(), nil), NewReference(heap.NewDefault(), nil)
+	if _, err := m.EvalString(defs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := im.EvalString(defs); err != nil {
+	if _, err := im.RefEvalString(defs); err != nil {
 		t.Fatal(err)
 	}
 	if got := placement(m, "early") + " " + placement(m, "early-captured"); got != "stack heap" {
 		t.Fatalf("placements %s, want stack heap", got)
 	}
 	for _, call := range []string{"(early)", "(early-captured)"} {
-		if _, err := m.EvalStringCompiled(call); err == nil ||
+		if _, err := m.EvalString(call); err == nil ||
 			err.Error() != "vm: variable used before initialization in lambda" {
 			t.Errorf("%s: compiled error %v", call, err)
 		}
-		if _, err := im.EvalString(call); err == nil {
-			t.Errorf("%s: the tree-walker raised no error", call)
+		if _, err := im.RefEvalString(call); err == nil {
+			t.Errorf("%s: the reference evaluator raised no error", call)
 		}
 	}
-	if v, err := m.EvalStringCompiled("(+ 1 2)"); err != nil || m.WriteString(v) != "3" {
+	if v, err := m.EvalString("(+ 1 2)"); err != nil || m.WriteString(v) != "3" {
 		t.Fatalf("machine after the errors: %s %v", m.WriteString(v), err)
 	}
 }
@@ -220,7 +219,7 @@ func TestStackFrameSlotIsARoot(t *testing.T) {
 // template shares, and runs again after a full collection.
 func TestTemplateCarriesStackFrameCode(t *testing.T) {
 	donor := New(heap.NewDefault(), nil)
-	if _, err := donor.EvalStringCompiled(`
+	if _, err := donor.EvalString(`
 		(define (sum-squares l)
 		  (let loop ((l l) (s 0))
 		    (if (null? l) s (loop (cdr l) (+ s (* (car l) (car l)))))))
@@ -240,7 +239,7 @@ func TestTemplateCarriesStackFrameCode(t *testing.T) {
 		t.Fatalf("placements %s, want stack stack", got)
 	}
 	for round := 0; round < 2; round++ {
-		v, err := c.EvalStringCompiled("(sum-to 10 'x 'y)")
+		v, err := c.EvalString("(sum-to 10 'x 'y)")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +311,7 @@ func TestFrameHeapWords(t *testing.T) {
 		t.Errorf("build, sum, work frames: %s", got)
 	}
 	w0 = m.H.Stats.WordsAllocated
-	v, err := m.EvalStringCompiled("(work 100 125)")
+	v, err := m.EvalString("(work 100 125)")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,11 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzDifferential runs arbitrary programs through both execution
-// engines: results must agree (or both must error), and both heaps
-// must stay sound.
+// FuzzDifferential runs arbitrary programs on the reference evaluator
+// and on the VM: results must agree (or both must error), and both
+// heaps must stay sound. Each machine runs its own prelude, so the
+// seeds that pass user closures to prelude procedures compare the
+// compiled prelude with the reference-evaluated one.
 func FuzzDifferential(f *testing.F) {
 	for _, seed := range []string{
 		"(+ 1 2)", "(let ([x 1]) x)", "(sort < '(2 1))",
@@ -56,13 +58,20 @@ func FuzzDifferential(f *testing.F) {
 		"((case-lambda [(a) a] [(a b) b]) 1 2)",
 		"(and 1 (or #f 2))", "(letrec ([f (lambda () 1)]) (f))",
 		// Rebound built-ins and fixnum-boundary operands: the VM's
-		// integrated primitives against the interpreter's table calls.
+		// integrated primitives against the reference's table calls.
 		"(define (+ a b) (* a b)) (+ 3 4)", "(set! car cdr) (car '(1 2))",
 		"(define (f p) (car p)) (f '(1)) (set! car cdr) (f '(1 2))",
 		"(= 9007199254740993 9007199254740992)", "(< 9007199254740992 9007199254740993)",
 		"(max 9007199254740992 9007199254740993)", "(+ 1152921504606846975 1)",
 		"(- -1152921504606846976 1)", "(< 1 1.5)", "(car 1)", "(+ 1 #\\a)",
 		"(let loop ([i 0]) (if (< i 5) (loop (+ i 1)) (cons i (cdr '(x)))))",
+		// Prelude procedures calling user closures.
+		"(map (lambda (x) (* x x)) '(1 2 3))",
+		"(let ([acc '()]) (for-each (lambda (x y) (set! acc (cons (+ x y) acc))) '(1 2) '(10 20)) acc)",
+		"(apply (lambda (a . r) (list a r)) 1 '(2 3))",
+		"(call/cc (lambda (k) (for-each (lambda (x) (if (> x 2) (k x))) '(1 2 3 4)) 'none))",
+		"(let ([t '()]) (dynamic-wind (lambda () (set! t (cons 'in t))) (lambda () (map (lambda (x) (set! t (cons x t)) x) '(1 2))) (lambda () (set! t (cons 'out t)))) (reverse t))",
+		"(define G (make-guardian)) (for-each (lambda (i) (G (cons i i))) (iota 5)) (collect 3) (let drain ([x (G)] [n 0]) (if x (drain (G) (+ n (car x))) n))",
 	} {
 		f.Add(seed)
 	}
@@ -71,26 +80,26 @@ func FuzzDifferential(f *testing.F) {
 			return
 		}
 		hi := heap.MustNew(heap.Config{Generations: 3, Policy: heap.RadixPolicy{Trigger: 4096, Radix: 4}, UseDirtySet: true})
-		mi := scheme.New(hi, nil)
+		mi := scheme.NewReference(hi, nil)
 		mi.SetFuel(200000)
-		iv, ierr := mi.EvalString(src)
+		iv, ierr := mi.RefEvalString(src)
 
 		hc := heap.MustNew(heap.Config{Generations: 3, Policy: heap.RadixPolicy{Trigger: 4096, Radix: 4}, UseDirtySet: true})
 		mc := scheme.New(hc, nil)
 		mc.SetFuel(200000)
-		cv, cerr := mc.EvalStringCompiled(src)
+		cv, cerr := mc.EvalString(src)
 
 		if ierr == nil && cerr == nil {
 			is, cs := mi.WriteString(iv), mc.WriteString(cv)
 			if is != cs && !strings.Contains(is, "#<") && !strings.Contains(cs, "#<") {
-				t.Errorf("engine divergence on %q:\n  interp:   %s\n  compiled: %s", src, is, cs)
+				t.Errorf("divergence on %q:\n  reference: %s\n  vm:        %s", src, is, cs)
 			}
 		}
 		if errs := hi.Verify(); len(errs) > 0 {
-			t.Fatalf("interpreter heap unsound after %q: %v", src, errs[0])
+			t.Fatalf("reference heap unsound after %q: %v", src, errs[0])
 		}
 		if errs := hc.Verify(); len(errs) > 0 {
-			t.Fatalf("compiler heap unsound after %q: %v", src, errs[0])
+			t.Fatalf("vm heap unsound after %q: %v", src, errs[0])
 		}
 	})
 }

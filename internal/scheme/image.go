@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"os"
-
 	"repro/internal/heap"
 	"repro/internal/obj"
 	"repro/internal/ports"
@@ -15,16 +13,20 @@ import (
 
 // Machine images layer the symbol table over heap images: SaveImage
 // writes the heap followed by every interned symbol (name and heap
-// value) and the permanent symbols' snapshots, and LoadMachineImage rebuilds a machine whose globals,
-// closures — compiled ones included, their code being heap data — and
-// guardians, everything expressible in Scheme, pick up exactly where
-// the saved session stopped. This mirrors Chez Scheme's saved heaps.
+// value) and the permanent symbols' snapshots, and LoadMachineImage
+// rebuilds a machine whose globals, closures — their compiled code
+// being heap data — and guardians, everything expressible in Scheme,
+// pick up exactly where the saved session stopped. This mirrors Chez Scheme's saved heaps.
 //
 // Restrictions: the machine must be quiescent (no evaluation in
 // progress); primitives are re-installed by index, which is stable
 // because the builtins table only grows.
+//
+// Format 5: the prelude is compiled. An older image holds the prelude
+// as closures of a tree-walking evaluator that this machine cannot
+// apply, so it is refused.
 
-const machineMagic = "GUARDMACH4\n"
+const machineMagic = "GUARDMACH5\n"
 
 // SaveImage writes the machine (heap + symbol table) to w.
 func (m *Machine) SaveImage(w io.Writer) error {
@@ -100,18 +102,7 @@ func LoadMachineImage(r io.Reader, pm *ports.Manager) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pm == nil {
-		pm = ports.NewManager(h, ports.NewFS())
-	}
-	m := &Machine{
-		H:      h,
-		PM:     pm,
-		Out:    os.Stdout,
-		base:   emptyBase,
-		symIdx: make(map[string]int),
-		fuel:   -1,
-	}
-	h.AddRootProvider(m)
+	m := newMachine(h, pm)
 
 	rd := func() (uint64, error) {
 		var v uint64

@@ -69,12 +69,12 @@ func TestMachineImageGensymCounterSurvives(t *testing.T) {
 // collects, and calls them again.
 func TestMachineImageCarriesCompiledCode(t *testing.T) {
 	m := scheme.New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled(compiledDefs); err != nil {
+	if _, err := m.EvalString(compiledDefs); err != nil {
 		t.Fatal(err)
 	}
 	expectCompiled := func(m *scheme.Machine, src, want string) {
 		t.Helper()
-		v, err := m.EvalStringCompiled(src)
+		v, err := m.EvalString(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -102,6 +102,29 @@ func TestMachineImageCarriesCompiledCode(t *testing.T) {
 		}
 	}
 	expectEval(t, m2, "(arity 7)", "(one 7)")
+}
+
+// TestMachineImageCompiledPrelude: an image from a machine whose
+// prelude was interpreted (format GUARDMACH4) is refused rather than
+// loaded with prelude procedures nothing can apply, and a round trip
+// keeps the compiled prelude working.
+func TestMachineImageCompiledPrelude(t *testing.T) {
+	m := scheme.New(heap.NewDefault(), nil)
+	var buf bytes.Buffer
+	if err := m.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	old := append([]byte("GUARDMACH4\n"), img[len("GUARDMACH5\n"):]...)
+	if _, err := scheme.LoadMachineImage(bytes.NewReader(old), nil); err == nil {
+		t.Fatal("an image with the old magic was accepted")
+	}
+	m2, err := scheme.LoadMachineImage(bytes.NewReader(img), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectEval(t, m2, "(string? (disassemble map))", "#t") // compiled
+	expectEval(t, m2, "(map (lambda (x) (+ x 1)) '(1 2))", "(2 3)")
 }
 
 func TestMachineImageRejectsGarbage(t *testing.T) {

@@ -39,7 +39,7 @@ func outcome(m *Machine, v obj.Value, err error) string {
 // through apply, which dispatches through the table).
 func TestIntegratedPrimitivesMatchTable(t *testing.T) {
 	m := New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled("(define ops (vector " + strings.Join(integrateOperands, " ") + "))"); err != nil {
+	if _, err := m.EvalString("(define ops (vector " + strings.Join(integrateOperands, " ") + "))"); err != nil {
 		t.Fatal(err)
 	}
 	var combos [][]int
@@ -87,9 +87,9 @@ func TestIntegratedPrimitivesMatchTable(t *testing.T) {
 			}
 			call := fmt.Sprintf("(%s %s)", name, strings.Join(args, " "))
 			viaApply := fmt.Sprintf("(apply %s (list %s))", name, strings.Join(args, " "))
-			cv, cerr := m.EvalStringCompiled(call)
+			cv, cerr := m.EvalString(call)
 			cs := outcome(m, cv, cerr)
-			av, aerr := m.EvalStringCompiled(viaApply)
+			av, aerr := m.EvalString(viaApply)
 			as := outcome(m, av, aerr)
 			if cs != as {
 				t.Errorf("%s = %s, but %s = %s", call, cs, viaApply, as)
@@ -113,7 +113,7 @@ func TestIntegratedFixnumWrap(t *testing.T) {
 		"(- -1152921504606846976 1)":  "1152921504606846975",
 		"(+ -1152921504606846976 -1)": "1152921504606846975",
 	} {
-		v, err := m.EvalStringCompiled(src)
+		v, err := m.EvalString(src)
 		if err != nil || m.WriteString(v) != want {
 			t.Errorf("%s = %s, %v; want %s", src, m.WriteString(v), err, want)
 		}

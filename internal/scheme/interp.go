@@ -1,16 +1,17 @@
-// Package scheme implements a small Scheme interpreter whose every
-// value — environments, closures, syntax trees — lives in the
-// simulated heap of package heap. Running Scheme code therefore drives
-// the paper's collector with realistic workloads, and the code figures
-// of the paper (make-guardian, make-transport-guardian,
+// Package scheme implements a small Scheme whose every value —
+// environments, closures, compiled code — lives in the simulated heap
+// of package heap. Running Scheme code therefore drives the paper's
+// collector with realistic workloads, and the code figures of the
+// paper (make-guardian, make-transport-guardian,
 // make-guarded-hash-table, guarded-open-*) run verbatim: they are the
-// interpreter's prelude.
+// machine's prelude.
 //
-// The interpreter is a tree-walking evaluator with proper tail calls.
-// Collections happen only at evaluator safe points; every heap value
-// the evaluator holds across a potential safe point is kept on a
-// shadow stack that the collector treats as roots, so objects may move
-// freely between any two evaluation steps.
+// Programs are compiled to bytecode (compile.go) and run on a stack VM
+// (vm.go) with proper tail calls. Collections happen only at the VM's
+// safe points; every heap value the machine holds across a potential
+// safe point is on its value stack or in its frames, which the
+// collector treats as roots, so objects may move freely between any
+// two steps.
 package scheme
 
 import (
@@ -69,8 +70,9 @@ var formNames = map[string]formID{
 	"do": fDo, "quasiquote": fQuasiquote,
 }
 
-// maxEvalDepth bounds evaluator recursion (Scheme-level infinite
-// non-tail recursion becomes an error instead of a Go stack overflow).
+// maxEvalDepth bounds nested runs of the VM through Go (a primitive
+// such as apply or call/cc calling back into compiled code), so that
+// runaway recursion through them is an error, not a Go stack overflow.
 const maxEvalDepth = 10000
 
 // ExitError is returned when a program calls (exit [code]): the
@@ -82,7 +84,7 @@ type ExitError struct{ Code int }
 
 func (e *ExitError) Error() string { return fmt.Sprintf("scheme: exit %d", e.Code) }
 
-// Machine is an interpreter instance bound to a heap.
+// Machine is a Scheme instance bound to a heap.
 type Machine struct {
 	H   *heap.Heap
 	PM  *ports.Manager
@@ -108,10 +110,9 @@ type Machine struct {
 	hostPrims []prim // DefinePrim's primitives, indexed from len(builtins)
 	// keywords holds the symbol of each special form (by formID), then
 	// else and =>, then the compiled-closure and continuation record
-	// tags: the evaluator and the VM compare against them on every
-	// application. Interned at machine build, so a template's clones
-	// find them in its shared base. Visited as roots, so they track
-	// their symbols.
+	// tags: the compiler and the VM compare against them. Interned at
+	// machine build, so a template's clones find them in its shared
+	// base. Visited as roots, so they track their symbols.
 	keywords [numKeywords]obj.Value
 	gensymN  int
 	depth    int
@@ -177,23 +178,17 @@ func (a Args) Get(i int) obj.Value { return a.m.stack[a.base+i] }
 // New creates a machine over h, with ports backed by pm (a fresh
 // manager over an empty simulated file system if nil). The prelude —
 // including the paper's make-guardian, make-transport-guardian, and
-// make-guarded-hash-table — is evaluated before New returns.
+// make-guarded-hash-table — is compiled and run before New returns.
 func New(h *heap.Heap, pm *ports.Manager) *Machine {
-	if pm == nil {
-		pm = ports.NewManager(h, ports.NewFS())
-	}
-	m := &Machine{
-		H:      h,
-		PM:     pm,
-		Out:    os.Stdout,
-		base:   emptyBase,
-		symIdx: make(map[string]int),
-		fuel:   -1,
-	}
-	h.AddRootProvider(m)
+	return boot(h, pm, (*Machine).EvalString)
+}
+
+// boot builds a machine over h and pm and runs the prelude with eval.
+func boot(h *heap.Heap, pm *ports.Manager, eval func(*Machine, string) (obj.Value, error)) *Machine {
+	m := newMachine(h, pm)
 	m.internForms()
 	m.installPrims()
-	if _, err := m.EvalString(prelude); err != nil {
+	if _, err := eval(m, prelude); err != nil {
 		panic(fmt.Sprintf("scheme: prelude failed: %v", err))
 	}
 	// Symbols interned up to this point (special forms, primitives,
@@ -202,6 +197,18 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 	m.permanentSyms = len(m.syms)
 	m.snapshotPermanents()
 	h.AddPostCollectHook(m.pruneDeadSymbols)
+	return m
+}
+
+// newMachine returns a machine over h with an empty symbol table,
+// bound to pm (a fresh manager over an empty simulated file system if
+// nil) and registered as a root provider of h.
+func newMachine(h *heap.Heap, pm *ports.Manager) *Machine {
+	if pm == nil {
+		pm = ports.NewManager(h, ports.NewFS())
+	}
+	m := &Machine{H: h, PM: pm, Out: os.Stdout, base: emptyBase, symIdx: make(map[string]int), fuel: -1}
+	h.AddRootProvider(m)
 	return m
 }
 
@@ -347,22 +354,22 @@ func (m *Machine) slot(v obj.Value) slot {
 func (m *Machine) get(s slot) obj.Value    { return m.stack[s] }
 func (m *Machine) set(s slot, v obj.Value) { m.stack[s] = v }
 
-// safepoint is the evaluator's back-edge poll: it runs the
+// safepoint is the VM's poll at calls and backward jumps: it runs the
 // collect-request handler when an automatic collection is pending and,
 // in concurrent-mutator mode, yields to a stop-the-world handshake
-// raised by another goroutine's collection. All evaluator state is
-// rooted at call sites.
+// raised by another goroutine's collection. All machine state is
+// rooted there.
 func (m *Machine) safepoint() {
 	if m.H.Safepoint() {
 		m.H.Checkpoint()
 	}
 }
 
-// SetFuel bounds further execution to n evaluation steps (evaluator
-// loop iterations and VM calls/back-jumps); a program that exceeds its
-// budget stops with an error instead of running forever. Pass -1 for
-// unlimited (the default). Useful for sandboxed evaluation and for
-// fuzzing a Turing-complete language.
+// SetFuel bounds further execution to n steps (VM calls and backward
+// jumps); a program that exceeds its budget stops with an error
+// instead of running forever. Pass -1 for unlimited (the default).
+// Useful for sandboxed evaluation and for fuzzing a Turing-complete
+// language.
 func (m *Machine) SetFuel(n int64) { m.fuel = n }
 
 // burn consumes one unit of fuel.
@@ -393,185 +400,11 @@ func (m *Machine) specialFormOf(head obj.Value) (formID, bool) {
 	return 0, false
 }
 
-// lexicallyBound reports whether sym has a binding in env's frames
-// (used to let local variables shadow special-form keywords).
-func (m *Machine) lexicallyBound(sym, env obj.Value) bool {
-	h := m.H
-	for e := env; e.IsPair(); e = h.Cdr(e) {
-		for b := h.Car(e); b.IsPair(); b = h.Cdr(b) {
-			if h.Car(h.Car(b)) == sym {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (m *Machine) lookup(sym, env obj.Value) (obj.Value, error) {
-	h := m.H
-	for e := env; e.IsPair(); e = h.Cdr(e) {
-		for b := h.Car(e); b.IsPair(); b = h.Cdr(b) {
-			bind := h.Car(b)
-			if h.Car(bind) == sym {
-				v := h.Cdr(bind)
-				if v == obj.Unbound {
-					return obj.Void, fmt.Errorf("scheme: %s used before initialization", h.SymbolString(sym))
-				}
-				return v, nil
-			}
-		}
-	}
-	v := h.SymbolValue(sym)
-	if v == obj.Unbound {
-		return obj.Void, fmt.Errorf("scheme: unbound variable %s", h.SymbolString(sym))
-	}
-	return v, nil
-}
-
-func (m *Machine) assign(sym, val, env obj.Value) error {
-	h := m.H
-	for e := env; e.IsPair(); e = h.Cdr(e) {
-		for b := h.Car(e); b.IsPair(); b = h.Cdr(b) {
-			bind := h.Car(b)
-			if h.Car(bind) == sym {
-				h.SetCdr(bind, val)
-				return nil
-			}
-		}
-	}
-	if h.SymbolValue(sym) == obj.Unbound {
-		return fmt.Errorf("scheme: set! of unbound variable %s", h.SymbolString(sym))
-	}
-	h.SetSymbolValue(sym, val)
-	return nil
-}
-
 // errf builds an error that includes a rendering of the offending
 // expression.
 func (m *Machine) errf(v obj.Value, format string, args ...any) error {
 	msg := fmt.Sprintf(format, args...)
 	return fmt.Errorf("scheme: %s: %s", msg, m.WriteString(v))
-}
-
-// Eval evaluates expr in env (obj.Nil is the global environment).
-func (m *Machine) Eval(expr, env obj.Value) (v obj.Value, err error) {
-	m.depth++
-	defer func() { m.depth-- }()
-	if m.depth > maxEvalDepth {
-		return obj.Void, fmt.Errorf("scheme: evaluation depth exceeded (non-tail recursion too deep)")
-	}
-	h := m.H
-	base := len(m.stack)
-	defer func() { m.stack = m.stack[:base] }()
-	eExpr := m.slot(expr)
-	eEnv := m.slot(env)
-
-	for {
-		m.safepoint()
-		if err := m.burn(); err != nil {
-			return obj.Void, err
-		}
-		expr, env = m.get(eExpr), m.get(eEnv)
-		switch {
-		case m.isSymbol(expr):
-			return m.lookup(expr, env)
-		case !expr.IsPair():
-			return expr, nil // self-evaluating
-		}
-		head := h.Car(expr)
-		if form, ok := m.specialFormOf(head); ok && !m.lexicallyBound(head, env) {
-			tailExpr, tailEnv, result, done, ferr := m.evalForm(form, expr, env)
-			if ferr != nil {
-				return obj.Void, ferr
-			}
-			if done {
-				return result, nil
-			}
-			m.set(eExpr, tailExpr)
-			m.set(eEnv, tailEnv)
-			m.stack = m.stack[:base+2]
-			continue
-		}
-
-		// Application: evaluate operator, then operands left to right.
-		fnS := m.slot(obj.Void)
-		fv, err := m.Eval(h.Car(m.get(eExpr)), m.get(eEnv))
-		if err != nil {
-			return obj.Void, err
-		}
-		m.set(fnS, fv)
-		restS := m.slot(h.Cdr(m.get(eExpr)))
-		argsBase := len(m.stack)
-		for m.get(restS).IsPair() {
-			av, err := m.Eval(h.Car(m.get(restS)), m.get(eEnv))
-			if err != nil {
-				return obj.Void, err
-			}
-			m.stack = append(m.stack, av)
-			m.set(restS, h.Cdr(m.get(restS)))
-		}
-		if m.get(restS) != obj.Nil {
-			return obj.Void, m.errf(m.get(eExpr), "improper argument list")
-		}
-		n := len(m.stack) - argsBase
-		fn := m.get(fnS)
-		if m.isContinuation(fn) {
-			var val obj.Value = obj.Void
-			if n >= 1 {
-				val = m.stack[argsBase]
-			}
-			return m.invokeContinuation(fn, val)
-		}
-		if m.isCompiledClosure(fn) {
-			return m.applyCompiled(fn, argsBase, n)
-		}
-		if fn.IsPrim() {
-			return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: argsBase, n: n})
-		}
-		kind, _ := h.KindOf(fn)
-		switch kind {
-		case obj.KClosure:
-			newEnv, body, err := m.bindClause(fn, argsBase, n)
-			if err != nil {
-				return obj.Void, err
-			}
-			// Evaluate all but the last body form, then loop on the
-			// last (proper tail call).
-			last, err := m.evalBodyButLast(body, newEnv, eExpr, eEnv)
-			if err != nil {
-				return obj.Void, err
-			}
-			if last {
-				return obj.Void, nil // empty body
-			}
-			m.stack = m.stack[:base+2]
-			continue
-		default:
-			return obj.Void, m.errf(fn, "attempt to apply non-procedure")
-		}
-	}
-}
-
-// evalBodyButLast evaluates every body form except the last, then
-// stores the last form and env into the caller's expr/env slots. It
-// reports true when the body was empty. body and env must be passed
-// rooted via fresh slots inside.
-func (m *Machine) evalBodyButLast(body, env obj.Value, eExpr, eEnv slot) (empty bool, err error) {
-	h := m.H
-	if body == obj.Nil {
-		return true, nil
-	}
-	bS := m.slot(body)
-	envS := m.slot(env)
-	for h.Cdr(m.get(bS)).IsPair() {
-		if _, err := m.Eval(h.Car(m.get(bS)), m.get(envS)); err != nil {
-			return false, err
-		}
-		m.set(bS, h.Cdr(m.get(bS)))
-	}
-	m.set(eExpr, h.Car(m.get(bS)))
-	m.set(eEnv, m.get(envS))
-	return false, nil
 }
 
 // primAt returns the dispatch entry of primitive index idx: a
@@ -602,126 +435,59 @@ func (m *Machine) callPrimIndex(idx int, a Args) (obj.Value, error) {
 	return p.fn(m, a)
 }
 
-// bindClause selects the closure clause matching the argument count
-// and builds the new environment frame. Arguments are read from the
-// shadow stack.
-func (m *Machine) bindClause(fn obj.Value, argsBase, n int) (env, body obj.Value, err error) {
-	h := m.H
-	fnS := m.slot(fn)
-	for cl := m.slot(h.ClosureClauses(fn)); m.get(cl).IsPair(); m.set(cl, h.Cdr(m.get(cl))) {
-		clause := h.Car(m.get(cl))
-		formals := h.Car(clause)
-		req, rest := 0, false
-		for f := formals; ; {
-			if f.IsPair() {
-				req++
-				f = h.Cdr(f)
-				continue
-			}
-			rest = f != obj.Nil
-			break
-		}
-		if n < req || (!rest && n != req) {
-			continue
-		}
-		// Build the frame: one binding per formal, then the rest list.
-		frameS := m.slot(obj.Nil)
-		fS := m.slot(h.Car(h.Car(m.get(cl)))) // formals, re-read rooted
-		for i := 0; i < req; i++ {
-			sym := h.Car(m.get(fS))
-			bind := h.Cons(sym, m.stack[argsBase+i])
-			m.set(frameS, h.Cons(bind, m.get(frameS)))
-			m.set(fS, h.Cdr(m.get(fS)))
-		}
-		if rest {
-			restList := m.slot(obj.Nil)
-			for i := n - 1; i >= req; i-- {
-				m.set(restList, h.Cons(m.stack[argsBase+i], m.get(restList)))
-			}
-			bind := h.Cons(m.get(fS), m.get(restList))
-			m.set(frameS, h.Cons(bind, m.get(frameS)))
-		}
-		clause = h.Car(m.get(cl)) // re-read after allocations
-		newEnv := h.Cons(m.get(frameS), h.ClosureEnv(m.get(fnS)))
-		return newEnv, h.Cdr(clause), nil
-	}
-	return obj.Void, obj.Void, fmt.Errorf(
-		"scheme: no matching clause for %d arguments in %s", n, m.WriteString(m.get(fnS)))
+// applyReference applies a closure of the reference evaluator, the
+// tree-walker that the package's tests keep as an executable
+// specification of the VM. Those tests install it; in production it is
+// nil and no such closure exists.
+var applyReference func(m *Machine, fn obj.Value, argsBase, n int) (obj.Value, error)
+
+// isReference reports whether v is a reference-evaluator closure that
+// applyReference can run.
+func (m *Machine) isReference(v obj.Value) bool {
+	return applyReference != nil && m.H.IsKind(v, obj.KClosure)
 }
 
-// Apply invokes fn (closure or primitive) on args from Go code — used
-// by the apply primitive, map/for-each, and the collect-request
-// handler bridge.
+// Apply invokes fn (a compiled closure, primitive or continuation) on
+// args from Go code — used by the apply primitive, call/cc,
+// dynamic-wind and the collect-request handler bridge.
 func (m *Machine) Apply(fn obj.Value, args []obj.Value) (obj.Value, error) {
 	base := len(m.stack)
 	defer func() { m.stack = m.stack[:base] }()
-	fnS := m.slot(fn)
-	argsBase := len(m.stack)
 	m.stack = append(m.stack, args...)
-	h := m.H
-	if m.isContinuation(m.get(fnS)) {
-		var val obj.Value = obj.Void
-		if len(args) >= 1 {
-			val = m.stack[argsBase]
+	n := len(args)
+	switch {
+	case fn.IsPrim():
+		return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: base, n: n})
+	case m.isCompiledClosure(fn):
+		return m.applyCompiled(fn, base, n)
+	case m.isContinuation(fn):
+		val := obj.Value(obj.Void)
+		if n >= 1 {
+			val = m.stack[base]
 		}
-		return m.invokeContinuation(m.get(fnS), val)
+		return m.invokeContinuation(fn, val)
+	case m.isReference(fn):
+		return applyReference(m, fn, base, n)
 	}
-	if m.isCompiledClosure(m.get(fnS)) {
-		return m.applyCompiled(m.get(fnS), argsBase, len(args))
-	}
-	if fn.IsPrim() {
-		return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: argsBase, n: len(args)})
-	}
-	kind, _ := h.KindOf(m.get(fnS))
-	switch kind {
-	case obj.KClosure:
-		env, body, err := m.bindClause(m.get(fnS), argsBase, len(args))
-		if err != nil {
-			return obj.Void, err
-		}
-		return m.evalBody(body, env)
-	default:
-		return obj.Void, m.errf(m.get(fnS), "attempt to apply non-procedure")
-	}
+	return obj.Void, m.errf(fn, "attempt to apply non-procedure")
 }
 
-// evalBody evaluates a body sequence and returns the last value.
-func (m *Machine) evalBody(body, env obj.Value) (obj.Value, error) {
-	h := m.H
-	base := len(m.stack)
-	defer func() { m.stack = m.stack[:base] }()
-	bS := m.slot(body)
-	envS := m.slot(env)
-	result := m.slot(obj.Void)
-	for m.get(bS).IsPair() {
-		v, err := m.Eval(h.Car(m.get(bS)), m.get(envS))
-		if err != nil {
-			return obj.Void, err
-		}
-		m.set(result, v)
-		m.set(bS, h.Cdr(m.get(bS)))
-	}
-	return m.get(result), nil
-}
-
-// EvalString reads and evaluates every form in src, returning the last
-// value. The returned value is valid until the next collection; root
-// it if it must live longer. Panics from malformed programs reaching
-// heap accessors (for example taking the car of a non-pair deep inside
-// a special form) are converted to errors at this boundary.
+// EvalString reads src and runs every form through the bytecode
+// compiler and VM, returning the last value. The returned value is
+// valid until the next collection; root it if it must live longer.
+// Each form's top-level code object is garbage once it has run. Panics
+// from malformed programs reaching heap accessors are converted to
+// errors at this boundary.
 func (m *Machine) EvalString(src string) (v obj.Value, err error) {
-	stackBase, depthBase := len(m.stack), m.depth
+	stackBase, frameBase, depthBase := len(m.stack), len(m.vmFrames), m.depth
 	defer func() {
 		if r := recover(); r != nil {
 			m.stack = m.stack[:stackBase]
+			m.vmFrames = m.vmFrames[:frameBase]
 			m.depth = depthBase
 			v, err = obj.Void, fmt.Errorf("scheme: %v", r)
 		}
 	}()
-	return m.evalString(src)
-}
-
-func (m *Machine) evalString(src string) (obj.Value, error) {
 	forms, err := m.ReadAll(src)
 	if err != nil {
 		return obj.Void, err
@@ -731,11 +497,15 @@ func (m *Machine) evalString(src string) (obj.Value, error) {
 	m.stack = append(m.stack, forms...)
 	resS := m.slot(obj.Void)
 	for i := range forms {
-		v, err := m.Eval(m.stack[base+i], obj.Nil)
+		code, err := m.CompileTop(m.stack[base+i])
 		if err != nil {
 			return obj.Void, err
 		}
-		m.set(resS, v)
+		r, err := m.RunCode(code)
+		if err != nil {
+			return obj.Void, err
+		}
+		m.set(resS, r)
 	}
 	return m.get(resS), nil
 }

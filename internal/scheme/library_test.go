@@ -150,7 +150,7 @@ func TestExitAndGuardedExit(t *testing.T) {
 
 func TestDisassemblePrim(t *testing.T) {
 	m := newMachine(t)
-	v, err := m.EvalStringCompiled(`
+	v, err := m.EvalString(`
 		(define (twice x) (+ x x))
 		(disassemble twice)`)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestDisassemblePrim(t *testing.T) {
 		}
 	}
 	// A frame a nested lambda captures is a heap vector, read by depth.
-	v, err = m.EvalStringCompiled(`
+	v, err = m.EvalString(`
 		(define (adder x) (lambda (y) (+ x y)))
 		(disassemble adder)`)
 	if err != nil {
@@ -175,8 +175,8 @@ func TestDisassemblePrim(t *testing.T) {
 			t.Errorf("captured-frame disassembly missing %q:\n%s", want, out)
 		}
 	}
-	// Interpreted closures are not compiled code.
-	if _, err := m.EvalString("(disassemble (lambda (x) x))"); err == nil {
-		t.Error("disassemble of interpreted closure should error")
+	// A primitive is not compiled code.
+	if _, err := m.EvalString("(disassemble car)"); err == nil {
+		t.Error("disassemble of a primitive should error")
 	}
 }

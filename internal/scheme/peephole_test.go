@@ -44,7 +44,7 @@ func TestJumpThreading(t *testing.T) {
 		{"(and b c d)", "9"},
 		{"(or a #f d)", "9"},
 	} {
-		v, err := m.EvalStringCompiled(c.src)
+		v, err := m.EvalString(c.src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,19 +10,16 @@ import (
 	"repro/internal/scheme"
 )
 
-// bothEngines runs src on a fresh machine per engine and checks the
-// written result against want.
+// bothEngines runs src on a fresh machine on the VM and on the
+// reference evaluator and checks the written result against want.
 func bothEngines(t *testing.T, src, want string) {
 	t.Helper()
-	for _, engine := range []string{"interpreter", "compiler"} {
-		m := scheme.New(heap.NewDefault(), nil)
-		var v obj.Value
-		var err error
-		if engine == "interpreter" {
-			v, err = m.EvalString(src)
-		} else {
-			v, err = m.EvalStringCompiled(src)
+	for _, engine := range []string{"reference", "vm"} {
+		m, eval := scheme.New(heap.NewDefault(), nil), (*scheme.Machine).EvalString
+		if engine == "reference" {
+			m, eval = scheme.NewReference(heap.NewDefault(), nil), (*scheme.Machine).RefEvalString
 		}
+		v, err := eval(m, src)
 		if err != nil {
 			t.Errorf("%s: %s: %v", engine, src, err)
 			continue
@@ -108,7 +105,7 @@ func TestPrimitiveValuesAcrossTemplateAndImage(t *testing.T) {
 	donor.DefinePrim("host-seven", 0, 0, func(*scheme.Machine, scheme.Args) (obj.Value, error) {
 		return obj.FromFixnum(7), nil
 	})
-	if _, err := donor.EvalStringCompiled(`
+	if _, err := donor.EvalString(`
 		(define my-car car)
 		(define prims (vector car + host-seven))`); err != nil {
 		t.Fatal(err)
@@ -136,7 +133,7 @@ func TestPrimitiveValuesAcrossTemplateAndImage(t *testing.T) {
 	if v := c.H.SymbolValue(c.Intern("host-seven")); !v.IsPrim() {
 		t.Fatalf("host-seven on the clone is %v, not a primitive immediate", v)
 	}
-	v, err := c.EvalStringCompiled(check)
+	v, err := c.EvalString(check)
 	if err != nil || c.WriteString(v) != want {
 		t.Fatalf("clone: %s, %v; want %s", c.WriteString(v), err, want)
 	}
@@ -151,13 +148,13 @@ func TestPrimitiveValuesAcrossTemplateAndImage(t *testing.T) {
 	}
 	// Until the host re-registers its primitive, the restored value is
 	// a primitive with no entry: calling it is an error, not a crash.
-	if _, err := m2.EvalStringCompiled("((vector-ref prims 2))"); err == nil {
+	if _, err := m2.EvalString("((vector-ref prims 2))"); err == nil {
 		t.Fatal("calling an unregistered host primitive succeeded")
 	}
 	m2.DefinePrim("host-seven", 0, 0, func(*scheme.Machine, scheme.Args) (obj.Value, error) {
 		return obj.FromFixnum(7), nil
 	})
-	v, err = m2.EvalStringCompiled(check)
+	v, err = m2.EvalString(check)
 	if err != nil || m2.WriteString(v) != want {
 		t.Fatalf("image: %s, %v; want %s", m2.WriteString(v), err, want)
 	}
@@ -207,7 +204,7 @@ func TestSelfTailCall(t *testing.T) {
 	// — into a failure instead of a hang.
 	m := scheme.New(heap.NewDefault(), nil)
 	m.SetFuel(10000)
-	_, err := m.EvalStringCompiled("(define (g n) (if (= n 0) 'done (g n n))) (g 1)")
+	_, err := m.EvalString("(define (g n) (if (= n 0) 'done (g n n))) (g 1)")
 	if err == nil || !strings.Contains(err.Error(), "no matching clause") {
 		t.Fatalf("self tail call with the wrong arity: %v", err)
 	}

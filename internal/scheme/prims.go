@@ -89,10 +89,7 @@ func init() {
 		outS := m.slot(a.Get(a.Len() - 1))
 		for i := a.Len() - 2; i >= 0; i-- {
 			aS := m.slot(a.Get(i))
-			v, err := m.appendLists(aS, outS)
-			if err != nil {
-				return obj.Void, err
-			}
+			v := m.appendLists(aS, outS)
 			m.stack = m.stack[:len(m.stack)-1]
 			m.set(outS, v)
 		}
@@ -729,7 +726,7 @@ func init() {
 	})
 	def("collect-request-handler", 1, 1, func(m *Machine, a Args) (obj.Value, error) {
 		h := m.H
-		if fn := a.Get(0); !fn.IsPrim() && !h.IsKind(fn, obj.KClosure) {
+		if !m.isApplicable(a.Get(0)) {
 			return obj.Void, m.errf(a.Get(0), "collect-request-handler: not a procedure")
 		}
 		hs := m.Intern("%collect-request-handler")
@@ -1192,4 +1189,21 @@ func (m *Machine) equalValues(a, b obj.Value, budget int) bool {
 		return true
 	}
 	return false
+}
+
+// appendLists appends the list in slot aS to the value in slot bS
+// (copying a, sharing b). Allocation never collects, so the result
+// needs no root while it is built.
+func (m *Machine) appendLists(aS, bS slot) obj.Value {
+	h := m.H
+	base := len(m.stack)
+	for p := m.get(aS); p.IsPair(); p = h.Cdr(p) {
+		m.stack = append(m.stack, h.Car(p))
+	}
+	out := m.get(bS)
+	for i := len(m.stack) - 1; i >= base; i-- {
+		out = h.Cons(m.stack[i], out)
+	}
+	m.stack = m.stack[:base]
+	return out
 }

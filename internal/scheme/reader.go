@@ -11,7 +11,7 @@ import (
 
 // Reader parses s-expressions from a source string into heap values.
 // Reading allocates but never collects (collections happen only at
-// evaluator safe points), so partially built structures need no roots.
+// the VM's safe points), so partially built structures need no roots.
 type Reader struct {
 	m   *Machine
 	src string

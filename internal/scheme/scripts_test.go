@@ -10,8 +10,9 @@ import (
 	"repro/internal/scheme"
 )
 
-// TestScripts runs every demo script in scripts/ through both engines;
-// the scripts are self-checking (they (error ...) on any mismatch).
+// TestScripts runs every demo script in scripts/ on the VM (the
+// "compiled" subtests) and on the reference evaluator; the scripts are
+// self-checking (they (error ...) on any mismatch).
 func TestScripts(t *testing.T) {
 	dir := filepath.Join("..", "..", "scripts")
 	entries, err := os.ReadDir(dir)
@@ -33,14 +34,13 @@ func TestScripts(t *testing.T) {
 				name += "/compiled"
 			}
 			t.Run(name, func(t *testing.T) {
-				m := scheme.New(heap.NewDefault(), nil)
+				m, run := scheme.NewReference(heap.NewDefault(), nil), (*scheme.Machine).RefEvalString
+				if compiled {
+					m, run = scheme.New(heap.NewDefault(), nil), (*scheme.Machine).EvalString
+				}
 				var out strings.Builder
 				m.Out = &out
-				run := m.EvalString
-				if compiled {
-					run = m.EvalStringCompiled
-				}
-				if _, err := run(string(src)); err != nil {
+				if _, err := run(m, string(src)); err != nil {
 					t.Fatalf("script failed: %v\noutput so far:\n%s", err, out.String())
 				}
 				if strings.Contains(out.String(), "FAIL") {

@@ -210,13 +210,9 @@ func TestAttachedMachinesRunConcurrently(t *testing.T) {
 				if g == 0 && i == 30 {
 					src = "(begin (collect 3) " + src + ")"
 				}
-				// Every other request compiles, so the two machines also
-				// share the compile scratch pool.
-				eval := m.EvalString
-				if i%2 == 1 {
-					eval = m.EvalStringCompiled
-				}
-				v, err := eval(src)
+				// Every request compiles, so the two machines also share
+				// the compile scratch pool.
+				v, err := m.EvalString(src)
 				if err != nil {
 					errs[g] = err
 					return

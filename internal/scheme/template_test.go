@@ -189,7 +189,7 @@ const compiledDefs = `
 // again with its own copy of their state.
 func TestMachineTemplateCarriesCompiledCode(t *testing.T) {
 	donor := scheme.New(heap.NewDefault(), nil)
-	if _, err := donor.EvalStringCompiled(compiledDefs); err != nil {
+	if _, err := donor.EvalString(compiledDefs); err != nil {
 		t.Fatal(err)
 	}
 	tpl, err := scheme.CaptureTemplate(donor)
@@ -215,7 +215,7 @@ func TestMachineTemplateCarriesCompiledCode(t *testing.T) {
 				{"(table)", `(#(1 2) "three")`},
 				{"counter", "#<procedure counter>"},
 			} {
-				v, err := c.EvalStringCompiled(q.src)
+				v, err := c.EvalString(q.src)
 				if err != nil {
 					t.Fatalf("%s: %v", q.src, err)
 				}
@@ -229,7 +229,7 @@ func TestMachineTemplateCarriesCompiledCode(t *testing.T) {
 			}
 		}
 	}
-	// The tree-walker calls the same compiled closures.
+	// The clone and the donor keep separate counter state.
 	expectEval(t, clones[0], "(counter)", "103")
 	expectEval(t, donor, "(counter)", "101")
 }

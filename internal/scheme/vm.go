@@ -10,9 +10,9 @@ import (
 // machine's shadow stack and its call frames' code objects and
 // environments are visited as roots, so collections may happen at VM
 // safe points (calls and backward jumps) with every live value
-// accounted for. The two engines interoperate freely: compiled code
-// can call interpreted closures, primitives, and continuations, and
-// vice versa.
+// accounted for. Compiled code calls primitives and continuations
+// directly; primitives that take procedures (apply, call/cc,
+// dynamic-wind) call back into it through Apply.
 
 // maxVMFrames bounds the VM's frame stack: non-tail recursion that
 // deep becomes an error instead of growing without limit.
@@ -326,8 +326,6 @@ func (m *Machine) execute(code obj.Value, s codeShape, env obj.Value, base int) 
 					val = m.stack[fnIdx+1]
 				}
 				res, cerr = m.invokeContinuation(fn, val) // panics if live
-			case kind == obj.KClosure:
-				res, cerr = m.Apply(fn, m.stack[fnIdx+1:fnIdx+1+n])
 			default:
 				cerr = fmt.Errorf("vm: attempt to apply non-procedure: %s", m.WriteString(fn))
 			}
@@ -380,8 +378,8 @@ func (m *Machine) closureName(fn obj.Value) string {
 }
 
 // applyCompiled invokes a compiled closure on the n arguments at the
-// top of the machine stack, from argsBase (used by the interpreter and
-// Apply for cross-engine calls). The frame's stack starts at argsBase.
+// top of the machine stack, from argsBase (Apply's calls from Go). The
+// frame's stack starts at argsBase.
 // The arguments move up one word, so that the stack reads as at a call
 // from the VM: the callee's word, then the arguments.
 func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error) {
@@ -396,40 +394,4 @@ func (m *Machine) applyCompiled(fn obj.Value, argsBase, n int) (obj.Value, error
 	m.stack[argsBase] = fn
 	env := m.enterFrame(s, h.RecordRef(fn, 1), argsBase, argsBase, n)
 	return m.execute(clause, s, env, argsBase)
-}
-
-// EvalStringCompiled reads src and runs every form through the
-// bytecode compiler and VM, returning the last value — the compiled
-// counterpart of EvalString. Each form's top-level code object is
-// garbage once it has run.
-func (m *Machine) EvalStringCompiled(src string) (v obj.Value, err error) {
-	stackBase, frameBase, depthBase := len(m.stack), len(m.vmFrames), m.depth
-	defer func() {
-		if r := recover(); r != nil {
-			m.stack = m.stack[:stackBase]
-			m.vmFrames = m.vmFrames[:frameBase]
-			m.depth = depthBase
-			v, err = obj.Void, fmt.Errorf("scheme: %v", r)
-		}
-	}()
-	forms, err := m.ReadAll(src)
-	if err != nil {
-		return obj.Void, err
-	}
-	base := len(m.stack)
-	defer func() { m.stack = m.stack[:base] }()
-	m.stack = append(m.stack, forms...)
-	resS := m.slot(obj.Void)
-	for i := range forms {
-		code, err := m.CompileTop(m.stack[base+i])
-		if err != nil {
-			return obj.Void, err
-		}
-		r, err := m.RunCode(code)
-		if err != nil {
-			return obj.Void, err
-		}
-		m.set(resS, r)
-	}
-	return m.get(resS), nil
 }

@@ -15,18 +15,17 @@ import (
 // across calls out of compiled code until the frame's code changes or
 // the heap moves or privatizes something (heap.Epoch).
 
-// evalBoth runs src on two fresh machines, compiled and through the
-// tree-walker, and fails unless both print want.
+// evalBoth runs src on two fresh machines, on the VM and on the
+// reference evaluator, and fails unless both print want.
 func evalBoth(t *testing.T, src, want string) {
 	t.Helper()
-	for _, engine := range []string{"compiled", "interpreted"} {
-		m := New(heap.NewDefault(), nil)
-		eval := m.EvalStringCompiled
-		if engine == "interpreted" {
-			eval = m.EvalString
+	for _, engine := range []string{"compiled", "reference"} {
+		m, eval := New(heap.NewDefault(), nil), (*Machine).EvalString
+		if engine == "reference" {
+			m, eval = NewReference(heap.NewDefault(), nil), (*Machine).RefEvalString
 		}
 		before := m.H.Stats.Collections
-		v, err := eval(src)
+		v, err := eval(m, src)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -107,7 +106,7 @@ func TestVMViewsDroppedOnPrivatize(t *testing.T) {
 	}
 	donor := New(heap.NewDefault(), nil)
 	donor.DefinePrim("patch!", 0, 0, patch)
-	if _, err := donor.EvalStringCompiled(`(define (probe) (list 'before (patch!) 'before))`); err != nil {
+	if _, err := donor.EvalString(`(define (probe) (list 'before (patch!) 'before))`); err != nil {
 		t.Fatal(err)
 	}
 	tpl, err := CaptureTemplate(donor)
@@ -120,7 +119,7 @@ func TestVMViewsDroppedOnPrivatize(t *testing.T) {
 	}
 	m := tpl.Attach(h, nil)
 	m.DefinePrim("patch!", 0, 0, patch)
-	v, err := m.EvalStringCompiled("(probe)")
+	v, err := m.EvalString("(probe)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestVMViewsDroppedOnPrivatize(t *testing.T) {
 // instruction vector are both large objects spanning two segments, so
 // constants, globals and instructions past the first segment are read
 // by the fall back (VectorRef, a second VectorWords), and checks it
-// against the tree-walker.
+// against the reference evaluator.
 func TestVMCodeAcrossSegments(t *testing.T) {
 	const n = 600 // distinct constants, and about as many instructions each
 	var def, want strings.Builder
@@ -153,7 +152,7 @@ func TestVMCodeAcrossSegments(t *testing.T) {
 	expect := "(" + want.String() + " " + want.String() + ")"
 
 	m := New(heap.NewDefault(), nil)
-	if _, err := m.EvalStringCompiled(def.String()); err != nil {
+	if _, err := m.EvalString(def.String()); err != nil {
 		t.Fatal(err)
 	}
 	code := m.H.RecordRef(m.H.SymbolValue(m.Intern("wide")), 0)

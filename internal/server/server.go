@@ -1,5 +1,5 @@
 // Package server hosts many isolated Scheme sessions — one small
-// guarded heap plus interpreter each — behind an event loop, the
+// guarded heap plus Scheme machine each — behind an event loop, the
 // multi-session serving scenario the paper's resource story builds
 // toward: each session's ports and external resources are
 // guardian-protected inside its own heap, so dropping a session (or a

@@ -303,7 +303,7 @@ func (s *Session) step(budget int, fuel int64) {
 		}
 		s.out.Reset()
 		s.m.SetFuel(fuel)
-		v, err := s.m.EvalStringCompiled(src)
+		v, err := s.m.EvalString(src)
 		s.m.SetFuel(-1)
 		s.srv.addRequestServed()
 		if cb := s.srv.cfg.OnReply; cb != nil {

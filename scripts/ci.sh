@@ -132,9 +132,10 @@ go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|B
 # -benchmem for its bytes and allocations) and one serve-steady request.
 go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server/
 # Symbol lookup on an attached machine: a template base name and a
-# name in the machine's own overlay; and a VM loop's heap words and Go
-# allocations per iteration.
-go test -run '^$' -bench 'InternAttached|VMLoop' -benchtime 1x ./internal/scheme/
+# name in the machine's own overlay; a VM loop's heap words and Go
+# allocations per iteration; and prelude procedures (map, fold-left)
+# calling a user closure.
+go test -run '^$' -bench 'InternAttached|VMLoop|PreludeMap' -benchtime 1x ./internal/scheme/
 go test -run 'TestHeaderAccessorsDoNotAllocate' ./internal/heap/
 
 echo "== benchgc smoke"

@@ -103,8 +103,8 @@ type tuneWorkload struct {
 }
 
 // tuneTree builds a complete binary tree of pairs of the given depth
-// (2^depth - 1 conses). Safe to hold in Go locals: in legacy
-// single-mutator mode collections happen only at Checkpoint.
+// (2^depth - 1 conses). Safe to hold in Go locals: collections happen
+// only at Checkpoint.
 func tuneTree(h *heap.Heap, depth int) obj.Value {
 	if depth == 0 {
 		return obj.Nil

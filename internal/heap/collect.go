@@ -32,22 +32,24 @@ import (
 // per-collection counter deltas. The report is heap-owned and reused
 // by the next collection (see CollectionReport).
 //
-// While Mutator handles are registered, Collect runs the safepoint
-// handshake first (suspending every registered mutator) and may be
-// called from any non-mutator goroutine; registered mutators must use
-// Mutator.Collect instead. The handshake path is taken unconditionally
-// — with no mutators registered it reduces to a couple of uncontended
-// mutex operations — so a mutator registering concurrently with a
-// collection can never slip past a stale "no mutators" check.
+// The mutator is stopped by virtue of calling Collect: a heap has one
+// mutator at a time (see Mutator).
 func (h *Heap) Collect(g int) *CollectionReport {
-	return h.collectAs(nil, g, false)
+	h.collectable()
+	return h.collect(g)
 }
 
-// collect is the collection body, run by collectAs once the world is
-// stopped (in legacy mode the single mutator is stopped by virtue of
-// calling it): begin, roots, old-to-young scan, the kleene-sweep to its
-// fixpoint, and the ordered tail of collectFinish — guardian fixpoint,
-// weak pass, hooks, free.
+// collectable refuses a collection re-entered from the collector's own
+// machinery (a root provider, post-collect hook or trace callback) and
+// one on a heap a failed collection left half-copied.
+func (h *Heap) collectable() {
+	h.check(!h.inCollect, "Collect called during a collection")
+	h.check(!h.failed, "heap unusable after failed collection")
+}
+
+// collect is the collection body: begin, roots, old-to-young scan, the
+// kleene-sweep to its fixpoint, and the ordered tail of collectFinish —
+// guardian fixpoint, weak pass, hooks, free.
 //
 // A panic unwinding out of the body (out of memory on a bounded heap,
 // a failed check, a panicking hook) leaves from-space half-copied:
@@ -55,12 +57,12 @@ func (h *Heap) Collect(g int) *CollectionReport {
 func (h *Heap) collect(g int) *CollectionReport {
 	start := time.Now()
 	g = max(0, min(g, h.MaxGeneration()))
-	h.inCollect.Store(true)
+	h.inCollect = true
 	done := false
 	defer func() {
-		h.inCollect.Store(false)
+		h.inCollect = false
 		if !done {
-			h.failed.Store(true)
+			h.failed = true
 		}
 	}()
 	from, t := h.collectBegin(g, start)
@@ -133,8 +135,6 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	rep.GuardianRoundDurations = rep.GuardianRoundDurations[:0]
 	rep.ShardDirty = [RemShards]uint64{} // repopulated by the dirty scan
 	rep.ProtectedByGen = rep.ProtectedByGen[:0]
-	rep.MutatorsSuspended = h.spSuspended
-	rep.SafepointWait = time.Duration(h.spWaitNS)
 
 	// Detach from-space: the segment chains of every collected
 	// generation. When the oldest generation collects into itself, its
@@ -247,7 +247,7 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 	h.phaseMark(PhaseFree, t)
 
 	h.gen0Words = 0
-	h.needCollect.Store(false)
+	h.needCollect = false
 	rep.SegmentsFreed = st.SegmentsFreed - snap.SegmentsFreed
 	rep.Pause = time.Since(start)
 	st.TotalPause += rep.Pause
@@ -257,9 +257,7 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 		st.PhaseTotals[i] += d
 	}
 	// Let the policy retune the generation-0 trigger from this
-	// collection's figures (static policies return the input). The
-	// world is stopped (or the heap is in legacy single-mutator mode),
-	// so stateful policies need no locking.
+	// collection's figures (static policies return the input).
 	if nt := h.policy.NextTrigger(rep, h.trigger); nt != h.trigger {
 		if nt < MinTriggerWords {
 			nt = MinTriggerWords
@@ -495,7 +493,7 @@ func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
 	c.pending |= 1 << space
 	cur := &c.cur[space]
 	if !cur.fits(n) {
-		h.claimable(1, 1, "to-space segment")
+		h.claimable(1, "to-space segment")
 		idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
 		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
 		if swept&(1<<space) != 0 {
@@ -513,7 +511,7 @@ func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
 func (c *copier) allocRun(space seg.Space, total int) uint64 {
 	h := c.h
 	k := (total + seg.Words - 1) / seg.Words
-	h.claimable(k, k, "large object")
+	h.claimable(k, "large object")
 	first := h.tab.AllocRun(space, h.gcTarget, h.stamp, k)
 	h.fillRun(first, k, total)
 	for i := 0; i < k; i++ {
@@ -708,12 +706,10 @@ func (c *copier) scanSeg(idx int) {
 }
 
 // rootsPhase forwards the roots: explicit root slots, then registered
-// providers, then the registered mutators' pin slots (Mutator.tmp:
-// constructor arguments held across the allocation slow path — the
-// world is stopped, so muts is stable and the owners are not looking).
+// providers.
 func (c *copier) rootsPhase() {
 	h := c.h
-	for _, rc := range *h.rootChunks.Load() {
+	for _, rc := range h.rootChunks {
 		for o := range rc.vals {
 			if rc.live[o] {
 				rc.vals[o] = c.forward(rc.vals[o])
@@ -722,11 +718,6 @@ func (c *copier) rootsPhase() {
 	}
 	for _, p := range h.providers {
 		p.v.VisitRoots(c.visit)
-	}
-	for _, m := range h.muts {
-		for i := range m.tmp {
-			m.tmp[i] = c.forward(m.tmp[i])
-		}
 	}
 }
 
@@ -805,7 +796,7 @@ func (h *Heap) AddPostCollectHook(fn func(*Heap, *CollectionReport)) {
 // returns its current location. Values in uncollected generations
 // trivially survive.
 func (h *Heap) Survived(v obj.Value) (obj.Value, bool) {
-	h.check(h.inCollect.Load(), "Survived called outside a post-collect hook")
+	h.check(h.inCollect, "Survived called outside a post-collect hook")
 	return h.survivor(v)
 }
 
@@ -826,13 +817,6 @@ func (h *Heap) InstallGuardian(v, tconc obj.Value) {
 func (h *Heap) InstallGuardianRep(v, rep, tconc obj.Value) {
 	if !tconc.IsPair() {
 		h.badTconc(tconc)
-	}
-	if !h.inCollect.Load() && h.mutCount.Load() != 0 {
-		// Concurrent mutators may register guardians concurrently; the
-		// protected list rides the allocation mutex (registration is
-		// nowhere near the allocation fast path).
-		h.allocMu.Lock()
-		defer h.allocMu.Unlock()
 	}
 	h.protected[0] = append(h.protected[0], ProtEntry{Obj: v, Rep: rep, Tconc: tconc})
 	h.Stats.GuardianRegistrations++

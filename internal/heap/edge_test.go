@@ -310,13 +310,13 @@ func TestLiveWordsAndSegmentsTrackUsage(t *testing.T) {
 }
 
 // TestCollectPanicReleasesHandshake: a panic unwinding out of a
-// collection (here: out of memory on a bounded heap, mid-copy) used to
-// leave the safepoint handshake raised, so a caller that recovered —
-// scheme.EvalString recovers every panic — hung forever in its next
-// Collect. The handshake (and, on the large-object path, the
-// allocation mutex) must be released on unwind, and the half-copied
-// heap must refuse further use instead of hanging or running on
-// corrupt state.
+// collection (here: out of memory on a bounded heap, mid-copy) leaves
+// from-space half-copied, and a caller that recovered —
+// scheme.EvalString recovers every panic — must not run on it: the heap
+// is marked failed, and every later collection and allocation refuses
+// instead of hanging or running on corrupt state. Through a Mutator
+// the failed heap can still be handed on: Unregister gives it up and
+// the next registration gets it.
 func TestCollectPanicReleasesHandshake(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -334,8 +334,9 @@ func TestCollectPanicReleasesHandshake(t *testing.T) {
 			cfg.MaxSegments = 40
 			h := heap.MustNew(cfg)
 			cons, vector, collect := h.Cons, h.MakeVector, h.Collect
+			var m *heap.Mutator
 			if tc.mutator {
-				m := h.RegisterMutator()
+				m = h.RegisterMutator()
 				cons, vector, collect = m.Cons, m.MakeVector, m.Collect
 			}
 			lst := h.NewRoot(obj.Nil)
@@ -364,15 +365,12 @@ func TestCollectPanicReleasesHandshake(t *testing.T) {
 				case msg := <-done:
 					return msg
 				case <-time.After(3 * time.Second):
-					t.Fatalf("%s hung: the failed collection left the handshake raised or a lock held", what)
+					t.Fatalf("%s hung: the failed collection left a lock held", what)
 					return ""
 				}
 			}
 			if msg := watchdog("Collect(0) on the full heap", collectPanic); !strings.Contains(msg, "out of memory") {
 				t.Fatalf("Collect(0) on the full heap: %q, want an out-of-memory panic", msg)
-			}
-			if !heap.AllocLockFree(h) {
-				t.Fatal("the failed collection leaked the allocation mutex")
 			}
 			if msg := watchdog("second Collect(0)", collectPanic); !strings.Contains(msg, "heap unusable after failed collection") {
 				t.Fatalf("second Collect(0): %q, want the failed-heap panic", msg)
@@ -386,6 +384,13 @@ func TestCollectPanicReleasesHandshake(t *testing.T) {
 			}
 			if msg := watchdog("allocation after the failed collection", allocPanic); !strings.Contains(msg, "heap unusable after failed collection") {
 				t.Fatalf("allocation after the failed collection: %q, want the failed-heap panic", msg)
+			}
+			if m != nil {
+				m.Unregister()
+				watchdog("RegisterMutator after the failed collection", func() string {
+					h.RegisterMutator().Unregister()
+					return ""
+				})
 			}
 		})
 	}

@@ -18,7 +18,6 @@ package heap
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obj"
 	"repro/internal/seg"
@@ -57,10 +56,8 @@ type Config struct {
 	// generation-friendly weak handling.
 	WeakScanAll bool
 	// MaxSegments bounds the heap: allocations that would bring the
-	// number of committed segments — in use, plus reserved in mutator
-	// TLAB caches (seg.Table.CommittedCount) — above the limit panic
-	// with an out-of-memory error, after draining any idle mutator
-	// reservations. 0 means unbounded.
+	// number of segments in use above the limit panic with an
+	// out-of-memory error. 0 means unbounded.
 	MaxSegments int
 	// GuardianSinglePass makes the guardian phase run its
 	// salvage/migrate pass at most once instead of iterating to
@@ -179,20 +176,11 @@ type dirtyCell struct {
 
 // Heap is a simulated Scheme heap with a generation-based collector.
 //
-// Concurrency. A heap runs in one of two modes. In the default legacy
-// mode there is exactly one mutator goroutine and nothing is
-// synchronized, matching the paper's collector, which stops the (only)
-// mutator. Registering a Mutator handle (RegisterMutator) switches the
-// heap to concurrent-mutator mode: any number of registered mutators
-// may allocate and write concurrently — allocation goes through
-// per-mutator TLABs, the write barrier's remembered set takes per-shard
-// locks, and collections stop the world through the safepoint handshake
-// (see mutator.go and safepoint.go). The two modes are exclusive:
-// while any Mutator is registered, direct Heap allocation panics.
-// Structures the heap itself maintains (segment table, chains,
-// remembered set, Stats) are safe in mutator mode; racing accesses to
-// the same heap *cell* are the program's to synchronize, exactly like
-// racing accesses to a Go variable.
+// Concurrency. A heap has one mutator at a time and synchronizes
+// nothing, matching the paper's collector, which stops the (only)
+// mutator by being called by it. Goroutines that take turns on one
+// heap hand it over through Mutator handles (mutator.go), whose
+// ownership mutex orders one holder's accesses before the next's.
 type Heap struct {
 	tab *seg.Table
 	cfg Config
@@ -210,11 +198,8 @@ type Heap struct {
 	cur    [seg.NumSpaces][]cursor
 	chains [seg.NumSpaces][][]int
 
-	// Root slots live in fixed-size chunks whose addresses never
-	// change; the chunk directory is copy-on-write published through an
-	// atomic pointer so Root.Get/Set stay lock-free while NewRoot grows
-	// the registry from another goroutine (roots.go).
-	rootChunks atomic.Pointer[[]*rootChunk]
+	// Root slots live in fixed-size chunks (roots.go).
+	rootChunks []*rootChunk
 	rootsLen   int
 	rootsFree  []int
 	providers  []*providerEntry
@@ -229,46 +214,25 @@ type Heap struct {
 	postCollect []func(*Heap, *CollectionReport)
 
 	stamp     uint64
-	inCollect atomic.Bool
+	inCollect bool
 	// failed is set when a panic unwound out of a collection, leaving
 	// from-space half-copied: every later collection or allocation slow
 	// path refuses with "heap unusable after failed collection".
-	failed   atomic.Bool
+	failed   bool
 	gcGen    int
 	gcTarget int
 	// sc is the collection's work lists, borrowed from scratchPool for
 	// the length of a collection and nil otherwise (collect.go).
 	sc             *collectScratch
 	gen0Words      int
-	needCollect    atomic.Bool
+	needCollect    bool
 	autoCount      uint64
 	allocForbidden bool
 	inHandler      bool
 
-	// Concurrent-mutator state (mutator.go, safepoint.go). allocMu
-	// serializes every segment-table mutation and chain append outside
-	// a stop-the-world window: mutator TLAB refills and large
-	// allocations, and root/guardian registration in mutator mode. The
-	// handshake fields live under spMu; spStop mirrors stopReq for the
-	// lock-free safepoint poll.
-	allocMu    sync.Mutex
-	spMu       sync.Mutex
-	spCond     *sync.Cond
-	spStop     atomic.Bool
-	collecting bool // a collectAs round is active (election .. resume)
-	stopReq    bool // mutators must park at their next safepoint
-	spParked   int  // mutators currently parked in parkLocked
-	spIdle     int  // mutators in the idle state (standing safepoint)
-	// muts is written under spMu AND allocMu together, so holding
-	// either lock is enough to read it — OOM reclaim walks it under
-	// allocMu alone (reclaimReservedLocked), the handshake under spMu
-	// alone.
-	muts     []*Mutator // registered mutators
-	mutCount atomic.Int32
-	// spWaitNS / spSuspended carry the handshake figures of the
-	// current collection into its report (zero in legacy mode).
-	spWaitNS    int64
-	spSuspended int
+	// own is the ownership mutex an active Mutator holds (mutator.go);
+	// nothing else takes it.
+	own sync.Mutex
 
 	// cp is the copier (collect.go): it does all of a collection's
 	// copying, inline on the collecting goroutine.
@@ -306,8 +270,6 @@ func New(cfg Config) (*Heap, error) {
 	if h.trigger < MinTriggerWords {
 		h.trigger = MinTriggerWords
 	}
-	h.spCond = sync.NewCond(&h.spMu)
-	h.rootChunks.Store(&[]*rootChunk{})
 	for sp := 0; sp < int(seg.NumSpaces); sp++ {
 		h.cur[sp] = make([]cursor, cfg.Generations)
 		for g := range h.cur[sp] {
@@ -402,21 +364,16 @@ const maxObjectWords = 128 * 1024
 
 // allocWords carves n words out of the given space and generation and
 // returns the address of the first and the words themselves (nil for
-// a large object: see window). It is the legacy-mode mutator
-// allocation path (the collector's copier bumps its own to-space
-// cursors, copier.alloc): while Mutator handles are registered,
-// mutator allocation must go through their TLABs instead, and calling
-// this panics (checked on the slow path, which a fresh registration
-// forces by closing the open cursors).
+// a large object: see window). It is the mutator's allocation path
+// (the collector's copier bumps its own to-space cursors,
+// copier.alloc).
 //
-// The fast path is the same pure bump the TLAB path has: no atomics,
-// no trigger arithmetic, no OOM check. All per-allocation bookkeeping
-// the legacy path used to pay per word — the generation-0 trigger, the
-// MaxSegments check, the mode checks — is pre-charged per segment in
-// allocWordsSlow, exactly like the TLAB slow path, at the cost of the
-// trigger firing at most one segment early per open cursor
-// (TestAllocLegacySteadyStateAllocs pins the fast path allocation-free
-// and BenchmarkAllocLegacy its cost).
+// The fast path is a pure bump: no trigger arithmetic, no OOM check.
+// The per-allocation bookkeeping — the generation-0 trigger, the
+// MaxSegments check — is pre-charged per segment in allocWordsSlow, at
+// the cost of the trigger firing at most one segment early per open
+// cursor (TestAllocLegacyZeroGoAllocs pins the fast path
+// allocation-free and BenchmarkAllocLegacy its cost).
 func (h *Heap) allocWords(space seg.Space, gen, n int) (uint64, []uint64) {
 	if h.allocForbidden {
 		panic("heap: allocation while allocation is forbidden (finalizer running inside GC)")
@@ -430,27 +387,22 @@ func (h *Heap) allocWords(space seg.Space, gen, n int) (uint64, []uint64) {
 }
 
 // allocWordsSlow opens a fresh segment (or takes the large-object run
-// path) for the legacy allocator: validation, mode checks, the
-// per-segment generation-0 trigger charge, and the bounded-heap OOM
-// check all live here, off the bump path.
+// path): validation, the per-segment generation-0 trigger charge, and
+// the bounded-heap OOM check all live here, off the bump path.
 func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) (uint64, []uint64) {
 	if n <= 0 || n > maxObjectWords {
 		panic(fmt.Sprintf("heap: bad allocation size %d", n))
 	}
-	h.check(!h.failed.Load(), "heap unusable after failed collection")
-	if h.mutCount.Load() != 0 {
-		panic("heap: direct Heap allocation while mutators are registered (allocate through a Mutator handle)")
-	}
+	h.check(!h.failed, "heap unusable after failed collection")
 	k := (n + seg.Words - 1) / seg.Words
-	h.claimable(k, k, "allocation")
-	// Pre-charge the claimed segment against the generation-0 trigger,
-	// mirroring the TLAB slow path: the trigger fires at most one
-	// segment's worth of words early, and the bump path stays free of
-	// trigger arithmetic. Large objects charge their exact size (they
-	// occupy their run exclusively).
+	h.claimable(k, "allocation")
+	// Pre-charge the claimed segment against the generation-0 trigger:
+	// it fires at most one segment's worth of words early, and the bump
+	// path stays free of trigger arithmetic. Large objects charge their
+	// exact size (they occupy their run exclusively).
 	h.gen0Words += max(n, seg.Words)
 	if h.gen0Words >= h.trigger {
-		h.needCollect.Store(true)
+		h.needCollect = true
 	}
 	h.Stats.WordsAllocated += uint64(n)
 	h.Stats.SegmentsAllocated += uint64(k)
@@ -472,30 +424,13 @@ func (h *Heap) allocWordsSlow(space seg.Space, gen, n int) (uint64, []uint64) {
 	return c.bump(n)
 }
 
-// claimable clamps a request for want more segments to what a bounded
-// heap can still commit, and panics out of memory when fewer than need
-// are left. Reserved segments (mutator TLAB caches) count toward the
-// bound — they are committed at Reserve time, so the check must see
-// them or a bounded heap could hand out MaxSegments live segments on
-// top of a full cache — but idle reservations are reclaimable: they
-// are drained before declaring OOM, so the accounting stays exact and
-// a bounded heap can always reach MaxSegments live segments. Caller
-// holds allocMu or is the only goroutine running (see
-// reclaimReservedLocked).
-func (h *Heap) claimable(want, need int, what string) int {
-	if h.cfg.MaxSegments == 0 {
-		return want
-	}
-	head := h.cfg.MaxSegments - h.tab.CommittedCount()
-	if head < need {
-		h.reclaimReservedLocked()
-		head = h.cfg.MaxSegments - h.tab.CommittedCount()
-	}
-	if head < need {
+// claimable panics out of memory when a bounded heap cannot put need
+// more segments in use.
+func (h *Heap) claimable(need int, what string) {
+	if h.cfg.MaxSegments != 0 && h.tab.InUseCount()+need > h.cfg.MaxSegments {
 		panic(fmt.Sprintf("heap: out of memory: %d-segment limit reached (%s, %d segments requested)",
 			h.cfg.MaxSegments, what, need))
 	}
-	return min(want, head)
 }
 
 // fillRun sets the Fill of the k segments of a large-object run
@@ -532,10 +467,6 @@ func (h *Heap) window(addr uint64, n int) []uint64 {
 // them before touching the set. isWeakCar marks the cell as a weak
 // car, whose referent must be handled by the weak-pair pass rather
 // than traced.
-// In mutator mode the barrier runs concurrently on many goroutines:
-// the remembered-set insert takes its shard's lock and the BarrierHits
-// counter is updated atomically, so the barrier itself never races —
-// racing stores to the same cell remain the program's responsibility.
 func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 	s := h.tab.Writable(seg.SegIndexOf(addr))
 	s.Words[seg.Offset(addr)] = uint64(v)
@@ -547,7 +478,7 @@ func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 	}
 	if s.Gen > 0 {
 		h.dirtyInsert(addr, isWeakCar)
-		atomic.AddUint64(&h.Stats.BarrierHits, 1)
+		h.Stats.BarrierHits++
 	}
 }
 
@@ -597,24 +528,20 @@ func (h *Heap) dirtyLookup(addr uint64) (weak, ok bool) {
 
 // CollectPending reports whether the generation-0 allocation trigger
 // has fired since the last collection.
-func (h *Heap) CollectPending() bool { return h.needCollect.Load() }
+func (h *Heap) CollectPending() bool { return h.needCollect }
 
 // Safepoint is the cheap poll for loop back-edges (the Scheme VM calls
-// it on every evaluator back-jump): it reports whether the heap wants
-// attention — a stop-the-world handshake is in progress, or the
-// generation-0 trigger has fired. Legacy single-mutator callers follow
-// a true result with Checkpoint; registered mutators use
-// Mutator.Safepoint / Mutator.Checkpoint instead, which also park for
-// handshakes.
-func (h *Heap) Safepoint() bool { return h.spStop.Load() || h.needCollect.Load() }
+// it on every evaluator back-jump): it reports, like CollectPending,
+// whether the generation-0 trigger has fired. Callers follow a true
+// result with Checkpoint.
+func (h *Heap) Safepoint() bool { return h.needCollect }
 
 // SetCollectRequestHandler installs fn to be run at the next
 // Checkpoint after a collect request, mirroring Chez Scheme's
 // collect-request-handler. The handler is expected to call Collect (or
 // CollectAuto) and may then perform arbitrary work — closing dropped
 // ports, for example. Passing nil restores the default handler, which
-// calls CollectAuto. The handler is a legacy single-mutator facility:
-// Mutator.Checkpoint calls CollectAuto directly and does not run it.
+// calls CollectAuto.
 func (h *Heap) SetCollectRequestHandler(fn func(*Heap)) { h.handler = fn }
 
 // Checkpoint runs the collect-request handler if a collect request is
@@ -622,13 +549,12 @@ func (h *Heap) SetCollectRequestHandler(fn func(*Heap)) { h.handler = fn }
 // roots before calling. Checkpoint is not reentrant: a request raised
 // by the handler's own allocations is deferred until the handler has
 // returned, so an allocating handler (guardians exist precisely to
-// allow allocation in clean-up code) cannot recurse. In mutator mode,
-// use Mutator.Checkpoint from mutator goroutines instead.
+// allow allocation in clean-up code) cannot recurse.
 func (h *Heap) Checkpoint() {
-	if !h.needCollect.Load() || h.inCollect.Load() || h.inHandler {
+	if !h.needCollect || h.inCollect || h.inHandler {
 		return
 	}
-	h.needCollect.Store(false)
+	h.needCollect = false
 	if h.handler != nil {
 		h.inHandler = true
 		defer func() { h.inHandler = false }()
@@ -641,8 +567,7 @@ func (h *Heap) Checkpoint() {
 // autoGen advances the collect-request counter and asks the policy
 // which generation the next automatic collection should collect
 // (radix cadence for the static policies, promoted-word backlog for
-// AdaptivePolicy), clamped to the heap's generations. Callers must be
-// serialized (legacy mode, or the coordinator of a stopped world).
+// AdaptivePolicy), clamped to the heap's generations.
 func (h *Heap) autoGen() int {
 	h.autoCount++
 	g := h.policy.CollectGen(h.autoCount, h.MaxGeneration())
@@ -656,12 +581,10 @@ func (h *Heap) autoGen() int {
 }
 
 // CollectAuto collects the generation chosen by the radix policy.
-// Like Collect, it returns the collection's report, and like Collect
-// it runs the safepoint handshake when mutators are registered (the
-// radix policy then advances under the stopped world, so concurrent
-// automatic requests never race on the counter).
+// Like Collect, it returns the collection's report.
 func (h *Heap) CollectAuto() *CollectionReport {
-	return h.collectAs(nil, 0, true)
+	h.collectable()
+	return h.collect(h.autoGen())
 }
 
 // Generation returns the generation a value currently resides in, or

@@ -83,77 +83,14 @@ func (ir *imageReader) str() string {
 	return string(b)
 }
 
-// SaveImage writes the heap to w. The heap must not be mid-collection.
-//
-// With mutators registered, serialization must not race their TLAB
-// bump allocation: a mutator publishes a segment's Fill before it
-// writes the object's words, and keeps extending rooted structure
-// while the root slots are being walked, so an unsynchronized save
-// can capture uninitialized words inside Fill and root slots that
-// point past the serialized segment contents. SaveImage therefore
-// runs the safepoint handshake first — parking flushes every open
-// TLAB — drains the per-mutator reserved-segment caches, serializes
-// the stopped heap, and resumes the world. The caller must not itself
-// be a registered mutator goroutine (it would wait for its own park).
-// A mid-collection save (from a post-collect hook, say) returns an
-// error rather than serializing a half-forwarded heap; retry after the
-// collection finishes.
+// SaveImage writes the heap to w. The heap must not be mid-collection:
+// a save from a post-collect hook returns an error rather than
+// serializing a half-forwarded heap; retry after the collection
+// finishes.
 func (h *Heap) SaveImage(w io.Writer) error {
-	if h.inCollect.Load() {
+	if h.inCollect {
 		return fmt.Errorf("heap: SaveImage during a collection")
 	}
-	if h.mutCount.Load() != 0 {
-		return h.withWorldStopped(func() error { return h.saveImage(w) })
-	}
-	return h.saveImage(w)
-}
-
-// withWorldStopped runs fn bracketed by the same stop-the-world
-// handshake a collection uses: elect via the collecting flag (mutual
-// exclusion with collections, saves, and captures), signal stop, wait
-// for every registered mutator to park or stand idle, then resume with
-// the two-phase drain. Parking is what flushes mutator TLABs; the
-// reserved-segment caches are returned to the table so the committed
-// count a snapshot implies matches what its reconstruction commits.
-// The caller must not be a registered mutator goroutine (it would wait
-// for its own park). SaveImage and CaptureTemplate both use this.
-func (h *Heap) withWorldStopped(fn func() error) error {
-	h.spMu.Lock()
-	for h.collecting {
-		h.spCond.Wait()
-	}
-	h.collecting = true
-	h.stopReq = true
-	h.spStop.Store(true)
-	for h.spParked+h.spIdle < h.othersOf(nil) {
-		h.spCond.Wait()
-	}
-	h.allocMu.Lock()
-	for _, m := range h.muts {
-		for _, idx := range m.cache {
-			h.tab.Unreserve(idx)
-		}
-		m.cache = m.cache[:0]
-	}
-	h.allocMu.Unlock()
-	h.spMu.Unlock()
-
-	err := fn()
-
-	h.spMu.Lock()
-	h.stopReq = false
-	h.spStop.Store(false)
-	h.spCond.Broadcast()
-	for h.spParked > 0 {
-		h.spCond.Wait()
-	}
-	h.collecting = false
-	h.spCond.Broadcast()
-	h.spMu.Unlock()
-	return err
-}
-
-func (h *Heap) saveImage(w io.Writer) error {
 	iw := &imageWriter{w: bufio.NewWriter(w)}
 	iw.str(imageMagic)
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/heap"
@@ -353,111 +352,4 @@ func describeValue(sb *strings.Builder, h *heap.Heap, v obj.Value, depth int) {
 		}
 		sb.WriteString(">")
 	}
-}
-
-// TestSaveImageWithActiveMutators is the regression test for the
-// mutator-mode SaveImage bug: serializing without stopping the world
-// raced the mutators' TLAB bump allocation — a segment's Fill is
-// published before the object's words are written, and root slots keep
-// moving while they are walked — so the image could contain
-// uninitialized words inside Fill and roots pointing past (or into
-// segments claimed after) the serialized segment contents. SaveImage
-// now runs the safepoint handshake first, so saving here — with two
-// mutators continuously extending rooted lists throughout the save —
-// must yield an image that loads clean, verifies, and contains each
-// mutator's complete pre-save payload plus a well-formed prefix of its
-// in-flight churn list.
-func TestSaveImageWithActiveMutators(t *testing.T) {
-	cfg := heap.DefaultConfig()
-	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
-	h := heap.MustNew(cfg)
-	const N = 2
-	const perMutator = 200
-	const churnBase = 1 << 20 // churn IDs are disjoint from payload IDs
-	ready := make(chan struct{}, N)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for id := 0; id < N; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			m := h.RegisterMutator()
-			defer m.Unregister()
-			lst := h.NewRoot(obj.Nil)
-			defer lst.Release()
-			churn := h.NewRoot(obj.Nil)
-			defer churn.Release()
-			// The payload every save must capture in full.
-			for k := 0; k < perMutator; k++ {
-				lst.Set(m.Cons(obj.FromFixnum(int64(id*1000+k)), lst.Get()))
-			}
-			ready <- struct{}{}
-			// Keep allocating and republishing rooted structure while
-			// the main goroutine serializes: each iteration bumps an
-			// open TLAB and moves a root slot. The Cons slow path polls
-			// the safepoint flag, so the save's handshake can park us
-			// mid-churn.
-			for k := int64(0); ; k++ {
-				select {
-				case <-stop:
-					return
-				default:
-					churn.Set(m.Cons(obj.FromFixnum(churnBase*int64(id+1)+k), churn.Get()))
-				}
-			}
-		}(id)
-	}
-	for i := 0; i < N; i++ {
-		<-ready
-	}
-
-	var buf bytes.Buffer
-	if err := h.SaveImage(&buf); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	h.MustVerify() // the resumed heap is sound, caches drained
-
-	h2, roots, err := heap.LoadImage(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Walk every live root list. Payload fixnums are collected for the
-	// completeness check; a churn list must be exactly k-1, k-2, ..., 0
-	// for its mutator — any gap or reordering means the serialized
-	// roots and segment contents were not a consistent snapshot.
-	seen := make(map[int64]bool)
-	for _, r := range roots {
-		if r == nil {
-			continue
-		}
-		v := r.Get()
-		if !v.IsPair() {
-			continue
-		}
-		if c := h2.Car(v); c.IsFixnum() && c.FixnumValue() >= churnBase {
-			want := c.FixnumValue()
-			for ; v.IsPair(); v = h2.Cdr(v) {
-				if got := h2.Car(v).FixnumValue(); got != want {
-					t.Fatalf("churn list corrupt in image: want id %d, got %d", want, got)
-				}
-				want--
-			}
-			continue
-		}
-		for ; v.IsPair(); v = h2.Cdr(v) {
-			if c := h2.Car(v); c.IsFixnum() {
-				seen[c.FixnumValue()] = true
-			}
-		}
-	}
-	for id := 0; id < N; id++ {
-		for k := 0; k < perMutator; k++ {
-			if !seen[int64(id*1000+k)] {
-				t.Fatalf("mutator %d's pair %d missing from the image: TLABs not stopped before serialization", id, k)
-			}
-		}
-	}
-	h2.MustVerify()
 }

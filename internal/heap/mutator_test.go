@@ -3,32 +3,24 @@ package heap_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obj"
 )
 
-// Tests for concurrent-mutator mode: per-goroutine TLAB allocation,
-// the stop-the-world safepoint handshake, the thread-safe remembered
-// set, and the interaction of mutator reservations with bounded heaps.
-//
-// Discipline for code in these tests: in concurrent-mutator mode,
-// every Mutator allocation and Safepoint call is a potential
-// collection point (another goroutine's collection can park us), so
-// heap values must not be held in plain Go locals across them — only
-// in Roots, reloaded afterwards. The constructors pin their own
-// arguments (Mutator.tmp), so m.Cons(r.Get(), s.Get()) is safe, and a
-// constructor's return value is safe to use until the owner's next
-// safepoint.
+// Tests for Mutator handles: goroutines taking turns on one heap, one
+// owner at a time. A handle holds the heap between RegisterMutator or
+// Active and Idle or Unregister; the holder uses the handle and the
+// Heap API alike, and heap values survive a hand-off only in Roots.
 
-// stressMutator is one goroutine of the concurrent stress workload: a
-// registered mutator applying a seeded random mix of allocation,
-// mutation, guardian registration, safepoint polls, and collections.
+// stressMutator is one goroutine of the stress workload: a registered
+// mutator applying a seeded random mix of allocation, mutation,
+// guardian registration, collections, and hand-offs of the heap to the
+// other goroutines.
 func stressMutator(h *heap.Heap, tconc *heap.Root, iters int, seed int64) {
 	m := h.RegisterMutator()
 	defer m.Unregister()
@@ -74,12 +66,14 @@ func stressMutator(h *heap.Heap, tconc *heap.Root, iters int, seed int64) {
 					}
 				}
 			}
-		case op < 86: // guardian registration from a mutator goroutine
+		case op < 86:
 			if v := rv(); v.IsPointer() {
 				h.InstallGuardian(v, tconc.Get())
 			}
-		case op < 92:
-			m.Safepoint()
+		case op < 92: // hand the heap to whoever is waiting
+			m.Idle()
+			runtime.Gosched()
+			m.Active()
 		case op < 98:
 			m.Checkpoint()
 		default:
@@ -92,11 +86,11 @@ func stressMutator(h *heap.Heap, tconc *heap.Root, iters int, seed int64) {
 	}
 }
 
-// TestMutatorStress runs N concurrently-allocating mutator goroutines
-// and verifies the heap between phases. Run under -race this is the
-// data-race gate for the TLAB slow path, the safepoint handshake, and
-// the shard-locked remembered set. It runs at both Config.Workers
-// values Validate accepts, 1 and unset; each is the one copier.
+// TestMutatorStress runs four mutator goroutines that take turns on one
+// heap and verifies it afterwards. Run under -race, it checks that the
+// ownership mutex orders every holder's heap accesses before the
+// next's. It runs at both Config.Workers values Validate accepts, 1 and
+// unset; each is the one copier.
 func TestMutatorStress(t *testing.T) {
 	for _, workers := range []int{1, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -119,205 +113,132 @@ func TestMutatorStress(t *testing.T) {
 				}(i)
 			}
 			wg.Wait()
-			// All mutators have unregistered: the heap is back in legacy
-			// mode and must be sound.
 			h.MustVerify()
-			rep := h.Collect(h.MaxGeneration())
-			if rep.MutatorsSuspended != 0 {
-				t.Fatalf("MutatorsSuspended = %d after all mutators unregistered", rep.MutatorsSuspended)
-			}
+			h.Collect(h.MaxGeneration())
 			h.MustVerify()
 			tc.Release()
 		})
 	}
 }
 
-// TestMutatorHandshake pins the handshake observability contract: a
-// collection initiated from a non-mutator goroutine suspends the
-// allocating mutator, reports it in MutatorsSuspended, measures the
-// coordinator's wait, and surfaces both in the trace schema.
-func TestMutatorHandshake(t *testing.T) {
+// TestMutatorHandOff: two goroutines, each with a registered handle,
+// run rounds of Active, building lists into their own slots of one
+// tenured vector, Checkpoint, Idle. Each round reads back the lists
+// its previous round stored, across the other goroutine's allocation
+// and collections; afterwards every slot reads back, collections have
+// run, and Verify is clean. Run under -race, it checks the hand-off
+// orders one holder's heap accesses before the next's.
+func TestMutatorHandOff(t *testing.T) {
 	cfg := heap.DefaultConfig()
-	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
+	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 12}
 	h := heap.MustNew(cfg)
-	h.EnableTrace(4)
-	var stop atomic.Bool
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m := h.RegisterMutator()
-		defer m.Unregister()
-		r := h.NewRoot(obj.Nil)
-		defer r.Release()
-		close(started)
-		for i := 0; !stop.Load(); i++ {
-			r.Set(m.Cons(obj.FromFixnum(int64(i)), obj.Nil))
+	const goroutines, slots = 2, 8
+	vec := h.NewRoot(h.MakeVector(goroutines*slots, obj.Nil))
+	for g := 0; g < h.MaxGeneration(); g++ {
+		h.Collect(g) // tenure the vector: every store into it is old-to-young
+	}
+	before := h.Stats.Collections
+	rounds := 60
+	if testing.Short() {
+		rounds = 15
+	}
+	// want[s] is the length of the list in slot s; list s holds
+	// s*1000, s*1000+1, ... Each goroutine writes only its own slots.
+	want := make([]int, goroutines*slots)
+	check := func(s int) error {
+		p := h.VectorRef(vec.Get(), s)
+		for i := 0; i < want[s]; i++ {
+			if !p.IsPair() || h.Car(p) != fx(int64(s*1000+i)) {
+				return fmt.Errorf("slot %d: element %d wrong", s, i)
+			}
+			p = h.Cdr(p)
 		}
-	}()
-	<-started
-	sawWait := false
-	for i := 0; i < 10; i++ {
-		rep := h.Collect(0)
-		if rep.MutatorsSuspended != 1 {
-			t.Fatalf("collection %d: MutatorsSuspended = %d, want 1", i, rep.MutatorsSuspended)
+		if p != obj.Nil {
+			return fmt.Errorf("slot %d: list longer than %d", s, want[s])
 		}
-		if rep.SafepointWait > 0 {
-			sawWait = true
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m := h.RegisterMutator()
+			m.Idle()
+			defer m.Unregister()
+			for r := 0; r < rounds; r++ {
+				m.Active()
+				for s := g * slots; s < (g+1)*slots; s++ {
+					if err := check(s); err != nil {
+						t.Errorf("goroutine %d round %d: %v", g, r, err)
+					}
+					n := 50 + (r*7+s)%150
+					lst := obj.Nil
+					for i := n - 1; i >= 0; i-- {
+						lst = m.Cons(fx(int64(s*1000+i)), lst)
+					}
+					m.VectorSet(vec.Get(), s, lst)
+					want[s] = n
+				}
+				m.Checkpoint()
+				m.Idle()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for s := range want {
+		if err := check(s); err != nil {
+			t.Error(err)
 		}
 	}
-	if !sawWait {
-		t.Fatal("no collection measured a positive safepoint wait")
+	if h.Stats.Collections == before {
+		t.Error("no collection ran during the hand-offs")
 	}
-	evs := h.TraceEvents()
-	if len(evs) == 0 || evs[len(evs)-1].MutatorsSuspended != 1 {
-		t.Fatalf("trace event missing mutators_suspended: %+v", evs)
-	}
-	stop.Store(true)
-	<-done
 	h.MustVerify()
-	if rep := h.Collect(h.MaxGeneration()); rep.MutatorsSuspended != 0 || rep.SafepointWait != 0 {
-		t.Fatalf("legacy-mode report carries handshake figures: %d / %v",
-			rep.MutatorsSuspended, rep.SafepointWait)
-	}
 }
 
-// TestMutatorIdleCollect drives two handles from one goroutine using
-// the Idle/Active standing safepoint, which is what makes
-// deterministic multi-mutator schedules possible at all.
+// TestMutatorIdleCollect drives two handles from one goroutine, handing
+// the heap back and forth: a collection by either holder, and one by
+// the goroutine while every handle is idle, keeps rooted structure. A
+// handle used out of turn panics.
 func TestMutatorIdleCollect(t *testing.T) {
 	cfg := heap.DefaultConfig()
 	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
 	h := heap.MustNew(cfg)
 	m1 := h.RegisterMutator()
-	m2 := h.RegisterMutator()
-
 	r := h.NewRoot(m1.Cons(obj.FromFixnum(1), obj.Nil))
-	m2.Idle() // m2 sits at a standing safepoint
-	rep := m1.Collect(0)
-	if rep.MutatorsSuspended != 1 {
-		t.Fatalf("MutatorsSuspended = %d with one idle peer, want 1", rep.MutatorsSuspended)
-	}
-	if h.Car(r.Get()).FixnumValue() != 1 {
-		t.Fatal("rooted pair lost across mutator-coordinated collection")
-	}
-	m2.Active()
-
-	// Non-mutator Collect with every handle idle.
 	m1.Idle()
+	m2 := h.RegisterMutator() // gets the heap m1 gave up
+	m2.Collect(0)
+	if h.Car(r.Get()).FixnumValue() != 1 {
+		t.Fatal("rooted pair lost across a collection by the second holder")
+	}
 	m2.Idle()
-	rep = h.Collect(0)
-	if rep.MutatorsSuspended != 2 {
-		t.Fatalf("MutatorsSuspended = %d with both idle, want 2", rep.MutatorsSuspended)
-	}
+	h.Collect(0) // no handle active: the goroutine uses the heap outright
 	h.MustVerify()
-	m1.Active()
-	m2.Active()
-
-	// Unregistering while idle is allowed (the owner makes the call).
-	m2.Idle()
-	m2.Unregister()
-	m1.Unregister()
-	r.Release()
-	h.MustVerify()
-}
-
-// TestMutatorTLABEdges exercises the TLAB boundary cases from a single
-// registered mutator: exhaustion mid-object via sizes that do not
-// divide the segment, multi-segment large objects, the string/byte
-// constructors, and the generation-0 trigger firing from the TLAB
-// refill path.
-func TestMutatorTLABEdges(t *testing.T) {
-	cfg := heap.DefaultConfig()
-	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
-	h := heap.MustNew(cfg)
-	m := h.RegisterMutator()
-
-	ring := h.NewRoot(obj.Nil)
-	// Pairs spanning several TLAB segments.
-	for i := 0; i < 2000; i++ {
-		ring.Set(m.Cons(obj.FromFixnum(int64(i)), ring.Get()))
-	}
-	// Vectors whose sizes leave awkward TLAB remainders.
-	for _, n := range []int{2, 3, 5, 17, 101, 255, 256, 510, 511} {
-		for i := 0; i < 12; i++ {
-			ring.Set(m.Cons(m.MakeVector(n, obj.FromFixnum(int64(n))), ring.Get()))
-		}
-	}
-	// Large objects: wider than one segment, straight to the run path.
-	ring.Set(m.Cons(m.MakeVector(1500, obj.FromFixnum(7)), ring.Get()))
-	ring.Set(m.Cons(m.MakeString(strings.Repeat("x", 4096)), ring.Get()))
-	ring.Set(m.Cons(m.MakeBytevector(9000), ring.Get()))
-	ring.Set(m.Cons(m.MakeFlonum(3.25), ring.Get()))
-	ring.Set(m.Cons(m.MakeBox(ring.Get()), ring.Get()))
-	h.MustVerify()
-
-	rep := m.Collect(0)
-	if rep.MutatorsSuspended != 0 {
-		t.Fatalf("self-coordinated collection suspended %d mutators", rep.MutatorsSuspended)
-	}
-	h.MustVerify()
-	m.Collect(h.MaxGeneration())
-	h.MustVerify()
-
-	// Check the structure survived.
-	v := ring.Get()
-	n := 0
-	for v.IsPair() {
-		v = h.Cdr(v)
-		n++
-	}
-	if n < 2000 {
-		t.Fatalf("ring lost pairs: %d", n)
-	}
-
-	m.Unregister()
-	ring.Release()
-	h.MustVerify()
-
-	// The generation-0 trigger fires from the TLAB segment-claim path
-	// (each claimed segment pre-charges seg.Words against the trigger).
-	cfg2 := heap.DefaultConfig()
-	cfg2.Policy = heap.RadixPolicy{Trigger: 1 << 12}
-	h2 := heap.MustNew(cfg2)
-	m2 := h2.RegisterMutator()
-	r2 := h2.NewRoot(obj.Nil)
-	for i := 0; i < 20000; i++ {
-		r2.Set(m2.Cons(obj.FromFixnum(int64(i)), obj.Nil))
-		if i&255 == 255 {
-			m2.Checkpoint()
-		}
-	}
-	if h2.Stats.Collections == 0 {
-		t.Fatal("TLAB allocation never fired the gen-0 trigger")
-	}
-	m2.Unregister()
-	r2.Release()
-	h2.MustVerify()
-}
-
-// TestMutatorDirectHeapAllocPanics pins the mode exclusivity rule:
-// while any Mutator is registered, allocating through the Heap
-// directly is a programmer error.
-func TestMutatorDirectHeapAllocPanics(t *testing.T) {
-	h := heap.NewDefault()
-	m := h.RegisterMutator()
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Fatal("direct Heap.Cons with a registered mutator did not panic")
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Idle: mutator not active") {
+				t.Fatalf("Idle on an idle handle: %q, want a panic", msg)
 			}
 		}()
-		h.Cons(obj.False, obj.False)
+		m2.Idle()
 	}()
-	m.Unregister()
-	// Legacy mode resumes when the last mutator unregisters.
-	h.Cons(obj.False, obj.False)
+	m1.Active()
+	m1.Collect(h.MaxGeneration())
+	m1.Unregister()
+	m2.Unregister() // idle: nothing to give up
+	if h.Car(r.Get()).FixnumValue() != 1 {
+		t.Fatal("rooted pair lost across the hand-offs")
+	}
+	r.Release()
+	h.MustVerify()
+	h.RegisterMutator().Unregister() // nothing holds the heap
 }
 
-// TestMutatorChurn races register/allocate/unregister cycles on four
-// goroutines against collections driven from a non-mutator goroutine:
-// the handshake must recount its quorum as mutators come and go.
+// TestMutatorChurn runs register/allocate/collect/unregister cycles on
+// four goroutines: each registration waits for the holder before it,
+// and the list a cycle builds survives its own collection.
 func TestMutatorChurn(t *testing.T) {
 	cfg := heap.DefaultConfig()
 	cfg.Policy = heap.RadixPolicy{Trigger: 1 << 30}
@@ -329,7 +250,7 @@ func TestMutatorChurn(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
 			for c := 0; c < cycles; c++ {
 				m := h.RegisterMutator()
@@ -337,29 +258,20 @@ func TestMutatorChurn(t *testing.T) {
 				for i := 0; i < 300; i++ {
 					r.Set(m.Cons(obj.FromFixnum(int64(i)), r.Get()))
 				}
+				m.Collect(c % 2)
+				n := 0
+				for p := r.Get(); p.IsPair(); p = h.Cdr(p) {
+					n++
+				}
+				if n != 300 {
+					t.Errorf("cycle %d: list of %d pairs after the collection, want 300", c, n)
+				}
 				r.Release()
 				m.Unregister()
 			}
-		}(int64(g))
+		}()
 	}
-	chDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(chDone)
-	}()
-	rng := rand.New(rand.NewSource(99))
-	for done := false; !done; {
-		select {
-		case <-chDone:
-			done = true
-		default:
-			h.Collect(rng.Intn(2))
-			// Yield between collections: back-to-back rounds would
-			// starve the RegisterMutator waiters (the collecting-clear
-			// window is otherwise nearly zero).
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
+	wg.Wait()
 	h.MustVerify()
 	h.Collect(h.MaxGeneration())
 	h.MustVerify()
@@ -367,14 +279,14 @@ func TestMutatorChurn(t *testing.T) {
 
 // --- Deterministic multi-mutator lockstep oracle ---------------------
 
-// mutOracleSide is one side of the multi-mutator lockstep pair: a heap
-// driven either through the legacy single-mutator interface or through
-// a set of registered Mutator handles used round-robin. All handles
-// are driven from the test goroutine; collections on the mutator side
-// idle every handle first (the standing-safepoint schedule).
+// mutOracleSide is one side of the lockstep pair: a heap driven either
+// through the Heap API or through a set of Mutator handles that take
+// turns round-robin, the heap handed to the next one at every step.
+// All handles are driven from the test goroutine.
 type mutOracleSide struct {
 	h     *heap.Heap
 	muts  []*heap.Mutator
+	cur   int // the active handle
 	roots []*heap.Root
 	tconc *heap.Root
 	n     int
@@ -389,16 +301,27 @@ func newMutOracleSide(handles int, mut func(*heap.Config)) *mutOracleSide {
 	h := heap.MustNew(cfg)
 	o := &mutOracleSide{h: h, tconc: h.NewRoot(makeTconc(h))}
 	for i := 0; i < handles; i++ {
-		o.muts = append(o.muts, h.RegisterMutator())
+		m := h.RegisterMutator()
+		m.Idle()
+		o.muts = append(o.muts, m)
+	}
+	if handles > 0 {
+		o.muts[0].Active()
 	}
 	return o
 }
 
+// handle hands the heap to this step's handle and returns it.
 func (o *mutOracleSide) handle() *heap.Mutator {
 	if len(o.muts) == 0 {
 		return nil
 	}
-	return o.muts[o.n%len(o.muts)]
+	if k := o.n % len(o.muts); k != o.cur {
+		o.muts[o.cur].Idle()
+		o.muts[k].Active()
+		o.cur = k
+	}
+	return o.muts[o.cur]
 }
 
 func (o *mutOracleSide) cons(car, cdr obj.Value) obj.Value {
@@ -430,13 +353,11 @@ func (o *mutOracleSide) makeString(s string) obj.Value {
 }
 
 func (o *mutOracleSide) collect(g int) {
-	for _, m := range o.muts {
-		m.Idle()
+	if m := o.handle(); m != nil {
+		m.Collect(g)
+		return
 	}
 	o.h.Collect(g)
-	for _, m := range o.muts {
-		m.Active()
-	}
 }
 
 func (o *mutOracleSide) close() {
@@ -462,8 +383,8 @@ func (o *mutOracleSide) randomValue(rng *rand.Rand) obj.Value {
 
 // mutOracleStep applies one random op, reporting whether it collected.
 // Both sides run this exact code with identical rng streams, so they
-// stay isomorphic as long as the TLAB allocator and the legacy
-// allocator build the same object graphs.
+// stay isomorphic as long as the hand-offs change nothing the heap
+// builds.
 func mutOracleStep(o *mutOracleSide, rng *rand.Rand) bool {
 	h := o.h
 	o.n++
@@ -545,13 +466,12 @@ func (o *mutOracleSide) compare(other *mutOracleSide) error {
 	return nil
 }
 
-// TestMutatorOracle steps a legacy heap running the map-based
-// remembered-set oracle and a four-handle concurrent-mutator heap (the
-// sharded set) through an identical seeded workload. After every
-// collection the object graphs must be isomorphic and the deduplicated
-// dirty counts and guardian/weak outcomes identical — the
-// remembered-set map-oracle gate for the multi-mutator allocation and
-// barrier paths.
+// TestMutatorOracle steps a heap running the map-based remembered-set
+// oracle and a heap four handles take turns on (the sharded set),
+// through an identical seeded workload. After every collection the
+// object graphs must be isomorphic and the deduplicated dirty counts
+// and guardian/weak outcomes identical: handing the heap over changes
+// nothing it allocates, remembers, salvages or breaks.
 func TestMutatorOracle(t *testing.T) {
 	for _, seed := range []int64{5, 20260807} {
 		t.Run(fmt.Sprintf("workers=1/seed=%d", seed), func(t *testing.T) {
@@ -600,9 +520,8 @@ func TestMutatorOracle(t *testing.T) {
 // --- Bounded heaps -----------------------------------------------------
 
 // TestBoundedHeapOOM pins the bounded-heap out-of-memory bound: the
-// committed count never passes MaxSegments across collections of a
-// growing live set, and the panic fires only with every segment
-// genuinely in use and nothing left reserved.
+// segments in use never pass MaxSegments across collections of a
+// growing live set, and the panic fires at exactly MaxSegments in use.
 func TestBoundedHeapOOM(t *testing.T) {
 	cfg := heap.DefaultConfig()
 	cfg.MaxSegments = 48
@@ -618,38 +537,27 @@ func TestBoundedHeapOOM(t *testing.T) {
 		}
 		h.Collect(h.MaxGeneration())
 		h.MustVerify()
-		if c := h.SegmentsInUse() + heap.ReservedSegments(h); c > cfg.MaxSegments {
-			t.Fatalf("committed %d segments > MaxSegments %d", c, cfg.MaxSegments)
+		if c := h.SegmentsInUse(); c > cfg.MaxSegments {
+			t.Fatalf("%d segments in use > MaxSegments %d", c, cfg.MaxSegments)
 		}
 	}
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Fatal("no OOM panic on a bounded heap")
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "out of memory") {
+				t.Fatalf("bounded heap: %q, want an out-of-memory panic", msg)
 			}
 		}()
 		for i := 0; ; i++ {
 			r.Set(h.Cons(obj.FromFixnum(int64(i)), r.Get()))
-			if i&255 == 0 {
-				if c := h.SegmentsInUse() + heap.ReservedSegments(h); c > cfg.MaxSegments {
-					panic(fmt.Sprintf("committed %d > MaxSegments %d before OOM", c, cfg.MaxSegments))
-				}
-			}
 		}
 	}()
-	// Exactness: the panic fired only after draining every reservation
-	// and filling every segment.
-	if got := heap.ReservedSegments(h); got != 0 {
-		t.Fatalf("OOM with %d segments still reserved", got)
-	}
 	if got := h.SegmentsInUse(); got != cfg.MaxSegments {
 		t.Fatalf("OOM with %d/%d segments in use", got, cfg.MaxSegments)
 	}
 }
 
-// TestBoundedHeapMutatorOOM checks the same exactness for the TLAB
-// refill path: a mutator's clamped refills walk the heap right up to
-// the limit before panicking.
+// TestBoundedHeapMutatorOOM checks the same exactness through a
+// Mutator handle.
 func TestBoundedHeapMutatorOOM(t *testing.T) {
 	cfg := heap.DefaultConfig()
 	cfg.MaxSegments = 24
@@ -677,10 +585,10 @@ func TestBoundedHeapMutatorOOM(t *testing.T) {
 // --- Fuzzing -----------------------------------------------------------
 
 // FuzzMutatorOps drives three Mutator handles from one goroutine with
-// a byte-coded op stream (two bytes per op), verifying the heap
-// periodically and after a final full collection. Collections use the
-// idle-all schedule; everything else exercises the TLAB constructors,
-// the barrier, guardians, and the Idle/Active transitions.
+// a byte-coded op stream (two bytes per op), each op handing the heap
+// to the handle it names, verifying the heap periodically and after a
+// final full collection. Collections run either from the holder or
+// with every handle idle.
 func FuzzMutatorOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x10, 0x02, 0x80, 0x00})
 	f.Add([]byte{0x20, 0x05, 0x30, 0x07, 0x42, 0x01, 0x81, 0x03})
@@ -697,7 +605,10 @@ func FuzzMutatorOps(f *testing.F) {
 		muts := make([]*heap.Mutator, H)
 		for i := range muts {
 			muts[i] = h.RegisterMutator()
+			muts[i].Idle()
 		}
+		cur := muts[0]
+		cur.Active()
 		var roots []*heap.Root
 		const maxRoots = 32
 		val := func(arg byte) obj.Value {
@@ -716,6 +627,11 @@ func FuzzMutatorOps(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			m := muts[int(op)%H]
+			if m != cur {
+				cur.Idle()
+				m.Active()
+				cur = m
+			}
 			switch op % 11 {
 			case 0:
 				keep(m.Cons(val(arg), val(arg>>4)), arg)
@@ -750,41 +666,30 @@ func FuzzMutatorOps(f *testing.F) {
 				if v := val(arg); v.IsPointer() {
 					h.InstallGuardian(v, tconc.Get())
 				}
-			case 8: // collect with every handle idled
-				for _, mm := range muts {
-					mm.Idle()
-				}
-				h.Collect(int(arg) % (h.MaxGeneration() + 1))
-				for _, mm := range muts {
-					mm.Active()
-				}
-			case 9:
-				m.Safepoint()
-			case 10:
+			case 8: // collect with every handle idle
 				m.Idle()
+				h.Collect(int(arg) % (h.MaxGeneration() + 1))
 				m.Active()
+			case 9:
+				m.Collect(int(arg) % (h.MaxGeneration() + 1))
+			case 10:
+				m.Checkpoint()
 			}
 			if i%82 == 80 {
 				h.MustVerify()
 			}
 		}
-		for _, mm := range muts {
-			mm.Idle()
-		}
-		h.Collect(h.MaxGeneration())
-		for _, mm := range muts {
-			mm.Active()
-		}
+		cur.Collect(h.MaxGeneration())
 		h.MustVerify()
 		for _, mm := range muts {
 			mm.Unregister()
 		}
+		h.RegisterMutator().Unregister() // every handle gave the heap up
 		h.MustVerify()
 	})
 }
 
-// TestAllocLegacyZeroGoAllocs pins the legacy single-mutator allocation
-// path at zero Go-level allocations in steady state: the fast path is a
+// TestAllocLegacyZeroGoAllocs pins the allocation path at zero Go-level allocations in steady state: the fast path is a
 // pure cursor bump, the slow path recycles retired segments (whose
 // backing arrays persist on the free list), and the collections
 // Checkpoint runs reuse their buffers. Any regression that moves
@@ -810,8 +715,8 @@ func TestAllocLegacyZeroGoAllocs(t *testing.T) {
 
 // --- Benchmarks --------------------------------------------------------
 
-// BenchmarkAllocLegacy is the pre-existing single-mutator allocation
-// fast path: the baseline the TLAB fast path is measured against.
+// BenchmarkAllocLegacy is the allocation fast path: a Cons per
+// iteration, a Checkpoint every 1024.
 func BenchmarkAllocLegacy(b *testing.B) {
 	h := heap.NewDefault()
 	r := h.NewRoot(obj.Nil)
@@ -822,37 +727,5 @@ func BenchmarkAllocLegacy(b *testing.B) {
 		if i&1023 == 1023 {
 			h.Checkpoint()
 		}
-	}
-}
-
-// BenchmarkAllocConcurrent measures the TLAB fast path at 1, 2, 4, and
-// 8 mutator goroutines. The mutators=1 figure is the apples-to-apples
-// comparison against BenchmarkAllocLegacy (the acceptance bound: within
-// 10%); the higher counts measure handshake and allocMu contention.
-func BenchmarkAllocConcurrent(b *testing.B) {
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("mutators=%d", k), func(b *testing.B) {
-			h := heap.NewDefault()
-			per := b.N/k + 1
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for g := 0; g < k; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					m := h.RegisterMutator()
-					defer m.Unregister()
-					r := h.NewRoot(obj.Nil)
-					defer r.Release()
-					for i := 0; i < per; i++ {
-						r.Set(m.Cons(obj.FromFixnum(int64(i)), obj.Nil))
-						if i&1023 == 1023 {
-							m.Checkpoint()
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		})
 	}
 }

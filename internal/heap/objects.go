@@ -335,8 +335,7 @@ func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
 // --- Strings and bytevectors -------------------------------------------
 
 // fillBytes packs b into the payload words at addr, little-endian
-// within each word (each stored whole); p as for fillWords. Shared by
-// the Heap and Mutator byte-object constructors.
+// within each word (each stored whole); p as for fillWords.
 func (h *Heap) fillBytes(addr uint64, p []uint64, b []byte) {
 	for {
 		for i := range p {

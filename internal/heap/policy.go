@@ -17,9 +17,8 @@ import "repro/internal/seg"
 
 // Policy decides, for one heap, when each generation is collected,
 // where survivors go, and how large the generation-0 allocation budget
-// is. A Policy is consulted only under the collector's serialization
-// (legacy single-mutator mode, or the stopped world), so
-// implementations need no internal locking; stateful implementations
+// is. A Policy is consulted only by its heap's one mutator at a time,
+// so implementations need no internal locking; stateful implementations
 // should also implement PolicyCloner so every heap built from the same
 // Config gets fresh state.
 //

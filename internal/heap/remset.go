@@ -1,9 +1,6 @@
 package heap
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/obj"
 	"repro/internal/seg"
 )
@@ -12,10 +9,8 @@ import (
 // behind the write barrier (writeCell/writeGC) and the collector's
 // dirty-scan phase. The paper's generational collector depends on the
 // remembered set to find old-to-young pointers without scanning older
-// generations (§4); sharding it by segment index lets the mutator
-// barrier touch exactly one shard per store, so concurrent mutators'
-// barriers contend only when they write cells of segments that hash to
-// the same shard.
+// generations (§4). Sharding it by segment index gives the dirty scan
+// segment-level locality and the report a per-shard breakdown.
 //
 // Representation. RemShards shards (a power of two), each holding an
 // append-only slice of dirty-cell entries plus a dedup index mapping a
@@ -38,9 +33,8 @@ import (
 // has an entry, not the converse.
 
 const (
-	// remShardBits picks the shard count: 32 shards stripe the
-	// mutator write barrier's locks. The count is part of the trace
-	// schema (DirtyShardCells) and of Census.RemSetShards.
+	// remShardBits picks the shard count, 32. The count is part of the
+	// trace schema (DirtyShardCells) and of Census.RemSetShards.
 	remShardBits = 5
 	// RemShards is the number of remembered-set shards (a power of
 	// two). Per-shard figures in CollectionReport.ShardDirty, the trace
@@ -57,18 +51,7 @@ func remShardOf(addr uint64) int {
 
 // remShard is one shard: the entry slice plus its dedup index. The
 // index is allocated lazily on the shard's first insert.
-//
-// mu serializes mutator-side access (insert, lookup, count): in
-// concurrent-mutator mode any number of goroutines run the write
-// barrier at once, and sharding means they contend only when writing
-// cells of segments that hash to the same shard. The collector's
-// dirty scan does NOT take mu — it runs with the world stopped, and
-// the safepoint handshake orders every mutator's locked inserts
-// before the scan and the scan's compaction before every post-resume
-// insert. In legacy single-mutator mode the mutex is uncontended and
-// costs a few nanoseconds per barrier hit.
 type remShard struct {
-	mu      sync.Mutex
 	entries []dirtyCell
 	index   map[uint64]int32
 }
@@ -77,18 +60,17 @@ type remShard struct {
 // use. The shard array is allocated on the first insert, so a heap
 // whose barrier never records a cell — a standing server session that
 // stores no old-to-young pointer — carries none; every reader treats
-// a nil array as an empty set. The pointer is atomic because
-// concurrent mutators' barriers may race to allocate it.
+// a nil array as an empty set.
 type remSet struct {
-	shards atomic.Pointer[[RemShards]remShard]
+	shards *[RemShards]remShard
 }
 
 // all returns the shards, or nil before the first insert.
 func (r *remSet) all() []remShard {
-	if t := r.shards.Load(); t != nil {
-		return t[:]
+	if r.shards == nil {
+		return nil
 	}
-	return nil
+	return r.shards[:]
 }
 
 // insert records addr as a remembered cell, deduplicating against the
@@ -96,13 +78,10 @@ func (r *remSet) all() []remShard {
 // weak car stays weak (weak-car cells are only ever written through
 // the weak-car barrier, so the flag never needs to clear).
 func (r *remSet) insert(addr uint64, weak bool) {
-	t := r.shards.Load()
-	if t == nil {
-		r.shards.CompareAndSwap(nil, new([RemShards]remShard))
-		t = r.shards.Load()
+	if r.shards == nil {
+		r.shards = new([RemShards]remShard)
 	}
-	sh := &t[remShardOf(addr)]
-	sh.mu.Lock()
+	sh := &r.shards[remShardOf(addr)]
 	if sh.index == nil {
 		sh.index = make(map[uint64]int32)
 	}
@@ -110,24 +89,19 @@ func (r *remSet) insert(addr uint64, weak bool) {
 		if weak {
 			sh.entries[i].weak = true
 		}
-		sh.mu.Unlock()
 		return
 	}
 	sh.index[addr] = int32(len(sh.entries))
 	sh.entries = append(sh.entries, dirtyCell{addr, weak})
-	sh.mu.Unlock()
 }
 
 // lookup reports whether addr is remembered and whether its entry is
 // marked weak.
 func (r *remSet) lookup(addr uint64) (weak, ok bool) {
-	t := r.shards.Load()
-	if t == nil {
+	if r.shards == nil {
 		return false, false
 	}
-	sh := &t[remShardOf(addr)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh := &r.shards[remShardOf(addr)]
 	i, ok := sh.index[addr]
 	if !ok {
 		return false, false
@@ -138,12 +112,8 @@ func (r *remSet) lookup(addr uint64) (weak, ok bool) {
 // count returns the deduplicated entry count across all shards.
 func (r *remSet) count() int {
 	n := 0
-	shards := r.all()
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
+	for _, sh := range r.all() {
 		n += len(sh.entries)
-		sh.mu.Unlock()
 	}
 	return n
 }
@@ -156,12 +126,6 @@ func (r *remSet) count() int {
 // old-to-young pointer afterwards are kept, with the dedup index
 // rewritten to the compacted positions. It returns the number of
 // live remembered cells examined (the DirtyCellsScanned contribution).
-//
-// Concurrency: the scan deliberately does not take the shard mutex.
-// Mutator-side inserts cannot run concurrently with it: collections
-// only happen with every registered mutator suspended, and the
-// handshake's lock edges order the inserts and the scan either side of
-// the stop.
 func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	h := c.h
 	live := sh.entries[:0]
@@ -234,12 +198,8 @@ func (h *Heap) RemSetShardSizes() []int {
 		return nil
 	}
 	out := make([]int, RemShards)
-	shards := h.rem.all()
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
+	for i, sh := range h.rem.all() {
 		out[i] = len(sh.entries)
-		sh.mu.Unlock()
 	}
 	return out
 }

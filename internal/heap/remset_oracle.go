@@ -15,7 +15,7 @@ package heap
 // set. It must be called on a heap whose remembered set is still
 // empty; the switch is one-way.
 func (h *Heap) enableMapRemsetOracle() {
-	h.check(!h.inCollect.Load(), "enableMapRemsetOracle during a collection")
+	h.check(!h.inCollect, "enableMapRemsetOracle during a collection")
 	h.check(h.rem.count() == 0, "enableMapRemsetOracle: remembered set already populated")
 	h.dirtyMap = make(map[uint64]bool)
 }

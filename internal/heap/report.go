@@ -65,14 +65,6 @@ type CollectionReport struct {
 	// handed the report) never race with the live lists.
 	ProtectedByGen []int
 
-	// MutatorsSuspended is the number of registered mutators the
-	// safepoint handshake suspended (parked or idle) for this
-	// collection, and SafepointWait is how long the coordinator waited
-	// for the last of them to reach a safepoint. Both are zero in
-	// legacy single-mutator mode (no mutators registered).
-	MutatorsSuspended int
-	SafepointWait     time.Duration
-
 	// Per-collection deltas of the cumulative Stats counters.
 	WordsCopied       uint64
 	PairsCopied       uint64

@@ -11,16 +11,6 @@ import "repro/internal/obj"
 // Releasing a Root drops the reference; a guardian whose only
 // reference was a released root becomes collectible, which — per the
 // paper — cancels finalization of everything registered with it.
-//
-// Concurrency: NewRoot, Release, and AddRootProvider (and its remove
-// function) mutate registry bookkeeping, so in concurrent-mutator mode
-// they serialize on the allocation mutex. Get and Set on an individual
-// Root stay unsynchronized — a root slot, like a Mutator, belongs to
-// one goroutine (the collector rewrites slots only with the world
-// stopped). Slots therefore live in fixed-size chunks whose addresses
-// never change: growing the registry publishes a copied chunk
-// directory through an atomic pointer instead of moving slots, so one
-// goroutine's NewRoot cannot invalidate another's concurrent Set.
 type Root struct {
 	h   *Heap
 	idx int
@@ -29,8 +19,7 @@ type Root struct {
 // rootChunkSlots is the number of root slots per chunk, sized for a
 // server session, which holds a handful of roots: a chunk is 144
 // bytes. Chunks are allocated once and never move; the directory grows
-// by append, so it is copied only when its capacity doubles, amortized
-// O(1) per root.
+// by append, so growing the registry copies pointers, never slots.
 const rootChunkSlots = 16
 
 type rootChunk struct {
@@ -38,41 +27,30 @@ type rootChunk struct {
 	live [rootChunkSlots]bool
 }
 
-// rootSlot returns the chunk and intra-chunk offset of slot idx. The
-// atomic directory load pairs with the publication in growRootsLocked:
-// a reader sees either directory, and every slot it can legitimately
-// index exists, at the same address, in both.
+// rootSlot returns the chunk and intra-chunk offset of slot idx.
 func (h *Heap) rootSlot(idx int) (*rootChunk, int) {
-	dir := *h.rootChunks.Load()
-	return dir[idx/rootChunkSlots], idx % rootChunkSlots
+	return h.rootChunks[idx/rootChunkSlots], idx % rootChunkSlots
 }
 
-// growRootsLocked appends one chunk to the directory. Caller holds
-// allocMu in mutator mode (NewRoot) or owns the heap (image load). The
-// append may write the new chunk into the old directory's backing
-// array, past its length: no reader of the old directory indexes there,
-// and a reader of the new one loads it after the atomic store.
-func (h *Heap) growRootsLocked() {
-	dir := append(*h.rootChunks.Load(), &rootChunk{})
-	h.rootChunks.Store(&dir)
+// addRootSlot extends the registry by one slot, growing the directory
+// by a chunk when the last one is full, and returns its index.
+func (h *Heap) addRootSlot() int {
+	idx := h.rootsLen
+	if idx == len(h.rootChunks)*rootChunkSlots {
+		h.rootChunks = append(h.rootChunks, &rootChunk{})
+	}
+	h.rootsLen++
+	return idx
 }
 
 // NewRoot registers v as a collector root and returns its slot.
 func (h *Heap) NewRoot(v obj.Value) *Root {
-	if h.mutCount.Load() != 0 {
-		h.allocMu.Lock()
-		defer h.allocMu.Unlock()
-	}
 	var idx int
 	if n := len(h.rootsFree); n > 0 {
 		idx = h.rootsFree[n-1]
 		h.rootsFree = h.rootsFree[:n-1]
 	} else {
-		idx = h.rootsLen
-		if idx == len(*h.rootChunks.Load())*rootChunkSlots {
-			h.growRootsLocked()
-		}
-		h.rootsLen++
+		idx = h.addRootSlot()
 	}
 	c, o := h.rootSlot(idx)
 	c.vals[o] = v
@@ -97,10 +75,6 @@ func (r *Root) Set(v obj.Value) {
 // Release drops the root. Releasing twice panics.
 func (r *Root) Release() {
 	h := r.h
-	if h.mutCount.Load() != 0 {
-		h.allocMu.Lock()
-		defer h.allocMu.Unlock()
-	}
 	c, o := h.rootSlot(r.idx)
 	h.check(c.live[o], "double release of root")
 	c.live[o] = false
@@ -121,17 +95,9 @@ type RootVisitor interface {
 // provider — including func-typed RootFunc values, which are not
 // comparable — can be removed safely.
 func (h *Heap) AddRootProvider(p RootVisitor) (remove func()) {
-	if h.mutCount.Load() != 0 {
-		h.allocMu.Lock()
-		defer h.allocMu.Unlock()
-	}
 	e := &providerEntry{v: p}
 	h.providers = append(h.providers, e)
 	return func() {
-		if h.mutCount.Load() != 0 {
-			h.allocMu.Lock()
-			defer h.allocMu.Unlock()
-		}
 		for i, q := range h.providers {
 			if q == e {
 				h.providers = append(h.providers[:i], h.providers[i+1:]...)

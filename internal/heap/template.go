@@ -61,9 +61,7 @@ func (t *Template) Segments() int {
 // heap must not be mid-collection — a capture from a post-collect hook
 // is an error, not a panic, because the caller can simply retry after
 // the collection finishes.
-// With mutators registered the capture runs under the same
-// stop-the-world handshake SaveImage uses. The heap is verified as
-// part of the capture (clones skip verification — they are bit-for-bit
+// The heap is verified as part of the capture (clones skip verification — they are bit-for-bit
 // the verified template), and the donor keeps running afterwards: the
 // capture copies every word, sharing nothing with the donor.
 //
@@ -71,24 +69,9 @@ func (t *Template) Segments() int {
 // (maximal sharing, empty nursery) should Collect(MaxGeneration())
 // first; capture itself does not collect.
 func (h *Heap) CaptureTemplate() (*Template, error) {
-	if h.inCollect.Load() {
+	if h.inCollect {
 		return nil, fmt.Errorf("heap: CaptureTemplate during a collection")
 	}
-	if h.mutCount.Load() != 0 {
-		var tpl *Template
-		err := h.withWorldStopped(func() error {
-			var err error
-			tpl, err = h.captureStopped()
-			return err
-		})
-		return tpl, err
-	}
-	return h.captureStopped()
-}
-
-// captureStopped performs the capture on a quiescent heap (legacy
-// single-mutator mode, or inside the withWorldStopped bracket).
-func (h *Heap) captureStopped() (*Template, error) {
 	if errs := h.Verify(); len(errs) > 0 {
 		return nil, fmt.Errorf("heap: CaptureTemplate on unverifiable heap: %w", errs[0])
 	}
@@ -103,7 +86,7 @@ func (h *Heap) captureStopped() (*Template, error) {
 	for i := 0; i < h.tab.Len(); i++ {
 		s := h.tab.Seg(i)
 		if !s.InUse {
-			continue // free or reserved slot: nil Words in the template
+			continue // free slot: nil Words in the template
 		}
 		w := make([]uint64, seg.Words)
 		copy(w, s.Words)
@@ -147,11 +130,6 @@ func (h *Heap) captureStopped() (*Template, error) {
 // (indexed as in the donor; dead slots are nil), exactly like
 // LoadImage. The clone is not re-verified — it is structurally
 // identical to the heap verified at capture time.
-//
-// The clone starts in legacy single-mutator mode with the lazy
-// copy-on-write path armed; registering a mutator privatizes all
-// remaining shared segments first (seg.Table.PrivatizeAll), so the
-// unsynchronized lazy copy never runs in a multi-threaded regime.
 func CloneFromTemplate(tpl *Template) (*Heap, []*Root, error) {
 	return tpl.instantiate(true)
 }
@@ -181,10 +159,7 @@ func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 	}
 	handles := make([]*Root, len(tpl.rootVals))
 	for i, v := range tpl.rootVals {
-		if i == len(*h.rootChunks.Load())*rootChunkSlots {
-			h.growRootsLocked()
-		}
-		h.rootsLen++
+		h.addRootSlot()
 		c, o := h.rootSlot(i)
 		c.vals[o] = v
 		c.live[o] = tpl.rootLive[i]

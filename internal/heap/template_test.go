@@ -299,36 +299,6 @@ func TestCloneFreeSharedKeepsTemplate(t *testing.T) {
 	c2.MustVerify()
 }
 
-// TestCloneMutatorRegistrationPrivatizes: the lazy copy-on-write fault
-// path is unsynchronized by design, so entering the multi-mutator
-// regime must privatize every remaining shared segment eagerly.
-func TestCloneMutatorRegistrationPrivatizes(t *testing.T) {
-	h := heap.NewDefault()
-	r := h.NewRoot(h.List(fx(1), fx(2)))
-	h.Collect(h.MaxGeneration())
-	tpl, err := h.CaptureTemplate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = r
-	c, cr, err := heap.CloneFromTemplate(tpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.SharedSegments() == 0 {
-		t.Fatal("clone shares no segments")
-	}
-	m := c.RegisterMutator()
-	if c.SharedSegments() != 0 {
-		t.Fatalf("%d segments still shared after RegisterMutator", c.SharedSegments())
-	}
-	if got := c.Car(cr[0].Get()).FixnumValue(); got != 1 {
-		t.Fatalf("privatized clone reads %d, want 1", got)
-	}
-	m.Unregister()
-	c.MustVerify()
-}
-
 // TestCloneRootSlots mirrors TestHeapImageReleasedRootSlotsStayFree
 // for the template path: released donor slots come back dead (nil
 // handle) and reusable on the clone.

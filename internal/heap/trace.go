@@ -105,10 +105,10 @@ type TraceEvent struct {
 	// (0..RemShards-1); its sum is the collection's DirtyCellsScanned
 	// delta. Nil when the dirty set is disabled.
 	DirtyShardCells []uint64 `json:"dirty_shard_cells,omitempty"`
-	// MutatorsSuspended is the number of registered mutators the
-	// safepoint handshake suspended for this collection;
-	// SafepointWaitNS is how long the coordinator waited for the last
-	// of them. Both zero (and omitted) in legacy single-mutator mode.
+	// MutatorsSuspended and SafepointWaitNS are always 0 (and omitted):
+	// a heap has one mutator at a time, which a collection stops by
+	// being called from it. They stay for the benchmark harness, which
+	// still reads them.
 	MutatorsSuspended int   `json:"mutators_suspended,omitempty"`
 	SafepointWaitNS   int64 `json:"safepoint_wait_ns,omitempty"`
 }
@@ -193,8 +193,6 @@ func (h *Heap) recordTrace(rep *CollectionReport) {
 		GuardianRounds:    rep.GuardianRounds,
 	}
 	ev.PhaseNS = h.phaseNS
-	ev.MutatorsSuspended = rep.MutatorsSuspended
-	ev.SafepointWaitNS = rep.SafepointWait.Nanoseconds()
 	if h.cfg.UseDirtySet && h.dirtyMap == nil {
 		ev.DirtyShardCells = make([]uint64, RemShards)
 		copy(ev.DirtyShardCells, rep.ShardDirty[:])

@@ -40,24 +40,16 @@ import (
 //     hashes to the shard holding it, and every entry's segment
 //     exists. Shard-local state leaking across shards or collections
 //     would show up here;
-//  9. registered mutators are consistent with the heap: a suspended
-//     mutator (parked, idle, or any mutator while a collection runs)
-//     has flushed TLAB cursors, and no mutator's reserved-segment
-//     cache entry is marked in use;
-//  10. copy-on-write state is consistent for template clones: every
+//  9. copy-on-write state is consistent for template clones: every
 //     segment still marked shared (seg.Table.IsShared) is in use with
 //     a full-length word array, and the count of shared bits matches
 //     SharedCount;
-//  11. no allocation cursor is stale: an open cursor (the heap's, a
-//     TLAB's, the copier's) caches the table entry of the segment it
-//     names, which is in use, not shared with a template (clones start
-//     with closed cursors), of the cursor's space and generation, with
-//     Fill equal to the cursor's offset; the copier's is open only
-//     while a collection is in flight.
-//
-// In concurrent-mutator mode Verify must run on a quiescent heap —
-// every registered mutator parked, idle, or otherwise not allocating —
-// since it walks segment fills and cursors without stopping the world.
+//  10. no allocation cursor is stale: an open cursor (the heap's or
+//     the copier's) caches the table entry of the segment it names,
+//     which is in use, not shared with a template (clones start with
+//     closed cursors), of the cursor's space and generation, with Fill
+//     equal to the cursor's offset; the copier's is open only while a
+//     collection is in flight.
 func (h *Heap) Verify() []error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -103,7 +95,7 @@ func (h *Heap) Verify() []error {
 		}
 		// Generational invariant: old cell pointing young must be
 		// remembered (or be a deferred weak car, also remembered).
-		if genCheck && h.cfg.UseDirtySet && !h.inCollect.Load() {
+		if genCheck && h.cfg.UseDirtySet && !h.inCollect {
 			cellGen := h.tab.SegOf(addr).Gen
 			if ts.Gen < cellGen {
 				if got, ok := h.dirtyLookup(addr); !ok || (weakCar && !got) {
@@ -287,7 +279,7 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Copy-on-write consistency (invariant 10). A shared bit on a free
+	// Copy-on-write consistency (invariant 9). A shared bit on a free
 	// or truncated segment means Free or privatize lost track
 	// of the template aliasing, and a mismatched count would let the
 	// hot-path nil test retire the bitmap too early or too late.
@@ -310,7 +302,7 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Cursors (invariant 11): a stale one would bump-allocate into a
+	// Cursors (invariant 10): a stale one would bump-allocate into a
 	// freed or re-purposed segment, or into a template's array.
 	checkCursor := func(who string, c *cursor, sp, gen int, mayBeOpen bool) {
 		if s := c.s; s == nil && c.seg == seg.None {
@@ -324,33 +316,8 @@ func (h *Heap) Verify() []error {
 		for gen := range h.cur[sp] {
 			checkCursor("heap", &h.cur[sp][gen], sp, gen, true)
 		}
-		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect.Load())
+		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect)
 	}
-
-	// Mutator consistency (invariant 9). Lock order: spMu then allocMu,
-	// matching the handshake paths.
-	h.spMu.Lock()
-	h.allocMu.Lock()
-	for mi, m := range h.muts {
-		for sp := range m.cur {
-			checkCursor("mutator", &m.cur[sp], sp, 0, true)
-		}
-		if m.parked || m.idle || h.inCollect.Load() {
-			for sp := range m.cur {
-				if m.cur[sp].seg != seg.None {
-					report("mutator %d: suspended with open TLAB in space %v (segment %d)",
-						mi, seg.Space(sp), m.cur[sp].seg)
-				}
-			}
-		}
-		for _, idx := range m.cache {
-			if idx < h.tab.Len() && h.tab.Seg(idx).InUse {
-				report("mutator %d: cached reserved segment %d is in use", mi, idx)
-			}
-		}
-	}
-	h.allocMu.Unlock()
-	h.spMu.Unlock()
 	return errs
 }
 

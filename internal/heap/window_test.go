@@ -247,7 +247,7 @@ func TestCloneForwardLeavesTemplateIntact(t *testing.T) {
 
 // TestVerifyCatchesStaleCursor plants the two ways a cursor can go
 // stale — its segment freed under it, and its offset out of step with
-// the segment's Fill — and checks invariant 11 reports them.
+// the segment's Fill — and checks invariant 10 reports them.
 func TestVerifyCatchesStaleCursor(t *testing.T) {
 	h := NewDefault()
 	h.Cons(fix(1), obj.Nil)

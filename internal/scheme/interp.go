@@ -355,10 +355,8 @@ func (m *Machine) get(s slot) obj.Value    { return m.stack[s] }
 func (m *Machine) set(s slot, v obj.Value) { m.stack[s] = v }
 
 // safepoint is the VM's poll at calls and backward jumps: it runs the
-// collect-request handler when an automatic collection is pending and,
-// in concurrent-mutator mode, yields to a stop-the-world handshake
-// raised by another goroutine's collection. All machine state is
-// rooted there.
+// collect-request handler when an automatic collection is pending. All
+// machine state is rooted there.
 func (m *Machine) safepoint() {
 	if m.H.Safepoint() {
 		m.H.Checkpoint()

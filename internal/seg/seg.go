@@ -8,9 +8,7 @@ package seg
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Words is the number of 64-bit words per segment. The paper's
@@ -72,12 +70,8 @@ type Segment struct {
 }
 
 // Segments are stored in fixed-size chunks so that a *Segment returned
-// by Seg, and the backing word arrays, never move when the table grows.
-// The chunk directory is published through an atomic pointer and grown
-// copy-on-write, which makes table *reads* (Seg/SegOf/Window/Writable)
-// safe to run concurrently with a single grower: concurrent mutators
-// read and write heap words while one of them, under the heap's
-// allocation mutex, claims fresh segments.
+// by Seg, and the backing word arrays, never move when the table grows:
+// the allocation cursors keep the *Segment of their open segment.
 const (
 	chunkBits = 6 // 64 segments (256 KB of heap) per chunk
 	chunkSize = 1 << chunkBits
@@ -139,17 +133,12 @@ func (p *Pool) Len() int {
 // Table is the segment information table plus the free list of retired
 // segments. The zero value is ready to use.
 //
-// Concurrency contract: all mutating methods (Alloc, AllocRun, Free)
-// must be serialized by the caller. Read methods (Seg, SegOf, Window,
-// Writable, Word, SetWord, Len, ...) may run concurrently with a
-// serialized mutator, provided each reader only touches segments that
-// were published to it (allocated before the reader started, or handed
-// over through a synchronizing operation such as the collector's
-// CAS-installed forwarding words). Writable and SetWord "read" the
-// table and let the caller write heap words; racing word accesses are
-// the caller's to synchronize.
+// Concurrency contract: a table belongs to one heap, and a heap is used
+// by one goroutine at a time (heap.Mutator hands it from one to the
+// next), so no method synchronizes. The exception is the Pool a clone
+// family shares, which locks itself.
 type Table struct {
-	chunks atomic.Pointer[[]*segChunk]
+	chunks []*segChunk
 	nseg   int
 	free   []int
 	// lazy holds segments retired with their words unzeroed (single
@@ -157,11 +146,6 @@ type Table struct {
 	// reusable like free ones, but their words are stale and are
 	// zeroed only when claimed.
 	lazy []int
-	// reserved counts segments handed out by Reserve but not yet
-	// initialized with InitReserved (nor returned with Unreserve).
-	// The counter is atomic so ReservedCount and CommittedCount may be
-	// read without the caller's allocation mutex.
-	reserved atomic.Int64
 
 	// runPool pools retired large-object runs by size class: runPool[k]
 	// holds the head indices of free contiguous k-segment runs, so
@@ -186,12 +170,6 @@ type Table struct {
 	// check collapses to one nil test in the common case. Segments
 	// created after the clone lie beyond the bitmap and are never
 	// shared.
-	//
-	// The lazy privatize in Writable (and so SetWord/WordPtr) is
-	// deliberately unsynchronized: it is only correct in single-threaded regimes
-	// (the legacy single-mutator heap, or the collector of a stopped
-	// world). Callers entering a multi-threaded regime — registering a
-	// concurrent mutator — must call PrivatizeAll first.
 	cowBits   []uint64
 	cowShared int
 	cowCopies uint64
@@ -298,8 +276,7 @@ func (t *Table) IsShared(idx int) bool { return t.isShared(idx) }
 func (t *Table) SharedCount() int { return t.cowShared }
 
 // COWCopies returns the cumulative number of segments privatized by
-// copy-on-write faults (lazy or via PrivatizeAll) over the table's
-// lifetime.
+// copy-on-write faults over the table's lifetime.
 func (t *Table) COWCopies() uint64 { return t.cowCopies }
 
 // privatize replaces segment idx's shared template words with a private
@@ -325,42 +302,11 @@ func (t *Table) clearShared(idx int) {
 	}
 }
 
-// PrivatizeAll eagerly privatizes every still-shared segment. Required
-// before any multi-threaded access to the table's words (concurrent
-// mutators): the lazy copy in Writable (and SetWord) is unsynchronized
-// and safe only while a single goroutine touches heap words.
-// Serialized like Alloc/Free.
-func (t *Table) PrivatizeAll() {
-	cow := t.cowBits
-	for wi, bw := range cow {
-		for bw != 0 {
-			bit := bits.TrailingZeros64(bw)
-			t.privatize(wi<<6 + bit)
-			bw &^= 1 << bit
-		}
-	}
-}
-
-// chunkList returns the current chunk directory (nil when empty).
-func (t *Table) chunkList() []*segChunk {
-	if p := t.chunks.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// grow ensures the table has room for segment index t.nseg. The chunk
-// directory is replaced copy-on-write so concurrent readers holding the
-// old directory stay valid.
+// grow ensures the table has room for segment index t.nseg.
 func (t *Table) grow() {
-	cl := t.chunkList()
-	if t.nseg>>chunkBits < len(cl) {
-		return
+	if t.nseg>>chunkBits == len(t.chunks) {
+		t.chunks = append(t.chunks, new(segChunk))
 	}
-	ncl := make([]*segChunk, len(cl)+1)
-	copy(ncl, cl)
-	ncl[len(cl)] = new(segChunk)
-	t.chunks.Store(&ncl)
 }
 
 // initSeg prepares the fresh or recycled segment idx for use.
@@ -380,7 +326,7 @@ func (t *Table) initSeg(idx int, space Space, gen int, stamp uint64, cont bool) 
 }
 
 // claim returns a reusable segment index with zeroed words (or a
-// brand-new index whose words initSeg/Reserve will materialize):
+// brand-new index whose words initSeg will materialize):
 // eagerly-freed segments first, then lazily-freed ones — paying their
 // deferred zeroing here — then pooled large-object runs broken up into
 // singles, then fresh table growth. Breaking up a pooled run before
@@ -491,8 +437,7 @@ func (t *Table) RunLen(head int) int {
 // reassembled, so large-object churn would grow the table without
 // bound). Words are not zeroed here (the clear is deferred to the
 // claim that reuses them); COW-shared template words are dropped rather
-// than cleared, exactly as in Free. Returns the run length. Serialized
-// like Free.
+// than cleared, exactly as in Free. Returns the run length.
 func (t *Table) FreeRun(head int) int {
 	k := t.RunLen(head)
 	for i := 0; i < k; i++ {
@@ -525,58 +470,6 @@ func (t *Table) FreeRun(head int) int {
 	return k
 }
 
-// Reserve detaches up to k segments from the table — retired segments
-// first, brand-new ones when the free list runs dry — appends their
-// indices to dst, and returns the extended slice. Reserved segments are
-// not in use (InUseCount excludes them) and not on the free list; they
-// belong to the caller until InitReserved activates them or Unreserve
-// gives them back. Mutator TLAB caches use this to refill in batches
-// under one allocation-mutex acquisition instead of locking per
-// segment. Backing word arrays are materialized
-// here, so InitReserved itself performs no allocation.
-//
-// Reserve mutates the table and must be serialized like Alloc/Free.
-func (t *Table) Reserve(dst []int, k int) []int {
-	for i := 0; i < k; i++ {
-		idx := t.claim()
-		if s := t.Seg(idx); s.Words == nil {
-			s.Words = t.newWords()
-		}
-		dst = append(dst, idx)
-	}
-	t.reserved.Add(int64(k))
-	return dst
-}
-
-// InitReserved activates a segment previously handed out by Reserve,
-// assigning it to the given space and generation. It touches only the
-// segment's own (caller-owned) struct and the atomic reserved counter.
-func (t *Table) InitReserved(idx int, space Space, gen int, stamp uint64) {
-	s := t.Seg(idx)
-	if s.InUse {
-		panic(fmt.Sprintf("seg: InitReserved of in-use segment %d", idx))
-	}
-	s.Space = space
-	s.Gen = gen
-	s.InUse = true
-	s.Stamp = stamp
-	s.Next = None
-	s.Cont = false
-	s.Fill = 0
-	t.reserved.Add(-1)
-}
-
-// Unreserve returns a reserved segment to the free list. Serialized
-// like Alloc/Free.
-func (t *Table) Unreserve(idx int) {
-	t.reserved.Add(-1)
-	t.free = append(t.free, idx)
-}
-
-// ReservedCount returns the number of segments currently detached by
-// Reserve and neither activated nor returned.
-func (t *Table) ReservedCount() int { return int(t.reserved.Load()) }
-
 // Free retires segment idx onto the free list. Its words are zeroed so
 // that any dangling pointer into it reads as fixnum 0 rather than a
 // stale heap value, which keeps collector bugs loud. A table with a
@@ -590,8 +483,8 @@ func (t *Table) Free(idx int) {
 	}
 	if t.cowBits != nil && t.isShared(idx) {
 		// The words belong to an immutable template shared with other
-		// clones: drop the alias instead of zeroing it. initSeg/Reserve
-		// materialize a fresh array when the slot is reused.
+		// clones: drop the alias instead of zeroing it. initSeg
+		// materializes a fresh array when the slot is reused.
 		s.Words = nil
 		t.clearShared(idx)
 	} else {
@@ -611,7 +504,7 @@ func (t *Table) Free(idx int) {
 // Seg returns the segment with the given index. The pointer is stable:
 // it remains valid as the table grows.
 func (t *Table) Seg(idx int) *Segment {
-	return &(*t.chunks.Load())[idx>>chunkBits][idx&chunkMask]
+	return &t.chunks[idx>>chunkBits][idx&chunkMask]
 }
 
 // Len returns the total number of segments ever created.
@@ -625,21 +518,10 @@ func (t *Table) FreeCount() int { return len(t.free) + len(t.lazy) + t.pooled }
 // the large-object run pools.
 func (t *Table) PooledRunSegments() int { return t.pooled }
 
-// InUseCount returns the number of live segments. Reserved segments
-// (see Reserve) are neither free nor in use and are excluded, as are
-// pooled large-object runs.
-func (t *Table) InUseCount() int {
-	return t.nseg - t.FreeCount() - int(t.reserved.Load())
-}
-
-// CommittedCount returns the number of segments the table has handed
-// out and not gotten back: in-use plus reserved. Bounded heaps charge
-// reservations against Config.MaxSegments at Reserve time using this
-// figure, so a segment parked in a mutator's TLAB cache counts against
-// the limit exactly like a live one. Pooled runs
-// are reclaimable (claim breaks them up before growing the table) and
-// do not count.
-func (t *Table) CommittedCount() int { return t.nseg - t.FreeCount() }
+// InUseCount returns the number of live segments: pooled large-object
+// runs are reclaimable (claim breaks them up before growing the table)
+// and do not count.
+func (t *Table) InUseCount() int { return t.nseg - t.FreeCount() }
 
 // SegIndexOf returns the index of the segment containing the word
 // address addr.
@@ -668,9 +550,8 @@ func (t *Table) Window(addr uint64) []uint64 {
 // write rule lives — SetWord is expressed on it, and
 // callers that write several words of one segment (a freshly copied
 // object, a swept object's fields) call it once and index the slice.
-// The privatize is unsynchronized — see the cowBits field doc for the
-// regime contract. Re-read Words after every call: privatize replaces
-// the slice (the *Segment itself is stable).
+// Re-read Words after every call: privatize replaces the slice (the
+// *Segment itself is stable).
 func (t *Table) Writable(idx int) *Segment {
 	if t.cowBits != nil && t.isShared(idx) {
 		t.privatize(idx)

@@ -49,8 +49,8 @@ func (mb *mailbox) deliver(from SessionID, data string) error {
 	}
 	v := forms[0]
 	// No collection can intervene between the calls below: allocation
-	// in legacy mode only raises a collect request, which is honored
-	// at evaluator safepoints, never inside these calls.
+	// only raises a collect request, which is honored at evaluator
+	// safepoints, never inside these calls.
 	core.TconcPut(mb.s.h, mb.q.Get(), v)
 	mb.seq++
 	mb.meta.Put(v, mb.s.h.Cons(obj.FromFixnum(int64(from)), obj.FromFixnum(mb.seq)))

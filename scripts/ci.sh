@@ -31,17 +31,6 @@ echo "== guardian gate (-race)"
 # append-only, no object salvaged twice.
 go test -race -run 'TestGuardian' ./internal/heap/
 
-echo "== concurrent mutator gate (-race)"
-# Concurrent-mutator mode: N goroutines allocating through TLABs while
-# collections run the stop-the-world safepoint handshake. The stress
-# suite races allocation, the write barrier, guardians, and
-# collections; the lockstep oracle proves the
-# multi-handle allocator isomorphic to the legacy single-mutator heap
-# (with the map remembered-set oracle on the reference side); the
-# bounded-heap tests pin the reserved-segments-count-toward-MaxSegments
-# fix and the exact-OOM guarantee.
-go test -race -run 'TestMutator|TestBoundedHeap' ./internal/heap/
-
 echo "== policy / autotune gate (-race)"
 # The Config.Policy seam: the AutoTune gate runs a trigger-driven
 # churn workload with a full Verify after every collection plus the

@@ -126,10 +126,6 @@ func TestAccessorPanicsUnchanged(t *testing.T) {
 		{wrong("set-symbol-value!", obj.KSymbol, vec), func() { h.SetSymbolValue(vec, obj.Nil) }},
 		{wrong("symbol-plist", obj.KSymbol, rec), func() { h.SymbolPlist(rec) }},
 		{wrong("set-symbol-plist!", obj.KSymbol, rec), func() { h.SetSymbolPlist(rec, obj.Nil) }},
-		{wrong("closure-clauses", obj.KClosure, sym), func() { h.ClosureClauses(sym) }},
-		{wrong("closure-env", obj.KClosure, sym), func() { h.ClosureEnv(sym) }},
-		{wrong("closure-name", obj.KClosure, sym), func() { h.ClosureName(sym) }},
-		{wrong("set-closure-name!", obj.KClosure, sym), func() { h.SetClosureName(sym, sym) }},
 		{wrong("unbox", obj.KBox, vec), func() { h.Unbox(vec) }},
 		{wrong("set-box!", obj.KBox, vec), func() { h.SetBox(vec, vec) }},
 		{wrong("port-field", obj.KPort, rec), func() { h.PortField(rec, 0) }},

@@ -10,44 +10,31 @@ import (
 	"repro/internal/seg"
 )
 
-// Heap images, in the spirit of Chez Scheme's saved heaps: SaveImage
-// serializes the complete heap state — configuration, every in-use
-// segment (space, generation, contents), root slots, protected lists,
-// and the dirty set — and LoadImage reconstructs an identical heap.
-// Word addresses are segment-relative-stable (segment indexes are
-// preserved), so no pointer adjustment is needed.
+// Heap images, in the spirit of Chez Scheme's saved heaps. An image is
+// an encoded Template: SaveImage captures the heap (CaptureTemplate)
+// and encodes the template, and LoadImage decodes one and instantiates
+// it with the heap owning the word arrays outright. The walk over
+// segments, root slots, protected lists and the remembered set is
+// therefore CaptureTemplate's alone. Segment indexes are preserved, so
+// no pointer needs adjusting.
 //
 // Go-side state is out of scope by design: root *handles*, root
 // providers, collect-request handlers, and post-collect hooks are
 // live Go values; LoadImage returns fresh handles for the saved root
 // slots and the caller re-registers everything else. Scheme-level
-// state (globals, closures, guardians made with make-guardian) lives
-// entirely in the heap and survives intact; see the scheme package's
-// SaveImage for the symbol-table layer.
+// state lives entirely in the heap; the scheme package's machine
+// images add the symbol table.
+//
+// Format GUARDIMG4, little-endian u64s and u8 flags: the magic; the
+// generation count, live trigger, radix, dirty-set and weak-scan-all
+// flags, segment limit, stamp and automatic-collection count; the
+// segment-table length and in-use count, then per in-use segment, in
+// ascending index order, its index, space, generation, continuation
+// flag, fill, stamp and fill words; the root slots (live flag, value);
+// per generation the protected list (object, representative, tconc);
+// the remembered cells (address, weak flag).
 
-const imageMagic = "GUARDIMG3\n"
-
-type imageWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (iw *imageWriter) u64(v uint64) {
-	if iw.err == nil {
-		iw.err = binary.Write(iw.w, binary.LittleEndian, v)
-	}
-}
-func (iw *imageWriter) u8(v uint8) {
-	if iw.err == nil {
-		iw.err = iw.w.WriteByte(v)
-	}
-}
-func (iw *imageWriter) str(s string) {
-	iw.u64(uint64(len(s)))
-	if iw.err == nil {
-		_, iw.err = iw.w.WriteString(s)
-	}
-}
+const imageMagic = "GUARDIMG4\n"
 
 type imageReader struct {
 	r   *bufio.Reader
@@ -68,268 +55,103 @@ func (ir *imageReader) u8() uint8 {
 	}
 	return v
 }
-func (ir *imageReader) str() string {
-	n := ir.u64()
-	if ir.err != nil || n > 1<<24 {
-		if ir.err == nil {
-			ir.err = fmt.Errorf("heap: image string too long")
-		}
-		return ""
+
+// SaveImage writes the heap to w: CaptureTemplate, then Encode. The
+// heap must not be mid-collection: a save from a post-collect hook
+// returns an error rather than serializing a half-forwarded heap;
+// retry after the collection finishes.
+func (h *Heap) SaveImage(w io.Writer) error {
+	tpl, err := h.CaptureTemplate()
+	if err != nil {
+		return err
 	}
-	b := make([]byte, n)
-	if ir.err == nil {
-		_, ir.err = io.ReadFull(ir.r, b)
-	}
-	return string(b)
+	return tpl.Encode(w)
 }
 
-// SaveImage writes the heap to w. The heap must not be mid-collection:
-// a save from a post-collect hook returns an error rather than
-// serializing a half-forwarded heap; retry after the collection
-// finishes.
-func (h *Heap) SaveImage(w io.Writer) error {
-	if h.inCollect {
-		return fmt.Errorf("heap: SaveImage during a collection")
-	}
-	iw := &imageWriter{w: bufio.NewWriter(w)}
-	iw.str(imageMagic)
-
-	// Configuration. The trigger slot carries the live trigger
-	// (Heap.TriggerWords) rather than the configured one, so a heap
-	// tuned by AdaptivePolicy resumes from its tuned nursery size. The
-	// policy itself is not serialized: LoadImage maps the trigger and
-	// radix slots to a RadixPolicy, so the radix slot carries a
-	// RadixPolicy's cadence and the stock one for anything else.
+// Encode writes the template as a heap image, which LoadImage reads.
+// The policy itself is not written: LoadImage maps the trigger and
+// radix to a RadixPolicy, so the trigger is the donor's live one (a
+// heap tuned by AdaptivePolicy resumes from its tuned nursery size)
+// and the radix a RadixPolicy's cadence, the stock one for any other
+// policy.
+func (t *Template) Encode(w io.Writer) error {
 	radix := DefaultRadix
-	if rp, ok := h.policy.(RadixPolicy); ok && rp.Radix != 0 {
+	if rp, ok := t.cfg.Policy.(RadixPolicy); ok && rp.Radix != 0 && !t.cfg.AutoTune {
 		radix = rp.Radix
 	}
-	iw.u64(uint64(h.cfg.Generations))
-	iw.u64(uint64(h.trigger))
-	iw.u64(uint64(radix))
-	iw.u8(b2u(h.cfg.UseDirtySet))
-	iw.u8(b2u(h.cfg.WeakScanAll))
-	iw.u64(uint64(h.cfg.MaxSegments))
-	iw.u64(h.stamp)
-	iw.u64(h.autoCount)
-
-	// Segments.
-	iw.u64(uint64(h.tab.Len()))
-	inUse := 0
-	for i := 0; i < h.tab.Len(); i++ {
-		if h.tab.Seg(i).InUse {
-			inUse++
+	// bufio.Writer's errors are sticky: Flush returns the first.
+	bw := bufio.NewWriter(w)
+	var word [8]byte
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(word[:], v)
+			bw.Write(word[:])
 		}
 	}
-	iw.u64(uint64(inUse))
-	for i := 0; i < h.tab.Len(); i++ {
-		s := h.tab.Seg(i)
-		if !s.InUse {
+	flag := func(b bool) {
+		if b {
+			bw.WriteByte(1)
+		} else {
+			bw.WriteByte(0)
+		}
+	}
+	put(uint64(len(imageMagic)))
+	bw.WriteString(imageMagic)
+	put(uint64(t.cfg.Generations), uint64(t.trigger), uint64(radix))
+	flag(t.cfg.UseDirtySet)
+	flag(t.cfg.WeakScanAll)
+	put(uint64(t.cfg.MaxSegments), t.stamp, t.autoCount)
+
+	put(uint64(len(t.segs)), uint64(t.Segments()))
+	for i := range t.segs {
+		s := &t.segs[i]
+		if s.Words == nil {
 			continue
 		}
-		iw.u64(uint64(i))
-		iw.u8(uint8(s.Space))
-		iw.u64(uint64(s.Gen))
-		iw.u8(b2u(s.Cont))
-		iw.u64(uint64(s.Fill))
-		for off := 0; off < s.Fill; off++ {
-			iw.u64(s.Words[off])
-		}
+		put(uint64(i))
+		bw.WriteByte(uint8(s.Space))
+		put(uint64(s.Gen))
+		flag(s.Cont)
+		put(uint64(s.Fill), s.Stamp)
+		put(s.Words[:s.Fill]...)
 	}
 
-	// Root slots.
-	iw.u64(uint64(h.rootsLen))
-	for i := 0; i < h.rootsLen; i++ {
-		c, o := h.rootSlot(i)
-		iw.u8(b2u(c.live[o]))
-		iw.u64(uint64(c.vals[o]))
+	put(uint64(len(t.rootVals)))
+	for i, v := range t.rootVals {
+		flag(t.rootLive[i])
+		put(uint64(v))
 	}
-
-	// Protected lists.
-	iw.u64(uint64(len(h.protected)))
-	for _, lst := range h.protected {
-		iw.u64(uint64(len(lst)))
+	put(uint64(len(t.protected)))
+	for _, lst := range t.protected {
+		put(uint64(len(lst)))
 		for _, e := range lst {
-			iw.u64(uint64(e.Obj))
-			iw.u64(uint64(e.Rep))
-			iw.u64(uint64(e.Tconc))
+			put(uint64(e.Obj), uint64(e.Rep), uint64(e.Tconc))
 		}
 	}
-
-	// Remembered set. The wire format is a flat deduplicated
-	// (address, weak) list regardless of the in-memory representation,
-	// so images written by the map-oracle configuration and by the
-	// sharded set are interchangeable; LoadImage always rebuilds the
-	// sharded form.
-	iw.u64(uint64(h.DirtyCount()))
-	if h.dirtyMap != nil {
-		for addr, weak := range h.dirtyMap {
-			iw.u64(addr)
-			iw.u8(b2u(weak))
-		}
-	} else {
-		shards := h.rem.all()
-		for i := range shards {
-			for _, c := range shards[i].entries {
-				iw.u64(c.addr)
-				iw.u8(b2u(c.weak))
-			}
-		}
+	put(uint64(len(t.dirty)))
+	for _, c := range t.dirty {
+		put(c.addr)
+		flag(c.weak)
 	}
-
-	if iw.err == nil {
-		iw.err = iw.w.Flush()
-	}
-	return iw.err
+	return bw.Flush()
 }
 
 // LoadImage reconstructs a heap from an image written by SaveImage.
 // It returns the heap and fresh Root handles for every live saved
 // root slot (indexed as in the saved heap; dead slots are nil).
 //
-// Error paths allocate nothing durable: the entire image is parsed
-// into template parts first and the heap is only constructed once the
-// stream has been read and validated in full, so a truncated or
-// corrupt image can never leak a partially-built segment table or
-// leave segments committed. Every failure is a wrapped, descriptive
-// error. Counts off the wire are bounds-checked before any
-// proportional allocation (a hostile segment count cannot make the
-// loader commit memory the stream doesn't back), and segment records
-// must arrive in strictly ascending index order — which is how
-// SaveImage writes them, and which makes duplicate records a detected
-// corruption instead of a silent overwrite.
+// The whole stream is decoded into a Template before any heap is
+// built, so a truncated or corrupt image is a descriptive error with
+// nothing committed, and the built heap must pass Verify.
 func LoadImage(r io.Reader) (*Heap, []*Root, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	ir := &imageReader{r: br}
-	if got := ir.str(); ir.err != nil || got != imageMagic {
-		return nil, nil, fmt.Errorf("heap: not a heap image")
+	tpl, err := decodeTemplate(&imageReader{r: br})
+	if err != nil {
+		return nil, nil, err
 	}
-	tpl := &Template{
-		cfg: Config{
-			Generations: int(ir.u64()),
-			Policy:      RadixPolicy{Trigger: int(ir.u64()), Radix: int(ir.u64())},
-			UseDirtySet: ir.u8() != 0,
-			WeakScanAll: ir.u8() != 0,
-			MaxSegments: int(ir.u64()),
-		},
-	}
-	tpl.stamp = ir.u64()
-	tpl.autoCount = ir.u64()
-	if ir.err != nil {
-		return nil, nil, fmt.Errorf("heap: corrupt image (header): %w", ir.err)
-	}
-	// The config came off the wire: a corrupt or hostile image fails
-	// Validate here instead of producing a half-built heap.
-	if err := tpl.cfg.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("heap: corrupt image: %w", err)
-	}
-
-	// Segment records, parsed into template slots. The cap bounds the
-	// slot-directory allocation (1<<22 segments is a 16 GB heap); word
-	// arrays are only materialized for records actually present in the
-	// stream.
-	total := int(ir.u64())
-	inUse := int(ir.u64())
-	if ir.err != nil || total < 0 || total > 1<<22 || inUse < 0 || inUse > total {
-		return nil, nil, fmt.Errorf("heap: corrupt image (segment count)")
-	}
-	tpl.segs = make([]seg.TemplateSeg, total)
-	prev := -1
-	for k := 0; k < inUse; k++ {
-		idx := int(ir.u64())
-		if ir.err != nil {
-			return nil, nil, fmt.Errorf("heap: corrupt image (segment record): %w", ir.err)
-		}
-		if idx <= prev || idx >= total {
-			return nil, nil, fmt.Errorf("heap: corrupt image (segment index %d out of order)", idx)
-		}
-		prev = idx
-		ts := seg.TemplateSeg{
-			Space: seg.Space(ir.u8()),
-			Gen:   int(ir.u64()),
-			Cont:  ir.u8() != 0,
-			Fill:  int(ir.u64()),
-		}
-		if ir.err != nil {
-			return nil, nil, fmt.Errorf("heap: corrupt image (segment record): %w", ir.err)
-		}
-		if ts.Fill < 0 || ts.Fill > seg.Words {
-			return nil, nil, fmt.Errorf("heap: corrupt image (fill)")
-		}
-		if ts.Gen < 0 || ts.Gen >= tpl.cfg.Generations || ts.Space >= seg.NumSpaces {
-			return nil, nil, fmt.Errorf("heap: corrupt image (segment metadata)")
-		}
-		ts.Words = make([]uint64, seg.Words)
-		for off := 0; off < ts.Fill; off++ {
-			ts.Words[off] = ir.u64()
-		}
-		if ir.err != nil {
-			return nil, nil, fmt.Errorf("heap: corrupt image (segment words): %w", ir.err)
-		}
-		tpl.segs[idx] = ts
-	}
-
-	// Roots.
-	nRoots := int(ir.u64())
-	if ir.err != nil || nRoots < 0 || nRoots > 1<<24 {
-		return nil, nil, fmt.Errorf("heap: corrupt image (roots)")
-	}
-	tpl.rootVals = make([]obj.Value, 0, min(nRoots, 1<<16))
-	tpl.rootLive = make([]bool, 0, min(nRoots, 1<<16))
-	for i := 0; i < nRoots; i++ {
-		live := ir.u8() != 0
-		v := obj.Value(ir.u64())
-		if ir.err != nil {
-			return nil, nil, fmt.Errorf("heap: corrupt image (roots): %w", ir.err)
-		}
-		tpl.rootVals = append(tpl.rootVals, v)
-		tpl.rootLive = append(tpl.rootLive, live)
-	}
-
-	// Protected lists.
-	nGens := int(ir.u64())
-	if ir.err != nil || nGens != tpl.cfg.Generations {
-		return nil, nil, fmt.Errorf("heap: corrupt image (protected lists)")
-	}
-	tpl.protected = make([][]ProtEntry, nGens)
-	for g := 0; g < nGens; g++ {
-		n := int(ir.u64())
-		if ir.err != nil || n < 0 || n > 1<<24 {
-			return nil, nil, fmt.Errorf("heap: corrupt image (protected entries)")
-		}
-		for k := 0; k < n; k++ {
-			e := ProtEntry{
-				Obj:   obj.Value(ir.u64()),
-				Rep:   obj.Value(ir.u64()),
-				Tconc: obj.Value(ir.u64()),
-			}
-			if ir.err != nil {
-				return nil, nil, fmt.Errorf("heap: corrupt image (protected entries): %w", ir.err)
-			}
-			tpl.protected[g] = append(tpl.protected[g], e)
-		}
-	}
-
-	// Remembered set.
-	nDirty := int(ir.u64())
-	if ir.err != nil || nDirty < 0 || nDirty > 1<<26 {
-		return nil, nil, fmt.Errorf("heap: corrupt image (dirty set)")
-	}
-	for k := 0; k < nDirty; k++ {
-		addr := ir.u64()
-		weak := ir.u8() != 0
-		if ir.err != nil {
-			return nil, nil, fmt.Errorf("heap: corrupt image (dirty set): %w", ir.err)
-		}
-		tpl.dirty = append(tpl.dirty, dirtyCell{addr, weak})
-	}
-
-	// The stream parsed in full: construct the heap. The parsed word
-	// arrays are referenced nowhere else, so the table takes ownership
-	// outright (no copy-on-write aliasing).
 	h, handles, err := tpl.instantiate(false)
 	if err != nil {
 		return nil, nil, err
@@ -340,9 +162,117 @@ func LoadImage(r io.Reader) (*Heap, []*Root, error) {
 	return h, handles, nil
 }
 
-func b2u(b bool) uint8 {
-	if b {
-		return 1
+// decodeTemplate reads what Encode wrote. Counts off the wire are
+// bounds-checked before any allocation proportional to them (a hostile
+// segment count cannot make the loader commit memory the stream does
+// not back), and segment records must arrive in strictly ascending
+// index order, so a duplicate record is a detected corruption rather
+// than a silent overwrite.
+func decodeTemplate(ir *imageReader) (*Template, error) {
+	corrupt := func(what string) (*Template, error) {
+		if ir.err != nil {
+			return nil, fmt.Errorf("heap: corrupt image (%s): %w", what, ir.err)
+		}
+		return nil, fmt.Errorf("heap: corrupt image (%s)", what)
 	}
-	return 0
+	magic := make([]byte, len(imageMagic))
+	if n := ir.u64(); ir.err != nil || n != uint64(len(magic)) {
+		return nil, fmt.Errorf("heap: not a heap image")
+	}
+	if _, err := io.ReadFull(ir.r, magic); err != nil || string(magic) != imageMagic {
+		return nil, fmt.Errorf("heap: not a heap image")
+	}
+	tpl := &Template{cfg: Config{Generations: int(ir.u64())}}
+	tpl.trigger = int(ir.u64())
+	tpl.cfg.Policy = RadixPolicy{Trigger: tpl.trigger, Radix: int(ir.u64())}
+	tpl.cfg.UseDirtySet = ir.u8() != 0
+	tpl.cfg.WeakScanAll = ir.u8() != 0
+	tpl.cfg.MaxSegments = int(ir.u64())
+	tpl.stamp = ir.u64()
+	tpl.autoCount = ir.u64()
+	if ir.err != nil {
+		return corrupt("header")
+	}
+	if err := tpl.cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("heap: corrupt image: %w", err)
+	}
+
+	// The cap bounds the slot directory (1<<22 segments is a 16 GB
+	// heap); word arrays exist only for records present in the stream.
+	total, inUse := int(ir.u64()), int(ir.u64())
+	if ir.err != nil || total < 0 || total > 1<<22 || inUse < 0 || inUse > total {
+		return corrupt("segment count")
+	}
+	tpl.segs = make([]seg.TemplateSeg, total)
+	prev := -1
+	for k := 0; k < inUse; k++ {
+		idx := int(ir.u64())
+		if ir.err != nil || idx <= prev || idx >= total {
+			return corrupt(fmt.Sprintf("segment index %d out of order", idx))
+		}
+		prev = idx
+		ts := seg.TemplateSeg{
+			Space: seg.Space(ir.u8()),
+			Gen:   int(ir.u64()),
+			Cont:  ir.u8() != 0,
+			Fill:  int(ir.u64()),
+			Stamp: ir.u64(),
+		}
+		if ir.err != nil || ts.Fill < 0 || ts.Fill > seg.Words ||
+			ts.Gen < 0 || ts.Gen >= tpl.cfg.Generations || ts.Space >= seg.NumSpaces {
+			return corrupt("segment record")
+		}
+		ts.Words = make([]uint64, seg.Words)
+		for off := range ts.Words[:ts.Fill] {
+			ts.Words[off] = ir.u64()
+		}
+		if ir.err != nil {
+			return corrupt("segment words")
+		}
+		tpl.segs[idx] = ts
+	}
+
+	nRoots := int(ir.u64())
+	if ir.err != nil || nRoots < 0 || nRoots > 1<<24 {
+		return corrupt("roots")
+	}
+	for i := 0; i < nRoots; i++ {
+		live := ir.u8() != 0
+		tpl.rootLive = append(tpl.rootLive, live)
+		tpl.rootVals = append(tpl.rootVals, obj.Value(ir.u64()))
+		if ir.err != nil {
+			return corrupt("roots")
+		}
+	}
+
+	if n := int(ir.u64()); ir.err != nil || n != tpl.cfg.Generations {
+		return corrupt("protected lists")
+	}
+	tpl.protected = make([][]ProtEntry, tpl.cfg.Generations)
+	for g := range tpl.protected {
+		n := int(ir.u64())
+		if ir.err != nil || n < 0 || n > 1<<24 {
+			return corrupt("protected entries")
+		}
+		for k := 0; k < n; k++ {
+			e := ProtEntry{Obj: obj.Value(ir.u64()), Rep: obj.Value(ir.u64()), Tconc: obj.Value(ir.u64())}
+			if ir.err != nil {
+				return corrupt("protected entries")
+			}
+			tpl.protected[g] = append(tpl.protected[g], e)
+		}
+	}
+
+	nDirty := int(ir.u64())
+	if ir.err != nil || nDirty < 0 || nDirty > 1<<26 {
+		return corrupt("dirty set")
+	}
+	for k := 0; k < nDirty; k++ {
+		c := dirtyCell{addr: ir.u64(), weak: ir.u8() != 0}
+		if ir.err != nil {
+			return corrupt("dirty set")
+		}
+		tpl.dirty = append(tpl.dirty, c)
+	}
+	return tpl, nil
 }

@@ -16,14 +16,16 @@ import (
 // committed.
 
 // richImage serializes a heap exercising every image section: multiple
-// generations, a populated sharded remset with a weak entry, a
-// guardian with a pending registration, and a released root slot.
+// generations, object space, a populated sharded remset with a weak
+// entry, a guardian with a pending registration, and a released root
+// slot.
 func richImage(tb testing.TB) []byte {
 	tb.Helper()
 	h := heap.NewDefault()
 	spine := h.NewRoot(h.List(fx(1), fx(2), fx(3)))
 	dead := h.NewRoot(fx(99))
 	h.NewRoot(h.MakeString("fuzz corpus"))
+	h.NewRoot(h.MakeVector(3, fx(5)))
 	h.Collect(0)
 	h.Collect(1)
 	young := h.Cons(fx(9), obj.Nil)

@@ -509,40 +509,6 @@ func (h *Heap) SetSymbolPlist(v, x obj.Value) {
 	h.writeCell(v.Addr()+3, x, false)
 }
 
-// --- Closures --------------------------------------------------------------
-
-// Closure payload layout: [0] clauses, [1] environment, [2] name.
-// A clause is a pair (formals . body); case-lambda closures carry
-// several clauses, plain lambdas exactly one.
-
-// MakeClosure allocates a closure.
-func (h *Heap) MakeClosure(clauses, env, name obj.Value) obj.Value {
-	addr, p := h.allocObj(obj.KClosure, 3, 3, 0)
-	p[0], p[1], p[2] = uint64(clauses), uint64(env), uint64(name)
-	return obj.ObjAt(addr)
-}
-
-// ClosureClauses returns a closure's clause list.
-func (h *Heap) ClosureClauses(v obj.Value) obj.Value {
-	return obj.Value(h.object(v, obj.KClosure, "closure-clauses")[1])
-}
-
-// ClosureEnv returns a closure's captured environment.
-func (h *Heap) ClosureEnv(v obj.Value) obj.Value {
-	return obj.Value(h.object(v, obj.KClosure, "closure-env")[2])
-}
-
-// ClosureName returns a closure's name (a symbol or #f).
-func (h *Heap) ClosureName(v obj.Value) obj.Value {
-	return obj.Value(h.object(v, obj.KClosure, "closure-name")[3])
-}
-
-// SetClosureName names a closure (used by define).
-func (h *Heap) SetClosureName(v, name obj.Value) {
-	h.object(v, obj.KClosure, "set-closure-name!")
-	h.writeCell(v.Addr()+3, name, false)
-}
-
 // --- Boxes --------------------------------------------------------------------
 
 // MakeBox allocates a one-cell box holding v.

@@ -8,34 +8,8 @@ import (
 )
 
 // Direct unit tests for the object kinds primarily consumed by the
-// scheme package (closures, ports), so the heap package's own suite
-// covers every accessor.
-
-func TestClosureObject(t *testing.T) {
-	h := heap.NewDefault()
-	clauses := h.List(h.Cons(obj.Nil, obj.Nil))
-	env := h.Cons(obj.Nil, obj.Nil)
-	name := h.MakeSymbol(h.MakeString("f"))
-	c := h.MakeClosure(clauses, env, obj.False)
-	if !h.IsKind(c, obj.KClosure) {
-		t.Fatal("closure has the wrong kind")
-	}
-	if h.ClosureClauses(c) != clauses || h.ClosureEnv(c) != env {
-		t.Fatal("closure fields wrong")
-	}
-	if h.ClosureName(c) != obj.False {
-		t.Fatal("fresh closure should be unnamed")
-	}
-	h.SetClosureName(c, name)
-	if h.ClosureName(c) != name {
-		t.Fatal("set-closure-name! wrong")
-	}
-	r := h.NewRoot(c)
-	h.Collect(0)
-	if h.SymbolString(h.ClosureName(r.Get())) != "f" {
-		t.Fatal("closure name lost across collection")
-	}
-}
+// scheme package (ports), so the heap package's own suite covers every
+// accessor.
 
 func TestPortObjectFields(t *testing.T) {
 	h := heap.NewDefault()

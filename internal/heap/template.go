@@ -7,17 +7,16 @@ import (
 	"repro/internal/seg"
 )
 
-// Heap templates: the in-memory counterpart of SaveImage/LoadImage for
-// the fork-style "boot once, clone many" pattern. CaptureTemplate
-// snapshots a stopped heap — segments, root slots, protected lists,
-// and the sharded remembered set — into an immutable Template, and
-// CloneFromTemplate spawns a new heap from it in microseconds: the
+// Heap templates: a stopped heap's segments, root slots, protected
+// lists and remembered set, captured once. CaptureTemplate is the one
+// walk over that state; what is done with a template is one of two
+// things. CloneFromTemplate spawns a heap from it in microseconds: the
 // clone's segment table aliases the template's word arrays read-only
 // and privatizes a segment only on its first write (segment-level
-// copy-on-write; see seg.Table's cowBits). A template captured once
-// from a prelude-loaded interpreter heap can therefore back thousands
-// of short-lived session heaps without re-paying the prelude boot, the
-// economics the multi-session server's Register path is built on.
+// copy-on-write; see seg.Table's cowBits), the fork-style "boot once,
+// clone many" pattern the multi-session server's Register path is
+// built on. Encode writes it as a heap image (image.go), which
+// LoadImage decodes back into a Template and instantiates owned.
 //
 // Immutability contract: after CaptureTemplate returns, the Template
 // and everything it references is never written again — not by the
@@ -32,6 +31,7 @@ import (
 // holds arrays only for the segments it has in use.
 type Template struct {
 	cfg       Config
+	trigger   int // the donor's live generation-0 trigger, for Encode
 	stamp     uint64
 	autoCount uint64
 	segs      []seg.TemplateSeg
@@ -77,6 +77,7 @@ func (h *Heap) CaptureTemplate() (*Template, error) {
 	}
 	tpl := &Template{
 		cfg:       h.cfg,
+		trigger:   h.trigger,
 		stamp:     h.stamp,
 		autoCount: h.autoCount,
 		segs:      make([]seg.TemplateSeg, h.tab.Len()),

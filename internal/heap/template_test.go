@@ -390,3 +390,80 @@ func TestSaveAndCaptureDuringCollection(t *testing.T) {
 		t.Fatalf("CaptureTemplate after the collection: %v", err)
 	}
 }
+
+// TestImageEqualsClone: an image and a template are one path. A heap
+// loaded from a donor's image and a clone of the donor's template have
+// the same segments (space, generation, fill, stamp, words), root
+// slots, protected lists and remembered-set size, and the same
+// mutation-and-collection trace retrieves the same tconc contents, in
+// the same order, from both.
+func TestImageEqualsClone(t *testing.T) {
+	donor, _ := buildTemplateDonor(t, 0)
+	var img bytes.Buffer
+	if err := donor.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := donor.CaptureTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, lroots, err := heap.LoadImage(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, croots, err := heap.CloneFromTemplate(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := heap.ImageState(loaded), heap.ImageState(clone)
+	if len(got) != len(want) {
+		t.Fatalf("loaded heap has %d state lines, clone %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("loaded heap and clone differ:\n loaded %.200s\n clone  %.200s", got[i], want[i])
+		}
+	}
+	gotOrder, wantOrder := driveGuardians(t, loaded, lroots), driveGuardians(t, clone, croots)
+	if fmt.Sprint(gotOrder) != fmt.Sprint(wantOrder) || len(wantOrder) == 0 {
+		t.Fatalf("tconc contents: loaded %v, clone %v", gotOrder, wantOrder)
+	}
+}
+
+// TestImageKeepsPolicyCadence: an image carries the live trigger and
+// the radix, so a heap tuned by AdaptivePolicy resumes from its tuned
+// trigger and a RadixPolicy heap keeps its radix.
+func TestImageKeepsPolicyCadence(t *testing.T) {
+	roundTrip := func(h *heap.Heap) *heap.Heap {
+		t.Helper()
+		var img bytes.Buffer
+		if err := h.SaveImage(&img); err != nil {
+			t.Fatal(err)
+		}
+		h2, _, err := heap.LoadImage(&img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h2
+	}
+	cfg := heap.DefaultConfig()
+	cfg.AutoTune = true
+	tuned := heap.MustNew(cfg)
+	start := tuned.TriggerWords()
+	for i := 0; i < 12; i++ {
+		churn(tuned, 3000)
+		tuned.Collect(0)
+	}
+	if tuned.TriggerWords() == start {
+		t.Fatalf("setup: the adaptive trigger stayed at %d", start)
+	}
+	if got := roundTrip(tuned).TriggerWords(); got != tuned.TriggerWords() {
+		t.Fatalf("loaded trigger %d, want the tuned %d", got, tuned.TriggerWords())
+	}
+
+	radix := heap.MustNew(heap.Config{Generations: 4, Policy: heap.RadixPolicy{Trigger: 5000, Radix: 3}, UseDirtySet: true})
+	rp, ok := roundTrip(radix).Policy().(heap.RadixPolicy)
+	if !ok || rp.Radix != 3 || rp.Trigger != 5000 {
+		t.Fatalf("loaded policy %#v, want RadixPolicy{Trigger: 5000, Radix: 3}", roundTrip(radix).Policy())
+	}
+}

@@ -303,18 +303,15 @@ func TestHeaderAccessorsDoNotAllocate(t *testing.T) {
 	h := heap.NewDefault()
 	sym := h.MakeSymbol(h.MakeString("x"))
 	box := h.MakeBox(sym)
-	clo := h.MakeClosure(obj.Nil, obj.Nil, sym)
 	rec := h.MakeRecord(sym, 400)
 	vec := h.MakeVector(400, obj.Nil)
 	tc := makeTconc(h)
 	var sink obj.Value
 	for name, fn := range map[string]func(){
-		"SymbolValue":    func() { sink = h.SymbolValue(sym) },
-		"Unbox":          func() { sink = h.Unbox(box) },
-		"ClosureEnv":     func() { sink = h.ClosureEnv(clo) },
-		"ClosureClauses": func() { sink = h.ClosureClauses(clo) },
-		"RecordRef":      func() { sink = h.RecordRef(rec, 300) },
-		"VectorSet":      func() { h.VectorSet(vec, 300, sym) },
+		"SymbolValue": func() { sink = h.SymbolValue(sym) },
+		"Unbox":       func() { sink = h.Unbox(box) },
+		"RecordRef":   func() { sink = h.RecordRef(rec, 300) },
+		"VectorSet":   func() { h.VectorSet(vec, 300, sym) },
 		// The rest of what the VM calls per instruction and per call.
 		"VectorRef":      func() { sink = h.VectorRef(vec, 300) },
 		"VectorLength":   func() { sink = fx(int64(h.VectorLength(vec))) },

@@ -59,43 +59,14 @@ func (h *Heap) Verify() []error {
 	}
 
 	checkValue := func(where string, addr uint64, v obj.Value, weakCar, genCheck bool) {
-		switch v.Tag() {
-		case obj.TagFixnum, obj.TagImm:
+		ts, fault := h.checkValue(v)
+		if fault != "" {
+			report("%s @%d: %s", where, addr, fault)
 			return
-		case obj.TagHeader:
-			report("%s @%d: header word used as value", where, addr)
-			return
-		case obj.TagFwd:
-			report("%s @%d: forwarding word outside collection", where, addr)
-			return
-		}
-		ta := v.Addr()
-		if seg.SegIndexOf(ta) >= h.tab.Len() {
-			report("%s @%d: pointer past end of heap (%d)", where, addr, ta)
-			return
-		}
-		ts := h.tab.SegOf(ta)
-		if !ts.InUse {
-			report("%s @%d: dangling pointer into freed segment %d", where, addr, seg.SegIndexOf(ta))
-			return
-		}
-		switch {
-		case v.IsPair():
-			if ts.Space != seg.SpacePair && ts.Space != seg.SpaceWeak {
-				report("%s @%d: pair pointer into %v space", where, addr, ts.Space)
-			} else if seg.Offset(ta)%2 != 0 {
-				report("%s @%d: misaligned pair pointer", where, addr)
-			}
-		case v.IsObj():
-			if ts.Space != seg.SpaceObj && ts.Space != seg.SpaceData {
-				report("%s @%d: object pointer into %v space", where, addr, ts.Space)
-			} else if !obj.IsHeader(h.word(ta)) {
-				report("%s @%d: object pointer to non-header word", where, addr)
-			}
 		}
 		// Generational invariant: old cell pointing young must be
 		// remembered (or be a deferred weak car, also remembered).
-		if genCheck && h.cfg.UseDirtySet && !h.inCollect {
+		if ts != nil && genCheck && h.cfg.UseDirtySet && !h.inCollect {
 			cellGen := h.tab.SegOf(addr).Gen
 			if ts.Gen < cellGen {
 				if got, ok := h.dirtyLookup(addr); !ok || (weakCar && !got) {
@@ -107,35 +78,42 @@ func (h *Heap) Verify() []error {
 	}
 
 	// checkRun validates the segment run of a large object: total words
-	// starting at segment idx. Without this a collector bug that frees
-	// or re-purposes a continuation segment would escape notice — the
-	// zeroed words of a freed segment read back as innocent fixnum 0s,
-	// so the per-word checks alone cannot catch it.
-	checkRun := func(idx, total int) {
+	// starting at segment idx, and reports whether it is whole. Without
+	// this a collector bug that frees or re-purposes a continuation
+	// segment would escape notice — the zeroed words of a freed segment
+	// read back as innocent fixnum 0s, so the per-word checks alone
+	// cannot catch it.
+	checkRun := func(idx, total int) (whole bool) {
+		whole = true
+		broken := func(format string, args ...any) {
+			whole = false
+			report(format, args...)
+		}
 		s := h.tab.Seg(idx)
 		k := (total + seg.Words - 1) / seg.Words
 		words := s.Fill
 		for c := 1; c < k; c++ {
 			ci := idx + c
 			if ci >= h.tab.Len() {
-				report("segment %d: %d-word object runs past the end of the heap", idx, total)
+				broken("segment %d: %d-word object runs past the end of the heap", idx, total)
 				return
 			}
 			cs := h.tab.Seg(ci)
 			switch {
 			case !cs.InUse:
-				report("segment %d: continuation segment %d of large object is free", idx, ci)
+				broken("segment %d: continuation segment %d of large object is free", idx, ci)
 			case !cs.Cont:
-				report("segment %d: segment %d inside large-object run not marked Cont", idx, ci)
+				broken("segment %d: segment %d inside large-object run not marked Cont", idx, ci)
 			case cs.Space != s.Space || cs.Gen != s.Gen:
-				report("segment %d: continuation segment %d is %v/gen%d, head is %v/gen%d",
+				broken("segment %d: continuation segment %d is %v/gen%d, head is %v/gen%d",
 					idx, ci, cs.Space, cs.Gen, s.Space, s.Gen)
 			}
 			words += cs.Fill
 		}
 		if words != total {
-			report("segment %d: large object of %d words but run fills sum to %d", idx, total, words)
+			broken("segment %d: large object of %d words but run fills sum to %d", idx, total, words)
 		}
+		return
 	}
 
 	for idx := 0; idx < h.tab.Len(); idx++ {
@@ -172,8 +150,8 @@ func (h *Heap) Verify() []error {
 					report("obj segment %d: data kind %v in pointer space", idx, kind)
 				}
 				n := obj.PayloadWords(kind, obj.HeaderLength(w))
-				if off+1+n > seg.Words {
-					checkRun(idx, off+1+n)
+				if off+1+n > seg.Words && !checkRun(idx, off+1+n) {
+					break // a broken run's payload may lie in free segments
 				}
 				// Payload addresses are linear across a large object's
 				// continuation segments, so this walk validates the full
@@ -319,6 +297,50 @@ func (h *Heap) Verify() []error {
 		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect)
 	}
 	return errs
+}
+
+// checkValue is Verify's check of one value: "" for an immediate or
+// for a pointer into an in-use segment of a space its kind of pointer
+// may address, with an object header at an object pointer's target;
+// otherwise what is wrong. ts is a pointer's target segment.
+func (h *Heap) checkValue(v obj.Value) (ts *seg.Segment, fault string) {
+	switch v.Tag() {
+	case obj.TagFixnum, obj.TagImm:
+		return nil, ""
+	case obj.TagHeader:
+		return nil, "header word used as value"
+	case obj.TagFwd:
+		return nil, "forwarding word outside collection"
+	}
+	ta := v.Addr()
+	if seg.SegIndexOf(ta) >= h.tab.Len() {
+		return nil, fmt.Sprintf("pointer past end of heap (%d)", ta)
+	}
+	ts = h.tab.SegOf(ta)
+	switch {
+	case !ts.InUse:
+		return nil, fmt.Sprintf("dangling pointer into freed segment %d", seg.SegIndexOf(ta))
+	case v.IsPair() && ts.Space != seg.SpacePair && ts.Space != seg.SpaceWeak:
+		return nil, fmt.Sprintf("pair pointer into %v space", ts.Space)
+	case v.IsPair() && seg.Offset(ta)%2 != 0:
+		return nil, "misaligned pair pointer"
+	case v.IsObj() && ts.Space != seg.SpaceObj && ts.Space != seg.SpaceData:
+		return nil, fmt.Sprintf("object pointer into %v space", ts.Space)
+	case v.IsObj() && !obj.IsHeader(h.word(ta)):
+		return nil, "object pointer to non-header word"
+	}
+	return ts, ""
+}
+
+// CheckValue applies Verify's check of one value to v: nil for an
+// immediate or a well-formed pointer into this heap, else what is
+// wrong. Loaders check values that reach the heap from outside it with
+// it (scheme.LoadMachineImage's symbol table).
+func (h *Heap) CheckValue(v obj.Value) error {
+	if _, fault := h.checkValue(v); fault != "" {
+		return fmt.Errorf("heap: %s", fault)
+	}
+	return nil
 }
 
 // MustVerify panics on the first invariant violation (test helper).

@@ -65,7 +65,6 @@ const (
 	KBytevector             // mutable byte vector (data space)
 	KFlonum                 // one word of float64 bits (data space)
 	KSymbol                 // name string, global value, property list
-	KClosure                // clauses list, environment, name
 	KBox                    // one Value cell
 	KPort                   // flags, file id, buffer, index, limit, open
 	KRecord                 // type descriptor followed by field Values
@@ -74,7 +73,7 @@ const (
 
 var kindNames = [NumKinds]string{
 	"vector", "string", "bytevector", "flonum", "symbol",
-	"closure", "box", "port", "record",
+	"box", "port", "record",
 }
 
 func (k Kind) String() string {

@@ -98,7 +98,7 @@ func TestKindProperties(t *testing.T) {
 			t.Errorf("%v should be a data kind", k)
 		}
 	}
-	for _, k := range []Kind{KVector, KSymbol, KClosure, KPort, KBox, KRecord} {
+	for _, k := range []Kind{KVector, KSymbol, KPort, KBox, KRecord} {
 		if !k.HasPointers() {
 			t.Errorf("%v should be a pointer kind", k)
 		}

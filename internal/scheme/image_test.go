@@ -186,3 +186,90 @@ func TestMachineImageDropUserState(t *testing.T) {
 		t.Fatalf("heap unsound after DropUserState: %v", errs[0])
 	}
 }
+
+// TestMachineImageEqualsAttachedClone: a machine image is an encoded
+// template, so a machine loaded from a donor's image and one attached
+// to a clone of the donor's template print the same answers to one
+// transcript — guardian drains, a rebound built-in, DropUserState and
+// the pruning flag included.
+func TestMachineImageEqualsAttachedClone(t *testing.T) {
+	donor := scheme.New(heap.NewDefault(), nil)
+	donor.EnableSymbolPruning(true)
+	donor.MustEval(`
+		(define counter (let ([n 10]) (lambda () (set! n (+ n 1)) n)))
+		(define G (make-guardian))
+		(define held (list 'held))
+		(G held)
+		(G (list 'dropped))
+		(define (abs x) 'rebound)
+		(collect 3)`)
+	tpl, err := scheme.CaptureTemplate(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := scheme.LoadMachineImage(bytes.NewReader(machineImage(t, donor)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := tpl.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := tpl.Attach(h, nil)
+
+	transcript := []string{
+		"(counter)", "(G)", "(G)", "(abs -4)",
+		"(begin (set! held #f) (collect 3) (G))", "(G)", "(counter)",
+		"(begin (define late 5) (string->symbol \"garbage-symbol\") late)",
+		"(collect 3)", "(drop)", "(abs -4)", "late", "(counter)",
+		"(map (lambda (x) (* x x)) '(1 2 3))",
+	}
+	run := func(m *scheme.Machine) []string {
+		var out []string
+		for _, src := range transcript {
+			if src == "(drop)" {
+				m.DropUserState()
+				out = append(out, fmt.Sprint("interned ", m.InternedSymbols()))
+				continue
+			}
+			v, err := m.EvalString(src)
+			if err != nil {
+				out = append(out, err.Error())
+			} else {
+				out = append(out, m.WriteString(v))
+			}
+		}
+		return out
+	}
+	got, want := run(loaded), run(clone)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: loaded machine printed %s, attached clone %s", transcript[i], got[i], want[i])
+		}
+	}
+	// Spot checks that the transcript exercised what it names.
+	for i, w := range map[int]string{1: "(dropped)", 3: "rebound", 4: "(held)", 10: "4"} {
+		if want[i] != w {
+			t.Fatalf("%s printed %s, want %s", transcript[i], want[i], w)
+		}
+	}
+}
+
+// TestMachineImageKeepsPruning: a machine saved with symbol pruning on
+// prunes after loading, and one saved with it off does not.
+func TestMachineImageKeepsPruning(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		m := scheme.New(heap.NewDefault(), nil)
+		m.EnableSymbolPruning(on)
+		m2, err := scheme.LoadMachineImage(bytes.NewReader(machineImage(t, m)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := m2.InternedSymbols()
+		m2.MustEval(`(string->symbol "unreferenced")`)
+		m2.H.Collect(m2.H.MaxGeneration())
+		if pruned := m2.InternedSymbols() == before; pruned != on {
+			t.Fatalf("saved with pruning %v: %d symbols before, %d after a collection", on, before, m2.InternedSymbols())
+		}
+	}
+}

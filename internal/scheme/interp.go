@@ -61,13 +61,16 @@ const (
 	numKeywords
 )
 
-var formNames = map[string]formID{
-	"quote": fQuote, "if": fIf, "define": fDefine, "set!": fSet,
-	"lambda": fLambda, "case-lambda": fCaseLambda, "begin": fBegin,
-	"let": fLet, "let*": fLetStar, "letrec": fLetrec,
-	"letrec*": fLetrecStar, "cond": fCond, "case": fCase,
-	"and": fAnd, "or": fOr, "when": fWhen, "unless": fUnless,
-	"do": fDo, "quasiquote": fQuasiquote,
+// keywordNames names the symbol behind each index of Machine.keywords.
+var keywordNames = [numKeywords]string{
+	fQuote: "quote", fIf: "if", fDefine: "define", fSet: "set!",
+	fLambda: "lambda", fCaseLambda: "case-lambda", fBegin: "begin",
+	fLet: "let", fLetStar: "let*", fLetrec: "letrec",
+	fLetrecStar: "letrec*", fCond: "cond", fCase: "case",
+	fAnd: "and", fOr: "or", fWhen: "when", fUnless: "unless",
+	fDo: "do", fQuasiquote: "quasiquote",
+	kwElse: "else", kwArrow: "=>",
+	kwCompiledClosure: "%compiled-closure", kwContinuation: "%continuation",
 }
 
 // maxEvalDepth bounds nested runs of the VM through Go (a primitive
@@ -183,9 +186,15 @@ func New(h *heap.Heap, pm *ports.Manager) *Machine {
 	return boot(h, pm, (*Machine).EvalString)
 }
 
-// boot builds a machine over h and pm and runs the prelude with eval.
+// boot builds a machine with an empty symbol table over h and pm (a
+// fresh manager over an empty simulated file system if nil), registers
+// it as a root provider of h, and runs the prelude with eval.
 func boot(h *heap.Heap, pm *ports.Manager, eval func(*Machine, string) (obj.Value, error)) *Machine {
-	m := newMachine(h, pm)
+	if pm == nil {
+		pm = ports.NewManager(h, ports.NewFS())
+	}
+	m := &Machine{H: h, PM: pm, Out: os.Stdout, base: emptyBase, symIdx: make(map[string]int), fuel: -1}
+	h.AddRootProvider(m)
 	m.internForms()
 	m.installPrims()
 	if _, err := eval(m, prelude); err != nil {
@@ -200,28 +209,12 @@ func boot(h *heap.Heap, pm *ports.Manager, eval func(*Machine, string) (obj.Valu
 	return m
 }
 
-// newMachine returns a machine over h with an empty symbol table,
-// bound to pm (a fresh manager over an empty simulated file system if
-// nil) and registered as a root provider of h.
-func newMachine(h *heap.Heap, pm *ports.Manager) *Machine {
-	if pm == nil {
-		pm = ports.NewManager(h, ports.NewFS())
-	}
-	m := &Machine{H: h, PM: pm, Out: os.Stdout, base: emptyBase, symIdx: make(map[string]int), fuel: -1}
-	h.AddRootProvider(m)
-	return m
-}
-
 // internForms interns the special-form keywords, else, => and the
 // record tags, and records their symbols.
 func (m *Machine) internForms() {
-	for name, id := range formNames {
-		m.keywords[id] = m.Intern(name)
+	for i, name := range keywordNames {
+		m.keywords[i] = m.Intern(name)
 	}
-	m.keywords[kwElse] = m.Intern("else")
-	m.keywords[kwArrow] = m.Intern("=>")
-	m.keywords[kwCompiledClosure] = m.Intern("%compiled-closure")
-	m.keywords[kwContinuation] = m.Intern("%continuation")
 }
 
 // snapshotPermanents records the global value and property list of
@@ -440,9 +433,13 @@ func (m *Machine) callPrimIndex(idx int, a Args) (obj.Value, error) {
 var applyReference func(m *Machine, fn obj.Value, argsBase, n int) (obj.Value, error)
 
 // isReference reports whether v is a reference-evaluator closure that
-// applyReference can run.
+// applyReference can run: a record tagged %reference-closure.
 func (m *Machine) isReference(v obj.Value) bool {
-	return applyReference != nil && m.H.IsKind(v, obj.KClosure)
+	if applyReference == nil || !m.H.IsKind(v, obj.KRecord) {
+		return false
+	}
+	i, ok := m.symbolIndex("%reference-closure")
+	return ok && m.H.RecordRTD(v) == m.symbol(i)
 }
 
 // Apply invokes fn (a compiled closure, primitive or continuation) on

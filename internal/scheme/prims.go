@@ -988,9 +988,9 @@ func (m *Machine) integrated(idx, base, n int) (v obj.Value, ok bool) {
 }
 
 // installPrims binds the name of every built-in to the primitive
-// immediate carrying its index. Machines booted by New and
-// LoadMachineImage call it; a machine attached to a template inherits
-// the bindings with the cloned heap and installs nothing.
+// immediate carrying its index. Machines booted by New call it; a
+// machine attached to a template or loaded from an image inherits the
+// bindings with its heap and installs nothing.
 func (m *Machine) installPrims() {
 	for idx := range builtins {
 		m.H.SetSymbolValue(m.Intern(builtins[idx].name), obj.FromPrim(idx))

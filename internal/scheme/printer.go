@@ -160,13 +160,6 @@ func (m *Machine) printObj(b *strings.Builder, v obj.Value, write bool, depth in
 	case obj.KBytevector:
 		b.WriteString("#<bytevector ")
 		fmt.Fprintf(b, "%d>", h.BytevectorLength(v))
-	case obj.KClosure:
-		name := h.ClosureName(v)
-		if s, ok := m.symbolNameOf(name); ok {
-			fmt.Fprintf(b, "#<procedure %s>", s)
-		} else {
-			b.WriteString("#<procedure>")
-		}
 	case obj.KBox:
 		b.WriteString("#&")
 		m.print(b, h.Unbox(v), write, depth-1)
@@ -183,7 +176,7 @@ func (m *Machine) printObj(b *strings.Builder, v obj.Value, write bool, depth in
 			case "%continuation":
 				b.WriteString("#<continuation>")
 				return
-			case "%compiled-closure":
+			case "%compiled-closure", "%reference-closure":
 				if name, ok := m.symbolNameOf(h.RecordRef(v, 2)); ok {
 					fmt.Fprintf(b, "#<procedure %s>", name)
 				} else {

@@ -260,6 +260,9 @@ func (r *Reader) readHash() (obj.Value, error) {
 		}
 		h := r.m.H
 		n := h.ListLength(lst)
+		if n < 0 {
+			return obj.Void, fmt.Errorf("scheme: dotted vector literal")
+		}
 		v := h.MakeVector(n, obj.False)
 		for i := 0; i < n; i++ {
 			h.VectorSet(v, i, h.Car(lst))

@@ -12,11 +12,12 @@ import (
 // The reference evaluator: a tree-walking interpreter of the language
 // the compiler and VM run, kept as an executable specification that
 // tests compare the VM against. Its environments are association-list
-// frames and its closures are obj.KClosure objects, which no compiled
-// code builds; applyReference is its one seam into the package, the
-// way Apply, call/cc, dynamic-wind and the collect-request handler
-// reach its closures. A reference machine boots its own prelude on
-// this evaluator, so it runs no compiled code.
+// frames and its closures are records tagged %reference-closure
+// (makeRefClosure), which no compiled code builds; applyReference is
+// its one seam into the package, the way Apply, call/cc, dynamic-wind
+// and the collect-request handler reach its closures. A reference
+// machine boots its own prelude on this evaluator, so it runs no
+// compiled code.
 
 func init() {
 	applyReference = func(m *Machine, fn obj.Value, argsBase, n int) (obj.Value, error) {
@@ -102,7 +103,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 			nameS = m.slot(h.Car(target))
 			clause := h.Cons(h.Cdr(target), h.Cdr(m.get(restS)))
 			cl := m.slot(clause)
-			fn := h.MakeClosure(h.Cons(m.get(cl), obj.Nil), m.get(envS), m.get(nameS))
+			fn := m.makeRefClosure(h.Cons(m.get(cl), obj.Nil), m.get(envS), m.get(nameS))
 			valS = m.slot(fn)
 		} else {
 			if !m.isSymbol(target) {
@@ -117,8 +118,8 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 				}
 			}
 			valS = m.slot(v)
-			if h.IsKind(v, obj.KClosure) && h.ClosureName(v) == obj.False {
-				h.SetClosureName(v, m.get(nameS))
+			if m.isReference(v) && h.RecordRef(v, 2) == obj.False {
+				h.RecordSet(v, 2, m.get(nameS))
 			}
 		}
 		if m.get(envS) == obj.Nil {
@@ -150,7 +151,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 		}
 		clause := h.Cons(operand(0), h.Cdr(m.get(restS)))
 		clS := m.slot(clause)
-		fn := h.MakeClosure(h.Cons(m.get(clS), obj.Nil), m.get(envS), obj.False)
+		fn := m.makeRefClosure(h.Cons(m.get(clS), obj.Nil), m.get(envS), obj.False)
 		return obj.Void, obj.Void, fn, true, nil
 
 	case fCaseLambda:
@@ -168,7 +169,7 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 		for p := m.get(clausesS); p.IsPair(); p = h.Cdr(p) {
 			m.set(revS, h.Cons(h.Car(p), m.get(revS)))
 		}
-		fn := h.MakeClosure(m.get(revS), m.get(envS), obj.False)
+		fn := m.makeRefClosure(m.get(revS), m.get(envS), obj.False)
 		return obj.Void, obj.Void, fn, true, nil
 
 	case fBegin:
@@ -249,8 +250,8 @@ func (m *Machine) evalForm(form formID, expr, env obj.Value) (tailExpr, tailEnv,
 				return fail("%v", err)
 			}
 			sym := h.Car(h.Car(m.get(b)))
-			if h.IsKind(v, obj.KClosure) && h.ClosureName(v) == obj.False {
-				h.SetClosureName(v, sym)
+			if m.isReference(v) && h.RecordRef(v, 2) == obj.False {
+				h.RecordSet(v, 2, sym)
 			}
 			if err := m.assign(sym, v, m.get(envS)); err != nil {
 				return fail("%v", err)
@@ -469,7 +470,7 @@ func (m *Machine) namedLet(restS, envS slot) (obj.Value, obj.Value, obj.Value, b
 	closEnvS := m.slot(closEnv)
 	clause := h.Cons(m.get(revS), m.get(bodyS))
 	clauseS := m.slot(clause)
-	fn := h.MakeClosure(h.Cons(m.get(clauseS), obj.Nil), m.get(closEnvS), m.get(nameS))
+	fn := m.makeRefClosure(h.Cons(m.get(clauseS), obj.Nil), m.get(closEnvS), m.get(nameS))
 	h.SetCdr(m.get(selfBindS), fn)
 	fnS := m.slot(fn)
 
@@ -782,27 +783,23 @@ func (m *Machine) Eval(expr, env obj.Value) (v obj.Value, err error) {
 		if fn.IsPrim() {
 			return m.callPrimIndex(fn.PrimIndex(), Args{m: m, base: argsBase, n: n})
 		}
-		kind, _ := h.KindOf(fn)
-		switch kind {
-		case obj.KClosure:
-			newEnv, body, err := m.bindClause(fn, argsBase, n)
-			if err != nil {
-				return obj.Void, err
-			}
-			// Evaluate all but the last body form, then loop on the
-			// last (proper tail call).
-			last, err := m.evalBodyButLast(body, newEnv, eExpr, eEnv)
-			if err != nil {
-				return obj.Void, err
-			}
-			if last {
-				return obj.Void, nil // empty body
-			}
-			m.stack = m.stack[:base+2]
-			continue
-		default:
+		if !m.isReference(fn) {
 			return obj.Void, m.errf(fn, "attempt to apply non-procedure")
 		}
+		newEnv, body, err := m.bindClause(fn, argsBase, n)
+		if err != nil {
+			return obj.Void, err
+		}
+		// Evaluate all but the last body form, then loop on the last
+		// (proper tail call).
+		last, err := m.evalBodyButLast(body, newEnv, eExpr, eEnv)
+		if err != nil {
+			return obj.Void, err
+		}
+		if last {
+			return obj.Void, nil // empty body
+		}
+		m.stack = m.stack[:base+2]
 	}
 }
 
@@ -828,13 +825,26 @@ func (m *Machine) evalBodyButLast(body, env obj.Value, eExpr, eEnv slot) (empty 
 	return false, nil
 }
 
+// makeRefClosure allocates a reference closure: a record [clauses,
+// env, name] tagged %reference-closure, a compiled closure's layout
+// with a clause list in place of the code. A clause is a pair (formals
+// . body); case-lambda closures carry several. Allocation never
+// collects, so nothing needs rooting here.
+func (m *Machine) makeRefClosure(clauses, env, name obj.Value) obj.Value {
+	rec := m.H.MakeRecord(m.Intern("%reference-closure"), 3)
+	m.H.RecordSet(rec, 0, clauses)
+	m.H.RecordSet(rec, 1, env)
+	m.H.RecordSet(rec, 2, name)
+	return rec
+}
+
 // bindClause selects the closure clause matching the argument count
 // and builds the new environment frame. Arguments are read from the
 // shadow stack.
 func (m *Machine) bindClause(fn obj.Value, argsBase, n int) (env, body obj.Value, err error) {
 	h := m.H
 	fnS := m.slot(fn)
-	for cl := m.slot(h.ClosureClauses(fn)); m.get(cl).IsPair(); m.set(cl, h.Cdr(m.get(cl))) {
+	for cl := m.slot(h.RecordRef(fn, 0)); m.get(cl).IsPair(); m.set(cl, h.Cdr(m.get(cl))) {
 		clause := h.Car(m.get(cl))
 		formals := h.Car(clause)
 		req, rest := 0, false
@@ -868,7 +878,7 @@ func (m *Machine) bindClause(fn obj.Value, argsBase, n int) (env, body obj.Value
 			m.set(frameS, h.Cons(bind, m.get(frameS)))
 		}
 		clause = h.Car(m.get(cl)) // re-read after allocations
-		newEnv := h.Cons(m.get(frameS), h.ClosureEnv(m.get(fnS)))
+		newEnv := h.Cons(m.get(frameS), h.RecordRef(m.get(fnS), 1))
 		return newEnv, h.Cdr(clause), nil
 	}
 	return obj.Void, obj.Void, fmt.Errorf(
@@ -935,7 +945,7 @@ func (m *Machine) refEvalString(src string) (obj.Value, error) {
 func TestReferenceRunsNoCompiledCode(t *testing.T) {
 	r, m := NewReference(heap.NewDefault(), nil), New(heap.NewDefault(), nil)
 	for _, name := range []string{"map", "for-each", "make-guardian", "fold-left"} {
-		if v := r.H.SymbolValue(r.Intern(name)); !r.H.IsKind(v, obj.KClosure) {
+		if v := r.H.SymbolValue(r.Intern(name)); !r.isReference(v) {
 			t.Errorf("reference %s is %s, not an interpreted closure", name, r.WriteString(v))
 		}
 		if v := m.H.SymbolValue(m.Intern(name)); !m.isCompiledClosure(v) {

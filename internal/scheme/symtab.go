@@ -9,9 +9,9 @@ import "repro/internal/obj"
 // own overlay (symIdx, syms, symNames, symsFree): the template's
 // non-permanent tail, and everything the machine interns itself.
 // Lookup tries the base, then the overlay; base symbols are permanent
-// and never pruned, so the two never hold the same name. Machines
-// booted by New or LoadMachineImage run the same code over an empty
-// base.
+// and never pruned, so the two never hold the same name. A machine
+// loaded by LoadMachineImage has the base its image carried, private
+// to it; machines booted by New run the same code over an empty base.
 //
 // Nothing stores into a base. The collector forwards symbol slots and
 // permanent-symbol snapshots in place, so while a machine still aliases
@@ -35,8 +35,7 @@ type symBase struct {
 	plists []obj.Value
 }
 
-// emptyBase is the base of machines that were not attached to a
-// template.
+// emptyBase is the base of machines booted by New.
 var emptyBase = &symBase{}
 
 // freezeBase copies m's permanent prefix [0, permanentSyms) into a new

@@ -9,15 +9,16 @@ import (
 	"repro/internal/ports"
 )
 
-// Machine templates layer the symbol table over heap templates exactly
-// as machine images layer it over heap images (image.go), but in
-// memory and copy-on-write: CaptureTemplate snapshots a quiescent,
-// prelude-loaded machine once, and Clone + Attach boot a new machine
-// from it in microseconds — the clone's heap shares the template's
-// segments read-only (heap.CloneFromTemplate), and the machine shares
-// the template's frozen symbol-table base (symtab.go) and the
-// package's built-in primitive table, copying only the few symbols
-// past the base.
+// Machine templates layer the symbol table over heap templates. A
+// MachineTemplate is a quiescent machine captured once: its heap
+// template, its permanent symbols frozen into a base (symtab.go), the
+// symbols past the base, and the counters a machine carries. Clone +
+// Attach boot a machine from it in microseconds: the clone's heap
+// shares the template's segments read-only (heap.CloneFromTemplate),
+// and the machine shares the template's base and the package's
+// built-in primitive table, copying only the few symbols past the
+// base. A machine image (image.go) is a template encoded, and
+// LoadMachineImage attaches the decoded template to a heap it owns.
 //
 // Host-primitive contract: a donor that called DefinePrim before
 // capture has those primitives' indexes and global bindings baked into
@@ -66,6 +67,12 @@ func CaptureTemplate(m *Machine) (*MachineTemplate, error) {
 		return nil, fmt.Errorf("scheme: CaptureTemplate requires a quiescent machine")
 	}
 	m.H.Collect(m.H.MaxGeneration())
+	return m.capture()
+}
+
+// capture snapshots the quiescent m as it stands, without collecting:
+// CaptureTemplate collects first, SaveImage does not.
+func (m *Machine) capture() (*MachineTemplate, error) {
 	ht, err := m.H.CaptureTemplate()
 	if err != nil {
 		return nil, err
@@ -96,9 +103,9 @@ func (t *MachineTemplate) Clone() (*heap.Heap, []*heap.Root, error) {
 	return heap.CloneFromTemplate(t.ht)
 }
 
-// Attach builds a Machine over h — a heap cloned from this template —
-// bound to pm (a fresh manager over an empty simulated file system if
-// nil). The machine reads the template's symbol-table base — names,
+// Attach builds a Machine over h — a heap cloned from this template,
+// or the heap of the image it was decoded from — bound to pm (a fresh
+// manager over an empty simulated file system if nil). The machine reads the template's symbol-table base — names,
 // symbol values, the name→index map, the permanent-symbol snapshots —
 // in place, and copies only the donor's symbols past it into its
 // overlay. It never writes the base: a collection that moves a base

@@ -50,31 +50,10 @@ echo "== multi-session server gate (-race)"
 SERVER_CHURN_CYCLES=10000 go test -race -run 'TestSessionChurnStress|TestServerReclaimOrder|TestAsyncServerSmoke|TestSessionsKeepSharingTemplate|TestSessionMemoryFlatInRequests|TestDrainReachesProgramTenuredResources|TestCompiledCodeIsCollected' ./internal/server/
 
 echo "== heap template / fork gate (-race)"
-# Copy-on-write heap templates: the clone matrix (remset + guardians
-# round-tripped with bit-for-bit salvage order), the COW
-# fault/privatization semantics, the mid-collection
-# SaveImage/CaptureTemplate rejection, the corrupt-image
-# regression sweep, and the server-side template boot suite (staleness
-# rebuild on donor DefinePrim, template-boot churn with zero leaks, no
-# root inherited from the donor). With them what keeps a clone sharing:
-# the StaticTop lockstep against a heap one generation shorter, clones
-# churning under a static template generation (TestClone...), and the
-# clone family's segment pool — zeroed, never aliased, bounded, two
-# tables on two goroutines. On the machine side: clones sharing the
-# template's symbol-table base and never writing it (TestAttach...,
-# flattening on a collection that moves a base value, Attach's
-# allocation count), and machine images keeping the permanent-symbol
-# snapshots. Templates and images carry compiled closures, whose code
-# is heap data (TestMachineTemplateCarriesCompiledCode,
-# TestMachineImageCarriesCompiledCode). Primitives are immediates that
-# clones and images carry like fixnums, and a host primitive replayed
-# on a clone takes DefinePrim's fast path
-# (TestPrimitiveValuesAcrossTemplateAndImage); a heap that never
-# records a cell has no remembered-set shards and still saves and
-# captures (TestLazyRemSetAndBorrowedScratch). Sibling clones running on two goroutines repeat five
-# times: a root visitor that stored into the shared base is a data
-# race there.
-go test -race -run 'TestTemplate|TestClone|TestStaticTop|TestPool|TestSaveAndCaptureDuringCollection|TestLoadImage|TestMachineTemplate|TestMachineImage|TestAttach|TestPreludeBoot|TestPrimitiveValuesAcrossTemplateAndImage|TestLazyRemSetAndBorrowedScratch' ./internal/heap/ ./internal/scheme/ ./internal/server/ ./internal/seg/
+# Copy-on-write templates and the images that encode them run in the
+# full -race pass above. Sibling clones running on two goroutines
+# repeat five times here: a root visitor that stored into the shared
+# symbol-table base is a data race there.
 go test -race -count=5 -run 'TestAttachedMachinesRunConcurrently' ./internal/scheme/
 
 echo "== segment-window gate (-race)"
@@ -106,6 +85,7 @@ go test -run '^$' -fuzz '^FuzzGuardian$' -fuzztime=10s ./internal/heap/
 # 60s minimization budget each, which dwarfs the 10s fuzz budget.
 go test -run '^$' -fuzz 'FuzzMutatorOps' -fuzztime=10s -fuzzminimizetime=1s ./internal/heap/
 go test -run '^$' -fuzz 'FuzzLoadImage' -fuzztime=10s ./internal/heap/
+go test -run '^$' -fuzz 'FuzzLoadMachineImage' -fuzztime=10s -fuzzminimizetime=1s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzReader' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzDifferential' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzEval' -fuzztime=10s ./internal/scheme/

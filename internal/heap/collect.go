@@ -150,6 +150,12 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 			h.cur[sp][gen].close()
 		}
 	}
+	if n := h.tab.Len(); len(h.fromSpace) < n {
+		h.fromSpace = append(h.fromSpace, make([]bool, n-len(h.fromSpace))...)
+	}
+	for _, si := range from {
+		h.fromSpace[si] = true
+	}
 	// The copier carries on in the target generation's open segments
 	// (none when the oldest generation collects into itself: the loop
 	// above closed its cursors, so copies go to fresh segments).
@@ -229,6 +235,7 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 	// a continuation whose head was already retired keeps its Cont
 	// mark, so the loop recognizes and skips it.
 	for _, si := range from {
+		h.fromSpace[si] = false
 		s := h.tab.Seg(si)
 		if s.Cont {
 			continue // covered by its run head's FreeRun
@@ -386,9 +393,9 @@ func (c *copier) borrow(sc *collectScratch) {
 	c.newWeak, c.pendWeak = sc.newWeak[:0], sc.pendWeak[:0]
 	for sp := range sc.scan {
 		s, cur := &sc.scan[sp], &c.cur[sp]
-		s.segs, s.i, s.off = s.segs[:0], 0, cur.off
+		s.segs, s.i, s.off = s.segs[:0], 0, 0
 		if cur.s != nil && swept&(1<<sp) != 0 {
-			s.segs = append(s.segs, cur.seg)
+			s.segs, s.off = append(s.segs, int(cur.seg)), int(cur.off)
 		}
 	}
 }
@@ -412,25 +419,35 @@ func (c *copier) init(h *Heap) {
 }
 
 // forward copies v's referent into the target generation if it lives
-// in a collected generation and has not been copied yet, and returns
-// the (possibly updated) value. Immediates and referents in older
-// generations or in to-space are returned unchanged.
-//
-// The segment table is consulted once, as in §4: the entry that places
-// the referent also gives the window src it is read and forwarded
-// through (privatized first if it aliases a template array), and alloc
-// returns the to-space window dst. Only a large object goes by address.
-func (c *copier) forward(v obj.Value) obj.Value {
+// in from-space and has not been copied yet, and returns the (possibly
+// updated) value. Immediates and referents in older generations or in
+// to-space are returned unchanged, on the from-space flag alone. An
+// ordinary pair's copy carries on down its cdrs (chase).
+func (c *copier) forward(v obj.Value) obj.Value { return c.copyOut(v, true) }
+
+// forwardRep is forward without the chase, for the guardian phase: a
+// representative it saves makes only itself accessible until the next
+// drain, as in the paper's loop, so a tconc further down the
+// representative's cdrs does not become accessible within the round
+// and salvage order is the paper's.
+func (c *copier) forwardRep(v obj.Value) obj.Value { return c.copyOut(v, false) }
+
+// copyOut is forward and forwardRep. The segment table is consulted
+// once, as in §4: the entry that places the referent also gives the
+// window src it is read and forwarded through (privatized first if it
+// aliases a template array), and alloc returns the to-space window
+// dst. Only a large object goes by address.
+func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 	if !v.IsPointer() {
 		return v
 	}
 	h := c.h
 	addr := v.Addr()
 	idx := seg.SegIndexOf(addr)
-	s := h.tab.Seg(idx)
-	if s.Stamp == h.stamp || s.Gen > h.gcGen {
+	if !h.inFrom(idx) {
 		return v
 	}
+	s := h.tab.Seg(idx)
 	if h.tab.IsShared(idx) {
 		s = h.tab.Writable(idx) // the same entry, its Words now private
 	}
@@ -439,14 +456,22 @@ func (c *copier) forward(v obj.Value) obj.Value {
 	if obj.IsFwd(w0) {
 		return v.WithAddr(obj.FwdAddr(w0))
 	}
-	space, total := s.Space, 2
-	if !v.IsPair() {
-		if !obj.IsHeader(w0) {
-			h.noHeader("forward", addr)
+	if v.IsPair() {
+		na, dst := c.alloc(s.Space, 2)
+		c.movePair(na, dst, src)
+		c.fresh = true
+		if s.Space == seg.SpaceWeak {
+			c.newWeak = append(c.newWeak, na)
+		} else if chase && obj.Value(dst[1]).IsPair() {
+			c.chase(dst)
 		}
-		k := obj.HeaderKind(w0)
-		space, total = objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0))
+		return v.WithAddr(na)
 	}
+	if !obj.IsHeader(w0) {
+		h.noHeader("forward", addr)
+	}
+	k := obj.HeaderKind(w0)
+	space, total := objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0))
 	var na uint64
 	if total > seg.Words {
 		na = c.allocRun(space, total)
@@ -461,27 +486,68 @@ func (c *copier) forward(v obj.Value) obj.Value {
 		var dst []uint64
 		na, dst = c.alloc(space, total)
 		dst[0] = w0
-		if total == 2 {
-			dst[1] = src[1] // the common case, without copy's call
-		} else {
-			copy(dst[1:], src[1:total])
-		}
+		copy(dst[1:], src[1:total])
 	}
 	src[0] = obj.MakeFwd(na)
-	st := &h.Stats
-	if v.IsPair() {
-		st.PairsCopied++
-	} else {
-		st.ObjectsCopied++
-	}
-	st.WordsCopied += uint64(total)
+	h.Stats.ObjectsCopied++
+	h.Stats.WordsCopied += uint64(total)
 	if space != seg.SpaceData { // data objects hold no pointers to sweep
 		c.fresh = true
 	}
-	if space == seg.SpaceWeak {
-		c.newWeak = append(c.newWeak, na)
-	}
 	return v.WithAddr(na)
+}
+
+// movePair copies the unforwarded pair whose from-space words are src
+// into dst, to-space at na, and leaves its forwarding word in src: the
+// one pair copy of forward and the chase, inlined into both.
+func (c *copier) movePair(na uint64, dst, src []uint64) {
+	dst[0], dst[1] = src[0], src[1]
+	src[0] = obj.MakeFwd(na)
+	st := &c.h.Stats
+	st.PairsCopied++
+	st.WordsCopied += 2
+}
+
+// chase copies a list in list order: dst is the to-space window of the
+// ordinary pair just copied, and while its cdr is an ordinary pair in
+// from-space that is not yet forwarded, that pair is copied into the
+// next to-space slot, dst's cdr is set to the copy, and the copy becomes
+// dst. The chain stops at an immediate, at a forwarded pair (dst's cdr
+// takes its forwarding address), at a referent outside from-space, and
+// at a weak pair or an object, which the sweep forwards like every car.
+// So a cdr-linked list is copied whole by the forward that reaches its
+// head and swept in one pass, while a car-linked structure is still
+// swept breadth-first. A loop, not a recursion: a list of any length
+// takes one frame.
+func (c *copier) chase(dst []uint64) {
+	h := c.h
+	for {
+		cdr := obj.Value(dst[1])
+		if !cdr.IsPair() {
+			return
+		}
+		addr := cdr.Addr()
+		idx := seg.SegIndexOf(addr)
+		if !h.inFrom(idx) {
+			return
+		}
+		s := h.tab.Seg(idx)
+		if s.Space != seg.SpacePair {
+			return
+		}
+		if h.tab.IsShared(idx) {
+			s = h.tab.Writable(idx)
+		}
+		src := s.Words[seg.Offset(addr):]
+		if w0 := src[0]; obj.IsFwd(w0) {
+			dst[1] = uint64(cdr.WithAddr(obj.FwdAddr(w0)))
+			return
+		}
+		na, nd := c.alloc(seg.SpacePair, 2)
+		c.movePair(na, nd, src)
+		dst[1] = uint64(cdr.WithAddr(na))
+		dst = nd
+	}
 }
 
 // alloc bump-allocates n (<= seg.Words) words of to-space in the given
@@ -528,10 +594,12 @@ func (c *copier) allocRun(space seg.Space, total int) uint64 {
 // the copier's cursor — before scanning any space, so that what one
 // space's scan copies into another waits for the next pass — then
 // scans each of those spaces from its scan position up to its
-// frontier, and sweeps the large objects queued before the pass. The objects copied while sweeping one pass form the
-// next, breadth-first, and each pass that sweeps a copied object counts
-// as one, so Stats.SweepPasses reports the paper's "iterated" sweep
-// depth: a drain that finds nothing to sweep records no pass, and the
+// frontier, and sweeps the large objects queued before the pass. The
+// objects copied while sweeping one pass form the next, breadth-first,
+// and each pass that sweeps a copied object counts as one, so
+// Stats.SweepPasses reports the paper's "iterated" sweep depth: a cdr
+// chain of k pairs is one pass (forward chases it whole), a car chain
+// k. A drain that finds nothing to sweep records no pass, and the
 // re-sweeps triggered inside the guardian phase's salvage loop are
 // counted like any other.
 func (c *copier) sweep() {
@@ -551,7 +619,7 @@ func (c *copier) sweep() {
 		var fi, fo [seg.NumSpaces]int
 		for m := work; m != 0; m &= m - 1 {
 			sp := bits.TrailingZeros8(m)
-			fi[sp], fo[sp] = len(sc.scan[sp].segs)-1, c.cur[sp].off
+			fi[sp], fo[sp] = len(sc.scan[sp].segs)-1, int(c.cur[sp].off)
 		}
 		nl := len(c.large)
 		for m := work; m != 0; m &= m - 1 {
@@ -632,7 +700,7 @@ func (c *copier) checkSwept() {
 	h := c.h
 	for sp := range seg.NumSpaces {
 		s := &h.sc.scan[sp]
-		if swept&(1<<sp) != 0 && len(s.segs) > 0 && (s.i != len(s.segs)-1 || s.off != c.cur[sp].off) {
+		if swept&(1<<sp) != 0 && len(s.segs) > 0 && (s.i != len(s.segs)-1 || s.off != int(c.cur[sp].off)) {
 			h.sweptShort(sp.String())
 		}
 	}
@@ -736,6 +804,12 @@ func (c *copier) oldScanPhase() {
 	}
 }
 
+// inFrom reports whether segment idx is from-space in the collection
+// in progress (Heap.fromSpace).
+func (h *Heap) inFrom(idx int) bool {
+	return uint(idx) < uint(len(h.fromSpace)) && h.fromSpace[idx]
+}
+
 // isForwarded implements the paper's forwarded? predicate: true when
 // the object has been forwarded during this collection or resides in a
 // generation older than those being collected (including to-space).
@@ -767,14 +841,10 @@ func (h *Heap) notForwarded(addr uint64) {
 // false when it has none: the referent is subject to the collection (in
 // a collected generation, not in to-space) and not forwarded (yet).
 func (h *Heap) survivor(v obj.Value) (obj.Value, bool) {
-	if !v.IsPointer() {
+	if !v.IsPointer() || !h.inFrom(seg.SegIndexOf(v.Addr())) {
 		return v, true
 	}
-	s := h.tab.SegOf(v.Addr())
-	if s.Stamp == h.stamp || s.Gen > h.gcGen {
-		return v, true
-	}
-	if w := s.Words[seg.Offset(v.Addr())]; obj.IsFwd(w) {
+	if w := h.word(v.Addr()); obj.IsFwd(w) {
 		return v.WithAddr(obj.FwdAddr(w)), true
 	}
 	return obj.False, false
@@ -898,7 +968,7 @@ func (h *Heap) guardianPhase(g, target int) {
 				// The object is inaccessible and its guardian is
 				// alive: save the representative from destruction and
 				// enqueue it on the guardian's tconc.
-				r := c.forward(e.Rep)
+				r := c.forwardRep(e.Rep)
 				tc := h.fwdAddrOf(e.Tconc)
 				h.tconcAddGC(tc, r)
 				st.GuardianEntriesSalvaged++
@@ -913,7 +983,7 @@ func (h *Heap) guardianPhase(g, target int) {
 			if h.isForwarded(e.Tconc) {
 				ne := ProtEntry{
 					Obj:   h.fwdAddrOf(e.Obj),
-					Rep:   c.forward(e.Rep),
+					Rep:   c.forwardRep(e.Rep),
 					Tconc: h.fwdAddrOf(e.Tconc),
 				}
 				dst := h.protListGen(ne, target)
@@ -1003,8 +1073,8 @@ func (h *Heap) weakPass(g int) {
 			if !s.InUse || s.Space != seg.SpaceWeak {
 				continue
 			}
-			if s.Gen <= g && s.Stamp != h.stamp {
-				continue // from-space, about to be freed
+			if h.inFrom(idx) {
+				continue // about to be freed
 			}
 			base := seg.BaseAddr(idx)
 			for off := 0; off+1 < s.Fill; off += 2 {

@@ -122,20 +122,29 @@ func DefaultConfig() Config {
 
 // cursor is an allocation cursor: the open segment of one space and
 // generation and the next free word in it. s, the segment's table
-// entry, is resolved once, at open, so a bump walks no table — the
-// entry is what the table keeps stable, not its Words slice (privatize
-// and Free replace that). Only open, close and handTo set seg and s.
+// entry, and w, its words, are resolved once, at open, so a bump walks
+// no table. w stays valid while the segment is open: an open segment
+// is never shared with a template, so it is never privatized, and it
+// is closed before it is freed. A closed cursor's off is seg.Words, so
+// fits needs no test of its own for it. Only open, close and handTo
+// set seg, s and w. seg and off are int32 so that a cursor is 24 bytes:
+// a heap has one per space and generation, and a server a heap per
+// session.
 type cursor struct {
-	seg int          // open segment index, or seg.None
-	off int          // next free word within the open segment
-	s   *seg.Segment // the open segment; nil exactly when seg is seg.None
+	seg int32              // open segment index, or seg.None
+	off int32              // next free word within the open segment
+	s   *seg.Segment       // the open segment; nil exactly when seg is seg.None
+	w   *[seg.Words]uint64 // s.Words; nil exactly when seg is seg.None
 }
 
 // open points the cursor at the start of the fresh, empty segment idx.
-func (c *cursor) open(t *seg.Table, idx int) { *c = cursor{seg: idx, s: t.Seg(idx)} }
+func (c *cursor) open(t *seg.Table, idx int) {
+	s := t.Seg(idx)
+	*c = cursor{seg: int32(idx), s: s, w: (*[seg.Words]uint64)(s.Words)}
+}
 
 // close abandons the open segment; its Fill is already exact.
-func (c *cursor) close() { *c = cursor{seg: seg.None} }
+func (c *cursor) close() { *c = cursor{seg: seg.None, off: seg.Words} }
 
 // handTo moves the open segment to dst: it has exactly one cursor.
 func (c *cursor) handTo(dst *cursor) {
@@ -144,16 +153,16 @@ func (c *cursor) handTo(dst *cursor) {
 }
 
 // fits reports whether a segment is open with room for n more words.
-func (c *cursor) fits(n int) bool { return c.s != nil && c.off+n <= seg.Words }
+func (c *cursor) fits(n int) bool { return int(c.off)+n <= seg.Words }
 
 // bump carves the next n words out of the open segment — fits(n)
 // holds — and returns their address and the words themselves: the
 // window the caller initializes the object through.
 func (c *cursor) bump(n int) (uint64, []uint64) {
-	off := c.off
-	c.off = off + n
-	c.s.Fill = c.off
-	return seg.BaseAddr(c.seg) + uint64(off), c.s.Words[off:c.off]
+	off := int(c.off)
+	c.off = int32(off + n)
+	c.s.Fill = off + n
+	return seg.BaseAddr(int(c.seg)) + uint64(off), c.w[off : off+n]
 }
 
 // ProtEntry is one element of a protected list: an object registered
@@ -223,7 +232,15 @@ type Heap struct {
 	gcTarget int
 	// sc is the collection's work lists, borrowed from scratchPool for
 	// the length of a collection and nil otherwise (collect.go).
-	sc             *collectScratch
+	sc *collectScratch
+	// fromSpace has a flag per segment index, set exactly for the
+	// from-space segments of the collection in progress: collectBegin
+	// sets the flags of the chains it detaches, collectFinish clears
+	// them before the free. It answers the copier's "is this referent
+	// subject to the collection?" with one load, without the segment's
+	// table entry. Segments added since it last grew lie beyond it and
+	// are not from-space.
+	fromSpace      []bool
 	gen0Words      int
 	needCollect    bool
 	autoCount      uint64
@@ -376,7 +393,7 @@ const maxObjectWords = 128 * 1024
 // allocation-free and BenchmarkAllocLegacy its cost).
 func (h *Heap) allocWords(space seg.Space, gen, n int) (uint64, []uint64) {
 	if h.allocForbidden {
-		panic("heap: allocation while allocation is forbidden (finalizer running inside GC)")
+		allocWhileForbidden()
 	}
 	c := &h.cur[space][gen]
 	if n <= 0 || !c.fits(n) {
@@ -384,6 +401,14 @@ func (h *Heap) allocWords(space seg.Space, gen, n int) (uint64, []uint64) {
 	}
 	h.Stats.WordsAllocated += uint64(n)
 	return c.bump(n)
+}
+
+// allocWhileForbidden is the allocation paths' SetAllocForbidden
+// panic, out of line.
+//
+//go:noinline
+func allocWhileForbidden() {
+	panic("heap: allocation while allocation is forbidden (finalizer running inside GC)")
 }
 
 // allocWordsSlow opens a fresh segment (or takes the large-object run

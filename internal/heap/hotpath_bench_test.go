@@ -11,9 +11,9 @@ import (
 // copying core: the layers heap-young measures end to end, one at a
 // time. Public API only, so the file runs unchanged on an older commit.
 //
-//	go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|BarrieredStore' ./internal/heap/
+//	go test -run '^$' -bench 'Cons|MakeVector64|CollectYoung|BarrieredStore' ./internal/heap/
 //
-// (CollectYoungList matches BenchmarkCollectYoungLists too.)
+// (CollectYoung matches BenchmarkCollectYoungList, ...Lists and ...Tree.)
 
 // BenchmarkCons is bump allocation plus the two-word initialization:
 // nothing is rooted, so the periodic collection copies nothing.
@@ -41,7 +41,9 @@ func BenchmarkMakeVector64(b *testing.B) {
 // BenchmarkCollectYoungList is the copying core alone: each iteration
 // builds a 10 000-pair list in generation 0 (untimed) and collects it
 // into generation 1 — forward, install, sweep, 20 000 words — then
-// drops it, so the next iteration starts from the same heap.
+// drops it, so the next iteration starts from the same heap. The
+// forward that reaches the head copies the whole list in list order,
+// and one sweep pass sweeps it.
 func BenchmarkCollectYoungList(b *testing.B) {
 	h := heap.NewDefault()
 	root := h.NewRoot(obj.Nil)
@@ -61,10 +63,8 @@ func BenchmarkCollectYoungList(b *testing.B) {
 
 // BenchmarkCollectYoungLists is the copying core on heap-young's shape:
 // each iteration builds twelve 128-pair lists in generation 0, one per
-// root (untimed), and collects them into generation 1 together, so each
-// sweep pass finds one pair per list — 3 072 words — then drops them.
-// Beside BenchmarkCollectYoungList, whose single chain is one pair per
-// pass, the worst case for a sweep's per-pass overhead.
+// root (untimed), and collects them into generation 1 together — 3 072
+// words — then drops them.
 func BenchmarkCollectYoungLists(b *testing.B) {
 	h := heap.NewDefault()
 	var roots [12]*heap.Root
@@ -81,6 +81,31 @@ func BenchmarkCollectYoungLists(b *testing.B) {
 		for _, r := range roots {
 			for k := 0; k < 128; k++ {
 				r.Set(h.Cons(obj.FromFixnum(int64(k)), r.Get()))
+			}
+		}
+		b.StartTimer()
+		words += h.Collect(0).WordsCopied
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
+}
+
+// BenchmarkCollectYoungTree is BenchmarkCollectYoungLists' volume in a
+// shape the copier cannot copy in list order: a rooted vector of twelve
+// 128-pair chains linked through their cars, their cdrs fixnums. Each
+// sweep pass finds one pair per chain, 128 passes a collection, the
+// worst case for a sweep's per-pass overhead.
+func BenchmarkCollectYoungTree(b *testing.B) {
+	h := heap.NewDefault()
+	root := h.NewRoot(obj.Nil)
+	var words uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		root.Set(obj.Nil)
+		h.Collect(1)
+		root.Set(h.MakeVector(12, obj.Nil))
+		for j := 0; j < 12; j++ {
+			for k := 0; k < 128; k++ {
+				h.VectorSet(root.Get(), j, h.Cons(h.VectorRef(root.Get(), j), obj.FromFixnum(int64(k))))
 			}
 		}
 		b.StartTimer()

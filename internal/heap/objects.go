@@ -73,19 +73,34 @@ func (h *Heap) negLength(op string, n int) {
 // generation can point at them yet.
 
 // Cons allocates an ordinary pair in generation 0.
-func (h *Heap) Cons(car, cdr obj.Value) obj.Value {
-	addr, w := h.allocWords(seg.SpacePair, 0, 2)
-	w[0], w[1] = uint64(car), uint64(cdr)
-	return obj.PairAt(addr)
-}
+func (h *Heap) Cons(car, cdr obj.Value) obj.Value { return h.pair(seg.SpacePair, car, cdr) }
 
 // WeakCons allocates a weak pair: its car is a weak pointer, broken to
 // #f by the collector when the car's referent becomes inaccessible
 // (and is not saved by a guardian). The cdr is an ordinary pointer.
-func (h *Heap) WeakCons(car, cdr obj.Value) obj.Value {
-	addr, w := h.allocWords(seg.SpaceWeak, 0, 2)
-	w[0], w[1] = uint64(car), uint64(cdr)
-	return obj.PairAt(addr)
+func (h *Heap) WeakCons(car, cdr obj.Value) obj.Value { return h.pair(seg.SpaceWeak, car, cdr) }
+
+// pair allocates a pair in space's generation-0 segment: allocWords's
+// bump, inline, storing through the cursor's words. A closed or full
+// cursor takes allocWordsSlow. It is a second bump path because
+// allocWords does not inline into Cons, and the call is about a third
+// of a cons (BenchmarkCons).
+func (h *Heap) pair(space seg.Space, car, cdr obj.Value) obj.Value {
+	if h.allocForbidden {
+		allocWhileForbidden()
+	}
+	c := &h.cur[space][0]
+	off := uint(c.off)
+	if off > seg.Words-2 {
+		addr, w := h.allocWordsSlow(space, 0, 2)
+		w[0], w[1] = uint64(car), uint64(cdr)
+		return obj.PairAt(addr)
+	}
+	c.w[off], c.w[off+1] = uint64(car), uint64(cdr)
+	c.off = int32(off) + 2
+	c.s.Fill = int(off) + 2
+	h.Stats.WordsAllocated += 2
+	return obj.PairAt(seg.BaseAddr(int(c.seg)) + uint64(off))
 }
 
 // IsWeakPair reports whether v is a pair allocated in the weak-pair

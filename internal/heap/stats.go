@@ -32,9 +32,11 @@ type Stats struct {
 	// SweepPasses counts kleene-sweep passes that swept a copied
 	// object. A pass scans to-space up to the frontiers the cursors
 	// held when it began, so the objects copied during one pass are the
-	// next one's: a chain of k pairs discovered one link at a time
-	// costs k passes, and the re-sweeps run inside the guardian phase's
-	// salvage loop are included (§4's "iterated" sweep).
+	// next one's. A cdr chain of k pairs costs one pass, because the
+	// forward that reaches its head copies the whole chain; a chain of
+	// k pairs linked through their cars costs k. The re-sweeps run
+	// inside the guardian phase's salvage loop are included (§4's
+	// "iterated" sweep).
 	SweepPasses uint64
 
 	BarrierHits       uint64

@@ -183,9 +183,9 @@ func TestTraceFunc(t *testing.T) {
 }
 
 // TestSweepPassCounting asserts the per-wave semantics: a chain of k
-// pairs reached from a single root is discovered one link per pass,
-// so a collection of it records exactly k sweep passes; an empty
-// collection records none.
+// pairs linked through their cars, reached from a single root, is
+// discovered one link per pass, so a collection of it records exactly
+// k sweep passes; an empty collection records none.
 func TestSweepPassCounting(t *testing.T) {
 	h := heap.NewDefault()
 	h.Collect(0)
@@ -194,6 +194,25 @@ func TestSweepPassCounting(t *testing.T) {
 	}
 
 	const k = 5
+	chain := obj.Value(fx(0))
+	for i := 0; i < k; i++ {
+		chain = h.Cons(chain, obj.Nil)
+	}
+	r := h.NewRoot(chain)
+	h.Stats.Reset()
+	h.Collect(0)
+	if got := h.Stats.SweepPasses; got != k {
+		t.Fatalf("car chain of %d pairs: %d sweep passes, want %d", k, got, k)
+	}
+	r.Release()
+}
+
+// TestSweepPassCdrChainIsOnePass: the forward that reaches a list's
+// head copies the whole cdr chain in list order, so a list of k pairs
+// is swept in one pass, each copy's cdr the next slot of to-space.
+func TestSweepPassCdrChainIsOnePass(t *testing.T) {
+	h := heap.NewDefault()
+	const k = 1000
 	lst := obj.Nil
 	for i := 0; i < k; i++ {
 		lst = h.Cons(fx(int64(i)), lst)
@@ -201,23 +220,42 @@ func TestSweepPassCounting(t *testing.T) {
 	r := h.NewRoot(lst)
 	h.Stats.Reset()
 	h.Collect(0)
-	if got := h.Stats.SweepPasses; got != k {
-		t.Fatalf("chain of %d pairs: %d sweep passes, want %d", k, got, k)
+	st := &h.Stats
+	if st.SweepPasses != 1 || st.PairsCopied != k || st.WordsCopied != 2*k || st.CellsSwept != 2*k {
+		t.Fatalf("cdr chain of %d pairs: %d passes, %d pairs, %d words copied, %d cells swept; want 1, %d, %d, %d",
+			k, st.SweepPasses, st.PairsCopied, st.WordsCopied, st.CellsSwept, k, 2*k, 2*k)
 	}
+	p := r.Get()
+	for i := k - 1; i >= 0; i-- {
+		if got := h.Car(p); got != fx(int64(i)) {
+			t.Fatalf("element %d reads %v", k-1-i, got)
+		}
+		if next := h.Cdr(p); i > 0 && next.Addr() != p.Addr()+2 && next.Addr()%512 != 0 {
+			t.Fatalf("element %d's successor at %d, not the next slot after %d", k-1-i, next.Addr(), p.Addr())
+		}
+		p = h.Cdr(p)
+	}
+	if p != obj.Nil {
+		t.Fatalf("list ends in %v", p)
+	}
+	h.MustVerify()
 	r.Release()
 }
 
 // TestSweepPassesCountGuardianResweeps asserts the guardian phase's
 // re-sweeps are visible in SweepPasses. The baseline heap (root → a
-// two-pair tconc) needs 2 passes; salvaging a dropped guarded pair
-// copies it during the guardian phase, whose re-sweep adds a third.
+// pair whose car is a two-pair tconc) needs 2 passes: the first sweeps
+// the holder and copies the tconc, whose cdr chain brings its last pair
+// along, and the second sweeps those two. Salvaging a dropped guarded
+// pair copies it during the guardian phase, whose re-sweep adds a third.
 func TestSweepPassesCountGuardianResweeps(t *testing.T) {
 	build := func(register bool) uint64 {
 		h := heap.NewDefault()
 		dummy := h.Cons(obj.False, obj.False)
-		tc := h.NewRoot(h.Cons(dummy, dummy))
+		tc := h.Cons(dummy, dummy)
+		h.NewRoot(h.Cons(tc, obj.Nil))
 		if register {
-			h.InstallGuardian(h.Cons(fx(1), fx(2)), tc.Get())
+			h.InstallGuardian(h.Cons(fx(1), fx(2)), tc)
 		}
 		h.Collect(0)
 		return h.Stats.SweepPasses

@@ -45,11 +45,12 @@ import (
 //     a full-length word array, and the count of shared bits matches
 //     SharedCount;
 //  10. no allocation cursor is stale: an open cursor (the heap's or
-//     the copier's) caches the table entry of the segment it names,
-//     which is in use, not shared with a template (clones start with
-//     closed cursors), of the cursor's space and generation, with Fill
-//     equal to the cursor's offset; the copier's is open only while a
-//     collection is in flight.
+//     the copier's) caches the table entry of the segment it names and
+//     that segment's Words, and the segment is in use, not shared with
+//     a template (clones start with closed cursors), of the cursor's
+//     space and generation, with Fill equal to the cursor's offset; the
+//     copier's is open only while a collection is in flight;
+//  11. no segment is flagged from-space outside a collection.
 func (h *Heap) Verify() []error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -283,11 +284,15 @@ func (h *Heap) Verify() []error {
 	// Cursors (invariant 10): a stale one would bump-allocate into a
 	// freed or re-purposed segment, or into a template's array.
 	checkCursor := func(who string, c *cursor, sp, gen int, mayBeOpen bool) {
-		if s := c.s; s == nil && c.seg == seg.None {
-			return
-		} else if !mayBeOpen || c.seg < 0 || c.seg >= h.tab.Len() || s != h.tab.Seg(c.seg) ||
-			!s.InUse || h.tab.IsShared(c.seg) || int(s.Space) != sp || s.Gen != gen || s.Fill != c.off {
+		s := c.s
+		switch {
+		case s == nil && c.seg == seg.None && c.w == nil && c.off == seg.Words:
+			// closed
+		case !mayBeOpen || c.seg < 0 || int(c.seg) >= h.tab.Len() || s != h.tab.Seg(int(c.seg)) ||
+			!s.InUse || h.tab.IsShared(int(c.seg)) || int(s.Space) != sp || s.Gen != gen || s.Fill != int(c.off):
 			report("%s cursor (%v, gen %d) stale: open on segment %d at offset %d", who, seg.Space(sp), gen, c.seg, c.off)
+		case len(s.Words) != seg.Words || c.w != (*[seg.Words]uint64)(s.Words):
+			report("%s cursor (%v, gen %d) on segment %d caches words that are not the segment's", who, seg.Space(sp), gen, c.seg)
 		}
 	}
 	for sp := range h.cur {
@@ -295,6 +300,17 @@ func (h *Heap) Verify() []error {
 			checkCursor("heap", &h.cur[sp][gen], sp, gen, true)
 		}
 		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect)
+	}
+
+	// From-space flags (invariant 11): one left set would make the next
+	// collection copy objects out of a segment it does not free, leaving
+	// forwarding words in live objects.
+	if !h.inCollect {
+		for idx, f := range h.fromSpace {
+			if f {
+				report("segment %d flagged from-space outside a collection", idx)
+			}
+		}
 	}
 	return errs
 }

@@ -42,19 +42,19 @@ func TestWindowPairAtSegmentEnd(t *testing.T) {
 		if cur.off != seg.Words-2 {
 			t.Fatalf("cursor at %d before the last pair, want %d", cur.off, seg.Words-2)
 		}
-		first := cur.seg
+		first := int(cur.seg)
 		last := h.Cons(fix(-1), root.Get())
 		root.Set(last)
 		if seg.SegIndexOf(last.Addr()) != first || seg.Offset(last.Addr()) != seg.Words-2 {
 			t.Fatalf("last pair at segment %d offset %d, want %d/%d",
 				seg.SegIndexOf(last.Addr()), seg.Offset(last.Addr()), first, seg.Words-2)
 		}
-		if cur.seg != first || cur.off != seg.Words || cur.s.Fill != seg.Words {
+		if int(cur.seg) != first || cur.off != seg.Words || cur.s.Fill != seg.Words {
 			t.Fatalf("cursor %d/%d fill %d after filling the segment", cur.seg, cur.off, cur.s.Fill)
 		}
 		next := h.Cons(fix(-2), root.Get())
 		root.Set(next)
-		if cur.seg == first || seg.SegIndexOf(next.Addr()) != cur.seg || seg.Offset(next.Addr()) != 0 || cur.off != 2 {
+		if int(cur.seg) == first || seg.SegIndexOf(next.Addr()) != int(cur.seg) || seg.Offset(next.Addr()) != 0 || cur.off != 2 {
 			t.Fatalf("pair after a full segment at %d/%d, cursor %d/%d",
 				seg.SegIndexOf(next.Addr()), seg.Offset(next.Addr()), cur.seg, cur.off)
 		}
@@ -245,25 +245,41 @@ func TestCloneForwardLeavesTemplateIntact(t *testing.T) {
 	})
 }
 
-// TestVerifyCatchesStaleCursor plants the two ways a cursor can go
-// stale — its segment freed under it, and its offset out of step with
-// the segment's Fill — and checks invariant 10 reports them.
+// TestVerifyCatchesStaleCursor plants the ways a cursor can go stale —
+// its offset out of step with the segment's Fill, an open cursor on
+// another space's segment, cached words that are not its segment's —
+// and checks invariant 10 reports each; and a from-space flag left set
+// after a collection, which invariant 11 reports.
 func TestVerifyCatchesStaleCursor(t *testing.T) {
 	h := NewDefault()
 	h.Cons(fix(1), obj.Nil)
 	h.MustVerify()
+	expect := func(what, msg string) {
+		t.Helper()
+		if errs := h.Verify(); len(errs) == 0 || !strings.Contains(errs[0].Error(), msg) {
+			t.Fatalf("%s not reported: %v", what, errs)
+		}
+	}
 	cur := &h.cur[seg.SpacePair][0]
 	cur.off += 2
-	if errs := h.Verify(); len(errs) == 0 || !strings.Contains(errs[0].Error(), "cursor") {
-		t.Fatalf("offset/Fill mismatch not reported: %v", errs)
-	}
+	expect("offset/Fill mismatch", "stale")
 	cur.off -= 2
-	h.cur[seg.SpaceObj][0] = cursor{seg: cur.seg, s: h.tab.Seg(cur.seg), off: cur.off}
-	if errs := h.Verify(); len(errs) == 0 || !strings.Contains(errs[0].Error(), "cursor") {
-		t.Fatalf("cursor on another space's segment not reported: %v", errs)
-	}
+	h.cur[seg.SpaceObj][0] = cursor{seg: cur.seg, s: h.tab.Seg(int(cur.seg)), w: cur.w, off: cur.off}
+	expect("cursor on another space's segment", "stale")
 	h.cur[seg.SpaceObj][0].close()
 	h.MustVerify()
+
+	w := cur.w
+	cur.w = new([seg.Words]uint64)
+	expect("cached words not the segment's", "caches words")
+	cur.w = nil
+	expect("open cursor without cached words", "caches words")
+	cur.w = w
+	h.MustVerify()
+
+	h.Collect(0)
+	h.fromSpace[0] = true
+	expect("from-space flag outside a collection", "flagged from-space")
 }
 
 // TestCloneStaticTemplateAndPool is the clone family at work: the donor

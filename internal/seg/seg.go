@@ -56,9 +56,8 @@ type Segment struct {
 	Gen  int
 	// Stamp records the collection stamp current when the segment was
 	// (re)allocated. The collector uses it to recognize to-space
-	// segments created during the current collection, both to avoid
-	// re-forwarding objects already copied and to restrict the
-	// weak-pair second pass to freshly copied weak pairs.
+	// segments created during the current collection, which the
+	// conservative scan of older generations skips.
 	Stamp uint64
 	// Next links segments belonging to the same (space, generation)
 	// chain, or None.

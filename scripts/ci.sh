@@ -65,8 +65,12 @@ echo "== segment-window gate (-race)"
 # copying core to zero Go allocations per round. The kleene-sweep's
 # scan of to-space: a handed-over segment swept from its cursor on, one
 # wave across the pair, weak and obj spaces and a large object, and the
-# tconc pairs a guardian salvage appends, each at exact counts.
-go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs|TestScanStartsAtHandedOverCursor|TestSweepWaveSpansSpaces|TestSweepCellsGuardianSalvage' ./internal/heap/
+# tconc pairs a guardian salvage appends, each at exact counts. The
+# copier's chase, which copies a list in list order: shared tails,
+# cycles, older tails, weak pairs, template-shared segments, a
+# million-pair list, a list reached only from a dirty cell and a
+# guarded list's salvage order.
+go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs|TestScanStartsAtHandedOverCursor|TestSweepWaveSpansSpaces|TestSweepCellsGuardianSalvage|TestChase' ./internal/heap/
 
 echo "== heap repeat gate (-count=2 -race)"
 # Runs the heap suite twice in one process: shakes out state leaking
@@ -96,7 +100,7 @@ echo "== hot-path benchmarks (compile and run once)"
 # one iteration each, so they cannot rot; and the header accessors the
 # VM calls per instruction (VectorRef, RecordRef, SymbolValue). Beside
 # them those accessors are held to zero Go allocations a call.
-go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
 # What a template-booted session costs in Go: Attach (run with
 # -benchmem for its bytes and allocations) and one serve-steady request.
 go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server/

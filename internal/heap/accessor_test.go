@@ -8,7 +8,7 @@ import (
 	"repro/internal/seg"
 )
 
-// Tests for the header accessors' one segment-table walk per object:
+// Tests for the header accessors' one segment-table lookup per object:
 // fields read from the window the header lookup returned, the fall back
 // for a large object's fields past its head segment, and the checks
 // and panic messages the walk carries.
@@ -79,8 +79,8 @@ func TestAccessorsAcrossLargeObjectRun(t *testing.T) {
 	}
 	check("young", obj.Nil)
 	h.Collect(1) // tenure the three objects
-	if s := h.tab.SegOf(vec.Get().Addr() + 1 + uint64(lastV+1)); s.Gen == 0 || !s.Cont {
-		t.Fatalf("vector's second segment: gen %d cont %v, want tenured continuation", s.Gen, s.Cont)
+	if si := seg.SegIndexOf(vec.Get().Addr() + 1 + uint64(lastV+1)); h.tab.Info(si).Gen() == 0 || !h.tab.Seg(si).Cont {
+		t.Fatalf("vector's second segment: gen %d cont %v, want tenured continuation", h.tab.Info(si).Gen(), h.tab.Seg(si).Cont)
 	}
 	check("tenured", h.Cons(obj.True, obj.Nil))
 	if err := h.Verify(); err != nil {

@@ -48,22 +48,22 @@ func (h *Heap) Census() Census {
 		c.BySpaceGen[sp] = make([]CensusCell, h.cfg.Generations)
 	}
 	for idx := 0; idx < h.tab.Len(); idx++ {
-		s := h.tab.Seg(idx)
-		if !s.InUse {
+		if !h.tab.InUse(idx) {
 			continue
 		}
-		gen := s.Gen
-		if gen < 0 || gen >= h.cfg.Generations {
+		s, inf := h.tab.Seg(idx), h.tab.Info(idx)
+		gen := inf.Gen()
+		if gen >= h.cfg.Generations {
 			continue
 		}
-		cell := &c.BySpaceGen[s.Space][gen]
+		cell := &c.BySpaceGen[inf.Space()][gen]
 		cell.Segments++
 		cell.Words += uint64(s.Fill)
 		if s.Cont {
 			continue // object counted at its start segment
 		}
 		base := seg.BaseAddr(idx)
-		switch s.Space {
+		switch inf.Space() {
 		case seg.SpacePair, seg.SpaceWeak:
 			cell.Objects += uint64(s.Fill / 2)
 		case seg.SpaceObj, seg.SpaceData:

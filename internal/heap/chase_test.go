@@ -173,7 +173,7 @@ func TestChaseAcrossTemplateSharedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := roots[lst.idx].Get()
-	if !h.tab.IsShared(seg.SegIndexOf(shared.Addr())) {
+	if h.tab.Info(seg.SegIndexOf(shared.Addr()))&seg.InfoShared == 0 {
 		t.Fatal("donor's list is not in a template-shared segment")
 	}
 	young := h.NewRoot(h.Cons(fix(-2), h.Cons(fix(-1), shared)))

@@ -150,11 +150,8 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 			h.cur[sp][gen].close()
 		}
 	}
-	if n := h.tab.Len(); len(h.fromSpace) < n {
-		h.fromSpace = append(h.fromSpace, make([]bool, n-len(h.fromSpace))...)
-	}
 	for _, si := range from {
-		h.fromSpace[si] = true
+		h.tab.MarkFrom(si)
 	}
 	// The copier carries on in the target generation's open segments
 	// (none when the oldest generation collects into itself: the loop
@@ -233,11 +230,10 @@ func (h *Heap) collectFinish(from []int, start time.Time) *CollectionReport {
 	// Large-object runs are retired whole through FreeRun, which pools
 	// them by size class for reuse by the next same-length allocation;
 	// a continuation whose head was already retired keeps its Cont
-	// mark, so the loop recognizes and skips it.
+	// mark, so the loop recognizes and skips it. Retiring a segment
+	// clears its info entry, from-space bit included.
 	for _, si := range from {
-		h.fromSpace[si] = false
-		s := h.tab.Seg(si)
-		if s.Cont {
+		if h.tab.Seg(si).Cont {
 			continue // covered by its run head's FreeRun
 		}
 		if h.tab.RunLen(si) > 1 {
@@ -421,46 +417,55 @@ func (c *copier) init(h *Heap) {
 // forward copies v's referent into the target generation if it lives
 // in from-space and has not been copied yet, and returns the (possibly
 // updated) value. Immediates and referents in older generations or in
-// to-space are returned unchanged, on the from-space flag alone. An
+// to-space are returned unchanged, on the from-space bit alone. An
 // ordinary pair's copy carries on down its cdrs (chase).
-func (c *copier) forward(v obj.Value) obj.Value { return c.copyOut(v, true) }
+func (c *copier) forward(v obj.Value) obj.Value {
+	if c.h.inFrom(v) {
+		return c.copyOut(v, true)
+	}
+	return v
+}
 
 // forwardRep is forward without the chase, for the guardian phase: a
 // representative it saves makes only itself accessible until the next
 // drain, as in the paper's loop, so a tconc further down the
 // representative's cdrs does not become accessible within the round
 // and salvage order is the paper's.
-func (c *copier) forwardRep(v obj.Value) obj.Value { return c.copyOut(v, false) }
-
-// copyOut is forward and forwardRep. The segment table is consulted
-// once, as in §4: the entry that places the referent also gives the
-// window src it is read and forwarded through (privatized first if it
-// aliases a template array), and alloc returns the to-space window
-// dst. Only a large object goes by address.
-func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
-	if !v.IsPointer() {
-		return v
+func (c *copier) forwardRep(v obj.Value) obj.Value {
+	if c.h.inFrom(v) {
+		return c.copyOut(v, false)
 	}
+	return v
+}
+
+// copyOut is forward and forwardRep past their from-space filter: v
+// points into from-space. The referent's info entry, one load as in §4,
+// gives its space and whether its words alias a template array (then
+// privatized first); the directory gives the window src it is read and
+// forwarded through, and alloc returns the to-space window dst. Only a
+// large object's copy goes by segment.
+func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 	h := c.h
 	addr := v.Addr()
 	idx := seg.SegIndexOf(addr)
-	if !h.inFrom(idx) {
-		return v
+	inf := h.tab.Info(idx)
+	if inf&seg.InfoShared != 0 {
+		h.tab.Writable(idx)
 	}
-	s := h.tab.Seg(idx)
-	if h.tab.IsShared(idx) {
-		s = h.tab.Writable(idx) // the same entry, its Words now private
-	}
-	src := s.Words[seg.Offset(addr):]
+	src := h.tab.Words(idx)[seg.Offset(addr):]
 	w0 := src[0]
 	if obj.IsFwd(w0) {
 		return v.WithAddr(obj.FwdAddr(w0))
 	}
 	if v.IsPair() {
-		na, dst := c.alloc(s.Space, 2)
-		c.movePair(na, dst, src)
+		space := inf.Space()
+		na, dst := c.alloc(space, 2)
+		dst[0], dst[1] = w0, src[1]
+		src[0] = obj.MakeFwd(na)
+		h.Stats.PairsCopied++
+		h.Stats.WordsCopied += 2
 		c.fresh = true
-		if s.Space == seg.SpaceWeak {
+		if space == seg.SpaceWeak {
 			c.newWeak = append(c.newWeak, na)
 		} else if chase && obj.Value(dst[1]).IsPair() {
 			c.chase(dst)
@@ -474,10 +479,11 @@ func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 	space, total := objSpace(k), 1+obj.PayloadWords(k, obj.HeaderLength(w0))
 	var na uint64
 	if total > seg.Words {
+		// Both runs start on a segment boundary: the copy goes a
+		// segment at a time.
 		na = c.allocRun(space, total)
-		h.setWord(na, w0)
-		for i := uint64(1); i < uint64(total); i++ {
-			h.setWord(na+i, h.word(addr+i))
+		for i, d := 0, seg.SegIndexOf(na); i*seg.Words < total; i++ {
+			copy(h.tab.Words(d + i)[:], h.tab.Words(idx + i)[:min(seg.Words, total-i*seg.Words)])
 		}
 		if space != seg.SpaceData {
 			c.large = append(c.large, na) // no scan reaches a run
@@ -497,17 +503,6 @@ func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 	return v.WithAddr(na)
 }
 
-// movePair copies the unforwarded pair whose from-space words are src
-// into dst, to-space at na, and leaves its forwarding word in src: the
-// one pair copy of forward and the chase, inlined into both.
-func (c *copier) movePair(na uint64, dst, src []uint64) {
-	dst[0], dst[1] = src[0], src[1]
-	src[0] = obj.MakeFwd(na)
-	st := &c.h.Stats
-	st.PairsCopied++
-	st.WordsCopied += 2
-}
-
 // chase copies a list in list order: dst is the to-space window of the
 // ordinary pair just copied, and while its cdr is an ordinary pair in
 // from-space that is not yet forwarded, that pair is copied into the
@@ -518,58 +513,74 @@ func (c *copier) movePair(na uint64, dst, src []uint64) {
 // So a cdr-linked list is copied whole by the forward that reaches its
 // head and swept in one pass, while a car-linked structure is still
 // swept breadth-first. A loop, not a recursion: a list of any length
-// takes one frame.
+// takes one frame. The pair space's scan already has work (the pair
+// copyOut just copied), so the loop bumps the to-space cursor itself
+// and counts its copies once, at the end.
 func (c *copier) chase(dst []uint64) {
-	h := c.h
+	tab, cur := c.h.tab, &c.cur[seg.SpacePair]
+	var n uint64
 	for {
 		cdr := obj.Value(dst[1])
 		if !cdr.IsPair() {
-			return
+			break
 		}
 		addr := cdr.Addr()
 		idx := seg.SegIndexOf(addr)
-		if !h.inFrom(idx) {
-			return
+		inf := tab.Info(idx)
+		if inf&(seg.InfoFrom|seg.InfoSpace) != seg.InfoFrom|seg.Info(seg.SpacePair) {
+			break
 		}
-		s := h.tab.Seg(idx)
-		if s.Space != seg.SpacePair {
-			return
+		if inf&seg.InfoShared != 0 {
+			tab.Writable(idx)
 		}
-		if h.tab.IsShared(idx) {
-			s = h.tab.Writable(idx)
-		}
-		src := s.Words[seg.Offset(addr):]
-		if w0 := src[0]; obj.IsFwd(w0) {
+		src := tab.Words(idx)[seg.Offset(addr):]
+		w0 := src[0]
+		if obj.IsFwd(w0) {
 			dst[1] = uint64(cdr.WithAddr(obj.FwdAddr(w0)))
-			return
+			break
 		}
-		na, nd := c.alloc(seg.SpacePair, 2)
-		c.movePair(na, nd, src)
+		if !cur.fits(2) {
+			c.open(seg.SpacePair)
+		}
+		na, nd := cur.bump(2)
+		nd[0], nd[1] = w0, src[1]
+		src[0] = obj.MakeFwd(na)
 		dst[1] = uint64(cdr.WithAddr(na))
 		dst = nd
+		n++
 	}
+	st := &c.h.Stats
+	st.PairsCopied += n
+	st.WordsCopied += 2 * n
+	st.WordsAllocated += 2 * n
 }
 
 // alloc bump-allocates n (<= seg.Words) words of to-space in the given
 // space, opening a fresh target-generation segment when the open one
 // is full, and returns their address and the words themselves.
 func (c *copier) alloc(space seg.Space, n int) (uint64, []uint64) {
-	h := c.h
-	h.Stats.WordsAllocated += uint64(n)
+	c.h.Stats.WordsAllocated += uint64(n)
 	c.pending |= 1 << space
 	cur := &c.cur[space]
 	if !cur.fits(n) {
-		h.claimable(1, "to-space segment")
-		idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
-		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
-		if swept&(1<<space) != 0 {
-			s := &h.sc.scan[space]
-			s.segs = append(s.segs, idx)
-		}
-		cur.open(h.tab, idx)
-		h.Stats.SegmentsAllocated++
+		c.open(space)
 	}
 	return cur.bump(n)
+}
+
+// open opens a fresh target-generation to-space segment in space, on
+// its chain and, in a swept space, its scan.
+func (c *copier) open(space seg.Space) {
+	h := c.h
+	h.claimable(1, "to-space segment")
+	idx := h.tab.Alloc(space, h.gcTarget, h.stamp)
+	h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], idx)
+	if swept&(1<<space) != 0 {
+		s := &h.sc.scan[space]
+		s.segs = append(s.segs, idx)
+	}
+	c.cur[space].open(h.tab, idx)
+	h.Stats.SegmentsAllocated++
 }
 
 // allocRun allocates a large-object run of contiguous target-generation
@@ -641,14 +652,14 @@ func (c *copier) sweep() {
 // scanTo sweeps space sp's to-space, whose scan is s, from the scan
 // position up to word endOff of segment segs[endI], a window per
 // segment, and leaves the scan position there. The segment the cursor
-// is in needs no table walk; the pass may have moved the cursor on
+// is in needs no table lookup; the pass may have moved the cursor on
 // since it took endI.
 func (c *copier) scanTo(sp seg.Space, s *spaceScan, endI, endOff int) {
 	for {
 		i, from, to := s.i, s.off, endOff
-		ts := c.cur[sp].s
+		ts, w := c.cur[sp].s, c.cur[sp].w
 		if i != len(s.segs)-1 {
-			ts = c.h.tab.Seg(s.segs[i])
+			ts, w = c.h.tab.Seg(s.segs[i]), c.h.tab.Words(s.segs[i])
 		}
 		if i < endI {
 			to = ts.Fill // the cursor has moved past this segment
@@ -656,7 +667,7 @@ func (c *copier) scanTo(sp seg.Space, s *spaceScan, endI, endOff int) {
 		} else {
 			s.off = to
 		}
-		c.sweepWindow(sp, s.segs[i], from, ts.Words[from:to])
+		c.sweepWindow(sp, s.segs[i], from, w[from:to])
 		if i == endI {
 			return
 		}
@@ -716,15 +727,23 @@ func (h *Heap) sweptShort(what string) {
 	h.check(false, "kleene-sweep stopped short of the %s to-space frontier", what)
 }
 
-// fwdWindow forwards in place every pointer field of the window w.
+// fwdWindow forwards in place every pointer field of the window w. The
+// from-space filter is forward's, inline: an immediate or a referent
+// outside from-space costs the word's tag test and one info load, and
+// only a from-space referent calls copyOut. The table is re-read per
+// word, as copyOut may grow it.
 func (c *copier) fwdWindow(w []uint64) {
-	for i := range w {
-		w[i] = uint64(c.forward(obj.Value(w[i])))
+	h := c.h
+	for i, x := range w {
+		if v := obj.Value(x); h.inFrom(v) {
+			w[i] = uint64(c.copyOut(v, true))
+		}
 	}
 }
 
 // fwdWords forwards in place the n pointer fields at addr, a segment
-// window at a time: more than one only inside a large object's run.
+// window at a time (one info and one directory load each): more than
+// one only inside a large object's run.
 func (c *copier) fwdWords(addr uint64, n int) {
 	for n > 0 {
 		w := c.h.window(addr, n)
@@ -749,7 +768,7 @@ func (c *copier) scanSeg(idx int) {
 		return
 	}
 	base := seg.BaseAddr(idx)
-	switch s.Space {
+	switch c.h.tab.Info(idx).Space() {
 	case seg.SpacePair:
 		c.fwdWords(base, s.Fill)
 		st.DirtyCellsScanned += uint64(s.Fill)
@@ -761,7 +780,7 @@ func (c *copier) scanSeg(idx int) {
 		}
 	case seg.SpaceObj:
 		for off := 0; off < s.Fill; {
-			hd := s.Words[off] // s.Words afresh each time: fwdWords may privatize it
+			hd := c.h.tab.Words(idx)[off] // afresh each time: fwdWords may privatize the segment
 			if !obj.IsHeader(hd) {
 				c.h.noHeader("scanSeg", base+uint64(off))
 			}
@@ -797,17 +816,19 @@ func (c *copier) rootsPhase() {
 func (c *copier) oldScanPhase() {
 	h := c.h
 	for idx := 0; idx < h.tab.Len(); idx++ {
-		s := h.tab.Seg(idx)
-		if s.InUse && !s.Cont && s.Gen > h.gcGen && s.Stamp != h.stamp {
+		if !h.tab.InUse(idx) || h.tab.Info(idx).Gen() <= h.gcGen {
+			continue
+		}
+		if s := h.tab.Seg(idx); !s.Cont && s.Stamp != h.stamp {
 			c.scanSeg(idx)
 		}
 	}
 }
 
-// inFrom reports whether segment idx is from-space in the collection
-// in progress (Heap.fromSpace).
-func (h *Heap) inFrom(idx int) bool {
-	return uint(idx) < uint(len(h.fromSpace)) && h.fromSpace[idx]
+// inFrom reports whether v points into from-space of the collection in
+// progress: the copier's filter, the referent's info entry alone.
+func (h *Heap) inFrom(v obj.Value) bool {
+	return v.IsPointer() && h.tab.Info(seg.SegIndexOf(v.Addr()))&seg.InfoFrom != 0
 }
 
 // isForwarded implements the paper's forwarded? predicate: true when
@@ -841,7 +862,7 @@ func (h *Heap) notForwarded(addr uint64) {
 // false when it has none: the referent is subject to the collection (in
 // a collected generation, not in to-space) and not forwarded (yet).
 func (h *Heap) survivor(v obj.Value) (obj.Value, bool) {
-	if !v.IsPointer() || !h.inFrom(seg.SegIndexOf(v.Addr())) {
+	if !h.inFrom(v) {
 		return v, true
 	}
 	if w := h.word(v.Addr()); obj.IsFwd(w) {
@@ -1031,7 +1052,7 @@ func (h *Heap) protListGen(e ProtEntry, target int) int {
 	dst := target
 	for _, v := range [...]obj.Value{e.Obj, e.Rep, e.Tconc} {
 		if v.IsPointer() {
-			if g := h.tab.SegOf(v.Addr()).Gen; g < dst {
+			if g := h.genOf(v.Addr()); g < dst {
 				dst = g
 			}
 		}
@@ -1069,15 +1090,15 @@ func (h *Heap) weakPass(g int) {
 	if h.cfg.WeakScanAll {
 		// Ablation baseline: visit every weak pair in the heap.
 		for idx := 0; idx < h.tab.Len(); idx++ {
-			s := h.tab.Seg(idx)
-			if !s.InUse || s.Space != seg.SpaceWeak {
+			inf := h.tab.Info(idx)
+			if !h.tab.InUse(idx) || inf.Space() != seg.SpaceWeak {
 				continue
 			}
-			if h.inFrom(idx) {
+			if inf&seg.InfoFrom != 0 {
 				continue // about to be freed
 			}
 			base := seg.BaseAddr(idx)
-			for off := 0; off+1 < s.Fill; off += 2 {
+			for off := 0; off+1 < h.tab.Seg(idx).Fill; off += 2 {
 				h.weakFixCell(base + uint64(off))
 			}
 		}
@@ -1114,18 +1135,17 @@ func (h *Heap) weakFixCell(addr uint64) {
 func (h *Heap) weakFix(addr uint64) bool {
 	h.Stats.WeakPairsScanned++
 	idx, off := seg.SegIndexOf(addr), seg.Offset(addr)
-	as := h.tab.Seg(idx)
-	v := obj.Value(as.Words[off])
+	v := obj.Value(h.tab.Words(idx)[off])
 	if !v.IsPointer() {
 		return false
 	}
 	nv, ok := h.survivor(v)
 	if nv != v {
-		h.tab.Writable(idx).Words[off] = uint64(nv) // redirected, or broken to #f
+		h.tab.Writable(idx)[off] = uint64(nv) // redirected, or broken to #f
 	}
 	if !ok {
 		h.Stats.WeakPointersBroken++
 		return false
 	}
-	return h.tab.SegOf(nv.Addr()).Gen < as.Gen
+	return h.genOf(nv.Addr()) < h.tab.Info(idx).Gen()
 }

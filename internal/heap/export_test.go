@@ -21,9 +21,10 @@ func UsesMapRemset(h *Heap) bool { return h.dirtyMap != nil }
 func ImageState(h *Heap) []string {
 	var lines []string
 	for i := 0; i < h.tab.Len(); i++ {
-		if s := h.tab.Seg(i); s.InUse {
+		if h.tab.InUse(i) {
+			s, inf := h.tab.Seg(i), h.tab.Info(i)
 			lines = append(lines, fmt.Sprintf("segment %d: %v gen %d cont %v fill %d stamp %d words %x",
-				i, s.Space, s.Gen, s.Cont, s.Fill, s.Stamp, s.Words[:s.Fill]))
+				i, inf.Space(), inf.Gen(), s.Cont, s.Fill, s.Stamp, h.tab.Words(i)[:s.Fill]))
 		}
 	}
 	for i := 0; i < h.rootsLen; i++ {

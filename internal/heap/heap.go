@@ -81,8 +81,8 @@ type Config struct {
 // constructing a heap — construction no longer panics on a bad
 // Config; it returns the Validate error instead.
 func (c Config) Validate() error {
-	if c.Generations < 1 {
-		return fmt.Errorf("heap: Config.Generations must be >= 1 (got %d)", c.Generations)
+	if c.Generations < 1 || c.Generations > seg.MaxGenerations {
+		return fmt.Errorf("heap: Config.Generations must be 1..%d (got %d)", seg.MaxGenerations, c.Generations)
 	}
 	if rp, static := c.Policy.(RadixPolicy); c.AutoTune && c.Policy != nil &&
 		(!static || rp.Target != nil || (rp.Radix != 0 && rp.Radix != DefaultRadix)) {
@@ -121,9 +121,9 @@ func DefaultConfig() Config {
 }
 
 // cursor is an allocation cursor: the open segment of one space and
-// generation and the next free word in it. s, the segment's table
-// entry, and w, its words, are resolved once, at open, so a bump walks
-// no table. w stays valid while the segment is open: an open segment
+// generation and the next free word in it. s, the segment's
+// descriptor, and w, its words, are resolved once, at open, so a bump
+// walks no table. w stays valid while the segment is open: an open segment
 // is never shared with a template, so it is never privatized, and it
 // is closed before it is freed. A closed cursor's off is seg.Words, so
 // fits needs no test of its own for it. Only open, close and handTo
@@ -133,14 +133,13 @@ func DefaultConfig() Config {
 type cursor struct {
 	seg int32              // open segment index, or seg.None
 	off int32              // next free word within the open segment
-	s   *seg.Segment       // the open segment; nil exactly when seg is seg.None
-	w   *[seg.Words]uint64 // s.Words; nil exactly when seg is seg.None
+	s   *seg.Segment       // the open segment's descriptor; nil exactly when seg is seg.None
+	w   *[seg.Words]uint64 // its words; nil exactly when seg is seg.None
 }
 
 // open points the cursor at the start of the fresh, empty segment idx.
 func (c *cursor) open(t *seg.Table, idx int) {
-	s := t.Seg(idx)
-	*c = cursor{seg: int32(idx), s: s, w: (*[seg.Words]uint64)(s.Words)}
+	*c = cursor{seg: int32(idx), s: t.Seg(idx), w: t.Words(idx)}
 }
 
 // close abandons the open segment; its Fill is already exact.
@@ -232,15 +231,7 @@ type Heap struct {
 	gcTarget int
 	// sc is the collection's work lists, borrowed from scratchPool for
 	// the length of a collection and nil otherwise (collect.go).
-	sc *collectScratch
-	// fromSpace has a flag per segment index, set exactly for the
-	// from-space segments of the collection in progress: collectBegin
-	// sets the flags of the chains it detaches, collectFinish clears
-	// them before the free. It answers the copier's "is this referent
-	// subject to the collection?" with one load, without the segment's
-	// table entry. Segments added since it last grew lie beyond it and
-	// are not from-space.
-	fromSpace      []bool
+	sc             *collectScratch
 	gen0Words      int
 	needCollect    bool
 	autoCount      uint64
@@ -469,7 +460,7 @@ func (h *Heap) fillRun(first, k, n int) {
 }
 
 // word / setWord / valueAt are raw accesses without barriers to one
-// word at any address, a segment-table walk each; code that touches a
+// word at any address, a directory load each; code that touches a
 // whole object goes through its window instead.
 func (h *Heap) word(addr uint64) uint64       { return h.tab.Word(addr) }
 func (h *Heap) setWord(addr, w uint64)        { h.tab.SetWord(addr, w) }
@@ -479,9 +470,12 @@ func (h *Heap) valueAt(addr uint64) obj.Value { return obj.Value(h.tab.Word(addr
 // at most n, and no further than the end of addr's segment — only a
 // large object's words run on past it, into the next of its run.
 func (h *Heap) window(addr uint64, n int) []uint64 {
-	w := h.tab.Writable(seg.SegIndexOf(addr)).Words[seg.Offset(addr):]
+	w := h.tab.Writable(seg.SegIndexOf(addr))[seg.Offset(addr):]
 	return w[:min(n, len(w))]
 }
+
+// genOf returns the generation of the segment holding addr.
+func (h *Heap) genOf(addr uint64) int { return h.tab.Info(seg.SegIndexOf(addr)).Gen() }
 
 // writeCell stores v at addr and maintains the remembered set: any
 // pointer cell written in a generation older than 0 is remembered so
@@ -493,15 +487,15 @@ func (h *Heap) window(addr uint64, n int) []uint64 {
 // car, whose referent must be handled by the weak-pair pass rather
 // than traced.
 func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
-	s := h.tab.Writable(seg.SegIndexOf(addr))
-	s.Words[seg.Offset(addr)] = uint64(v)
+	idx := seg.SegIndexOf(addr)
+	h.tab.Writable(idx)[seg.Offset(addr)] = uint64(v)
 	if !v.IsPointer() {
 		return
 	}
 	if !h.cfg.UseDirtySet {
 		return
 	}
-	if s.Gen > 0 {
+	if h.tab.Info(idx).Gen() > 0 {
 		h.dirtyInsert(addr, isWeakCar)
 		h.Stats.BarrierHits++
 	}
@@ -512,12 +506,12 @@ func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
 // example, the collector appending a salvaged young object to a
 // guardian tconc living in an older generation, §4).
 func (h *Heap) writeGC(addr uint64, v obj.Value) {
-	s := h.tab.Writable(seg.SegIndexOf(addr))
-	s.Words[seg.Offset(addr)] = uint64(v)
+	idx := seg.SegIndexOf(addr)
+	h.tab.Writable(idx)[seg.Offset(addr)] = uint64(v)
 	if !h.cfg.UseDirtySet || !v.IsPointer() {
 		return
 	}
-	if s.Gen > 0 && h.tab.SegOf(v.Addr()).Gen < s.Gen {
+	if g := h.tab.Info(idx).Gen(); g > 0 && h.genOf(v.Addr()) < g {
 		h.dirtyInsert(addr, false)
 	}
 }
@@ -618,7 +612,7 @@ func (h *Heap) Generation(v obj.Value) int {
 	if !v.IsPointer() {
 		return -1
 	}
-	return h.tab.SegOf(v.Addr()).Gen
+	return h.genOf(v.Addr())
 }
 
 // AddressOf returns a value's identity for eq hashing: the current
@@ -637,9 +631,8 @@ func (h *Heap) AddressOf(v obj.Value) uint64 {
 func (h *Heap) LiveWords() uint64 {
 	var n uint64
 	for i := 0; i < h.tab.Len(); i++ {
-		s := h.tab.Seg(i)
-		if s.InUse {
-			n += uint64(s.Fill)
+		if h.tab.InUse(i) {
+			n += uint64(h.tab.Seg(i).Fill)
 		}
 	}
 	return n

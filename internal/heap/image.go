@@ -25,16 +25,17 @@ import (
 // state lives entirely in the heap; the scheme package's machine
 // images add the symbol table.
 //
-// Format GUARDIMG4, little-endian u64s and u8 flags: the magic; the
+// Format GUARDIMG5, little-endian u64s and u8 flags: the magic; the
 // generation count, live trigger, radix, dirty-set and weak-scan-all
 // flags, segment limit, stamp and automatic-collection count; the
-// segment-table length and in-use count, then per in-use segment, in
+// segment-table length — the last in-use index plus one: trailing free
+// slots are not written — and in-use count, then per in-use segment, in
 // ascending index order, its index, space, generation, continuation
 // flag, fill, stamp and fill words; the root slots (live flag, value);
 // per generation the protected list (object, representative, tconc);
 // the remembered cells (address, weak flag).
 
-const imageMagic = "GUARDIMG4\n"
+const imageMagic = "GUARDIMG5\n"
 
 type imageReader struct {
 	r   *bufio.Reader
@@ -102,13 +103,14 @@ func (t *Template) Encode(w io.Writer) error {
 	flag(t.cfg.WeakScanAll)
 	put(uint64(t.cfg.MaxSegments), t.stamp, t.autoCount)
 
-	put(uint64(len(t.segs)), uint64(t.Segments()))
+	total := 0
+	if n := len(t.segs); n > 0 {
+		total = t.segs[n-1].Index + 1
+	}
+	put(uint64(total), uint64(len(t.segs)))
 	for i := range t.segs {
 		s := &t.segs[i]
-		if s.Words == nil {
-			continue
-		}
-		put(uint64(i))
+		put(uint64(s.Index))
 		bw.WriteByte(uint8(s.Space))
 		put(uint64(s.Gen))
 		flag(s.Cont)
@@ -167,7 +169,9 @@ func LoadImage(r io.Reader) (*Heap, []*Root, error) {
 // segment count cannot make the loader commit memory the stream does
 // not back), and segment records must arrive in strictly ascending
 // index order, so a duplicate record is a detected corruption rather
-// than a silent overwrite.
+// than a silent overwrite. The table length must be the last record's
+// index plus one, so it is backed by a record; the free slots below it
+// cost the table only their dense entries (seg.NewTableFromSegs).
 func decodeTemplate(ir *imageReader) (*Template, error) {
 	corrupt := func(what string) (*Template, error) {
 		if ir.err != nil {
@@ -203,7 +207,6 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 	if ir.err != nil || total < 0 || total > 1<<22 || inUse < 0 || inUse > total {
 		return corrupt("segment count")
 	}
-	tpl.segs = make([]seg.TemplateSeg, total)
 	prev := -1
 	for k := 0; k < inUse; k++ {
 		idx := int(ir.u64())
@@ -212,6 +215,7 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 		}
 		prev = idx
 		ts := seg.TemplateSeg{
+			Index: idx,
 			Space: seg.Space(ir.u8()),
 			Gen:   int(ir.u64()),
 			Cont:  ir.u8() != 0,
@@ -229,8 +233,12 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 		if ir.err != nil {
 			return corrupt("segment words")
 		}
-		tpl.segs[idx] = ts
+		tpl.segs = append(tpl.segs, ts)
 	}
+	if prev+1 != total {
+		return corrupt(fmt.Sprintf("table length %d past the last segment %d", total, prev))
+	}
+	tpl.nseg = total
 
 	nRoots := int(ir.u64())
 	if ir.err != nil || nRoots < 0 || nRoots > 1<<24 {

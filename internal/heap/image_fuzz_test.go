@@ -2,7 +2,9 @@ package heap_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+	"time"
 
 	"repro/internal/heap"
 	"repro/internal/obj"
@@ -146,4 +148,59 @@ func FuzzLoadImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loadOutcome(t, data)
 	})
+}
+
+// TestLoadImageSparseTableProbes: a 75 KB image whose segment-table
+// length is rewritten to 4 194 303, alone and with the last segment
+// record's index rewritten to match, is rejected or loads and verifies
+// in under 50 ms: the table length must be backed by the last record,
+// and the free slots below it cost the table only their dense entries.
+// (The second is rejected too: the other segments' pointers into the
+// moved one dangle, which Verify walks four million slots to report.)
+func TestLoadImageSparseTableProbes(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	h := heap.NewDefault()
+	lst := h.NewRoot(obj.Nil)
+	for i := 0; i < 4500; i++ {
+		lst.Set(h.Cons(fx(int64(i)), lst.Get()))
+	}
+	h.Collect(0)
+	var buf bytes.Buffer
+	if err := h.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	if len(img) < 70<<10 || len(img) > 80<<10 {
+		t.Fatalf("image is %d bytes, want about 75 KB", len(img))
+	}
+	le := binary.LittleEndian
+	const total = 4194303
+	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8
+	// A record: index, space (u8), generation, cont (u8), fill, stamp,
+	// then fill words.
+	last, off := 0, segCountOff+16
+	for k := le.Uint64(img[segCountOff+8:]); k > 0; k-- {
+		last = off
+		off += 8 + 1 + 8 + 1 + 8 + 8 + 8*int(le.Uint64(img[off+18:]))
+	}
+	found := append([]byte(nil), img...)
+	le.PutUint64(found[segCountOff:], total)
+	variant := append([]byte(nil), found...)
+	le.PutUint64(variant[last:], total-1)
+	for _, p := range []struct {
+		name       string
+		img        []byte
+		mustReject bool
+	}{{"table length past the last record", found, true}, {"last record moved to the end", variant, false}} {
+		start := time.Now()
+		err := loadOutcome(t, p.img)
+		took := time.Since(start)
+		switch {
+		case p.mustReject && err == nil:
+			t.Errorf("%s: loaded", p.name)
+		case err == nil && took > budget:
+			t.Errorf("%s: loaded and verified in %v, want under %v", p.name, took, budget)
+		}
+		t.Logf("%s: %v in %v", p.name, err, took)
+	}
 }

@@ -107,7 +107,7 @@ func (h *Heap) pair(space seg.Space, car, cdr obj.Value) obj.Value {
 // space. Weak pairs answer true to IsPair as well, matching the paper:
 // they are manipulated with the normal list operations.
 func (h *Heap) IsWeakPair(v obj.Value) bool {
-	return v.IsPair() && h.tab.SegOf(v.Addr()).Space == seg.SpaceWeak
+	return v.IsPair() && h.tab.Info(seg.SegIndexOf(v.Addr())).Space() == seg.SpaceWeak
 }
 
 // Car returns the car of a pair (ordinary or weak).
@@ -132,7 +132,7 @@ func (h *Heap) SetCar(p, v obj.Value) {
 	if !p.IsPair() {
 		h.badPair("set-car!", p)
 	}
-	h.writeCell(p.Addr(), v, h.tab.SegOf(p.Addr()).Space == seg.SpaceWeak)
+	h.writeCell(p.Addr(), v, h.tab.Info(seg.SegIndexOf(p.Addr())).Space() == seg.SpaceWeak)
 }
 
 // SetCdr stores v in the cdr of a pair, with the write barrier.
@@ -245,7 +245,7 @@ func (h *Heap) ObjectWords(v obj.Value) (kind obj.Kind, payload []uint64, ok boo
 	return kind, w[1:min(len(w), 1+n)], true
 }
 
-// object is the header accessors' one segment-table walk (§4: the
+// object is the header accessors' one segment-table lookup (§4: the
 // collector, too, reads the table once per object): it checks that v is
 // an object of kind k and returns its words from the header on, to the
 // end of the header's segment. A small object lies wholly in that

@@ -131,10 +131,10 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	live := sh.entries[:0]
 	for _, e := range sh.entries {
 		idx := seg.SegIndexOf(e.addr)
-		s := h.tab.Seg(idx)
-		if !s.InUse || s.Gen <= g {
-			// Collected (or defensively: freed) cell — the copy, if
-			// any, is swept normally.
+		gen := h.tab.Info(idx).Gen()
+		if gen <= g {
+			// Collected (or defensively: freed, its info zero) cell —
+			// the copy, if any, is swept normally.
 			delete(sh.index, e.addr)
 			continue
 		}
@@ -146,10 +146,10 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 			c.pendWeak = append(c.pendWeak, e.addr)
 			continue
 		}
-		cell := &h.tab.Writable(idx).Words[seg.Offset(e.addr)]
+		cell := &h.tab.Writable(idx)[seg.Offset(e.addr)]
 		nv := c.forward(obj.Value(*cell))
 		*cell = uint64(nv)
-		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
+		if !nv.IsPointer() || h.genOf(nv.Addr()) >= gen {
 			delete(sh.index, e.addr)
 			continue
 		}

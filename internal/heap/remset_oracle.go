@@ -37,8 +37,8 @@ func (h *Heap) scanDirtyMap(g int) {
 		scratch = append(scratch, dirtyCell{addr, weak})
 	}
 	for _, d := range scratch {
-		s := h.tab.SegOf(d.addr)
-		if !s.InUse || s.Gen <= g {
+		gen := h.genOf(d.addr) // a free slot's info is zero: generation 0
+		if gen <= g {
 			delete(h.dirtyMap, d.addr)
 			continue
 		}
@@ -51,7 +51,7 @@ func (h *Heap) scanDirtyMap(g int) {
 		v := h.valueAt(d.addr)
 		nv := c.forward(v)
 		h.setWord(d.addr, uint64(nv))
-		if !nv.IsPointer() || h.tab.SegOf(nv.Addr()).Gen >= s.Gen {
+		if !nv.IsPointer() || h.genOf(nv.Addr()) >= gen {
 			delete(h.dirtyMap, d.addr)
 		}
 	}

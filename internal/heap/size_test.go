@@ -11,7 +11,7 @@ import (
 // TestHeapSize pins what every heap carries before it has done
 // anything: a server holds one per standing session. The remembered
 // set's shard array and the collection work lists are allocated when
-// first needed, not inside Heap. A Heap is 1 912 bytes on 64-bit
+// first needed, not inside Heap. A Heap is 1 856 bytes on 64-bit
 // hosts, in the 2 048-byte Go size class (the class below is 1 792).
 // A heap holds a cursor per space and generation, so an allocation
 // cursor stays at 24 bytes, words cache included.

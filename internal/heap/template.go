@@ -13,15 +13,15 @@ import (
 // things. CloneFromTemplate spawns a heap from it in microseconds: the
 // clone's segment table aliases the template's word arrays read-only
 // and privatizes a segment only on its first write (segment-level
-// copy-on-write; see seg.Table's cowBits), the fork-style "boot once,
+// copy-on-write; see seg.InfoShared), the fork-style "boot once,
 // clone many" pattern the multi-session server's Register path is
 // built on. Encode writes it as a heap image (image.go), which
 // LoadImage decodes back into a Template and instantiates owned.
 //
 // Immutability contract: after CaptureTemplate returns, the Template
 // and everything it references is never written again — not by the
-// donor heap (capture deep-copies every word) and not by clones (the
-// copy-on-write bitmap forces a private copy before any store). A
+// donor heap (capture deep-copies every word) and not by clones (a
+// segment's shared bit forces a private copy before any store). A
 // clone that frees a shared segment drops the alias without zeroing
 // the template array (seg.Table.Free).
 //
@@ -34,6 +34,9 @@ type Template struct {
 	trigger   int // the donor's live generation-0 trigger, for Encode
 	stamp     uint64
 	autoCount uint64
+	// nseg is the donor table's slot count; segs its in-use segments, in
+	// index order (every other slot is free).
+	nseg      int
 	segs      []seg.TemplateSeg
 	rootVals  []obj.Value
 	rootLive  []bool
@@ -47,15 +50,7 @@ func (t *Template) Config() Config { return t.cfg }
 
 // Segments returns the number of populated (in-use) segments in the
 // template — the upper bound on copy-on-write faults a clone can take.
-func (t *Template) Segments() int {
-	n := 0
-	for i := range t.segs {
-		if t.segs[i].Words != nil {
-			n++
-		}
-	}
-	return n
-}
+func (t *Template) Segments() int { return len(t.segs) }
 
 // CaptureTemplate snapshots the heap into an immutable Template. The
 // heap must not be mid-collection — a capture from a post-collect hook
@@ -80,25 +75,25 @@ func (h *Heap) CaptureTemplate() (*Template, error) {
 		trigger:   h.trigger,
 		stamp:     h.stamp,
 		autoCount: h.autoCount,
-		segs:      make([]seg.TemplateSeg, h.tab.Len()),
+		nseg:      h.tab.Len(),
+		segs:      make([]seg.TemplateSeg, 0, h.tab.InUseCount()),
 		protected: make([][]ProtEntry, len(h.protected)),
 		pool:      &seg.Pool{},
 	}
 	for i := 0; i < h.tab.Len(); i++ {
-		s := h.tab.Seg(i)
-		if !s.InUse {
-			continue // free slot: nil Words in the template
+		if !h.tab.InUse(i) {
+			continue
 		}
-		w := make([]uint64, seg.Words)
-		copy(w, s.Words)
-		tpl.segs[i] = seg.TemplateSeg{
-			Words: w,
-			Space: s.Space,
-			Gen:   s.Gen,
+		s, inf := h.tab.Seg(i), h.tab.Info(i)
+		tpl.segs = append(tpl.segs, seg.TemplateSeg{
+			Index: i,
+			Words: append([]uint64(nil), h.tab.Words(i)[:]...),
+			Space: inf.Space(),
+			Gen:   inf.Gen(),
 			Cont:  s.Cont,
 			Fill:  s.Fill,
 			Stamp: s.Stamp,
-		}
+		})
 	}
 	tpl.rootVals = make([]obj.Value, h.rootsLen)
 	tpl.rootLive = make([]bool, h.rootsLen)
@@ -147,16 +142,14 @@ func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 	}
 	h.stamp = tpl.stamp
 	h.autoCount = tpl.autoCount
-	h.tab = seg.NewTableFromSegs(tpl.segs, shared, tpl.pool)
+	h.tab = seg.NewTableFromSegs(tpl.nseg, tpl.segs, shared, tpl.pool)
 	// Rebuild the allocation chains in index order; cursors stay closed
 	// (New left them at seg.None), so the clone's first allocation into
 	// any (space, generation) opens a fresh segment rather than bumping
 	// into a shared one.
 	for i := range tpl.segs {
 		ts := &tpl.segs[i]
-		if ts.Words != nil {
-			h.chains[ts.Space][ts.Gen] = append(h.chains[ts.Space][ts.Gen], i)
-		}
+		h.chains[ts.Space][ts.Gen] = append(h.chains[ts.Space][ts.Gen], ts.Index)
 	}
 	handles := make([]*Root, len(tpl.rootVals))
 	for i, v := range tpl.rootVals {

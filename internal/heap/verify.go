@@ -40,17 +40,21 @@ import (
 //     hashes to the shard holding it, and every entry's segment
 //     exists. Shard-local state leaking across shards or collections
 //     would show up here;
-//  9. copy-on-write state is consistent for template clones: every
-//     segment still marked shared (seg.Table.IsShared) is in use with
-//     a full-length word array, and the count of shared bits matches
-//     SharedCount;
+//  9. the segment table's dense arrays agree with slot state
+//     (seg.Table.Check): a free slot — one on a free list, and on one
+//     only — has a nil word entry and a zero info entry, every slot
+//     without words is on a free list, and the shared bit is set
+//     exactly for the segments whose words are their template record's
+//     array, as many as SharedCount;
 //  10. no allocation cursor is stale: an open cursor (the heap's or
-//     the copier's) caches the table entry of the segment it names and
-//     that segment's Words, and the segment is in use, not shared with
+//     the copier's) caches the descriptor of the segment it names and
+//     that segment's words, and the segment is in use, not shared with
 //     a template (clones start with closed cursors), of the cursor's
 //     space and generation, with Fill equal to the cursor's offset; the
 //     copier's is open only while a collection is in flight;
-//  11. no segment is flagged from-space outside a collection.
+//  11. outside a collection, every in-use segment is on exactly one
+//     chain, the one its info entry's space and generation name, and
+//     none is flagged from-space.
 func (h *Heap) Verify() []error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -67,12 +71,12 @@ func (h *Heap) Verify() []error {
 		}
 		// Generational invariant: old cell pointing young must be
 		// remembered (or be a deferred weak car, also remembered).
-		if ts != nil && genCheck && h.cfg.UseDirtySet && !h.inCollect {
-			cellGen := h.tab.SegOf(addr).Gen
-			if ts.Gen < cellGen {
+		if v.IsPointer() && genCheck && h.cfg.UseDirtySet && !h.inCollect {
+			cellGen := h.genOf(addr)
+			if ts.Gen() < cellGen {
 				if got, ok := h.dirtyLookup(addr); !ok || (weakCar && !got) {
 					report("%s @%d (gen %d) points to gen %d without a dirty entry",
-						where, addr, cellGen, ts.Gen)
+						where, addr, cellGen, ts.Gen())
 				}
 			}
 		}
@@ -81,33 +85,35 @@ func (h *Heap) Verify() []error {
 	// checkRun validates the segment run of a large object: total words
 	// starting at segment idx, and reports whether it is whole. Without
 	// this a collector bug that frees or re-purposes a continuation
-	// segment would escape notice — the zeroed words of a freed segment
-	// read back as innocent fixnum 0s, so the per-word checks alone
-	// cannot catch it.
+	// segment would be reported only as a crash of the per-word checks
+	// (a free slot has no words) or, if the slot was reused, as
+	// innocent-looking words of another segment.
 	checkRun := func(idx, total int) (whole bool) {
 		whole = true
 		broken := func(format string, args ...any) {
 			whole = false
 			report(format, args...)
 		}
-		s := h.tab.Seg(idx)
+		inf := h.tab.Info(idx)
 		k := (total + seg.Words - 1) / seg.Words
-		words := s.Fill
+		words := h.tab.Seg(idx).Fill
 		for c := 1; c < k; c++ {
 			ci := idx + c
 			if ci >= h.tab.Len() {
 				broken("segment %d: %d-word object runs past the end of the heap", idx, total)
 				return
 			}
-			cs := h.tab.Seg(ci)
-			switch {
-			case !cs.InUse:
+			if !h.tab.InUse(ci) {
 				broken("segment %d: continuation segment %d of large object is free", idx, ci)
+				continue
+			}
+			cs, cinf := h.tab.Seg(ci), h.tab.Info(ci)
+			switch {
 			case !cs.Cont:
 				broken("segment %d: segment %d inside large-object run not marked Cont", idx, ci)
-			case cs.Space != s.Space || cs.Gen != s.Gen:
+			case cinf.Space() != inf.Space() || cinf.Gen() != inf.Gen():
 				broken("segment %d: continuation segment %d is %v/gen%d, head is %v/gen%d",
-					idx, ci, cs.Space, cs.Gen, s.Space, s.Gen)
+					idx, ci, cinf.Space(), cinf.Gen(), inf.Space(), inf.Gen())
 			}
 			words += cs.Fill
 		}
@@ -118,12 +124,15 @@ func (h *Heap) Verify() []error {
 	}
 
 	for idx := 0; idx < h.tab.Len(); idx++ {
+		if !h.tab.InUse(idx) {
+			continue
+		}
 		s := h.tab.Seg(idx)
-		if !s.InUse || s.Cont {
+		if s.Cont {
 			continue
 		}
 		base := seg.BaseAddr(idx)
-		switch s.Space {
+		switch h.tab.Info(idx).Space() {
 		case seg.SpacePair:
 			for off := 0; off+1 < s.Fill; off += 2 {
 				checkValue("pair car", base+uint64(off), h.valueAt(base+uint64(off)), false, true)
@@ -210,17 +219,17 @@ func (h *Heap) Verify() []error {
 				if !part.v.IsPointer() {
 					continue
 				}
-				if seg.SegIndexOf(part.v.Addr()) >= h.tab.Len() {
+				pi := seg.SegIndexOf(part.v.Addr())
+				if pi >= h.tab.Len() {
 					report("protected[%d] %s: pointer past heap", gen, part.name)
 					continue
 				}
-				ts := h.tab.SegOf(part.v.Addr())
-				if !ts.InUse {
+				if !h.tab.InUse(pi) {
 					report("protected[%d] %s: dangling pointer", gen, part.name)
 					continue
 				}
-				if ts.Gen < gen {
-					report("protected[%d] %s resides in younger generation %d", gen, part.name, ts.Gen)
+				if g := h.tab.Info(pi).Gen(); g < gen {
+					report("protected[%d] %s resides in younger generation %d", gen, part.name, g)
 				}
 			}
 			if !e.Tconc.IsPair() {
@@ -258,40 +267,22 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Copy-on-write consistency (invariant 9). A shared bit on a free
-	// or truncated segment means Free or privatize lost track
-	// of the template aliasing, and a mismatched count would let the
-	// hot-path nil test retire the bitmap too early or too late.
-	if n := h.tab.SharedCount(); n > 0 {
-		bits := 0
-		for idx := 0; idx < h.tab.Len(); idx++ {
-			if !h.tab.IsShared(idx) {
-				continue
-			}
-			bits++
-			s := h.tab.Seg(idx)
-			if !s.InUse {
-				report("cow: shared bit set on free segment %d", idx)
-			} else if len(s.Words) != seg.Words {
-				report("cow: shared segment %d has %d words", idx, len(s.Words))
-			}
-		}
-		if bits != n {
-			report("cow: %d shared bits set but SharedCount is %d", bits, n)
-		}
-	}
+	// The dense arrays against slot state (invariant 9). A word array
+	// on a free slot, or a shared bit that is not where the template's
+	// arrays are, would let a store reach a freed array or a template.
+	h.tab.Check(report)
 
 	// Cursors (invariant 10): a stale one would bump-allocate into a
 	// freed or re-purposed segment, or into a template's array.
 	checkCursor := func(who string, c *cursor, sp, gen int, mayBeOpen bool) {
-		s := c.s
+		s, idx := c.s, int(c.seg)
 		switch {
 		case s == nil && c.seg == seg.None && c.w == nil && c.off == seg.Words:
 			// closed
-		case !mayBeOpen || c.seg < 0 || int(c.seg) >= h.tab.Len() || s != h.tab.Seg(int(c.seg)) ||
-			!s.InUse || h.tab.IsShared(int(c.seg)) || int(s.Space) != sp || s.Gen != gen || s.Fill != int(c.off):
+		case !mayBeOpen || idx < 0 || idx >= h.tab.Len() || !h.tab.InUse(idx) || s != h.tab.Seg(idx) ||
+			h.tab.Info(idx)&^seg.InfoFrom != seg.MakeInfo(seg.Space(sp), gen) || s.Fill != int(c.off):
 			report("%s cursor (%v, gen %d) stale: open on segment %d at offset %d", who, seg.Space(sp), gen, c.seg, c.off)
-		case len(s.Words) != seg.Words || c.w != (*[seg.Words]uint64)(s.Words):
+		case c.w != h.tab.Words(idx):
 			report("%s cursor (%v, gen %d) on segment %d caches words that are not the segment's", who, seg.Space(sp), gen, c.seg)
 		}
 	}
@@ -302,12 +293,42 @@ func (h *Heap) Verify() []error {
 		checkCursor("copier", &h.cp.cur[sp], sp, h.gcTarget, h.inCollect)
 	}
 
-	// From-space flags (invariant 11): one left set would make the next
+	// Chains and from-space bits (invariant 11). A segment on a chain
+	// its info entry does not name would be collected with the wrong
+	// generation; one left flagged from-space would make the next
 	// collection copy objects out of a segment it does not free, leaving
-	// forwarding words in live objects.
+	// forwarding words in live objects. During a collection from-space
+	// is off the chains.
 	if !h.inCollect {
-		for idx, f := range h.fromSpace {
-			if f {
+		onChain := make([]uint64, (h.tab.Len()+63)/64)
+		for sp := range h.chains {
+			for gen, chain := range h.chains[sp] {
+				for _, idx := range chain {
+					switch {
+					case idx < 0 || idx >= h.tab.Len():
+						report("%v gen %d chain holds segment %d of %d", seg.Space(sp), gen, idx, h.tab.Len())
+					case !h.tab.InUse(idx):
+						report("segment %d on the %v gen %d chain is free", idx, seg.Space(sp), gen)
+					case onChain[idx>>6]&(1<<(idx&63)) != 0:
+						report("segment %d is on two chains", idx)
+					default:
+						onChain[idx>>6] |= 1 << (idx & 63)
+						if inf := h.tab.Info(idx); inf.Space() != seg.Space(sp) || inf.Gen() != gen {
+							report("segment %d on the %v gen %d chain is tagged %v gen %d",
+								idx, seg.Space(sp), gen, inf.Space(), inf.Gen())
+						}
+					}
+				}
+			}
+		}
+		for idx := 0; idx < h.tab.Len(); idx++ {
+			if !h.tab.InUse(idx) {
+				continue
+			}
+			if onChain[idx>>6]&(1<<(idx&63)) == 0 {
+				report("in-use segment %d is on no chain", idx)
+			}
+			if h.tab.Info(idx)&seg.InfoFrom != 0 {
 				report("segment %d flagged from-space outside a collection", idx)
 			}
 		}
@@ -318,32 +339,34 @@ func (h *Heap) Verify() []error {
 // checkValue is Verify's check of one value: "" for an immediate or
 // for a pointer into an in-use segment of a space its kind of pointer
 // may address, with an object header at an object pointer's target;
-// otherwise what is wrong. ts is a pointer's target segment.
-func (h *Heap) checkValue(v obj.Value) (ts *seg.Segment, fault string) {
+// otherwise what is wrong. ts is a pointer's target segment's info.
+func (h *Heap) checkValue(v obj.Value) (ts seg.Info, fault string) {
 	switch v.Tag() {
 	case obj.TagFixnum, obj.TagImm:
-		return nil, ""
+		return 0, ""
 	case obj.TagHeader:
-		return nil, "header word used as value"
+		return 0, "header word used as value"
 	case obj.TagFwd:
-		return nil, "forwarding word outside collection"
+		return 0, "forwarding word outside collection"
 	}
 	ta := v.Addr()
-	if seg.SegIndexOf(ta) >= h.tab.Len() {
-		return nil, fmt.Sprintf("pointer past end of heap (%d)", ta)
+	ti := seg.SegIndexOf(ta)
+	if ti >= h.tab.Len() {
+		return 0, fmt.Sprintf("pointer past end of heap (%d)", ta)
 	}
-	ts = h.tab.SegOf(ta)
-	switch {
-	case !ts.InUse:
-		return nil, fmt.Sprintf("dangling pointer into freed segment %d", seg.SegIndexOf(ta))
-	case v.IsPair() && ts.Space != seg.SpacePair && ts.Space != seg.SpaceWeak:
-		return nil, fmt.Sprintf("pair pointer into %v space", ts.Space)
+	if !h.tab.InUse(ti) {
+		return 0, fmt.Sprintf("dangling pointer into freed segment %d", ti)
+	}
+	ts = h.tab.Info(ti)
+	switch sp := ts.Space(); {
+	case v.IsPair() && sp != seg.SpacePair && sp != seg.SpaceWeak:
+		return 0, fmt.Sprintf("pair pointer into %v space", sp)
 	case v.IsPair() && seg.Offset(ta)%2 != 0:
-		return nil, "misaligned pair pointer"
-	case v.IsObj() && ts.Space != seg.SpaceObj && ts.Space != seg.SpaceData:
-		return nil, fmt.Sprintf("object pointer into %v space", ts.Space)
+		return 0, "misaligned pair pointer"
+	case v.IsObj() && sp != seg.SpaceObj && sp != seg.SpaceData:
+		return 0, fmt.Sprintf("object pointer into %v space", sp)
 	case v.IsObj() && !obj.IsHeader(h.word(ta)):
-		return nil, "object pointer to non-header word"
+		return 0, "object pointer to non-header word"
 	}
 	return ts, ""
 }

@@ -72,7 +72,7 @@ func TestVerifyFlagsMismatchedContinuationGen(t *testing.T) {
 	v, cont := makeLargeVector(t, h)
 	r := h.NewRoot(v)
 	defer r.Release()
-	h.tab.Seg(cont).Gen = 2 // head is gen 0
+	h.tab.Plant(cont, h.tab.Words(cont), h.tab.Info(cont)+seg.MakeInfo(0, 2)) // head is gen 0
 	errs := h.Verify()
 	if len(errs) == 0 {
 		t.Fatal("verifier missed a continuation segment in the wrong generation")

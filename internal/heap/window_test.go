@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obj"
@@ -252,7 +253,7 @@ func TestCloneForwardLeavesTemplateIntact(t *testing.T) {
 // after a collection, which invariant 11 reports.
 func TestVerifyCatchesStaleCursor(t *testing.T) {
 	h := NewDefault()
-	h.Cons(fix(1), obj.Nil)
+	keep := h.NewRoot(h.Cons(fix(1), obj.Nil))
 	h.MustVerify()
 	expect := func(what, msg string) {
 		t.Helper()
@@ -278,8 +279,67 @@ func TestVerifyCatchesStaleCursor(t *testing.T) {
 	h.MustVerify()
 
 	h.Collect(0)
-	h.fromSpace[0] = true
+	h.tab.MarkFrom(seg.SegIndexOf(keep.Get().Addr()))
 	expect("from-space flag outside a collection", "flagged from-space")
+}
+
+// TestVerifyCatchesStaleSegInfo plants each kind of disagreement
+// between the segment table's dense arrays and slot state — a free slot
+// with words or with an info entry, an in-use segment tagged with
+// another chain's space or generation, a from-space bit outside a
+// collection, a shared bit on a private segment and a private
+// segment's array taken for a shared one — and checks that Verify
+// reports each, and is clean again once it is undone.
+func TestVerifyCatchesStaleSegInfo(t *testing.T) {
+	donor := NewDefault()
+	donor.NewRoot(list(donor, 0, 100))
+	donor.Collect(donor.MaxGeneration())
+	tpl, err := donor.CaptureTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, roots, err := CloneFromTemplate(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := seg.SegIndexOf(roots[0].Get().Addr())
+	young := h.NewRoot(h.Cons(fix(1), obj.Nil))
+	h.Collect(0) // young's first segment is free now
+	own := seg.SegIndexOf(young.Get().Addr())
+	free := -1
+	for idx := 0; idx < h.tab.Len() && free < 0; idx++ {
+		if !h.tab.InUse(idx) {
+			free = idx
+		}
+	}
+	if free < 0 || h.tab.Info(shared)&seg.InfoShared == 0 || h.tab.Info(own) != seg.MakeInfo(seg.SpacePair, 1) {
+		t.Fatalf("setup: free slot %d, shared info %#x, own info %#x", free, h.tab.Info(shared), h.tab.Info(own))
+	}
+	h.MustVerify()
+	plant := func(what, msg string, idx int, w *[seg.Words]uint64, inf seg.Info) {
+		t.Helper()
+		oldW, oldInf := h.tab.Words(idx), h.tab.Info(idx)
+		h.tab.Plant(idx, w, inf)
+		errs := h.Verify()
+		found := false
+		for _, err := range errs {
+			found = found || strings.Contains(err.Error(), msg)
+		}
+		if !found {
+			t.Errorf("%s: no %q among %v", what, msg, errs)
+		}
+		h.tab.Plant(idx, oldW, oldInf)
+		h.MustVerify()
+	}
+	plant("free slot with words", "has a word array", free, new([seg.Words]uint64), 0)
+	plant("free slot with info", "has info", free, nil, seg.MakeInfo(seg.SpaceObj, 1))
+	plant("segment tagged with another space", "chain is tagged", own, h.tab.Words(own), seg.MakeInfo(seg.SpaceWeak, 0))
+	plant("segment tagged with another generation", "chain is tagged", own, h.tab.Words(own), seg.MakeInfo(seg.SpacePair, 2))
+	plant("in-use slot on a free list", "has a word array", free, h.tab.Words(own), h.tab.Info(own))
+	plant("from-space bit outside a collection", "flagged from-space", own, h.tab.Words(own), h.tab.Info(own)|seg.InfoFrom)
+	plant("shared bit on a private segment", "aliases its template array false", own, h.tab.Words(own), h.tab.Info(own)|seg.InfoShared)
+	plant("shared segment's bit cleared", "aliases its template array true", shared, h.tab.Words(shared), h.tab.Info(shared)&^seg.InfoShared)
+	plant("shared bit on a private copy", "aliases its template array false", shared, new([seg.Words]uint64), h.tab.Info(shared))
 }
 
 // TestCloneStaticTemplateAndPool is the clone family at work: the donor
@@ -320,11 +380,7 @@ func TestCloneStaticTemplateAndPool(t *testing.T) {
 			}
 			if h.CollectPending() {
 				h.Checkpoint()
-				for idx := 0; idx < h.tab.Len(); idx++ {
-					if s := h.tab.Seg(idx); !s.InUse && s.Words != nil {
-						t.Fatalf("retired segment %d keeps its word array", idx)
-					}
-				}
+				h.tab.Check(func(format string, args ...any) { t.Fatalf(format, args...) })
 			}
 		}
 		h.Collect(0) // park with the nursery's arrays in the pool
@@ -348,9 +404,9 @@ func TestCloneStaticTemplateAndPool(t *testing.T) {
 		if n == 0 || n > seg.PoolCap {
 			t.Fatalf("pool holds %d arrays (cap %d)", n, seg.PoolCap)
 		}
-		scratch := seg.NewTableFromSegs(nil, false, tpl.pool)
+		scratch := seg.NewTableFromSegs(0, nil, false, tpl.pool)
 		for ; n > 0; n-- {
-			for i, x := range scratch.Seg(scratch.Alloc(seg.SpacePair, 0, 1)).Words {
+			for i, x := range scratch.Words(scratch.Alloc(seg.SpacePair, 0, 1)) {
 				if x != 0 {
 					t.Fatalf("pooled array holds %#x at word %d", x, i)
 				}
@@ -364,6 +420,98 @@ func TestCloneStaticTemplateAndPool(t *testing.T) {
 		}
 		churn(t, h, roots)
 		poolAllZero()
+	}
+	if got := templateChecksum(tpl); got != sum {
+		t.Fatalf("template arrays changed: checksum %x, was %x", got, sum)
+	}
+}
+
+// TestSweepCopiesOutOfTemplateSharedSegments: a full collection of a
+// clone whose template-shared pair, weak and object segments are all
+// from-space, and whose pairs, weak pairs and objects the sweep reaches
+// — through a vector's slots and through cars, not only by the chase —
+// privatizes each shared segment it copies out of once (the count is
+// pinned), leaves the template's arrays untouched and verifies. Two
+// clones collect at once, on two goroutines.
+func TestSweepCopiesOutOfTemplateSharedSegments(t *testing.T) {
+	const slots, wantCopies = 300, 7
+	donor := NewDefault()
+	top := donor.NewRoot(donor.MakeVector(slots, obj.Nil))
+	for i := 0; i < slots; i++ {
+		var v obj.Value
+		switch i % 3 {
+		case 0: // a chain linked through its cars
+			v = obj.Nil
+			for k := 0; k < 8; k++ {
+				v = donor.Cons(v, fix(k))
+			}
+		case 1: // a weak pair: car the top vector, cdr a pair
+			v = donor.WeakCons(top.Get(), donor.Cons(fix(i), obj.Nil))
+		case 2: // an object holding a pair
+			v = donor.MakeVector(3, donor.Cons(fix(i), obj.Nil))
+		}
+		donor.VectorSet(top.Get(), i, v)
+	}
+	donor.Collect(donor.MaxGeneration())
+	tpl, err := donor.CaptureTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := templateChecksum(tpl)
+	check := func(h *Heap, vec obj.Value) error {
+		for i := 0; i < slots; i++ {
+			v := h.VectorRef(vec, i)
+			switch i % 3 {
+			case 0:
+				for k := 7; k >= 0; k-- {
+					if h.Cdr(v) != fix(k) {
+						return fmt.Errorf("slot %d: chain cdr %v, want %d", i, h.Cdr(v), k)
+					}
+					v = h.Car(v)
+				}
+			case 1:
+				if !h.IsWeakPair(v) || h.Car(v) != vec || h.Car(h.Cdr(v)) != fix(i) {
+					return fmt.Errorf("slot %d: weak pair damaged", i)
+				}
+			case 2:
+				if h.Car(h.VectorRef(v, 2)) != fix(i) {
+					return fmt.Errorf("slot %d: vector's pair damaged", i)
+				}
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, roots, err := CloneFromTemplate(tpl)
+			if err != nil {
+				errs <- err
+				return
+			}
+			shared := h.SharedSegments()
+			rep := h.Collect(h.MaxGeneration())
+			if vs := h.Verify(); len(vs) > 0 {
+				errs <- vs[0]
+				return
+			}
+			if h.COWCopies() != wantCopies || shared != wantCopies || h.SharedSegments() != 0 || rep.CellsSwept == 0 {
+				errs <- fmt.Errorf("%d copy-on-write copies of %d shared segments (%d still shared, %d cells swept), want %d",
+					h.COWCopies(), shared, h.SharedSegments(), rep.CellsSwept, wantCopies)
+				return
+			}
+			errs <- check(h, roots[top.idx].Get())
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 	if got := templateChecksum(tpl); got != sum {
 		t.Fatalf("template arrays changed: checksum %x, was %x", got, sum)

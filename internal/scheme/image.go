@@ -21,7 +21,7 @@ import (
 // picks up where the saved session stopped, as with Chez Scheme's
 // saved heaps.
 //
-// Format GUARDMACH6: the magic, the heap image (GUARDIMG4), then
+// Format GUARDMACH6: the magic, the heap image (GUARDIMG5), then
 // little-endian u64s, a name being its length and bytes: the base's
 // size and per slot its name, symbol, snapshot value and property
 // list; the tail's size and per slot its name and symbol (a freed slot

@@ -3,7 +3,8 @@
 // each belonging to a specific space and generation, with the space and
 // generation of every segment recorded in a segment information table.
 // Segments comprising a space or generation are generally not
-// contiguous; chains of segments are linked through the table.
+// contiguous; the heap keeps each space and generation's chain as a
+// list of segment indices.
 package seg
 
 import (
@@ -38,39 +39,66 @@ func (s Space) String() string {
 	return fmt.Sprintf("space(%d)", uint8(s))
 }
 
-// None marks the absence of a segment in chain links.
+// None marks the absence of a segment: a closed cursor's index.
 const None = -1
 
-// Segment is one entry of the segment information table together with
-// its backing storage. The one-byte fields share a word, so a
-// descriptor is 64 bytes and a chunk of the table 4 KiB (seg_test.go
-// pins both).
+// Info is a segment's hot facts packed into one entry of the table's
+// info array: its space (the InfoSpace bits), whether it is from-space
+// of the collection in progress (InfoFrom), whether its words still
+// alias a template's array (InfoShared), and its generation (the bits
+// above). The collector's questions about a referent — is it subject to
+// this collection, in which space, must its words be copied before a
+// store — are one load of it. A free slot's entry is zero.
+type Info uint16
+
+const (
+	InfoSpace  Info = 1<<2 - 1 // the Space bits
+	InfoFrom   Info = 1 << 2   // from-space of the collection in progress
+	InfoShared Info = 1 << 3   // words alias a template array (copy-on-write)
+
+	infoGenShift = 4
+)
+
+// Every Space fits the InfoSpace bits (a compile-time check).
+const _ = InfoSpace + 1 - Info(NumSpaces)
+
+// MaxGenerations bounds the generation an Info can hold.
+const MaxGenerations = 1 << (16 - infoGenShift)
+
+// MakeInfo returns the entry of an in-use, private segment of the given
+// space and generation that is not from-space.
+func MakeInfo(space Space, gen int) Info { return Info(space) | Info(gen)<<infoGenShift }
+
+// Space returns the segment's space.
+func (i Info) Space() Space { return Space(i & InfoSpace) }
+
+// Gen returns the segment's generation.
+func (i Info) Gen() int { return int(i >> infoGenShift) }
+
+// Segment is a segment's cold facts, those the collector's per-word
+// paths do not read: a descriptor is 24 bytes and a chunk of the table
+// 1.5 KiB (seg_test.go pins both).
 type Segment struct {
-	Words []uint64 // backing storage, len == seg.Words
-	Space Space
-	InUse bool
-	// Cont marks a continuation segment of a large object that spans
-	// several contiguous segments; only the first segment of the run
-	// appears as an object start.
-	Cont bool
-	Gen  int
 	// Stamp records the collection stamp current when the segment was
 	// (re)allocated. The collector uses it to recognize to-space
 	// segments created during the current collection, which the
 	// conservative scan of older generations skips.
 	Stamp uint64
-	// Next links segments belonging to the same (space, generation)
-	// chain, or None.
-	Next int
 	// Fill is the number of words allocated in this segment. The
 	// collector uses it to iterate objects within a segment and to
 	// compute residency statistics.
 	Fill int
+	// Cont marks a continuation segment of a large object that spans
+	// several contiguous segments; only the first segment of the run
+	// appears as an object start.
+	Cont bool
 }
 
-// Segments are stored in fixed-size chunks so that a *Segment returned
-// by Seg, and the backing word arrays, never move when the table grows:
-// the allocation cursors keep the *Segment of their open segment.
+// Descriptors are stored in fixed-size chunks so that a *Segment
+// returned by Seg never moves when the table grows: the allocation
+// cursors keep the *Segment of their open segment. A chunk is made
+// when the first of its slots is put in use, so the free slots of a
+// table built by NewTableFromSegs cost only their dense entries.
 const (
 	chunkBits = 6 // 64 segments (256 KB of heap) per chunk
 	chunkSize = 1 << chunkBits
@@ -96,11 +124,11 @@ const PoolCap = 64
 // all zero. Safe for concurrent use; the zero value is ready.
 type Pool struct {
 	mu   sync.Mutex
-	free [][]uint64
+	free []*[Words]uint64
 }
 
 // get returns a zeroed array, or nil when the pool is empty.
-func (p *Pool) get() []uint64 {
+func (p *Pool) get() *[Words]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.free)
@@ -114,7 +142,7 @@ func (p *Pool) get() []uint64 {
 }
 
 // put parks the zeroed array w; a full pool drops it instead.
-func (p *Pool) put(w []uint64) {
+func (p *Pool) put(w *[Words]uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) < PoolCap {
@@ -129,22 +157,34 @@ func (p *Pool) Len() int {
 	return len(p.free)
 }
 
-// Table is the segment information table plus the free list of retired
-// segments. The zero value is ready to use.
+// Table is the segment information table plus the free lists of
+// retired segments. The zero value is ready to use.
+//
+// The facts the collector and the barrier read per word live in dense
+// arrays indexed by segment number: words, the segment's storage (nil
+// exactly when the slot is free), and info (see Info). So "is this
+// referent in from-space?" is one indexed load, and reaching a word is
+// a second. The cold facts are in the Segment descriptors.
 //
 // Concurrency contract: a table belongs to one heap, and a heap is used
 // by one goroutine at a time (heap.Mutator hands it from one to the
 // next), so no method synchronizes. The exception is the Pool a clone
 // family shares, which locks itself.
 type Table struct {
+	words  []*[Words]uint64
+	info   []Info
 	chunks []*segChunk
-	nseg   int
-	free   []int
-	// lazy holds segments retired with their words unzeroed (single
-	// segments from FreeRun, and pooled runs broken up for reuse):
-	// reusable like free ones, but their words are stale and are
-	// zeroed only when claimed.
-	lazy []int
+
+	// The free slots, on exactly one list each, claimed in this order:
+	// free holds the slots Free retired (a LIFO); holes the slots a
+	// table built by NewTableFromSegs started with free, as ascending
+	// ranges, nholes slots in all (a range costs what a hole of one
+	// slot does); singles the slots FreeRun retired singly and the
+	// pooled runs claim broke up.
+	free    []int
+	holes   []span
+	nholes  int
+	singles []int
 
 	// runPool pools retired large-object runs by size class: runPool[k]
 	// holds the head indices of free contiguous k-segment runs, so
@@ -152,47 +192,57 @@ type Table struct {
 	// — without pooling, large-object churn grows the table without
 	// bound, since free single segments are never adjacent. The pools
 	// are plain index free lists (push on FreeRun, pop on AllocRun):
-	// steady-state large allocation performs no Go allocations. Pooled
-	// words are stale and are zeroed when the run
-	// is reused; pooled counts the segments parked across all classes.
-	// The slice is indexed by k and grown (rarely) to the largest
-	// class seen; class 0/1 are unused.
+	// steady-state large allocation performs no Go allocations; pooled
+	// counts the segments parked across all classes. The slice is
+	// indexed by k and grown (rarely) to the largest class seen; class
+	// 0/1 are unused.
 	runPool [][]int
 	pooled  int
 
-	// Copy-on-write clone state (NewTableFromSegs with shared=true).
-	// cowBits has one bit per segment index covered at clone time; a set
-	// bit means the segment's Words slice aliases an immutable template
-	// array and must be privatized (copied) before its first write. The
-	// bitmap is nil in ordinary tables and becomes nil again once the
-	// last shared segment is privatized or freed, so the write-path
-	// check collapses to one nil test in the common case. Segments
-	// created after the clone lie beyond the bitmap and are never
+	// spare holds the word arrays of retired segments, their words
+	// stale: the next segment put in use takes one and clears it. Free
+	// in a table with a pool gives its array to the pool instead.
+	spare []*[Words]uint64
+
+	// Copy-on-write clone state (NewTableFromSegs with shared=true):
+	// tpl is the template records the table was built from, whose word
+	// arrays the segments with InfoShared set still alias; cowShared
+	// counts those segments. Segments created after the clone are never
 	// shared.
-	cowBits   []uint64
+	tpl       []TemplateSeg
 	cowShared int
 	cowCopies uint64
 
 	// pool, when non-nil, is where Free sends retired word arrays and
-	// where fresh storage comes from before make (see Pool).
+	// where fresh storage comes from before new (see Pool).
 	pool *Pool
 }
 
-// newWords returns a zeroed word array: from the pool when the table
-// has one with an array parked, otherwise freshly made.
-func (t *Table) newWords() []uint64 {
+// span is a range lo..hi-1 of free slots.
+type span struct{ lo, hi int }
+
+// newWords returns a zeroed word array: a spare one cleared, one from
+// the pool, or a fresh one.
+func (t *Table) newWords() *[Words]uint64 {
+	if n := len(t.spare); n > 0 {
+		w := t.spare[n-1]
+		t.spare[n-1] = nil
+		t.spare = t.spare[:n-1]
+		clear(w[:])
+		return w
+	}
 	if t.pool != nil {
 		if w := t.pool.get(); w != nil {
 			return w
 		}
 	}
-	return make([]uint64, Words)
+	return new([Words]uint64)
 }
 
-// TemplateSeg describes one segment slot for NewTableFromSegs: either a
-// populated segment (Words of length seg.Words plus its table metadata)
-// or a free slot (Words == nil, other fields ignored).
+// TemplateSeg describes one in-use segment for NewTableFromSegs: its
+// slot index, its words (of length seg.Words) and its table metadata.
 type TemplateSeg struct {
+	Index int
 	Words []uint64
 	Space Space
 	Gen   int
@@ -201,74 +251,59 @@ type TemplateSeg struct {
 	Stamp uint64
 }
 
-// NewTableFromSegs builds a table whose segment slots mirror segs by
-// index: entries with non-nil Words become in-use segments, entries
-// with nil Words become free slots. With shared=true the in-use
-// segments alias the provided word arrays copy-on-write (the arrays
-// must then be treated as immutable by the caller for the table's
-// lifetime); with shared=false the table takes ownership of the arrays
-// outright. A non-nil pool makes the table one of a clone family that
-// passes retired word arrays around (see Pool). Chain links (Next) are
-// left as None — the heap rebuilds its chains from its own segment
-// walk. Panics if a populated entry's Words is not exactly seg.Words
-// long.
-func NewTableFromSegs(segs []TemplateSeg, shared bool, pool *Pool) *Table {
-	t := &Table{pool: pool}
-	for t.nseg < len(segs) {
-		t.grow()
-		t.nseg++
+// NewTableFromSegs builds a table of n slots whose in-use segments are
+// segs, in strictly ascending Index order; every other slot is free.
+// With shared=true the segments alias the provided word arrays
+// copy-on-write (the arrays must then be treated as immutable by the
+// caller for the table's lifetime); with shared=false the table takes
+// ownership of the arrays outright. A non-nil pool makes the table one
+// of a clone family that passes retired word arrays around (see Pool).
+// A free slot costs only its entries in the dense arrays, and free
+// slots are claimed lowest index first, as a freshly grown table's
+// are. Panics if a record's Words is not exactly seg.Words long, or its
+// Index is out of order or range.
+func NewTableFromSegs(n int, segs []TemplateSeg, shared bool, pool *Pool) *Table {
+	// The dense arrays get room up to the end of the last chunk, so a
+	// clone that grows a little past its template does not reallocate
+	// them.
+	room := (n + chunkMask) &^ chunkMask
+	t := &Table{
+		words:  make([]*[Words]uint64, n, room),
+		info:   make([]Info, n, room),
+		chunks: make([]*segChunk, room>>chunkBits),
+		holes:  make([]span, 0, len(segs)+1),
+		pool:   pool,
 	}
-	nshared := 0
-	var bits []uint64
-	if shared {
-		bits = make([]uint64, (len(segs)+63)/64)
-	}
+	next := 0 // the lowest slot not yet placed
 	for i := range segs {
 		ts := &segs[i]
-		s := t.Seg(i)
-		if ts.Words == nil {
-			continue // free slot, collected below
+		if ts.Index < next || ts.Index >= n || len(ts.Words) != Words || uint(ts.Gen) >= MaxGenerations {
+			panic(fmt.Sprintf("seg: NewTableFromSegs: bad record %d (index %d of %d slots, %d words, gen %d)",
+				i, ts.Index, n, len(ts.Words), ts.Gen))
 		}
-		if len(ts.Words) != Words {
-			panic(fmt.Sprintf("seg: NewTableFromSegs: segment %d has %d words, want %d", i, len(ts.Words), Words))
-		}
-		s.Words = ts.Words
-		s.Space = ts.Space
-		s.Gen = ts.Gen
-		s.InUse = true
-		s.Stamp = ts.Stamp
-		s.Next = None
-		s.Cont = ts.Cont
-		s.Fill = ts.Fill
+		t.addHoles(next, ts.Index)
+		t.words[ts.Index] = (*[Words]uint64)(ts.Words)
+		t.info[ts.Index] = MakeInfo(ts.Space, ts.Gen)
 		if shared {
-			bits[i>>6] |= 1 << (i & 63)
-			nshared++
+			t.info[ts.Index] |= InfoShared
 		}
+		*t.slot(ts.Index) = Segment{Stamp: ts.Stamp, Fill: ts.Fill, Cont: ts.Cont}
+		next = ts.Index + 1
 	}
-	// Free slots in reverse index order so claim (which pops from the
-	// end) reuses the lowest index first, matching Alloc's behavior on
-	// a freshly grown table.
-	for i := len(segs) - 1; i >= 0; i-- {
-		if segs[i].Words == nil {
-			t.free = append(t.free, i)
-		}
-	}
-	if nshared > 0 {
-		t.cowBits = bits
-		t.cowShared = nshared
+	t.addHoles(next, n)
+	if shared {
+		t.tpl, t.cowShared = segs, len(segs)
 	}
 	return t
 }
 
-// isShared reports whether segment idx currently aliases a template
-// word array.
-func (t *Table) isShared(idx int) bool {
-	return idx>>6 < len(t.cowBits) && t.cowBits[idx>>6]&(1<<(idx&63)) != 0
+// addHoles adds the free slots lo..hi-1 to the table's holes.
+func (t *Table) addHoles(lo, hi int) {
+	if lo < hi {
+		t.holes = append(t.holes, span{lo, hi})
+		t.nholes += hi - lo
+	}
 }
-
-// IsShared reports whether segment idx still aliases an immutable
-// template word array (copy-on-write, not yet privatized).
-func (t *Table) IsShared(idx int) bool { return t.isShared(idx) }
 
 // SharedCount returns the number of segments still aliasing template
 // word arrays.
@@ -279,75 +314,73 @@ func (t *Table) SharedCount() int { return t.cowShared }
 func (t *Table) COWCopies() uint64 { return t.cowCopies }
 
 // privatize replaces segment idx's shared template words with a private
-// copy and clears its copy-on-write bit. Dropping the bitmap when the
-// last shared segment goes private removes the write-path bit test
-// entirely.
+// copy and clears its shared bit.
 func (t *Table) privatize(idx int) {
-	s := t.Seg(idx)
 	w := t.newWords()
-	copy(w, s.Words)
-	s.Words = w
-	t.clearShared(idx)
+	*w = *t.words[idx]
+	t.words[idx] = w
+	t.info[idx] &^= InfoShared
+	t.cowShared--
 	t.cowCopies++
 }
 
-// clearShared clears segment idx's copy-on-write bit and retires the
-// bitmap when it was the last one.
-func (t *Table) clearShared(idx int) {
-	t.cowBits[idx>>6] &^= 1 << (idx & 63)
-	t.cowShared--
-	if t.cowShared == 0 {
-		t.cowBits = nil
+// grow appends a free slot to the table and returns its index.
+func (t *Table) grow() int {
+	idx := len(t.words)
+	t.words = append(t.words, nil)
+	t.info = append(t.info, 0)
+	if idx>>chunkBits == len(t.chunks) {
+		t.chunks = append(t.chunks, nil)
 	}
+	return idx
 }
 
-// grow ensures the table has room for segment index t.nseg.
-func (t *Table) grow() {
-	if t.nseg>>chunkBits == len(t.chunks) {
-		t.chunks = append(t.chunks, new(segChunk))
+// slot returns the descriptor of slot idx, making its chunk if it has
+// none yet.
+func (t *Table) slot(idx int) *Segment {
+	c := t.chunks[idx>>chunkBits]
+	if c == nil {
+		c = new(segChunk)
+		t.chunks[idx>>chunkBits] = c
 	}
+	return &c[idx&chunkMask]
 }
 
-// initSeg prepares the fresh or recycled segment idx for use.
-func (t *Table) initSeg(idx int, space Space, gen int, stamp uint64, cont bool) *Segment {
-	s := t.Seg(idx)
-	if s.Words == nil {
-		s.Words = t.newWords()
+// initSeg puts the free slot idx in use, with zeroed words.
+func (t *Table) initSeg(idx int, space Space, gen int, stamp uint64, cont bool) {
+	if uint(gen) >= MaxGenerations {
+		panic(fmt.Sprintf("seg: generation %d out of range", gen))
 	}
-	s.Space = space
-	s.Gen = gen
-	s.InUse = true
-	s.Stamp = stamp
-	s.Next = None
-	s.Cont = cont
-	s.Fill = 0
-	return s
+	t.words[idx] = t.newWords()
+	t.info[idx] = MakeInfo(space, gen)
+	*t.slot(idx) = Segment{Stamp: stamp, Cont: cont}
 }
 
-// claim returns a reusable segment index with zeroed words (or a
-// brand-new index whose words initSeg will materialize):
-// eagerly-freed segments first, then lazily-freed ones — paying their
-// deferred zeroing here — then pooled large-object runs broken up into
-// singles, then fresh table growth. Breaking up a pooled run before
-// growing keeps the bounded-heap guarantee exact: a heap full of
-// pooled runs can still hand out single segments up to MaxSegments.
+// claim returns a free slot index for a single segment: one Free
+// retired, then a hole, then one FreeRun retired, then one of a pooled
+// large-object run broken up into singles, then a new slot. Breaking
+// up a pooled run before growing keeps the bounded-heap guarantee
+// exact: a heap full of pooled runs can still hand out single segments
+// up to MaxSegments.
 func (t *Table) claim() int {
 	if n := len(t.free); n > 0 {
 		idx := t.free[n-1]
 		t.free = t.free[:n-1]
 		return idx
 	}
-	if n := len(t.lazy); n > 0 {
-		idx := t.lazy[n-1]
-		t.lazy = t.lazy[:n-1]
-		clear(t.Seg(idx).Words)
+	if len(t.holes) > 0 {
+		h := &t.holes[0]
+		idx := h.lo
+		if h.lo++; h.lo == h.hi {
+			t.holes = t.holes[1:]
+		}
+		t.nholes--
 		return idx
 	}
-	if t.pooled > 0 {
+	if t.pooled > 0 && len(t.singles) == 0 {
 		// Smallest class first (deterministic — no map iteration), its
 		// segments pushed in reverse so the run's lowest index is
 		// claimed first, matching Alloc's order on a grown table.
-		// Pooled words are stale, so the segments join the lazy list.
 		for k := range t.runPool {
 			lst := t.runPool[k]
 			if len(lst) == 0 {
@@ -358,18 +391,17 @@ func (t *Table) claim() int {
 			t.pooled -= k
 			for i := k - 1; i >= 0; i-- {
 				t.Seg(head + i).Cont = false // broken up into singles
-				t.lazy = append(t.lazy, head+i)
+				t.singles = append(t.singles, head+i)
 			}
-			idx := t.lazy[len(t.lazy)-1]
-			t.lazy = t.lazy[:len(t.lazy)-1]
-			clear(t.Seg(idx).Words) // nil-safe: COW-dropped words rematerialize in initSeg
-			return idx
+			break
 		}
 	}
-	t.grow()
-	idx := t.nseg
-	t.nseg++
-	return idx
+	if n := len(t.singles); n > 0 {
+		idx := t.singles[n-1]
+		t.singles = t.singles[:n-1]
+		return idx
+	}
+	return t.grow()
 }
 
 // Alloc returns the index of a fresh segment assigned to the given
@@ -383,28 +415,25 @@ func (t *Table) Alloc(space Space, gen int, stamp uint64) int {
 // AllocRun returns k contiguous segments for a large object: a pooled
 // run of exactly k segments when one has been retired (FreeRun), or k
 // brand-new segments appended to the table. Runs never come from the
-// single-segment free list because free singles are not guaranteed to
+// single-segment free lists because free singles are not guaranteed to
 // be adjacent. The first segment of the run is an ordinary
-// object-start segment; the rest are marked as continuations. Pooled
-// words are stale and are zeroed here (the large-allocation analogue
-// of the lazy list's deferred clear).
+// object-start segment; the rest are marked as continuations.
 func (t *Table) AllocRun(space Space, gen int, stamp uint64, k int) int {
+	first := -1
 	if k < len(t.runPool) {
 		if lst := t.runPool[k]; len(lst) > 0 {
-			head := lst[len(lst)-1]
+			first = lst[len(lst)-1]
 			t.runPool[k] = lst[:len(lst)-1]
 			t.pooled -= k
-			for i := 0; i < k; i++ {
-				clear(t.Seg(head + i).Words) // nil-safe (COW-dropped)
-				t.initSeg(head+i, space, gen, stamp, i > 0)
-			}
-			return head
 		}
 	}
-	first := t.nseg
+	if first < 0 {
+		first = len(t.words)
+		for range k {
+			t.grow()
+		}
+	}
 	for i := 0; i < k; i++ {
-		t.grow()
-		t.nseg++
 		t.initSeg(first+i, space, gen, stamp, i > 0)
 	}
 	return first
@@ -418,47 +447,52 @@ func (t *Table) AllocRun(space Space, gen int, stamp uint64, k int) int {
 // head must be in use and not itself a continuation.
 func (t *Table) RunLen(head int) int {
 	k := 1
-	for head+k < t.nseg {
-		s := t.Seg(head + k)
-		if !s.InUse || !s.Cont {
-			break
-		}
+	for head+k < len(t.words) && t.words[head+k] != nil && t.Seg(head+k).Cont {
 		k++
 	}
 	return k
 }
 
+// retire empties the in-use slot idx: a template alias is dropped (the
+// template's array is never written), and an own array goes to the
+// pool zeroed when toPool and the table has one, to spare otherwise.
+func (t *Table) retire(idx int, toPool bool) {
+	w := t.words[idx]
+	switch {
+	case w == nil:
+		panic(fmt.Sprintf("seg: double free of segment %d", idx))
+	case t.info[idx]&InfoShared != 0:
+		t.cowShared--
+	case toPool && t.pool != nil:
+		clear(w[:])
+		t.pool.put(w)
+	default:
+		t.spare = append(t.spare, w)
+	}
+	t.words[idx], t.info[idx] = nil, 0
+	t.Seg(idx).Fill = 0
+}
+
 // FreeRun retires the whole object run starting at head — the head
-// segment plus its continuations (RunLen) — in one call. Single
-// segments (RunLen 1) go to the lazy list; longer runs are pooled
+// segment plus its continuations (RunLen) — in one call. A single
+// segment (RunLen 1) goes to the singles list; a longer run is pooled
 // intact by size class for reuse by a same-length AllocRun, keeping
-// their contiguity (a run broken into singles could never be
+// its contiguity (a run broken into singles could never be
 // reassembled, so large-object churn would grow the table without
-// bound). Words are not zeroed here (the clear is deferred to the
-// claim that reuses them); COW-shared template words are dropped rather
-// than cleared, exactly as in Free. Returns the run length.
+// bound). The arrays stay with the table, unzeroed, for whichever
+// segment is put in use next. Returns the run length.
 func (t *Table) FreeRun(head int) int {
 	k := t.RunLen(head)
 	for i := 0; i < k; i++ {
-		s := t.Seg(head + i)
-		if !s.InUse {
-			panic(fmt.Sprintf("seg: double free of segment %d", head+i))
-		}
-		if t.cowBits != nil && t.isShared(head+i) {
-			s.Words = nil
-			t.clearShared(head + i)
-		}
-		s.InUse = false
-		s.Next = None
-		s.Fill = 0
+		t.retire(head+i, false)
 		// Continuations keep their Cont mark while pooled: the run
 		// stays assembled, and callers freeing a mixed from-space list
 		// can recognize a continuation whose head's FreeRun already
 		// covered it.
-		s.Cont = i > 0
+		t.Seg(head + i).Cont = i > 0
 	}
 	if k == 1 {
-		t.lazy = append(t.lazy, head)
+		t.singles = append(t.singles, head)
 		return 1
 	}
 	for len(t.runPool) <= k {
@@ -469,49 +503,49 @@ func (t *Table) FreeRun(head int) int {
 	return k
 }
 
-// Free retires segment idx onto the free list. Its words are zeroed so
-// that any dangling pointer into it reads as fixnum 0 rather than a
-// stale heap value, which keeps collector bugs loud. A table with a
-// pool then gives the zeroed array away and keeps the bare slot, the
-// state a dropped template alias leaves it in too. (FreeRun retires
-// words unzeroed, so its stay with the table.)
+// Free retires segment idx onto the free list. A dangling pointer into
+// it then meets a nil word entry and panics, which keeps collector bugs
+// loud. A table with a pool gives the array to the pool zeroed.
 func (t *Table) Free(idx int) {
-	s := t.Seg(idx)
-	if !s.InUse {
-		panic(fmt.Sprintf("seg: double free of segment %d", idx))
-	}
-	if t.cowBits != nil && t.isShared(idx) {
-		// The words belong to an immutable template shared with other
-		// clones: drop the alias instead of zeroing it. initSeg
-		// materializes a fresh array when the slot is reused.
-		s.Words = nil
-		t.clearShared(idx)
-	} else {
-		clear(s.Words)
-		if t.pool != nil {
-			t.pool.put(s.Words)
-			s.Words = nil
-		}
-	}
-	s.InUse = false
-	s.Next = None
-	s.Cont = false
-	s.Fill = 0
+	t.retire(idx, true)
+	t.Seg(idx).Cont = false
 	t.free = append(t.free, idx)
 }
 
-// Seg returns the segment with the given index. The pointer is stable:
-// it remains valid as the table grows.
+// Seg returns the descriptor of segment idx, which is or has been in
+// use. The pointer is stable: it remains valid as the table grows.
 func (t *Table) Seg(idx int) *Segment {
 	return &t.chunks[idx>>chunkBits][idx&chunkMask]
 }
 
-// Len returns the total number of segments ever created.
-func (t *Table) Len() int { return t.nseg }
+// Info returns segment idx's packed hot facts (zero for a free slot).
+func (t *Table) Info(idx int) Info { return t.info[idx] }
 
-// FreeCount returns the number of retired segments awaiting reuse
-// (eagerly freed, lazily freed, and pooled large-object runs alike).
-func (t *Table) FreeCount() int { return len(t.free) + len(t.lazy) + t.pooled }
+// InUse reports whether segment idx is in use.
+func (t *Table) InUse(idx int) bool { return t.words[idx] != nil }
+
+// Words returns segment idx's words for reading (nil for a free slot).
+// A segment aliasing a template array is read in place; a store goes
+// through Writable.
+func (t *Table) Words(idx int) *[Words]uint64 { return t.words[idx] }
+
+// MarkFrom flags segment idx as from-space of the collection in
+// progress. Free and FreeRun clear the flag with the rest of the entry.
+func (t *Table) MarkFrom(idx int) { t.info[idx] |= InfoFrom }
+
+// Plant overwrites slot idx's dense entries with w and inf, bypassing
+// every list and count: a test hook that corrupts a table the way a
+// bookkeeping bug would, for Check and the heap's Verify to catch.
+func (t *Table) Plant(idx int, w *[Words]uint64, inf Info) {
+	t.words[idx], t.info[idx] = w, inf
+}
+
+// Len returns the total number of segment slots.
+func (t *Table) Len() int { return len(t.words) }
+
+// FreeCount returns the number of free slots (retired, holes, and
+// pooled large-object runs alike).
+func (t *Table) FreeCount() int { return len(t.free) + t.nholes + len(t.singles) + t.pooled }
 
 // PooledRunSegments returns the number of segments currently parked in
 // the large-object run pools.
@@ -520,7 +554,89 @@ func (t *Table) PooledRunSegments() int { return t.pooled }
 // InUseCount returns the number of live segments: pooled large-object
 // runs are reclaimable (claim breaks them up before growing the table)
 // and do not count.
-func (t *Table) InUseCount() int { return t.nseg - t.FreeCount() }
+func (t *Table) InUseCount() int { return len(t.words) - t.FreeCount() }
+
+// Check reports through report every way the table disagrees with
+// itself: a free-list entry out of range, on two lists, or with a word
+// array or a non-zero info entry; slots without words that the free
+// lists do not account for; an in-use slot without a descriptor; a
+// shared bit that is not set exactly where a slot's words are its
+// template record's array; and a count (FreeCount's parts, SharedCount)
+// that does not match.
+func (t *Table) Check(report func(format string, args ...any)) {
+	n := len(t.words)
+	if len(t.info) != n || len(t.chunks) != (n+chunkMask)>>chunkBits {
+		report("seg: %d word entries, %d info entries, %d chunks", n, len(t.info), len(t.chunks))
+		return
+	}
+	listed := make([]uint64, (n+63)/64)
+	nlisted := 0
+	list := func(lo, hi int, which string) {
+		if lo < 0 || hi > n || lo >= hi {
+			report("seg: %s list holds slots %d..%d of %d", which, lo, hi-1, n)
+			return
+		}
+		for idx := lo; idx < hi; idx++ {
+			if listed[idx>>6]&(1<<(idx&63)) != 0 {
+				report("seg: slot %d is on two free lists", idx)
+				continue
+			}
+			listed[idx>>6] |= 1 << (idx & 63)
+			nlisted++
+			if t.words[idx] != nil {
+				report("seg: free slot %d (%s list) has a word array", idx, which)
+			}
+			if t.info[idx] != 0 {
+				report("seg: free slot %d (%s list) has info %#x", idx, which, uint16(t.info[idx]))
+			}
+		}
+	}
+	for _, idx := range t.free {
+		list(idx, idx+1, "free")
+	}
+	for _, h := range t.holes {
+		list(h.lo, h.hi, "hole")
+	}
+	for _, idx := range t.singles {
+		list(idx, idx+1, "singles")
+	}
+	for k, heads := range t.runPool {
+		for _, head := range heads {
+			list(head, head+k, "run pool")
+		}
+	}
+	if nlisted != t.FreeCount() {
+		report("seg: %d slots on the free lists but FreeCount is %d", nlisted, t.FreeCount())
+	}
+	// Every listed slot has no words, and none is listed twice: so the
+	// lists hold every slot without words exactly when the counts match.
+	nfree, shared, ti := 0, 0, 0
+	for idx, w := range t.words {
+		if w == nil {
+			nfree++
+			continue
+		}
+		if t.chunks[idx>>chunkBits] == nil {
+			report("seg: in-use slot %d has no descriptor", idx)
+		}
+		for ti < len(t.tpl) && t.tpl[ti].Index < idx {
+			ti++
+		}
+		aliases := ti < len(t.tpl) && t.tpl[ti].Index == idx && w == (*[Words]uint64)(t.tpl[ti].Words)
+		if sh := t.info[idx]&InfoShared != 0; sh != aliases {
+			report("seg: slot %d: shared bit %v, aliases its template array %v", idx, sh, aliases)
+		}
+		if aliases {
+			shared++
+		}
+	}
+	if nfree != nlisted {
+		report("seg: %d slots have no words but %d are on the free lists", nfree, nlisted)
+	}
+	if shared != t.cowShared {
+		report("seg: %d slots alias the template but SharedCount is %d", shared, t.cowShared)
+	}
+}
 
 // SegIndexOf returns the index of the segment containing the word
 // address addr.
@@ -532,38 +648,34 @@ func Offset(addr uint64) int { return int(addr % Words) }
 // BaseAddr returns the word address of the first word of segment idx.
 func BaseAddr(idx int) uint64 { return uint64(idx) * Words }
 
-// SegOf returns the segment containing the word address addr.
-func (t *Table) SegOf(addr uint64) *Segment { return t.Seg(int(addr / Words)) }
-
 // Window returns the words from addr to the end of its segment, for
-// reading: one table walk however many of them the caller then reads.
-// Reads never fault — a segment aliasing a template array is read in
-// place.
+// reading: one directory load however many of them the caller then
+// reads. Reads never fault — a segment aliasing a template array is
+// read in place.
 func (t *Table) Window(addr uint64) []uint64 {
-	return t.SegOf(addr).Words[addr%Words:]
+	return t.words[addr/Words][addr%Words:]
 }
 
-// Writable returns segment idx with its Words safe to store through:
-// a segment that still aliases a template array (copy-on-write) is
+// Writable returns segment idx's words safe to store through: a
+// segment that still aliases a template array (copy-on-write) is
 // privatized first. This is the one place the privatize-before-first-
-// write rule lives — SetWord is expressed on it, and
-// callers that write several words of one segment (a freshly copied
-// object, a swept object's fields) call it once and index the slice.
-// Re-read Words after every call: privatize replaces the slice (the
-// *Segment itself is stable).
-func (t *Table) Writable(idx int) *Segment {
-	if t.cowBits != nil && t.isShared(idx) {
+// write rule lives — SetWord is expressed on it, and callers that
+// write several words of one segment (a freshly copied object, a swept
+// object's fields) call it once and index the array. Words read before
+// the call may be the template's: privatize replaces the array.
+func (t *Table) Writable(idx int) *[Words]uint64 {
+	if t.info[idx]&InfoShared != 0 {
 		t.privatize(idx)
 	}
-	return t.Seg(idx)
+	return t.words[idx]
 }
 
 // Word returns the heap word at addr. Word and SetWord are for one
 // word at an arbitrary address; code that touches a whole
 // object resolves its segment once (Window, Writable) instead.
-func (t *Table) Word(addr uint64) uint64 { return t.Window(addr)[0] }
+func (t *Table) Word(addr uint64) uint64 { return t.words[addr/Words][addr%Words] }
 
 // SetWord stores w at addr (copy-on-write: see Writable).
 func (t *Table) SetWord(addr uint64, w uint64) {
-	t.Writable(int(addr / Words)).Words[addr%Words] = w
+	t.Writable(int(addr / Words))[addr%Words] = w
 }

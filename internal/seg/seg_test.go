@@ -7,52 +7,68 @@ import (
 	"unsafe"
 )
 
-// TestSegmentDescriptorSize pins the descriptor at 64 bytes — the
-// one-byte fields packed into one word — and a table chunk at 4 KiB.
+// TestSegmentDescriptorSize pins the cold descriptor at 24 bytes and a
+// table chunk at 1.5 KiB, and the dense entries at a pointer and two
+// bytes a slot.
 func TestSegmentDescriptorSize(t *testing.T) {
-	if got := unsafe.Sizeof(Segment{}); got != 64 {
-		t.Errorf("Segment is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Segment{}); got != 24 {
+		t.Errorf("Segment is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(segChunk{}); got != 4096 {
-		t.Errorf("segChunk is %d bytes, want 4096", got)
+	if got := unsafe.Sizeof(segChunk{}); got != 1536 {
+		t.Errorf("segChunk is %d bytes, want 1536", got)
+	}
+	if got := unsafe.Sizeof(Info(0)); got != 2 {
+		t.Errorf("Info is %d bytes, want 2", got)
 	}
 }
+
+// checkTable fails t on every inconsistency Check reports.
+func checkTable(t *testing.T, tab *Table) {
+	t.Helper()
+	tab.Check(func(format string, args ...any) { t.Errorf(format, args...) })
+}
+
+// info is tab's entry for idx, space and generation unpacked.
+func info(tab *Table, idx int) (Space, int) { i := tab.Info(idx); return i.Space(), i.Gen() }
 
 func TestAllocBasics(t *testing.T) {
 	var tab Table
 	idx := tab.Alloc(SpacePair, 0, 1)
 	s := tab.Seg(idx)
-	if !s.InUse || s.Space != SpacePair || s.Gen != 0 || s.Stamp != 1 {
-		t.Fatalf("segment metadata wrong: %+v", s)
+	if sp, g := info(&tab, idx); !tab.InUse(idx) || sp != SpacePair || g != 0 || s.Stamp != 1 {
+		t.Fatalf("segment metadata wrong: %+v info %#x", s, tab.Info(idx))
 	}
-	if len(s.Words) != Words {
-		t.Fatalf("segment has %d words, want %d", len(s.Words), Words)
+	if tab.Words(idx) == nil {
+		t.Fatal("segment has no words")
 	}
 	if tab.InUseCount() != 1 || tab.FreeCount() != 0 {
 		t.Fatal("counts wrong")
 	}
+	checkTable(t, &tab)
 }
 
 func TestFreeAndReuse(t *testing.T) {
 	var tab Table
 	a := tab.Alloc(SpacePair, 0, 1)
-	tab.Seg(a).Words[0] = 0xdead
+	tab.Words(a)[0] = 0xdead
 	tab.Seg(a).Fill = 10
 	tab.Free(a)
-	if tab.Seg(a).InUse {
-		t.Fatal("freed segment still in use")
+	if tab.InUse(a) || tab.Words(a) != nil || tab.Info(a) != 0 {
+		t.Fatal("freed segment keeps its dense entries")
 	}
-	if tab.Seg(a).Words[0] != 0 {
-		t.Fatal("freed segment not zeroed")
-	}
+	checkTable(t, &tab)
 	b := tab.Alloc(SpaceObj, 2, 7)
 	if b != a {
 		t.Fatalf("free segment not reused: got %d, want %d", b, a)
 	}
 	s := tab.Seg(b)
-	if s.Space != SpaceObj || s.Gen != 2 || s.Stamp != 7 || s.Fill != 0 || s.Cont {
+	if sp, g := info(&tab, b); sp != SpaceObj || g != 2 || s.Stamp != 7 || s.Fill != 0 || s.Cont {
 		t.Fatalf("reused segment metadata stale: %+v", s)
 	}
+	if tab.Words(b)[0] != 0 {
+		t.Fatal("reused segment's words not zeroed")
+	}
+	checkTable(t, &tab)
 }
 
 func TestDoubleFreePanics(t *testing.T) {
@@ -73,7 +89,7 @@ func TestAllocRunContiguous(t *testing.T) {
 	first := tab.AllocRun(SpaceData, 1, 5, 3)
 	for i := 0; i < 3; i++ {
 		s := tab.Seg(first + i)
-		if !s.InUse || s.Space != SpaceData || s.Gen != 1 || s.Stamp != 5 {
+		if sp, g := info(&tab, first+i); !tab.InUse(first+i) || sp != SpaceData || g != 1 || s.Stamp != 5 {
 			t.Fatalf("run segment %d metadata wrong: %+v", i, s)
 		}
 		if s.Cont != (i > 0) {
@@ -92,7 +108,7 @@ func TestFreeRunPoolsAndReuses(t *testing.T) {
 	var tab Table
 	first := tab.AllocRun(SpaceData, 0, 1, 3)
 	for i := 0; i < 3; i++ {
-		tab.Seg(first + i).Words[0] = 0xbeef
+		tab.Words(first + i)[0] = 0xbeef
 	}
 	if got := tab.RunLen(first); got != 3 {
 		t.Fatalf("RunLen = %d, want 3", got)
@@ -106,13 +122,14 @@ func TestFreeRunPoolsAndReuses(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		s := tab.Seg(first + i)
-		if s.InUse {
+		if tab.InUse(first + i) {
 			t.Fatalf("pooled segment %d still in use", i)
 		}
 		if s.Cont != (i > 0) {
 			t.Fatalf("pooled segment %d Cont = %v", i, s.Cont)
 		}
 	}
+	checkTable(t, &tab)
 	// A same-length AllocRun reuses the pooled run without growing the
 	// table, and its stale words are zeroed on the way out.
 	again := tab.AllocRun(SpaceObj, 2, 9, 3)
@@ -124,10 +141,10 @@ func TestFreeRunPoolsAndReuses(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		s := tab.Seg(again + i)
-		if !s.InUse || s.Space != SpaceObj || s.Gen != 2 || s.Stamp != 9 || s.Cont != (i > 0) {
+		if sp, g := info(&tab, again+i); !tab.InUse(again+i) || sp != SpaceObj || g != 2 || s.Stamp != 9 || s.Cont != (i > 0) {
 			t.Fatalf("reused run segment %d metadata stale: %+v", i, s)
 		}
-		if s.Words[0] != 0 {
+		if tab.Words(again + i)[0] != 0 {
 			t.Fatalf("reused run segment %d not zeroed", i)
 		}
 	}
@@ -136,7 +153,7 @@ func TestFreeRunPoolsAndReuses(t *testing.T) {
 func TestFreeRunSingleGoesToLazyList(t *testing.T) {
 	var tab Table
 	a := tab.Alloc(SpacePair, 0, 1)
-	tab.Seg(a).Words[3] = 7
+	tab.Words(a)[3] = 7
 	if got := tab.FreeRun(a); got != 1 {
 		t.Fatalf("FreeRun of single = %d, want 1", got)
 	}
@@ -147,7 +164,7 @@ func TestFreeRunSingleGoesToLazyList(t *testing.T) {
 	if b != a {
 		t.Fatalf("lazily-freed single not reused: got %d, want %d", b, a)
 	}
-	if tab.Seg(b).Words[3] != 0 {
+	if tab.Words(b)[3] != 0 {
 		t.Fatal("deferred zeroing skipped on reuse")
 	}
 }
@@ -208,7 +225,7 @@ func TestAddressingHelpers(t *testing.T) {
 	idx := tab.Alloc(SpaceWeak, 0, 1)
 	addr := BaseAddr(idx) + 9
 	tab.SetWord(addr, 77)
-	if tab.Word(addr) != 77 || tab.SegOf(addr) != tab.Seg(idx) {
+	if tab.Word(addr) != 77 || &tab.Window(addr)[0] != &tab.Words(idx)[9] {
 		t.Fatal("word accessors wrong")
 	}
 }
@@ -232,25 +249,27 @@ func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 	for i := range segs {
 		arrays[i] = make([]uint64, Words)
 		arrays[i][7] = uint64(100 + i)
-		segs[i] = TemplateSeg{Words: arrays[i], Space: SpacePair, Fill: 8}
+		segs[i] = TemplateSeg{Index: i, Words: arrays[i], Space: SpacePair, Fill: 8}
 	}
-	tab := NewTableFromSegs(segs, true, nil)
+	tab := NewTableFromSegs(3, segs, true, nil)
+	checkTable(t, tab)
 	if w := tab.Window(BaseAddr(1) + 7); len(w) != Words-7 || w[0] != 101 || tab.Word(BaseAddr(2)+7) != 102 {
 		t.Fatalf("window of %d words starting %d", len(w), w[0])
 	}
 	if tab.COWCopies() != 0 || tab.SharedCount() != 3 {
 		t.Fatalf("reads faulted: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
 	}
-	s := tab.Writable(0)
-	if s != tab.Seg(0) || &s.Words[0] == &arrays[0][0] || s.Words[7] != 100 {
+	w := tab.Writable(0)
+	if w != tab.Words(0) || &w[0] == &arrays[0][0] || w[7] != 100 {
 		t.Fatal("Writable did not return segment 0 with a private copy of its words")
 	}
-	s.Words[7] = 1
-	if tab.Writable(0); tab.COWCopies() != 1 || tab.IsShared(0) {
-		t.Fatalf("second Writable: %d copies, shared %v", tab.COWCopies(), tab.IsShared(0))
+	w[7] = 1
+	if tab.Writable(0); tab.COWCopies() != 1 || tab.Info(0)&InfoShared != 0 {
+		t.Fatalf("second Writable: %d copies, info %#x", tab.COWCopies(), tab.Info(0))
 	}
 	tab.SetWord(BaseAddr(1)+7, 2)
-	tab.Writable(2).Words[7] = 3
+	tab.Writable(2)[7] = 3
+	checkTable(t, tab)
 	if tab.COWCopies() != 3 || tab.SharedCount() != 0 {
 		t.Fatalf("after SetWord and Writable: %d copies, %d shared", tab.COWCopies(), tab.SharedCount())
 	}
@@ -266,20 +285,20 @@ func TestWritableIsTheCopyOnWriteRule(t *testing.T) {
 func poolFamily(n int) (*Pool, []*Table) {
 	segs := make([]TemplateSeg, 3)
 	for i := range segs {
-		segs[i] = TemplateSeg{Words: make([]uint64, Words), Space: SpacePair, Fill: 8}
+		segs[i] = TemplateSeg{Index: i, Words: make([]uint64, Words), Space: SpacePair, Fill: 8}
 		segs[i].Words[0] = 1000 + uint64(i)
 	}
 	pool := &Pool{}
 	tabs := make([]*Table, n)
 	for i := range tabs {
-		tabs[i] = NewTableFromSegs(segs, true, pool)
+		tabs[i] = NewTableFromSegs(3, segs, true, pool)
 	}
 	return pool, tabs
 }
 
 // fillSeg stamps every word of segment idx with pat.
 func fillSeg(t *Table, idx int, pat uint64) {
-	w := t.Writable(idx).Words
+	w := t.Writable(idx)
 	for i := range w {
 		w[i] = pat
 	}
@@ -296,16 +315,16 @@ func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
 	a, b := tabs[0], tabs[1]
 	ia := a.Alloc(SpacePair, 0, 1)
 	fillSeg(a, ia, 0xAAAA)
-	arr := &a.Seg(ia).Words[0]
+	arr := a.Words(ia)
 	a.Free(ia)
-	if a.Seg(ia).Words != nil || pool.Len() != 1 {
-		t.Fatalf("after Free: slot keeps %d words, pool holds %d arrays", len(a.Seg(ia).Words), pool.Len())
+	if a.Words(ia) != nil || pool.Len() != 1 {
+		t.Fatalf("after Free: slot keeps its words, pool holds %d arrays", pool.Len())
 	}
 	ib := b.Alloc(SpaceObj, 0, 1)
-	if &b.Seg(ib).Words[0] != arr || pool.Len() != 0 {
+	if b.Words(ib) != arr || pool.Len() != 0 {
 		t.Fatal("the second table did not get the array the first one retired")
 	}
-	for i, w := range b.Seg(ib).Words {
+	for i, w := range b.Words(ib) {
 		if w != 0 {
 			t.Fatalf("pooled array word %d = %#x, want 0", i, w)
 		}
@@ -315,13 +334,13 @@ func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
 	// Churn a: its segments never alias b's live one.
 	for round := 0; round < 3*PoolCap; round++ {
 		i := a.Alloc(SpacePair, 0, 1)
-		if &a.Seg(i).Words[0] == &b.Seg(ib).Words[0] {
+		if a.Words(i) == b.Words(ib) {
 			t.Fatal("two tables hold one array")
 		}
 		fillSeg(a, i, 0xAAAA)
 		a.Free(i)
 	}
-	for i, w := range b.Seg(ib).Words {
+	for i, w := range b.Words(ib) {
 		if w != 0xBBBB {
 			t.Fatalf("table b word %d = %#x after table a's churn", i, w)
 		}
@@ -333,7 +352,7 @@ func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
 		t.Fatal("churn left the pool empty")
 	}
 	n := pool.Len()
-	if w := a.Writable(1).Words; w[0] != 1001 || w[1] != 0 || pool.Len() != n-1 {
+	if w := a.Writable(1); w[0] != 1001 || w[1] != 0 || pool.Len() != n-1 {
 		t.Fatalf("privatized words %d,%d with %d arrays pooled (were %d)", w[0], w[1], pool.Len(), n)
 	}
 
@@ -343,6 +362,8 @@ func TestPoolPassesZeroedArraysBetweenTables(t *testing.T) {
 	if pool.Len() != n {
 		t.Fatalf("freeing a shared segment pooled its array: %d arrays, want %d", pool.Len(), n)
 	}
+	checkTable(t, a)
+	checkTable(t, b)
 }
 
 // TestPoolIsBounded: a burst of retirements parks at most PoolCap
@@ -356,7 +377,7 @@ func TestPoolIsBounded(t *testing.T) {
 	}
 	for _, i := range idx {
 		tab.Free(i)
-		if tab.Seg(i).Words != nil {
+		if tab.Words(i) != nil {
 			t.Fatalf("segment %d keeps its words after Free", i)
 		}
 	}
@@ -380,7 +401,7 @@ func TestPoolConcurrentTables(t *testing.T) {
 			var live []int
 			for round := 0; round < 2000; round++ {
 				i := tab.Alloc(SpacePair, 0, 1)
-				for j, w := range tab.Seg(i).Words {
+				for j, w := range tab.Words(i) {
 					if w != 0 {
 						errs <- fmt.Errorf("table %#x: fresh segment word %d = %#x", pat, j, w)
 						return
@@ -390,7 +411,7 @@ func TestPoolConcurrentTables(t *testing.T) {
 				live = append(live, i)
 				if len(live) > 8 {
 					for _, j := range live {
-						if w := tab.Seg(j).Words; w[0] != pat || w[Words-1] != pat {
+						if w := tab.Words(j); w[0] != pat || w[Words-1] != pat {
 							errs <- fmt.Errorf("table %#x: segment %d overwritten (%#x)", pat, j, w[0])
 							return
 						}
@@ -406,4 +427,46 @@ func TestPoolConcurrentTables(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestNewTableFromSegsHoles: a table built over records with gaps keeps
+// its free slots as holes — a slot Free retires later is claimed first,
+// then the holes lowest index first, then new slots — and a large
+// run grows the table past them. A sparse table's holes cost no
+// descriptors.
+func TestNewTableFromSegsHoles(t *testing.T) {
+	rec := func(idx int) TemplateSeg {
+		return TemplateSeg{Index: idx, Words: make([]uint64, Words), Space: SpaceObj, Gen: 1, Fill: 1}
+	}
+	tab := NewTableFromSegs(6, []TemplateSeg{rec(1), rec(4)}, false, nil)
+	if tab.Len() != 6 || tab.InUseCount() != 2 || tab.FreeCount() != 4 {
+		t.Fatalf("len %d, %d in use, %d free", tab.Len(), tab.InUseCount(), tab.FreeCount())
+	}
+	if sp, g := info(tab, 4); !tab.InUse(4) || sp != SpaceObj || g != 1 || tab.Seg(4).Fill != 1 {
+		t.Fatalf("record 4 not placed: info %#x", tab.Info(4))
+	}
+	checkTable(t, tab)
+	tab.Free(tab.Alloc(SpacePair, 0, 2)) // slot 0 back, onto the free list
+	var got []int
+	for range 5 {
+		got = append(got, tab.Alloc(SpacePair, 0, 2))
+	}
+	if want := []int{0, 2, 3, 5, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("claimed %v, want %v", got, want)
+	}
+	if run := tab.AllocRun(SpaceData, 0, 2, 2); run != 7 {
+		t.Fatalf("run at %d, want 7", run)
+	}
+	checkTable(t, tab)
+
+	sparse := NewTableFromSegs(1<<20, []TemplateSeg{rec(1<<20 - 1)}, false, nil)
+	if n := len(sparse.holes); n != 1 || sparse.FreeCount() != 1<<20-1 {
+		t.Fatalf("%d hole ranges, %d free", n, sparse.FreeCount())
+	}
+	for i, c := range sparse.chunks[:len(sparse.chunks)-1] {
+		if c != nil {
+			t.Fatalf("chunk %d of free slots made", i)
+		}
+	}
+	checkTable(t, sparse)
 }

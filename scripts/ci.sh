@@ -69,8 +69,11 @@ echo "== segment-window gate (-race)"
 # copier's chase, which copies a list in list order: shared tails,
 # cycles, older tails, weak pairs, template-shared segments, a
 # million-pair list, a list reached only from a dirty cell and a
-# guarded list's salvage order.
-go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestCollectSteadyStateAllocs|TestScanStartsAtHandedOverCursor|TestSweepWaveSpansSpaces|TestSweepCellsGuardianSalvage|TestChase' ./internal/heap/
+# guarded list's salvage order. The segment table's dense arrays:
+# Verify catching each planted disagreement with slot state, and two
+# clones collecting out of template-shared pair, weak and object
+# segments the sweep reaches, on two goroutines.
+go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestVerifyCatchesStaleSegInfo|TestSweepCopiesOutOfTemplateSharedSegments|TestCollectSteadyStateAllocs|TestScanStartsAtHandedOverCursor|TestSweepWaveSpansSpaces|TestSweepCellsGuardianSalvage|TestChase' ./internal/heap/
 
 echo "== heap repeat gate (-count=2 -race)"
 # Runs the heap suite twice in one process: shakes out state leaking
@@ -100,7 +103,7 @@ echo "== hot-path benchmarks (compile and run once)"
 # one iteration each, so they cannot rot; and the header accessors the
 # VM calls per instruction (VectorRef, RecordRef, SymbolValue). Beside
 # them those accessors are held to zero Go allocations a call.
-go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|CollectDirtyLists|CollectLargeVectors|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
 # What a template-booted session costs in Go: Attach (run with
 # -benchmem for its bytes and allocations) and one serve-steady request.
 go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server/

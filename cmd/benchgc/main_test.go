@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,40 +71,6 @@ func TestTraceEmitsValidJSONLines(t *testing.T) {
 	}
 	if h.Stats.WeakPairsScanned == 0 {
 		t.Fatal("trace workload exercised no weak pairs")
-	}
-}
-
-// TestTuneBenchReducedScale runs the AutoTune ablation at toy scale
-// through the shared runner path: the report must be written, re-read,
-// and pass its schema self-check (the comparative acceptance bounds
-// are full-scale-only and must NOT fail a reduced run).
-func TestTuneBenchReducedScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tune-bench workloads are slow in -short")
-	}
-	path := t.TempDir() + "/BENCH_tune.json"
-	var buf bytes.Buffer
-	if err := runTuneBench(&buf, path, 1, 60_000); err != nil {
-		t.Fatalf("runTuneBench: %v\n%s", err, buf.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep tuneBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullScale {
-		t.Fatal("reduced run marked full_scale")
-	}
-	if len(rep.Workloads) != 3 {
-		t.Fatalf("workloads = %d, want 3", len(rep.Workloads))
-	}
-	for _, w := range rep.Workloads {
-		if w.AutoTune.TriggerWords == w.Fixed.TriggerWords && w.AutoTune.CollectionsP50 == 0 {
-			t.Fatalf("%s: autotune cell shows no tuning activity: %+v", w.Workload, w.AutoTune)
-		}
 	}
 }
 

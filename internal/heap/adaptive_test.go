@@ -163,12 +163,12 @@ func TestAdaptiveClonePolicy(t *testing.T) {
 	}
 }
 
-// TestAutoTuneHeapsTuneIndependently: two heaps from one AutoTune
-// Config must not share tuner state (the resolvePolicy ClonePolicy
-// path).
+// TestAutoTuneHeapsTuneIndependently: two heaps from one Config with
+// an AdaptivePolicy must not share tuner state (the resolvePolicy
+// ClonePolicy path).
 func TestAutoTuneHeapsTuneIndependently(t *testing.T) {
 	cfg := heap.DefaultConfig()
-	cfg.AutoTune = true
+	cfg.Policy = &heap.AdaptivePolicy{}
 	hot := heap.MustNew(cfg)  // all-garbage churn: trigger shrinks
 	cold := heap.MustNew(cfg) // untouched
 	start := cold.TriggerWords()
@@ -184,14 +184,14 @@ func TestAutoTuneHeapsTuneIndependently(t *testing.T) {
 	}
 }
 
-// TestAutoTuneChurnVerify is the CI AutoTune gate: a trigger-driven
-// churn workload (collections happen only when the tuned trigger
-// fires at a Checkpoint, so the adaptive cadence owns the schedule)
+// TestAutoTuneChurnVerify runs an AdaptivePolicy heap through a
+// trigger-driven churn workload (collections happen only when the tuned
+// trigger fires at a Checkpoint, so the adaptive cadence owns the schedule)
 // with a full heap Verify after every collection, plus a survivor
 // population that swings the survival EMA both ways.
 func TestAutoTuneChurnVerify(t *testing.T) {
 	cfg := heap.DefaultConfig()
-	cfg.AutoTune = true
+	cfg.Policy = &heap.AdaptivePolicy{}
 	h := heap.MustNew(cfg)
 	var collections int
 	h.AddPostCollectHook(func(_ *heap.Heap, _ *heap.CollectionReport) { collections++ })
@@ -234,8 +234,8 @@ func TestAutoTuneChurnVerify(t *testing.T) {
 	h.MustVerify()
 }
 
-// TestCollectSteadyStateAllocsAutoTune holds the AutoTune feedback
-// path to the collector's allocation-free steady state: NextTrigger
+// TestCollectSteadyStateAllocsAutoTune holds the AdaptivePolicy
+// feedback path to the collector's allocation-free steady state: NextTrigger
 // runs inside every collection and must not allocate once the
 // promotion ledger has grown (trace_test.go pins the static-policy
 // case; this is the acceptance criterion's "steady-state collection
@@ -244,7 +244,7 @@ func TestCollectSteadyStateAllocsAutoTune(t *testing.T) {
 	t.Run("workers=1", func(t *testing.T) {
 		cfg := heap.DefaultConfig()
 		cfg.Workers = 1
-		cfg.AutoTune = true
+		cfg.Policy = &heap.AdaptivePolicy{}
 		h := heap.MustNew(cfg)
 		lst := h.NewRoot(obj.Nil)
 		for i := 0; i < 5000; i++ {
@@ -261,7 +261,7 @@ func TestCollectSteadyStateAllocsAutoTune(t *testing.T) {
 			steady()
 		}
 		if avg := testing.AllocsPerRun(20, steady); avg > 0 {
-			t.Fatalf("AutoTune steady-state collection allocates %.1f objects/run, want 0", avg)
+			t.Fatalf("AdaptivePolicy steady-state collection allocates %.1f objects/run, want 0", avg)
 		}
 	})
 }

@@ -32,19 +32,9 @@ type Config struct {
 	// collected, where survivors are promoted, and the generation-0
 	// allocation budget between collect requests (see the Policy
 	// interface in policy.go). nil selects RadixPolicy{} — the paper's
-	// fixed strategy with the stock trigger and cadence — or, with
-	// AutoTune set, a fresh AdaptivePolicy.
+	// fixed strategy with the stock trigger and cadence; an
+	// *AdaptivePolicy selects the feedback-driven one.
 	Policy Policy
-	// AutoTune selects the feedback-driven AdaptivePolicy: the
-	// generation-0 trigger and the per-generation collection cadence
-	// are adjusted from measured survival rates (see AdaptivePolicy).
-	// Off by default. It takes the place of a stock-cadence static
-	// RadixPolicy (Radix 0 or DefaultRadix, no Target — DefaultConfig's
-	// included), starting from that policy's Trigger
-	// (DefaultTriggerWords when Policy is nil or the Trigger is 0), and
-	// is mutually exclusive with every other Policy (set Config.Policy
-	// to a configured *AdaptivePolicy for non-default bounds).
-	AutoTune bool
 	// UseDirtySet enables the remembered-set write barrier. When
 	// false, the collector conservatively scans every word of every
 	// older generation instead — the generation-unfriendly baseline
@@ -83,10 +73,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Generations < 1 || c.Generations > seg.MaxGenerations {
 		return fmt.Errorf("heap: Config.Generations must be 1..%d (got %d)", seg.MaxGenerations, c.Generations)
-	}
-	if rp, static := c.Policy.(RadixPolicy); c.AutoTune && c.Policy != nil &&
-		(!static || rp.Target != nil || (rp.Radix != 0 && rp.Radix != DefaultRadix)) {
-		return fmt.Errorf("heap: Config.AutoTune replaces only a stock-cadence RadixPolicy without a Target (set Policy to a configured *AdaptivePolicy instead)")
 	}
 	inner := c.Policy
 	if st, ok := inner.(staticTop); ok {
@@ -291,15 +277,10 @@ func New(cfg Config) (*Heap, error) {
 }
 
 // resolvePolicy maps a validated Config to the Policy the heap will
-// consult: AutoTune selects a fresh AdaptivePolicy (starting from the
-// static policy's trigger, if one is set), an explicit Policy is
-// cloned when stateful, so one Config can build many independently
-// tuned heaps, and nil is the stock static strategy.
+// consult: an explicit Policy is cloned when stateful, so one Config
+// can build many independently tuned heaps, and nil is the stock
+// static strategy.
 func resolvePolicy(cfg Config) Policy {
-	if cfg.AutoTune {
-		rp, _ := cfg.Policy.(RadixPolicy)
-		return &AdaptivePolicy{Initial: rp.Trigger}
-	}
 	switch p := cfg.Policy.(type) {
 	case PolicyCloner:
 		return p.ClonePolicy()
@@ -342,8 +323,7 @@ func (h *Heap) OldestDynamic() int {
 }
 
 // Policy returns the heap's resolved collection policy: the explicit
-// Config.Policy (cloned if stateful), the AdaptivePolicy selected by
-// Config.AutoTune, or the stock RadixPolicy.
+// Config.Policy (cloned if stateful) or the stock RadixPolicy.
 func (h *Heap) Policy() Policy { return h.policy }
 
 // TriggerWords returns the live generation-0 trigger: the number of

@@ -310,7 +310,6 @@ func TestConfigValidate(t *testing.T) {
 		{"radix one", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: 1} }, "Radix"},
 		{"negative radix", func(c *heap.Config) { c.Policy = heap.RadixPolicy{Radix: -4} }, "Radix"},
 		{"negative max segments", func(c *heap.Config) { c.MaxSegments = -2 }, "MaxSegments"},
-		{"autotune over a set radix", func(c *heap.Config) { c.AutoTune, c.Policy = true, heap.RadixPolicy{Radix: 8} }, "AutoTune"},
 		{"parallel workers", func(c *heap.Config) { c.Workers = 2 }, "parallel collector was removed"},
 	}
 	for _, tc := range bad {

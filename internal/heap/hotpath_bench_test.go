@@ -14,7 +14,8 @@ import (
 //	go test -run '^$' -bench 'Cons|MakeVector64|Collect|BarrieredStore' ./internal/heap/
 //
 // (Collect matches BenchmarkCollectYoungList, ...Lists and ...Tree,
-// BenchmarkCollectDirtyLists and BenchmarkCollectLargeVectors.)
+// BenchmarkCollectDirtyLists, BenchmarkCollectLargeVectors,
+// BenchmarkCollectGen0 and BenchmarkCollectTraceOverhead.)
 
 // BenchmarkCons is bump allocation plus the two-word initialization:
 // nothing is rooted, so the periodic collection copies nothing.
@@ -173,6 +174,73 @@ func BenchmarkCollectLargeVectors(b *testing.B) {
 		words += h.Collect(0).WordsCopied
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
+}
+
+// BenchmarkCollectGen0 is a young collection with nothing young
+// surviving: 1 000 dead pairs allocated (timed) beside a tenured
+// 10 000-pair list, then a collection of generation 0, which copies
+// nothing and reaches no tenured pair.
+func BenchmarkCollectGen0(b *testing.B) {
+	h := heap.NewDefault()
+	lst := h.NewRoot(obj.Nil)
+	for i := 0; i < 10000; i++ {
+		lst.Set(h.Cons(obj.FromFixnum(int64(i)), lst.Get()))
+	}
+	h.Collect(h.MaxGeneration())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < 1000; k++ {
+			h.Cons(obj.FromFixnum(int64(k)), obj.Nil)
+		}
+		h.Collect(0)
+	}
+}
+
+// BenchmarkCollectTraceOverhead is BenchmarkCollectGen0 three ways:
+// tracing disabled (the default — the per-phase clocks always run, but
+// no event is materialized), the trace ring enabled, and a trace
+// callback installed. The phase clocks cannot be turned off, so
+// "disabled" is the untraced collector and the ring and func variants
+// bound the marginal cost of turning tracing on.
+func BenchmarkCollectTraceOverhead(b *testing.B) {
+	setup := func() *heap.Heap {
+		h := heap.NewDefault()
+		lst := h.NewRoot(obj.Nil)
+		for i := 0; i < 10000; i++ {
+			lst.Set(h.Cons(obj.FromFixnum(int64(i)), lst.Get()))
+		}
+		h.Collect(h.MaxGeneration())
+		return h
+	}
+	// pause-ns/gc counts the timed collections only, not setup's full
+	// collection of the tenured list.
+	run := func(b *testing.B, h *heap.Heap) {
+		pause, gcs := h.Stats.TotalPause, h.Stats.Collections
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < 1000; k++ {
+				h.Cons(obj.FromFixnum(int64(k)), obj.Nil)
+			}
+			h.Collect(0)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64((h.Stats.TotalPause-pause).Nanoseconds())/float64(h.Stats.Collections-gcs),
+			"pause-ns/gc")
+	}
+	b.Run("disabled", func(b *testing.B) {
+		run(b, setup())
+	})
+	b.Run("ring", func(b *testing.B) {
+		h := setup()
+		h.EnableTrace(64)
+		run(b, h)
+	})
+	b.Run("func", func(b *testing.B) {
+		h := setup()
+		var sink int64
+		h.SetTraceFunc(func(ev heap.TraceEvent) { sink += ev.PauseNS })
+		run(b, h)
+	})
 }
 
 // BenchmarkBarrieredStore is the write barrier on its hit path: a young

@@ -77,7 +77,7 @@ func (h *Heap) SaveImage(w io.Writer) error {
 // policy.
 func (t *Template) Encode(w io.Writer) error {
 	radix := DefaultRadix
-	if rp, ok := t.cfg.Policy.(RadixPolicy); ok && rp.Radix != 0 && !t.cfg.AutoTune {
+	if rp, ok := t.cfg.Policy.(RadixPolicy); ok && rp.Radix != 0 {
 		radix = rp.Radix
 	}
 	// bufio.Writer's errors are sticky: Flush returns the first.

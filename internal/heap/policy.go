@@ -6,14 +6,13 @@ import "repro/internal/seg"
 // "under programmer control" — which generation an automatic collection
 // collects, where survivors are promoted to, and how many generation-0
 // words are allocated between collect requests — goes through one
-// Policy value set via Config.Policy. Three stock implementations
-// cover the space: SimplePolicy (the paper's fixed strategy),
-// RadixPolicy (the configurable static strategy, and what a nil
-// Config.Policy resolves to), and AdaptivePolicy
-// (Config.AutoTune: feedback-driven from CollectionReport survival
-// rates, modeled on CertiCoq's empirically sized nursery and the VGC
-// survival-driven zone policy). StaticTop wraps any of them to hold the
-// oldest generation out of automatic collection altogether.
+// Policy value set via Config.Policy. Two stock implementations cover
+// the space: RadixPolicy (the paper's fixed strategy, configurable, and
+// what a nil Config.Policy resolves to) and AdaptivePolicy
+// (feedback-driven from CollectionReport survival rates, modeled on
+// CertiCoq's empirically sized nursery and the VGC survival-driven zone
+// policy). StaticTop wraps either to hold the oldest generation out of
+// automatic collection altogether.
 
 // Policy decides, for one heap, when each generation is collected,
 // where survivors go, and how large the generation-0 allocation budget
@@ -27,8 +26,8 @@ import "repro/internal/seg"
 // would break the collector's allocation-free steady state
 // (TestCollectSteadyStateAllocs).
 type Policy interface {
-	// Name returns a short stable identifier ("simple", "radix",
-	// "adaptive") used by traces, reports, and the (gc-policy) prim.
+	// Name returns a short stable identifier ("radix", "adaptive")
+	// used by traces, reports, and the (gc-policy) prim.
 	Name() string
 
 	// TargetGen chooses the target generation for a collection of
@@ -63,8 +62,8 @@ type Policy interface {
 // PolicyCloner is implemented by stateful policies. New (and therefore
 // CloneFromTemplate) calls ClonePolicy when resolving Config.Policy,
 // so a Config can be reused across many heaps without the policies
-// sharing mutable state. Value-type policies (SimplePolicy,
-// RadixPolicy) don't need it.
+// sharing mutable state. Value-type policies (RadixPolicy) don't need
+// it.
 type PolicyCloner interface {
 	ClonePolicy() Policy
 }
@@ -75,7 +74,7 @@ type PolicyCloner interface {
 const MinTriggerWords = seg.Words
 
 // DefaultTriggerWords is the fixed generation-0 trigger of the stock
-// static policies: 64 segments (256 KB), the upper end of the L2-cache
+// static policy: 64 segments (256 KB), the upper end of the L2-cache
 // sizing CertiCoq found fastest.
 const DefaultTriggerWords = 64 * seg.Words
 
@@ -84,9 +83,9 @@ const DefaultTriggerWords = 64 * seg.Words
 // collect-generation-radix default.
 const DefaultRadix = 4
 
-// radixCollectGen is the radix cadence shared by the static policies:
-// generation g is collected on every radix^g'th automatic collection,
-// so older generations are collected exponentially less often (§4).
+// radixCollectGen is RadixPolicy's cadence: generation g is collected
+// on every radix^g'th automatic collection, so older generations are
+// collected exponentially less often (§4).
 func radixCollectGen(n uint64, radix, maxGen int) int {
 	g := 0
 	for g < maxGen && n%uint64(radix) == 0 {
@@ -96,25 +95,13 @@ func radixCollectGen(n uint64, radix, maxGen int) int {
 	return g
 }
 
-// SimplePolicy is the paper's fixed strategy with the stock cadence:
-// survivors of a collection of generation g are promoted to g+1 (the
-// oldest generation collects into itself), generation g is collected
-// every DefaultRadix^g collect requests, and the generation-0 trigger
-// is DefaultTriggerWords, never adjusted. The zero value is the whole
-// policy.
-type SimplePolicy struct{}
-
-func (SimplePolicy) Name() string                { return "simple" }
-func (SimplePolicy) TargetGen(g, maxGen int) int { return g + 1 }
-func (SimplePolicy) InitialTrigger() int         { return DefaultTriggerWords }
-func (SimplePolicy) CollectGen(n uint64, maxGen int) int {
-	return radixCollectGen(n, DefaultRadix, maxGen)
-}
-func (SimplePolicy) NextTrigger(rep *CollectionReport, cur int) int { return cur }
-
 // RadixPolicy is the configurable static strategy: a fixed trigger, a
 // fixed radix cadence, and an optional promotion function. Zero fields
-// select the stock defaults, so RadixPolicy{} ≡ SimplePolicy{}; it is
+// select the stock defaults, so RadixPolicy{} is the paper's fixed
+// strategy: survivors of a collection of generation g are promoted to
+// g+1 (the oldest generation collects into itself), generation g is
+// collected every DefaultRadix^g collect requests, and the
+// generation-0 trigger is DefaultTriggerWords, never adjusted. It is
 // also the policy heap images round-trip (LoadImage).
 type RadixPolicy struct {
 	// Trigger is the generation-0 trigger in words; 0 selects
@@ -208,10 +195,10 @@ const (
 	AdaptiveHighSurvival = 0.20
 )
 
-// AdaptivePolicy is the feedback-driven strategy behind
-// Config.AutoTune: it adjusts the generation-0 trigger and the
-// per-generation collection cadence from the survival rates measured
-// by each CollectionReport, clamped to safe bounds.
+// AdaptivePolicy is the feedback-driven strategy: it adjusts the
+// generation-0 trigger and the per-generation collection cadence from
+// the survival rates measured by each CollectionReport, clamped to safe
+// bounds.
 //
 // Trigger: after every generation-0 collection the policy folds the
 // collection's survival rate (WordsCopied / Gen0Words) into an

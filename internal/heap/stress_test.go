@@ -147,7 +147,7 @@ func TestStressAllConfigurations(t *testing.T) {
 				Target: func(g, maxGen int) int { return g }}},
 		"adaptive-autotune": func() heap.Config {
 			c := heap.DefaultConfig()
-			c.AutoTune = true
+			c.Policy = &heap.AdaptivePolicy{}
 			return c
 		}(),
 	}

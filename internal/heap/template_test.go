@@ -447,7 +447,7 @@ func TestImageKeepsPolicyCadence(t *testing.T) {
 		return h2
 	}
 	cfg := heap.DefaultConfig()
-	cfg.AutoTune = true
+	cfg.Policy = &heap.AdaptivePolicy{}
 	tuned := heap.MustNew(cfg)
 	start := tuned.TriggerWords()
 	for i := 0; i < 12; i++ {

@@ -9,9 +9,9 @@ import (
 
 // TestGCPolicyPrim pins the (gc-policy) introspection contract: a pair
 // of the policy's name symbol and the live gen-0 trigger. The default
-// heap runs the stock static policy (a RadixPolicy); an AutoTune heap
-// reports adaptive, and its trigger is the live, retunable value — not
-// the configured constant.
+// heap runs the stock static policy (a RadixPolicy); an AdaptivePolicy
+// heap reports adaptive, and its trigger is the live, retunable value —
+// not the configured constant.
 func TestGCPolicyPrim(t *testing.T) {
 	m := newMachine(t)
 	expectEval(t, m, "(car (gc-policy))", "radix")
@@ -22,13 +22,13 @@ func TestGCPolicyPrim(t *testing.T) {
 		  (positive? (cdr (gc-policy))))`, "#t")
 
 	cfg := heap.DefaultConfig()
-	cfg.AutoTune = true
+	cfg.Policy = &heap.AdaptivePolicy{}
 	ma := scheme.New(heap.MustNew(cfg), nil)
 	expectEval(t, ma, "(car (gc-policy))", "adaptive")
 	expectEval(t, ma, "(positive? (cdr (gc-policy)))", "#t")
 	// Drive enough young garbage through collections that the adaptive
 	// policy moves the trigger off its starting value (all-garbage
-	// nursery -> survival ~0 -> the trigger grows).
+	// nursery -> survival ~0 -> the trigger halves).
 	expectEval(t, ma, `
 		(let ([start (cdr (gc-policy))])
 		  (define (churn n) (if (zero? n) 'done (begin (cons n n) (churn (- n 1)))))
@@ -37,9 +37,9 @@ func TestGCPolicyPrim(t *testing.T) {
 		  (not (= (cdr (gc-policy)) start)))`, "#t")
 
 	explicit := heap.DefaultConfig()
-	explicit.Policy = heap.SimplePolicy{}
-	ms := scheme.New(heap.MustNew(explicit), nil)
-	expectEval(t, ms, "(car (gc-policy))", "simple")
+	explicit.Policy = heap.RadixPolicy{}
+	mr := scheme.New(heap.MustNew(explicit), nil)
+	expectEval(t, mr, "(car (gc-policy))", "radix")
 }
 
 func TestGCPhaseStats(t *testing.T) {

@@ -68,13 +68,13 @@ type Config struct {
 	// implementations must be safe for concurrent calls when
 	// Executors > 1.
 	OnReply func(id SessionID, reply string, err error)
-	// PreludeBoot forces Register to boot every session by evaluating
-	// the prelude into a fresh heap, the pre-template path. The default
-	// (false) boots sessions from a process-wide copy-on-write heap
+	// preludeBoot forces Register to boot every session by evaluating
+	// the prelude into a fresh heap, the template fallback. Unset,
+	// Register boots sessions from a process-wide copy-on-write heap
 	// template built on first Register (see template.go) and falls back
-	// to prelude boot only if the template cannot be built. The knob
-	// exists for the fork benchmark's baseline and as an ablation.
-	PreludeBoot bool
+	// to prelude boot only if the template cannot be built. Only this
+	// package's tests set it, to compare the two boots.
+	preludeBoot bool
 }
 
 // DefaultSessionHeapConfig is the per-session heap shape: small

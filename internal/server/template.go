@@ -33,10 +33,10 @@ import (
 // run on the clone exactly as on a prelude-booted session.
 
 // bootSession builds the session for Register: template clone by
-// default, prelude boot when configured (Config.PreludeBoot) or when
-// the template path fails.
+// default, prelude boot when a test pins it (Config.preludeBoot) or
+// when the template path fails.
 func (srv *Server) bootSession(id SessionID) (*Session, error) {
-	if !srv.cfg.PreludeBoot {
+	if !srv.cfg.preludeBoot {
 		if tpl, err := srv.sessionTemplate(); err == nil {
 			if s, err := newSessionFromTemplate(srv, id, tpl); err == nil {
 				srv.countBoot(&srv.stats.TemplateBoots)

@@ -11,7 +11,7 @@ import (
 
 // Tests for template-backed session boot: Register boots clones from
 // the process-wide prelude template by default, falls back to (or is
-// pinned to) prelude boot via Config.PreludeBoot, rebuilds the
+// pinned to) prelude boot via Config.preludeBoot, rebuilds the
 // template when the donor's permanent state drifts, and — the part
 // that matters — template-booted sessions are indistinguishable from
 // prelude-booted ones, including disconnect-time guardian reclaim.
@@ -59,7 +59,7 @@ func TestTemplateBootDefault(t *testing.T) {
 
 func TestPreludeBootConfig(t *testing.T) {
 	log := newReplyLog()
-	srv := New(Config{PreludeBoot: true, OnReply: log.cb})
+	srv := New(Config{preludeBoot: true, OnReply: log.cb})
 	id := mustRegister(t, srv, "")
 	st := srv.Stats()
 	if st.PreludeBoots != 1 || st.TemplateBoots != 0 {
@@ -83,7 +83,7 @@ func TestTemplateBootMatchesPreludeBoot(t *testing.T) {
 	}
 	run := func(prelude bool) ([]string, ReclaimRecord) {
 		log := newReplyLog()
-		srv := New(Config{PreludeBoot: prelude, OnReply: log.cb})
+		srv := New(Config{preludeBoot: prelude, OnReply: log.cb})
 		id := mustRegister(t, srv, "")
 		var replies []string
 		for _, src := range script {

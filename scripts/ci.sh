@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository CI gate: formatting, static checks, build, race-enabled
-# tests, and a benchgc smoke run. Run from anywhere; operates on the
+# tests, fuzz smokes, one run of each hot-path benchmark, and the
+# benchmark module's own checks. Run from anywhere; operates on the
 # repo root.
 set -eu
 
@@ -23,21 +24,6 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== guardian gate (-race)"
-# The guardian salvage fixpoint must append to tconcs in registration
-# order: the chain suite pins §4's rounds and salvage order, and the
-# workload suite replays a randomized guardian/weak workload twice and
-# checks every collection's queue contents: identical across the runs,
-# append-only, no object salvaged twice.
-go test -race -run 'TestGuardian' ./internal/heap/
-
-echo "== policy / autotune gate (-race)"
-# The Config.Policy seam: the AutoTune gate runs a trigger-driven
-# churn workload with a full Verify after every collection plus the
-# adaptive-autotune stress configuration, and the steady-state test
-# holds the feedback path to zero Go allocations per collection.
-go test -race -run 'TestAdaptive|TestAutoTune|TestCollectSteadyStateAllocsAutoTune|TestStressAllConfigurations/adaptive-autotune' ./internal/heap/
-
 echo "== multi-session server gate (-race)"
 # The session server: 10k register/run/disconnect cycles from 4 client
 # goroutines against the started pools (every session must reclaim
@@ -55,25 +41,6 @@ echo "== heap template / fork gate (-race)"
 # repeat five times here: a root visitor that stored into the shared
 # symbol-table base is a data race there.
 go test -race -count=5 -run 'TestAttachedMachinesRunConcurrently' ./internal/scheme/
-
-echo "== segment-window gate (-race)"
-# Word access by window: cursors that cache their open segment, objects
-# at the one-segment limit either side of the window/run boundary,
-# forward privatizing a template-shared from-space segment without
-# touching the template, and Verify's stale-cursor invariant. The
-# steady-state test holds the window-filling constructors and the
-# copying core to zero Go allocations per round. The kleene-sweep's
-# scan of to-space: a handed-over segment swept from its cursor on, one
-# wave across the pair, weak and obj spaces and a large object, and the
-# tconc pairs a guardian salvage appends, each at exact counts. The
-# copier's chase, which copies a list in list order: shared tails,
-# cycles, older tails, weak pairs, template-shared segments, a
-# million-pair list, a list reached only from a dirty cell and a
-# guarded list's salvage order. The segment table's dense arrays:
-# Verify catching each planted disagreement with slot state, and two
-# clones collecting out of template-shared pair, weak and object
-# segments the sweep reaches, on two goroutines.
-go test -race -run 'TestWindow|TestCloneForwardLeavesTemplateIntact|TestVerifyCatchesStaleCursor|TestVerifyCatchesStaleSegInfo|TestSweepCopiesOutOfTemplateSharedSegments|TestCollectSteadyStateAllocs|TestScanStartsAtHandedOverCursor|TestSweepWaveSpansSpaces|TestSweepCellsGuardianSalvage|TestChase' ./internal/heap/
 
 echo "== heap repeat gate (-count=2 -race)"
 # Runs the heap suite twice in one process: shakes out state leaking
@@ -99,11 +66,15 @@ go test -run '^$' -fuzz 'FuzzEval' -fuzztime=10s ./internal/scheme/
 go test -run '^$' -fuzz 'FuzzServerSession' -fuzztime=10s ./internal/server/
 
 echo "== hot-path benchmarks (compile and run once)"
-# The local before/after for the allocation path and the copying core;
-# one iteration each, so they cannot rot; and the header accessors the
-# VM calls per instruction (VectorRef, RecordRef, SymbolValue). Beside
-# them those accessors are held to zero Go allocations a call.
-go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|CollectDirtyLists|CollectLargeVectors|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
+# The local before/after for the allocation path and the copying core,
+# an empty-nursery young collection with and without tracing
+# (CollectGen0, CollectTraceOverhead), and the header accessors the VM
+# calls per instruction (VectorRef, RecordRef, SymbolValue); one
+# iteration each, so they cannot rot. Beside them those accessors are
+# held to zero Go allocations a call.
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|CollectDirtyLists|CollectLargeVectors|CollectGen0|CollectTraceOverhead|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
+# Guardian registration: one pair onto the generation-0 protected list.
+go test -run '^$' -bench 'GuardianRegister' -benchtime 1x ./internal/core/
 # What a template-booted session costs in Go: Attach (run with
 # -benchmem for its bytes and allocations) and one serve-steady request.
 go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server/
@@ -113,29 +84,6 @@ go test -run '^$' -bench 'Attach|SessionRequest' -benchtime 1x ./internal/server
 # calling a user closure.
 go test -run '^$' -bench 'InternAttached|VMLoop|PreludeMap' -benchtime 1x ./internal/scheme/
 go test -run 'TestHeaderAccessorsDoNotAllocate' ./internal/heap/
-
-echo "== benchgc smoke"
-go run ./cmd/benchgc -trace -phases -gcs 5 >/dev/null
-go run ./cmd/benchgc -e e1 >/dev/null
-# Reduced-scale server bench: exercises all three phases and the
-# report's schema self-check (peak population, quantile ordering,
-# zero leaks) without the full 10k boot.
-go run ./cmd/benchgc -server-bench -server-sessions 200 -server-churn 50 \
-    -out /tmp/BENCH_server_ci.json >/dev/null
-rm -f /tmp/BENCH_server_ci.json
-# Reduced-scale fork bench: template-vs-prelude boot, COW fault cost,
-# and template churn, with the report's schema self-check (boot
-# counters exact, speedup floor, quantile ordering, zero leaks).
-go run ./cmd/benchgc -fork-bench -fork-sessions 300 \
-    -out /tmp/BENCH_fork_ci.json >/dev/null
-rm -f /tmp/BENCH_fork_ci.json
-# Reduced-scale tune bench: the tuned-vs-fixed ablation at toy scale.
-# The report is written and schema-checked; the comparative acceptance
-# bounds (AutoTune never regressing a workload) are asserted only at
-# full scale, so this smoke stays noise-proof.
-go run ./cmd/benchgc -tune-bench -tune-reps 1 -tune-ops 60000 \
-    -out /tmp/BENCH_tune_ci.json >/dev/null
-rm -f /tmp/BENCH_tune_ci.json
 
 echo "== benchmark module (bench/)"
 # bench/ is its own module, so nothing above builds it: an internal/*

@@ -11,12 +11,17 @@
 //	benchgc -phases    # run the trace workload; per-phase pause summary
 //	benchgc -trace -phases -gcs 100   # both, over 100 collections
 //
+// -trace and -phases run the trace workload instead of the tables, so
+// neither combines with -e, -list or -csv, and -list does not combine
+// with -e: such a command line is a usage error (exit status 2).
+//
 // See docs/ALGORITHM.md ("Reading benchgc -trace output") for the
 // trace record schema. Throughput and latency numbers come from the
 // repository benchmark, bench/ (bash bench/run.sh), not from here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +39,11 @@ func main() {
 		gcs    = flag.Int("gcs", 50, "number of collections for -trace/-phases")
 	)
 	flag.Parse()
+	if err := checkFlags(*one, *list, *csv, *trace, *phases); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgc: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *trace || *phases {
 		h, err := runTraceWorkload(os.Stdout, *gcs, *trace)
@@ -75,4 +85,32 @@ func main() {
 	for _, e := range experiments.All() {
 		render(e.Run())
 	}
+}
+
+// checkFlags rejects the flag combinations that ask for two different
+// runs: the trace workload (-trace, -phases, which combine with each
+// other) with the experiment tables (-e, -list, -csv), and the list of
+// experiments with one experiment's table (-list with -e).
+func checkFlags(one string, list, csv, trace, phases bool) error {
+	workload := ""
+	switch {
+	case trace:
+		workload = "-trace"
+	case phases:
+		workload = "-phases"
+	}
+	if workload != "" {
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{{one != "", "-e"}, {list, "-list"}, {csv, "-csv"}} {
+			if f.set {
+				return fmt.Errorf("%s cannot be combined with %s", workload, f.name)
+			}
+		}
+	}
+	if list && one != "" {
+		return errors.New("-list cannot be combined with -e")
+	}
+	return nil
 }

@@ -95,3 +95,40 @@ func TestPhaseSummaryRendersAllPhases(t *testing.T) {
 		t.Fatalf("phase summary missing collection count:\n%s", out)
 	}
 }
+
+// TestCheckFlags covers every flag combination checkFlags rejects —
+// the trace workload with a table flag, -list with -e — and the
+// combinations it accepts.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		one                      string
+		list, csv, trace, phases bool
+		wantErr                  string
+	}{
+		{name: "none"},
+		{name: "-e", one: "e1"},
+		{name: "-e -csv", one: "e1", csv: true},
+		{name: "-list", list: true},
+		{name: "-csv", csv: true},
+		{name: "-trace", trace: true},
+		{name: "-phases", phases: true},
+		{name: "-trace -phases", trace: true, phases: true},
+		{name: "-trace -e", one: "nosuch", trace: true, wantErr: "-trace cannot be combined with -e"},
+		{name: "-trace -list", list: true, trace: true, wantErr: "-trace cannot be combined with -list"},
+		{name: "-trace -csv", csv: true, trace: true, wantErr: "-trace cannot be combined with -csv"},
+		{name: "-phases -e", one: "e1", phases: true, wantErr: "-phases cannot be combined with -e"},
+		{name: "-phases -list", list: true, phases: true, wantErr: "-phases cannot be combined with -list"},
+		{name: "-phases -csv", csv: true, phases: true, wantErr: "-phases cannot be combined with -csv"},
+		{name: "-trace -phases -e", one: "e1", trace: true, phases: true, wantErr: "-trace cannot be combined with -e"},
+		{name: "-list -e", one: "e1", list: true, wantErr: "-list cannot be combined with -e"},
+	} {
+		err := checkFlags(tc.one, tc.list, tc.csv, tc.trace, tc.phases)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+	}
+}

@@ -337,3 +337,124 @@ func TestChaseNotInSalvage(t *testing.T) {
 		h.MustVerify()
 	}
 }
+
+// The chase caches the last source segment: the from-space test, the
+// privatization and the words lookup run only when a cdr leaves it. The
+// tests below take the cache to its miss on every step, to a forwarded
+// stop on a hit, and past a to-space segment boundary.
+
+// TestChaseAlternatingSegments: a list spliced with SetCdr so that
+// consecutive pairs alternate between two from-space segments. Every
+// step of the chase leaves the cached segment, and the list is still
+// copied whole, in list order.
+func TestChaseAlternatingSegments(t *testing.T) {
+	const k = 100
+	h := NewDefault()
+	var bySeg [2][]obj.Value
+	segs := [2]int{seg.None, seg.None}
+	for len(bySeg[1]) < k {
+		p := h.Cons(obj.Nil, obj.Nil)
+		idx := seg.SegIndexOf(p.Addr())
+		switch {
+		case segs[0] == seg.None:
+			segs[0] = idx
+		case segs[1] == seg.None && idx != segs[0]:
+			segs[1] = idx
+		}
+		for s := range segs {
+			if idx == segs[s] && len(bySeg[s]) < k {
+				bySeg[s] = append(bySeg[s], p)
+			}
+		}
+	}
+	if len(bySeg[0]) < k {
+		t.Fatalf("first segment holds %d pairs, want %d", len(bySeg[0]), k)
+	}
+	var pairs []obj.Value
+	for i := 0; i < k; i++ {
+		pairs = append(pairs, bySeg[0][i], bySeg[1][i])
+	}
+	for i, p := range pairs {
+		h.SetCar(p, fix(i))
+		if i > 0 {
+			h.SetCdr(pairs[i-1], p)
+		}
+	}
+	r := h.NewRoot(pairs[0])
+	h.Stats.Reset()
+	h.Collect(0)
+	if h.Stats.PairsCopied != 2*k || h.Stats.SweepPasses != 1 {
+		t.Fatalf("%d pairs copied in %d passes, want %d in 1", h.Stats.PairsCopied, h.Stats.SweepPasses, 2*k)
+	}
+	checkList(t, h, r.Get(), 0, 2*k, obj.Nil)
+	inToSpaceOrder(t, h, r.Get(), 2*k)
+	h.MustVerify()
+}
+
+// TestChaseStopsAtForwardedInCachedSegment: a ten-pair list in one
+// segment, its sixth pair rooted before its head. The first root's
+// forward copies pairs 5..9; the head's chase then copies pairs 0..4
+// and meets pair 5, forwarded, in the segment it has cached, and takes
+// its forwarding address.
+func TestChaseStopsAtForwardedInCachedSegment(t *testing.T) {
+	h := NewDefault()
+	l := list(h, 0, 10)
+	mid := l
+	for i := 0; i < 5; i++ {
+		mid = h.Cdr(mid)
+	}
+	if seg.SegIndexOf(mid.Addr()) != seg.SegIndexOf(l.Addr()) {
+		t.Fatal("list spans two segments")
+	}
+	rm := h.NewRoot(mid)
+	rl := h.NewRoot(l)
+	h.Stats.Reset()
+	h.Collect(0)
+	if h.Stats.PairsCopied != 10 {
+		t.Fatalf("%d pairs copied, want 10", h.Stats.PairsCopied)
+	}
+	checkList(t, h, rm.Get(), 5, 5, obj.Nil)
+	if last := checkList(t, h, rl.Get(), 0, 5, rm.Get()); h.Cdr(last) != rm.Get() {
+		t.Fatal("pair 4's cdr is not pair 5's copy")
+	}
+	inToSpaceOrder(t, h, rm.Get(), 5)
+	inToSpaceOrder(t, h, rl.Get(), 5)
+	h.MustVerify()
+}
+
+// TestChaseOpensToSpaceSegment: generation 1's pair segment is part
+// full when a 300-pair list is collected into it, so the chase fills it
+// from a non-zero offset, opens a fresh segment mid-list and carries on
+// there. The full segment's Fill is its size, so the sweep reaches its
+// end, and Verify's cursor check finds the open segment's Fill at the
+// cursor: the chase wrote both back.
+func TestChaseOpensToSpaceSegment(t *testing.T) {
+	const n = 300
+	h := NewDefault()
+	keep := h.NewRoot(list(h, 1000, 10))
+	h.Collect(0)
+	cur := &h.cur[seg.SpacePair][1]
+	first, off := int(cur.seg), int(cur.off)
+	if first == seg.None || off == 0 || off+2*n <= seg.Words {
+		t.Fatalf("generation 1's pair cursor at segment %d offset %d", first, off)
+	}
+	r := h.NewRoot(list(h, 0, n))
+	h.Stats.Reset()
+	h.Collect(0)
+	if h.Stats.PairsCopied != n || h.Stats.SweepPasses != 1 {
+		t.Fatalf("%d pairs copied in %d passes, want %d in 1", h.Stats.PairsCopied, h.Stats.SweepPasses, n)
+	}
+	if got := h.tab.Seg(first).Fill; got != seg.Words {
+		t.Fatalf("handed-over segment's Fill %d, want %d", got, seg.Words)
+	}
+	if int(cur.seg) == first || int(cur.off) != 2*n-(seg.Words-off) {
+		t.Fatalf("cursor at segment %d offset %d, want a fresh segment at %d", cur.seg, cur.off, 2*n-(seg.Words-off))
+	}
+	if seg.Offset(r.Get().Addr()) != off {
+		t.Fatalf("list head at offset %d, want %d", seg.Offset(r.Get().Addr()), off)
+	}
+	checkList(t, h, r.Get(), 0, n, obj.Nil)
+	inToSpaceOrder(t, h, r.Get(), n)
+	checkList(t, h, keep.Get(), 1000, 10, obj.Nil)
+	h.MustVerify()
+}

@@ -468,7 +468,7 @@ func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 		if space == seg.SpaceWeak {
 			c.newWeak = append(c.newWeak, na)
 		} else if chase && obj.Value(dst[1]).IsPair() {
-			c.chase(dst)
+			c.chase((*[2]uint64)(dst))
 		}
 		return v.WithAddr(na)
 	}
@@ -516,39 +516,55 @@ func (c *copier) copyOut(v obj.Value, chase bool) obj.Value {
 // takes one frame. The pair space's scan already has work (the pair
 // copyOut just copied), so the loop bumps the to-space cursor itself
 // and counts its copies once, at the end.
-func (c *copier) chase(dst []uint64) {
+//
+// The loop's state is in locals, as CertiCoq's forward keeps its
+// from-space bounds and next pointer in arguments. Consecutive cdrs
+// mostly share a from-space segment, so the source segment's info test
+// (from-space, pair space), its privatization and its words lookup run
+// only when the cdr leaves the last source segment (srcIdx): a cached
+// segment is private from then on, so srcW stays its words. The next
+// cdr is the word just read from from-space, not read back from the
+// copy: a list walk is a chain of dependent loads, and that keeps a
+// store-to-load hop off it. The to-space cursor is held as its words,
+// base address and offset and written back to cur (off and the
+// segment's Fill) before open and at the end, so Verify's cursor check
+// (an open cursor's Fill is its offset) holds whenever anything outside
+// the loop can look.
+func (c *copier) chase(dst *[2]uint64) {
 	tab, cur := c.h.tab, &c.cur[seg.SpacePair]
+	base, tw, off := seg.BaseAddr(int(cur.seg)), cur.w, int(cur.off)
+	srcIdx, srcW := seg.None, (*[seg.Words]uint64)(nil)
 	var n uint64
-	for {
-		cdr := obj.Value(dst[1])
-		if !cdr.IsPair() {
-			break
-		}
+	for cdr := obj.Value(dst[1]); cdr.IsPair(); {
 		addr := cdr.Addr()
-		idx := seg.SegIndexOf(addr)
-		inf := tab.Info(idx)
-		if inf&(seg.InfoFrom|seg.InfoSpace) != seg.InfoFrom|seg.Info(seg.SpacePair) {
-			break
+		if idx := seg.SegIndexOf(addr); idx != srcIdx {
+			if tab.Info(idx)&(seg.InfoFrom|seg.InfoSpace) != seg.InfoFrom|seg.Info(seg.SpacePair) {
+				break
+			}
+			srcIdx, srcW = idx, tab.Writable(idx)
 		}
-		if inf&seg.InfoShared != 0 {
-			tab.Writable(idx)
-		}
-		src := tab.Words(idx)[seg.Offset(addr):]
-		w0 := src[0]
+		o := seg.Offset(addr)
+		w0 := srcW[o]
 		if obj.IsFwd(w0) {
 			dst[1] = uint64(cdr.WithAddr(obj.FwdAddr(w0)))
 			break
 		}
-		if !cur.fits(2) {
+		if off+2 > seg.Words {
+			cur.off, cur.s.Fill = int32(off), off
 			c.open(seg.SpacePair)
+			base, tw, off = seg.BaseAddr(int(cur.seg)), cur.w, 0
 		}
-		na, nd := cur.bump(2)
-		nd[0], nd[1] = w0, src[1]
-		src[0] = obj.MakeFwd(na)
+		na := base + uint64(off)
+		nd := (*[2]uint64)(tw[off:])
+		w1 := srcW[o+1]
+		nd[0], nd[1] = w0, w1
+		srcW[o] = obj.MakeFwd(na)
 		dst[1] = uint64(cdr.WithAddr(na))
-		dst = nd
+		dst, cdr = nd, obj.Value(w1)
+		off += 2
 		n++
 	}
+	cur.off, cur.s.Fill = int32(off), off
 	st := &c.h.Stats
 	st.PairsCopied += n
 	st.WordsCopied += 2 * n
@@ -728,15 +744,19 @@ func (h *Heap) sweptShort(what string) {
 }
 
 // fwdWindow forwards in place every pointer field of the window w. The
-// from-space filter is forward's, inline: an immediate or a referent
-// outside from-space costs the word's tag test and one info load, and
-// only a from-space referent calls copyOut. The table is re-read per
-// word, as copyOut may grow it.
+// from-space filter is forward's, inline, on the table's info array
+// taken once for the window: an immediate or a referent outside
+// from-space costs the word's tag test and one indexed load, and only
+// a from-space referent calls copyOut. A copy can open a segment and
+// so grow the table, which may move the array: it is taken again after
+// every copyOut.
 func (c *copier) fwdWindow(w []uint64) {
-	h := c.h
+	tab := c.h.tab
+	info := tab.Infos()
 	for i, x := range w {
-		if v := obj.Value(x); h.inFrom(v) {
+		if v := obj.Value(x); v.IsPointer() && info[seg.SegIndexOf(v.Addr())]&seg.InfoFrom != 0 {
 			w[i] = uint64(c.copyOut(v, true))
+			info = tab.Infos()
 		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 //
 // (Collect matches BenchmarkCollectYoungList, ...Lists and ...Tree,
 // BenchmarkCollectDirtyLists, BenchmarkCollectLargeVectors,
-// BenchmarkCollectGen0 and BenchmarkCollectTraceOverhead.)
+// BenchmarkCollectScatteredList, BenchmarkCollectGen0 and
+// BenchmarkCollectTraceOverhead.)
 
 // BenchmarkCons is bump allocation plus the two-word initialization:
 // nothing is rooted, so the periodic collection copies nothing.
@@ -169,6 +170,32 @@ func BenchmarkCollectLargeVectors(b *testing.B) {
 				lst = h.Cons(obj.FromFixnum(int64(k)), lst)
 			}
 			h.VectorSet(root.Get(), j, lst)
+		}
+		b.StartTimer()
+		words += h.Collect(0).WordsCopied
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
+}
+
+// BenchmarkCollectScatteredList is the worst case for the chase's
+// source-segment cache: each iteration builds a 512-pair list whose
+// pairs lie one to a generation-0 segment, each followed by 255 garbage
+// conses (untimed), so every step of the chase leaves the segment of
+// the step before. It is collected into generation 1 — 1 024 words
+// copied, 512 from-space segments freed — then dropped.
+func BenchmarkCollectScatteredList(b *testing.B) {
+	h := heap.NewDefault()
+	root := h.NewRoot(obj.Nil)
+	var words uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		root.Set(obj.Nil)
+		h.Collect(1)
+		for k := 0; k < 512; k++ {
+			root.Set(h.Cons(obj.FromFixnum(int64(k)), root.Get()))
+			for j := 0; j < 255; j++ {
+				h.Cons(obj.False, obj.Nil)
+			}
 		}
 		b.StartTimer()
 		words += h.Collect(0).WordsCopied

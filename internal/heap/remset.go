@@ -126,12 +126,18 @@ func (r *remSet) count() int {
 // old-to-young pointer afterwards are kept, with the dedup index
 // rewritten to the compacted positions. It returns the number of
 // live remembered cells examined (the DirtyCellsScanned contribution).
+//
+// The generation reads go to the table's info array, taken once for
+// the shard and again after each forward that copies, which can grow
+// the table and move the array (seg.Table.Infos).
 func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 	h := c.h
+	tab := h.tab
+	info := tab.Infos()
 	live := sh.entries[:0]
 	for _, e := range sh.entries {
 		idx := seg.SegIndexOf(e.addr)
-		gen := h.tab.Info(idx).Gen()
+		gen := info[idx].Gen()
 		if gen <= g {
 			// Collected (or defensively: freed, its info zero) cell —
 			// the copy, if any, is swept normally.
@@ -146,10 +152,14 @@ func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
 			c.pendWeak = append(c.pendWeak, e.addr)
 			continue
 		}
-		cell := &h.tab.Writable(idx)[seg.Offset(e.addr)]
-		nv := c.forward(obj.Value(*cell))
-		*cell = uint64(nv)
-		if !nv.IsPointer() || h.genOf(nv.Addr()) >= gen {
+		cell := &tab.Writable(idx)[seg.Offset(e.addr)]
+		nv := obj.Value(*cell)
+		if nv.IsPointer() && info[seg.SegIndexOf(nv.Addr())]&seg.InfoFrom != 0 {
+			nv = c.copyOut(nv, true)
+			*cell = uint64(nv)
+			info = tab.Infos()
+		}
+		if !nv.IsPointer() || info[seg.SegIndexOf(nv.Addr())].Gen() >= gen {
 			delete(sh.index, e.addr)
 			continue
 		}

@@ -521,6 +521,15 @@ func (t *Table) Seg(idx int) *Segment {
 // Info returns segment idx's packed hot facts (zero for a free slot).
 func (t *Table) Info(idx int) Info { return t.info[idx] }
 
+// Infos returns the info array itself, indexed by segment number, for
+// a loop that tests many referents: the slice header is loaded once
+// for the loop instead of once per Info. It is for reading only, and
+// valid until the table grows — a claim of a new slot (Alloc, AllocRun)
+// may move the array — so a loop that can allocate segments re-takes
+// it after each call that might. Entries changed in place (MarkFrom,
+// privatization, Free) show through it.
+func (t *Table) Infos() []Info { return t.info }
+
 // InUse reports whether segment idx is in use.
 func (t *Table) InUse(idx int) bool { return t.words[idx] != nil }
 

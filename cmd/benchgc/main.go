@@ -12,8 +12,9 @@
 //	benchgc -trace -phases -gcs 100   # both, over 100 collections
 //
 // -trace and -phases run the trace workload instead of the tables, so
-// neither combines with -e, -list or -csv, and -list does not combine
-// with -e: such a command line is a usage error (exit status 2).
+// neither combines with -e, -list or -csv; -gcs sizes that workload, so
+// it needs one of them; and -list combines with neither -e nor -csv:
+// such a command line is a usage error (exit status 2).
 //
 // See docs/ALGORITHM.md ("Reading benchgc -trace output") for the
 // trace record schema. Throughput and latency numbers come from the
@@ -39,7 +40,9 @@ func main() {
 		gcs    = flag.Int("gcs", 50, "number of collections for -trace/-phases")
 	)
 	flag.Parse()
-	if err := checkFlags(*one, *list, *csv, *trace, *phases); err != nil {
+	gcsSet := false
+	flag.Visit(func(f *flag.Flag) { gcsSet = gcsSet || f.Name == "gcs" })
+	if err := checkFlags(*one, *list, *csv, *trace, *phases, gcsSet); err != nil {
 		fmt.Fprintf(os.Stderr, "benchgc: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -88,10 +91,12 @@ func main() {
 }
 
 // checkFlags rejects the flag combinations that ask for two different
-// runs: the trace workload (-trace, -phases, which combine with each
+// runs — the trace workload (-trace, -phases, which combine with each
 // other) with the experiment tables (-e, -list, -csv), and the list of
-// experiments with one experiment's table (-list with -e).
-func checkFlags(one string, list, csv, trace, phases bool) error {
+// experiments with one experiment's table (-list with -e) — and those
+// that set something the run ignores: -csv with the list, and the trace
+// workload's size (-gcs, gcs here) without the workload.
+func checkFlags(one string, list, csv, trace, phases, gcs bool) error {
 	workload := ""
 	switch {
 	case trace:
@@ -111,6 +116,12 @@ func checkFlags(one string, list, csv, trace, phases bool) error {
 	}
 	if list && one != "" {
 		return errors.New("-list cannot be combined with -e")
+	}
+	if list && csv {
+		return errors.New("-list cannot be combined with -csv")
+	}
+	if gcs && workload == "" {
+		return errors.New("-gcs needs -trace or -phases")
 	}
 	return nil
 }

@@ -97,14 +97,14 @@ func TestPhaseSummaryRendersAllPhases(t *testing.T) {
 }
 
 // TestCheckFlags covers every flag combination checkFlags rejects —
-// the trace workload with a table flag, -list with -e — and the
-// combinations it accepts.
+// the trace workload with a table flag, -list with -e or -csv, -gcs
+// without the trace workload — and the combinations it accepts.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name                     string
-		one                      string
-		list, csv, trace, phases bool
-		wantErr                  string
+		name                          string
+		one                           string
+		list, csv, trace, phases, gcs bool
+		wantErr                       string
 	}{
 		{name: "none"},
 		{name: "-e", one: "e1"},
@@ -122,8 +122,13 @@ func TestCheckFlags(t *testing.T) {
 		{name: "-phases -csv", csv: true, phases: true, wantErr: "-phases cannot be combined with -csv"},
 		{name: "-trace -phases -e", one: "e1", trace: true, phases: true, wantErr: "-trace cannot be combined with -e"},
 		{name: "-list -e", one: "e1", list: true, wantErr: "-list cannot be combined with -e"},
+		{name: "-list -csv", list: true, csv: true, wantErr: "-list cannot be combined with -csv"},
+		{name: "-gcs -e", one: "e7", gcs: true, wantErr: "-gcs needs -trace or -phases"},
+		{name: "-gcs", gcs: true, wantErr: "-gcs needs -trace or -phases"},
+		{name: "-trace -gcs", trace: true, gcs: true},
+		{name: "-phases -gcs", phases: true, gcs: true},
 	} {
-		err := checkFlags(tc.one, tc.list, tc.csv, tc.trace, tc.phases)
+		err := checkFlags(tc.one, tc.list, tc.csv, tc.trace, tc.phases, tc.gcs)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

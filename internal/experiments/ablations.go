@@ -57,7 +57,7 @@ func A1() Table {
 			})
 		}
 	}
-	t.Notes = "scan-all-old visits the whole tenured heap each young collection; the dirty set visits only mutated cells"
+	t.Notes = "scan-all-old visits the whole tenured heap each young collection; the dirty set visits only the segments of mutated cells, while they point young"
 	return t
 }
 

@@ -28,13 +28,11 @@ func (c *CensusCell) add(o CensusCell) {
 type Census struct {
 	// BySpaceGen is indexed [space][generation].
 	BySpaceGen [seg.NumSpaces][]CensusCell
-	// RemSetCells is the deduplicated remembered-set size at census
-	// time — the same figure DirtyCount reports, counted per distinct
-	// cell address. RemSetShards breaks it down by shard (summing to
-	// RemSetCells); it is nil in the map-oracle test configuration,
-	// which has no shards.
-	RemSetCells  int
-	RemSetShards []int
+	// DirtyByGen is the remembered set at census time: the dirty
+	// segments counted by mark, as Heap.DirtyByGen returns them.
+	// Element g counts the segments whose youngest referent lies in
+	// generation g; the elements sum to DirtyCount.
+	DirtyByGen []int
 }
 
 // Census walks the segment table and returns the heap's residency
@@ -42,8 +40,7 @@ type Census struct {
 // collection (post-collect hooks included).
 func (h *Heap) Census() Census {
 	var c Census
-	c.RemSetCells = h.DirtyCount()
-	c.RemSetShards = h.RemSetShardSizes()
+	c.DirtyByGen = h.DirtyByGen()
 	for sp := range c.BySpaceGen {
 		c.BySpaceGen[sp] = make([]CensusCell, h.cfg.Generations)
 	}
@@ -135,18 +132,10 @@ func (c Census) String() string {
 	}
 	t := c.Total()
 	fmt.Fprintf(&b, "total: %d words, %d objects, %d segments", t.Words, t.Objects, t.Segments)
-	if c.RemSetShards != nil {
-		occupied, max := 0, 0
-		for _, n := range c.RemSetShards {
-			if n > 0 {
-				occupied++
-			}
-			if n > max {
-				max = n
-			}
-		}
-		fmt.Fprintf(&b, "\nremset: %d cells in %d/%d shards (largest %d)",
-			c.RemSetCells, occupied, len(c.RemSetShards), max)
+	dirty := 0
+	for _, n := range c.DirtyByGen {
+		dirty += n
 	}
+	fmt.Fprintf(&b, "\nremset: %d dirty segments, by youngest referent %v", dirty, c.DirtyByGen)
 	return b.String()
 }

@@ -69,7 +69,7 @@ func (h *Heap) collect(g int) *CollectionReport {
 
 	h.cp.rootsPhase()
 	t = h.phaseMark(PhaseRoots, t)
-	// Old-to-young pointers: the remembered set's dirty cells, or a
+	// Old-to-young pointers: the remembered set's dirty segments, or a
 	// conservative scan of all older generations when the dirty set
 	// is disabled. Each strategy gets its own phase column so the
 	// trace distinguishes remembered-set time from full-scan time.
@@ -133,7 +133,6 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	rep.Phases = [NumPhases]time.Duration{}
 	rep.GuardianRounds = 0
 	rep.GuardianRoundDurations = rep.GuardianRoundDurations[:0]
-	rep.ShardDirty = [RemShards]uint64{} // repopulated by the dirty scan
 	rep.ProtectedByGen = rep.ProtectedByGen[:0]
 
 	// Detach from-space: the segment chains of every collected
@@ -158,6 +157,9 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	// above closed its cursors, so copies go to fresh segments).
 	for sp := range h.cur {
 		h.cur[sp][target].handTo(&h.cp.cur[sp])
+		if cur := &h.cp.cur[sp]; cur.s != nil {
+			h.cp.markSkipped(seg.Space(sp), int(cur.seg))
+		}
 	}
 	h.cp.borrow(h.sc)
 	return from, h.phaseMark(PhaseSetup, start)
@@ -597,6 +599,21 @@ func (c *copier) open(space seg.Space) {
 	}
 	c.cur[space].open(h.tab, idx)
 	h.Stats.SegmentsAllocated++
+	c.markSkipped(space, idx)
+}
+
+// markSkipped marks the to-space segment idx of space when the
+// collection skips a generation: survivors of 0..g promoted past g+1
+// (a RadixPolicy.Target beyond the paper's g+1) can point into the
+// uncollected generations between, and the segment must be scanned when
+// the youngest of them, g+1, is next collected — the remembered-set side
+// of the case protListGen clamps for the protected lists. That scan
+// re-marks it exactly. Data segments hold no pointers.
+func (c *copier) markSkipped(space seg.Space, idx int) {
+	h := c.h
+	if h.gcTarget > h.gcGen+1 && space != seg.SpaceData && h.cfg.UseDirtySet {
+		h.remember(idx, h.gcGen+1)
+	}
 }
 
 // allocRun allocates a large-object run of contiguous target-generation
@@ -609,6 +626,7 @@ func (c *copier) allocRun(space seg.Space, total int) uint64 {
 	h.fillRun(first, k, total)
 	for i := 0; i < k; i++ {
 		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], first+i)
+		c.markSkipped(space, first+i)
 	}
 	h.Stats.WordsAllocated += uint64(total)
 	h.Stats.SegmentsAllocated += uint64(k)
@@ -1067,7 +1085,9 @@ func (h *Heap) guardianPhase(g, target int) {
 // the target or is older. A skip-promotion policy (target > g+1) can
 // strand an entry's tconc or representative in an intermediate,
 // uncollected generation; the entry then stays on that younger list
-// so the intermediate generation's next collection rescans it.
+// so the intermediate generation's next collection rescans it. The
+// to-space segments of such a collection are marked for the same
+// reason (copier.markSkipped).
 func (h *Heap) protListGen(e ProtEntry, target int) int {
 	dst := target
 	for _, v := range [...]obj.Value{e.Obj, e.Rep, e.Tconc} {
@@ -1085,17 +1105,17 @@ func (h *Heap) protListGen(e ProtEntry, target int) int {
 // and the cdr fields of both the old last pair and the header are
 // pointed at a new last pair — the header's cdr last, so a mutator
 // interrupted at any point never observes a partially installed
-// element. Writes into tconcs living in older generations record
-// dirty entries, since the enqueued object is young.
+// element. Writes into tconcs living in older generations go through
+// the barrier, since the enqueued object is young.
 func (h *Heap) tconcAddGC(tc, v obj.Value) {
 	last := h.valueAt(tc.Addr() + 1)
 	h.check(last.IsPair(), "tconc: malformed header (cdr not a pair)")
 	na, w := h.cp.alloc(seg.SpacePair, 2)
 	w[0], w[1] = uint64(obj.False), uint64(obj.False)
 	newLast := obj.PairAt(na)
-	h.writeGC(last.Addr(), v)         // car of old last := element
-	h.writeGC(last.Addr()+1, newLast) // cdr of old last := new last
-	h.writeGC(tc.Addr()+1, newLast)   // header cdr := new last (final)
+	h.writeCell(last.Addr(), v)         // car of old last := element
+	h.writeCell(last.Addr()+1, newLast) // cdr of old last := new last
+	h.writeCell(tc.Addr()+1, newLast)   // header cdr := new last (final)
 }
 
 // weakPass is the second pass through the weak-pair space (§4), run
@@ -1103,8 +1123,8 @@ func (h *Heap) tconcAddGC(tc, v obj.Value) {
 // pointers to salvaged objects survive. The car of each weak pair
 // copied during this collection is forwarded if its referent was
 // forwarded, left alone if the referent lives in an older generation,
-// and broken to #f otherwise. Deferred dirty weak cells in older
-// generations get the same treatment.
+// and broken to #f otherwise. The weak cars the dirty scan (or the
+// old-generation scan) deferred get the same treatment.
 func (h *Heap) weakPass(g int) {
 	c := &h.cp
 	if h.cfg.WeakScanAll {
@@ -1134,30 +1154,30 @@ func (h *Heap) weakPass(g int) {
 	c.newWeak, c.pendWeak = c.newWeak[:0], c.pendWeak[:0]
 }
 
-// weakFixCell fixes the weak car at addr and keeps it remembered when
-// it must be. Both freshly copied weak pairs and deferred dirty weak
-// cells can end up with a car still pointing at a strictly younger
-// generation — a copied pair's car does whenever the promotion policy
-// sends the pair past its referent's generation (eager tenure, §4's
-// programmer-controlled strategies). Such cells must (re-)enter the
-// dirty set or later minor collections would never revisit them and
-// the car would silently dangle (Verify invariant 4).
+// weakFixCell fixes the weak car at addr and keeps its segment marked
+// when it must be. Both freshly copied weak pairs and deferred weak cars
+// can end up with a car still pointing at a strictly younger generation
+// — a copied pair's car does whenever the promotion policy sends the
+// pair past its referent's generation (eager tenure, §4's
+// programmer-controlled strategies). Such a segment must be marked that
+// young or later minor collections would never revisit it and the car
+// would silently dangle (Verify invariant 4).
 func (h *Heap) weakFixCell(addr uint64) {
-	if h.weakFix(addr) && h.cfg.UseDirtySet {
-		h.dirtyInsert(addr, true)
+	if g := h.weakFix(addr); g >= 0 && h.cfg.UseDirtySet {
+		h.remember(seg.SegIndexOf(addr), g)
 	}
 }
 
 // weakFix updates the weak car cell at addr: forwarded referents are
-// redirected, dead referents are broken to #f. It reports whether the
-// cell still holds a pointer to a generation strictly younger than its
-// own (so the caller can keep it in the dirty set).
-func (h *Heap) weakFix(addr uint64) bool {
+// redirected, dead referents are broken to #f. It returns the
+// generation the cell still points into when that is strictly younger
+// than its own (so the caller can keep its segment marked), else -1.
+func (h *Heap) weakFix(addr uint64) int {
 	h.Stats.WeakPairsScanned++
 	idx, off := seg.SegIndexOf(addr), seg.Offset(addr)
 	v := obj.Value(h.tab.Words(idx)[off])
 	if !v.IsPointer() {
-		return false
+		return -1
 	}
 	nv, ok := h.survivor(v)
 	if nv != v {
@@ -1165,7 +1185,10 @@ func (h *Heap) weakFix(addr uint64) bool {
 	}
 	if !ok {
 		h.Stats.WeakPointersBroken++
-		return false
+		return -1
 	}
-	return h.genOf(nv.Addr()) < h.tab.Info(idx).Gen()
+	if g := h.genOf(nv.Addr()); g < h.tab.Info(idx).Gen() {
+		return g
+	}
+	return -1
 }

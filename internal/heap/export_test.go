@@ -4,15 +4,6 @@ import "fmt"
 
 // Test-only exports for the external heap_test package.
 
-// EnableMapRemsetOracle switches h to the retired map-based remembered
-// set (remset_oracle.go), the sequential reference implementation the
-// map-vs-sharded lockstep oracle compares the sharded set against.
-func EnableMapRemsetOracle(h *Heap) { h.enableMapRemsetOracle() }
-
-// UsesMapRemset reports whether the map-oracle remembered set is
-// active on h.
-func UsesMapRemset(h *Heap) bool { return h.dirtyMap != nil }
-
 // ImageState renders, one line each, what a heap loaded from an image
 // and a clone of the same template must agree on: every in-use
 // segment's index, space, generation, continuation flag, fill, stamp

@@ -160,14 +160,6 @@ type ProtEntry struct {
 	Tconc obj.Value
 }
 
-// dirtyCell is one entry of the sharded remembered set (see
-// remset.go): a remembered cell address, with weak marking weak car
-// cells whose referents belong to the weak-pair pass.
-type dirtyCell struct {
-	addr uint64
-	weak bool
-}
-
 // Heap is a simulated Scheme heap with a generation-based collector.
 //
 // Concurrency. A heap has one mutator at a time and synchronizes
@@ -198,12 +190,9 @@ type Heap struct {
 	rootsFree  []int
 	providers  []*providerEntry
 	protected  [][]ProtEntry
-	// rem is the sharded remembered set (remset.go). dirtyMap, normally
-	// nil, is the retired map-based representation kept as a sequential
-	// test oracle: when non-nil it replaces rem entirely (see
-	// remset_oracle.go and the dirtyInsert/dirtyLookup dispatchers).
-	rem         remSet
-	dirtyMap    map[uint64]bool
+	// dirty lists every segment whose remembered-set mark is not clean,
+	// once each (remset.go); nil until the barrier first marks one.
+	dirty       []int
 	handler     func(*Heap)
 	postCollect []func(*Heap, *CollectionReport)
 
@@ -457,72 +446,30 @@ func (h *Heap) window(addr uint64, n int) []uint64 {
 // genOf returns the generation of the segment holding addr.
 func (h *Heap) genOf(addr uint64) int { return h.tab.Info(seg.SegIndexOf(addr)).Gen() }
 
-// writeCell stores v at addr and maintains the remembered set: any
-// pointer cell written in a generation older than 0 is remembered so
-// that a collection of younger generations can find old-to-young
-// pointers without scanning older generations (the generation-friendly
-// property the paper insists on). Immediates need no remembering — the
-// generational invariants are about pointers — so the barrier filters
-// them before touching the set. isWeakCar marks the cell as a weak
-// car, whose referent must be handled by the weak-pair pass rather
-// than traced.
-func (h *Heap) writeCell(addr uint64, v obj.Value, isWeakCar bool) {
+// writeCell stores v at addr and maintains the remembered set: a
+// pointer into a generation younger than the cell's lowers the mark of
+// the cell's segment to that generation, so that a collection of the
+// younger generation finds the pointer without scanning older
+// generations (the generation-friendly property the paper insists on).
+// Immediates need no remembering — the generational invariants are
+// about pointers — so the barrier filters them before any generation
+// is read, and a store into generation 0 reads no referent's.
+// The collector's own stores that can create an old-to-young pointer
+// (appending a salvaged young object to a guardian tconc living in an
+// older generation, §4) go through it too.
+func (h *Heap) writeCell(addr uint64, v obj.Value) {
 	idx := seg.SegIndexOf(addr)
 	h.tab.Writable(idx)[seg.Offset(addr)] = uint64(v)
-	if !v.IsPointer() {
+	if !v.IsPointer() || !h.cfg.UseDirtySet {
 		return
 	}
-	if !h.cfg.UseDirtySet {
-		return
-	}
-	if h.tab.Info(idx).Gen() > 0 {
-		h.dirtyInsert(addr, isWeakCar)
-		h.Stats.BarrierHits++
-	}
-}
-
-// writeGC stores v at addr during a collection, recording a dirty
-// entry only when the store creates an old-to-young pointer (for
-// example, the collector appending a salvaged young object to a
-// guardian tconc living in an older generation, §4).
-func (h *Heap) writeGC(addr uint64, v obj.Value) {
-	idx := seg.SegIndexOf(addr)
-	h.tab.Writable(idx)[seg.Offset(addr)] = uint64(v)
-	if !h.cfg.UseDirtySet || !v.IsPointer() {
-		return
-	}
-	if g := h.tab.Info(idx).Gen(); g > 0 && h.genOf(v.Addr()) < g {
-		h.dirtyInsert(addr, false)
-	}
-}
-
-// dirtyInsert records addr in whichever remembered-set representation
-// is active: the sharded set, or the map-based test oracle when one is
-// enabled (remset_oracle.go). Both give the same sticky-weak dedup
-// semantics, which is what makes the map-vs-sharded lockstep oracle
-// meaningful.
-func (h *Heap) dirtyInsert(addr uint64, weak bool) {
-	if h.dirtyMap != nil {
-		if cur, ok := h.dirtyMap[addr]; ok {
-			if weak && !cur {
-				h.dirtyMap[addr] = true
-			}
-			return
+	info := h.tab.Infos()
+	if cg := info[idx].Gen(); cg > 0 {
+		if g := info[seg.SegIndexOf(v.Addr())].Gen(); g < cg {
+			h.Stats.BarrierHits++
+			h.remember(idx, g)
 		}
-		h.dirtyMap[addr] = weak
-		return
 	}
-	h.rem.insert(addr, weak)
-}
-
-// dirtyLookup reports whether addr is remembered, and whether its
-// entry is marked weak, in whichever representation is active.
-func (h *Heap) dirtyLookup(addr uint64) (weak, ok bool) {
-	if h.dirtyMap != nil {
-		weak, ok = h.dirtyMap[addr]
-		return weak, ok
-	}
-	return h.rem.lookup(addr)
 }
 
 // CollectPending reports whether the generation-0 allocation trigger
@@ -620,21 +567,6 @@ func (h *Heap) LiveWords() uint64 {
 
 // SegmentsInUse returns the number of live segments.
 func (h *Heap) SegmentsInUse() int { return h.tab.InUseCount() }
-
-// DirtyCount returns the deduplicated size of the remembered set: the
-// number of distinct cell addresses currently remembered, however many
-// times each was written. It is valid at any time, including from
-// post-collect hooks, where it reports the retired-and-reinserted set
-// the *next* collection's dirty scan will start from (entries are
-// retired during the dirty-scan phase and weak cells re-enter during
-// the weak pass, which completes before hooks run). The contract is
-// pinned down by TestDirtyCountContract.
-func (h *Heap) DirtyCount() int {
-	if h.dirtyMap != nil {
-		return len(h.dirtyMap)
-	}
-	return h.rem.count()
-}
 
 // SetAllocForbidden toggles a mode in which any allocation panics. It
 // models the restriction that finalization thunks run as part of the

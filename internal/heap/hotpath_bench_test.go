@@ -14,7 +14,8 @@ import (
 //	go test -run '^$' -bench 'Cons|MakeVector64|Collect|BarrieredStore' ./internal/heap/
 //
 // (Collect matches BenchmarkCollectYoungList, ...Lists and ...Tree,
-// BenchmarkCollectDirtyLists, BenchmarkCollectLargeVectors,
+// BenchmarkCollectDirtyLists, BenchmarkCollectPromotedSlots,
+// BenchmarkCollectLargeVectors,
 // BenchmarkCollectScatteredList, BenchmarkCollectGen0 and
 // BenchmarkCollectTraceOverhead.)
 
@@ -150,6 +151,49 @@ func BenchmarkCollectDirtyLists(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
 }
 
+// BenchmarkCollectPromotedSlots is heap-guardian's FIFO alone: a
+// tenured 1 024-slot vector, a three-segment run, whose slots hold
+// records already promoted to generation 1, and per iteration 240 fresh
+// records stored into the next 240 slots in ring order (untimed), then
+// a collection of generation 0. It copies the fresh records and should
+// not read the slots whose records an earlier collection promoted.
+// Every 16 iterations an untimed collection of generation 1 promotes
+// the records on, and every 64 a full one drops the overwritten ones.
+func BenchmarkCollectPromotedSlots(b *testing.B) {
+	const slots, fresh = 1024, 240
+	h := heap.NewDefault()
+	fifo := h.NewRoot(h.MakeVector(slots, obj.False))
+	h.Collect(h.MaxGeneration())
+	pos := 0
+	store := func() {
+		for j := 0; j < fresh; j++ {
+			rec := h.MakeRecord(obj.FromFixnum(1), 3)
+			h.RecordSet(rec, 0, obj.FromFixnum(int64(pos)))
+			h.VectorSet(fifo.Get(), pos, rec)
+			pos = (pos + 1) % slots
+		}
+	}
+	for i := 0; i < slots/fresh+1; i++ { // fill every slot, promoted
+		store()
+		h.Collect(0)
+	}
+	var words uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		switch {
+		case i%64 == 63:
+			h.Collect(h.MaxGeneration())
+		case i%16 == 15:
+			h.Collect(1)
+		}
+		store()
+		b.StartTimer()
+		words += h.Collect(0).WordsCopied
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(words), "ns/word-copied")
+}
+
 // BenchmarkCollectLargeVectors is the copy and sweep of a large object:
 // per iteration a rooted 1 024-slot vector, a three-segment run, each
 // slot holding a young 4-pair list (untimed), collected out of
@@ -271,8 +315,8 @@ func BenchmarkCollectTraceOverhead(b *testing.B) {
 }
 
 // BenchmarkBarrieredStore is the write barrier on its hit path: a young
-// pointer stored into a tenured pair, already in the remembered set
-// after the first store.
+// pointer stored into a tenured pair, whose segment is marked by the
+// first store.
 func BenchmarkBarrieredStore(b *testing.B) {
 	h := heap.NewDefault()
 	old := h.NewRoot(h.Cons(obj.Nil, obj.Nil))

@@ -14,8 +14,8 @@ import (
 // an encoded Template: SaveImage captures the heap (CaptureTemplate)
 // and encodes the template, and LoadImage decodes one and instantiates
 // it with the heap owning the word arrays outright. The walk over
-// segments, root slots, protected lists and the remembered set is
-// therefore CaptureTemplate's alone. Segment indexes are preserved, so
+// segments, root slots and protected lists is therefore
+// CaptureTemplate's alone. Segment indexes are preserved, so
 // no pointer needs adjusting.
 //
 // Go-side state is out of scope by design: root *handles*, root
@@ -25,17 +25,17 @@ import (
 // state lives entirely in the heap; the scheme package's machine
 // images add the symbol table.
 //
-// Format GUARDIMG5, little-endian u64s and u8 flags: the magic; the
+// Format GUARDIMG6, little-endian u64s and u8 flags: the magic; the
 // generation count, live trigger, radix, dirty-set and weak-scan-all
 // flags, segment limit, stamp and automatic-collection count; the
 // segment-table length — the last in-use index plus one: trailing free
 // slots are not written — and in-use count, then per in-use segment, in
-// ascending index order, its index, space, generation, continuation
-// flag, fill, stamp and fill words; the root slots (live flag, value);
-// per generation the protected list (object, representative, tconc);
-// the remembered cells (address, weak flag).
+// ascending index order, its index, space, generation, remembered-set
+// mark (a seg.Mark byte), continuation flag, fill, stamp and fill words;
+// the root slots (live flag, value); per generation the protected list
+// (object, representative, tconc).
 
-const imageMagic = "GUARDIMG5\n"
+const imageMagic = "GUARDIMG6\n"
 
 type imageReader struct {
 	r   *bufio.Reader
@@ -113,6 +113,7 @@ func (t *Template) Encode(w io.Writer) error {
 		put(uint64(s.Index))
 		bw.WriteByte(uint8(s.Space))
 		put(uint64(s.Gen))
+		bw.WriteByte(uint8(s.Mark))
 		flag(s.Cont)
 		put(uint64(s.Fill), s.Stamp)
 		put(s.Words[:s.Fill]...)
@@ -129,11 +130,6 @@ func (t *Template) Encode(w io.Writer) error {
 		for _, e := range lst {
 			put(uint64(e.Obj), uint64(e.Rep), uint64(e.Tconc))
 		}
-	}
-	put(uint64(len(t.dirty)))
-	for _, c := range t.dirty {
-		put(c.addr)
-		flag(c.weak)
 	}
 	return bw.Flush()
 }
@@ -218,6 +214,7 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 			Index: idx,
 			Space: seg.Space(ir.u8()),
 			Gen:   int(ir.u64()),
+			Mark:  seg.Mark(ir.u8()),
 			Cont:  ir.u8() != 0,
 			Fill:  int(ir.u64()),
 			Stamp: ir.u64(),
@@ -225,6 +222,12 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 		if ir.err != nil || ts.Fill < 0 || ts.Fill > seg.Words ||
 			ts.Gen < 0 || ts.Gen >= tpl.cfg.Generations || ts.Space >= seg.NumSpaces {
 			return corrupt("segment record")
+		}
+		// A mark no younger than its own segment, or on a data segment,
+		// is one no collector writes; the scan would read a data
+		// segment's raw words as values.
+		if ts.Mark != seg.Clean && (ts.Mark.Gen() >= ts.Gen || ts.Space == seg.SpaceData) {
+			return corrupt("segment mark")
 		}
 		ts.Words = make([]uint64, seg.Words)
 		for off := range ts.Words[:ts.Fill] {
@@ -271,16 +274,5 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 		}
 	}
 
-	nDirty := int(ir.u64())
-	if ir.err != nil || nDirty < 0 || nDirty > 1<<26 {
-		return corrupt("dirty set")
-	}
-	for k := 0; k < nDirty; k++ {
-		c := dirtyCell{addr: ir.u64(), weak: ir.u8() != 0}
-		if ir.err != nil {
-			return corrupt("dirty set")
-		}
-		tpl.dirty = append(tpl.dirty, c)
-	}
 	return tpl, nil
 }

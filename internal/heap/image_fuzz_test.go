@@ -18,8 +18,8 @@ import (
 // committed.
 
 // richImage serializes a heap exercising every image section: multiple
-// generations, object space, a populated sharded remset with a weak
-// entry, a guardian with a pending registration, and a released root
+// generations, object space, marked segments (a weak car's among
+// them), a guardian with a pending registration, and a released root
 // slot.
 func richImage(tb testing.TB) []byte {
 	tb.Helper()
@@ -176,12 +176,12 @@ func TestLoadImageSparseTableProbes(t *testing.T) {
 	le := binary.LittleEndian
 	const total = 4194303
 	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8
-	// A record: index, space (u8), generation, cont (u8), fill, stamp,
-	// then fill words.
+	// A record: index, space (u8), generation, mark (u8), cont (u8),
+	// fill, stamp, then fill words.
 	last, off := 0, segCountOff+16
 	for k := le.Uint64(img[segCountOff+8:]); k > 0; k-- {
 		last = off
-		off += 8 + 1 + 8 + 1 + 8 + 8 + 8*int(le.Uint64(img[off+18:]))
+		off += 8 + 1 + 8 + 1 + 1 + 8 + 8 + 8*int(le.Uint64(img[off+19:]))
 	}
 	found := append([]byte(nil), img...)
 	le.PutUint64(found[segCountOff:], total)

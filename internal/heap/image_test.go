@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,13 +98,14 @@ func TestHeapImageDirtySetPreserved(t *testing.T) {
 	}
 }
 
-// TestHeapImageShardedRemsetRoundTrip saves an image mid-mutation with
-// a well-populated sharded remembered set — strong entries spread over
-// several shards plus a weak entry — and checks that the restored heap
-// rebuilds an equivalent sharded set: same deduplicated count, same
-// per-shard sizes, and the same collection behaviour afterwards (young
-// referents survive via the strong entries, the weak car breaks when
-// its referent dies).
+// TestHeapImageShardedRemsetRoundTrip (named for the sharded set the
+// marks replaced) saves an image mid-mutation with a populated
+// remembered set — a pair segment dirtied through every car of a list
+// plus a weak segment dirtied through a weak car — and checks that the
+// restored heap carries the same marks: the same dirty segments by
+// generation, and the same collection behaviour afterwards (young
+// referents survive via the strong cells, the weak car breaks when its
+// referent dies).
 func TestHeapImageShardedRemsetRoundTrip(t *testing.T) {
 	h := heap.NewDefault()
 	const n = 12
@@ -126,20 +128,11 @@ func TestHeapImageShardedRemsetRoundTrip(t *testing.T) {
 		h.SetCar(v, h.Cons(obj.FromFixnum(int64(i)), obj.Nil))
 		i++
 	}
-	h.SetCar(weak.Get(), h.Car(old.Get())) // weak remembered entry
-	if h.DirtyCount() < n+1 {
-		t.Fatalf("setup: DirtyCount %d, want >= %d", h.DirtyCount(), n+1)
+	h.SetCar(weak.Get(), h.Car(old.Get())) // the weak segment's mark
+	if h.DirtyCount() != 2 {
+		t.Fatalf("setup: DirtyCount %d, want the pair and the weak segment", h.DirtyCount())
 	}
-	sizes := h.RemSetShardSizes()
-	populated := 0
-	for _, s := range sizes {
-		if s > 0 {
-			populated++
-		}
-	}
-	if populated < 2 {
-		t.Fatalf("setup: remembered cells landed in %d shard(s); want spread", populated)
-	}
+	sizes := h.DirtyByGen()
 
 	var buf bytes.Buffer
 	if err := h.SaveImage(&buf); err != nil {
@@ -152,11 +145,8 @@ func TestHeapImageShardedRemsetRoundTrip(t *testing.T) {
 	if h2.DirtyCount() != h.DirtyCount() {
 		t.Fatalf("restored DirtyCount %d, want %d", h2.DirtyCount(), h.DirtyCount())
 	}
-	sizes2 := h2.RemSetShardSizes()
-	for si := range sizes {
-		if sizes[si] != sizes2[si] {
-			t.Fatalf("shard %d size changed across round trip: %d vs %d", si, sizes[si], sizes2[si])
-		}
+	if sizes2 := h2.DirtyByGen(); !slices.Equal(sizes, sizes2) {
+		t.Fatalf("DirtyByGen changed across the round trip: %v vs %v", sizes, sizes2)
 	}
 	h2.MustVerify()
 

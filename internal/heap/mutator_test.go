@@ -466,17 +466,15 @@ func (o *mutOracleSide) compare(other *mutOracleSide) error {
 	return nil
 }
 
-// TestMutatorOracle steps a heap running the map-based remembered-set
-// oracle and a heap four handles take turns on (the sharded set),
-// through an identical seeded workload. After every collection the
-// object graphs must be isomorphic and the deduplicated dirty counts
-// and guardian/weak outcomes identical: handing the heap over changes
-// nothing it allocates, remembers, salvages or breaks.
+// TestMutatorOracle steps a heap one goroutine drives and a heap four
+// handles take turns on through an identical seeded workload. After
+// every collection the object graphs must be isomorphic and the dirty
+// segment counts and guardian/weak outcomes identical: handing the heap
+// over changes nothing it allocates, remembers, salvages or breaks.
 func TestMutatorOracle(t *testing.T) {
 	for _, seed := range []int64{5, 20260807} {
 		t.Run(fmt.Sprintf("workers=1/seed=%d", seed), func(t *testing.T) {
 			a := newMutOracleSide(0, nil)
-			heap.EnableMapRemsetOracle(a.h)
 			b := newMutOracleSide(4, func(cfg *heap.Config) { cfg.Workers = 1 })
 			steps := 2500
 			if testing.Short() {

@@ -132,7 +132,7 @@ func (h *Heap) SetCar(p, v obj.Value) {
 	if !p.IsPair() {
 		h.badPair("set-car!", p)
 	}
-	h.writeCell(p.Addr(), v, h.tab.Info(seg.SegIndexOf(p.Addr())).Space() == seg.SpaceWeak)
+	h.writeCell(p.Addr(), v)
 }
 
 // SetCdr stores v in the cdr of a pair, with the write barrier.
@@ -140,7 +140,7 @@ func (h *Heap) SetCdr(p, v obj.Value) {
 	if !p.IsPair() {
 		h.badPair("set-cdr!", p)
 	}
-	h.writeCell(p.Addr()+1, v, false)
+	h.writeCell(p.Addr()+1, v)
 }
 
 // List builds a proper list of the given values.
@@ -344,7 +344,7 @@ func (h *Heap) VectorSet(v obj.Value, i int, x obj.Value) {
 	if i < 0 || i >= n {
 		h.badIndex("vector-set!", i, n)
 	}
-	h.writeCell(v.Addr()+1+uint64(i), x, false)
+	h.writeCell(v.Addr()+1+uint64(i), x)
 }
 
 // --- Strings and bytevectors -------------------------------------------
@@ -487,7 +487,7 @@ func (h *Heap) SymbolValue(v obj.Value) obj.Value {
 // SetSymbolValue stores a symbol's global binding.
 func (h *Heap) SetSymbolValue(v, x obj.Value) {
 	h.object(v, obj.KSymbol, "set-symbol-value!")
-	h.writeCell(v.Addr()+2, x, false)
+	h.writeCell(v.Addr()+2, x)
 }
 
 // PeekSymbol returns a symbol's global value and property list, even
@@ -521,7 +521,7 @@ func (h *Heap) SymbolPlist(v obj.Value) obj.Value {
 // SetSymbolPlist stores a symbol's property list.
 func (h *Heap) SetSymbolPlist(v, x obj.Value) {
 	h.object(v, obj.KSymbol, "set-symbol-plist!")
-	h.writeCell(v.Addr()+3, x, false)
+	h.writeCell(v.Addr()+3, x)
 }
 
 // --- Boxes --------------------------------------------------------------------
@@ -541,7 +541,7 @@ func (h *Heap) Unbox(v obj.Value) obj.Value {
 // SetBox stores x into a box, with the write barrier.
 func (h *Heap) SetBox(v, x obj.Value) {
 	h.object(v, obj.KBox, "set-box!")
-	h.writeCell(v.Addr()+1, x, false)
+	h.writeCell(v.Addr()+1, x)
 }
 
 // --- Ports ---------------------------------------------------------------------
@@ -585,7 +585,7 @@ func (h *Heap) SetPortField(v obj.Value, i int, x obj.Value) {
 	if i < 0 || i >= portFields {
 		h.badPortField("set-port-field!", i)
 	}
-	h.writeCell(v.Addr()+1+uint64(i), x, false)
+	h.writeCell(v.Addr()+1+uint64(i), x)
 }
 
 // --- Records -----------------------------------------------------------------
@@ -628,5 +628,5 @@ func (h *Heap) RecordSet(v obj.Value, i int, x obj.Value) {
 	if i < 0 || i >= n {
 		h.badIndex("record-set!", i, n)
 	}
-	h.writeCell(v.Addr()+2+uint64(i), x, false)
+	h.writeCell(v.Addr()+2+uint64(i), x)
 }

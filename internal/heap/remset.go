@@ -5,211 +5,138 @@ import (
 	"repro/internal/seg"
 )
 
-// This file implements the sharded remembered set: the data structure
-// behind the write barrier (writeCell/writeGC) and the collector's
-// dirty-scan phase. The paper's generational collector depends on the
-// remembered set to find old-to-young pointers without scanning older
-// generations (§4). Sharding it by segment index gives the dirty scan
-// segment-level locality and the report a per-shard breakdown.
+// This file implements the remembered set: the data structure behind
+// the write barrier (writeCell) and the collector's dirty-scan phase.
+// The paper's generational collector depends on it to find old-to-young
+// pointers without scanning older generations (§4), and keeps it beside
+// the segment information table. So does this one: it is one byte per
+// segment, the segment's mark in seg.Table (seg.Mark), plus the list of
+// the segments whose mark is not clean.
 //
-// Representation. RemShards shards (a power of two), each holding an
-// append-only slice of dirty-cell entries plus a dedup index mapping a
-// cell address to its position in the slice. A cell address belongs to
-// the shard of its segment (remShardOf), so all entries for one
-// segment land in one shard and the mutator's barrier cost is one
-// shard-local map probe. The entries slice and the index are kept
-// exactly consistent (Verify invariant 8): len(entries) == len(index),
-// entries hold distinct addresses, and index[addr] is the entry's
-// position. The weak flag marks weak-car cells, whose referents must
-// be handled by the weak-pair pass rather than traced.
+// The mark. A segment's mark is the youngest generation its words may
+// point into, or clean. The barrier lowers it on every store of a
+// pointer into a younger generation; the dirty scan of a collection of
+// generations 0..g scans exactly the listed segments marked g or
+// younger, and re-marks each with the youngest generation it still
+// points into. A segment marked older than g points only into
+// generations the collection does not move, so it is not read at all:
+// a generation-0 collection passes over the segments whose young
+// referents were promoted by earlier collections until their own
+// generation is collected.
 //
-// Retirement. Entries are dropped lazily, during the dirty scan of a
-// collection: cells whose segment was collected, cells that no longer
-// hold a pointer into a younger generation, and weak cells (deferred
-// to the weak pass, which re-inserts the ones still pointing young).
-// Between collections the set can therefore contain stale entries —
-// cells later overwritten with immediates or old pointers — which is
-// harmless: the invariant is that every *live* old-to-young pointer
-// has an entry, not the converse.
-
-const (
-	// remShardBits picks the shard count, 32. The count is part of the
-	// trace schema (DirtyShardCells) and of Census.RemSetShards.
-	remShardBits = 5
-	// RemShards is the number of remembered-set shards (a power of
-	// two). Per-shard figures in CollectionReport.ShardDirty, the trace
-	// schema, and Census.RemSetShards are indexed 0..RemShards-1.
-	RemShards = 1 << remShardBits
-)
-
-// remShardOf maps a cell address to its shard: shards are keyed by
-// segment index, so one segment's cells never straddle shards and a
-// scan of a shard has segment-level locality.
-func remShardOf(addr uint64) int {
-	return seg.SegIndexOf(addr) & (RemShards - 1)
-}
-
-// remShard is one shard: the entry slice plus its dedup index. The
-// index is allocated lazily on the shard's first insert.
-type remShard struct {
-	entries []dirtyCell
-	index   map[uint64]int32
-}
-
-// remSet is the sharded remembered set. The zero value is ready to
-// use. The shard array is allocated on the first insert, so a heap
-// whose barrier never records a cell — a standing server session that
-// stores no old-to-young pointer — carries none; every reader treats
-// a nil array as an empty set.
-type remSet struct {
-	shards *[RemShards]remShard
-}
-
-// all returns the shards, or nil before the first insert.
-func (r *remSet) all() []remShard {
-	if r.shards == nil {
-		return nil
-	}
-	return r.shards[:]
-}
-
-// insert records addr as a remembered cell, deduplicating against the
-// shard's index. The weak flag is sticky: a cell once recorded as a
-// weak car stays weak (weak-car cells are only ever written through
-// the weak-car barrier, so the flag never needs to clear).
-func (r *remSet) insert(addr uint64, weak bool) {
-	if r.shards == nil {
-		r.shards = new([RemShards]remShard)
-	}
-	sh := &r.shards[remShardOf(addr)]
-	if sh.index == nil {
-		sh.index = make(map[uint64]int32)
-	}
-	if i, ok := sh.index[addr]; ok {
-		if weak {
-			sh.entries[i].weak = true
-		}
-		return
-	}
-	sh.index[addr] = int32(len(sh.entries))
-	sh.entries = append(sh.entries, dirtyCell{addr, weak})
-}
-
-// lookup reports whether addr is remembered and whether its entry is
-// marked weak.
-func (r *remSet) lookup(addr uint64) (weak, ok bool) {
-	if r.shards == nil {
-		return false, false
-	}
-	sh := &r.shards[remShardOf(addr)]
-	i, ok := sh.index[addr]
-	if !ok {
-		return false, false
-	}
-	return sh.entries[i].weak, true
-}
-
-// count returns the deduplicated entry count across all shards.
-func (r *remSet) count() int {
-	n := 0
-	for _, sh := range r.all() {
-		n += len(sh.entries)
-	}
-	return n
-}
-
-// scanRemShard processes one shard against a collection of
-// generations 0..g, compacting the shard in place: stale entries
-// (collected or retired cells) are dropped, weak cells are deferred to
-// the copier's pendWeak list for the weak pass, and strong cells are
-// forwarded with the cell updated in place. Entries that still hold an
-// old-to-young pointer afterwards are kept, with the dedup index
-// rewritten to the compacted positions. It returns the number of
-// live remembered cells examined (the DirtyCellsScanned contribution).
+// The list. h.dirty holds every marked segment once, appended when its
+// mark leaves clean; a scanned segment that ends clean leaves it, and
+// so does a collected one (its copies are swept like any copy, and
+// freeing it clears its mark). Verify invariant 8 checks the list
+// against the marks.
 //
-// The generation reads go to the table's info array, taken once for
-// the shard and again after each forward that copies, which can grow
-// the table and move the array (seg.Table.Infos).
-func (c *copier) scanRemShard(sh *remShard, g int) (scanned uint64) {
-	h := c.h
-	tab := h.tab
-	info := tab.Infos()
-	live := sh.entries[:0]
-	for _, e := range sh.entries {
-		idx := seg.SegIndexOf(e.addr)
-		gen := info[idx].Gen()
-		if gen <= g {
-			// Collected (or defensively: freed, its info zero) cell —
-			// the copy, if any, is swept normally.
-			delete(sh.index, e.addr)
-			continue
-		}
-		scanned++
-		if e.weak {
-			// Defer to the weak pass; it re-inserts the cell if it
-			// still points to a younger generation afterwards.
-			delete(sh.index, e.addr)
-			c.pendWeak = append(c.pendWeak, e.addr)
-			continue
-		}
-		cell := &tab.Writable(idx)[seg.Offset(e.addr)]
-		nv := obj.Value(*cell)
-		if nv.IsPointer() && info[seg.SegIndexOf(nv.Addr())]&seg.InfoFrom != 0 {
-			nv = c.copyOut(nv, true)
-			*cell = uint64(nv)
-			info = tab.Infos()
-		}
-		if !nv.IsPointer() || info[seg.SegIndexOf(nv.Addr())].Gen() >= gen {
-			delete(sh.index, e.addr)
-			continue
-		}
-		sh.index[e.addr] = int32(len(live))
-		live = append(live, dirtyCell{e.addr, false})
+// Weak cars need no flag of their own: the space bits say which words
+// of a segment are weak cars. The scan hands a weak car that points
+// into from-space to the weak pass, which fixes it and lowers the mark
+// again if it still points young.
+
+// remember lowers segment idx's mark to generation gen, listing the
+// segment if that makes it dirty.
+func (h *Heap) remember(idx, gen int) {
+	if h.tab.LowerMark(idx, gen) {
+		h.dirty = append(h.dirty, idx)
 	}
-	sh.entries = live
-	if len(live) == 0 {
-		// A Go map never shrinks: an emptied shard gives its index and
-		// entry array back, and the next insert allocates them afresh.
-		sh.entries, sh.index = nil, nil
-	}
-	return scanned
 }
 
-// dirtyPhase processes the remembered set: cells in generations older
-// than those collected that may hold pointers into them. Strong cells
-// are forwarded in place; weak car cells are deferred to the weak-pair
-// pass (the copier's pendWeak list). Entries whose segments are being
-// collected are dropped (the copies are swept normally), as are entries
-// that no longer point to a younger generation. Each shard is scanned
-// with in-place compaction (scanRemShard), so steady-state collections
-// do not allocate here (asserted by TestCollectSteadyStateAllocs). The
-// map-based test oracle takes its own path in remset_oracle.go.
+// dirtyPhase scans the dirty segments a collection of 0..g must see —
+// those marked g or younger and not themselves collected — and compacts
+// the list in place: a collected segment leaves it, and so does a
+// scanned one that ends clean. Segments listed during the loop (a
+// skip-promotion's to-space, copier.open) are marked older than g and
+// stay.
 func (c *copier) dirtyPhase() {
 	h := c.h
-	if h.dirtyMap != nil {
-		h.scanDirtyMap(h.gcGen)
-		return
+	tab, g := h.tab, h.gcGen
+	keep := 0
+	for i := 0; i < len(h.dirty); i++ {
+		idx := h.dirty[i]
+		inf := tab.Info(idx)
+		if inf&seg.InfoFrom != 0 {
+			continue
+		}
+		if tab.Mark(idx).Gen() <= g {
+			young := c.rescan(idx, inf)
+			if young >= inf.Gen() {
+				tab.SetMark(idx, seg.Clean)
+				continue
+			}
+			tab.SetMark(idx, seg.MarkOf(young))
+		}
+		h.dirty[keep] = idx
+		keep++
 	}
-	shards := h.rem.all()
-	for k := range shards {
-		n := c.scanRemShard(&shards[k], h.gcGen)
-		h.report.ShardDirty[k] = n
-		h.Stats.DirtyCellsScanned += n
-	}
+	h.dirty = h.dirty[:keep]
 }
 
-// RemSetShardSizes returns the deduplicated remembered-set size of
-// every shard, indexed by shard number. The sum of the sizes equals
-// DirtyCount. It allocates; intended for reporting (the Census and
-// the gc-remset-stats Scheme primitive), not the hot path. In the
-// map-oracle configuration (which has no shards) it returns nil.
-func (h *Heap) RemSetShardSizes() []int {
-	if h.dirtyMap != nil {
-		return nil
+// rescan forwards in place every from-space referent of the dirty
+// segment idx, whose info is inf, and returns the youngest generation
+// its words then point into, or its own generation when none is
+// younger. Headers are never pointer-tagged, so every word of a pair or
+// object segment up to its Fill — a large object's continuation
+// included — reads as a Value. A weak car pointing into from-space is
+// left to the weak pass (pendWeak), which re-marks the segment itself.
+//
+// The words are read in place; a segment aliasing a template array is
+// privatized only when a store is due. The generation reads go to the
+// table's info array, taken again after each copy, which can grow the
+// table (seg.Table.Infos).
+func (c *copier) rescan(idx int, inf seg.Info) int {
+	h := c.h
+	tab := h.tab
+	n := tab.Seg(idx).Fill
+	w := tab.Words(idx)[:n]
+	weak := inf.Space() == seg.SpaceWeak
+	young := inf.Gen()
+	info := tab.Infos()
+	for i, x := range w {
+		v := obj.Value(x)
+		if !v.IsPointer() {
+			continue
+		}
+		ri := info[seg.SegIndexOf(v.Addr())]
+		if ri&seg.InfoFrom != 0 {
+			if weak && i&1 == 0 {
+				c.pendWeak = append(c.pendWeak, seg.BaseAddr(idx)+uint64(i))
+				continue
+			}
+			v = c.copyOut(v, true)
+			if inf&seg.InfoShared != 0 {
+				w, inf = tab.Writable(idx)[:n], inf&^seg.InfoShared
+			}
+			w[i] = uint64(v)
+			info = tab.Infos()
+			ri = info[seg.SegIndexOf(v.Addr())]
+		}
+		young = min(young, ri.Gen())
 	}
-	out := make([]int, RemShards)
-	for i, sh := range h.rem.all() {
-		out[i] = len(sh.entries)
+	h.Stats.DirtyCellsScanned += uint64(n)
+	return young
+}
+
+// DirtyCount returns the number of dirty segments: those whose mark is
+// not clean, each counted once however many of its words were stored
+// into. It is valid at any time, including from post-collect hooks,
+// where it counts the segments the *next* collection's dirty scan
+// starts from (the scan's re-marks and the weak pass's are complete
+// before hooks run). The contract is pinned down by
+// TestDirtyCountContract.
+func (h *Heap) DirtyCount() int { return len(h.dirty) }
+
+// DirtyByGen returns the dirty segments counted by mark: element g is
+// the number of segments whose youngest referent lies in generation g,
+// which every collection of g or an older generation scans and a
+// younger one passes over. The elements sum to DirtyCount. It
+// allocates; it is for reporting (the Census and the gc-remset-stats
+// Scheme primitive), not the hot path.
+func (h *Heap) DirtyByGen() []int {
+	out := make([]int, h.cfg.Generations)
+	for _, idx := range h.dirty {
+		out[min(h.tab.Mark(idx).Gen(), len(out)-1)]++
 	}
 	return out
 }

@@ -4,7 +4,7 @@ import "time"
 
 // CollectionReport is the per-collection record returned by Collect
 // and CollectAuto and passed to post-collect hooks. It replaces the
-// former Stats.Last* fields (LastPause, LastPhases, LastShardDirty):
+// former Stats.Last* fields (LastPause, LastPhases):
 // Stats now holds cumulative counters only, and everything scoped to a single
 // collection lives here, snapshotted at a well-defined point so
 // readers never observe a collection's state mid-phase.
@@ -52,13 +52,6 @@ type CollectionReport struct {
 	// progress terminates the fixpoint and is still counted.
 	GuardianRounds         int
 	GuardianRoundDurations []time.Duration
-
-	// ShardDirty holds, per remembered-set shard, the number of live
-	// remembered cells the dirty scan examined (stale entries dropped
-	// without examination are not counted). Its sum is the
-	// collection's DirtyCellsScanned delta. All zero when the dirty
-	// set is disabled.
-	ShardDirty [RemShards]uint64
 
 	// ProtectedByGen is the per-generation protected-list size after
 	// the guardian phase, snapshotted so hooks (and any goroutine

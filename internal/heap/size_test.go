@@ -10,9 +10,9 @@ import (
 
 // TestHeapSize pins what every heap carries before it has done
 // anything: a server holds one per standing session. The remembered
-// set's shard array and the collection work lists are allocated when
-// first needed, not inside Heap. A Heap is 1 856 bytes on 64-bit
-// hosts, in the 2 048-byte Go size class (the class below is 1 792).
+// set's dirty list and the collection work lists are allocated when
+// first needed, not inside Heap. A Heap is 1 608 bytes on 64-bit
+// hosts, in the 1 792-byte Go size class (the class below is 1 536).
 // A heap holds a cursor per space and generation, so an allocation
 // cursor stays at 24 bytes, words cache included.
 func TestHeapSize(t *testing.T) {
@@ -24,22 +24,22 @@ func TestHeapSize(t *testing.T) {
 	}
 }
 
-// TestLazyRemSetAndBorrowedScratch: a heap that never records a cell
-// has no shard array, and every reader of the remembered set treats it
-// as empty; a heap between collections holds no work lists, the
-// collection having given its scratch back.
+// TestLazyRemSetAndBorrowedScratch: a heap whose barrier never marks a
+// segment has no dirty list, and every reader of the remembered set
+// treats it as empty; a heap between collections holds no work lists,
+// the collection having given its scratch back.
 func TestLazyRemSetAndBorrowedScratch(t *testing.T) {
 	h := NewDefault()
 	keep := h.NewRoot(h.Cons(fix(1), obj.Nil))
 	h.Collect(0)
-	if h.rem.shards != nil {
-		t.Fatal("shard array allocated with nothing remembered")
+	if h.dirty != nil {
+		t.Fatal("dirty list allocated with nothing remembered")
 	}
 	if n := h.DirtyCount(); n != 0 {
 		t.Fatalf("DirtyCount = %d on an empty set", n)
 	}
-	if sizes := h.RemSetShardSizes(); len(sizes) != RemShards {
-		t.Fatalf("RemSetShardSizes has %d shards, want %d", len(sizes), RemShards)
+	if sizes := h.DirtyByGen(); len(sizes) != h.cfg.Generations {
+		t.Fatalf("DirtyByGen has %d generations, want %d", len(sizes), h.cfg.Generations)
 	}
 	if errs := h.Verify(); len(errs) > 0 {
 		t.Fatal(errs[0])
@@ -52,11 +52,11 @@ func TestLazyRemSetAndBorrowedScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An old-to-young store allocates the shards; the next collection
-	// scans them.
+	// An old-to-young store allocates the dirty list; the next
+	// collection scans it.
 	h.Collect(0) // keep's pair is now older than generation 0
 	h.SetCar(keep.Get(), h.Cons(fix(2), obj.Nil))
-	if h.rem.shards == nil || h.DirtyCount() != 1 {
+	if h.dirty == nil || h.DirtyCount() != 1 {
 		t.Fatalf("barrier hit not remembered: %d cells", h.DirtyCount())
 	}
 	h.Collect(0)

@@ -39,6 +39,11 @@ type Stats struct {
 	// "iterated" sweep).
 	SweepPasses uint64
 
+	// BarrierHits counts old-to-young stores, after each of which the
+	// cell's segment is marked at least as young as the referent;
+	// DirtyCellsScanned the words the dirty scan
+	// examined (the whole of each dirty segment it did not skip), or
+	// with the dirty set disabled the older generations' words scanned.
 	BarrierHits       uint64
 	DirtyCellsScanned uint64
 
@@ -54,8 +59,7 @@ type Stats struct {
 	// TotalPause accumulates every collection's stop-the-world pause;
 	// PhaseTotals attributes it to the collection phases, indexed by
 	// Phase (see PhaseNames). Per-collection figures — the last pause,
-	// its phase breakdown, per-worker sweep and guardian timings, the
-	// chosen worker count, per-shard dirty-scan counts — moved to
+	// its phase breakdown, the guardian rounds — live in
 	// CollectionReport (returned by Collect/CollectAuto, retained via
 	// Heap.LastReport): Stats holds cumulative counters only.
 	TotalPause  time.Duration

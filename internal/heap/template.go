@@ -7,16 +7,17 @@ import (
 	"repro/internal/seg"
 )
 
-// Heap templates: a stopped heap's segments, root slots, protected
-// lists and remembered set, captured once. CaptureTemplate is the one
-// walk over that state; what is done with a template is one of two
-// things. CloneFromTemplate spawns a heap from it in microseconds: the
-// clone's segment table aliases the template's word arrays read-only
-// and privatizes a segment only on its first write (segment-level
-// copy-on-write; see seg.InfoShared), the fork-style "boot once,
-// clone many" pattern the multi-session server's Register path is
-// built on. Encode writes it as a heap image (image.go), which
-// LoadImage decodes back into a Template and instantiates owned.
+// Heap templates: a stopped heap's segments (remembered-set marks
+// included), root slots and protected lists, captured once.
+// CaptureTemplate is the one walk over that state; what is done with a
+// template is one of two things. CloneFromTemplate spawns a heap from
+// it in microseconds: the clone's segment table aliases the template's
+// word arrays read-only and privatizes a segment only on its first
+// write (segment-level copy-on-write; see seg.InfoShared), the
+// fork-style "boot once, clone many" pattern the multi-session server's
+// Register path is built on. Encode writes it as a heap image
+// (image.go), which LoadImage decodes back into a Template and
+// instantiates owned.
 //
 // Immutability contract: after CaptureTemplate returns, the Template
 // and everything it references is never written again — not by the
@@ -41,7 +42,6 @@ type Template struct {
 	rootVals  []obj.Value
 	rootLive  []bool
 	protected [][]ProtEntry
-	dirty     []dirtyCell
 	pool      *seg.Pool
 }
 
@@ -90,6 +90,7 @@ func (h *Heap) CaptureTemplate() (*Template, error) {
 			Words: append([]uint64(nil), h.tab.Words(i)[:]...),
 			Space: inf.Space(),
 			Gen:   inf.Gen(),
+			Mark:  h.tab.Mark(i),
 			Cont:  s.Cont,
 			Fill:  s.Fill,
 			Stamp: s.Stamp,
@@ -105,16 +106,6 @@ func (h *Heap) CaptureTemplate() (*Template, error) {
 	for g, lst := range h.protected {
 		if len(lst) > 0 {
 			tpl.protected[g] = append([]ProtEntry(nil), lst...)
-		}
-	}
-	if h.dirtyMap != nil {
-		for addr, weak := range h.dirtyMap {
-			tpl.dirty = append(tpl.dirty, dirtyCell{addr, weak})
-		}
-	} else {
-		shards := h.rem.all()
-		for i := range shards {
-			tpl.dirty = append(tpl.dirty, shards[i].entries...)
 		}
 	}
 	return tpl, nil
@@ -143,13 +134,17 @@ func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 	h.stamp = tpl.stamp
 	h.autoCount = tpl.autoCount
 	h.tab = seg.NewTableFromSegs(tpl.nseg, tpl.segs, shared, tpl.pool)
-	// Rebuild the allocation chains in index order; cursors stay closed
-	// (New left them at seg.None), so the clone's first allocation into
-	// any (space, generation) opens a fresh segment rather than bumping
-	// into a shared one.
+	// Rebuild the allocation chains and the dirty list in index order;
+	// cursors stay closed (New left them at seg.None), so the clone's
+	// first allocation into any (space, generation) opens a fresh segment
+	// rather than bumping into a shared one. The marks came with the
+	// table, one copy per clone.
 	for i := range tpl.segs {
 		ts := &tpl.segs[i]
 		h.chains[ts.Space][ts.Gen] = append(h.chains[ts.Space][ts.Gen], ts.Index)
+		if ts.Mark != seg.Clean {
+			h.dirty = append(h.dirty, ts.Index)
+		}
 	}
 	handles := make([]*Root, len(tpl.rootVals))
 	for i, v := range tpl.rootVals {
@@ -167,9 +162,6 @@ func (tpl *Template) instantiate(shared bool) (*Heap, []*Root, error) {
 		if len(lst) > 0 {
 			h.protected[g] = append([]ProtEntry(nil), lst...)
 		}
-	}
-	for _, c := range tpl.dirty {
-		h.dirtyInsert(c.addr, c.weak)
 	}
 	return h, handles, nil
 }

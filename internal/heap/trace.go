@@ -27,8 +27,8 @@ const (
 	// PhaseRoots forwards the explicit root slots and the registered
 	// root providers.
 	PhaseRoots
-	// PhaseDirtyScan processes the sharded remembered set: the dirty
-	// cells recorded by the write barrier, scanned shard-by-shard. Zero
+	// PhaseDirtyScan processes the remembered set: the dirty segments
+	// the write barrier marked young enough for this collection. Zero
 	// when the dirty set is disabled.
 	PhaseDirtyScan
 	// PhaseOldScan is the conservative scan of every cell of every
@@ -100,11 +100,6 @@ type TraceEvent struct {
 	// triggered re-sweeps.
 	GuardianRounds  int     `json:"guardian_rounds"`
 	GuardianRoundNS []int64 `json:"guardian_round_ns,omitempty"`
-	// DirtyShardCells holds the number of live remembered cells the
-	// dirty-scan phase examined in each shard, indexed by shard number
-	// (0..RemShards-1); its sum is the collection's DirtyCellsScanned
-	// delta. Nil when the dirty set is disabled.
-	DirtyShardCells []uint64 `json:"dirty_shard_cells,omitempty"`
 	// MutatorsSuspended and SafepointWaitNS are always 0 (and omitted):
 	// a heap has one mutator at a time, which a collection stops by
 	// being called from it. They stay for the benchmark harness, which
@@ -193,10 +188,6 @@ func (h *Heap) recordTrace(rep *CollectionReport) {
 		GuardianRounds:    rep.GuardianRounds,
 	}
 	ev.PhaseNS = h.phaseNS
-	if h.cfg.UseDirtySet && h.dirtyMap == nil {
-		ev.DirtyShardCells = make([]uint64, RemShards)
-		copy(ev.DirtyShardCells, rep.ShardDirty[:])
-	}
 	if n := len(rep.GuardianRoundDurations); n > 0 {
 		ev.GuardianRoundNS = make([]int64, n)
 		for i, d := range rep.GuardianRoundDurations {

@@ -19,10 +19,10 @@ import (
 //     a pointer into an in-use segment of a compatible space, with an
 //     object header at the target for object pointers;
 //  2. no forwarding words survive outside a collection;
-//  3. no strong old-to-young pointer exists outside the dirty set
-//     (when the dirty set is enabled);
-//  4. no weak car points to a strictly younger generation unless its
-//     cell is in the dirty set;
+//  3. every strong old-to-young pointer lies in a segment marked at
+//     least that young (when the dirty set is enabled);
+//  4. so does every weak car that points to a strictly younger
+//     generation;
 //  5. protected-list entries index generations consistently: an entry
 //     in generation i's list guards an object residing in generation
 //     >= i, and its representative and tconc likewise;
@@ -34,15 +34,12 @@ import (
 //     run (addresses are linear through contiguous segments), so a
 //     corrupted word in a continuation segment is reported just like
 //     one in the head segment;
-//  8. the sharded remembered set is internally consistent: every
-//     shard's entry slice and dedup index agree (same size, index
-//     positions match, no duplicate addresses), every entry's address
-//     hashes to the shard holding it, and every entry's segment
-//     exists. Shard-local state leaking across shards or collections
-//     would show up here;
+//  8. outside a collection, the dirty list holds every marked segment
+//     exactly once and nothing else, and no data segment is marked;
 //  9. the segment table's dense arrays agree with slot state
 //     (seg.Table.Check): a free slot — one on a free list, and on one
-//     only — has a nil word entry and a zero info entry, every slot
+//     only — has a nil word entry, a zero info entry and a clean mark,
+//     every slot
 //     without words is on a free list, and the shared bit is set
 //     exactly for the segments whose words are their template record's
 //     array, as many as SharedCount;
@@ -63,21 +60,20 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	checkValue := func(where string, addr uint64, v obj.Value, weakCar, genCheck bool) {
+	checkValue := func(where string, addr uint64, v obj.Value, genCheck bool) {
 		ts, fault := h.checkValue(v)
 		if fault != "" {
 			report("%s @%d: %s", where, addr, fault)
 			return
 		}
-		// Generational invariant: old cell pointing young must be
-		// remembered (or be a deferred weak car, also remembered).
+		// Generational invariant: an old cell pointing young lies in a
+		// segment marked at least that young.
 		if v.IsPointer() && genCheck && h.cfg.UseDirtySet && !h.inCollect {
-			cellGen := h.genOf(addr)
-			if ts.Gen() < cellGen {
-				if got, ok := h.dirtyLookup(addr); !ok || (weakCar && !got) {
-					report("%s @%d (gen %d) points to gen %d without a dirty entry",
-						where, addr, cellGen, ts.Gen())
-				}
+			ci := seg.SegIndexOf(addr)
+			cellGen := h.tab.Info(ci).Gen()
+			if ts.Gen() < cellGen && h.tab.Mark(ci).Gen() > ts.Gen() {
+				report("%s @%d (gen %d) points to gen %d in a segment marked %s",
+					where, addr, cellGen, ts.Gen(), markName(h.tab.Mark(ci)))
 			}
 		}
 	}
@@ -135,13 +131,13 @@ func (h *Heap) Verify() []error {
 		switch h.tab.Info(idx).Space() {
 		case seg.SpacePair:
 			for off := 0; off+1 < s.Fill; off += 2 {
-				checkValue("pair car", base+uint64(off), h.valueAt(base+uint64(off)), false, true)
-				checkValue("pair cdr", base+uint64(off+1), h.valueAt(base+uint64(off+1)), false, true)
+				checkValue("pair car", base+uint64(off), h.valueAt(base+uint64(off)), true)
+				checkValue("pair cdr", base+uint64(off+1), h.valueAt(base+uint64(off+1)), true)
 			}
 		case seg.SpaceWeak:
 			for off := 0; off+1 < s.Fill; off += 2 {
-				checkValue("weak car", base+uint64(off), h.valueAt(base+uint64(off)), true, true)
-				checkValue("weak cdr", base+uint64(off+1), h.valueAt(base+uint64(off+1)), false, true)
+				checkValue("weak car", base+uint64(off), h.valueAt(base+uint64(off)), true)
+				checkValue("weak cdr", base+uint64(off+1), h.valueAt(base+uint64(off+1)), true)
 			}
 		case seg.SpaceObj:
 			off := 0
@@ -168,7 +164,7 @@ func (h *Heap) Verify() []error {
 				// multi-segment run, not just the head segment's words.
 				for i := 1; i <= n; i++ {
 					a := base + uint64(off+i)
-					checkValue(kind.String(), a, h.valueAt(a), false, true)
+					checkValue(kind.String(), a, h.valueAt(a), true)
 				}
 				off += 1 + n
 				if off > seg.Words {
@@ -204,7 +200,7 @@ func (h *Heap) Verify() []error {
 		c, o := h.rootSlot(i)
 		if c.live[o] {
 			if v := c.vals[o]; v.IsPointer() {
-				checkValue("root", 0, v, false, false)
+				checkValue("root", 0, v, false)
 			}
 		}
 	}
@@ -238,31 +234,34 @@ func (h *Heap) Verify() []error {
 		}
 	}
 
-	// Remembered-set internal consistency (invariant 8). Only the
-	// sharded representation has structure to check; the map oracle is
-	// consistent by construction.
-	if h.dirtyMap == nil {
-		shards := h.rem.all()
-		for si := range shards {
-			sh := &shards[si]
-			if len(sh.entries) != len(sh.index) {
-				report("remset shard %d: %d entries but %d index keys",
-					si, len(sh.entries), len(sh.index))
+	// The dirty list against the marks (invariant 8): a marked segment
+	// missing from the list would never be scanned, one listed twice
+	// would be scanned twice, and a marked data segment would have its
+	// raw words read as values.
+	if !h.inCollect {
+		listed := make([]uint64, (h.tab.Len()+63)/64)
+		for _, idx := range h.dirty {
+			switch {
+			case idx < 0 || idx >= h.tab.Len():
+				report("dirty list holds segment %d of %d", idx, h.tab.Len())
+			case listed[idx>>6]&(1<<(idx&63)) != 0:
+				report("segment %d is on the dirty list twice", idx)
+			default:
+				listed[idx>>6] |= 1 << (idx & 63)
 			}
-			for i, c := range sh.entries {
-				if remShardOf(c.addr) != si {
-					report("remset shard %d: entry @%d belongs to shard %d",
-						si, c.addr, remShardOf(c.addr))
-				}
-				if j, ok := sh.index[c.addr]; !ok {
-					report("remset shard %d: entry @%d missing from index", si, c.addr)
-				} else if int(j) != i {
-					report("remset shard %d: entry @%d at position %d but indexed %d",
-						si, c.addr, i, j)
-				}
-				if seg.SegIndexOf(c.addr) >= h.tab.Len() {
-					report("remset shard %d: entry @%d past end of heap", si, c.addr)
-				}
+		}
+		for idx := 0; idx < h.tab.Len(); idx++ {
+			if !h.tab.InUse(idx) {
+				continue // a free slot's mark is seg.Table.Check's
+			}
+			on, m := listed[idx>>6]&(1<<(idx&63)) != 0, h.tab.Mark(idx)
+			switch {
+			case on && m == seg.Clean:
+				report("clean segment %d is on the dirty list", idx)
+			case !on && m != seg.Clean:
+				report("segment %d is marked %s but not on the dirty list", idx, markName(m))
+			case m != seg.Clean && h.tab.Info(idx).Space() == seg.SpaceData:
+				report("data segment %d is marked %s", idx, markName(m))
 			}
 		}
 	}
@@ -334,6 +333,14 @@ func (h *Heap) Verify() []error {
 		}
 	}
 	return errs
+}
+
+// markName renders a mark for Verify's reports.
+func markName(m seg.Mark) string {
+	if m == seg.Clean {
+		return "clean"
+	}
+	return fmt.Sprintf("gen %d", m.Gen())
 }
 
 // checkValue is Verify's check of one value: "" for an immediate or

@@ -81,3 +81,54 @@ func TestVerifyFlagsMismatchedContinuationGen(t *testing.T) {
 		t.Fatalf("unexpected violation: %v", errs[0])
 	}
 }
+
+// TestVerifyCatchesUnmarkedSegment: Verify's invariants 3 and 8 catch
+// each way the marks and the dirty list can fall out of step with the
+// words — an old-to-young pointer stored past the barrier into a clean
+// segment, a marked segment missing from the list, one listed twice, a
+// clean one listed — and a freed slot that kept its mark (seg.Table
+// .Check).
+func TestVerifyCatchesUnmarkedSegment(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(h *Heap, idx int, young obj.Value)
+	}{
+		{"store past the barrier", "in a segment marked clean", func(h *Heap, idx int, young obj.Value) {
+			h.setWord(seg.BaseAddr(idx), uint64(young))
+		}},
+		{"marked, not listed", "not on the dirty list", func(h *Heap, idx int, young obj.Value) {
+			h.tab.SetMark(idx, seg.MarkOf(0))
+		}},
+		{"listed twice", "on the dirty list twice", func(h *Heap, idx int, young obj.Value) {
+			h.SetCar(obj.PairAt(seg.BaseAddr(idx)), young)
+			h.dirty = append(h.dirty, idx)
+		}},
+		{"clean, listed", "clean segment", func(h *Heap, idx int, young obj.Value) {
+			h.dirty = append(h.dirty, idx)
+		}},
+		{"freed slot keeps its mark", "free slot", func(h *Heap, idx int, young obj.Value) {
+			free := h.tab.Alloc(seg.SpacePair, 2, h.stamp)
+			h.tab.Free(free)
+			h.tab.SetMark(free, seg.MarkOf(0))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewDefault()
+			old := h.NewRoot(h.Cons(obj.False, obj.Nil))
+			h.Collect(0)
+			h.Collect(1) // tenure the pair to generation 2
+			young := h.NewRoot(h.Cons(obj.FromFixnum(1), obj.Nil))
+			if errs := h.Verify(); len(errs) != 0 {
+				t.Fatalf("clean heap reported violations: %v", errs)
+			}
+			tc.corrupt(h, seg.SegIndexOf(old.Get().Addr()), young.Get())
+			errs := h.Verify()
+			if len(errs) == 0 {
+				t.Fatal("verifier missed it")
+			}
+			if !strings.Contains(errs[0].Error(), tc.want) {
+				t.Fatalf("violation %v, want one that says %q", errs[0], tc.want)
+			}
+		})
+	}
+}

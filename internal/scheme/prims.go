@@ -778,17 +778,16 @@ func init() {
 		return out, nil
 	})
 	def("gc-remset-stats", 0, 0, func(m *Machine, a Args) (obj.Value, error) {
-		// A pair of the deduplicated remembered-set size and the list
-		// of per-shard sizes: (total shard0 shard1 ...). The shard list
-		// is empty when the sharded set is not in use (the dirty set
-		// disabled entirely, or the map-based test oracle active).
+		// The number of dirty segments, then the same counted by mark:
+		// (total gen0 gen1 ...), an element per generation, gen0 the
+		// segments that point into generation 0 (heap.DirtyByGen).
 		h := m.H
-		shards := obj.Nil
-		sizes := h.RemSetShardSizes()
+		byGen := obj.Nil
+		sizes := h.DirtyByGen()
 		for i := len(sizes) - 1; i >= 0; i-- {
-			shards = h.Cons(obj.FromFixnum(int64(sizes[i])), shards)
+			byGen = h.Cons(obj.FromFixnum(int64(sizes[i])), byGen)
 		}
-		return h.Cons(obj.FromFixnum(int64(h.DirtyCount())), shards), nil
+		return h.Cons(obj.FromFixnum(int64(h.DirtyCount())), byGen), nil
 	})
 	def("gc-trace", 0, 1, func(m *Machine, a Args) (obj.Value, error) {
 		// (gc-trace n) enables the trace ring with capacity n (0

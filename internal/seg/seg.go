@@ -75,6 +75,36 @@ func (i Info) Space() Space { return Space(i & InfoSpace) }
 // Gen returns the segment's generation.
 func (i Info) Gen() int { return int(i >> infoGenShift) }
 
+// Mark is a segment's remembered-set mark: Clean, or the youngest
+// generation the segment's words may point into — the fact the paper's
+// collector keeps beside the segment information table so that a
+// collection of generations 0..g scans, of the older generations, only
+// the segments marked g or younger. A mark holds generation gen as
+// gen+1, so that a free slot's zero entry is Clean; generations past
+// maxMarkGen are held as maxMarkGen, which only makes the mark younger
+// than it need be: a collection scans the segment more often, never
+// less.
+type Mark uint8
+
+// Clean is the mark of a segment whose words point into no younger
+// generation.
+const Clean Mark = 0
+
+const maxMarkGen = 1<<8 - 2
+
+// MarkOf returns the mark of a segment whose youngest referent lies in
+// generation gen.
+func MarkOf(gen int) Mark { return Mark(min(gen, maxMarkGen) + 1) }
+
+// Gen returns the youngest generation the mark lets the segment point
+// into: MaxGenerations, past every generation, for Clean.
+func (m Mark) Gen() int {
+	if m == Clean {
+		return MaxGenerations
+	}
+	return int(m) - 1
+}
+
 // Segment is a segment's cold facts, those the collector's per-word
 // paths do not read: a descriptor is 24 bytes and a chunk of the table
 // 1.5 KiB (seg_test.go pins both).
@@ -162,9 +192,10 @@ func (p *Pool) Len() int {
 //
 // The facts the collector and the barrier read per word live in dense
 // arrays indexed by segment number: words, the segment's storage (nil
-// exactly when the slot is free), and info (see Info). So "is this
-// referent in from-space?" is one indexed load, and reaching a word is
-// a second. The cold facts are in the Segment descriptors.
+// exactly when the slot is free), info (see Info) and mark (see Mark).
+// So "is this referent in from-space?" is one indexed load, and
+// reaching a word is a second. The cold facts are in the Segment
+// descriptors.
 //
 // Concurrency contract: a table belongs to one heap, and a heap is used
 // by one goroutine at a time (heap.Mutator hands it from one to the
@@ -173,6 +204,7 @@ func (p *Pool) Len() int {
 type Table struct {
 	words  []*[Words]uint64
 	info   []Info
+	mark   []Mark
 	chunks []*segChunk
 
 	// The free slots, on exactly one list each, claimed in this order:
@@ -240,12 +272,14 @@ func (t *Table) newWords() *[Words]uint64 {
 }
 
 // TemplateSeg describes one in-use segment for NewTableFromSegs: its
-// slot index, its words (of length seg.Words) and its table metadata.
+// slot index, its words (of length seg.Words) and its table metadata,
+// remembered-set mark included.
 type TemplateSeg struct {
 	Index int
 	Words []uint64
 	Space Space
 	Gen   int
+	Mark  Mark
 	Cont  bool
 	Fill  int
 	Stamp uint64
@@ -270,6 +304,7 @@ func NewTableFromSegs(n int, segs []TemplateSeg, shared bool, pool *Pool) *Table
 	t := &Table{
 		words:  make([]*[Words]uint64, n, room),
 		info:   make([]Info, n, room),
+		mark:   make([]Mark, n, room),
 		chunks: make([]*segChunk, room>>chunkBits),
 		holes:  make([]span, 0, len(segs)+1),
 		pool:   pool,
@@ -287,6 +322,7 @@ func NewTableFromSegs(n int, segs []TemplateSeg, shared bool, pool *Pool) *Table
 		if shared {
 			t.info[ts.Index] |= InfoShared
 		}
+		t.mark[ts.Index] = ts.Mark
 		*t.slot(ts.Index) = Segment{Stamp: ts.Stamp, Fill: ts.Fill, Cont: ts.Cont}
 		next = ts.Index + 1
 	}
@@ -329,6 +365,7 @@ func (t *Table) grow() int {
 	idx := len(t.words)
 	t.words = append(t.words, nil)
 	t.info = append(t.info, 0)
+	t.mark = append(t.mark, Clean)
 	if idx>>chunkBits == len(t.chunks) {
 		t.chunks = append(t.chunks, nil)
 	}
@@ -456,6 +493,7 @@ func (t *Table) RunLen(head int) int {
 // retire empties the in-use slot idx: a template alias is dropped (the
 // template's array is never written), and an own array goes to the
 // pool zeroed when toPool and the table has one, to spare otherwise.
+// Its info entry goes to zero and its mark to Clean.
 func (t *Table) retire(idx int, toPool bool) {
 	w := t.words[idx]
 	switch {
@@ -469,7 +507,7 @@ func (t *Table) retire(idx int, toPool bool) {
 	default:
 		t.spare = append(t.spare, w)
 	}
-	t.words[idx], t.info[idx] = nil, 0
+	t.words[idx], t.info[idx], t.mark[idx] = nil, 0, Clean
 	t.Seg(idx).Fill = 0
 }
 
@@ -530,6 +568,26 @@ func (t *Table) Info(idx int) Info { return t.info[idx] }
 // privatization, Free) show through it.
 func (t *Table) Infos() []Info { return t.info }
 
+// Mark returns segment idx's remembered-set mark (Clean for a free
+// slot).
+func (t *Table) Mark(idx int) Mark { return t.mark[idx] }
+
+// SetMark sets segment idx's mark: the dirty scan's re-mark, after it
+// has seen every word of the segment.
+func (t *Table) SetMark(idx int, m Mark) { t.mark[idx] = m }
+
+// LowerMark makes segment idx's mark at least as young as gen — the
+// write barrier's one byte min — and reports whether the mark was
+// Clean before, that is, whether the segment has just become dirty.
+func (t *Table) LowerMark(idx, gen int) (wasClean bool) {
+	m := t.mark[idx]
+	if uint(m)-1 <= uint(gen) { // Clean wraps past every generation
+		return false
+	}
+	t.mark[idx] = MarkOf(gen)
+	return m == Clean
+}
+
 // InUse reports whether segment idx is in use.
 func (t *Table) InUse(idx int) bool { return t.words[idx] != nil }
 
@@ -567,15 +625,15 @@ func (t *Table) InUseCount() int { return len(t.words) - t.FreeCount() }
 
 // Check reports through report every way the table disagrees with
 // itself: a free-list entry out of range, on two lists, or with a word
-// array or a non-zero info entry; slots without words that the free
+// array, a non-zero info entry or a mark; slots without words that the free
 // lists do not account for; an in-use slot without a descriptor; a
 // shared bit that is not set exactly where a slot's words are its
 // template record's array; and a count (FreeCount's parts, SharedCount)
 // that does not match.
 func (t *Table) Check(report func(format string, args ...any)) {
 	n := len(t.words)
-	if len(t.info) != n || len(t.chunks) != (n+chunkMask)>>chunkBits {
-		report("seg: %d word entries, %d info entries, %d chunks", n, len(t.info), len(t.chunks))
+	if len(t.info) != n || len(t.mark) != n || len(t.chunks) != (n+chunkMask)>>chunkBits {
+		report("seg: %d word entries, %d info entries, %d marks, %d chunks", n, len(t.info), len(t.mark), len(t.chunks))
 		return
 	}
 	listed := make([]uint64, (n+63)/64)
@@ -597,6 +655,9 @@ func (t *Table) Check(report func(format string, args ...any)) {
 			}
 			if t.info[idx] != 0 {
 				report("seg: free slot %d (%s list) has info %#x", idx, which, uint16(t.info[idx]))
+			}
+			if t.mark[idx] != Clean {
+				report("seg: free slot %d (%s list) is marked %d", idx, which, t.mark[idx].Gen())
 			}
 		}
 	}

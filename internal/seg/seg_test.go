@@ -8,7 +8,7 @@ import (
 )
 
 // TestSegmentDescriptorSize pins the cold descriptor at 24 bytes and a
-// table chunk at 1.5 KiB, and the dense entries at a pointer and two
+// table chunk at 1.5 KiB, and the dense entries at a pointer and three
 // bytes a slot.
 func TestSegmentDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Segment{}); got != 24 {
@@ -20,6 +20,46 @@ func TestSegmentDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Info(0)); got != 2 {
 		t.Errorf("Info is %d bytes, want 2", got)
 	}
+}
+
+// TestMarks: LowerMark only ever makes a mark younger and reports the
+// step out of Clean alone; generations past the byte saturate younger;
+// a freed slot's mark goes back to Clean; and a table built from
+// template records takes their marks, a copy of its own.
+func TestMarks(t *testing.T) {
+	var tab Table
+	idx := tab.Alloc(SpacePair, 3, 1)
+	if tab.Mark(idx) != Clean || tab.Mark(idx).Gen() != MaxGenerations {
+		t.Fatalf("fresh segment marked %d", tab.Mark(idx))
+	}
+	for _, step := range []struct {
+		gen       int
+		wasClean  bool
+		wantAfter int
+	}{{2, true, 2}, {2, false, 2}, {1, false, 1}, {2, false, 1}, {0, false, 0}} {
+		if got := tab.LowerMark(idx, step.gen); got != step.wasClean || tab.Mark(idx).Gen() != step.wantAfter {
+			t.Fatalf("LowerMark(%d): was clean %v, mark %d; want %v, %d",
+				step.gen, got, tab.Mark(idx).Gen(), step.wasClean, step.wantAfter)
+		}
+	}
+	if got := MarkOf(1000).Gen(); got != maxMarkGen {
+		t.Fatalf("MarkOf(1000) holds generation %d, want it saturated at %d", got, maxMarkGen)
+	}
+	tab.Free(idx)
+	if tab.Mark(idx) != Clean {
+		t.Fatalf("freed slot keeps mark %d", tab.Mark(idx).Gen())
+	}
+	checkTable(t, &tab)
+
+	words := make([]uint64, Words)
+	segs := []TemplateSeg{{Index: 1, Words: words, Space: SpaceObj, Gen: 2, Mark: MarkOf(0), Fill: 1}}
+	a, b := NewTableFromSegs(2, segs, true, nil), NewTableFromSegs(2, segs, true, nil)
+	a.SetMark(1, Clean)
+	if b.Mark(1) != MarkOf(0) || a.Mark(0) != Clean {
+		t.Fatalf("clone marks %d/%d, want the template's 0 and a clean free slot", b.Mark(1).Gen(), a.Mark(0).Gen())
+	}
+	checkTable(t, a)
+	checkTable(t, b)
 }
 
 // checkTable fails t on every inconsistency Check reports.

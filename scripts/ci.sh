@@ -72,7 +72,7 @@ echo "== hot-path benchmarks (compile and run once)"
 # calls per instruction (VectorRef, RecordRef, SymbolValue); one
 # iteration each, so they cannot rot. Beside them those accessors are
 # held to zero Go allocations a call.
-go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|CollectDirtyLists|CollectLargeVectors|CollectScatteredList|CollectGen0|CollectTraceOverhead|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
+go test -run '^$' -bench 'Cons|MakeVector64|CollectYoungList|CollectYoungLists|CollectYoungTree|CollectDirtyLists|CollectPromotedSlots|CollectLargeVectors|CollectScatteredList|CollectGen0|CollectTraceOverhead|BarrieredStore|VectorRef|RecordRef|SymbolValue' -benchtime 1x ./internal/heap/
 # Guardian registration: one pair onto the generation-0 protected list.
 go test -run '^$' -bench 'GuardianRegister' -benchtime 1x ./internal/core/
 # What a template-booted session costs in Go: Attach (run with

@@ -600,3 +600,19 @@ func TestGuardedTableKeyInValueLimitation(t *testing.T) {
 		t.Fatalf("plain entry not reclaimed: %d", got)
 	}
 }
+
+func TestHeapOutOfMemoryLimit(t *testing.T) {
+	cfg := heap.DefaultConfig()
+	cfg.MaxSegments = 8
+	h := heap.MustNew(cfg)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("exceeding MaxSegments did not panic")
+		}
+	}()
+	r := h.NewRoot(obj.Nil)
+	for i := 0; ; i++ {
+		r.Set(h.Cons(fix(int64(i)), r.Get())) // all live: no collection can help
+	}
+}

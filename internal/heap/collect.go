@@ -20,8 +20,9 @@ import (
 // core (copier); remset.go holds the remembered set.
 
 // Collect performs a stop-and-copy collection of generations 0
-// through g. Survivors are copied into the target generation (g+1,
-// capped at the oldest generation, which collects into itself).
+// through g. Survivors are copied into the target generation: g+1, or g
+// itself when g is the oldest dynamic generation or older (see
+// collectBegin).
 // Objects proven inaccessible that are registered with accessible
 // guardians are saved from destruction and moved onto their guardians'
 // tconcs; weak pointers into the collected generations are then
@@ -96,25 +97,24 @@ func (h *Heap) drain() {
 	h.phaseNS[PhaseSweep] += time.Since(t0).Nanoseconds()
 }
 
-// collectBegin is the collection prologue: policy resolution (target
-// generation), report reset, from-space detachment (returned, for
-// collectFinish to free), and the copier's to-space cursors. g is
-// already clamped. It accrues PhaseSetup and returns the running phase
-// clock. The caller has already set inCollect.
+// collectBegin is the collection prologue: the target generation,
+// report reset, from-space detachment (returned, for collectFinish to
+// free), and the copier's to-space cursors. g is already clamped. It
+// accrues PhaseSetup and returns the running phase clock. The caller
+// has already set inCollect.
+//
+// Survivors of 0..g go to g+1, the paper's promotion; the oldest
+// dynamic generation collects into itself, and so does an explicit
+// collection of a static one (StaticTop). Every survivor then points
+// only into its own generation or an older one, so a to-space segment
+// never needs a mark and a held guardian entry belongs on the target's
+// protected list.
 func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	h.stamp++
 	h.gcGen = g
-	target := h.policy.TargetGen(g, h.MaxGeneration())
-	if target > h.MaxGeneration() {
-		target = h.MaxGeneration()
-	}
-	if target < g {
-		// Demotion: survivors of a collection of 0..g cannot land in a
-		// generation younger than g — from-space is exactly 0..g, so a
-		// younger target would immediately be from-space again and the
-		// cursor-reset logic below would free live copies. Clamp to the
-		// in-place policy instead (documented on Policy.TargetGen).
-		target = g
+	target := g
+	if g < h.OldestDynamic() {
+		target = g + 1
 	}
 	h.gcTarget = target
 	st := &h.Stats
@@ -157,9 +157,6 @@ func (h *Heap) collectBegin(g int, start time.Time) ([]int, time.Time) {
 	// above closed its cursors, so copies go to fresh segments).
 	for sp := range h.cur {
 		h.cur[sp][target].handTo(&h.cp.cur[sp])
-		if cur := &h.cp.cur[sp]; cur.s != nil {
-			h.cp.markSkipped(seg.Space(sp), int(cur.seg))
-		}
 	}
 	h.cp.borrow(h.sc)
 	return from, h.phaseMark(PhaseSetup, start)
@@ -599,21 +596,6 @@ func (c *copier) open(space seg.Space) {
 	}
 	c.cur[space].open(h.tab, idx)
 	h.Stats.SegmentsAllocated++
-	c.markSkipped(space, idx)
-}
-
-// markSkipped marks the to-space segment idx of space when the
-// collection skips a generation: survivors of 0..g promoted past g+1
-// (a RadixPolicy.Target beyond the paper's g+1) can point into the
-// uncollected generations between, and the segment must be scanned when
-// the youngest of them, g+1, is next collected — the remembered-set side
-// of the case protListGen clamps for the protected lists. That scan
-// re-marks it exactly. Data segments hold no pointers.
-func (c *copier) markSkipped(space seg.Space, idx int) {
-	h := c.h
-	if h.gcTarget > h.gcGen+1 && space != seg.SpaceData && h.cfg.UseDirtySet {
-		h.remember(idx, h.gcGen+1)
-	}
 }
 
 // allocRun allocates a large-object run of contiguous target-generation
@@ -626,7 +608,6 @@ func (c *copier) allocRun(space seg.Space, total int) uint64 {
 	h.fillRun(first, k, total)
 	for i := 0; i < k; i++ {
 		h.chains[space][h.gcTarget] = append(h.chains[space][h.gcTarget], first+i)
-		c.markSkipped(space, first+i)
 	}
 	h.Stats.WordsAllocated += uint64(total)
 	h.Stats.SegmentsAllocated += uint64(k)
@@ -1045,8 +1026,7 @@ func (h *Heap) guardianPhase(g, target int) {
 					Rep:   c.forwardRep(e.Rep),
 					Tconc: h.fwdAddrOf(e.Tconc),
 				}
-				dst := h.protListGen(ne, target)
-				h.protected[dst] = append(h.protected[dst], ne)
+				h.protected[target] = append(h.protected[target], ne)
 				st.GuardianEntriesHeld++
 				progress = true
 			} else {
@@ -1072,32 +1052,6 @@ func (h *Heap) guardianPhase(g, target int) {
 	// inaccessible: both the entries and (eventually) the registered
 	// objects are reclaimed.
 	st.GuardianEntriesDropped += uint64(len(pendFinal) + len(pendHold))
-}
-
-// protListGen returns the protected list a held entry migrates to:
-// the promotion target, clamped down to the youngest generation among
-// the entry's pointer fields. An entry must never sit on a list older
-// than anything it references — a collection of the referenced
-// object's generation would forward the object without rescanning the
-// entry, leaving a stale pointer (Verify's "resides in younger
-// generation" invariant). With the paper's target g+1 the clamp is a
-// no-op: everything the entry references was either collected into
-// the target or is older. A skip-promotion policy (target > g+1) can
-// strand an entry's tconc or representative in an intermediate,
-// uncollected generation; the entry then stays on that younger list
-// so the intermediate generation's next collection rescans it. The
-// to-space segments of such a collection are marked for the same
-// reason (copier.markSkipped).
-func (h *Heap) protListGen(e ProtEntry, target int) int {
-	dst := target
-	for _, v := range [...]obj.Value{e.Obj, e.Rep, e.Tconc} {
-		if v.IsPointer() {
-			if g := h.genOf(v.Addr()); g < dst {
-				dst = g
-			}
-		}
-	}
-	return dst
 }
 
 // tconcAddGC performs the collector side of the tconc protocol
@@ -1155,13 +1109,13 @@ func (h *Heap) weakPass(g int) {
 }
 
 // weakFixCell fixes the weak car at addr and keeps its segment marked
-// when it must be. Both freshly copied weak pairs and deferred weak cars
-// can end up with a car still pointing at a strictly younger generation
-// — a copied pair's car does whenever the promotion policy sends the
-// pair past its referent's generation (eager tenure, §4's
-// programmer-controlled strategies). Such a segment must be marked that
-// young or later minor collections would never revisit it and the car
-// would silently dangle (Verify invariant 4).
+// when it must be. A deferred weak car — one the dirty scan found in an
+// older segment, pointing into from-space — can still point at a
+// strictly younger generation once its referent is forwarded to g+1.
+// Such a segment must be marked that young or later minor collections
+// would never revisit it and the car would silently dangle (Verify
+// invariant 4). A freshly copied weak pair never does: it lands in the
+// target, no older than anything its car can reach.
 func (h *Heap) weakFixCell(addr uint64) {
 	if g := h.weakFix(addr); g >= 0 && h.cfg.UseDirtySet {
 		h.remember(seg.SegIndexOf(addr), g)

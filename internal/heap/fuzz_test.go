@@ -13,9 +13,9 @@ import (
 // ranges, with the full heap verifier run after every single step.
 // The corpus is seeded with the
 // cross-generation guardian scenario (collector-performed old-to-young
-// tconc writes, crossgen_test.go) and a weak-promotion scenario (weak
-// pairs promoted past their referents re-entering the remembered set,
-// weakpromote_test.go).
+// tconc writes, crossgen_test.go) and a weak-promotion scenario (a
+// weak pair promoted with its referent, then broken by a full
+// collection).
 //
 // Input encoding: two bytes per operation (opcode, argument); opcodes
 // are taken mod 10. Inputs are capped at 120 operations so each
@@ -98,14 +98,13 @@ func FuzzRememberedSet(f *testing.F) {
 		6, 0, // young collection: dirty entry keeps the queued object alive
 		9, 0, // drain
 	})
-	// Seed: the weakpromote scenario — a weak pair promoted past its
-	// young referent must re-enter the remembered set (weak flag), then
-	// the referent dies and the weak car breaks.
+	// Seed: the weak-promotion scenario — a weak pair promoted with its
+	// referent, then the referent dies and the weak car breaks.
 	f.Add([]byte{
 		0, 0, // young strong pair
 		1, 2, // weak pair pointing at a root
 		6, 1, // collect 0..1: weak pair promoted with its referent
-		6, 0, // young collection: promoted weak car re-checked via dirty entry
+		6, 0, // young collection
 		5, 1, // drop a root
 		4, 3, // weak-car write
 		6, 3, // full collection: break dead weak cars

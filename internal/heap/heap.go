@@ -29,11 +29,11 @@ type Config struct {
 	// with 0 the youngest), as in §4's fixed strategy. Must be >= 1.
 	Generations int
 	// Policy is the collection policy: when each generation is
-	// collected, where survivors are promoted, and the generation-0
-	// allocation budget between collect requests (see the Policy
-	// interface in policy.go). nil selects RadixPolicy{} — the paper's
-	// fixed strategy with the stock trigger and cadence; an
-	// *AdaptivePolicy selects the feedback-driven one.
+	// collected and the generation-0 allocation budget between collect
+	// requests (see the Policy interface in policy.go). Survivors are
+	// promoted to the next generation whatever the policy. nil selects
+	// RadixPolicy{} — the paper's fixed strategy with the stock trigger
+	// and cadence; an *AdaptivePolicy selects the feedback-driven one.
 	Policy Policy
 	// UseDirtySet enables the remembered-set write barrier. When
 	// false, the collector conservatively scans every word of every
@@ -300,8 +300,8 @@ func (h *Heap) Config() Config { return h.cfg }
 func (h *Heap) MaxGeneration() int { return h.cfg.Generations - 1 }
 
 // OldestDynamic returns the oldest generation automatic collections
-// reach: MaxGeneration, or the one below it when the policy holds the
-// oldest static (StaticTop). Collect(OldestDynamic()) is a full
+// reach and survivors are promoted into: MaxGeneration, or the one
+// below it when the policy holds the oldest static (StaticTop). Collect(OldestDynamic()) is a full
 // collection of everything the program has allocated since the static
 // generation was filled.
 func (h *Heap) OldestDynamic() int {

@@ -25,17 +25,17 @@ import (
 // state lives entirely in the heap; the scheme package's machine
 // images add the symbol table.
 //
-// Format GUARDIMG6, little-endian u64s and u8 flags: the magic; the
-// generation count, live trigger, radix, dirty-set and weak-scan-all
-// flags, segment limit, stamp and automatic-collection count; the
-// segment-table length — the last in-use index plus one: trailing free
-// slots are not written — and in-use count, then per in-use segment, in
-// ascending index order, its index, space, generation, remembered-set
-// mark (a seg.Mark byte), continuation flag, fill, stamp and fill words;
-// the root slots (live flag, value); per generation the protected list
-// (object, representative, tconc).
+// Format GUARDIMG7, little-endian u64s and u8 flags: the magic; the
+// generation count, live trigger, radix, static-top, dirty-set and
+// weak-scan-all flags, segment limit, stamp and automatic-collection
+// count; the segment-table length — the last in-use index plus one:
+// trailing free slots are not written — and in-use count, then per
+// in-use segment, in ascending index order, its index, space,
+// generation, remembered-set mark (a seg.Mark byte), continuation flag,
+// fill, stamp and fill words; the root slots (live flag, value); per
+// generation the protected list (object, representative, tconc).
 
-const imageMagic = "GUARDIMG6\n"
+const imageMagic = "GUARDIMG7\n"
 
 type imageReader struct {
 	r   *bufio.Reader
@@ -71,13 +71,18 @@ func (h *Heap) SaveImage(w io.Writer) error {
 
 // Encode writes the template as a heap image, which LoadImage reads.
 // The policy itself is not written: LoadImage maps the trigger and
-// radix to a RadixPolicy, so the trigger is the donor's live one (a
-// heap tuned by AdaptivePolicy resumes from its tuned nursery size)
-// and the radix a RadixPolicy's cadence, the stock one for any other
-// policy.
+// radix to a RadixPolicy, under StaticTop when the donor's policy was
+// wrapped in it. The trigger is the donor's live one (a heap tuned by
+// AdaptivePolicy resumes from its tuned nursery size) and the radix a
+// RadixPolicy's cadence, the stock one for any other policy.
 func (t *Template) Encode(w io.Writer) error {
+	policy := t.cfg.Policy
+	st, static := policy.(staticTop)
+	if static {
+		policy = st.Policy
+	}
 	radix := DefaultRadix
-	if rp, ok := t.cfg.Policy.(RadixPolicy); ok && rp.Radix != 0 {
+	if rp, ok := policy.(RadixPolicy); ok && rp.Radix != 0 {
 		radix = rp.Radix
 	}
 	// bufio.Writer's errors are sticky: Flush returns the first.
@@ -99,6 +104,7 @@ func (t *Template) Encode(w io.Writer) error {
 	put(uint64(len(imageMagic)))
 	bw.WriteString(imageMagic)
 	put(uint64(t.cfg.Generations), uint64(t.trigger), uint64(radix))
+	flag(static)
 	flag(t.cfg.UseDirtySet)
 	flag(t.cfg.WeakScanAll)
 	put(uint64(t.cfg.MaxSegments), t.stamp, t.autoCount)
@@ -185,6 +191,9 @@ func decodeTemplate(ir *imageReader) (*Template, error) {
 	tpl := &Template{cfg: Config{Generations: int(ir.u64())}}
 	tpl.trigger = int(ir.u64())
 	tpl.cfg.Policy = RadixPolicy{Trigger: tpl.trigger, Radix: int(ir.u64())}
+	if ir.u8() != 0 {
+		tpl.cfg.Policy = StaticTop(tpl.cfg.Policy)
+	}
 	tpl.cfg.UseDirtySet = ir.u8() != 0
 	tpl.cfg.WeakScanAll = ir.u8() != 0
 	tpl.cfg.MaxSegments = int(ir.u64())

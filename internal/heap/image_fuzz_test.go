@@ -110,10 +110,10 @@ func TestLoadImageCorrupt(t *testing.T) {
 // a clean rejection for each.
 func TestLoadImageHostileCounts(t *testing.T) {
 	img := richImage(t)
-	// The header is str(magic) + 6 config u64/u8 fields + stamp +
+	// The header is str(magic) + 7 config u64/u8 fields + stamp +
 	// autoCount, then total and inUse segment counts. Locate the two
-	// count words by structure: 8(len)+10(magic) + 8*3 + 1*2 + 8 + 8 + 8.
-	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8
+	// count words by structure: 8(len)+10(magic) + 8*3 + 1*3 + 8 + 8 + 8.
+	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8 + 8
 	cases := []struct {
 		name string
 		off  int
@@ -175,7 +175,7 @@ func TestLoadImageSparseTableProbes(t *testing.T) {
 	}
 	le := binary.LittleEndian
 	const total = 4194303
-	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 8
+	segCountOff := 8 + 10 + 8 + 8 + 8 + 1 + 1 + 1 + 8 + 8 + 8
 	// A record: index, space (u8), generation, mark (u8), cont (u8),
 	// fill, stamp, then fill words.
 	last, off := 0, segCountOff+16

@@ -2,22 +2,23 @@ package heap
 
 import "repro/internal/seg"
 
-// This file is the policy seam of the collector: everything §4 leaves
-// "under programmer control" — which generation an automatic collection
-// collects, where survivors are promoted to, and how many generation-0
-// words are allocated between collect requests — goes through one
-// Policy value set via Config.Policy. Two stock implementations cover
-// the space: RadixPolicy (the paper's fixed strategy, configurable, and
-// what a nil Config.Policy resolves to) and AdaptivePolicy
-// (feedback-driven from CollectionReport survival rates, modeled on
-// CertiCoq's empirically sized nursery and the VGC survival-driven zone
-// policy). StaticTop wraps either to hold the oldest generation out of
-// automatic collection altogether.
+// This file is the policy seam of the collector: which generation an
+// automatic collection collects and how many generation-0 words are
+// allocated between collect requests go through one Policy value set
+// via Config.Policy. Where survivors go is not a policy choice: a
+// collection of 0..g copies them into g+1, and the oldest dynamic
+// generation collects into itself (collectBegin). Two stock
+// implementations cover the space: RadixPolicy (the paper's fixed
+// strategy, configurable, and what a nil Config.Policy resolves to) and
+// AdaptivePolicy (feedback-driven from CollectionReport survival rates,
+// modeled on CertiCoq's empirically sized nursery and the VGC
+// survival-driven zone policy). StaticTop wraps either to hold the
+// oldest generation out of automatic collection altogether.
 
-// Policy decides, for one heap, when each generation is collected,
-// where survivors go, and how large the generation-0 allocation budget
-// is. A Policy is consulted only by its heap's one mutator at a time,
-// so implementations need no internal locking; stateful implementations
+// Policy decides, for one heap, when each generation is collected and
+// how large the generation-0 allocation budget is. A Policy is
+// consulted only by its heap's one mutator at a time, so
+// implementations need no internal locking; stateful implementations
 // should also implement PolicyCloner so every heap built from the same
 // Config gets fresh state.
 //
@@ -29,15 +30,6 @@ type Policy interface {
 	// Name returns a short stable identifier ("radix", "adaptive")
 	// used by traces, reports, and the (gc-policy) prim.
 	Name() string
-
-	// TargetGen chooses the target generation for a collection of
-	// generations 0..g — §4: "the promotion and tenure strategies
-	// supported by the collector are under programmer control". The
-	// heap clamps the result to [g, maxGen]: demotion is not
-	// meaningful for a copying collector whose from-space is exactly
-	// generations 0..g (an undershooting policy behaves like the
-	// in-place policy target == g), and maxGen collects into itself.
-	TargetGen(g, maxGen int) int
 
 	// CollectGen chooses the generation the n'th automatic collection
 	// (1-based; n is the heap's cumulative collect-request count)
@@ -95,14 +87,13 @@ func radixCollectGen(n uint64, radix, maxGen int) int {
 	return g
 }
 
-// RadixPolicy is the configurable static strategy: a fixed trigger, a
-// fixed radix cadence, and an optional promotion function. Zero fields
-// select the stock defaults, so RadixPolicy{} is the paper's fixed
-// strategy: survivors of a collection of generation g are promoted to
-// g+1 (the oldest generation collects into itself), generation g is
+// RadixPolicy is the configurable static strategy: a fixed trigger and
+// a fixed radix cadence. Zero fields select the stock defaults, so
+// RadixPolicy{} is the paper's fixed strategy: generation g is
 // collected every DefaultRadix^g collect requests, and the
 // generation-0 trigger is DefaultTriggerWords, never adjusted. It is
-// also the policy heap images round-trip (LoadImage).
+// also the policy heap images round-trip (LoadImage), bare or under
+// StaticTop.
 type RadixPolicy struct {
 	// Trigger is the generation-0 trigger in words; 0 selects
 	// DefaultTriggerWords.
@@ -111,19 +102,9 @@ type RadixPolicy struct {
 	// Radix^g collect requests; 0 selects DefaultRadix. Must be >= 2
 	// when set.
 	Radix int
-	// Target chooses the promotion target for a collection of 0..g;
-	// nil selects the paper's simple strategy g+1.
-	Target func(g, maxGen int) int
 }
 
 func (p RadixPolicy) Name() string { return "radix" }
-
-func (p RadixPolicy) TargetGen(g, maxGen int) int {
-	if p.Target != nil {
-		return p.Target(g, maxGen)
-	}
-	return g + 1
-}
 
 func (p RadixPolicy) CollectGen(n uint64, maxGen int) int {
 	r := p.Radix
@@ -145,26 +126,20 @@ func (p RadixPolicy) NextTrigger(rep *CollectionReport, cur int) int { return cu
 // StaticTop wraps p so that the oldest generation is static, in the
 // manner of the generation the paper's host keeps its boot heap in:
 // automatic collections never collect it and survivors are never
-// promoted into it. Below it p runs the remaining generations exactly
-// as it would run a heap with one generation fewer — same cadence, same
-// targets, the oldest dynamic generation collecting into itself. Only
-// an explicit Collect(MaxGeneration()) reaches the static generation,
-// and it tenures every survivor there: that is how a template donor
-// fills it (scheme.CaptureTemplate), after which its clones share it
-// untouched and copy-on-write never has a collection to fault on. A
-// one-generation heap has nothing to hold static and runs p unchanged.
+// promoted into it (Heap.OldestDynamic). Below it p runs the remaining
+// generations exactly as it would run a heap with one generation fewer
+// — same cadence, the oldest dynamic generation collecting into
+// itself. Only an explicit Collect(MaxGeneration()) reaches the static
+// generation, and it tenures every survivor there: that is how a
+// template donor fills it (scheme.CaptureTemplate), after which its
+// clones share it untouched and copy-on-write never has a collection to
+// fault on. A one-generation heap has nothing to hold static and runs p
+// unchanged.
 func StaticTop(p Policy) Policy { return staticTop{p} }
 
 type staticTop struct{ Policy }
 
 func (s staticTop) Name() string { return "static-top+" + s.Policy.Name() }
-
-func (s staticTop) TargetGen(g, maxGen int) int {
-	if g >= maxGen {
-		return maxGen
-	}
-	return min(s.Policy.TargetGen(g, maxGen-1), maxGen-1)
-}
 
 func (s staticTop) CollectGen(n uint64, maxGen int) int {
 	return s.Policy.CollectGen(n, max(maxGen-1, 0))
@@ -261,11 +236,6 @@ func (p *AdaptivePolicy) ClonePolicy() Policy {
 }
 
 func (p *AdaptivePolicy) Name() string { return "adaptive" }
-
-// TargetGen keeps the paper's simple promotion: the adaptive signal
-// steers *when* generations are collected and how big the nursery is,
-// not where survivors land.
-func (p *AdaptivePolicy) TargetGen(g, maxGen int) int { return g + 1 }
 
 func (p *AdaptivePolicy) minTrigger() int {
 	if p.MinTrigger == 0 {

@@ -46,15 +46,14 @@ func (h *Heap) remember(idx, gen int) {
 // dirtyPhase scans the dirty segments a collection of 0..g must see —
 // those marked g or younger and not themselves collected — and compacts
 // the list in place: a collected segment leaves it, and so does a
-// scanned one that ends clean. Segments listed during the loop (a
-// skip-promotion's to-space, copier.open) are marked older than g and
-// stay.
+// scanned one that ends clean. Nothing is listed during the loop: the
+// copies land in the target generation, whose words point only into it
+// or older ones.
 func (c *copier) dirtyPhase() {
 	h := c.h
 	tab, g := h.tab, h.gcGen
 	keep := 0
-	for i := 0; i < len(h.dirty); i++ {
-		idx := h.dirty[i]
+	for _, idx := range h.dirty {
 		inf := tab.Info(idx)
 		if inf&seg.InfoFrom != 0 {
 			continue

@@ -139,12 +139,6 @@ func TestStressAllConfigurations(t *testing.T) {
 			Policy: heap.RadixPolicy{Trigger: 1 << 20}, UseDirtySet: false},
 		"weak-scan-all": {Generations: 4,
 			Policy: heap.RadixPolicy{Trigger: 1 << 20}, UseDirtySet: true, WeakScanAll: true},
-		"eager-tenure-policy": {Generations: 4, UseDirtySet: true,
-			Policy: heap.RadixPolicy{Trigger: 1 << 20,
-				Target: func(g, maxGen int) int { return maxGen }}},
-		"lazy-promotion-policy": {Generations: 4, UseDirtySet: true,
-			Policy: heap.RadixPolicy{Trigger: 1 << 20,
-				Target: func(g, maxGen int) int { return g }}},
 		"adaptive-autotune": func() heap.Config {
 			c := heap.DefaultConfig()
 			c.Policy = &heap.AdaptivePolicy{}

@@ -458,3 +458,55 @@ func TestImageKeepsPolicyCadence(t *testing.T) {
 		t.Fatalf("loaded policy %#v, want RadixPolicy{Trigger: 5000, Radix: 3}", roundTrip(radix).Policy())
 	}
 }
+
+// reload saves h as an image and loads it back.
+func reload(t *testing.T, h *heap.Heap) *heap.Heap {
+	t.Helper()
+	var img bytes.Buffer
+	if err := h.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	h2, _, err := heap.LoadImage(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h2
+}
+
+// TestImageKeepsStaticTop: an image records StaticTop and its inner
+// radix, so a loaded heap, like its donor and a clone, holds the
+// oldest generation static instead of collecting and promoting into it.
+func TestImageKeepsStaticTop(t *testing.T) {
+	cfg := heap.DefaultConfig()
+	cfg.Policy = heap.StaticTop(heap.RadixPolicy{Trigger: 8 * 512, Radix: 3})
+	donor := heap.MustNew(cfg)
+	r := donor.NewRoot(donor.Cons(fx(1), obj.Nil))
+	donor.Collect(donor.MaxGeneration())
+	tpl, err := donor.CaptureTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, _, err := heap.CloneFromTemplate(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := reload(t, donor)
+	for name, h := range map[string]*heap.Heap{"donor": donor, "clone": clone, "loaded": loaded} {
+		p := h.Policy()
+		if p.Name() != "static-top+radix" || p.CollectGen(9, h.MaxGeneration()) != 2 || h.OldestDynamic() != 2 {
+			t.Errorf("%s: policy %s, cadence at 9 %d, oldest dynamic generation %d; want static-top+radix, 2, 2",
+				name, p.Name(), p.CollectGen(9, h.MaxGeneration()), h.OldestDynamic())
+		}
+	}
+	census := loaded.Census()
+	static := census.Gen(3).Segments
+	for i := 0; i < 4*27; i++ {
+		loaded.CollectAuto()
+	}
+	rep := loaded.Collect(2)
+	if census = loaded.Census(); rep.Target != 2 || census.Gen(3).Segments != static {
+		t.Fatalf("the loaded heap promoted into its static generation (target %d)", rep.Target)
+	}
+	r.Release()
+	loaded.MustVerify()
+}

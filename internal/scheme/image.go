@@ -21,14 +21,14 @@ import (
 // picks up where the saved session stopped, as with Chez Scheme's
 // saved heaps.
 //
-// Format GUARDMACH6: the magic, the heap image (GUARDIMG5), then
+// Format GUARDMACH7: the magic, the heap image (GUARDIMG7), then
 // little-endian u64s, a name being its length and bytes: the base's
 // size and per slot its name, symbol, snapshot value and property
 // list; the tail's size and per slot its name and symbol (a freed slot
 // is "" and #f); the free tail slots; gensymN, nextContID and the
 // pruning flag. Older formats are refused as not a machine image.
 
-const machineMagic = "GUARDMACH6\n"
+const machineMagic = "GUARDMACH7\n"
 
 // SaveImage writes the machine to w. The machine must be quiescent (no
 // evaluation in progress).

@@ -105,7 +105,7 @@ func FuzzLoadMachineImage(f *testing.F) {
 	f.Add(plain)
 	f.Add(richMachineImage(f))
 	f.Add(plain[:len(plain)-5])
-	f.Add([]byte("GUARDMACH6\n"))
+	f.Add([]byte("GUARDMACH7\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loadMachineOutcome(t, data)
 	})
@@ -131,7 +131,7 @@ func TestLoadMachineImageRejectsInconsistentTable(t *testing.T) {
 	// Walk the table SaveImage wrote after the heap image: per base
 	// slot name, symbol, value and plist; per tail slot name and
 	// symbol; then the free list.
-	off := len("GUARDMACH6\n") + heapImg.Len()
+	off := len("GUARDMACH7\n") + heapImg.Len()
 	word := func() uint64 { off += 8; return binary.LittleEndian.Uint64(img[off-8:]) }
 	type slot struct {
 		index, nameAt, symAt int // symAt: the symbol word; in the base, value and plist follow
